@@ -15,19 +15,19 @@ from pathlib import Path
 import yaml
 
 from . import costs as costmod
-from .core import Bundle, IncrementSchedule, ProductCatalog, cents_to_dollars
-from .engine import (AuctionConfig, BidderAgent, run_auction, trace_from_jsonl,
-                     trace_summary, trace_to_jsonl)
+from .core import IncrementSchedule, ProductCatalog, cents_to_dollars
+from .engine import (AuctionConfig, BidderAgent, compare_allocations, run_auction,
+                     trace_from_jsonl, trace_summary, trace_to_jsonl)
 from .errors import ParseError, SolverError, ValidationError
 from .estimation import model_from_json, model_to_json, reconstruct_eligibility
 from .ingest import build_bundle_space, parse_bid_log, smooth_monotone, write_bid_log
-from .pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
+from .pipeline import (agents_from_estimates, estimate_all, reconstruct_prices,
+                       trace_to_bidlog)
 from .report import (RunManifest, atomic_write, comparison_to_json,
                      compare_traces, final_price_scatter_csv, hash_file,
                      heatmap_csv, heatmap_svg)
 from .solver import write_lp_format
-from .tiered import (TIERS, coverage_report, run_extended_auction,
-                     tiered_trace_summary, tiered_trace_to_jsonl)
+from .tiered import coverage_report, run_extended_auction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -166,52 +166,48 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    catalog = ProductCatalog.from_csv(args.catalog)
-    agents = _load_models(args.models)
-    config = _auction_config(catalog, cfg)
-    trace = run_auction(config, agents)
-    out = _out_dir(args)
-    manifest = _manifest(args, catalog=args.catalog)
-    atomic_write(out / "trace.jsonl", trace_to_jsonl(trace, catalog))
+def _write_run(out: Path, suffix: str, trace, manifest: RunManifest,
+               **extra) -> int:
+    """Trace, summary and manifest of an auction run; the exit code."""
+    atomic_write(out / f"trace{suffix}.jsonl", trace_to_jsonl(trace))
     summary = trace_summary(trace)
-    summary["manifest_hash"] = manifest.hash()
-    summary["revenue"] = cents_to_dollars(trace.revenue)
-    atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True))
+    summary.update(extra, manifest_hash=manifest.hash(),
+                   revenue=cents_to_dollars(trace.revenue))
+    atomic_write(out / f"summary{suffix}.json",
+                 json.dumps(summary, indent=2, sort_keys=True))
     atomic_write(out / "manifest.json", manifest.to_json())
     print(f"{trace.rounds_used} rounds, revenue {cents_to_dollars(trace.revenue)}"
           + (" (TRUNCATED)" if trace.truncated else ""))
     return EXIT_TRUNCATED if trace.truncated else EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load_config(args.config)
+    catalog = ProductCatalog.from_csv(args.catalog)
+    agents = _load_models(args.models)
+    trace = run_auction(_auction_config(catalog, cfg), agents)
+    return _write_run(_out_dir(args), "", trace,
+                      _manifest(args, catalog=args.catalog))
 
 
 def cmd_simulate_extended(args) -> int:
     cfg = _load_config(args.config)
     catalog = ProductCatalog.from_csv(args.catalog)
     agents = _load_models(args.models)
-    config = _auction_config(catalog, cfg)
     table = costmod.cost_table_from_csv(
-        Path(args.cost_table).read_text(encoding="utf-8"))
-    trace = run_extended_auction(config, agents, table)
-    out = _out_dir(args)
-    manifest = _manifest(args, catalog=args.catalog, cost_table=args.cost_table)
-    atomic_write(out / "trace_tiered.jsonl", tiered_trace_to_jsonl(trace))
-    summary = tiered_trace_summary(trace)
-    summary["manifest_hash"] = manifest.hash()
-    summary["revenue"] = cents_to_dollars(trace.revenue)
+        Path(args.cost_table).read_text(encoding="utf-8"), args.cost_table)
+    trace = run_extended_auction(_auction_config(catalog, cfg), agents, table)
+    extra = {}
     if args.demographics:
         demographics = costmod.load_demographics(args.demographics)
         cov = coverage_report(trace, catalog, demographics, _coverage_targets(cfg))
-        summary["coverage"] = {
+        extra["coverage"] = {
             "licenses_by_class_tier": cov.licenses_by_class_tier,
             "additional_population": cov.additional_population,
         }
-    atomic_write(out / "summary_tiered.json",
-                 json.dumps(summary, indent=2, sort_keys=True))
-    atomic_write(out / "manifest.json", manifest.to_json())
-    print(f"{trace.rounds_used} rounds, revenue {cents_to_dollars(trace.revenue)}"
-          + (" (TRUNCATED)" if trace.truncated else ""))
-    return EXIT_TRUNCATED if trace.truncated else EXIT_OK
+    return _write_run(_out_dir(args), "_tiered", trace,
+                      _manifest(args, catalog=args.catalog, cost_table=args.cost_table),
+                      **extra)
 
 
 def cmd_cost_table(args) -> int:
@@ -235,8 +231,8 @@ def cmd_cost_table(args) -> int:
 
 def cmd_report(args) -> int:
     catalog = ProductCatalog.from_csv(args.catalog)
-    trace_a = trace_from_jsonl(Path(args.trace_a).read_text(encoding="utf-8"))
-    trace_b = trace_from_jsonl(Path(args.trace_b).read_text(encoding="utf-8"))
+    trace_a = trace_from_jsonl(Path(args.trace_a).read_text(encoding="utf-8"), catalog)
+    trace_b = trace_from_jsonl(Path(args.trace_b).read_text(encoding="utf-8"), catalog)
     out = _out_dir(args)
     manifest = _manifest(args, catalog=args.catalog,
                          trace_a=args.trace_a, trace_b=args.trace_b)
@@ -264,14 +260,9 @@ def cmd_roundtrip_check(args) -> int:
     raw = parse_bid_log(args.bids, catalog)
     smoothed = smooth_monotone(raw)
     estimates = estimate_all(raw, catalog, _increments(cfg), backend=args.backend)
-    agents = [BidderAgent(bidder_id=b, model=e.model, space=e.space)
-              for b, e in sorted(estimates.items())]
-    config = _auction_config(catalog, cfg)
-    trace = run_auction(config, agents)
+    trace = run_auction(_auction_config(catalog, cfg), agents_from_estimates(estimates))
     actual = {b: smoothed.bundle(b, smoothed.num_rounds(b)) for b in estimates}
-    simulated = {b: trace.final_allocation.get(b, Bundle({})) for b in estimates}
-    from .engine import compare_allocations
-    per_bidder, mean = compare_allocations(actual, simulated, catalog)
+    per_bidder, mean = compare_allocations(actual, trace.final_allocation, catalog)
     for bidder, rmse in sorted(per_bidder.items()):
         print(f"{bidder}: RMSE {rmse:.4f}")
     print(f"mean RMSE {mean:.4f}; simulated revenue "

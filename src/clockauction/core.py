@@ -211,9 +211,15 @@ def aggregate_demand(bids: Iterable[Bundle], product_id: str) -> int:
 
 def posted_price(start: Money, clock: Money, aggregate: int, supply: int) -> Money:
     """Clock price if the product is overdemanded, else the start price."""
+    return step_price(start, clock, aggregate > supply)
+
+
+def step_price(start: Money, clock: Money, overdemanded: bool) -> Money:
+    """Clock price when overdemanded, else the start price; a clock below its
+    start (a sub-dollar price rounded down) is rejected."""
     if clock < start:
         raise ValidationError("clock price below start price")
-    return clock if aggregate > supply else start
+    return clock if overdemanded else start
 
 
 def payment(final_bundle: Bundle, final_posted: PriceVector) -> Money:

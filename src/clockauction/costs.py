@@ -242,12 +242,20 @@ def cost_table_to_csv(table: TieredValuationAdjustment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cost_table_from_csv(text: str) -> TieredValuationAdjustment:
-    reader = csv.DictReader(text.splitlines())
+def cost_table_from_csv(text: str, source: str = "cost table"
+                        ) -> TieredValuationAdjustment:
+    """Inverse of cost_table_to_csv; skips `#` lines such as the manifest."""
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+                if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
     required = ["bidder_id", "area_id", "tier", "cost_cents"]
     if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-        raise ParseError(f"cost table header must contain {required}")
+        raise ParseError(f"{source}: cost table header must contain {required}")
     costs = {}
     for row in reader:
-        costs[(row["bidder_id"], row["area_id"], row["tier"])] = int(row["cost_cents"])
+        try:
+            costs[(row["bidder_id"], row["area_id"], row["tier"])] = int(row["cost_cents"])
+        except (TypeError, ValueError) as exc:
+            lineno = numbered[reader.line_num - 1][0]
+            raise ParseError(f"{source}:{lineno}: {exc}") from exc
     return TieredValuationAdjustment(costs=costs)

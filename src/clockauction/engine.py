@@ -4,18 +4,19 @@ Each round, every agent picks the utility-maximizing bundle at the round's
 start prices: per base, a small MIP (BEST_COPIES) chooses one ladder level
 per product under the eligibility budget; the outer strategy adds the base
 complementarity value and keeps the best base.  Overdemanded products move to
-the clock price; the loop ends when every product clears.
+the clock price; the loop ends when every product clears.  The same loop
+(`run_rounds`) runs the deployment-tiered auction over (product, tier) keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Mapping
 
 from .core import (Bundle, EMPTY_BUNDLE, IncrementSchedule, PriceVector,
-                   ProductCatalog, RoundRecord, aggregate_demand, clock_price,
-                   eligibility_cost, payment, posted_price)
+                   ProductCatalog, RoundRecord, clock_price, step_price)
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -116,83 +117,132 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     return Bundle(quantities)
 
 
+def choose_base(agent: BidderAgent, solve: Callable) -> Any | None:
+    """Best bid across bases; `solve(base)` gives (bid, utility with the base
+    value) or None.  Strict > keeps the lower-indexed base on a tie; the bid
+    stands if its utility is >= 0, else the bidder exits (None)."""
+    best_u = -math.inf
+    best_bid = None
+    for base in agent.space.bases:
+        result = solve(base)
+        if result is not None and result[1] > best_u:
+            best_bid, best_u = result
+    return best_bid if best_bid is not None and best_u >= 0 else None
+
+
 def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
                eligibility: int) -> Bundle | None:
-    """Algorithm: best_copies per base, keep the max-utility bundle (base
-    complementarity value included); bid it if utility >= 0, else exit."""
-    best_u = -math.inf
-    best_bundle = None
-    for base in agent.space.bases:
+    """best_copies per base, then the base choice of choose_base."""
+    def solve(base):
         bundle = best_copies(base, agent.model, prices, eligibility, catalog)
         if bundle is None:
-            continue
-        u = bundle_utility(agent.model, bundle, base, prices)
-        if u > best_u:  # strict: ties keep the lower-indexed base
-            best_u = u
-            best_bundle = bundle
-    if best_bundle is not None and best_u >= 0:
-        return best_bundle
-    return None
+            return None
+        return bundle, bundle_utility(agent.model, bundle, base, prices)
+    return choose_base(agent, solve)
 
 
-def run_auction(config: AuctionConfig, agents: list[BidderAgent]) -> AuctionTrace:
+# ---------------------------------------------------------------------------
+# the round loop shared by the standard and the tiered auction
+
+
+@dataclass(frozen=True)
+class Market:
+    """What an auction format adds to the round loop.  Prices and demand are
+    kept per market key: a product id, or a (product, tier) pair."""
+    product_of: dict[Hashable, str]  # market key -> product id, in trace order
+    bid: Callable                    # (agent, start prices, eligibility) -> bid, None to exit
+    demand: Callable                 # bid -> {market key: quantity}
+    empty: Any                       # the bid of an exited bidder
+    overdemanded: Callable           # aggregate per key -> {market key: bool}
+
+
+def overdemanded(aggregate: Mapping[str, int],
+                 catalog: ProductCatalog) -> dict[str, bool]:
+    """The standard rule: aggregate demand above supply."""
+    return {j: q > catalog.get(j).supply for j, q in aggregate.items()}
+
+
+def price_step(start: PriceVector, rnd: int, over: Mapping[Hashable, bool],
+               product_of: Mapping[Hashable, str], increments: IncrementSchedule
+               ) -> tuple[PriceVector, PriceVector]:
+    """(clock, posted) prices of round `rnd`; the clock is one increment up
+    and is posted where the key is overdemanded."""
+    clock = PriceVector({k: clock_price(start[k], increments(j, rnd))
+                         for k, j in product_of.items()})
+    posted = PriceVector({k: step_price(start[k], clock[k], over[k])
+                          for k in product_of})
+    return clock, posted
+
+
+def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
+               market: Market) -> AuctionTrace:
+    """Rounds of bids at start prices, exits and the activity rule, until no
+    key is overdemanded or `max_rounds` truncates the run."""
     if not agents:
         raise ValidationError("need at least one agent")
     catalog = config.catalog
-    ids = catalog.ids()
-    start = PriceVector({j: catalog.get(j).opening_price for j in ids})
+    keys = market.product_of
+    points = {k: catalog.get(j).eligibility_points for k, j in keys.items()}
+    start = PriceVector({k: catalog.get(j).opening_price for k, j in keys.items()})
     eligibility = {a.bidder_id: a.start_eligibility(catalog) for a in agents}
     exited: set[str] = set()
 
     rounds: list[RoundRecord] = []
-    truncated = False
     while True:
         rnd = len(rounds) + 1
-        clock = PriceVector({j: clock_price(start[j], config.increments(j, rnd))
-                             for j in ids})
-        bids: dict[str, Bundle] = {}
+        bids = {}
         for agent in agents:
-            if agent.bidder_id in exited:
-                bids[agent.bidder_id] = EMPTY_BUNDLE
-                continue
-            bid = myopic_bid(agent, start, catalog, eligibility[agent.bidder_id])
+            bid = (None if agent.bidder_id in exited else
+                   market.bid(agent, start, eligibility[agent.bidder_id]))
             if bid is None:
                 # exit is permanent: zero demand and zero eligibility onward
                 exited.add(agent.bidder_id)
                 eligibility[agent.bidder_id] = 0
-                bids[agent.bidder_id] = EMPTY_BUNDLE
-            else:
-                bids[agent.bidder_id] = bid
+                bid = market.empty
+            bids[agent.bidder_id] = bid
 
-        aggregate = {j: aggregate_demand(bids.values(), j) for j in ids}
-        posted = PriceVector({
-            j: posted_price(start[j], clock[j], aggregate[j], catalog.get(j).supply)
-            for j in ids})
+        aggregate = dict.fromkeys(keys, 0)
+        for bid in bids.values():
+            for k, q in market.demand(bid).items():
+                aggregate[k] += q
+        over = market.overdemanded(aggregate)
+        clock, posted = price_step(start, rnd, over, keys, config.increments)
         rounds.append(RoundRecord(
             round=rnd, start=start, clock=clock, posted=posted,
-            aggregate=aggregate, bids=dict(bids), eligibility=dict(eligibility)))
+            aggregate=aggregate, bids=bids, eligibility=dict(eligibility)))
 
         for agent in agents:
             if agent.bidder_id not in exited:
-                cost = eligibility_cost(bids[agent.bidder_id], catalog)
+                cost = sum(q * points[k] for k, q in
+                           market.demand(bids[agent.bidder_id]).items())
                 eligibility[agent.bidder_id] = min(
                     eligibility[agent.bidder_id],
                     int(config.activity_rule * cost))
 
-        overdemanded = any(aggregate[j] > catalog.get(j).supply for j in ids)
-        if not overdemanded:
-            break
-        if rnd >= config.max_rounds:
-            truncated = True
-            break
+        if not any(over.values()) or rnd >= config.max_rounds:
+            return _final(rounds, market.demand, over)
         start = posted
 
+
+def _final(rounds: list[RoundRecord], demand: Callable,
+           over: Mapping[Hashable, bool]) -> AuctionTrace:
+    """The trace of a finished run; still overdemanded means truncated."""
     final = rounds[-1]
-    allocation = {a.bidder_id: final.bids[a.bidder_id] for a in agents}
-    revenue = sum(payment(b, final.posted) for b in allocation.values())
-    return AuctionTrace(rounds=rounds, final_allocation=allocation,
+    revenue = sum(q * final.posted[k] for bid in final.bids.values()
+                  for k, q in demand(bid).items())
+    return AuctionTrace(rounds=rounds, final_allocation=dict(final.bids),
                         revenue=revenue, rounds_used=len(rounds),
-                        truncated=truncated)
+                        truncated=any(over.values()))
+
+
+def run_auction(config: AuctionConfig, agents: list[BidderAgent]) -> AuctionTrace:
+    catalog = config.catalog
+    return run_rounds(config, agents, Market(
+        product_of={j: j for j in catalog.ids()},
+        bid=lambda agent, prices, elig: myopic_bid(agent, prices, catalog, elig),
+        demand=lambda bundle: bundle.quantities,
+        empty=EMPTY_BUNDLE,
+        overdemanded=lambda aggregate: overdemanded(aggregate, catalog)))
 
 
 def compare_allocations(a: dict[str, Bundle], b: dict[str, Bundle],
@@ -210,34 +260,42 @@ def compare_allocations(a: dict[str, Bundle], b: dict[str, Bundle],
 
 
 # ---------------------------------------------------------------------------
-# trace serialization (JSON-lines rounds + summary)
+# trace serialization (JSON-lines rounds + summary), shared by both auctions
 
 
-def _price_doc(pv: PriceVector, ids) -> dict:
-    return {j: pv[j] for j in ids}
+def _keyed_doc(values: Mapping[Hashable, int]) -> dict:
+    # a (product, tier) key is written "product::tier"
+    return {k if isinstance(k, str) else "::".join(k): v for k, v in values.items()}
 
 
-def round_to_json(record: RoundRecord, catalog: ProductCatalog) -> str:
-    ids = catalog.ids()
+def _bid_doc(bid) -> dict:
+    """{product: quantity}, or {product: [tier, quantity]} for a tiered bid."""
+    if isinstance(bid, Bundle):
+        return dict(bid.quantities)
+    return {j: [t, q] for j, (t, q) in bid.items()}
+
+
+def round_to_json(record: RoundRecord) -> str:
     doc = {
         "round": record.round,
-        "start": _price_doc(record.start, ids),
-        "clock": _price_doc(record.clock, ids),
-        "posted": _price_doc(record.posted, ids),
-        "aggregate": {j: record.aggregate[j] for j in ids},
-        "bids": {bidder: dict(bundle.quantities)
-                 for bidder, bundle in sorted(record.bids.items())},
-        "eligibility": dict(sorted(record.eligibility.items())),
+        "start": _keyed_doc(record.start.prices),
+        "clock": _keyed_doc(record.clock.prices),
+        "posted": _keyed_doc(record.posted.prices),
+        "aggregate": _keyed_doc(record.aggregate),
+        "bids": {bidder: _bid_doc(bid) for bidder, bid in record.bids.items()},
+        "eligibility": dict(record.eligibility),
     }
     return json.dumps(doc, sort_keys=True)
 
 
-def trace_to_jsonl(trace: AuctionTrace, catalog: ProductCatalog) -> str:
-    return "\n".join(round_to_json(r, catalog) for r in trace.rounds) + "\n"
+def trace_to_jsonl(trace: AuctionTrace, catalog: ProductCatalog | None = None) -> str:
+    """One JSON line per round; `catalog` is accepted but not needed."""
+    return "\n".join(round_to_json(r) for r in trace.rounds) + "\n"
 
 
-def trace_from_jsonl(text: str, truncated: bool = False) -> AuctionTrace:
-    """Rebuild a trace from its JSON-lines form (inverse of trace_to_jsonl)."""
+def trace_from_jsonl(text: str, catalog: ProductCatalog) -> AuctionTrace:
+    """Rebuild a standard auction's trace from its JSON-lines form (inverse
+    of trace_to_jsonl); truncated when the final round is still overdemanded."""
     rounds = []
     for line in text.splitlines():
         if not line.strip():
@@ -254,19 +312,18 @@ def trace_from_jsonl(text: str, truncated: bool = False) -> AuctionTrace:
         ))
     if not rounds:
         raise ValidationError("empty trace")
-    final = rounds[-1]
-    allocation = dict(final.bids)
-    revenue = sum(payment(b, final.posted) for b in allocation.values())
-    return AuctionTrace(rounds=rounds, final_allocation=allocation,
-                        revenue=revenue, rounds_used=len(rounds),
-                        truncated=truncated)
+    return _final(rounds, lambda bundle: bundle.quantities,
+                  overdemanded(rounds[-1].aggregate, catalog))
 
 
 def trace_summary(trace: AuctionTrace) -> dict:
-    return {
-        "final_allocation": {bidder: dict(bundle.quantities)
-                             for bidder, bundle in sorted(trace.final_allocation.items())},
+    summary = {
+        "final_allocation": {bidder: _bid_doc(bid)
+                             for bidder, bid in sorted(trace.final_allocation.items())},
         "revenue_cents": trace.revenue,
         "rounds_used": trace.rounds_used,
         "truncated": trace.truncated,
     }
+    if hasattr(trace, "deployment_costs"):  # a tiered trace
+        summary["deployment_costs_cents"] = dict(sorted(trace.deployment_costs.items()))
+    return summary

@@ -8,34 +8,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Bundle, IncrementSchedule, PriceVector, ProductCatalog,
-                   aggregate_demand, clock_price, posted_price)
-from .engine import AuctionConfig, AuctionTrace, BidderAgent, compare_allocations, run_auction
+from .core import IncrementSchedule, PriceVector, ProductCatalog, aggregate_demand
+from .engine import (AuctionConfig, AuctionTrace, BidderAgent, compare_allocations,
+                     overdemanded, price_step, run_auction)
 from .errors import ValidationError
 from .estimation import (EstimationReport, ValuationModel, estimate,
                          reconstruct_eligibility)
-from .ingest import (BidRow, BundleSpace, RawBidLog, SmoothedBidLog,
+from .ingest import (BidRow, BundleSpace, RawBidLog,
                      build_bundle_space, smooth_monotone)
 
 
 def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
                        increments: IncrementSchedule
                        ) -> tuple[dict[int, PriceVector], dict[int, PriceVector]]:
-    """(start, posted) price vectors per round, replayed from aggregate demand."""
+    """(start, posted) price vectors per round, replayed from aggregate demand
+    with the round loop's price step."""
     R = log.num_rounds()
     if R == 0:
         raise ValidationError("empty bid log")
-    ids = catalog.ids()
+    product_of = {j: j for j in catalog.ids()}
     start_prices: dict[int, PriceVector] = {}
     posted_prices: dict[int, PriceVector] = {}
-    start = PriceVector({j: catalog.get(j).opening_price for j in ids})
+    start = PriceVector({j: catalog.get(j).opening_price for j in product_of})
     for rnd in range(1, R + 1):
         bundles = [log.bundle(bidder, rnd) for bidder in log.bidders()]
-        clock = PriceVector({j: clock_price(start[j], increments(j, rnd)) for j in ids})
-        posted = PriceVector({
-            j: posted_price(start[j], clock[j],
-                            aggregate_demand(bundles, j), catalog.get(j).supply)
-            for j in ids})
+        aggregate = {j: aggregate_demand(bundles, j) for j in product_of}
+        _, posted = price_step(start, rnd, overdemanded(aggregate, catalog),
+                               product_of, increments)
         start_prices[rnd] = start
         posted_prices[rnd] = posted
         start = posted
@@ -97,19 +96,13 @@ def roundtrip(config: AuctionConfig, agents: list[BidderAgent],
     original = run_auction(config, agents)
     raw = trace_to_bidlog(original)
     estimates = estimate_all(raw, config.catalog, config.increments, backend=backend)
-    replay_agents = []
-    for agent in agents:
-        if agent.bidder_id in estimates:
-            est = estimates[agent.bidder_id]
-            replay_agents.append(BidderAgent(bidder_id=agent.bidder_id,
-                                             model=est.model, space=est.space))
-        else:
-            # never bid: re-simulate with an empty-bidding stand-in
-            replay_agents.append(agent)
-    replayed = run_auction(config, replay_agents)
-    a = {b: original.final_allocation.get(b, Bundle({})) for b in
-         (ag.bidder_id for ag in agents)}
-    b = {bb: replayed.final_allocation.get(bb, Bundle({})) for bb in a}
-    per_bidder, mean = compare_allocations(a, b, config.catalog)
+    # a bidder that never bid is re-simulated with its own agent
+    replayed = run_auction(config, [
+        BidderAgent(bidder_id=a.bidder_id, model=estimates[a.bidder_id].model,
+                    space=estimates[a.bidder_id].space)
+        if a.bidder_id in estimates else a for a in agents])
+    # both runs allocate to every agent, exited ones included
+    per_bidder, mean = compare_allocations(original.final_allocation,
+                                           replayed.final_allocation, config.catalog)
     return RoundTripResult(original=original, replayed=replayed,
                            rmse_per_bidder=per_bidder, rmse_mean=mean)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import ProductCatalog, cents_to_dollars
+from .core import EMPTY_BUNDLE, ProductCatalog, cents_to_dollars
 from .engine import AuctionTrace, compare_allocations
 from .ingest import RawBidLog
 
@@ -135,14 +135,15 @@ class TraceComparison:
     rounds_b: int
     units_a: int
     units_b: int
+    truncated_a: bool
+    truncated_b: bool
 
 
 def compare_traces(a: AuctionTrace, b: AuctionTrace,
                    catalog: ProductCatalog) -> TraceComparison:
     bidders = set(a.final_allocation) | set(b.final_allocation)
-    from .core import Bundle
-    alloc_a = {x: a.final_allocation.get(x, Bundle({})) for x in bidders}
-    alloc_b = {x: b.final_allocation.get(x, Bundle({})) for x in bidders}
+    alloc_a = {x: a.final_allocation.get(x, EMPTY_BUNDLE) for x in bidders}
+    alloc_b = {x: b.final_allocation.get(x, EMPTY_BUNDLE) for x in bidders}
     per_bidder, mean = compare_allocations(alloc_a, alloc_b, catalog)
     gap = 0.0
     if a.revenue:
@@ -153,7 +154,8 @@ def compare_traces(a: AuctionTrace, b: AuctionTrace,
         rmse_per_bidder=per_bidder, rmse_mean=mean,
         revenue_a=a.revenue, revenue_b=b.revenue, revenue_gap_pct=gap,
         rounds_a=a.rounds_used, rounds_b=b.rounds_used,
-        units_a=units(a), units_b=units(b))
+        units_a=units(a), units_b=units(b),
+        truncated_a=a.truncated, truncated_b=b.truncated)
 
 
 def comparison_to_json(cmp: TraceComparison, manifest_hash: str = "") -> str:
@@ -170,6 +172,8 @@ def comparison_to_json(cmp: TraceComparison, manifest_hash: str = "") -> str:
         "rounds_b": cmp.rounds_b,
         "units_a": cmp.units_a,
         "units_b": cmp.units_b,
+        "truncated_a": cmp.truncated_a,
+        "truncated_b": cmp.truncated_b,
     }, indent=2, sort_keys=True)
 
 

@@ -9,14 +9,12 @@ engaged.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
-from .core import (Bundle, IncrementSchedule, PriceVector, ProductCatalog,
-                   clock_price, posted_price)
+from .core import PriceVector, ProductCatalog, RoundRecord
 from .errors import ValidationError
-from .engine import AuctionConfig, BidderAgent
+from .engine import (AuctionConfig, AuctionTrace, BidderAgent, Market,
+                     choose_base, run_rounds, trace_summary, trace_to_jsonl)
 from .estimation import ValuationModel
 from .ingest import BundleBase
 from .solver import EQ, LE, LinearProgram, MixedIntegerProgram, solve_mip
@@ -77,29 +75,16 @@ def tier_overdemand(demands: dict[str, int], supply: int) -> dict[str, bool]:
 TieredBundle = dict[str, tuple[str, int]]  # product_id -> (tier, quantity)
 
 
-@dataclass(frozen=True)
-class TieredRoundRecord:
-    round: int
-    start: dict[tuple[str, str], int]    # (product, tier) -> cents
-    clock: dict[tuple[str, str], int]
-    posted: dict[tuple[str, str], int]
-    aggregate: dict[tuple[str, str], int]
-    bids: dict[str, TieredBundle]
-    eligibility: dict[str, int]
+TieredRoundRecord = RoundRecord  # one record type; tiered keys are (product, tier)
 
 
 @dataclass
-class TieredAuctionTrace:
-    rounds: list[TieredRoundRecord]
-    final_allocation: dict[str, TieredBundle]
-    revenue: int
-    rounds_used: int
-    truncated: bool = False
+class TieredAuctionTrace(AuctionTrace):
     deployment_costs: dict[str, int] = field(default_factory=dict)
 
 
 def _best_tiered_copies(base: BundleBase, model: ValuationModel,
-                        prices: dict[tuple[str, str], int], eligibility: int,
+                        prices: PriceVector, eligibility: int,
                         catalog: ProductCatalog, bidder_id: str,
                         adjustment: TieredValuationAdjustment
                         ) -> tuple[TieredBundle, float] | None:
@@ -164,112 +149,47 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
     return bundle, utility
 
 
-def _myopic_tiered_bid(agent: BidderAgent, prices: dict[tuple[str, str], int],
+def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,
                        catalog: ProductCatalog, eligibility: int,
                        adjustment: TieredValuationAdjustment
                        ) -> TieredBundle | None:
-    best_u = -math.inf
-    best_bundle = None
-    for base in agent.space.bases:
+    def solve(base):
         result = _best_tiered_copies(base, agent.model, prices, eligibility,
                                      catalog, agent.bidder_id, adjustment)
         if result is None:
-            continue
+            return None
         bundle, inner_u = result
-        u = inner_u + agent.model.base_values.get(base.base_id, 0.0)
-        if u > best_u:
-            best_u = u
-            best_bundle = bundle
-    if best_bundle is not None and best_u >= 0:
-        return best_bundle
-    return None
-
-
-def _tiered_cost(bundle: TieredBundle, catalog: ProductCatalog) -> int:
-    return sum(q * catalog.get(j).eligibility_points
-               for j, (t, q) in bundle.items())
+        return bundle, inner_u + agent.model.base_values.get(base.base_id, 0.0)
+    return choose_base(agent, solve)
 
 
 def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
                          adjustment: TieredValuationAdjustment) -> TieredAuctionTrace:
-    """Same round loop as the standard engine, over (product, tier) pairs with
-    hierarchical overdemand deciding which tier prices escalate."""
-    if not agents:
-        raise ValidationError("need at least one agent")
+    """The standard round loop over (product, tier) pairs; hierarchical
+    overdemand decides which tier prices escalate from a shared opening."""
     catalog = config.catalog
-    ids = catalog.ids()
-    pairs = [(j, t) for j in ids for t in TIERS]
-    # opening prices identical across the three tiers of a product
-    start = {(j, t): catalog.get(j).opening_price for (j, t) in pairs}
-    eligibility = {a.bidder_id: a.start_eligibility(catalog) for a in agents}
-    exited: set[str] = set()
 
-    rounds: list[TieredRoundRecord] = []
-    truncated = False
-    while True:
-        rnd = len(rounds) + 1
-        clock = {(j, t): clock_price(start[(j, t)], config.increments(j, rnd))
-                 for (j, t) in pairs}
-        bids: dict[str, TieredBundle] = {}
-        for agent in agents:
-            if agent.bidder_id in exited:
-                bids[agent.bidder_id] = {}
-                continue
-            bid = _myopic_tiered_bid(agent, start, catalog,
-                                     eligibility[agent.bidder_id], adjustment)
-            if bid is None:
-                exited.add(agent.bidder_id)
-                eligibility[agent.bidder_id] = 0
-                bids[agent.bidder_id] = {}
-            else:
-                bids[agent.bidder_id] = bid
+    def over(aggregate):
+        out = {}
+        for j in catalog.ids():
+            flags = tier_overdemand({t: aggregate[(j, t)] for t in TIERS},
+                                    catalog.get(j).supply)
+            out.update({(j, t): flags[t] for t in TIERS})
+        return out
 
-        aggregate = {pair: 0 for pair in pairs}
-        for bundle in bids.values():
-            for j, (t, q) in bundle.items():
-                aggregate[(j, t)] += q
-
-        posted = {}
-        any_overdemand = False
-        for j in ids:
-            supply = catalog.get(j).supply
-            over = tier_overdemand({t: aggregate[(j, t)] for t in TIERS}, supply)
-            for t in TIERS:
-                posted[(j, t)] = clock[(j, t)] if over[t] else start[(j, t)]
-                any_overdemand = any_overdemand or over[t]
-
-        rounds.append(TieredRoundRecord(
-            round=rnd, start=dict(start), clock=clock, posted=posted,
-            aggregate=aggregate, bids=dict(bids), eligibility=dict(eligibility)))
-
-        for agent in agents:
-            if agent.bidder_id not in exited:
-                cost = _tiered_cost(bids[agent.bidder_id], catalog)
-                eligibility[agent.bidder_id] = min(
-                    eligibility[agent.bidder_id],
-                    int(config.activity_rule * cost))
-
-        if not any_overdemand:
-            break
-        if rnd >= config.max_rounds:
-            truncated = True
-            break
-        start = posted
-
-    final = rounds[-1]
-    allocation = {a.bidder_id: final.bids[a.bidder_id] for a in agents}
-    revenue = sum(q * final.posted[(j, t)]
-                  for bundle in allocation.values()
-                  for j, (t, q) in bundle.items())
+    trace = run_rounds(config, agents, Market(
+        product_of={(j, t): j for j in catalog.ids() for t in TIERS},
+        bid=lambda agent, prices, elig: _myopic_tiered_bid(
+            agent, prices, catalog, elig, adjustment),
+        demand=lambda bid: {(j, t): q for j, (t, q) in bid.items()},
+        empty={},
+        overdemanded=over))
     deployment_costs = {}
-    for bidder, bundle in allocation.items():
+    for bidder, bundle in trace.final_allocation.items():
         engaged = {(catalog.get(j).area_id, t) for j, (t, q) in bundle.items()}
         deployment_costs[bidder] = sum(
             adjustment.cost(bidder, a, t) for (a, t) in sorted(engaged))
-    return TieredAuctionTrace(rounds=rounds, final_allocation=allocation,
-                              revenue=revenue, rounds_used=len(rounds),
-                              truncated=truncated,
-                              deployment_costs=deployment_costs)
+    return TieredAuctionTrace(**vars(trace), deployment_costs=deployment_costs)
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +234,6 @@ def coverage_report(trace: TieredAuctionTrace, catalog: ProductCatalog,
                            additional_population=int(round(additional)))
 
 
-def tiered_round_to_json(record: TieredRoundRecord) -> str:
-    def flat(d):
-        return {f"{j}::{t}": v for (j, t), v in sorted(d.items())}
-
-    doc = {
-        "round": record.round,
-        "start": flat(record.start),
-        "clock": flat(record.clock),
-        "posted": flat(record.posted),
-        "aggregate": flat(record.aggregate),
-        "bids": {bidder: {j: [t, q] for j, (t, q) in sorted(bundle.items())}
-                 for bidder, bundle in sorted(record.bids.items())},
-        "eligibility": dict(sorted(record.eligibility.items())),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def tiered_trace_to_jsonl(trace: TieredAuctionTrace) -> str:
-    return "\n".join(tiered_round_to_json(r) for r in trace.rounds) + "\n"
-
-
-def tiered_trace_summary(trace: TieredAuctionTrace) -> dict:
-    return {
-        "final_allocation": {
-            bidder: {j: [t, q] for j, (t, q) in sorted(bundle.items())}
-            for bidder, bundle in sorted(trace.final_allocation.items())},
-        "revenue_cents": trace.revenue,
-        "rounds_used": trace.rounds_used,
-        "truncated": trace.truncated,
-        "deployment_costs_cents": dict(sorted(trace.deployment_costs.items())),
-    }
+# one writer and one summary serve both auctions
+tiered_trace_to_jsonl = trace_to_jsonl
+tiered_trace_summary = trace_summary

@@ -115,6 +115,97 @@ def test_01_best_copies_oracle():
            f"{mismatches} mismatches, {elapsed:.1f}s")
 
 
+def test_01b_tiered_oracle():
+    """The tiered bidder oracle against enumeration of every base and every
+    (tier, ladder level) per product, with lump-sum deployment costs per
+    engaged (area, tier); integer data, so utilities agree to 1e-6."""
+    rng = np.random.default_rng(271828)
+    mismatches = []
+    for instance in range(200):
+        n = int(rng.integers(1, 4))
+        ladders, int_marginals, specs = {}, {}, {}
+        for i in range(n):
+            j = f"P{i}"
+            levels = sorted(int(v) for v in rng.choice(
+                np.arange(1, 5), size=int(rng.integers(1, 4)), replace=False))
+            ladders[j] = levels
+            specs[j] = (f"A{int(rng.integers(0, 2))}", int(rng.integers(1, 4)))
+            vals = np.sort(rng.integers(0, 50_000, size=len(levels)))[::-1]
+            int_marginals[(j, levels[0])] = 0
+            for lvl, v in zip(levels[1:], vals[1:]):
+                int_marginals[(j, lvl)] = int(v)
+        catalog = ProductCatalog(products=tuple(
+            Product(id=j, area_id=a, area_class="urban", supply=4,
+                    eligibility_points=e, opening_price=100)
+            for j, (a, e) in specs.items()))
+        bases, base_values = [], {}
+        for b in range(int(rng.integers(1, 3))):
+            members = [j for j in ladders if rng.random() < 0.7] or ["P0"]
+            quantities = {j: ladders[j][int(rng.integers(0, len(ladders[j])))]
+                          for j in members}
+            bases.append(BundleBase(f"X/base{b}", quantities))
+            base_values[f"X/base{b}"] = int(rng.integers(0, 30_000))
+        costs = {}
+        for a in sorted({a for a, _ in specs.values()}):
+            total = 0
+            for t in TIERS:
+                total += int(rng.integers(0, 20_000))
+                costs[("X", a, t)] = total
+        adjustment = TieredValuationAdjustment(costs)
+        price = {(j, t): int(rng.integers(0, 40_000)) for j in ladders for t in TIERS}
+        elig = int(rng.integers(0, 30))
+        model = ValuationModel("X", {k: float(v) for k, v in base_values.items()},
+                               {k: float(v) for k, v in int_marginals.items()})
+        agent = BidderAgent("X", model, BundleSpace(
+            bidder_id="X", bases=tuple(bases),
+            ladders={j: CopyLadder(j, tuple(lv)) for j, lv in ladders.items()},
+            observed={}))
+
+        from clockauction.core import PriceVector
+        from clockauction.tiered import _myopic_tiered_bid
+        got = _myopic_tiered_bid(agent, PriceVector(price), catalog, elig, adjustment)
+
+        def cum(j, q):
+            total, prev = 0, ladders[j][0]
+            for level in ladders[j][1:]:
+                if level > q:
+                    break
+                total += (level - prev) * int_marginals[(j, level)]
+                prev = level
+            return total
+
+        def utility(base, bid):
+            """Utility of {product: (tier, quantity)} on `base`, or None when
+            the bid is not a feasible variant of it."""
+            if set(bid) != set(base.quantities) or any(
+                    q < base.quantities[j] for j, (t, q) in bid.items()):
+                return None
+            if sum(q * specs[j][1] for j, (t, q) in bid.items()) > elig:
+                return None
+            engaged = {(specs[j][0], t) for j, (t, q) in bid.items()}
+            return (base_values[base.base_id]
+                    + sum(cum(j, q) - q * price[(j, t)] for j, (t, q) in bid.items())
+                    - sum(costs[("X", a, t)] for a, t in engaged))
+
+        best_u = None
+        for base in bases:
+            for combo in itertools.product(
+                    *[[(j, (t, q)) for t in TIERS for q in ladders[j]
+                       if q >= base.quantities[j]] for j in sorted(base.quantities)]):
+                u = utility(base, dict(combo))
+                if u is not None and (best_u is None or u > best_u):
+                    best_u = u
+        exits = best_u is None or best_u < 0
+        if exits != (got is None):
+            mismatches.append((instance, best_u, got))
+        elif got is not None:
+            got_u = max(u for u in (utility(b, got) for b in bases) if u is not None)
+            if abs(got_u - best_u) > 1e-6:
+                mismatches.append((instance, best_u, got_u))
+    report("1b tiered oracle (200 instances)", not mismatches,
+           f"{len(mismatches)} mismatches {mismatches[:3]}")
+
+
 # ---------------------------------------------------------------------------
 # 2. estimation round-trip on 50 synthetic auctions
 

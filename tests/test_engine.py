@@ -288,7 +288,8 @@ class TestTraceSerialization:
         config, agents = random_setup(3, n_bidders=3, n_products=6)
         trace = run_auction(config, agents)
         text = trace_to_jsonl(trace, config.catalog)
-        again = trace_from_jsonl(text, truncated=trace.truncated)
+        again = trace_from_jsonl(text, config.catalog)
+        assert again.truncated == trace.truncated
         assert again.revenue == trace.revenue
         assert again.rounds_used == trace.rounds_used
         assert again.final_allocation == trace.final_allocation

@@ -124,19 +124,44 @@ class TestCliPipeline:
         assert table.exists()
         body = table.read_text()
         assert body.startswith("# manifest ")
-        # strip the manifest comment before feeding it back in
-        stripped = tmp_path / "table.csv"
-        stripped.write_text("".join(l for l in body.splitlines(keepends=True)
-                                    if not l.startswith("#")))
+        # the cost-table output, manifest line included, feeds straight in
         ext = tmp_path / "ext"
         code = run(["simulate-extended", "--catalog", workspace / "catalog.csv",
                     "--models", workspace / "models",
-                    "--cost-table", stripped,
+                    "--cost-table", table,
                     "--demographics", workspace / "demographics.csv",
                     "--out", ext])
         assert code in (0, 4)
         summary = json.loads((ext / "summary_tiered.json").read_text())
         assert "coverage" in summary and "revenue_cents" in summary
+
+    def test_bad_cost_is_parse_error(self, workspace, tmp_path, capsys):
+        table = tmp_path / "bad_costs.csv"
+        table.write_text("# manifest 0\nbidder_id,area_id,tier,cost_cents\n"
+                         "X,A1,low,1.5\n")
+        code = run(["simulate-extended", "--catalog", workspace / "catalog.csv",
+                    "--models", workspace / "models", "--cost-table", table,
+                    "--out", tmp_path / "ext"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{table}:3:" in err and "Traceback" not in err
+
+    def test_report_flags_truncated_trace(self, workspace, tmp_path):
+        config = tmp_path / "short.yaml"
+        config.write_text("max_rounds: 1\n")
+        short, full = tmp_path / "short", tmp_path / "full"
+        assert run(["simulate", "--catalog", workspace / "catalog.csv",
+                    "--models", workspace / "models", "--config", config,
+                    "--out", short]) == 4
+        assert run(["simulate", "--catalog", workspace / "catalog.csv",
+                    "--models", workspace / "models", "--out", full]) == 0
+        rep = tmp_path / "rep"
+        assert run(["report", "--catalog", workspace / "catalog.csv",
+                    "--trace-a", short / "trace.jsonl",
+                    "--trace-b", full / "trace.jsonl", "--out", rep]) == 0
+        cmp_doc = json.loads((rep / "comparison.json").read_text())
+        assert cmp_doc["truncated_a"] is True
+        assert cmp_doc["truncated_b"] is False
 
     def test_roundtrip_check(self, workspace, tmp_path):
         code = run(["roundtrip-check", "--catalog", workspace / "catalog.csv",

@@ -4,7 +4,7 @@ import pytest
 from clockauction.core import (Bundle, IncrementSchedule, Product,
                                ProductCatalog)
 from clockauction.costs import AreaStats, DEFAULT_COVERAGE_TARGETS
-from clockauction.engine import AuctionConfig, BidderAgent
+from clockauction.engine import AuctionConfig, BidderAgent, run_auction
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
@@ -115,6 +115,20 @@ class TestExtendedAuction:
                      for bundle in record.bids.values()
                      for (t, _) in bundle.values()}
         assert "low" in tiers_bid and tiers_bid != {"low"}
+
+    def test_clock_below_start_rejected_like_standard_auction(self):
+        # a 40-cent opening price has a clock of $0 after dollar rounding;
+        # both auctions share the posted-price step that rejects it
+        catalog = make_catalog({"P1": ("A1", "urban", 1, 40)})
+        config = AuctionConfig(catalog=catalog,
+                               increments=IncrementSchedule.constant(0.1))
+        agents = lambda: [unit_agent("X", "P1", 500_00),
+                          unit_agent("Y", "P1", 400_00)]
+        with pytest.raises(ValidationError, match="clock price below start"):
+            run_auction(config, agents())
+        adj = TieredValuationAdjustment.zero(["X", "Y"], ["A1"])
+        with pytest.raises(ValidationError, match="clock price below start"):
+            run_extended_auction(config, agents(), adj)
 
     def test_price_gradient_and_supply(self):
         rng = np.random.default_rng(17)
