@@ -15,7 +15,8 @@ from pathlib import Path
 import yaml
 
 from . import costs as costmod
-from .core import IncrementSchedule, ProductCatalog, cents_to_dollars
+from .core import (IncrementSchedule, ProductCatalog, cents_to_dollars,
+                   dollars_to_cents, read_document)
 from .engine import (AuctionConfig, BidderAgent, compare_allocations, run_auction,
                      trace_from_jsonl, trace_summary, trace_to_jsonl)
 from .errors import ParseError, SolverError, ValidationError
@@ -35,23 +36,6 @@ EXIT_SOLVER = 3
 EXIT_TRUNCATED = 4
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return yaml.safe_load(fh) or {}
-
-
-def _increments(cfg: dict) -> IncrementSchedule:
-    return IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
-
-
-def _auction_config(catalog: ProductCatalog, cfg: dict) -> AuctionConfig:
-    return AuctionConfig(catalog=catalog, increments=_increments(cfg),
-                         max_rounds=int(cfg.get("max_rounds", 200)),
-                         activity_rule=float(cfg.get("activity_rule", 1.0)))
-
-
 def _coverage_targets(cfg: dict) -> dict:
     raw = cfg.get("coverage_targets")
     if not raw:
@@ -60,27 +44,39 @@ def _coverage_targets(cfg: dict) -> dict:
             for area_class, tiers in raw.items() for tier, v in tiers.items()}
 
 
-def _cost_params(cfg: dict) -> costmod.CostParameters:
-    c = cfg.get("cost", {})
-    kwargs = {}
-    from .core import dollars_to_cents
-    if "tower_cost_low_cad" in c:
-        kwargs["tower_cost_low"] = dollars_to_cents(c["tower_cost_low_cad"])
-    if "tower_cost_high_cad" in c:
-        kwargs["tower_cost_high"] = dollars_to_cents(c["tower_cost_high_cad"])
-    if "fibre_cost_per_km_cad" in c:
-        kwargs["fibre_cost_per_km"] = dollars_to_cents(c["fibre_cost_per_km_cad"])
-    for key in ("market_markup", "inflation", "currency_premium"):
-        if key in c:
-            kwargs[key] = float(c[key])
-    if "pop_per_tower" in c:
-        kwargs["pop_per_tower"] = int(c["pop_per_tower"])
-    if "spacing_km" in c:
-        kwargs["spacing_km"] = {k: float(v) for k, v in c["spacing_km"].items()}
-    if "tower_costs_post_adjustment" in c:
-        kwargs["tower_costs_post_adjustment"] = bool(c["tower_costs_post_adjustment"])
-    kwargs["coverage_targets"] = _coverage_targets(cfg)
-    return costmod.CostParameters(**kwargs)
+# YAML `cost:` key -> (CostParameters field, conversion)
+_COST_KEYS = {
+    "tower_cost_low_cad": ("tower_cost_low", dollars_to_cents),
+    "tower_cost_high_cad": ("tower_cost_high", dollars_to_cents),
+    "fibre_cost_per_km_cad": ("fibre_cost_per_km", dollars_to_cents),
+    "market_markup": ("market_markup", float),
+    "inflation": ("inflation", float),
+    "currency_premium": ("currency_premium", float),
+    "pop_per_tower": ("pop_per_tower", int),
+    "spacing_km": ("spacing_km", lambda d: {k: float(v) for k, v in d.items()}),
+    "tower_costs_post_adjustment": ("tower_costs_post_adjustment", bool),
+}
+
+
+def _load_config(path: str | None, catalog: ProductCatalog
+                 ) -> tuple[AuctionConfig, costmod.CostParameters]:
+    """The auction and cost settings of a YAML config, its values converted
+    as the file is read; no config reads as an empty one."""
+    def settings(text: str):
+        cfg = yaml.safe_load(text) or {}
+        cost = cfg.get("cost", {})
+        increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
+        return (AuctionConfig(catalog=catalog, increments=increments,
+                              max_rounds=int(cfg.get("max_rounds", 200)),
+                              activity_rule=float(cfg.get("activity_rule", 1.0))),
+                costmod.CostParameters(
+                    coverage_targets=_coverage_targets(cfg),
+                    **{field: convert(cost[key])
+                       for key, (field, convert) in _COST_KEYS.items() if key in cost}))
+    try:
+        return read_document(path, settings) if path else settings("")
+    except yaml.YAMLError as exc:  # its message gives the line and column
+        raise ParseError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 def _manifest(args, **inputs) -> RunManifest:
@@ -99,7 +95,7 @@ def _out_dir(args) -> Path:
 def _load_models(models_dir: str):
     agents = []
     for path in sorted(Path(models_dir).glob("model_*.json")):
-        model, space = model_from_json(path.read_text(encoding="utf-8"))
+        model, space = read_document(path, model_from_json)
         agents.append(BidderAgent(bidder_id=model.bidder_id, model=model, space=space))
     if not agents:
         raise ValidationError(f"no model_*.json files in {models_dir}")
@@ -130,15 +126,15 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
     catalog = ProductCatalog.from_csv(args.catalog)
+    auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
     if args.dump_lp:
         Path(args.dump_lp).mkdir(parents=True, exist_ok=True)
         from .estimation import build_lp
         smoothed = smooth_monotone(raw)
-        start_prices, _ = reconstruct_prices(raw, catalog, _increments(cfg))
+        start_prices = reconstruct_prices(raw, catalog, auction.increments)
         for bidder in smoothed.bidders():
             space = build_bundle_space(smoothed, bidder)
             if not space.bases:
@@ -146,7 +142,7 @@ def cmd_estimate(args) -> int:
             elig = reconstruct_eligibility(space, smoothed, catalog)
             lp = build_lp(space, smoothed, start_prices, elig, catalog)
             write_lp_format(lp, Path(args.dump_lp) / f"estimation_{bidder}.lp")
-    estimates = estimate_all(raw, catalog, _increments(cfg), backend=args.backend)
+    estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
     reports = {}
     for bidder, est in sorted(estimates.items()):
         atomic_write(out / f"model_{bidder}.json", model_to_json(est.model, est.space))
@@ -182,25 +178,24 @@ def _write_run(out: Path, suffix: str, trace, manifest: RunManifest,
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
     catalog = ProductCatalog.from_csv(args.catalog)
+    auction, _ = _load_config(args.config, catalog)
     agents = _load_models(args.models)
-    trace = run_auction(_auction_config(catalog, cfg), agents)
+    trace = run_auction(auction, agents)
     return _write_run(_out_dir(args), "", trace,
                       _manifest(args, catalog=args.catalog))
 
 
 def cmd_simulate_extended(args) -> int:
-    cfg = _load_config(args.config)
     catalog = ProductCatalog.from_csv(args.catalog)
+    auction, params = _load_config(args.config, catalog)
     agents = _load_models(args.models)
-    table = costmod.cost_table_from_csv(
-        Path(args.cost_table).read_text(encoding="utf-8"), args.cost_table)
-    trace = run_extended_auction(_auction_config(catalog, cfg), agents, table)
+    table = costmod.cost_table_from_csv(args.cost_table)
+    trace = run_extended_auction(auction, agents, table)
     extra = {}
     if args.demographics:
         demographics = costmod.load_demographics(args.demographics)
-        cov = coverage_report(trace, catalog, demographics, _coverage_targets(cfg))
+        cov = coverage_report(trace, catalog, demographics, params.coverage_targets)
         extra["coverage"] = {
             "licenses_by_class_tier": cov.licenses_by_class_tier,
             "additional_population": cov.additional_population,
@@ -211,12 +206,11 @@ def cmd_simulate_extended(args) -> int:
 
 
 def cmd_cost_table(args) -> int:
-    cfg = _load_config(args.config)
     catalog = ProductCatalog.from_csv(args.catalog)
+    _, params = _load_config(args.config, catalog)
     demographics = costmod.load_demographics(args.demographics)
     inventory = costmod.load_inventory(args.inventory)
     scenario = costmod.SCENARIOS[args.scenario]
-    params = _cost_params(cfg)
     table = costmod.build_cost_table(catalog, demographics, inventory,
                                      scenario, params)
     out = _out_dir(args)
@@ -231,8 +225,8 @@ def cmd_cost_table(args) -> int:
 
 def cmd_report(args) -> int:
     catalog = ProductCatalog.from_csv(args.catalog)
-    trace_a = trace_from_jsonl(Path(args.trace_a).read_text(encoding="utf-8"), catalog)
-    trace_b = trace_from_jsonl(Path(args.trace_b).read_text(encoding="utf-8"), catalog)
+    trace_a = trace_from_jsonl(args.trace_a, catalog)
+    trace_b = trace_from_jsonl(args.trace_b, catalog)
     out = _out_dir(args)
     manifest = _manifest(args, catalog=args.catalog,
                          trace_a=args.trace_a, trace_b=args.trace_b)
@@ -255,12 +249,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_roundtrip_check(args) -> int:
-    cfg = _load_config(args.config)
     catalog = ProductCatalog.from_csv(args.catalog)
+    auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
     smoothed = smooth_monotone(raw)
-    estimates = estimate_all(raw, catalog, _increments(cfg), backend=args.backend)
-    trace = run_auction(_auction_config(catalog, cfg), agents_from_estimates(estimates))
+    estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
+    trace = run_auction(auction, agents_from_estimates(estimates))
     actual = {b: smoothed.bundle(b, smoothed.num_rounds(b)) for b in estimates}
     per_bidder, mean = compare_allocations(actual, trace.final_allocation, catalog)
     for bidder, rmse in sorted(per_bidder.items()):

@@ -8,11 +8,12 @@ over ~100 rounds.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ClockAuctionError, ParseError, ValidationError
 
 AREA_CLASSES = ("metro", "urban", "rural", "remote")
 
@@ -91,26 +92,12 @@ class ProductCatalog:
     def from_csv(path) -> "ProductCatalog":
         """Load a catalog from CSV with columns
         product_id, area_id, area_class, supply, eligibility_points, opening_price_cad."""
-        required = ["product_id", "area_id", "area_class", "supply",
-                    "eligibility_points", "opening_price_cad"]
-        products = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-                raise ParseError(f"{path}: catalog header must contain {required}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    products.append(Product(
-                        id=row["product_id"].strip(),
-                        area_id=row["area_id"].strip(),
-                        area_class=row["area_class"].strip(),
-                        supply=int(row["supply"]),
-                        eligibility_points=int(row["eligibility_points"]),
-                        opening_price=dollars_to_cents(row["opening_price_cad"]),
-                    ))
-                except (KeyError, ValueError) as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        return ProductCatalog(products=tuple(products))
+        return ProductCatalog(products=tuple(read_csv(
+            path, ["product_id", "area_id", "area_class", "supply",
+                   "eligibility_points", "opening_price_cad"],
+            lambda pid, area, area_class, supply, points, price: Product(
+                pid, area, area_class, int(supply), int(points), dollars_to_cents(price)),
+            key=lambda p: p.id)))
 
 
 @dataclass(frozen=True)
@@ -229,3 +216,56 @@ def payment(final_bundle: Bundle, final_posted: PriceVector) -> Money:
 def eligibility_cost(bundle: Bundle, catalog: ProductCatalog) -> int:
     return sum(catalog.get(j).eligibility_points * q
                for j, q in bundle.quantities.items())
+
+
+# What converting a malformed row or document raises (see input_error).
+INPUT_ERRORS = (ParseError, ValidationError, ValueError, LookupError,
+                TypeError, AttributeError, ArithmeticError)
+
+
+def input_error(where: str, exc: Exception) -> ClockAuctionError:
+    """`exc`, met while reading `where` (a file or `file:line`), to raise: a
+    ValidationError stays one, any other error becomes a ParseError."""
+    kind = ValidationError if isinstance(exc, ValidationError) else ParseError
+    return kind(f"{where}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def read_document(path, parse: Callable[[str], object]):
+    """`parse` of the file's text; failing to read or parse it is an input error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, *INPUT_ERRORS) as exc:
+        raise input_error(str(path), exc) from exc
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) for each line that is neither blank nor a `#` comment."""
+    return read_document(path, lambda text: [
+        (n, line) for n, line in enumerate(io.StringIO(text, newline=""), start=1)
+        if line.strip() and not line.startswith("#")])
+
+
+def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> list:
+    """`parse_row(*fields)` for each row of the CSV file at `path`, skipping
+    `#` and blank lines.  The header must name every `required` column; each
+    row passes those fields, stripped and in that order.  A short row, a
+    malformed field and a repeated `key(value)` are input errors at `path:line`."""
+    numbered = read_lines(path)
+    reader = csv.reader(line for _, line in numbered)
+    header = [c.strip() for c in next(reader, [])]
+    if not set(required) <= set(header):
+        raise ParseError(f"{path}: header must contain {required}")
+    columns = [header.index(c) for c in required]
+    values, seen = [], {}
+    try:
+        for row in reader:
+            value = parse_row(*[row[i].strip() for i in columns])
+            k = key(value)
+            if k in seen:
+                raise ValidationError(f"{k!r} repeats line {numbered[seen[k] - 1][0]}")
+            seen[k] = reader.line_num
+            values.append(value)
+    except (csv.Error, *INPUT_ERRORS) as exc:
+        raise input_error(f"{path}:{numbered[reader.line_num - 1][0]}", exc) from exc
+    return values

@@ -10,13 +10,12 @@ density or land area.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 
-from .core import Money, ProductCatalog, dollars_to_cents
-from .errors import ParseError, ValidationError
+from .core import AREA_CLASSES, Money, ProductCatalog, dollars_to_cents, read_csv
+from .errors import ValidationError
 from .tiered import TIERS, TieredValuationAdjustment
 
 # Tier coverage targets per area class (population fraction reached within
@@ -37,28 +36,21 @@ class AreaStats:
     population: int
     land_area_km2: float
 
+    def __post_init__(self):
+        if self.area_class not in AREA_CLASSES:
+            raise ValidationError(f"area {self.area_id}: unknown area_class {self.area_class!r}")
+
     def density(self) -> float:
         return self.population / self.land_area_km2 if self.land_area_km2 > 0 else 0.0
 
 
 def load_demographics(path) -> dict[str, AreaStats]:
-    """CSV columns: area_id, area_class, population, land_area_km2."""
-    required = ["area_id", "area_class", "population", "land_area_km2"]
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ParseError(f"{path}: demographics header must contain {required}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                stats = AreaStats(area_id=row["area_id"].strip(),
-                                  area_class=row["area_class"].strip(),
-                                  population=int(row["population"]),
-                                  land_area_km2=float(row["land_area_km2"]))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            out[stats.area_id] = stats
-    return out
+    """CSV columns: area_id, area_class, population, land_area_km2; one row
+    per area."""
+    return {a.area_id: a for a in read_csv(
+        path, ["area_id", "area_class", "population", "land_area_km2"],
+        lambda area, cls, pop, land: AreaStats(area, cls, int(pop), float(land)),
+        key=lambda a: a.area_id)}
 
 
 @dataclass(frozen=True)
@@ -84,20 +76,10 @@ class TowerInventory:
 
 
 def load_inventory(path) -> TowerInventory:
-    """CSV columns: bidder_id, area_id, tower_count."""
-    required = ["bidder_id", "area_id", "tower_count"]
-    counts = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ParseError(f"{path}: inventory header must contain {required}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                counts[(row["bidder_id"].strip(), row["area_id"].strip())] = \
-                    int(row["tower_count"])
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return TowerInventory(counts=counts)
+    """CSV columns: bidder_id, area_id, tower_count; one row per (bidder, area)."""
+    return TowerInventory(counts=dict(read_csv(
+        path, ["bidder_id", "area_id", "tower_count"],
+        lambda bidder, area, n: ((bidder, area), int(n)), key=lambda kv: kv[0])))
 
 
 @dataclass(frozen=True)
@@ -242,20 +224,9 @@ def cost_table_to_csv(table: TieredValuationAdjustment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cost_table_from_csv(text: str, source: str = "cost table"
-                        ) -> TieredValuationAdjustment:
+def cost_table_from_csv(path) -> TieredValuationAdjustment:
     """Inverse of cost_table_to_csv; skips `#` lines such as the manifest."""
-    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
-                if not line.startswith("#")]
-    reader = csv.DictReader(line for _, line in numbered)
-    required = ["bidder_id", "area_id", "tier", "cost_cents"]
-    if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-        raise ParseError(f"{source}: cost table header must contain {required}")
-    costs = {}
-    for row in reader:
-        try:
-            costs[(row["bidder_id"], row["area_id"], row["tier"])] = int(row["cost_cents"])
-        except (TypeError, ValueError) as exc:
-            lineno = numbered[reader.line_num - 1][0]
-            raise ParseError(f"{source}:{lineno}: {exc}") from exc
-    return TieredValuationAdjustment(costs=costs)
+    return TieredValuationAdjustment(costs=dict(read_csv(
+        path, ["bidder_id", "area_id", "tier", "cost_cents"],
+        lambda bidder, area, tier, cost: ((bidder, area, tier), int(cost)),
+        key=lambda kv: kv[0])))

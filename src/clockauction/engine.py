@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
-from .core import (Bundle, EMPTY_BUNDLE, IncrementSchedule, PriceVector,
-                   ProductCatalog, RoundRecord, clock_price, step_price)
+from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
+                   PriceVector, ProductCatalog, RoundRecord, clock_price,
+                   input_error, read_lines, step_price)
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -293,27 +294,27 @@ def trace_to_jsonl(trace: AuctionTrace, catalog: ProductCatalog | None = None) -
     return "\n".join(round_to_json(r) for r in trace.rounds) + "\n"
 
 
-def trace_from_jsonl(text: str, catalog: ProductCatalog) -> AuctionTrace:
-    """Rebuild a standard auction's trace from its JSON-lines form (inverse
-    of trace_to_jsonl); truncated when the final round is still overdemanded."""
-    rounds = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        rounds.append(RoundRecord(
-            round=doc["round"],
-            start=PriceVector(doc["start"]),
-            clock=PriceVector(doc["clock"]),
-            posted=PriceVector(doc["posted"]),
-            aggregate=doc["aggregate"],
-            bids={bidder: Bundle(q) for bidder, q in doc["bids"].items()},
-            eligibility=doc["eligibility"],
-        ))
+def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
+    """Read a standard auction's trace (truncated if its final round is still
+    overdemanded); a malformed or tiered round is an input error at `path:line`."""
+    rounds, over = [], {}
+    for n, line in read_lines(path):
+        try:
+            doc = json.loads(line)
+            bids = doc["bids"]
+            if any(isinstance(q, list) for bid in bids.values() for q in bid.values()):
+                raise ValidationError("a tiered bid; report compares standard-auction traces")
+            rounds.append(RoundRecord(
+                round=doc["round"], start=PriceVector(doc["start"]),
+                clock=PriceVector(doc["clock"]), posted=PriceVector(doc["posted"]),
+                aggregate=doc["aggregate"], eligibility=doc["eligibility"],
+                bids={bidder: Bundle(q) for bidder, q in bids.items()}))
+            over = overdemanded(rounds[-1].aggregate, catalog)
+        except INPUT_ERRORS as exc:
+            raise input_error(f"{path}:{n}", exc) from exc
     if not rounds:
-        raise ValidationError("empty trace")
-    return _final(rounds, lambda bundle: bundle.quantities,
-                  overdemanded(rounds[-1].aggregate, catalog))
+        raise ValidationError(f"{path}: empty trace")
+    return _final(rounds, lambda bundle: bundle.quantities, over)
 
 
 def trace_summary(trace: AuctionTrace) -> dict:

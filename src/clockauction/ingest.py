@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .core import Bundle, EMPTY_BUNDLE, ProductCatalog
+from .core import Bundle, EMPTY_BUNDLE, ProductCatalog, read_csv
 from .errors import ParseError, ValidationError
 
 
@@ -107,43 +107,23 @@ class BundleSpace:
 
 def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
     """Load a bid log CSV with columns round, bidder_id, product_id, quantity."""
-    required = ["round", "bidder_id", "product_id", "quantity"]
-    rows = []
-    seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ParseError(f"{path}: bid log header must contain {required}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rec = BidRow(round=int(row["round"]),
-                             bidder_id=row["bidder_id"].strip(),
-                             product_id=row["product_id"].strip(),
-                             quantity=int(row["quantity"]))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if rec.round < 1:
-                raise ParseError(f"{path}:{lineno}: round must be >= 1")
-            if rec.quantity < 0:
-                raise ValidationError(f"{path}:{lineno}: negative quantity")
-            if rec.product_id not in catalog:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown product {rec.product_id!r}")
-            if rec.quantity > catalog.get(rec.product_id).supply:
-                raise ValidationError(
-                    f"{path}:{lineno}: quantity {rec.quantity} exceeds supply of "
-                    f"{rec.product_id!r}")
-            key = (rec.round, rec.bidder_id, rec.product_id)
-            if key in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate row for {key}")
-            seen.add(key)
-            rows.append(rec)
-    log = RawBidLog(rows=tuple(rows))
-    for bidder in log.bidders():
-        rounds = sorted({r.round for r in rows if r.bidder_id == bidder})
-        if rounds and rounds != list(range(1, rounds[-1] + 1)):
-            raise ValidationError(f"bidder {bidder!r}: rounds not contiguous from 1")
-    return log
+    def bid_row(rnd, bidder_id, product_id, quantity) -> BidRow:
+        rec = BidRow(int(rnd), bidder_id, product_id, int(quantity))
+        if rec.round < 1:
+            raise ParseError("round must be >= 1")
+        if rec.quantity < 0:
+            raise ValidationError("negative quantity")
+        if rec.quantity > catalog.get(product_id).supply:
+            raise ValidationError(f"quantity {rec.quantity} exceeds supply of {product_id!r}")
+        return rec
+
+    rows = read_csv(path, ["round", "bidder_id", "product_id", "quantity"], bid_row,
+                    key=lambda r: (r.round, r.bidder_id, r.product_id))
+    have = {(r.bidder_id, r.round) for r in rows}
+    gaps = sorted({b for b, rnd in have if rnd > 1 and (b, rnd - 1) not in have})
+    if gaps:
+        raise ValidationError(f"{path}: rounds not contiguous from 1 for bidders {gaps}")
+    return RawBidLog(rows=tuple(rows))
 
 
 def write_bid_log(log: RawBidLog, path) -> None:

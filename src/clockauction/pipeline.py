@@ -19,26 +19,22 @@ from .ingest import (BidRow, BundleSpace, RawBidLog,
 
 
 def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
-                       increments: IncrementSchedule
-                       ) -> tuple[dict[int, PriceVector], dict[int, PriceVector]]:
-    """(start, posted) price vectors per round, replayed from aggregate demand
-    with the round loop's price step."""
+                       increments: IncrementSchedule) -> dict[int, PriceVector]:
+    """Start price vector per round, replayed from aggregate demand with the
+    round loop's price step."""
     R = log.num_rounds()
     if R == 0:
         raise ValidationError("empty bid log")
     product_of = {j: j for j in catalog.ids()}
     start_prices: dict[int, PriceVector] = {}
-    posted_prices: dict[int, PriceVector] = {}
     start = PriceVector({j: catalog.get(j).opening_price for j in product_of})
     for rnd in range(1, R + 1):
         bundles = [log.bundle(bidder, rnd) for bidder in log.bidders()]
         aggregate = {j: aggregate_demand(bundles, j) for j in product_of}
-        _, posted = price_step(start, rnd, overdemanded(aggregate, catalog),
-                               product_of, increments)
         start_prices[rnd] = start
-        posted_prices[rnd] = posted
-        start = posted
-    return start_prices, posted_prices
+        _, start = price_step(start, rnd, overdemanded(aggregate, catalog),
+                              product_of, increments)
+    return start_prices
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ def estimate_all(raw: RawBidLog, catalog: ProductCatalog,
                  ) -> dict[str, BidderEstimate]:
     """Smooth the log and run the valuation LP for every bidder in it."""
     smoothed = smooth_monotone(raw)
-    start_prices, _ = reconstruct_prices(raw, catalog, increments)
+    start_prices = reconstruct_prices(raw, catalog, increments)
     out = {}
     for bidder in smoothed.bidders():
         space = build_bundle_space(smoothed, bidder)

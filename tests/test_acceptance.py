@@ -244,7 +244,7 @@ def test_03_lp_constraint_satisfaction():
         config, agents = random_setup(3000 + seed, n_bidders=4, n_products=8)
         raw = trace_to_bidlog(run_auction(config, agents))
         smoothed = smooth_monotone(raw)
-        start_prices, _ = reconstruct_prices(raw, config.catalog, config.increments)
+        start_prices = reconstruct_prices(raw, config.catalog, config.increments)
         estimates = estimate_all(raw, config.catalog, config.increments)
         for bidder, est in estimates.items():
             space = build_bundle_space(smoothed, bidder)

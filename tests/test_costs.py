@@ -146,13 +146,14 @@ class TestCostTable:
         return {"A1": AreaStats("A1", "urban", 150_000, 120.0),
                 "A2": AreaStats("A2", "rural", 30_000, 1_500.0)}
 
-    def test_build_and_round_trip(self):
+    def test_build_and_round_trip(self, tmp_path):
         inv = TowerInventory({("X", "A1"): 1, ("X", "A2"): 0})
         table = build_cost_table(self.catalog(), self.demographics(), inv,
                                  SCENARIOS["none"], CostParameters())
         assert set(table.costs) == {("X", a, t) for a in ("A1", "A2") for t in TIERS}
         text = cost_table_to_csv(table)
-        assert cost_table_to_csv(cost_table_from_csv(text)) == text
+        (tmp_path / "costs.csv").write_text(text)
+        assert cost_table_to_csv(cost_table_from_csv(tmp_path / "costs.csv")) == text
         # deterministic bytes on a rebuild
         again = build_cost_table(self.catalog(), self.demographics(), inv,
                                  SCENARIOS["none"], CostParameters())

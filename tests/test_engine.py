@@ -284,11 +284,12 @@ class TestCompareAllocations:
 
 
 class TestTraceSerialization:
-    def test_jsonl_round_trip(self):
+    def test_jsonl_round_trip(self, tmp_path):
         config, agents = random_setup(3, n_bidders=3, n_products=6)
         trace = run_auction(config, agents)
         text = trace_to_jsonl(trace, config.catalog)
-        again = trace_from_jsonl(text, config.catalog)
+        (tmp_path / "trace.jsonl").write_text(text)
+        again = trace_from_jsonl(tmp_path / "trace.jsonl", config.catalog)
         assert again.truncated == trace.truncated
         assert again.revenue == trace.revenue
         assert again.rounds_used == trace.rounds_used

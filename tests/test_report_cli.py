@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
@@ -228,3 +233,187 @@ class TestCompareTraces:
         assert cmp.rmse_mean == 0.0
         assert cmp.revenue_gap_pct == 0.0
         assert cmp.units_a == cmp.units_b
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: every reader ends in exit 2, naming `file:line` where the
+# fault sits in one row, and never in a traceback.
+
+CSVS = ["catalog", "bids", "demographics", "inventory", "cost_table"]
+
+
+@pytest.fixture(scope="module")
+def inputs(workspace, tmp_path_factory):
+    """The five CSVs (the cost table as `cost-table` writes it), the model
+    directory, and a standard and a tiered trace."""
+    out = tmp_path_factory.mktemp("inputs")
+    files = {name: workspace / f"{name}.csv" for name in CSVS[:4]}
+    files["models"] = workspace / "models"
+    assert run(["cost-table", "--catalog", files["catalog"],
+                "--demographics", files["demographics"],
+                "--inventory", files["inventory"], "--out", out]) == 0
+    files["cost_table"] = out / "cost_table_none.csv"
+    assert run(["simulate", "--catalog", files["catalog"],
+                "--models", files["models"], "--out", out]) == 0
+    assert run(["simulate-extended", "--catalog", files["catalog"],
+                "--models", files["models"], "--cost-table", files["cost_table"],
+                "--out", out]) in (0, 4)
+    files["trace"], files["trace_tiered"] = out / "trace.jsonl", out / "trace_tiered.jsonl"
+    return files
+
+
+def reading(which, files, out):
+    """The argv of a subcommand that reads the CSV `which` from `files`."""
+    if which in ("catalog", "bids"):
+        return ["ingest", "--catalog", files["catalog"], "--bids", files["bids"],
+                "--out", out]
+    if which in ("demographics", "inventory"):
+        return ["cost-table", "--catalog", files["catalog"],
+                "--demographics", files["demographics"],
+                "--inventory", files["inventory"], "--out", out]
+    return ["simulate-extended", "--catalog", files["catalog"],
+            "--models", files["models"], "--cost-table", files["cost_table"],
+            "--out", out]
+
+
+def run_captured(argv):
+    """(exit code, stderr) of `main`; an exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def data_lines(lines):
+    """Indices of the data rows: after the header, not `#` lines."""
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    return rows[1:]
+
+
+def with_file(files, which, lines, out):
+    """`files` with `which` replaced by `lines` written under `out`."""
+    path = out / f"{which}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return {**files, which: path}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("which", CSVS)
+    def test_short_row_names_its_line(self, inputs, which, tmp_path):
+        lines = inputs[which].read_text().splitlines()
+        last = data_lines(lines)[-1]
+        fields = lines[last].split(",")
+        lines[last] = ",".join(fields[:len(fields) // 2])
+        files = with_file(inputs, which, lines, tmp_path)
+        code, err = run_captured(reading(which, files, tmp_path / "out"))
+        assert code == 2
+        assert f"{files[which]}:{last + 1}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("which", CSVS)
+    def test_missing_file(self, inputs, which, tmp_path):
+        files = {**inputs, which: tmp_path / "absent.csv"}
+        code, err = run_captured(reading(which, files, tmp_path / "out"))
+        assert code == 2
+        assert f"{tmp_path / 'absent.csv'}:" in err
+
+    @pytest.mark.parametrize("which", ["demographics", "inventory", "cost_table"])
+    def test_duplicate_key(self, inputs, which, tmp_path):
+        lines = inputs[which].read_text().splitlines()
+        first = data_lines(lines)[0]
+        lines.append(lines[first])
+        files = with_file(inputs, which, lines, tmp_path)
+        code, err = run_captured(reading(which, files, tmp_path / "out"))
+        assert code == 2
+        assert f"{files[which]}:{len(lines)}:" in err and f"line {first + 1}" in err
+
+    @pytest.mark.parametrize("which", ["catalog", "bids"])
+    def test_comment_lines_accepted(self, inputs, which, tmp_path):
+        lines = inputs[which].read_text().splitlines()
+        lines = ["# manifest 0"] + lines[:2] + ["# a note", ""] + lines[2:]
+        files = with_file(inputs, which, lines, tmp_path)
+        assert run_captured(reading(which, files, tmp_path / "out"))[0] == 0
+
+    @pytest.mark.parametrize("column, value", [("opening_price_cad", "1/0"),
+                                               ("supply", "0")])
+    def test_bad_catalog_field(self, inputs, column, value, tmp_path):
+        lines = inputs["catalog"].read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[lines[0].split(",").index(column)] = value
+        lines[1] = ",".join(fields)
+        files = with_file(inputs, "catalog", lines, tmp_path)
+        code, err = run_captured(reading("catalog", files, tmp_path / "out"))
+        assert code == 2
+        assert f"{files['catalog']}:2:" in err
+
+    @pytest.mark.parametrize("case", ["tiered", "cut"])
+    def test_report_rejects_trace(self, inputs, case, tmp_path):
+        if case == "tiered":
+            trace, line = inputs["trace_tiered"], 1
+        else:
+            lines = inputs["trace"].read_text().splitlines()
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+            trace, line = tmp_path / "cut.jsonl", len(lines)
+            trace.write_text("\n".join(lines) + "\n")
+        code, err = run_captured(["report", "--catalog", inputs["catalog"],
+                                  "--trace-a", inputs["trace"], "--trace-b", trace,
+                                  "--out", tmp_path / "rep"])
+        assert code == 2
+        assert f"{trace}:{line}:" in err
+        if case == "tiered":
+            assert "standard-auction" in err
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda doc: doc.pop("bases"), id="no-bases"),
+        pytest.param(lambda doc: doc.update(marginals=[{}]), id="empty-marginal")])
+    def test_bad_model_file(self, inputs, damage, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for path in sorted(inputs["models"].glob("model_*.json")):
+            (models / path.name).write_text(path.read_text())
+        bad = sorted(models.glob("model_*.json"))[0]
+        doc = json.loads(bad.read_text())
+        damage(doc)
+        bad.write_text(json.dumps(doc))
+        code, err = run_captured(["simulate", "--catalog", inputs["catalog"],
+                                  "--models", models, "--out", tmp_path / "sim"])
+        assert code == 2
+        assert f"{bad}:" in err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("delta: [1\n", id="bad-yaml"),
+        pytest.param("delta: abc\n", id="bad-delta"),
+        pytest.param("cost:\n  pop_per_tower: many\n", id="bad-cost-value")])
+    def test_bad_config(self, inputs, text, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        code, err = run_captured(["simulate", "--catalog", inputs["catalog"],
+                                  "--models", inputs["models"], "--config", config,
+                                  "--out", tmp_path / "sim"])
+        assert code == 2
+        assert f"{config}:" in err
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(which=st.sampled_from(CSVS), row=st.integers(0, 10_000),
+           op=st.sampled_from(["replace", "drop", "duplicate"]),
+           column=st.integers(0, 5), keep=st.integers(0, 5),
+           value=st.one_of(
+               st.sampled_from(["", "0", "-1", "1/0", "1.5", "nan", "inf", "1e9",
+                                "9" * 30, "#", "P00", "A00", "B0", "low", "x y"]),
+               st.text(alphabet="0123456789-./#\"', abcPAB", max_size=6)))
+    def test_fuzzed_row_never_raises(self, inputs, which, row, op, column, keep,
+                                     value):
+        lines = inputs[which].read_text().splitlines()
+        rows = data_lines(lines)
+        i = rows[row % len(rows)]
+        fields = lines[i].split(",")
+        if op == "replace":
+            fields[column % len(fields)] = value
+            lines[i] = ",".join(fields)
+        elif op == "drop":
+            lines[i] = ",".join(fields[:keep % len(fields)])
+        else:
+            lines.insert(i, lines[i])
+        with tempfile.TemporaryDirectory() as tmp:
+            files = with_file(inputs, which, lines, Path(tmp))
+            code, _ = run_captured(reading(which, files, Path(tmp) / "out"))
+        assert code in (0, 2)
