@@ -208,7 +208,8 @@ def cmd_simulate_extended(args) -> int:
 def cmd_cost_table(args) -> int:
     catalog = ProductCatalog.from_csv(args.catalog)
     _, params = _load_config(args.config, catalog)
-    demographics = costmod.load_demographics(args.demographics)
+    demographics = costmod.load_demographics(args.demographics,
+                                             areas={p.area_id for p in catalog})
     inventory = costmod.load_inventory(args.inventory)
     scenario = costmod.SCENARIOS[args.scenario]
     table = costmod.build_cost_table(catalog, demographics, inventory,

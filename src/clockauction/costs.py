@@ -44,13 +44,17 @@ class AreaStats:
         return self.population / self.land_area_km2 if self.land_area_km2 > 0 else 0.0
 
 
-def load_demographics(path) -> dict[str, AreaStats]:
+def load_demographics(path, areas=()) -> dict[str, AreaStats]:
     """CSV columns: area_id, area_class, population, land_area_km2; one row
-    per area."""
-    return {a.area_id: a for a in read_csv(
+    per area, and one for each of `areas`."""
+    demographics = {a.area_id: a for a in read_csv(
         path, ["area_id", "area_class", "population", "land_area_km2"],
         lambda area, cls, pop, land: AreaStats(area, cls, int(pop), float(land)),
         key=lambda a: a.area_id)}
+    missing = sorted(set(areas) - set(demographics))
+    if missing:
+        raise ValidationError(f"{path}: areas without demographics: {missing}")
+    return demographics
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,14 @@ class TowerInventory:
     counts: dict[tuple[str, str], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        for key, n in self.counts.items():
-            if n < 0:
-                raise ValidationError(f"negative tower count for {key}")
+        object.__setattr__(self, "counts", {key: self.checked(key, n)
+                                            for key, n in self.counts.items()})
+
+    @staticmethod
+    def checked(key: tuple[str, str], n: int) -> int:
+        if n < 0:
+            raise ValidationError(f"negative tower count for {key}")
+        return n
 
     def existing(self, bidder: str, area: str) -> int:
         key = (bidder, area)
@@ -79,7 +87,8 @@ def load_inventory(path) -> TowerInventory:
     """CSV columns: bidder_id, area_id, tower_count; one row per (bidder, area)."""
     return TowerInventory(counts=dict(read_csv(
         path, ["bidder_id", "area_id", "tower_count"],
-        lambda bidder, area, n: ((bidder, area), int(n)), key=lambda kv: kv[0])))
+        lambda bidder, area, n: ((bidder, area), TowerInventory.checked((bidder, area), int(n))),
+        key=lambda kv: kv[0])))
 
 
 @dataclass(frozen=True)
@@ -225,8 +234,14 @@ def cost_table_to_csv(table: TieredValuationAdjustment) -> str:
 
 
 def cost_table_from_csv(path) -> TieredValuationAdjustment:
-    """Inverse of cost_table_to_csv; skips `#` lines such as the manifest."""
-    return TieredValuationAdjustment(costs=dict(read_csv(
+    """Inverse of cost_table_to_csv; skips `#` lines such as the manifest.
+    Costs that fall from one tier to the next are an error naming the file."""
+    rows = read_csv(
         path, ["bidder_id", "area_id", "tier", "cost_cents"],
-        lambda bidder, area, tier, cost: ((bidder, area, tier), int(cost)),
-        key=lambda kv: kv[0])))
+        lambda bidder, area, tier, cost: (
+            (bidder, area, tier), TieredValuationAdjustment.checked(tier, int(cost))),
+        key=lambda kv: kv[0])
+    try:
+        return TieredValuationAdjustment(costs=dict(rows))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -58,64 +58,67 @@ class AuctionTrace:
     truncated: bool = False
 
 
+def level_choices(base: BundleBase, model: ValuationModel, catalog: ProductCatalog,
+                  eligibility: int) -> dict[str, tuple[int, ...]] | None:
+    """Model ladder levels at or above each base quantity, by sorted product;
+    None when even the lowest levels exceed the eligibility budget."""
+    choices = {}
+    for j, base_q in sorted(base.quantities.items()):
+        choices[j] = tuple(q for q in model.ladder(j) if q >= base_q)
+        if not choices[j]:
+            raise ValidationError(f"base quantity of {j!r} off the model ladder")
+    min_cost = sum(levels[0] * catalog.get(j).eligibility_points
+                   for j, levels in choices.items())
+    return None if min_cost > eligibility else choices
+
+
+def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+               catalog: ProductCatalog, eligibility: int
+               ) -> tuple[MixedIntegerProgram, dict[tuple[str, Hashable], str]]:
+    """BEST_COPIES as a binary MIP over `options`, per product {choice:
+    (quantity, utility)}: one binary per option (sorted product, then choice
+    order) minimizing -utility, one exactly-one row per product, then the
+    eligibility row.  Returns the MIP and the (product, choice) -> binary map."""
+    lp = LinearProgram()
+    binary: dict[tuple[str, Hashable], str] = {}
+    for j in sorted(options):
+        for c in options[j]:
+            binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
+    lp.objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
+    for j in sorted(options):
+        lp.add_constraint({binary[(j, c)]: 1.0 for c in options[j]}, EQ, 1.0)
+    lp.add_constraint({name: float(options[j][c][0] * catalog.get(j).eligibility_points)
+                       for (j, c), name in binary.items()}, LE, float(eligibility))
+    return MixedIntegerProgram(lp=lp, binaries=list(binary.values())), binary
+
+
 def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
                 eligibility: int, catalog: ProductCatalog) -> Bundle | None:
-    """Utility-maximizing ladder levels for one base via a binary MIP.
-
-    One binary per (product, ladder level >= base level); objective uses the
-    cumulative increment value up to the chosen level minus quantity * price.
-    Returns None when even the minimum levels exceed the eligibility budget.
-    """
-    choices: dict[str, list[int]] = {}
-    utilities: dict[tuple[str, int], float] = {}
-    for j, base_q in base.quantities.items():
-        levels = [q for q in model.ladder(j) if q >= base_q]
-        if not levels:
-            raise ValidationError(f"base quantity of {j!r} off the model ladder")
-        choices[j] = levels
-        for q in levels:
-            utilities[(j, q)] = model.cumulative_value(j, q) - q * prices[j]
-
-    min_cost = sum(choices[j][0] * catalog.get(j).eligibility_points
-                   for j in choices)
-    if min_cost > eligibility:
+    """Utility-maximizing ladder levels for one base: the cumulative increment
+    value up to the chosen level minus quantity * price, through `copies_mip`
+    unless the per-product argmax levels fit the budget.  Returns None when
+    even the minimum levels exceed the eligibility budget."""
+    choices = level_choices(base, model, catalog, eligibility)
+    if choices is None:
         return None
+    options = {j: {q: (q, model.cumulative_value(j, q) - q * prices[j]) for q in levels}
+               for j, levels in choices.items()}
 
     # fast path: with eligibility slack at the per-product argmax levels the
     # products decouple and the MIP is unnecessary
     # utility ties go to the higher quantity: under minimal estimated
     # marginals a bidder is exactly indifferent at the last price where it
     # still held the larger level, and held it
-    greedy = {j: max(choices[j], key=lambda q: (utilities[(j, q)], q))
-              for j in choices}
+    greedy = {j: max(o, key=lambda q: (o[q][1], q)) for j, o in options.items()}
     greedy_cost = sum(q * catalog.get(j).eligibility_points for j, q in greedy.items())
     if greedy_cost <= eligibility:
         return Bundle(greedy)
 
-    lp = LinearProgram()
-    names: dict[tuple[str, int], str] = {}
-    binaries = []
-    for j in sorted(choices):
-        for q in choices[j]:
-            name = f"I::{j}::{q}"
-            lp.add_variable(name, lb=0.0, ub=1.0)
-            names[(j, q)] = name
-            binaries.append(name)
-    lp.objective = {names[(j, q)]: -utilities[(j, q)] for (j, q) in names}
-    for j in sorted(choices):
-        lp.add_constraint({names[(j, q)]: 1.0 for q in choices[j]}, EQ, 1.0)
-    lp.add_constraint(
-        {names[(j, q)]: float(q * catalog.get(j).eligibility_points)
-         for (j, q) in names},
-        LE, float(eligibility))
-    sol = solve_mip(MixedIntegerProgram(lp=lp, binaries=binaries))
+    mip, binary = copies_mip(options, catalog, eligibility)
+    sol = solve_mip(mip)
     if sol.status == "infeasible":
         return None
-    quantities = {}
-    for (j, q), name in names.items():
-        if sol.values[name] > 0.5:
-            quantities[j] = q
-    return Bundle(quantities)
+    return Bundle({j: q for (j, q), name in binary.items() if sol.values[name] > 0.5})
 
 
 def choose_base(agent: BidderAgent, solve: Callable) -> Any | None:
@@ -289,8 +292,8 @@ def round_to_json(record: RoundRecord) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def trace_to_jsonl(trace: AuctionTrace, catalog: ProductCatalog | None = None) -> str:
-    """One JSON line per round; `catalog` is accepted but not needed."""
+def trace_to_jsonl(trace: AuctionTrace) -> str:
+    """One JSON line per round."""
     return "\n".join(round_to_json(r) for r in trace.rounds) + "\n"
 
 

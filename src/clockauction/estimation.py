@@ -36,22 +36,21 @@ class ValuationModel:
         for b, v in self.base_values.items():
             if v < -VALUE_TOL:
                 raise ValidationError(f"negative base value for {b}")
-        levels = self._levels()
-        for j, lv in levels.items():
+        levels: dict[str, list[int]] = {}
+        for (j, level) in self.marginals:
+            levels.setdefault(j, []).append(level)
+        # the ladders, computed once; tuples so no caller can change them
+        object.__setattr__(self, "_ladders",
+                           {j: tuple(sorted(lv)) for j, lv in levels.items()})
+        for j, lv in self._ladders.items():
             if abs(self.marginals[(j, lv[0])]) > VALUE_TOL:
                 raise ValidationError(f"first ladder level of {j} must be 0")
             for a, b in zip(lv[1:], lv[2:]):
                 if self.marginals[(j, a)] < self.marginals[(j, b)] - VALUE_TOL:
                     raise ValidationError(f"diminishing returns violated for {j}")
 
-    def _levels(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        for (j, level) in self.marginals:
-            out.setdefault(j, []).append(level)
-        return {j: sorted(lv) for j, lv in out.items()}
-
-    def ladder(self, product_id: str) -> list[int]:
-        levels = self._levels().get(product_id)
+    def ladder(self, product_id: str) -> tuple[int, ...]:
+        levels = self._ladders.get(product_id)
         if levels is None:
             raise ValidationError(f"no ladder for product {product_id!r}")
         return levels
@@ -363,10 +362,7 @@ def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
                  for m in doc["marginals"]}
     model = ValuationModel(bidder_id=doc["bidder_id"],
                            base_values=base_values, marginals=marginals)
-    levels: dict[str, list[int]] = {}
-    for (j, level) in marginals:
-        levels.setdefault(j, []).append(level)
-    ladders = {j: CopyLadder(j, tuple(sorted(lv))) for j, lv in levels.items()}
+    ladders = {j: CopyLadder(j, levels) for j, levels in model._ladders.items()}
     bases = tuple(BundleBase(base_id=b["base_id"],
                              quantities={j: int(q) for j, q in b["products"].items()})
                   for b in doc["bases"])

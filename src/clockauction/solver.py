@@ -358,8 +358,8 @@ def check_feasible(lp: LinearProgram, values: dict[str, float], tol: float = FEA
     return bad
 
 
-def solve_mip(mip: MixedIntegerProgram, backend: str = "builtin") -> Solution:
-    """Depth-first branch and bound over binary variables.
+def solve_mip(mip: MixedIntegerProgram) -> Solution:
+    """Depth-first branch and bound over binary variables (built-in simplex).
 
     Branch order: lowest variable index first, 0-branch explored first; the
     first incumbent found at the optimal value wins, which makes the result
@@ -382,7 +382,7 @@ def solve_mip(mip: MixedIntegerProgram, backend: str = "builtin") -> Solution:
         return lp
 
     def recurse(fixed: dict[str, float]):
-        sol = solve_lp(relax_with(fixed), backend=backend)
+        sol = solve_lp(relax_with(fixed))
         if sol.status == "infeasible":
             return
         if sol.status == "unbounded":

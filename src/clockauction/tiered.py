@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import PriceVector, ProductCatalog, RoundRecord
+from .core import PriceVector, ProductCatalog
 from .errors import ValidationError
 from .engine import (AuctionConfig, AuctionTrace, BidderAgent, Market,
-                     choose_base, run_rounds, trace_summary, trace_to_jsonl)
+                     choose_base, copies_mip, level_choices, run_rounds)
 from .estimation import ValuationModel
 from .ingest import BundleBase
-from .solver import EQ, LE, LinearProgram, MixedIntegerProgram, solve_mip
+from .solver import LE, solve_mip
 
 TIERS = ("low", "medium", "high")
 TIER_RANK = {t: i for i, t in enumerate(TIERS)}
@@ -32,15 +32,20 @@ class TieredValuationAdjustment:
         object.__setattr__(self, "costs", dict(self.costs))
         grouped: dict[tuple[str, str], dict[str, int]] = {}
         for (bidder, area, tier), cost in self.costs.items():
-            if tier not in TIER_RANK:
-                raise ValidationError(f"unknown tier {tier!r}")
-            if cost < 0:
-                raise ValidationError("negative deployment cost")
-            grouped.setdefault((bidder, area), {})[tier] = cost
+            grouped.setdefault((bidder, area), {})[tier] = self.checked(tier, cost)
         for key, per_tier in grouped.items():
             ordered = [per_tier.get(t, 0) for t in TIERS]
             if ordered != sorted(ordered):
                 raise ValidationError(f"costs not monotone in tier for {key}")
+
+    @staticmethod
+    def checked(tier: str, cost: int) -> int:
+        """One entry's cost, if its tier is known and the cost nonnegative."""
+        if tier not in TIER_RANK:
+            raise ValidationError(f"unknown tier {tier!r}")
+        if cost < 0:
+            raise ValidationError("negative deployment cost")
+        return cost
 
     def cost(self, bidder: str, area: str, tier: str) -> int:
         try:
@@ -75,9 +80,6 @@ def tier_overdemand(demands: dict[str, int], supply: int) -> dict[str, bool]:
 TieredBundle = dict[str, tuple[str, int]]  # product_id -> (tier, quantity)
 
 
-TieredRoundRecord = RoundRecord  # one record type; tiered keys are (product, tier)
-
-
 @dataclass
 class TieredAuctionTrace(AuctionTrace):
     deployment_costs: dict[str, int] = field(default_factory=dict)
@@ -88,79 +90,40 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                         catalog: ProductCatalog, bidder_id: str,
                         adjustment: TieredValuationAdjustment
                         ) -> tuple[TieredBundle, float] | None:
-    """Level and tier choice for one base: BEST_COPIES with a tier layer plus
-    binary (area, tier) engagement variables carrying the lump-sum costs."""
-    lp = LinearProgram()
-    binaries: list[str] = []
-    level_vars: dict[tuple[str, str, int], str] = {}
-    area_of = {j: catalog.get(j).area_id for j in base.quantities}
-    areas = sorted(set(area_of.values()))
-
-    min_cost = 0
-    for j, base_q in sorted(base.quantities.items()):
-        levels = [q for q in model.ladder(j) if q >= base_q]
-        if not levels:
-            raise ValidationError(f"base quantity of {j!r} off the model ladder")
-        min_cost += levels[0] * catalog.get(j).eligibility_points
-        for t in TIERS:
-            for q in levels:
-                name = f"I::{j}::{t}::{q}"
-                lp.add_variable(name, lb=0.0, ub=1.0)
-                binaries.append(name)
-                level_vars[(j, t, q)] = name
-    if min_cost > eligibility:
+    """Level and tier choice for one base, and its utility net of the engaged
+    deployment costs plus the base value: BEST_COPIES over (tier, level)
+    options plus binary (area, tier) engagement variables carrying the lump-sum
+    costs; a level at a tier needs its area engaged at that tier."""
+    choices = level_choices(base, model, catalog, eligibility)
+    if choices is None:
         return None
+    mip, binary = copies_mip(
+        {j: {(t, q): (q, model.cumulative_value(j, q) - q * prices[(j, t)])
+             for t in TIERS for q in levels} for j, levels in choices.items()},
+        catalog, eligibility)
+    lp = mip.lp
+    area_of = {j: catalog.get(j).area_id for j in choices}
+    engage = {(a, t): lp.add_variable(f"Y::{a}::{t}", lb=0.0, ub=1.0)
+              for a in sorted(set(area_of.values())) for t in TIERS}
+    lp.objective.update({name: float(adjustment.cost(bidder_id, a, t))
+                         for (a, t), name in engage.items()})
+    mip.binaries.extend(engage.values())
+    for (j, (t, q)), name in binary.items():
+        lp.add_constraint({name: 1.0, engage[(area_of[j], t)]: -1.0}, LE, 0.0)
 
-    engage_vars: dict[tuple[str, str], str] = {}
-    for a in areas:
-        for t in TIERS:
-            name = f"Y::{a}::{t}"
-            lp.add_variable(name, lb=0.0, ub=1.0)
-            binaries.append(name)
-            engage_vars[(a, t)] = name
-
-    objective: dict[str, float] = {}
-    for (j, t, q), name in level_vars.items():
-        utility = model.cumulative_value(j, q) - q * prices[(j, t)]
-        objective[name] = -utility  # minimize negative utility
-    for (a, t), name in engage_vars.items():
-        objective[name] = float(adjustment.cost(bidder_id, a, t))
-    lp.objective = objective
-
-    for j in sorted(base.quantities):
-        lp.add_constraint(
-            {name: 1.0 for (jj, t, q), name in level_vars.items() if jj == j},
-            EQ, 1.0)
-    lp.add_constraint(
-        {name: float(q * catalog.get(j).eligibility_points)
-         for (j, t, q), name in level_vars.items()},
-        LE, float(eligibility))
-    for (j, t, q), name in level_vars.items():
-        lp.add_constraint({name: 1.0, engage_vars[(area_of[j], t)]: -1.0}, LE, 0.0)
-
-    sol = solve_mip(MixedIntegerProgram(lp=lp, binaries=binaries))
+    sol = solve_mip(mip)
     if sol.status == "infeasible":
         return None
-    bundle: TieredBundle = {}
-    for (j, t, q), name in level_vars.items():
-        if sol.values[name] > 0.5:
-            bundle[j] = (t, q)
-    utility = -sol.objective_value  # includes the engaged deployment costs
-    return bundle, utility
+    bundle = {j: c for (j, c), name in binary.items() if sol.values[name] > 0.5}
+    return bundle, -sol.objective_value + model.base_values.get(base.base_id, 0.0)
 
 
 def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,
                        catalog: ProductCatalog, eligibility: int,
                        adjustment: TieredValuationAdjustment
                        ) -> TieredBundle | None:
-    def solve(base):
-        result = _best_tiered_copies(base, agent.model, prices, eligibility,
-                                     catalog, agent.bidder_id, adjustment)
-        if result is None:
-            return None
-        bundle, inner_u = result
-        return bundle, inner_u + agent.model.base_values.get(base.base_id, 0.0)
-    return choose_base(agent, solve)
+    return choose_base(agent, lambda base: _best_tiered_copies(
+        base, agent.model, prices, eligibility, catalog, agent.bidder_id, adjustment))
 
 
 def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
@@ -233,7 +196,3 @@ def coverage_report(trace: TieredAuctionTrace, catalog: ProductCatalog,
     return CoverageSummary(licenses_by_class_tier=by_class_tier,
                            additional_population=int(round(additional)))
 
-
-# one writer and one summary serve both auctions
-tiered_trace_to_jsonl = trace_to_jsonl
-tiered_trace_summary = trace_summary

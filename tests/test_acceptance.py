@@ -307,8 +307,7 @@ def test_04_engine_invariants():
         if trace.rounds_used > config.max_rounds:
             failures.append((seed, "exceeded max_rounds"))
         config2, agents2 = random_setup(seed, **kwargs)
-        if trace_to_jsonl(run_auction(config2, agents2), config2.catalog) != \
-                trace_to_jsonl(trace, config.catalog):
+        if trace_to_jsonl(run_auction(config2, agents2)) != trace_to_jsonl(trace):
             failures.append((seed, "trace bytes differ between runs"))
     report("4 engine invariants (200 configs)", not failures,
            f"{len(failures)} failures: {failures[:3]}")

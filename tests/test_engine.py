@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog, eligibility_cost)
+import clockauction.engine as engine
 from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
                                  compare_allocations, myopic_bid, run_auction,
                                  trace_from_jsonl, trace_to_jsonl,
@@ -13,6 +16,8 @@ from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel, bundle_utility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
 from clockauction.synthetic import random_setup
+from clockauction.tiered import (TIERS, TieredValuationAdjustment,
+                                 _best_tiered_copies)
 
 
 def make_catalog(specs):
@@ -115,6 +120,30 @@ class TestBestCopies:
                 best = max(utility(c) for c in feasible)
                 assert got is not None
                 assert utility(tuple(sorted(got.quantities.items()))) == best
+
+
+def standard_oracle(base, model, eligibility, catalog):
+    prices = PriceVector({j: 0 for j in catalog.ids()})
+    return best_copies(base, model, prices, eligibility, catalog)
+
+
+def tiered_oracle(base, model, eligibility, catalog):
+    prices = PriceVector({(j, t): 0 for j in catalog.ids() for t in TIERS})
+    adjustment = TieredValuationAdjustment.zero(["X"], [p.area_id for p in catalog])
+    return _best_tiered_copies(base, model, prices, eligibility, catalog, "X",
+                               adjustment)
+
+
+@pytest.mark.parametrize("oracle", [standard_oracle, tiered_oracle],
+                         ids=["standard", "tiered"])
+def test_oracle_ladder_edges(oracle):
+    model = single_product_model([1, 2], [5_00])
+    catalog = make_catalog({"A": (5, 2, 1_00)})
+    # a base quantity above every model ladder level
+    with pytest.raises(ValidationError, match="off the model ladder"):
+        oracle(BundleBase("X/base0", {"A": 3}), model, 100, catalog)
+    # the lowest level costs 2 points, over a budget of 1
+    assert oracle(BundleBase("X/base0", {"A": 1}), model, 1, catalog) is None
 
 
 def agent_for(model, bases, ladders, bidder="X"):
@@ -246,11 +275,31 @@ class TestEngineInvariants:
         last = trace.rounds[-1]
         assert all(last.aggregate[j] <= config.catalog.get(j).supply for j in ids)
 
+    # sha256 of trace_to_jsonl + sorted-key JSON summary, recorded before the
+    # two oracles shared copies_mip; these runs reach best_copies' MIP
+    MIP_DIGESTS = {
+        0: "6c0a49367b27fab8f6f424e393940fab7245009a46064e984308658e0e0a41f9",
+        1: "32d4e3e397dcf2be0a9b035653a7bca66ce9f6abfca77ae1710535156fcef3cc",
+        2: "76d8b32996a8a987d5d494bc9025f8635cf22b42ce268d52bb65ad4fa2f9eb71",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(MIP_DIGESTS))
+    def test_mip_path_trace_digest(self, seed, monkeypatch):
+        calls = []
+        solve_mip = engine.solve_mip
+        monkeypatch.setattr(engine, "solve_mip",
+                            lambda mip: calls.append(1) or solve_mip(mip))
+        config, agents = random_setup(seed, n_bidders=8, n_products=24, n_bases=3)
+        trace = run_auction(config, agents)
+        assert calls, "no best_copies call reached the MIP"
+        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.MIP_DIGESTS[seed]
+
     def test_byte_determinism(self):
         config, agents = random_setup(55, n_bidders=4, n_products=8)
-        a = trace_to_jsonl(run_auction(config, agents), config.catalog)
+        a = trace_to_jsonl(run_auction(config, agents))
         config2, agents2 = random_setup(55, n_bidders=4, n_products=8)
-        b = trace_to_jsonl(run_auction(config2, agents2), config2.catalog)
+        b = trace_to_jsonl(run_auction(config2, agents2))
         assert a == b
 
 
@@ -287,12 +336,12 @@ class TestTraceSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         config, agents = random_setup(3, n_bidders=3, n_products=6)
         trace = run_auction(config, agents)
-        text = trace_to_jsonl(trace, config.catalog)
+        text = trace_to_jsonl(trace)
         (tmp_path / "trace.jsonl").write_text(text)
         again = trace_from_jsonl(tmp_path / "trace.jsonl", config.catalog)
         assert again.truncated == trace.truncated
         assert again.revenue == trace.revenue
         assert again.rounds_used == trace.rounds_used
         assert again.final_allocation == trace.final_allocation
-        assert trace_to_jsonl(again, config.catalog) == text
+        assert trace_to_jsonl(again) == text
         assert trace_summary(again) == trace_summary(trace)

@@ -326,6 +326,33 @@ class TestMalformedInput:
         assert code == 2
         assert f"{files[which]}:{len(lines)}:" in err and f"line {first + 1}" in err
 
+    @pytest.mark.parametrize("which, tier, edit, at_line, message", [
+        pytest.param("inventory", None, lambda f: f[:2] + ["-3"], True,
+                     "negative tower count", id="negative-towers"),
+        pytest.param("cost_table", "medium", lambda f: f[:3] + ["-1"], True,
+                     "negative deployment cost", id="negative-cost"),
+        pytest.param("cost_table", "medium", lambda f: f[:2] + ["sideways", f[3]],
+                     True, "unknown tier", id="unknown-tier"),
+        pytest.param("cost_table", "low", lambda f: f[:3] + [str(10**12)], False,
+                     "not monotone in tier", id="falling-costs"),
+        pytest.param("demographics", None, lambda f: None, False,
+                     "areas without demographics", id="missing-area")])
+    def test_domain_error_names_its_file(self, inputs, which, tier, edit,
+                                         at_line, message, tmp_path):
+        lines = inputs[which].read_text().splitlines()
+        i = next(i for i in data_lines(lines)
+                 if tier is None or lines[i].split(",")[2] == tier)
+        fields = edit(lines[i].split(","))
+        if fields is None:
+            del lines[i]
+        else:
+            lines[i] = ",".join(fields)
+        files = with_file(inputs, which, lines, tmp_path)
+        code, err = run_captured(reading(which, files, tmp_path / "out"))
+        assert code == 2
+        where = f"{files[which]}:{i + 1}:" if at_line else f"{files[which]}:"
+        assert where in err and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("which", ["catalog", "bids"])
     def test_comment_lines_accepted(self, inputs, which, tmp_path):
         lines = inputs[which].read_text().splitlines()

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from clockauction.core import (Bundle, IncrementSchedule, Product,
-                               ProductCatalog)
+                               ProductCatalog, RoundRecord)
 from clockauction.costs import AreaStats, DEFAULT_COVERAGE_TARGETS
-from clockauction.engine import AuctionConfig, BidderAgent, run_auction
+from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
+                                 trace_summary, trace_to_jsonl)
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  coverage_report, run_extended_auction,
-                                 tier_overdemand, tiered_trace_summary,
-                                 tiered_trace_to_jsonl)
+                                 tier_overdemand)
 
 
 def make_catalog(specs):
@@ -165,8 +165,8 @@ class TestExtendedAuction:
                           unit_agent("Y", "P1", 150_00)]
         a = run_extended_auction(config, agents(), adj)
         b = run_extended_auction(config, agents(), adj)
-        assert tiered_trace_to_jsonl(a) == tiered_trace_to_jsonl(b)
-        assert tiered_trace_summary(a) == tiered_trace_summary(b)
+        assert trace_to_jsonl(a) == trace_to_jsonl(b)
+        assert trace_summary(a) == trace_summary(b)
         assert a.revenue == sum(
             q * a.rounds[-1].posted[(j, t)]
             for bundle in a.final_allocation.values()
@@ -179,9 +179,9 @@ class TestCoverageReport:
                 "A2": AreaStats("A2", "rural", 40_000, 900.0)}
 
     def trace_with(self, allocation):
-        from clockauction.tiered import TieredAuctionTrace, TieredRoundRecord
-        record = TieredRoundRecord(round=1, start={}, clock={}, posted={},
-                                   aggregate={}, bids=allocation, eligibility={})
+        from clockauction.tiered import TieredAuctionTrace
+        record = RoundRecord(round=1, start={}, clock={}, posted={},
+                             aggregate={}, bids=allocation, eligibility={})
         return TieredAuctionTrace(rounds=[record], final_allocation=allocation,
                                   revenue=0, rounds_used=1)
 
