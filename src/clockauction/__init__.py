@@ -11,9 +11,8 @@ from .errors import (ClockAuctionError, ParseError, SolverError,
 from .estimation import (EstimationReport, ValuationModel, build_lp,
                          bundle_utility, bundle_value, estimate)
 from .ingest import (BundleBase, BundleSpace, CopyLadder, RawBidLog,
-                     SmoothedBidLog, build_bundle_space, build_ladders,
-                     enumerate_variants, extract_bases, parse_bid_log,
-                     smooth_monotone)
+                     build_bundle_space, build_ladders, enumerate_variants,
+                     extract_bases, parse_bid_log, smooth_monotone)
 from .pipeline import estimate_all, reconstruct_prices, roundtrip
 from .tiered import (TieredValuationAdjustment, coverage_report,
                      run_extended_auction, tier_overdemand)

@@ -37,11 +37,18 @@ EXIT_TRUNCATED = 4
 
 
 def _coverage_targets(cfg: dict) -> dict:
-    raw = cfg.get("coverage_targets")
-    if not raw:
-        return dict(costmod.DEFAULT_COVERAGE_TARGETS)
-    return {(area_class, tier): float(v)
-            for area_class, tiers in raw.items() for tier, v in tiers.items()}
+    """The default targets with the config's (area class, tier) values laid over them."""
+    targets = dict(costmod.DEFAULT_COVERAGE_TARGETS)
+    for area_class, tiers in (cfg.get("coverage_targets") or {}).items():
+        for tier, value in tiers.items():
+            if (area_class, tier) not in targets:
+                raise ValidationError(f"coverage_targets: no area class {area_class!r} "
+                                      f"with tier {tier!r}")
+            if not 0.0 <= float(value) <= 1.0:
+                raise ValidationError(f"coverage_targets: {area_class} {tier} target "
+                                      f"{value} is outside [0, 1]")
+            targets[(area_class, tier)] = float(value)
+    return targets
 
 
 # YAML `cost:` key -> (CostParameters field, conversion)
@@ -139,8 +146,8 @@ def cmd_estimate(args) -> int:
             space = build_bundle_space(smoothed, bidder)
             if not space.bases:
                 continue
-            elig = reconstruct_eligibility(space, smoothed, catalog)
-            lp = build_lp(space, smoothed, start_prices, elig, catalog)
+            elig = reconstruct_eligibility(space, catalog)
+            lp = build_lp(space, start_prices, elig, catalog)
             write_lp_format(lp, Path(args.dump_lp) / f"estimation_{bidder}.lp")
     estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
     reports = {}
@@ -253,10 +260,10 @@ def cmd_roundtrip_check(args) -> int:
     catalog = ProductCatalog.from_csv(args.catalog)
     auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
-    smoothed = smooth_monotone(raw)
     estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
     trace = run_auction(auction, agents_from_estimates(estimates))
-    actual = {b: smoothed.bundle(b, smoothed.num_rounds(b)) for b in estimates}
+    # smoothing keeps every final round, so the raw final bundles are the ones estimated
+    actual = {b: raw.bundle(b, raw.num_rounds(b)) for b in estimates}
     per_bidder, mean = compare_allocations(actual, trace.final_allocation, catalog)
     for bidder, rmse in sorted(per_bidder.items()):
         print(f"{bidder}: RMSE {rmse:.4f}")

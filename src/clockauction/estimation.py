@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .core import Bundle, PriceVector, ProductCatalog, eligibility_cost
 from .errors import SolverError, ValidationError
-from .ingest import BundleBase, BundleSpace, CopyLadder, SmoothedBidLog, enumerate_variants
+from .ingest import BundleBase, BundleSpace, CopyLadder, enumerate_variants
 from .solver import EQ, GE, LE, LinearProgram, Solution, check_feasible, solve_lp
 
 VALUE_TOL = 1e-6
@@ -101,16 +101,13 @@ def initial_eligibility(space: BundleSpace, catalog: ProductCatalog) -> int:
     return best
 
 
-def reconstruct_eligibility(space: BundleSpace, log: SmoothedBidLog,
-                            catalog: ProductCatalog) -> dict[int, int]:
-    """E^r series under the 100% activity rule: next-round eligibility equals
-    the eligibility cost of the current bid."""
-    R = log.num_rounds(space.bidder_id)
+def reconstruct_eligibility(space: BundleSpace, catalog: ProductCatalog) -> dict[int, int]:
+    """E^r series over the observed rounds under the 100% activity rule:
+    next-round eligibility equals the eligibility cost of the current bid."""
     series = {}
     current = initial_eligibility(space, catalog)
-    for rnd in range(1, R + 1):
+    for rnd, (bundle, _) in sorted(space.observed.items()):
         series[rnd] = current
-        bundle, _ = space.observed[rnd]
         current = min(current, eligibility_cost(bundle, catalog))
     return series
 
@@ -162,9 +159,9 @@ def _variants_with_cost(space: BundleSpace, catalog: ProductCatalog):
     return out
 
 
-def _build(space: BundleSpace, log: SmoothedBidLog,
-           start_prices: dict[int, PriceVector], eligibility: dict[int, int],
-           catalog: ProductCatalog, mr_slack_weight: float | None = None) -> _Problem:
+def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
+           eligibility: dict[int, int], catalog: ProductCatalog,
+           mr_slack_weight: float | None = None) -> _Problem:
     lp = LinearProgram()
     objective: dict[str, float] = {}
 
@@ -260,11 +257,10 @@ def _build(space: BundleSpace, log: SmoothedBidLog,
     return prob
 
 
-def build_lp(space: BundleSpace, log: SmoothedBidLog,
-             start_prices: dict[int, PriceVector], eligibility: dict[int, int],
-             catalog: ProductCatalog) -> LinearProgram:
+def build_lp(space: BundleSpace, start_prices: dict[int, PriceVector],
+             eligibility: dict[int, int], catalog: ProductCatalog) -> LinearProgram:
     """The valuation-recovery LP: min sum(slack) + sum(base values)."""
-    return _build(space, log, start_prices, eligibility, catalog).lp
+    return _build(space, start_prices, eligibility, catalog).lp
 
 
 @dataclass(frozen=True)
@@ -295,9 +291,9 @@ def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
                           base_values=base_values, marginals=marginals)
 
 
-def estimate(space: BundleSpace, log: SmoothedBidLog,
-             start_prices: dict[int, PriceVector], eligibility: dict[int, int],
-             catalog: ProductCatalog, backend: str = "highs"
+def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
+             eligibility: dict[int, int], catalog: ProductCatalog,
+             backend: str = "highs"
              ) -> tuple[ValuationModel, EstimationReport]:
     """Solve the valuation LP and materialize a model.
 
@@ -305,12 +301,11 @@ def estimate(space: BundleSpace, log: SmoothedBidLog,
     eligibility), re-solve with penalized slack on the marginal-rationality
     block (weight 10x the revealed-preference slack) and flag the report.
     """
-    prob = _build(space, log, start_prices, eligibility, catalog)
+    prob = _build(space, start_prices, eligibility, catalog)
     sol = solve_lp(prob.lp, backend=backend)
     fallback = False
     if sol.status == "infeasible":
-        prob = _build(space, log, start_prices, eligibility, catalog,
-                      mr_slack_weight=10.0)
+        prob = _build(space, start_prices, eligibility, catalog, mr_slack_weight=10.0)
         sol = solve_lp(prob.lp, backend=backend)
         fallback = True
     if sol.status != "optimal":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .core import Bundle, EMPTY_BUNDLE, ProductCatalog, read_csv
 from .errors import ParseError, ValidationError
@@ -27,37 +27,56 @@ class BidRow:
 
 @dataclass(frozen=True)
 class RawBidLog:
+    """Bid rows, indexed once when the log is made: per bidder, per product
+    (both sorted), the zero-filled quantity in each round 1..R, R being the
+    bidder's last round in the log.  Every query answers from that map; a
+    repeated (round, bidder, product) keeps its last row."""
     rows: tuple[BidRow, ...]
 
+    def __post_init__(self):
+        rounds: dict[str, int] = {}
+        for r in self.rows:
+            rounds[r.bidder_id] = max(rounds.get(r.bidder_id, 0), r.round)
+        series: dict[str, dict[str, list[int]]] = {b: {} for b in rounds}
+        for r in self.rows:
+            series[r.bidder_id].setdefault(
+                r.product_id, [0] * rounds[r.bidder_id])[r.round - 1] = r.quantity
+        # kept outside the dataclass fields, so equality stays on the rows;
+        # tuples so no caller can change them
+        object.__setattr__(self, "_rounds", rounds)
+        object.__setattr__(self, "_series", {
+            b: {j: tuple(q) for j, q in sorted(series[b].items())} for b in sorted(series)})
+
     def bidders(self) -> tuple[str, ...]:
-        return tuple(sorted({r.bidder_id for r in self.rows}))
+        return tuple(self._series)
 
     def num_rounds(self, bidder_id: str | None = None) -> int:
-        rounds = [r.round for r in self.rows
-                  if bidder_id is None or r.bidder_id == bidder_id]
-        return max(rounds) if rounds else 0
+        if bidder_id is None:
+            return max(self._rounds.values(), default=0)
+        return self._rounds.get(bidder_id, 0)
 
     def series(self, bidder_id: str, product_id: str) -> list[int]:
         """Quantity per round (1..R for this bidder), zero-filled."""
-        R = self.num_rounds(bidder_id)
-        out = [0] * R
-        for r in self.rows:
-            if r.bidder_id == bidder_id and r.product_id == product_id:
-                out[r.round - 1] = r.quantity
-        return out
+        by_product = self._series.get(bidder_id, {})
+        return list(by_product.get(product_id, (0,) * self.num_rounds(bidder_id)))
 
     def bundle(self, bidder_id: str, rnd: int) -> Bundle:
-        q = {r.product_id: r.quantity for r in self.rows
-             if r.bidder_id == bidder_id and r.round == rnd and r.quantity > 0}
+        if not 1 <= rnd <= self.num_rounds(bidder_id):
+            return EMPTY_BUNDLE
+        q = {j: s[rnd - 1] for j, s in self._series[bidder_id].items() if s[rnd - 1] > 0}
         return Bundle(q) if q else EMPTY_BUNDLE
 
     def products(self, bidder_id: str) -> tuple[str, ...]:
-        return tuple(sorted({r.product_id for r in self.rows
-                             if r.bidder_id == bidder_id and r.quantity > 0}))
+        return tuple(j for j, s in self._series.get(bidder_id, {}).items() if max(s) > 0)
 
-
-class SmoothedBidLog(RawBidLog):
-    """Same shape as RawBidLog; per-(bidder, product) series are non-increasing."""
+    def demand(self) -> list[dict[str, int]]:
+        """Aggregate quantity per product in each round 1..num_rounds()."""
+        totals: list[dict[str, int]] = [{} for _ in range(self.num_rounds())]
+        for by_product in self._series.values():
+            for j, series in by_product.items():
+                for aggregate, q in zip(totals, series):
+                    aggregate[j] = aggregate.get(j, 0) + q
+        return totals
 
 
 @dataclass(frozen=True)
@@ -134,55 +153,30 @@ def write_bid_log(log: RawBidLog, path) -> None:
             writer.writerow([row.round, row.bidder_id, row.product_id, row.quantity])
 
 
-def smooth_monotone(log: RawBidLog) -> SmoothedBidLog:
+def smooth_monotone(log: RawBidLog) -> RawBidLog:
     """Suffix maximum per (bidder, product): c'^r = max_{r' >= r} c^{r'}.
 
     Non-increasing by construction and preserves the final-round quantity,
     so final allocations survive smoothing verbatim.
     """
     rows = []
-    for bidder in log.bidders():
-        R = log.num_rounds(bidder)
-        for product_id in sorted({r.product_id for r in log.rows if r.bidder_id == bidder}):
-            series = log.series(bidder, product_id)
-            smoothed = list(series)
-            for r in range(R - 2, -1, -1):
-                smoothed[r] = max(smoothed[r], smoothed[r + 1])
-            for r, q in enumerate(smoothed, start=1):
-                rows.append(BidRow(round=r, bidder_id=bidder,
-                                   product_id=product_id, quantity=q))
-    return SmoothedBidLog(rows=tuple(rows))
+    for bidder, by_product in log._series.items():
+        for product_id, series in by_product.items():
+            smoothed = list(accumulate(reversed(series), max))[::-1]
+            rows.extend(BidRow(round=r, bidder_id=bidder, product_id=product_id,
+                               quantity=q) for r, q in enumerate(smoothed, start=1))
+    return RawBidLog(rows=tuple(rows))
 
 
-def build_ladders(log: SmoothedBidLog, bidder_id: str) -> dict[str, CopyLadder]:
+def build_ladders(log: RawBidLog, bidder_id: str) -> dict[str, CopyLadder]:
     """Ascending distinct nonzero quantities per product; all-zero products drop."""
-    ladders = {}
-    for product_id in log.products(bidder_id):
-        levels = sorted({q for q in log.series(bidder_id, product_id) if q > 0})
-        if levels:
-            ladders[product_id] = CopyLadder(product_id, tuple(levels))
-    return ladders
+    return {j: CopyLadder(j, tuple(sorted({q for q in log.series(bidder_id, j) if q > 0})))
+            for j in log.products(bidder_id)}
 
 
-def extract_bases(log: SmoothedBidLog, bidder_id: str) -> list[BundleBase]:
-    """One base per distinct nonzero product-support set; base quantity is the
-    minimum observed among rounds sharing that support."""
-    by_support: dict[frozenset, dict[str, int]] = {}
-    order: list[frozenset] = []
-    for rnd in range(1, log.num_rounds(bidder_id) + 1):
-        bundle = log.bundle(bidder_id, rnd)
-        if not bundle:
-            continue  # bidder sits out: maps to the empty base, value 0
-        support = bundle.support()
-        if support not in by_support:
-            by_support[support] = dict(bundle.quantities)
-            order.append(support)
-        else:
-            mins = by_support[support]
-            for j, q in bundle.quantities.items():
-                mins[j] = min(mins[j], q)
-    return [BundleBase(base_id=f"{bidder_id}/base{i}", quantities=by_support[s])
-            for i, s in enumerate(order)]
+def extract_bases(log: RawBidLog, bidder_id: str) -> list[BundleBase]:
+    """The bidder's bundle bases (see `build_bundle_space`)."""
+    return list(build_bundle_space(log, bidder_id).bases)
 
 
 def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list[Bundle]:
@@ -197,18 +191,24 @@ def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list
     return [Bundle(dict(combo)) for combo in iproduct(*per_product)]
 
 
-def build_bundle_space(log: SmoothedBidLog, bidder_id: str) -> BundleSpace:
-    """Ladders, bases and a round -> (bundle, base) map for one bidder."""
-    ladders = build_ladders(log, bidder_id)
-    bases = extract_bases(log, bidder_id)
-    by_support = {b.support(): b for b in bases}
-    observed = {}
+def build_bundle_space(log: RawBidLog, bidder_id: str) -> BundleSpace:
+    """Ladders, bases and a round -> (bundle, base) map for one bidder, from
+    one walk of its rounds.  One base per distinct nonzero product-support
+    set, in order of first appearance; a base quantity is the minimum
+    observed among rounds sharing that support.  A round where the bidder
+    sits out maps to no base (value 0)."""
+    mins: dict[frozenset, dict[str, int]] = {}
+    bundles = []
     for rnd in range(1, log.num_rounds(bidder_id) + 1):
         bundle = log.bundle(bidder_id, rnd)
-        base = by_support.get(bundle.support()) if bundle else None
-        if bundle and base is None:
-            raise ValidationError(
-                f"bidder {bidder_id!r} round {rnd}: bundle support not among bases")
-        observed[rnd] = (bundle, base.base_id if base else None)
-    return BundleSpace(bidder_id=bidder_id, bases=tuple(bases),
-                       ladders=ladders, observed=observed)
+        if bundle:
+            base = mins.setdefault(bundle.support(), dict(bundle.quantities))
+            for j, q in bundle.quantities.items():
+                base[j] = min(base[j], q)
+        bundles.append(bundle)
+    ids = {support: f"{bidder_id}/base{i}" for i, support in enumerate(mins)}
+    bases = tuple(BundleBase(base_id=ids[s], quantities=q) for s, q in mins.items())
+    observed = {rnd: (bundle, ids.get(bundle.support()))
+                for rnd, bundle in enumerate(bundles, start=1)}
+    return BundleSpace(bidder_id=bidder_id, bases=bases,
+                       ladders=build_ladders(log, bidder_id), observed=observed)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IncrementSchedule, PriceVector, ProductCatalog, aggregate_demand
+from .core import IncrementSchedule, PriceVector, ProductCatalog
 from .engine import (AuctionConfig, AuctionTrace, BidderAgent, compare_allocations,
                      overdemanded, price_step, run_auction)
 from .errors import ValidationError
@@ -22,15 +22,14 @@ def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
                        increments: IncrementSchedule) -> dict[int, PriceVector]:
     """Start price vector per round, replayed from aggregate demand with the
     round loop's price step."""
-    R = log.num_rounds()
-    if R == 0:
+    demand = log.demand()
+    if not demand:
         raise ValidationError("empty bid log")
     product_of = {j: j for j in catalog.ids()}
     start_prices: dict[int, PriceVector] = {}
     start = PriceVector({j: catalog.get(j).opening_price for j in product_of})
-    for rnd in range(1, R + 1):
-        bundles = [log.bundle(bidder, rnd) for bidder in log.bidders()]
-        aggregate = {j: aggregate_demand(bundles, j) for j in product_of}
+    for rnd, totals in enumerate(demand, start=1):
+        aggregate = {j: totals.get(j, 0) for j in product_of}
         start_prices[rnd] = start
         _, start = price_step(start, rnd, overdemanded(aggregate, catalog),
                               product_of, increments)
@@ -55,9 +54,9 @@ def estimate_all(raw: RawBidLog, catalog: ProductCatalog,
         space = build_bundle_space(smoothed, bidder)
         if not space.bases:
             continue  # bidder never demanded anything
-        eligibility = reconstruct_eligibility(space, smoothed, catalog)
-        model, report = estimate(space, smoothed, start_prices, eligibility,
-                                 catalog, backend=backend)
+        eligibility = reconstruct_eligibility(space, catalog)
+        model, report = estimate(space, start_prices, eligibility, catalog,
+                                 backend=backend)
         out[bidder] = BidderEstimate(model=model, space=space, report=report)
     return out
 

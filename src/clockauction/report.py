@@ -73,12 +73,8 @@ def atomic_write(path, text: str) -> None:
 def heatmap_matrix(log: RawBidLog, bidder_id: str) -> tuple[list[str], list[list[int]]]:
     """(product ids, rounds x products quantity matrix) for one bidder."""
     products = list(log.products(bidder_id))
-    R = log.num_rounds(bidder_id)
-    matrix = []
-    for rnd in range(1, R + 1):
-        bundle = log.bundle(bidder_id, rnd)
-        matrix.append([bundle[j] for j in products])
-    return products, matrix
+    columns = [log.series(bidder_id, j) for j in products]
+    return products, [[s[r] for s in columns] for r in range(log.num_rounds(bidder_id))]
 
 
 def heatmap_csv(log: RawBidLog, bidder_id: str, manifest_hash: str = "") -> str:

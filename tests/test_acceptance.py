@@ -248,8 +248,8 @@ def test_03_lp_constraint_satisfaction():
         estimates = estimate_all(raw, config.catalog, config.increments)
         for bidder, est in estimates.items():
             space = build_bundle_space(smoothed, bidder)
-            elig = reconstruct_eligibility(space, smoothed, config.catalog)
-            lp = build_lp(space, smoothed, start_prices, elig, config.catalog)
+            elig = reconstruct_eligibility(space, config.catalog)
+            lp = build_lp(space, start_prices, elig, config.catalog)
             values = {}
             for base in space.bases:
                 values[f"vb::{base.base_id}"] = est.model.base_values[base.base_id]

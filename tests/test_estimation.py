@@ -9,8 +9,7 @@ from clockauction.estimation import (EstimationReport, ValuationModel,
                                      model_from_json, model_to_json,
                                      reconstruct_eligibility)
 from clockauction.ingest import (BidRow, BundleBase, BundleSpace, CopyLadder,
-                                 SmoothedBidLog, build_bundle_space,
-                                 smooth_monotone)
+                                 RawBidLog, build_bundle_space, smooth_monotone)
 from clockauction.pipeline import estimate_all, trace_to_bidlog
 from clockauction.solver import GE
 from clockauction.synthetic import random_setup
@@ -30,8 +29,7 @@ def space_of(series_by_product, bidder="X"):
     for j, series in series_by_product.items():
         for rnd, q in enumerate(series, start=1):
             rows.append(BidRow(round=rnd, bidder_id=bidder, product_id=j, quantity=q))
-    log = smooth_monotone(SmoothedBidLog(rows=tuple(rows)))
-    return build_bundle_space(log, bidder), log
+    return build_bundle_space(smooth_monotone(RawBidLog(rows=tuple(rows))), bidder)
 
 
 class TestValuationModel:
@@ -76,21 +74,21 @@ class TestValuationModel:
 
 class TestEligibility:
     def test_initial_is_max_variant(self):
-        space, _ = space_of({"A": [3, 1], "B": [2, 2]})
+        space = space_of({"A": [3, 1], "B": [2, 2]})
         catalog = make_catalog({"A": (5, 2), "B": (5, 3)})
         # maximal variant: A at 3 (2 pts), B at 2 (3 pts)
         assert initial_eligibility(space, catalog) == 3 * 2 + 2 * 3
 
     def test_activity_rule_series(self):
-        space, log = space_of({"A": [3, 1, 1]})
+        space = space_of({"A": [3, 1, 1]})
         catalog = make_catalog({"A": (5, 2)})
-        series = reconstruct_eligibility(space, log, catalog)
+        series = reconstruct_eligibility(space, catalog)
         assert series == {1: 6, 2: 6, 3: 2}
 
     def test_exit_zeroes_eligibility(self):
-        space, log = space_of({"A": [2, 2, 0]})
+        space = space_of({"A": [2, 2, 0]})
         catalog = make_catalog({"A": (5, 1)})
-        series = reconstruct_eligibility(space, log, catalog)
+        series = reconstruct_eligibility(space, catalog)
         assert series[3] == 2  # eligibility held entering the exit round
         # after an exit the running eligibility is zero; with more rounds it
         # would stay zero (cost of the empty bundle)
@@ -99,10 +97,10 @@ class TestEligibility:
 
 class TestLpStructure:
     def test_single_round_single_variant(self):
-        space, log = space_of({"A": [1]})
+        space = space_of({"A": [1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 100_00})}
-        lp = build_lp(space, log, prices, {1: 1}, catalog)
+        lp = build_lp(space, prices, {1: 1}, catalog)
         # one base, one variant, ladder of one level: only the positive-utility
         # row survives (no alternatives, no neighbors, no increments)
         assert len(lp.constraints) == 1
@@ -112,24 +110,24 @@ class TestLpStructure:
         assert con.rhs == 100_00
 
     def test_marginal_rationality_neighbors_only(self):
-        space, log = space_of({"A": [5, 3, 3, 2]})
+        space = space_of({"A": [5, 3, 3, 2]})
         catalog = make_catalog({"A": (6, 1)})
         prices = {r: PriceVector({"A": 100_00}) for r in (1, 2, 3, 4)}
-        elig = reconstruct_eligibility(space, log, catalog)
-        lp = build_lp(space, log, prices, elig, catalog)
+        elig = reconstruct_eligibility(space, catalog)
+        lp = build_lp(space, prices, elig, catalog)
         # round 2 holds 3 on ladder (2, 3, 5): neighbor rows may touch the
         # increments to 3 and to 5, never a non-neighbor pattern beyond them
         names = {v.name for v in lp.variables}
         assert "vm::A::3" in names and "vm::A::5" in names and "vm::A::2" not in names
 
     def test_eligibility_filters_alternatives(self):
-        space, log = space_of({"A": [2, 1]})
+        space = space_of({"A": [2, 1]})
         catalog = make_catalog({"A": (5, 3)})
         prices = {1: PriceVector({"A": 100_00}), 2: PriceVector({"A": 110_00})}
         # with full eligibility round 2 sees the (A: 2) alternative...
-        lp_full = build_lp(space, log, prices, {1: 6, 2: 6}, catalog)
+        lp_full = build_lp(space, prices, {1: 6, 2: 6}, catalog)
         # ...with eligibility 3 it cannot afford it
-        lp_cut = build_lp(space, log, prices, {1: 6, 2: 3}, catalog)
+        lp_cut = build_lp(space, prices, {1: 6, 2: 3}, catalog)
         n_full = sum(1 for n in (v.name for v in lp_full.variables) if n.startswith("sl::2"))
         n_cut = sum(1 for n in (v.name for v in lp_cut.variables) if n.startswith("sl::2"))
         assert n_full == 1 and n_cut == 0
@@ -138,10 +136,10 @@ class TestLpStructure:
 @pytest.mark.parametrize("backend", ["builtin", "highs"])
 class TestEstimate:
     def test_zero_prices_give_zero_values(self, backend):
-        space, log = space_of({"A": [1]})
+        space = space_of({"A": [1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 0})}
-        model, report = estimate(space, log, prices, {1: 1}, catalog, backend=backend)
+        model, report = estimate(space, prices, {1: 1}, catalog, backend=backend)
         assert model.base_values["X/base0"] == pytest.approx(0.0, abs=1e-6)
         assert report.slack_total == pytest.approx(0.0, abs=1e-6)
         assert not report.fallback_used and not report.violations
@@ -156,11 +154,10 @@ class TestEstimate:
         space = BundleSpace(
             bidder_id="X", bases=bases, ladders=ladders,
             observed={1: (Bundle({"A": 1}), "X/bA"), 2: (Bundle({"B": 1}), "X/bB")})
-        log = SmoothedBidLog(rows=())
         catalog = make_catalog({"A": (5, 1), "B": (5, 1)})
         prices = {1: PriceVector({"A": 10_00, "B": 0}),
                   2: PriceVector({"A": 0, "B": 10_00})}
-        model, report = estimate(space, log, prices, {1: 2, 2: 2}, catalog,
+        model, report = estimate(space, prices, {1: 2, 2: 2}, catalog,
                                  backend=backend)
         assert report.slack_total == pytest.approx(20_00, abs=1e-4)
         assert report.base_value_total == pytest.approx(20_00, abs=1e-4)
@@ -170,10 +167,10 @@ class TestEstimate:
         # ladder (1, 2): holding 2 at price 10 forces the increment value up
         # to 1000, holding 1 at price 3 forces it down to 300; the hard system
         # is empty, so the penalized re-solve must kick in
-        space, log = space_of({"A": [2, 1]})
+        space = space_of({"A": [2, 1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 10_00}), 2: PriceVector({"A": 3_00})}
-        model, report = estimate(space, log, prices, {1: 2, 2: 2}, catalog,
+        model, report = estimate(space, prices, {1: 2, 2: 2}, catalog,
                                  backend=backend)
         assert report.fallback_used
         assert report.status == "optimal"

@@ -1,13 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clockauction.core import Bundle, Product, ProductCatalog, dollars_to_cents
 from clockauction.errors import ParseError, ValidationError
 from clockauction.ingest import (BidRow, BundleBase, CopyLadder, RawBidLog,
-                                 SmoothedBidLog, build_bundle_space,
-                                 build_ladders, enumerate_variants,
-                                 extract_bases, parse_bid_log, smooth_monotone,
-                                 write_bid_log)
+                                 build_bundle_space, build_ladders,
+                                 enumerate_variants, extract_bases,
+                                 parse_bid_log, smooth_monotone, write_bid_log)
 
 
 def make_catalog(supplies):
@@ -113,12 +112,12 @@ class TestSmoothing:
 
 class TestLadders:
     def test_distinct_ascending(self):
-        log = SmoothedBidLog(log_from_series({"A": [5, 3, 3, 1]}).rows)
+        log = RawBidLog(log_from_series({"A": [5, 3, 3, 1]}).rows)
         ladders = build_ladders(log, "X")
         assert ladders["A"].levels == (1, 3, 5)
 
     def test_zero_rounds_dropped_from_levels(self):
-        log = SmoothedBidLog(log_from_series({"A": [2, 2, 0]}).rows)
+        log = RawBidLog(log_from_series({"A": [2, 2, 0]}).rows)
         assert build_ladders(log, "X")["A"].levels == (2,)
 
     def test_index_of(self):
@@ -138,23 +137,23 @@ class TestLadders:
 class TestBases:
     def test_min_quantities_per_support(self):
         # same support {A, B} in both rounds: base takes per-product minimums
-        log = SmoothedBidLog(log_from_series({"A": [4, 4], "B": [5, 3]}).rows)
+        log = RawBidLog(log_from_series({"A": [4, 4], "B": [5, 3]}).rows)
         bases = extract_bases(log, "X")
         assert len(bases) == 1
         assert bases[0].quantities == {"A": 4, "B": 3}
 
     def test_support_change_creates_second_base(self):
-        log = SmoothedBidLog(log_from_series({"A": [2, 2, 0], "B": [0, 0, 1]}).rows)
+        log = RawBidLog(log_from_series({"A": [2, 2, 0], "B": [0, 0, 1]}).rows)
         bases = extract_bases(log, "X")
         assert [b.quantities for b in bases] == [{"A": 2}, {"B": 1}]
         assert bases[0].base_id == "X/base0"
 
     def test_single_round(self):
-        log = SmoothedBidLog(log_from_series({"A": [3]}).rows)
+        log = RawBidLog(log_from_series({"A": [3]}).rows)
         assert extract_bases(log, "X")[0].quantities == {"A": 3}
 
     def test_empty_rounds_skipped(self):
-        log = SmoothedBidLog(log_from_series({"A": [2, 0]}).rows)
+        log = RawBidLog(log_from_series({"A": [2, 0]}).rows)
         bases = extract_bases(log, "X")
         assert len(bases) == 1
 
@@ -196,3 +195,53 @@ class TestBundleSpace:
         raw = log_from_series({"A": [2, 0]})
         space = build_bundle_space(smooth_monotone(raw), "X")
         assert space.observed[2] == (Bundle({}), None)
+
+
+BIDDERS, PRODUCTS = ("X", "Y", "Z"), ("A", "B", "C")
+
+
+class TestIndexOracle:
+    """Every query of the indexed log against a scan of its rows.  Rows may
+    have zero quantities and round gaps, a bidder may have only zero rows,
+    and "W"/"Q" are a bidder and a product the log never names."""
+
+    @staticmethod
+    def scan_series(rows, bidder, product):
+        out = [0] * max((r.round for r in rows if r.bidder_id == bidder), default=0)
+        for r in rows:
+            if r.bidder_id == bidder and r.product_id == product:
+                out[r.round - 1] = r.quantity
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(1, 6), st.sampled_from(BIDDERS), st.sampled_from(PRODUCTS)),
+        st.integers(0, 4), max_size=30))
+    def test_queries_match_row_scan(self, cells):
+        rows = [BidRow(rnd, b, j, q) for (rnd, b, j), q in cells.items()]
+        log = RawBidLog(rows=tuple(rows))
+        assert log.bidders() == tuple(sorted({r.bidder_id for r in rows}))
+        assert log.num_rounds() == max((r.round for r in rows), default=0)
+        for b in BIDDERS + ("W",):
+            mine = [r for r in rows if r.bidder_id == b]
+            assert log.num_rounds(b) == max((r.round for r in mine), default=0)
+            assert log.products(b) == tuple(sorted({r.product_id for r in mine
+                                                    if r.quantity > 0}))
+            for j in PRODUCTS + ("Q",):
+                assert log.series(b, j) == self.scan_series(rows, b, j)
+            for rnd in range(0, 8):
+                assert log.bundle(b, rnd) == Bundle({
+                    r.product_id: r.quantity for r in mine if r.round == rnd})
+        demand = [{j: q for j, q in totals.items() if q} for totals in log.demand()]
+        assert demand == [
+            {j: q for j in PRODUCTS
+             if (q := sum(r.quantity for r in rows if r.round == rnd and r.product_id == j))}
+            for rnd in range(1, log.num_rounds() + 1)]
+
+        smoothed = []
+        for b in sorted({r.bidder_id for r in rows}):
+            for j in sorted({r.product_id for r in rows if r.bidder_id == b}):
+                series = self.scan_series(rows, b, j)
+                smoothed += [BidRow(rnd, b, j, max(series[rnd - 1:]))
+                             for rnd in range(1, len(series) + 1)]
+        assert list(smooth_monotone(log).rows) == smoothed

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
-from clockauction.costs import AreaStats
-from clockauction.engine import run_auction
+from clockauction.core import ProductCatalog
+from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, SCENARIOS, AreaStats,
+                                CostParameters, build_cost_table, cost_table_from_csv,
+                                load_demographics, load_inventory)
+from clockauction.engine import run_auction, trace_to_jsonl
 from clockauction.estimation import model_to_json
 from clockauction.ingest import write_bid_log
 from clockauction.pipeline import trace_to_bidlog
@@ -19,18 +23,21 @@ from clockauction.report import (RunManifest, compare_traces, heatmap_csv,
 from clockauction.synthetic import random_setup
 
 
+def write_catalog(catalog, path):
+    lines = ["product_id,area_id,area_class,supply,eligibility_points,opening_price_cad"]
+    for p in catalog:
+        lines.append(f"{p.id},{p.area_id},{p.area_class},{p.supply},"
+                     f"{p.eligibility_points},{cents_to_dollars(p.opening_price)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Catalog CSV, a simulated bid log, model files and demographics."""
     root = tmp_path_factory.mktemp("cli")
     config, agents = random_setup(91, n_bidders=4, n_products=6, max_supply=4)
     catalog = config.catalog
-
-    lines = ["product_id,area_id,area_class,supply,eligibility_points,opening_price_cad"]
-    for p in catalog:
-        lines.append(f"{p.id},{p.area_id},{p.area_class},{p.supply},"
-                     f"{p.eligibility_points},{cents_to_dollars(p.opening_price)}")
-    (root / "catalog.csv").write_text("\n".join(lines) + "\n")
+    write_catalog(catalog, root / "catalog.csv")
 
     trace = run_auction(config, agents)
     write_bid_log(trace_to_bidlog(trace), root / "bids.csv")
@@ -140,6 +147,38 @@ class TestCliPipeline:
         summary = json.loads((ext / "summary_tiered.json").read_text())
         assert "coverage" in summary and "revenue_cents" in summary
 
+    def cost_table(self, workspace, config, out):
+        return run(["cost-table", "--catalog", workspace / "catalog.csv",
+                    "--demographics", workspace / "demographics.csv",
+                    "--inventory", workspace / "inventory.csv",
+                    "--config", config, "--out", out])
+
+    def test_partial_coverage_targets(self, workspace, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("coverage_targets:\n  metro: {low: 0.2}\n")
+        assert self.cost_table(workspace, config, tmp_path) == 0
+        catalog = ProductCatalog.from_csv(workspace / "catalog.csv")
+        demographics = load_demographics(workspace / "demographics.csv")
+        inventory = load_inventory(workspace / "inventory.csv")
+        targets = {**DEFAULT_COVERAGE_TARGETS, ("metro", "low"): 0.2}
+        expected = build_cost_table(catalog, demographics, inventory, SCENARIOS["none"],
+                                    CostParameters(coverage_targets=targets))
+        default = build_cost_table(catalog, demographics, inventory, SCENARIOS["none"],
+                                   CostParameters())
+        table = cost_table_from_csv(tmp_path / "cost_table_none.csv")
+        assert table == expected and table != default
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("coverage_targets:\n  metr: {low: 0.5}\n", id="area-class"),
+        pytest.param("coverage_targets:\n  metro: {lo: 0.5}\n", id="tier"),
+        pytest.param("coverage_targets:\n  metro: {low: 1.5}\n", id="above-one")])
+    def test_bad_coverage_target(self, workspace, tmp_path, capsys, text):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        assert self.cost_table(workspace, config, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{config}:" in err and "Traceback" not in err
+
     def test_bad_cost_is_parse_error(self, workspace, tmp_path, capsys):
         table = tmp_path / "bad_costs.csv"
         table.write_text("# manifest 0\nbidder_id,area_id,tier,cost_cents\n"
@@ -180,6 +219,52 @@ class TestCliPipeline:
                         "--models", workspace / "models", "--out", out]) == 0
         assert (out1 / "trace.jsonl").read_bytes() == (out2 / "trace.jsonl").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+class TestArtifactDigests:
+    """`estimate --dump-lp`, `smooth` and `report` write the same bytes as
+    the scan-per-query bid log did, on a log where most bidders have several
+    bases and smoothing raises 23 series."""
+    # sha256 over (file name, bytes) of each command's artifacts, recorded
+    # before the bid log was indexed
+    DIGESTS = {
+        "estimate": "0f4bea3c0e5ef9a9892723899bc2c0ece8b08e5184e79012a75589bf8f5fb832",
+        "smooth": "2a9c8c9931979ca5507be8c73fe77ddee7f8a167c016e45adcbbe8e21776ed03",
+        "report": "bb1c11e7a533734499e2f4ecde00cb204ca10ec484b3f07818119ecce18b6d66"}
+    PATTERNS = {"estimate": ["model_*.json", "estimation_report.json",
+                             "manifest.json", "lp/estimation_*.lp"],
+                "smooth": ["smoothed.csv"],
+                "report": ["heatmap_*.csv", "heatmap_*.svg"]}
+
+    @staticmethod
+    def digest(directory, patterns):
+        h = hashlib.sha256()
+        for pattern in patterns:
+            paths = sorted(directory.glob(pattern))
+            assert paths, pattern
+            for path in paths:
+                h.update(path.name.encode() + b"\0" + path.read_bytes())
+        return h.hexdigest()
+
+    def test_outputs_unchanged(self, tmp_path):
+        config, agents = random_setup(3, n_bidders=8, n_products=24, n_bases=3)
+        trace = run_auction(config, agents)
+        catalog, bids = tmp_path / "catalog.csv", tmp_path / "bids.csv"
+        write_catalog(config.catalog, catalog)
+        write_bid_log(trace_to_bidlog(trace), bids)
+        (tmp_path / "trace.jsonl").write_text(trace_to_jsonl(trace))
+        out = {name: tmp_path / name for name in self.DIGESTS}
+        assert run(["estimate", "--catalog", catalog, "--bids", bids,
+                    "--out", out["estimate"], "--dump-lp", out["estimate"] / "lp"]) == 0
+        assert run(["smooth", "--catalog", catalog, "--bids", bids,
+                    "--out", out["smooth"]]) == 0
+        assert run(["simulate", "--catalog", catalog, "--models", out["estimate"],
+                    "--out", tmp_path / "sim"]) == 0
+        assert run(["report", "--catalog", catalog, "--trace-a", tmp_path / "trace.jsonl",
+                    "--trace-b", tmp_path / "sim" / "trace.jsonl",
+                    "--out", out["report"]]) == 0
+        assert {name: self.digest(out[name], self.PATTERNS[name])
+                for name in self.DIGESTS} == self.DIGESTS
 
 
 class TestManifest:
