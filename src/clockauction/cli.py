@@ -9,24 +9,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import yaml
 
 from . import costs as costmod
-from .core import (IncrementSchedule, ProductCatalog, cents_to_dollars,
-                   dollars_to_cents, read_document)
+from .core import (DIGESTS, IncrementSchedule, ProductCatalog, atomic_write,
+                   cents_to_dollars, dollars_to_cents, read_document)
 from .engine import (AuctionConfig, BidderAgent, compare_allocations, run_auction,
                      trace_from_jsonl, trace_summary, trace_to_jsonl)
 from .errors import ParseError, SolverError, ValidationError
-from .estimation import model_from_json, model_to_json, reconstruct_eligibility
+from .estimation import model_from_json, model_to_json
+# build_bundle_space and reconstruct_prices have no caller here; they stay
+# bound because the traced benchmark wraps them at this module (bench/spans.py)
 from .ingest import build_bundle_space, parse_bid_log, smooth_monotone, write_bid_log
 from .pipeline import (agents_from_estimates, estimate_all, reconstruct_prices,
                        trace_to_bidlog)
-from .report import (RunManifest, atomic_write, comparison_to_json,
-                     compare_traces, final_price_scatter_csv, hash_file,
-                     heatmap_csv, heatmap_svg)
+from .report import (RunManifest, comparison_to_json, compare_traces,
+                     final_price_scatter_csv, heatmap_csv, heatmap_svg)
 from .solver import write_lp_format
 from .tiered import coverage_report, run_extended_auction
 
@@ -87,9 +89,10 @@ def _load_config(path: str | None, catalog: ProductCatalog
 
 
 def _manifest(args, **inputs) -> RunManifest:
-    config_hash = hash_file(args.config) if getattr(args, "config", None) else ""
-    return RunManifest(inputs={k: hash_file(v) for k, v in inputs.items() if v},
-                       config_hash=config_hash,
+    """The run manifest, naming each input by the digest of the bytes parsed."""
+    digest = lambda path: DIGESTS.get()[os.fspath(path)]
+    return RunManifest(inputs={k: digest(v) for k, v in inputs.items() if v},
+                       config_hash=digest(args.config) if args.config else "",
                        scenario=getattr(args, "scenario", "") or "")
 
 
@@ -137,21 +140,13 @@ def cmd_estimate(args) -> int:
     auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
+    estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
     if args.dump_lp:
         Path(args.dump_lp).mkdir(parents=True, exist_ok=True)
-        from .estimation import build_lp
-        smoothed = smooth_monotone(raw)
-        start_prices = reconstruct_prices(raw, catalog, auction.increments)
-        for bidder in smoothed.bidders():
-            space = build_bundle_space(smoothed, bidder)
-            if not space.bases:
-                continue
-            elig = reconstruct_eligibility(space, catalog)
-            lp = build_lp(space, start_prices, elig, catalog)
-            write_lp_format(lp, Path(args.dump_lp) / f"estimation_{bidder}.lp")
-    estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
     reports = {}
     for bidder, est in sorted(estimates.items()):
+        if args.dump_lp:
+            write_lp_format(est.report.lp, Path(args.dump_lp) / f"estimation_{bidder}.lp")
         atomic_write(out / f"model_{bidder}.json", model_to_json(est.model, est.space))
         reports[bidder] = {
             "status": est.report.status,
@@ -233,6 +228,7 @@ def cmd_cost_table(args) -> int:
 
 def cmd_report(args) -> int:
     catalog = ProductCatalog.from_csv(args.catalog)
+    _load_config(args.config, catalog)  # unused, but checked and named in the manifest
     trace_a = trace_from_jsonl(args.trace_a, catalog)
     trace_b = trace_from_jsonl(args.trace_b, catalog)
     out = _out_dir(args)
@@ -302,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="recover lower-bound valuations")
     common(p, bids=True)
-    p.add_argument("--dump-lp", help="directory for LP text dumps")
+    p.add_argument("--dump-lp", help="directory for LP text dumps: each bidder's "
+                   "LP as first solved, without the fallback's slack")
     p.add_argument("--backend", default="highs", choices=["highs", "builtin"])
     p.set_defaults(func=cmd_estimate)
 
@@ -340,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    token = DIGESTS.set({})
     try:
         return args.func(args)
     except (ValidationError, ParseError) as exc:
@@ -348,6 +346,8 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    finally:
+        DIGESTS.reset(token)
 
 
 if __name__ == "__main__":

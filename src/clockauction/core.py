@@ -8,10 +8,14 @@ over ~100 rounds.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import os
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from functools import lru_cache
+from typing import Callable, Mapping
 
 from .errors import ClockAuctionError, ParseError, ValidationError
 
@@ -180,25 +184,22 @@ def _check_delta(delta: float) -> None:
         raise ValidationError(f"price increment {delta} outside [0.1, 0.2]")
 
 
+@lru_cache
+def _rate(delta: float) -> tuple[int, int]:
+    """1 + delta as an exact fraction n/d, so 0.15 behaves as 23/20, not its
+    float neighbour."""
+    _check_delta(delta)
+    rate = 1 + Fraction(delta).limit_denominator(10_000)
+    return rate.numerator, rate.denominator
+
+
 def clock_price(start: Money, delta: float) -> Money:
     """Clock price = start * (1 + delta), rounded half-up to the nearest dollar."""
     if start < 0:
         raise ValidationError("negative start price")
-    _check_delta(delta)
-    # exact rational arithmetic so 0.15 behaves as 3/20, not its float neighbour
-    f = Fraction(delta).limit_denominator(10_000)
-    dollars = Fraction(start, 100) * (1 + f)
-    rounded = (dollars + Fraction(1, 2)).__floor__()
-    return int(rounded) * 100
-
-
-def aggregate_demand(bids: Iterable[Bundle], product_id: str) -> int:
-    return sum(b[product_id] for b in bids)
-
-
-def posted_price(start: Money, clock: Money, aggregate: int, supply: int) -> Money:
-    """Clock price if the product is overdemanded, else the start price."""
-    return step_price(start, clock, aggregate > supply)
+    n, d = _rate(delta)
+    # floor(start/100 * n/d + 1/2) dollars, in integers
+    return (2 * start * n + 100 * d) // (200 * d) * 100
 
 
 def step_price(start: Money, clock: Money, overdemanded: bool) -> Money:
@@ -207,10 +208,6 @@ def step_price(start: Money, clock: Money, overdemanded: bool) -> Money:
     if clock < start:
         raise ValidationError("clock price below start price")
     return clock if overdemanded else start
-
-
-def payment(final_bundle: Bundle, final_posted: PriceVector) -> Money:
-    return sum(final_posted[j] * q for j, q in final_bundle.quantities.items())
 
 
 def eligibility_cost(bundle: Bundle, catalog: ProductCatalog) -> int:
@@ -230,13 +227,35 @@ def input_error(where: str, exc: Exception) -> ClockAuctionError:
     return kind(f"{where}: {getattr(exc, 'strerror', None) or exc}")
 
 
+# path -> sha256 prefix of the bytes read_document parsed from it, recorded
+# while a CLI command runs, for its run manifest; outside one, None
+DIGESTS: ContextVar[dict[str, str] | None] = ContextVar("digests", default=None)
+
+
 def read_document(path, parse: Callable[[str], object]):
-    """`parse` of the file's text; failing to read or parse it is an input error."""
+    """`parse` of the file's UTF-8 text, its bytes read once and their digest
+    recorded in DIGESTS; failing to read or parse it is an input error."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return parse(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if (digests := DIGESTS.get()) is not None:
+            digests[os.fspath(path)] = hashlib.sha256(data).hexdigest()[:16]
+        return parse(data.decode("utf-8"))
     except (OSError, *INPUT_ERRORS) as exc:
         raise input_error(str(path), exc) from exc
+
+
+def atomic_write(path, text: str) -> None:
+    """Write `text` to a temporary file, then rename it over `path`, so no
+    reader ever sees a partial file; on failure the temporary file goes."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_lines(path) -> list[tuple[int, str]]:

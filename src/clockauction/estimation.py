@@ -257,12 +257,6 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     return prob
 
 
-def build_lp(space: BundleSpace, start_prices: dict[int, PriceVector],
-             eligibility: dict[int, int], catalog: ProductCatalog) -> LinearProgram:
-    """The valuation-recovery LP: min sum(slack) + sum(base values)."""
-    return _build(space, start_prices, eligibility, catalog).lp
-
-
 @dataclass(frozen=True)
 class EstimationReport:
     bidder_id: str
@@ -271,6 +265,9 @@ class EstimationReport:
     base_value_total: float
     violations: dict[str, int]
     fallback_used: bool = False
+    # the LP solved first, min sum(slack) + sum(base values) without
+    # marginal-rationality slack, even when the fallback was used
+    lp: LinearProgram | None = field(default=None, compare=False, repr=False)
 
 
 def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
@@ -300,8 +297,9 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     If the LP is infeasible (possible if smoothing interacts badly with
     eligibility), re-solve with penalized slack on the marginal-rationality
     block (weight 10x the revealed-preference slack) and flag the report.
+    The report keeps the LP solved first as `report.lp`.
     """
-    prob = _build(space, start_prices, eligibility, catalog)
+    prob = first = _build(space, start_prices, eligibility, catalog)
     sol = solve_lp(prob.lp, backend=backend)
     fallback = False
     if sol.status == "infeasible":
@@ -322,7 +320,7 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
         bidder_id=space.bidder_id, status=sol.status,
         slack_total=float(slack_total),
         base_value_total=float(sum(model.base_values.values())),
-        violations=violations, fallback_used=fallback)
+        violations=violations, fallback_used=fallback, lp=first.lp)
     return model, report
 
 

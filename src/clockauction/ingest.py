@@ -10,10 +10,11 @@ observed product-support set) and their variants.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import accumulate, product as iproduct
 
-from .core import Bundle, EMPTY_BUNDLE, ProductCatalog, read_csv
+from .core import Bundle, EMPTY_BUNDLE, ProductCatalog, atomic_write, read_csv
 from .errors import ParseError, ValidationError
 
 
@@ -117,12 +118,6 @@ class BundleSpace:
     ladders: dict[str, CopyLadder]
     observed: dict[int, tuple[Bundle, str | None]]  # round -> (bundle, base_id)
 
-    def base(self, base_id: str) -> BundleBase:
-        for b in self.bases:
-            if b.base_id == base_id:
-                return b
-        raise ValidationError(f"unknown base {base_id!r}")
-
 
 def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
     """Load a bid log CSV with columns round, bidder_id, product_id, quantity."""
@@ -146,11 +141,12 @@ def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
 
 
 def write_bid_log(log: RawBidLog, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "bidder_id", "product_id", "quantity"])
-        for row in sorted(log.rows, key=lambda r: (r.round, r.bidder_id, r.product_id)):
-            writer.writerow([row.round, row.bidder_id, row.product_id, row.quantity])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["round", "bidder_id", "product_id", "quantity"])
+    for row in sorted(log.rows, key=lambda r: (r.round, r.bidder_id, r.product_id)):
+        writer.writerow([row.round, row.bidder_id, row.product_id, row.quantity])
+    atomic_write(path, text.getvalue())
 
 
 def smooth_monotone(log: RawBidLog) -> RawBidLog:
@@ -172,11 +168,6 @@ def build_ladders(log: RawBidLog, bidder_id: str) -> dict[str, CopyLadder]:
     """Ascending distinct nonzero quantities per product; all-zero products drop."""
     return {j: CopyLadder(j, tuple(sorted({q for q in log.series(bidder_id, j) if q > 0})))
             for j in log.products(bidder_id)}
-
-
-def extract_bases(log: RawBidLog, bidder_id: str) -> list[BundleBase]:
-    """The bidder's bundle bases (see `build_bundle_space`)."""
-    return list(build_bundle_space(log, bidder_id).bases)
 
 
 def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list[Bundle]:

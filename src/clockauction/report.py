@@ -2,15 +2,14 @@
 SVG), and final-price scatter pairs.
 
 CSVs are the contract; the SVG heatmaps are conveniences rendered with a fixed
-quantile color ramp.  Every artifact embeds the run-manifest hash, and files
-are written via write-then-rename so partial outputs are never left behind.
+quantile color ramp.  Every artifact embeds the run-manifest hash; the CLI
+writes each through `core.atomic_write`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 from .core import EMPTY_BUNDLE, ProductCatalog, cents_to_dollars
@@ -49,21 +48,6 @@ class RunManifest:
             "determinism": self.determinism,
             "manifest_hash": self.hash(),
         }, indent=2, sort_keys=True)
-
-
-def hash_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
-
-
-def atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

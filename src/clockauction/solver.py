@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import atomic_write
 from .errors import SolverError, ValidationError
 
 FEAS_TOL = 1e-6   # on row activity after scaling rows to unit max coefficient
@@ -434,5 +435,4 @@ def write_lp_format(lp: LinearProgram, path) -> None:
         ub = "+inf" if v.ub is None else f"{v.ub:.12g}"
         lines.append(f" {v.lb:.12g} <= {v.name} <= {ub}")
     lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -23,12 +23,10 @@ from clockauction.costs import (CostParameters, SCENARIOS, AreaStats,
 from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
                                  compare_allocations, run_auction,
                                  trace_to_jsonl)
-from clockauction.estimation import ValuationModel, build_lp, reconstruct_eligibility
+from clockauction.estimation import ValuationModel
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
-                                 build_bundle_space, parse_bid_log,
-                                 smooth_monotone)
-from clockauction.pipeline import (estimate_all, reconstruct_prices, roundtrip,
-                                   trace_to_bidlog)
+                                 parse_bid_log, smooth_monotone)
+from clockauction.pipeline import estimate_all, roundtrip, trace_to_bidlog
 from clockauction.solver import check_feasible
 from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
@@ -243,13 +241,9 @@ def test_03_lp_constraint_satisfaction():
     for seed in range(15):
         config, agents = random_setup(3000 + seed, n_bidders=4, n_products=8)
         raw = trace_to_bidlog(run_auction(config, agents))
-        smoothed = smooth_monotone(raw)
-        start_prices = reconstruct_prices(raw, config.catalog, config.increments)
         estimates = estimate_all(raw, config.catalog, config.increments)
-        for bidder, est in estimates.items():
-            space = build_bundle_space(smoothed, bidder)
-            elig = reconstruct_eligibility(space, config.catalog)
-            lp = build_lp(space, start_prices, elig, config.catalog)
+        for est in estimates.values():
+            space, lp = est.space, est.report.lp
             values = {}
             for base in space.bases:
                 values[f"vb::{base.base_id}"] = est.model.base_values[base.base_id]

@@ -1,9 +1,17 @@
-import pytest
+import ast
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import clockauction
 from clockauction.core import (Bundle, PriceVector, Product, ProductCatalog,
-                               aggregate_demand, clock_price, dollars_to_cents,
-                               eligibility_cost, payment, posted_price)
+                               clock_price, dollars_to_cents, eligibility_cost,
+                               step_price)
+from clockauction.engine import overdemanded
 from clockauction.errors import ParseError, ValidationError
+from clockauction.ingest import BidRow, RawBidLog
 
 
 def d(x):
@@ -45,54 +53,97 @@ class TestClockPrice:
             assert values == sorted(values)
 
 
+def fraction_clock_price(start, delta):
+    """start * (1 + delta) rounded half-up to a dollar, in exact rationals."""
+    dollars = Fraction(start, 100) * (1 + Fraction(delta).limit_denominator(10_000))
+    return (dollars + Fraction(1, 2)).__floor__() * 100
+
+
+class TestClockPriceReference:
+    @pytest.mark.parametrize("delta", [0.1, 0.15, 0.2])
+    def test_every_cent_to_200_dollars(self, delta):
+        assert all(clock_price(start, delta) == fraction_clock_price(start, delta)
+                   for start in range(20_001))
+
+    @settings(max_examples=500, deadline=None)
+    @given(start=st.integers(0, 10**12), delta=st.floats(0.1, 0.2))
+    def test_matches_fractions(self, start, delta):
+        assert clock_price(start, delta) == fraction_clock_price(start, delta)
+
+    def test_negative_start(self):
+        with pytest.raises(ValidationError):
+            clock_price(-1, 0.1)
+
+
 class TestAggregateDemand:
+    """Aggregate demand per product and round is `RawBidLog.demand()`."""
+
+    @staticmethod
+    def log(quantities):
+        return RawBidLog(rows=tuple(BidRow(1, f"B{i}", "A", q)
+                                    for i, q in enumerate(quantities)))
+
     def test_sum(self):
-        bids = [Bundle({"A": 2}), Bundle({"A": 3}), Bundle({"A": 1})]
-        assert aggregate_demand(bids, "A") == 6
+        assert self.log([2, 3, 1]).demand() == [{"A": 6}]
 
     def test_empty(self):
-        assert aggregate_demand([], "A") == 0
+        assert RawBidLog(rows=()).demand() == []
 
     def test_zero_demand(self):
-        bids = [Bundle({}), Bundle({}), Bundle({})]
-        assert aggregate_demand(bids, "A") == 0
+        assert self.log([0, 0, 0]).demand() == [{"A": 0}]
 
 
 class TestPostedPrice:
+    """The posted price is `step_price` of `overdemanded`: the clock price
+    when demand exceeds supply, else the start price."""
+
+    @staticmethod
+    def posted(start, clock, aggregate, supply):
+        catalog = ProductCatalog(products=(Product("A", "area-A", "urban", supply, 1, 0),))
+        return step_price(start, clock, overdemanded({"A": aggregate}, catalog)["A"])
+
     def test_overdemand_moves_to_clock(self):
-        assert posted_price(d("100"), d("110"), 7, 5) == d("110")
+        assert self.posted(d("100"), d("110"), 7, 5) == d("110")
 
     def test_demand_equal_supply_clears(self):
-        assert posted_price(d("100"), d("110"), 5, 5) == d("100")
+        assert self.posted(d("100"), d("110"), 5, 5) == d("100")
 
     def test_no_demand(self):
-        assert posted_price(d("100"), d("110"), 0, 5) == d("100")
+        assert self.posted(d("100"), d("110"), 0, 5) == d("100")
 
     def test_always_start_or_clock(self):
         for agg in range(12):
-            assert posted_price(d("7"), d("8"), agg, 5) in (d("7"), d("8"))
+            assert self.posted(d("7"), d("8"), agg, 5) in (d("7"), d("8"))
+
+    def test_clock_below_start_rejected(self):
+        with pytest.raises(ValidationError):
+            step_price(d("100"), d("99"), True)
 
 
-class TestPayment:
-    def test_single_product(self):
-        assert payment(Bundle({"A": 2}), PriceVector({"A": d("50")})) == d("100")
-
-    def test_empty_bundle(self):
-        assert payment(Bundle({}), PriceVector({})) == 0
-
-    def test_two_products(self):
-        prices = PriceVector({"A": d("10"), "B": d("20")})
-        assert payment(Bundle({"A": 2, "B": 3}), prices) == d("80")
-
+class TestPriceVector:
     def test_missing_price(self):
         with pytest.raises(ValidationError):
-            payment(Bundle({"A": 1}), PriceVector({}))
+            PriceVector({})["A"]
 
-    def test_additive_over_disjoint_union(self):
-        prices = PriceVector({"A": d("3"), "B": d("5"), "C": d("7")})
-        left, right = Bundle({"A": 2}), Bundle({"B": 1, "C": 4})
-        union = Bundle({"A": 2, "B": 1, "C": 4})
-        assert payment(union, prices) == payment(left, prices) + payment(right, prices)
+
+class TestIoLayers:
+    FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+    def test_only_core_opens_files(self):
+        """Inputs are read by `core.read_document` and artifacts written by
+        `core.atomic_write`; no other code in the package touches a file."""
+        openers, with_open = set(), set()
+        for path in Path(clockauction.__file__).parent.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            if "open(" in text:
+                with_open.add(path.name)
+            for fn in ast.walk(ast.parse(text)):
+                if isinstance(fn, ast.FunctionDef) and self.FILE_CALLS & {
+                        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                        for call in ast.walk(fn) if isinstance(call, ast.Call)}:
+                    openers.add((path.name, fn.name))
+        assert with_open == {"core.py"}
+        assert openers == {("core.py", "read_document"), ("core.py", "atomic_write")}
 
 
 class TestEligibilityCost:

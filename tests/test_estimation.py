@@ -4,7 +4,7 @@ from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog)
 from clockauction.errors import ValidationError
 from clockauction.estimation import (EstimationReport, ValuationModel,
-                                     build_lp, bundle_utility, bundle_value,
+                                     bundle_utility, bundle_value,
                                      estimate, initial_eligibility,
                                      model_from_json, model_to_json,
                                      reconstruct_eligibility)
@@ -100,7 +100,7 @@ class TestLpStructure:
         space = space_of({"A": [1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 100_00})}
-        lp = build_lp(space, prices, {1: 1}, catalog)
+        lp = estimate(space, prices, {1: 1}, catalog)[1].lp
         # one base, one variant, ladder of one level: only the positive-utility
         # row survives (no alternatives, no neighbors, no increments)
         assert len(lp.constraints) == 1
@@ -114,7 +114,7 @@ class TestLpStructure:
         catalog = make_catalog({"A": (6, 1)})
         prices = {r: PriceVector({"A": 100_00}) for r in (1, 2, 3, 4)}
         elig = reconstruct_eligibility(space, catalog)
-        lp = build_lp(space, prices, elig, catalog)
+        lp = estimate(space, prices, elig, catalog)[1].lp
         # round 2 holds 3 on ladder (2, 3, 5): neighbor rows may touch the
         # increments to 3 and to 5, never a non-neighbor pattern beyond them
         names = {v.name for v in lp.variables}
@@ -125,9 +125,9 @@ class TestLpStructure:
         catalog = make_catalog({"A": (5, 3)})
         prices = {1: PriceVector({"A": 100_00}), 2: PriceVector({"A": 110_00})}
         # with full eligibility round 2 sees the (A: 2) alternative...
-        lp_full = build_lp(space, prices, {1: 6, 2: 6}, catalog)
+        lp_full = estimate(space, prices, {1: 6, 2: 6}, catalog)[1].lp
         # ...with eligibility 3 it cannot afford it
-        lp_cut = build_lp(space, prices, {1: 6, 2: 3}, catalog)
+        lp_cut = estimate(space, prices, {1: 6, 2: 3}, catalog)[1].lp
         n_full = sum(1 for n in (v.name for v in lp_full.variables) if n.startswith("sl::2"))
         n_cut = sum(1 for n in (v.name for v in lp_cut.variables) if n.startswith("sl::2"))
         assert n_full == 1 and n_cut == 0

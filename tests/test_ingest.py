@@ -5,8 +5,8 @@ from clockauction.core import Bundle, Product, ProductCatalog, dollars_to_cents
 from clockauction.errors import ParseError, ValidationError
 from clockauction.ingest import (BidRow, BundleBase, CopyLadder, RawBidLog,
                                  build_bundle_space, build_ladders,
-                                 enumerate_variants, extract_bases,
-                                 parse_bid_log, smooth_monotone, write_bid_log)
+                                 enumerate_variants, parse_bid_log,
+                                 smooth_monotone, write_bid_log)
 
 
 def make_catalog(supplies):
@@ -138,23 +138,23 @@ class TestBases:
     def test_min_quantities_per_support(self):
         # same support {A, B} in both rounds: base takes per-product minimums
         log = RawBidLog(log_from_series({"A": [4, 4], "B": [5, 3]}).rows)
-        bases = extract_bases(log, "X")
+        bases = build_bundle_space(log, "X").bases
         assert len(bases) == 1
         assert bases[0].quantities == {"A": 4, "B": 3}
 
     def test_support_change_creates_second_base(self):
         log = RawBidLog(log_from_series({"A": [2, 2, 0], "B": [0, 0, 1]}).rows)
-        bases = extract_bases(log, "X")
+        bases = build_bundle_space(log, "X").bases
         assert [b.quantities for b in bases] == [{"A": 2}, {"B": 1}]
         assert bases[0].base_id == "X/base0"
 
     def test_single_round(self):
         log = RawBidLog(log_from_series({"A": [3]}).rows)
-        assert extract_bases(log, "X")[0].quantities == {"A": 3}
+        assert build_bundle_space(log, "X").bases[0].quantities == {"A": 3}
 
     def test_empty_rounds_skipped(self):
         log = RawBidLog(log_from_series({"A": [2, 0]}).rows)
-        bases = extract_bases(log, "X")
+        bases = build_bundle_space(log, "X").bases
         assert len(bases) == 1
 
 
@@ -188,7 +188,8 @@ class TestBundleSpace:
         for bundle, base_id in space.observed.values():
             if base_id is None:
                 continue
-            variants = enumerate_variants(space.base(base_id), space.ladders)
+            base = next(b for b in space.bases if b.base_id == base_id)
+            variants = enumerate_variants(base, space.ladders)
             assert bundle in variants
 
     def test_exit_round_maps_to_none(self):

@@ -2,12 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clockauction import cli
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
 from clockauction.core import ProductCatalog
@@ -85,6 +87,40 @@ class TestCliPipeline:
                     "--bids", workspace / "bids.csv", "--out", tmp_path])
         assert code == 0
         assert (tmp_path / "smoothed.csv").exists()
+
+    def test_smooth_failed_rename_keeps_old_file(self, workspace, tmp_path, monkeypatch):
+        (tmp_path / "smoothed.csv").write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            run(["smooth", "--catalog", workspace / "catalog.csv",
+                 "--bids", workspace / "bids.csv", "--out", tmp_path])
+        assert (tmp_path / "smoothed.csv").read_text() == "old\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_manifest_hashes_parsed_bytes(self, workspace, tmp_path, monkeypatch):
+        """A bid log replaced after it was parsed leaves the manifest naming
+        the bytes that were estimated, and --dump-lp writes one LP per
+        estimated bidder."""
+        bids = tmp_path / "bids.csv"
+        original = (workspace / "bids.csv").read_bytes()
+        bids.write_bytes(original)
+        real = cli.estimate_all
+
+        def swap_then_estimate(*args, **kwargs):
+            bids.write_text("round,bidder_id,product_id,quantity\n")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "estimate_all", swap_then_estimate)
+        out = tmp_path / "est"
+        assert run(["estimate", "--catalog", workspace / "catalog.csv", "--bids", bids,
+                    "--out", out, "--dump-lp", out / "lp"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"]["bids"] == hashlib.sha256(original).hexdigest()[:16]
+        estimated = json.loads((out / "estimation_report.json").read_text())["bidders"]
+        assert sorted(p.name for p in (out / "lp").iterdir()) == sorted(
+            f"estimation_{b}.lp" for b in estimated)
 
     def test_estimate_simulate_report(self, workspace, tmp_path):
         est = tmp_path / "est"
@@ -206,6 +242,19 @@ class TestCliPipeline:
         cmp_doc = json.loads((rep / "comparison.json").read_text())
         assert cmp_doc["truncated_a"] is True
         assert cmp_doc["truncated_b"] is False
+
+    def test_manifest_names_config(self, workspace, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("delta: 0.15\n")
+        digest = hashlib.sha256(config.read_bytes()).hexdigest()[:16]
+        sim, rep = tmp_path / "sim", tmp_path / "rep"
+        assert run(["simulate", "--catalog", workspace / "catalog.csv", "--config", config,
+                    "--models", workspace / "models", "--out", sim]) == 0
+        assert run(["report", "--catalog", workspace / "catalog.csv", "--config", config,
+                    "--trace-a", sim / "trace.jsonl", "--trace-b", sim / "trace.jsonl",
+                    "--out", rep]) == 0
+        for out in (sim, rep):
+            assert json.loads((out / "manifest.json").read_text())["config_hash"] == digest
 
     def test_roundtrip_check(self, workspace, tmp_path):
         code = run(["roundtrip-check", "--catalog", workspace / "catalog.csv",
