@@ -140,7 +140,7 @@ def cmd_estimate(args) -> int:
     auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
-    estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
+    estimates = estimate_all(raw, catalog, auction.increments)
     if args.dump_lp:
         Path(args.dump_lp).mkdir(parents=True, exist_ok=True)
     reports = {}
@@ -256,7 +256,7 @@ def cmd_roundtrip_check(args) -> int:
     catalog = ProductCatalog.from_csv(args.catalog)
     auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
-    estimates = estimate_all(raw, catalog, auction.increments, backend=args.backend)
+    estimates = estimate_all(raw, catalog, auction.increments)
     trace = run_auction(auction, agents_from_estimates(estimates))
     # smoothing keeps every final round, so the raw final bundles are the ones estimated
     actual = {b: raw.bundle(b, raw.num_rounds(b)) for b in estimates}
@@ -278,10 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "deployment-tier counterfactuals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bids=False, models=False):
+    def common(p, bids=False, models=False, config=True, out=True):
         p.add_argument("--catalog", required=True, help="product catalog CSV")
-        p.add_argument("--config", help="YAML config file")
-        p.add_argument("--out", help="output directory (default: cwd)")
+        if config:
+            p.add_argument("--config", help="YAML config file")
+        if out:
+            p.add_argument("--out", help="output directory (default: cwd)")
         if bids:
             p.add_argument("--bids", required=True, help="bid log CSV")
         if models:
@@ -289,18 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="directory of model_*.json files")
 
     p = sub.add_parser("ingest", help="validate a bid log")
-    common(p, bids=True)
+    common(p, bids=True, config=False)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("smooth", help="monotone-smooth a bid log")
-    common(p, bids=True)
+    common(p, bids=True, config=False)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("estimate", help="recover lower-bound valuations")
     common(p, bids=True)
     p.add_argument("--dump-lp", help="directory for LP text dumps: each bidder's "
                    "LP as first solved, without the fallback's slack")
-    p.add_argument("--backend", default="highs", choices=["highs", "builtin"])
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="replay the clock auction")
@@ -328,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip-check",
                        help="smooth, estimate, replay, and compare final bundles")
-    common(p, bids=True)
-    p.add_argument("--backend", default="highs", choices=["highs", "builtin"])
+    common(p, bids=True, out=False)
     p.set_defaults(func=cmd_roundtrip_check)
 
     return parser

@@ -41,12 +41,6 @@ class BidderAgent:
     bidder_id: str
     model: ValuationModel
     space: BundleSpace
-    eligibility: int | None = None  # None: cost of the maximal variant
-
-    def start_eligibility(self, catalog: ProductCatalog) -> int:
-        if self.eligibility is not None:
-            return self.eligibility
-        return initial_eligibility(self.space, catalog)
 
 
 @dataclass
@@ -188,7 +182,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
     keys = market.product_of
     points = {k: catalog.get(j).eligibility_points for k, j in keys.items()}
     start = PriceVector({k: catalog.get(j).opening_price for k, j in keys.items()})
-    eligibility = {a.bidder_id: a.start_eligibility(catalog) for a in agents}
+    eligibility = {a.bidder_id: initial_eligibility(a.space, catalog) for a in agents}
     exited: set[str] = set()
 
     rounds: list[RoundRecord] = []

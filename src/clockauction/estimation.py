@@ -7,18 +7,20 @@ the observed round-by-round choices as rational as possible: nonnegative
 utility each round, marginal rationality against neighboring ladder levels,
 and revealed preference against every eligible alternative variant, with
 penalized slack.  Minimizing slack plus total base value yields the tightest
-lower-bound valuations consistent with myopic, monotonic bidding.
+lower-bound valuations consistent with myopic, monotonic bidding.  The LP is
+solved with HiGHS.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import Bundle, PriceVector, ProductCatalog, eligibility_cost
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, enumerate_variants
-from .solver import EQ, GE, LE, LinearProgram, Solution, check_feasible, solve_lp
+from .solver import GE, LinearProgram, Solution, check_feasible, solve_lp
 
 VALUE_TOL = 1e-6
 
@@ -150,110 +152,98 @@ def _utility_terms(space: BundleSpace, bundle: Bundle, base_id: str,
     return coeffs, constant
 
 
-def _variants_with_cost(space: BundleSpace, catalog: ProductCatalog):
-    """Deterministic list of (bundle, base_id, eligibility_cost) over all bases."""
-    out = []
-    for base in space.bases:
-        for variant in enumerate_variants(base, space.ladders):
-            out.append((variant, base.base_id, eligibility_cost(variant, catalog)))
-    return out
+def _preference(observed: tuple[dict[str, float], float],
+                alternative: tuple[dict[str, float], float]
+                ) -> tuple[dict[str, float], float]:
+    """u(observed) - u(alternative) >= 0 as (coefficients, rhs), each utility
+    given by its `_utility_terms`."""
+    (u_coeffs, u_const), (a_coeffs, a_const) = observed, alternative
+    coeffs = dict(u_coeffs)
+    for name, coef in a_coeffs.items():
+        coeffs[name] = coeffs.get(name, 0.0) - coef
+    return coeffs, a_const - u_const
 
 
 def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
            eligibility: dict[int, int], catalog: ProductCatalog,
            mr_slack_weight: float | None = None) -> _Problem:
+    """Every row is `>=`; rows (a)-(c) each say the observed bundle is no worse
+    than an alternative, through `_preference`."""
     lp = LinearProgram()
-    objective: dict[str, float] = {}
-
     for base in space.bases:
         lp.add_variable(_vb(base.base_id), lb=0.0)
-        objective[_vb(base.base_id)] = 1.0
+        lp.objective[_vb(base.base_id)] = 1.0
     for j in sorted(space.ladders):
         ladder = space.ladders[j]
         for level in ladder.levels[1:]:
             lp.add_variable(_vm(j, level), lb=0.0)
             # tiny weight picks the vertex with minimal marginals out of the
             # degenerate optimal face; keeps re-simulation ties canonical
-            objective[_vm(j, level)] = 1e-6
+            lp.objective[_vm(j, level)] = 1e-6
 
     prob = _Problem(lp=lp, blocks=[], slack_names=[])
-    variants = _variants_with_cost(space, catalog)
-    rounds = sorted(space.observed)
+    variants = [(variant, base.base_id, eligibility_cost(variant, catalog))
+                for base in space.bases
+                for variant in enumerate_variants(base, space.ladders)]
 
-    def add(coeffs, relation, rhs, block):
-        lp.add_constraint(coeffs, relation, rhs)
+    def add(coeffs, rhs, block):
+        lp.add_constraint(coeffs, GE, rhs)
         prob.blocks.append(block)
 
-    for rnd in rounds:
+    def slack(name, weight, names):
+        """A penalized nonnegative slack variable, listed on `names`."""
+        lp.add_variable(name, lb=0.0)
+        lp.objective[name] = weight
+        names.append(name)
+        return name
+
+    for rnd in sorted(space.observed):
         bundle, base_id = space.observed[rnd]
         if rnd not in start_prices:
             raise ValidationError(f"no start prices for round {rnd}")
         prices = start_prices[rnd]
-        elig = eligibility[rnd]
 
+        u: tuple[dict[str, float], float] = ({}, 0.0)
         if bundle:
             if base_id is None:
                 raise ValidationError(f"round {rnd}: observed bundle has no base")
-            u_coeffs, u_const = _utility_terms(space, bundle, base_id, prices)
+            u = _utility_terms(space, bundle, base_id, prices)
 
-            # (a) positive utility
-            add(dict(u_coeffs), GE, -u_const, "positive_utility")
+            # (a) positive utility: no worse than sitting out, whose utility
+            # is 0 (the constant -0.0 keeps the rhs exactly -u_const)
+            add(*_preference(u, ({}, -0.0)), "positive_utility")
 
-            # (b) marginal rationality against neighboring ladder levels
+            # (b) marginal rationality: no worse than one ladder step on one
+            # product; the terms that cancel are left out
             for j, q in bundle.quantities.items():
                 ladder = space.ladders[j]
                 k = ladder.index_of(q)
                 for k2 in (k - 1, k + 1):
                     if not (1 <= k2 <= len(ladder.levels)):
                         continue
-                    coeffs: dict[str, float] = {}
-                    prev = ladder.levels[0]
-                    for level in ladder.levels[1:]:
-                        if level > max(q, ladder.levels[k2 - 1]):
-                            break
-                        sign = 0.0
-                        if level <= q:
-                            sign += 1.0
-                        if level <= ladder.levels[k2 - 1]:
-                            sign -= 1.0
-                        if sign:
-                            coeffs[_vm(j, level)] = sign * (level - prev)
-                        prev = level
-                    rhs = (q - ladder.levels[k2 - 1]) * prices[j]
+                    step = Bundle({**bundle.quantities, j: ladder.levels[k2 - 1]})
+                    coeffs, rhs = _preference(
+                        u, _utility_terms(space, step, base_id, prices))
+                    coeffs = {name: coef for name, coef in coeffs.items() if coef}
                     if mr_slack_weight is not None:
-                        name = f"ms::{rnd}::{j}::{k2}"
-                        lp.add_variable(name, lb=0.0)
-                        objective[name] = mr_slack_weight
-                        coeffs[name] = 1.0
-                        prob.mr_slack_names.append(name)
-                    add(coeffs, GE, rhs, "marginal_rationality")
-        else:
-            u_coeffs, u_const = {}, 0.0
+                        coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight,
+                                     prob.mr_slack_names)] = 1.0
+                    add(coeffs, rhs, "marginal_rationality")
 
         # (c) revealed preference with slack against eligible alternatives
-        n_alt = 0
-        for alt, alt_base, alt_cost in variants:
-            if alt.key() == bundle.key() or alt_cost > elig:
-                continue
-            a_coeffs, a_const = _utility_terms(space, alt, alt_base, prices)
-            coeffs = dict(u_coeffs)
-            for name, coef in a_coeffs.items():
-                coeffs[name] = coeffs.get(name, 0.0) - coef
-            slack = f"sl::{rnd}::{n_alt}"
-            lp.add_variable(slack, lb=0.0)
-            objective[slack] = 1.0
-            prob.slack_names.append(slack)
-            coeffs[slack] = 1.0
-            add(coeffs, GE, a_const - u_const, "revealed_preference")
-            n_alt += 1
+        eligible = [(alt, alt_base) for alt, alt_base, cost in variants
+                    if cost <= eligibility[rnd] and alt.key() != bundle.key()]
+        for n, (alt, alt_base) in enumerate(eligible):
+            coeffs, rhs = _preference(u, _utility_terms(space, alt, alt_base, prices))
+            coeffs[slack(f"sl::{rnd}::{n}", 1.0, prob.slack_names)] = 1.0
+            add(coeffs, rhs, "revealed_preference")
 
     # (d) diminishing returns between consecutive non-baseline increments
     for j in sorted(space.ladders):
         levels = space.ladders[j].levels
         for a, b in zip(levels[1:], levels[2:]):
-            add({_vm(j, a): 1.0, _vm(j, b): -1.0}, GE, 0.0, "diminishing_returns")
+            add({_vm(j, a): 1.0, _vm(j, b): -1.0}, 0.0, "diminishing_returns")
 
-    lp.objective = objective
     return prob
 
 
@@ -289,10 +279,9 @@ def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
 
 
 def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
-             eligibility: dict[int, int], catalog: ProductCatalog,
-             backend: str = "highs"
+             eligibility: dict[int, int], catalog: ProductCatalog
              ) -> tuple[ValuationModel, EstimationReport]:
-    """Solve the valuation LP and materialize a model.
+    """Solve the valuation LP with HiGHS and materialize a model.
 
     If the LP is infeasible (possible if smoothing interacts badly with
     eligibility), re-solve with penalized slack on the marginal-rationality
@@ -300,22 +289,18 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     The report keeps the LP solved first as `report.lp`.
     """
     prob = first = _build(space, start_prices, eligibility, catalog)
-    sol = solve_lp(prob.lp, backend=backend)
-    fallback = False
-    if sol.status == "infeasible":
+    sol = solve_lp(prob.lp, backend="highs")
+    fallback = sol.status == "infeasible"
+    if fallback:
         prob = _build(space, start_prices, eligibility, catalog, mr_slack_weight=10.0)
-        sol = solve_lp(prob.lp, backend=backend)
-        fallback = True
+        sol = solve_lp(prob.lp, backend="highs")
     if sol.status != "optimal":
         raise SolverError(f"estimation LP for {space.bidder_id}: {sol.status}")
 
     model = _materialize(space, sol)
     slack_total = sum(sol.values[name] for name in prob.slack_names)
     slack_total += sum(sol.values[name] for name in prob.mr_slack_names)
-    violations: dict[str, int] = {}
-    for idx in check_feasible(prob.lp, sol.values):
-        block = prob.blocks[idx] if idx < len(prob.blocks) else "bounds"
-        violations[block] = violations.get(block, 0) + 1
+    violations = dict(Counter(prob.blocks[i] for i in check_feasible(prob.lp, sol.values)))
     report = EstimationReport(
         bidder_id=space.bidder_id, status=sol.status,
         slack_total=float(slack_total),

@@ -44,8 +44,7 @@ class BidderEstimate:
 
 
 def estimate_all(raw: RawBidLog, catalog: ProductCatalog,
-                 increments: IncrementSchedule, backend: str = "highs"
-                 ) -> dict[str, BidderEstimate]:
+                 increments: IncrementSchedule) -> dict[str, BidderEstimate]:
     """Smooth the log and run the valuation LP for every bidder in it."""
     smoothed = smooth_monotone(raw)
     start_prices = reconstruct_prices(raw, catalog, increments)
@@ -55,8 +54,7 @@ def estimate_all(raw: RawBidLog, catalog: ProductCatalog,
         if not space.bases:
             continue  # bidder never demanded anything
         eligibility = reconstruct_eligibility(space, catalog)
-        model, report = estimate(space, start_prices, eligibility, catalog,
-                                 backend=backend)
+        model, report = estimate(space, start_prices, eligibility, catalog)
         out[bidder] = BidderEstimate(model=model, space=space, report=report)
     return out
 
@@ -84,13 +82,12 @@ class RoundTripResult:
     rmse_mean: float
 
 
-def roundtrip(config: AuctionConfig, agents: list[BidderAgent],
-              backend: str = "highs") -> RoundTripResult:
+def roundtrip(config: AuctionConfig, agents: list[BidderAgent]) -> RoundTripResult:
     """Simulate with known agents, estimate from the resulting log, replay
     with the estimated valuations, and compare final allocations."""
     original = run_auction(config, agents)
     raw = trace_to_bidlog(original)
-    estimates = estimate_all(raw, config.catalog, config.increments, backend=backend)
+    estimates = estimate_all(raw, config.catalog, config.increments)
     # a bidder that never bid is re-simulated with its own agent
     replayed = run_auction(config, [
         BidderAgent(bidder_id=a.bidder_id, model=estimates[a.bidder_id].model,

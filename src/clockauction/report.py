@@ -30,24 +30,20 @@ class RunManifest:
     tool_version: str = TOOL_VERSION
     determinism: str = "seed-free; outputs are pure functions of the inputs"
 
+    def _payload(self) -> dict:
+        """The fields the hash covers."""
+        return {"inputs": dict(sorted(self.inputs.items())),
+                "config_hash": self.config_hash,
+                "scenario": self.scenario,
+                "tool_version": self.tool_version}
+
     def hash(self) -> str:
-        payload = json.dumps({
-            "inputs": dict(sorted(self.inputs.items())),
-            "config_hash": self.config_hash,
-            "scenario": self.scenario,
-            "tool_version": self.tool_version,
-        }, sort_keys=True).encode()
+        payload = json.dumps(self._payload(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "inputs": dict(sorted(self.inputs.items())),
-            "config_hash": self.config_hash,
-            "scenario": self.scenario,
-            "tool_version": self.tool_version,
-            "determinism": self.determinism,
-            "manifest_hash": self.hash(),
-        }, indent=2, sort_keys=True)
+        return json.dumps({**self._payload(), "determinism": self.determinism,
+                           "manifest_hash": self.hash()}, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 The built-in path is a dense two-phase simplex with Bland's rule plus a
 depth-first branch-and-bound for binary variables: no external solver in the
-loop, so identical inputs give identical outputs byte for byte.  A "highs"
-backend (scipy.optimize.linprog) is available through the same interface for
-large instances; it is also deterministic for fixed inputs but is not the
-reference implementation.
+loop, so identical inputs give identical outputs byte for byte.  It solves the
+bidder MIPs.  A "highs" backend (scipy.optimize.linprog) serves the valuation
+LPs through the same interface; it is also deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -141,19 +140,25 @@ def _to_standard_form(lp: LinearProgram):
     return A, rels, b, c, const, recover
 
 
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Scale `row` to a unit entry at `col`, then clear `col` from every other
+    row with a nonzero entry there."""
+    T[row, :] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(np.abs(factors) > 0)
+    T[rows, :] -= np.outer(factors[rows], T[row, :])
+
+
 def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """Run Bland-rule pivots on tableau T in place; last row is the objective
     (minimize), last column the rhs. Returns 'optimal' or 'unbounded'."""
     m = T.shape[0] - 1
     while True:
-        obj = T[-1, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = np.flatnonzero(T[-1, :ncols] < -PIVOT_TOL)
+        if not improving.size:
             return "optimal"
+        enter = int(improving[0])  # Bland: the lowest improving column
         # ratio test, ties broken by smallest basis variable index (Bland)
         best = None
         for i in range(m):
@@ -166,11 +171,7 @@ def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
         if best is None:
             return "unbounded"
         _, leave = best
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        for i in range(T.shape[0]):
-            if i != leave and abs(T[i, enter]) > 0:
-                T[i, :] -= T[i, enter] * T[leave, :]
+        _pivot(T, leave, enter)
         basis[leave] = enter
 
 
@@ -196,7 +197,6 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
             rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
 
     # columns: structural | slack/surplus | artificial
-    n_slack = sum(1 for r in rels if r != EQ)
     slack_cols = {}
     art_cols = {}
     col = n
@@ -244,11 +244,7 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
             if basis[i] in art_set:
                 for j in range(total):
                     if j not in art_set and abs(T[i, j]) > PIVOT_TOL:
-                        piv = T[i, j]
-                        T[i, :] /= piv
-                        for k in range(m + 1):
-                            if k != i and abs(T[k, j]) > 0:
-                                T[k, :] -= T[k, j] * T[i, :]
+                        _pivot(T, i, j)
                         basis[i] = j
                         break
         # forbid artificials from re-entering

@@ -133,18 +133,17 @@ class TestLpStructure:
         assert n_full == 1 and n_cut == 0
 
 
-@pytest.mark.parametrize("backend", ["builtin", "highs"])
 class TestEstimate:
-    def test_zero_prices_give_zero_values(self, backend):
+    def test_zero_prices_give_zero_values(self):
         space = space_of({"A": [1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 0})}
-        model, report = estimate(space, prices, {1: 1}, catalog, backend=backend)
+        model, report = estimate(space, prices, {1: 1}, catalog)
         assert model.base_values["X/base0"] == pytest.approx(0.0, abs=1e-6)
         assert report.slack_total == pytest.approx(0.0, abs=1e-6)
         assert not report.fallback_used and not report.violations
 
-    def test_irrational_switch_forces_slack(self, backend):
+    def test_irrational_switch_forces_slack(self):
         # round 1 buys A while B is free; round 2 buys B while A is free: no
         # valuation rationalizes both, so total revealed-preference slack is
         # pinned at the cycle deficit (2 * 1000 cents) and each base value at
@@ -157,31 +156,28 @@ class TestEstimate:
         catalog = make_catalog({"A": (5, 1), "B": (5, 1)})
         prices = {1: PriceVector({"A": 10_00, "B": 0}),
                   2: PriceVector({"A": 0, "B": 10_00})}
-        model, report = estimate(space, prices, {1: 2, 2: 2}, catalog,
-                                 backend=backend)
+        model, report = estimate(space, prices, {1: 2, 2: 2}, catalog)
         assert report.slack_total == pytest.approx(20_00, abs=1e-4)
         assert report.base_value_total == pytest.approx(20_00, abs=1e-4)
         assert not report.fallback_used
 
-    def test_infeasible_log_uses_fallback(self, backend):
+    def test_infeasible_log_uses_fallback(self):
         # ladder (1, 2): holding 2 at price 10 forces the increment value up
         # to 1000, holding 1 at price 3 forces it down to 300; the hard system
         # is empty, so the penalized re-solve must kick in
         space = space_of({"A": [2, 1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 10_00}), 2: PriceVector({"A": 3_00})}
-        model, report = estimate(space, prices, {1: 2, 2: 2}, catalog,
-                                 backend=backend)
+        model, report = estimate(space, prices, {1: 2, 2: 2}, catalog)
         assert report.fallback_used
         assert report.status == "optimal"
         assert report.slack_total > 0
 
-    def test_consistent_synthetic_log_has_zero_slack(self, backend):
+    def test_consistent_synthetic_log_has_zero_slack(self):
         config, agents = random_setup(2024, n_bidders=3, n_products=6)
         trace = run_auction(config, agents)
         raw = trace_to_bidlog(trace)
-        estimates = estimate_all(raw, config.catalog, config.increments,
-                                 backend=backend)
+        estimates = estimate_all(raw, config.catalog, config.increments)
         assert estimates
         for est in estimates.values():
             assert est.report.slack_total == pytest.approx(0.0, abs=1e-4)

@@ -258,8 +258,24 @@ class TestCliPipeline:
 
     def test_roundtrip_check(self, workspace, tmp_path):
         code = run(["roundtrip-check", "--catalog", workspace / "catalog.csv",
-                    "--bids", workspace / "bids.csv", "--out", tmp_path])
+                    "--bids", workspace / "bids.csv"])
         assert code == 0
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("ingest", "--config", "auction.yaml"), ("smooth", "--config", "auction.yaml"),
+        ("roundtrip-check", "--out", "out"), ("estimate", "--backend", "highs")])
+    def test_unread_option_is_refused(self, workspace, tmp_path, command, option, value):
+        """An option the command would ignore is a usage error: exit 2 with
+        argparse's message, not a traceback."""
+        argv = [command, "--catalog", workspace / "catalog.csv",
+                "--bids", workspace / "bids.csv", option, value]
+        if option != "--out":
+            argv += ["--out", tmp_path]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in err.getvalue()
 
     def test_simulate_determinism(self, workspace, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
