@@ -193,10 +193,12 @@ def cmd_simulate_extended(args) -> int:
     auction, params = _load_config(args.config, catalog)
     agents = _load_models(args.models)
     table = costmod.cost_table_from_csv(args.cost_table)
+    demographics = (costmod.load_demographics(args.demographics,
+                                              areas={p.area_id for p in catalog})
+                    if args.demographics else None)
     trace = run_extended_auction(auction, agents, table)
     extra = {}
-    if args.demographics:
-        demographics = costmod.load_demographics(args.demographics)
+    if demographics is not None:
         cov = coverage_report(trace, catalog, demographics, params.coverage_targets)
         extra["coverage"] = {
             "licenses_by_class_tier": cov.licenses_by_class_tier,

@@ -98,48 +98,6 @@ class Solution:
 # built-in two-phase simplex (Bland's rule)
 
 
-def _to_standard_form(lp: LinearProgram):
-    """Shift variables to x = lb + y (y >= 0), finite ubs become rows.
-
-    Returns (A, relations, b, c, recover) where recover maps a y-vector back
-    to named original values.
-    """
-    n = len(lp.variables)
-    index = {v.name: i for i, v in enumerate(lp.variables)}
-    lbs = np.array([v.lb for v in lp.variables], dtype=float)
-    if not np.all(np.isfinite(lbs)):
-        raise ValidationError("variables need finite lower bounds")
-
-    rows, rels, rhs = [], [], []
-    for con in lp.constraints:
-        row = np.zeros(n)
-        for name, coef in con.coeffs.items():
-            row[index[name]] += coef
-        rows.append(row)
-        rels.append(con.relation)
-        rhs.append(con.rhs - row @ lbs)
-    for i, v in enumerate(lp.variables):
-        if v.ub is not None:
-            row = np.zeros(n)
-            row[i] = 1.0
-            rows.append(row)
-            rels.append(LE)
-            rhs.append(v.ub - v.lb)
-
-    A = np.array(rows, dtype=float) if rows else np.zeros((0, n))
-    b = np.array(rhs, dtype=float)
-    c = np.zeros(n)
-    for name, coef in lp.objective.items():
-        c[index[name]] += coef
-    const = c @ lbs
-
-    def recover(y: np.ndarray) -> dict[str, float]:
-        x = y + lbs
-        return {v.name: float(x[i]) for i, v in enumerate(lp.variables)}
-
-    return A, rels, b, c, const, recover
-
-
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     """Scale `row` to a unit entry at `col`, then clear `col` from every other
     row with a nonzero entry there."""
@@ -176,82 +134,75 @@ def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
 
 
 def _solve_lp_builtin(lp: LinearProgram) -> Solution:
+    """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
+    upper bound is one (row, relation, rhs), negated with its relation flipped
+    when the rhs is negative; slack then artificial columns follow in row order."""
     lp.validate()
-    A, rels, b, c, const, recover = _to_standard_form(lp)
-    m, n = A.shape
-    if m == 0:
-        # unconstrained over y >= 0: bounded iff all objective coefs >= 0
-        if np.any(c < -PIVOT_TOL):
-            return Solution("unbounded", {}, None)
-        y = np.zeros(n)
-        return Solution("optimal", recover(y), float(const))
+    n = len(lp.variables)
+    index = {v.name: i for i, v in enumerate(lp.variables)}
+    lbs = np.array([v.lb for v in lp.variables], dtype=float)
+    if not np.all(np.isfinite(lbs)):
+        raise ValidationError("variables need finite lower bounds")
 
-    # normalise rows to nonnegative rhs
-    A = A.copy()
-    b = b.copy()
-    rels = list(rels)
-    for i in range(m):
-        if b[i] < 0:
-            A[i, :] *= -1
-            b[i] *= -1
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+    rows = []
 
-    # columns: structural | slack/surplus | artificial
-    slack_cols = {}
-    art_cols = {}
-    col = n
-    for i, r in enumerate(rels):
-        if r != EQ:
-            slack_cols[i] = col
-            col += 1
-    for i, r in enumerate(rels):
-        # <= rows with b >= 0 start feasible on their slack; others need artificials
-        if r != LE:
-            art_cols[i] = col
-            col += 1
-    total = col
+    def add(row, rel, rhs):
+        rows.append((-row, {LE: GE, GE: LE, EQ: EQ}[rel], -rhs) if rhs < 0 else (row, rel, rhs))
 
+    for con in lp.constraints:
+        row = np.zeros(n)
+        for name, coef in con.coeffs.items():
+            row[index[name]] += coef
+        add(row, con.relation, con.rhs - row @ lbs)
+    for i, v in enumerate(lp.variables):
+        if v.ub is not None:
+            row = np.zeros(n)
+            row[i] = 1.0
+            add(row, LE, v.ub - v.lb)
+
+    # columns: structural | slack/surplus | artificial; <= rows start feasible
+    # on their slack, the others on an artificial
+    m = len(rows)
+    slacks = [i for i, (_, rel, _) in enumerate(rows) if rel != EQ]
+    arts = [i for i, (_, rel, _) in enumerate(rows) if rel != LE]
+    first_art = n + len(slacks)
+    total = first_art + len(arts)
     T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
     basis = [0] * m
-    for i, r in enumerate(rels):
-        if r == LE:
-            T[i, slack_cols[i]] = 1.0
-            basis[i] = slack_cols[i]
-        elif r == GE:
-            T[i, slack_cols[i]] = -1.0
-            T[i, art_cols[i]] = 1.0
-            basis[i] = art_cols[i]
-        else:
-            T[i, art_cols[i]] = 1.0
-            basis[i] = art_cols[i]
+    for i, (row, _, rhs) in enumerate(rows):
+        T[i, :n] = row
+        T[i, -1] = rhs
+    for col, i in enumerate(slacks, n):
+        T[i, col] = 1.0 if rows[i][1] == LE else -1.0
+        basis[i] = col
+    for col, i in enumerate(arts, first_art):
+        T[i, col] = 1.0
+        basis[i] = col
 
     # phase 1: minimize sum of artificials
-    if art_cols:
-        for ac in art_cols.values():
-            T[-1, ac] = 1.0
-        for i in art_cols:
+    if arts:
+        T[-1, first_art:total] = 1.0
+        for i in arts:
             T[-1, :] -= T[i, :]
         status = _simplex_phase(T, basis, total)
         if status == "unbounded":  # cannot happen for phase 1
             raise SolverError("phase-1 unbounded")
-        if -T[-1, -1] > 1e-7 * max(1.0, abs(b).max()):
+        if -T[-1, -1] > 1e-7 * max(1.0, max(rhs for _, _, rhs in rows)):
             return Solution("infeasible", {}, None)
         # drive remaining artificials out of the basis where possible
-        art_set = set(art_cols.values())
         for i in range(m):
-            if basis[i] in art_set:
-                for j in range(total):
-                    if j not in art_set and abs(T[i, j]) > PIVOT_TOL:
-                        _pivot(T, i, j)
-                        basis[i] = j
-                        break
+            if basis[i] >= first_art:
+                cols = np.flatnonzero(np.abs(T[i, :first_art]) > PIVOT_TOL)
+                if cols.size:
+                    _pivot(T, i, int(cols[0]))
+                    basis[i] = int(cols[0])
         # forbid artificials from re-entering
-        for ac in art_set:
-            T[:m, ac] = 0.0
+        T[:m, first_art:total] = 0.0
 
     # phase 2
+    c = np.zeros(n)
+    for name, coef in lp.objective.items():
+        c[index[name]] += coef
     T[-1, :] = 0.0
     T[-1, :n] = c
     for i in range(m):
@@ -264,9 +215,9 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     y = np.zeros(total)
     for i in range(m):
         y[basis[i]] = T[i, -1]
-    values = recover(y[:n])
-    obj = float(c @ y[:n] + const)
-    return Solution("optimal", values, obj)
+    x = y[:n] + lbs
+    values = {v.name: float(x[i]) for i, v in enumerate(lp.variables)}
+    return Solution("optimal", values, float(c @ y[:n] + c @ lbs))
 
 
 # ---------------------------------------------------------------------------
@@ -363,50 +314,34 @@ def solve_mip(mip: MixedIntegerProgram) -> Solution:
     deterministic.
     """
     mip.validate()
-    binaries = [v.name for v in mip.lp.variables if v.name in set(mip.binaries)]
-
-    best: dict = {"obj": None, "values": None}
-
-    def relax_with(fixed: dict[str, float]) -> LinearProgram:
-        lp = LinearProgram(
-            variables=[
-                Variable(v.name, fixed.get(v.name, v.lb), fixed.get(v.name, v.ub))
-                for v in mip.lp.variables
-            ],
-            objective=dict(mip.lp.objective),
-            constraints=mip.lp.constraints,
-        )
-        return lp
+    binary = set(mip.binaries)
+    binaries = [v.name for v in mip.lp.variables if v.name in binary]
+    best = Solution("infeasible", {}, None)
 
     def recurse(fixed: dict[str, float]):
-        sol = solve_lp(relax_with(fixed))
+        nonlocal best
+        sol = solve_lp(LinearProgram(
+            [Variable(v.name, fixed.get(v.name, v.lb), fixed.get(v.name, v.ub))
+             for v in mip.lp.variables],
+            mip.lp.objective, mip.lp.constraints))
         if sol.status == "infeasible":
             return
         if sol.status == "unbounded":
             raise SolverError("MIP relaxation unbounded")
-        if best["obj"] is not None and sol.objective_value >= best["obj"] - 1e-9:
+        if best.objective_value is not None and sol.objective_value >= best.objective_value - 1e-9:
             return
-        frac = None
-        for name in binaries:
-            v = sol.values[name]
-            if abs(v - round(v)) > INT_TOL:
-                frac = name
-                break
+        frac = next((name for name in binaries
+                     if abs(sol[name] - round(sol[name])) > INT_TOL), None)
         if frac is None:
-            vals = dict(sol.values)
-            for name in binaries:
-                vals[name] = float(round(vals[name]))
-            if best["obj"] is None or sol.objective_value < best["obj"] - 1e-9:
-                best["obj"] = sol.objective_value
-                best["values"] = vals
+            best = Solution("optimal", {**sol.values, **{name: float(round(sol[name]))
+                                                         for name in binaries}},
+                            sol.objective_value)
             return
         for branch in (0.0, 1.0):
             recurse({**fixed, frac: branch})
 
     recurse({})
-    if best["obj"] is None:
-        return Solution("infeasible", {}, None)
-    return Solution("optimal", best["values"], best["obj"])
+    return best
 
 
 def write_lp_format(lp: LinearProgram, path) -> None:

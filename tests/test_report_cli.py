@@ -503,6 +503,17 @@ class TestMalformedInput:
         where = f"{files[which]}:{i + 1}:" if at_line else f"{files[which]}:"
         assert where in err and message in err and "Traceback" not in err
 
+    def test_extended_checks_demographics_before_the_auction(self, inputs, tmp_path):
+        lines = inputs["demographics"].read_text().splitlines()
+        del lines[data_lines(lines)[0]]
+        files = with_file(inputs, "demographics", lines, tmp_path)
+        out = tmp_path / "out"
+        code, err = run_captured(reading("cost_table", files, out)
+                                 + ["--demographics", files["demographics"]])
+        assert code == 2
+        assert f"{files['demographics']}: areas without demographics" in err
+        assert "Traceback" not in err and not (out / "trace_tiered.jsonl").exists()
+
     @pytest.mark.parametrize("which", ["catalog", "bids"])
     def test_comment_lines_accepted(self, inputs, which, tmp_path):
         lines = inputs[which].read_text().splitlines()

@@ -47,6 +47,14 @@ class TestLpExamples:
         lp = lp_min({"x": -1.0}, [("x", 0.0, None)], [])
         assert solve_lp(lp).status == "unbounded"
 
+    @pytest.mark.parametrize("backend", ["builtin", "highs"])
+    def test_no_rows_optimal(self, backend):
+        lp = lp_min({"x": 1.0}, [("x", 2.0, None)], [])
+        sol = solve_lp(lp, backend=backend)
+        assert sol.status == "optimal"
+        assert sol["x"] == pytest.approx(2.0, abs=1e-9)
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+
     def test_equality_and_shifted_lower_bound(self):
         lp = lp_min({"x": 2.0, "y": 1.0},
                     [("x", 1.0, None), ("y", -2.0, None)],
@@ -84,6 +92,41 @@ class TestRandomLpCrossCheck:
         rng = np.random.default_rng(20240817)
         for _ in range(60):
             lp = self._random_lp(rng)
+            a = solve_lp(lp, backend="builtin")
+            b = solve_lp(lp, backend="highs")
+            assert a.status == b.status == "optimal"
+            assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
+            assert not check_feasible(lp, a.values)
+
+    def _mixed_lp(self, rng):
+        # <=, >= and = rows through a known point x0, negative coefficients,
+        # lower bounds in [-3, 2], some variables fixed (lb == ub, as branch
+        # and bound fixes them) and some unbounded above with a nonnegative
+        # cost: always feasible and bounded
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        lb = rng.integers(-3, 3, size=n).astype(float)
+        width = rng.integers(0, 6, size=n).astype(float)
+        x0 = lb + width * rng.uniform(0.1, 0.9, size=n)
+        A = rng.integers(-4, 5, size=(m, n)).astype(float)
+        c = rng.integers(-5, 6, size=n).astype(float)
+        variables = []
+        for i in range(n):
+            free = width[i] > 0 and rng.uniform() < 0.25
+            if free:
+                c[i] = abs(c[i])
+            variables.append((f"x{i}", float(lb[i]), None if free else float(lb[i] + width[i])))
+        cons = []
+        for k in range(m):
+            rel = (LE, GE, EQ)[int(rng.integers(0, 3))]
+            slack = {LE: 1.0, GE: -1.0, EQ: 0.0}[rel] * float(rng.uniform(0, 3))
+            cons.append(({f"x{i}": float(A[k, i]) for i in range(n)}, rel,
+                         float(A[k] @ x0) + slack))
+        return lp_min({f"x{i}": float(c[i]) for i in range(n)}, variables, cons)
+
+    def test_mixed_rows_match_highs(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            lp = self._mixed_lp(rng)
             a = solve_lp(lp, backend="builtin")
             b = solve_lp(lp, backend="highs")
             assert a.status == b.status == "optimal"

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
+from clockauction.synthetic import random_setup
+import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  coverage_report, run_extended_auction,
                                  tier_overdemand)
@@ -171,6 +176,31 @@ class TestExtendedAuction:
             q * a.rounds[-1].posted[(j, t)]
             for bundle in a.final_allocation.values()
             for j, (t, q) in bundle.items())
+
+
+# sha256 of trace_to_jsonl + sorted-key JSON summary, recorded before the
+# simplex tableau was built in one pass; zero costs tie the three tiers, so
+# the branch-and-bound order decides the bids
+BB_DIGESTS = {
+    0: "ac859613dc6122444551ec31fb4133e268e05c8b46814bc60d4fef783dd0a936",
+    1: "64654941eecee638034279675e7f1f96b64bdc19ccce4066bedb949f51e6e5a9",
+    2: "2a123ba6856616978d13f17965f1f100f58a3f6f6705f86dfd31b50388ba80b4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BB_DIGESTS))
+def test_bb_path_trace_digest(seed, monkeypatch):
+    calls = []
+    solve_mip = tiered.solve_mip
+    monkeypatch.setattr(tiered, "solve_mip",
+                        lambda mip: calls.append(1) or solve_mip(mip))
+    config, agents = random_setup(seed, n_bidders=4, n_products=8, n_bases=2)
+    adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
+                                         sorted({p.area_id for p in config.catalog}))
+    trace = run_extended_auction(config, agents, adj)
+    assert calls, "no oracle call reached the MIP"
+    text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BB_DIGESTS[seed]
 
 
 class TestCoverageReport:
