@@ -115,28 +115,35 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     return Bundle({j: q for (j, q), name in binary.items() if sol.values[name] > 0.5})
 
 
-def choose_base(agent: BidderAgent, solve: Callable) -> Any | None:
+def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: int,
+                prices: Callable) -> Any | None:
     """Best bid across bases; `solve(base)` gives (bid, utility with the base
-    value) or None.  Strict > keeps the lower-indexed base on a tie; the bid
-    stands if its utility is >= 0, else the bidder exits (None)."""
+    value) or None, a function of the bidder, base, eligibility and
+    `prices(base)` (the start prices of the base's market keys) that `memo`
+    keeps for the run.  Strict > keeps the lower-indexed base on a tie; the
+    bid stands if its utility is >= 0, else the bidder exits (None)."""
     best_u = -math.inf
     best_bid = None
     for base in agent.space.bases:
-        result = solve(base)
+        key = (agent.bidder_id, base.base_id, eligibility, prices(base))
+        if key not in memo:
+            memo[key] = solve(base)
+        result = memo[key]
         if result is not None and result[1] > best_u:
             best_bid, best_u = result
     return best_bid if best_bid is not None and best_u >= 0 else None
 
 
 def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
-               eligibility: int) -> Bundle | None:
+               eligibility: int, memo: dict) -> Bundle | None:
     """best_copies per base, then the base choice of choose_base."""
     def solve(base):
         bundle = best_copies(base, agent.model, prices, eligibility, catalog)
         if bundle is None:
             return None
         return bundle, bundle_utility(agent.model, bundle, base, prices)
-    return choose_base(agent, solve)
+    return choose_base(agent, solve, memo, eligibility,
+                       lambda base: tuple(prices[j] for j in base.quantities))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +185,8 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
     key is overdemanded or `max_rounds` truncates the run."""
     if not agents:
         raise ValidationError("need at least one agent")
+    if len({a.bidder_id for a in agents}) < len(agents):
+        raise ValidationError("duplicate bidder ids")
     catalog = config.catalog
     keys = market.product_of
     points = {k: catalog.get(j).eligibility_points for k, j in keys.items()}
@@ -235,9 +244,10 @@ def _final(rounds: list[RoundRecord], demand: Callable,
 
 def run_auction(config: AuctionConfig, agents: list[BidderAgent]) -> AuctionTrace:
     catalog = config.catalog
+    memo: dict = {}
     return run_rounds(config, agents, Market(
         product_of={j: j for j in catalog.ids()},
-        bid=lambda agent, prices, elig: myopic_bid(agent, prices, catalog, elig),
+        bid=lambda agent, prices, elig: myopic_bid(agent, prices, catalog, elig, memo),
         demand=lambda bundle: bundle.quantities,
         empty=EMPTY_BUNDLE,
         overdemanded=lambda aggregate: overdemanded(aggregate, catalog)))

@@ -336,6 +336,8 @@ def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
     """Rebuild a model plus a simulation-ready bundle space (no observed map)."""
     doc = json.loads(text)
     base_values = {b["base_id"]: float(b["value_cents"]) for b in doc["bases"]}
+    if len(base_values) < len(doc["bases"]):
+        raise ValidationError("duplicate base_id")
     marginals = {(m["product_id"], int(m["level"])): float(m["value_cents_per_unit"])
                  for m in doc["marginals"]}
     model = ValuationModel(bidder_id=doc["bidder_id"],

@@ -104,8 +104,8 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row, :] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    rows = np.flatnonzero(np.abs(factors) > 0)
-    T[rows, :] -= np.outer(factors[rows], T[row, :])
+    rows = (factors != 0.0).nonzero()[0]
+    T[rows, :] -= factors[rows, None] * T[row, :]
 
 
 def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
@@ -113,22 +113,21 @@ def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
     (minimize), last column the rhs. Returns 'optimal' or 'unbounded'."""
     m = T.shape[0] - 1
     while True:
-        improving = np.flatnonzero(T[-1, :ncols] < -PIVOT_TOL)
+        improving = (T[-1, :ncols] < -PIVOT_TOL).nonzero()[0]
         if not improving.size:
             return "optimal"
         enter = int(improving[0])  # Bland: the lowest improving column
-        # ratio test, ties broken by smallest basis variable index (Bland)
-        best = None
-        for i in range(m):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if best is None or ratio < best[0] - 1e-12 or (
-                        abs(ratio - best[0]) <= 1e-12 and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+        # ratio test over the rows whose entry exceeds PIVOT_TOL, in row order;
+        # a ratio within 1e-12 of the best goes to the smaller basis index (Bland)
+        rows = (T[:m, enter] > PIVOT_TOL).nonzero()[0].tolist()
+        if not rows:
             return "unbounded"
-        _, leave = best
+        ratios = (T[rows, -1] / T[rows, enter]).tolist()
+        leave, best = rows[0], ratios[0]
+        for i, ratio in zip(rows, ratios):
+            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
+                                        and basis[i] < basis[leave]):
+                leave, best = i, ratio
         _pivot(T, leave, enter)
         basis[leave] = enter
 

@@ -120,10 +120,13 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
 
 def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,
                        catalog: ProductCatalog, eligibility: int,
-                       adjustment: TieredValuationAdjustment
+                       adjustment: TieredValuationAdjustment, memo: dict
                        ) -> TieredBundle | None:
-    return choose_base(agent, lambda base: _best_tiered_copies(
-        base, agent.model, prices, eligibility, catalog, agent.bidder_id, adjustment))
+    return choose_base(
+        agent, lambda base: _best_tiered_copies(
+            base, agent.model, prices, eligibility, catalog, agent.bidder_id, adjustment),
+        memo, eligibility,
+        lambda base: tuple(prices[(j, t)] for j in base.quantities for t in TIERS))
 
 
 def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
@@ -131,6 +134,7 @@ def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
     """The standard round loop over (product, tier) pairs; hierarchical
     overdemand decides which tier prices escalate from a shared opening."""
     catalog = config.catalog
+    memo: dict = {}
 
     def over(aggregate):
         out = {}
@@ -143,7 +147,7 @@ def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
     trace = run_rounds(config, agents, Market(
         product_of={(j, t): j for j in catalog.ids() for t in TIERS},
         bid=lambda agent, prices, elig: _myopic_tiered_bid(
-            agent, prices, catalog, elig, adjustment),
+            agent, prices, catalog, elig, adjustment, memo),
         demand=lambda bid: {(j, t): q for j, (t, q) in bid.items()},
         empty={},
         overdemanded=over))

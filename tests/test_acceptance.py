@@ -161,7 +161,7 @@ def test_01b_tiered_oracle():
 
         from clockauction.core import PriceVector
         from clockauction.tiered import _myopic_tiered_bid
-        got = _myopic_tiered_bid(agent, PriceVector(price), catalog, elig, adjustment)
+        got = _myopic_tiered_bid(agent, PriceVector(price), catalog, elig, adjustment, {})
 
         def cum(j, q):
             total, prev = 0, ladders[j][0]

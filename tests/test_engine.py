@@ -165,7 +165,7 @@ class TestMyopicBid:
                            BundleBase("X/base1", {"B": 1})],
                           {"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))})
         prices = PriceVector({"A": 1_00, "B": 1_00})
-        assert myopic_bid(agent, prices, self.catalog(), 10) == Bundle({"B": 1})
+        assert myopic_bid(agent, prices, self.catalog(), 10, {}) == Bundle({"B": 1})
 
     def test_tie_keeps_lower_indexed_base(self):
         model = ValuationModel(
@@ -176,19 +176,19 @@ class TestMyopicBid:
                            BundleBase("X/base1", {"B": 1})],
                           {"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))})
         prices = PriceVector({"A": 1_00, "B": 1_00})
-        assert myopic_bid(agent, prices, self.catalog(), 10) == Bundle({"A": 1})
+        assert myopic_bid(agent, prices, self.catalog(), 10, {}) == Bundle({"A": 1})
 
     def test_negative_utility_exits(self):
         model = ValuationModel("X", {"X/base0": 50}, {("A", 1): 0.0})
         agent = agent_for(model, [BundleBase("X/base0", {"A": 1})],
                           {"A": CopyLadder("A", (1,))})
-        assert myopic_bid(agent, PriceVector({"A": 1_00}), self.catalog(), 10) is None
+        assert myopic_bid(agent, PriceVector({"A": 1_00}), self.catalog(), 10, {}) is None
 
     def test_zero_utility_still_bids(self):
         model = ValuationModel("X", {"X/base0": 1_00}, {("A", 1): 0.0})
         agent = agent_for(model, [BundleBase("X/base0", {"A": 1})],
                           {"A": CopyLadder("A", (1,))})
-        assert myopic_bid(agent, PriceVector({"A": 1_00}), self.catalog(), 10) == \
+        assert myopic_bid(agent, PriceVector({"A": 1_00}), self.catalog(), 10, {}) == \
             Bundle({"A": 1})
 
 
@@ -257,6 +257,17 @@ class TestRunAuction:
         trace = run_auction(config, [bidder("X"), bidder("Y")])
         assert trace.truncated
         assert trace.rounds_used == 5
+
+    def test_duplicate_bidder_ids_rejected(self):
+        # bids, eligibility and the oracle memo are all kept per bidder id
+        catalog = make_catalog({"A": (2, 1, 1_00)})
+        agents = [agent_for(ValuationModel("X", {"X/base0": value}, {("A", 1): 0.0}),
+                            [BundleBase("X/base0", {"A": 1})], {"A": CopyLadder("A", (1,))})
+                  for value in (10_00, 50)]
+        config = AuctionConfig(catalog=catalog,
+                               increments=IncrementSchedule.constant(0.1))
+        with pytest.raises(ValidationError, match="duplicate bidder ids"):
+            run_auction(config, agents)
 
 
 class TestEngineInvariants:

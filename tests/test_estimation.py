@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
@@ -201,3 +203,10 @@ class TestSerialization:
                 tuple(b.quantities for b in est.space.bases)
             # serialization is deterministic
             assert model_to_json(model, space) == text
+
+    def test_duplicate_base_id_rejected(self):
+        config, agents = random_setup(7, n_bidders=1, n_products=5, n_bases=2)
+        doc = json.loads(model_to_json(agents[0].model, agents[0].space))
+        doc["bases"][1]["base_id"] = doc["bases"][0]["base_id"]
+        with pytest.raises(ValidationError, match="duplicate base_id"):
+            model_from_json(json.dumps(doc))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clockauction.errors import ValidationError
-from clockauction.solver import (EQ, GE, LE, LinearProgram,
+from clockauction.solver import (EQ, GE, LE, PIVOT_TOL, LinearProgram,
                                  MixedIntegerProgram, check_feasible,
                                  solve_lp, solve_mip, write_lp_format)
 
@@ -54,6 +54,22 @@ class TestLpExamples:
         assert sol.status == "optimal"
         assert sol["x"] == pytest.approx(2.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+
+    def test_bland_ratio_test_tie_break(self):
+        # phase 1 enters x0; rows 1 and 2 tie at ratio 1, and row 2 leaves
+        # because its slack (column 5) precedes row 1's artificial (column 7).
+        # Row 3's x0 entry is below PIVOT_TOL, so its ratio 0 is no candidate.
+        # Row 1 leaving, or a pivot on row 3, would end at x0 = 0; repr pins
+        # the exact floats.
+        lp = lp_min({"x1": -2.0, "x2": 1.0},
+                    [("x0", 0.0, None), ("x1", 0.0, None), ("x2", 0.0, None)],
+                    [({"x1": 1.0}, LE, 2.0),
+                     ({"x0": 2.0, "x1": 2.0, "x2": 1.0}, GE, 2.0),
+                     ({"x0": 2.0, "x2": 1.0}, LE, 2.0),
+                     ({"x0": 0.9 * PIVOT_TOL, "x2": -1.0}, LE, 0.0)])
+        sol = solve_lp(lp)
+        assert repr((sol.status, sol.objective_value, sol.values)) == \
+            "('optimal', -4.0, {'x0': 1.0, 'x1': 2.0, 'x2': 0.0})"
 
     def test_equality_and_shifted_lower_bound(self):
         lp = lp_min({"x": 2.0, "y": 1.0},

@@ -203,6 +203,34 @@ def test_bb_path_trace_digest(seed, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == BB_DIGESTS[seed]
 
 
+def test_oracle_memo_is_exact_and_per_run(monkeypatch):
+    """No two MIPs of a run ask the same oracle question, and a second run in
+    the same process solves as many MIPs and writes the same bytes."""
+    asked, mip_keys = [], []
+    oracle, solve_mip = tiered._best_tiered_copies, tiered.solve_mip
+
+    def recording_oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment):
+        asked.append((bidder_id, base.base_id, eligibility,
+                      tuple(prices[(j, t)] for j in base.quantities for t in TIERS)))
+        return oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment)
+
+    monkeypatch.setattr(tiered, "_best_tiered_copies", recording_oracle)
+    monkeypatch.setattr(tiered, "solve_mip",
+                        lambda mip: mip_keys.append(asked[-1]) or solve_mip(mip))
+    config, agents = random_setup(0, n_bidders=4, n_products=8, n_bases=2)
+    adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
+                                         sorted({p.area_id for p in config.catalog}))
+    runs = []
+    for _ in range(2):
+        mip_keys.clear()
+        trace = run_extended_auction(config, agents, adj)
+        assert mip_keys and len(set(mip_keys)) == len(mip_keys)
+        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        runs.append((hashlib.sha256(text.encode()).hexdigest(), len(mip_keys)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == BB_DIGESTS[0]
+
+
 class TestCoverageReport:
     def demographics(self):
         return {"A1": AreaStats("A1", "metro", 100_000, 50.0),
