@@ -53,7 +53,9 @@ def _coverage_targets(cfg: dict) -> dict:
     return targets
 
 
-# YAML `cost:` key -> (CostParameters field, conversion)
+# the YAML keys the program reads: these at the top level, and under `cost:`
+# those of _COST_KEYS, each -> (CostParameters field, conversion)
+_CONFIG_KEYS = ("delta", "max_rounds", "coverage_targets", "cost")
 _COST_KEYS = {
     "tower_cost_low_cad": ("tower_cost_low", dollars_to_cents),
     "tower_cost_high_cad": ("tower_cost_high", dollars_to_cents),
@@ -70,14 +72,18 @@ _COST_KEYS = {
 def _load_config(path: str | None, catalog: ProductCatalog
                  ) -> tuple[AuctionConfig, costmod.CostParameters]:
     """The auction and cost settings of a YAML config, its values converted
-    as the file is read; no config reads as an empty one."""
+    as the file is read; no config reads as an empty one, and a key the
+    program does not read (a typo, say) is an error."""
     def settings(text: str):
         cfg = yaml.safe_load(text) or {}
         cost = cfg.get("cost", {})
+        unread = [*(repr(k) for k in cfg if k not in _CONFIG_KEYS),
+                  *(f"cost: {k!r}" for k in cost if k not in _COST_KEYS)]
+        if unread:
+            raise ValidationError(f"unknown config key {', '.join(unread)}")
         increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
         return (AuctionConfig(catalog=catalog, increments=increments,
-                              max_rounds=int(cfg.get("max_rounds", 200)),
-                              activity_rule=float(cfg.get("activity_rule", 1.0))),
+                              max_rounds=int(cfg.get("max_rounds", 200))),
                 costmod.CostParameters(
                     coverage_targets=_coverage_targets(cfg),
                     **{field: convert(cost[key])

@@ -210,9 +210,11 @@ def step_price(start: Money, clock: Money, overdemanded: bool) -> Money:
     return clock if overdemanded else start
 
 
-def eligibility_cost(bundle: Bundle, catalog: ProductCatalog) -> int:
-    return sum(catalog.get(j).eligibility_points * q
-               for j, q in bundle.quantities.items())
+def eligibility_cost(bundle: Bundle | Mapping[str, int], catalog: ProductCatalog) -> int:
+    """Eligibility points times quantity, summed over a bundle or a
+    {product: quantity} map; the only place that sums points."""
+    quantities = bundle.quantities if isinstance(bundle, Bundle) else bundle
+    return sum(catalog.get(j).eligibility_points * q for j, q in quantities.items())
 
 
 # What converting a malformed row or document raises (see input_error).

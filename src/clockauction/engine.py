@@ -17,7 +17,7 @@ from typing import Any, Callable, Hashable, Mapping
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, clock_price,
-                   input_error, read_lines, step_price)
+                   eligibility_cost, input_error, read_lines, step_price)
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -29,7 +29,6 @@ class AuctionConfig:
     catalog: ProductCatalog
     increments: IncrementSchedule
     max_rounds: int = 200
-    activity_rule: float = 1.0  # next eligibility = rule * cost of current bid
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -61,8 +60,7 @@ def level_choices(base: BundleBase, model: ValuationModel, catalog: ProductCatal
         choices[j] = tuple(q for q in model.ladder(j) if q >= base_q)
         if not choices[j]:
             raise ValidationError(f"base quantity of {j!r} off the model ladder")
-    min_cost = sum(levels[0] * catalog.get(j).eligibility_points
-                   for j, levels in choices.items())
+    min_cost = eligibility_cost({j: levels[0] for j, levels in choices.items()}, catalog)
     return None if min_cost > eligibility else choices
 
 
@@ -104,8 +102,7 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     # marginals a bidder is exactly indifferent at the last price where it
     # still held the larger level, and held it
     greedy = {j: max(o, key=lambda q: (o[q][1], q)) for j, o in options.items()}
-    greedy_cost = sum(q * catalog.get(j).eligibility_points for j, q in greedy.items())
-    if greedy_cost <= eligibility:
+    if eligibility_cost(greedy, catalog) <= eligibility:
         return Bundle(greedy)
 
     mip, binary = copies_mip(options, catalog, eligibility)
@@ -189,7 +186,6 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
         raise ValidationError("duplicate bidder ids")
     catalog = config.catalog
     keys = market.product_of
-    points = {k: catalog.get(j).eligibility_points for k, j in keys.items()}
     start = PriceVector({k: catalog.get(j).opening_price for k, j in keys.items()})
     eligibility = {a.bidder_id: initial_eligibility(a.space, catalog) for a in agents}
     exited: set[str] = set()
@@ -218,13 +214,12 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
             round=rnd, start=start, clock=clock, posted=posted,
             aggregate=aggregate, bids=bids, eligibility=dict(eligibility)))
 
-        for agent in agents:
-            if agent.bidder_id not in exited:
-                cost = sum(q * points[k] for k, q in
-                           market.demand(bids[agent.bidder_id]).items())
-                eligibility[agent.bidder_id] = min(
-                    eligibility[agent.bidder_id],
-                    int(config.activity_rule * cost))
+        # activity rule: next eligibility is at most the bid's points (one key per product)
+        for bidder, bid in bids.items():
+            if bidder not in exited:
+                cost = eligibility_cost({keys[k]: q for k, q in market.demand(bid).items()},
+                                        catalog)
+                eligibility[bidder] = min(eligibility[bidder], cost)
 
         if not any(over.values()) or rnd >= config.max_rounds:
             return _final(rounds, market.demand, over)

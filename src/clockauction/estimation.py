@@ -25,6 +25,16 @@ from .solver import GE, LinearProgram, Solution, check_feasible, solve_lp
 VALUE_TOL = 1e-6
 
 
+def _ladder_steps(levels: tuple[int, ...], quantity: int):
+    """(level, width) for each ladder level above the first, up to `quantity`."""
+    prev = levels[0]
+    for level in levels[1:]:
+        if level > quantity:
+            return
+        yield level, level - prev
+        prev = level
+
+
 @dataclass(frozen=True)
 class ValuationModel:
     bidder_id: str
@@ -63,12 +73,9 @@ class ValuationModel:
         if quantity not in levels:
             raise ValidationError(
                 f"quantity {quantity} off the ladder of {product_id!r}")
-        total, prev = 0.0, levels[0]
-        for level in levels[1:]:
-            if level > quantity:
-                break
-            total += (level - prev) * self.marginals[(product_id, level)]
-            prev = level
+        total = 0.0
+        for level, width in _ladder_steps(levels, quantity):
+            total += width * self.marginals[(product_id, level)]
         return total
 
 
@@ -95,12 +102,8 @@ def bundle_utility(model: ValuationModel, bundle: Bundle, base: BundleBase,
 
 def initial_eligibility(space: BundleSpace, catalog: ProductCatalog) -> int:
     """Eligibility cost of the bidder's maximal variant across bases."""
-    best = 0
-    for base in space.bases:
-        cost = sum(space.ladders[j].levels[-1] * catalog.get(j).eligibility_points
-                   for j in base.quantities)
-        best = max(best, cost)
-    return best
+    return max((eligibility_cost({j: space.ladders[j].levels[-1] for j in base.quantities},
+                                 catalog) for base in space.bases), default=0)
 
 
 def reconstruct_eligibility(space: BundleSpace, catalog: ProductCatalog) -> dict[int, int]:
@@ -141,13 +144,8 @@ def _utility_terms(space: BundleSpace, bundle: Bundle, base_id: str,
     coeffs: dict[str, float] = {_vb(base_id): 1.0}
     constant = 0.0
     for j, q in bundle.quantities.items():
-        ladder = space.ladders[j]
-        prev = ladder.levels[0]
-        for level in ladder.levels[1:]:
-            if level > q:
-                break
-            coeffs[_vm(j, level)] = coeffs.get(_vm(j, level), 0.0) + (level - prev)
-            prev = level
+        for level, width in _ladder_steps(space.ladders[j].levels, q):
+            coeffs[_vm(j, level)] = coeffs.get(_vm(j, level), 0.0) + width
         constant -= q * prices[j]
     return coeffs, constant
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import EMPTY_BUNDLE, ProductCatalog, cents_to_dollars
@@ -20,6 +21,7 @@ TOOL_VERSION = "0.1.0"
 
 # quantile color ramp (light -> dark) applied to nonzero cells
 RAMP = ("#f7fbff", "#c6dbef", "#6baed6", "#2171b5", "#08306b")
+CELL = 12  # heatmap cell side, in SVG pixels
 
 
 @dataclass(frozen=True)
@@ -71,18 +73,16 @@ def heatmap_csv(log: RawBidLog, bidder_id: str, manifest_hash: str = "") -> str:
 def _quantile_color(value: int, sorted_nonzero: list[int]) -> str:
     if value == 0 or not sorted_nonzero:
         return "#ffffff"
-    below = sum(1 for v in sorted_nonzero if v <= value)
-    q = below / len(sorted_nonzero)
+    q = bisect_right(sorted_nonzero, value) / len(sorted_nonzero)
     idx = min(len(RAMP) - 1, int(q * len(RAMP)))
     return RAMP[idx]
 
 
-def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str = "",
-                cell: int = 12) -> str:
+def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str = "") -> str:
     products, matrix = heatmap_matrix(log, bidder_id)
     nonzero = sorted(v for row in matrix for v in row if v)
-    width = cell * max(1, len(products))
-    height = cell * max(1, len(matrix))
+    width = CELL * max(1, len(products))
+    height = CELL * max(1, len(matrix))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f"<desc>bidding heatmap {bidder_id}; manifest {manifest_hash}</desc>",
@@ -90,8 +90,8 @@ def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str = "",
     for r, row in enumerate(matrix):
         for c, value in enumerate(row):
             color = _quantile_color(value, nonzero)
-            parts.append(f'<rect x="{c * cell}" y="{r * cell}" width="{cell}" '
-                         f'height="{cell}" fill="{color}"/>')
+            parts.append(f'<rect x="{c * CELL}" y="{r * CELL}" width="{CELL}" '
+                         f'height="{CELL}" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -14,20 +14,22 @@ from .estimation import ValuationModel
 from .ingest import BundleBase, BundleSpace, CopyLadder
 
 AREA_CYCLE = ("metro", "urban", "rural", "remote")
+PRICE_RANGE = (50_000, 400_000)   # opening prices, whole dollars
+PRODUCTS_PER_BASE = (2, 3)        # products in each base, inclusive range
+VALUE_SCALE = (1.5, 4.0)          # top marginal value / opening price
 
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def random_catalog(rng, n_products: int = 10, max_supply: int = 6,
-                   price_range=(50_000, 400_000)) -> ProductCatalog:
+def random_catalog(rng, n_products: int = 10, max_supply: int = 6) -> ProductCatalog:
     """Products P00..; opening prices in whole dollars (cents internally)."""
     rng = _rng(rng)
     products = []
     for i in range(n_products):
         supply = int(rng.integers(1, max_supply + 1))
-        price = int(rng.integers(price_range[0], price_range[1] + 1)) * 100
+        price = int(rng.integers(PRICE_RANGE[0], PRICE_RANGE[1] + 1)) * 100
         products.append(Product(
             id=f"P{i:02d}",
             area_id=f"A{i:02d}",
@@ -40,8 +42,7 @@ def random_catalog(rng, n_products: int = 10, max_supply: int = 6,
 
 
 def random_agent(rng, bidder_id: str, catalog: ProductCatalog,
-                 n_bases: int = 1, products_per_base=(2, 3),
-                 value_scale=(1.5, 4.0)) -> BidderAgent:
+                 n_bases: int = 1) -> BidderAgent:
     """An agent with known valuations: diminishing marginals set as multiples
     of opening prices so early rounds have headroom to bid."""
     rng = _rng(rng)
@@ -52,7 +53,7 @@ def random_agent(rng, bidder_id: str, catalog: ProductCatalog,
     marginals: dict[tuple[str, int], float] = {}
 
     for b in range(n_bases):
-        k = int(rng.integers(products_per_base[0], products_per_base[1] + 1))
+        k = int(rng.integers(PRODUCTS_PER_BASE[0], PRODUCTS_PER_BASE[1] + 1))
         chosen = sorted(rng.choice(len(ids), size=min(k, len(ids)), replace=False))
         quantities = {}
         for idx in chosen:
@@ -64,7 +65,7 @@ def random_agent(rng, bidder_id: str, catalog: ProductCatalog,
                     np.arange(1, product.supply + 1), size=n_levels, replace=False))
                 ladders[j] = CopyLadder(j, tuple(int(v) for v in levels))
                 # descending marginal values, anchored to the opening price
-                top = product.opening_price * rng.uniform(*value_scale)
+                top = product.opening_price * rng.uniform(*VALUE_SCALE)
                 scale = np.sort(rng.uniform(0.3, 1.0, size=len(levels)))[::-1]
                 marginals[(j, ladders[j].levels[0])] = 0.0
                 for lvl, s in zip(ladders[j].levels[1:], scale[1:]):

@@ -66,14 +66,11 @@ def tier_overdemand(demands: dict[str, int], supply: int) -> dict[str, bool]:
     for t, d in demands.items():
         if d < 0:
             raise ValidationError(f"negative demand at tier {t!r}")
-    d_low = demands.get("low", 0)
-    d_med = demands.get("medium", 0)
-    d_high = demands.get("high", 0)
-    return {
-        "high": d_high > supply,
-        "medium": d_med + d_high > supply,
-        "low": d_low + d_med + d_high > supply,
-    }
+    over, stricter = {}, 0
+    for t in reversed(TIERS):
+        stricter += demands.get(t, 0)
+        over[t] = stricter > supply
+    return over
 
 
 # A tiered bid assigns each demanded product one tier and one quantity.

@@ -96,6 +96,26 @@ class TestEligibility:
         # would stay zero (cost of the empty bundle)
         assert series == {1: 2, 2: 2, 3: 2}
 
+    def test_replay_and_estimation_share_the_activity_rule(self):
+        # from round 2 on, the eligibility the replay gave a bidding bidder is
+        # the one estimation reconstructs from the bids alone (round 1 rests
+        # on the true ladders, which the log does not show)
+        checks = 0
+        for seed in range(40):
+            config, agents = random_setup(seed, n_bidders=6, n_products=12,
+                                          n_bases=1 + seed % 3)
+            trace = run_auction(config, agents)
+            log = trace_to_bidlog(trace)
+            for bidder in log.bidders():
+                series = reconstruct_eligibility(build_bundle_space(log, bidder),
+                                                 config.catalog)
+                for record in trace.rounds[1:]:
+                    if record.bids[bidder]:
+                        assert record.eligibility[bidder] == series[record.round], \
+                            (seed, bidder, record.round)
+                        checks += 1
+        assert checks > 1000
+
 
 class TestLpStructure:
     def test_single_round_single_variant(self):

@@ -567,11 +567,15 @@ class TestMalformedInput:
         assert code == 2
         assert f"{bad}:" in err
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("delta: [1\n", id="bad-yaml"),
-        pytest.param("delta: abc\n", id="bad-delta"),
-        pytest.param("cost:\n  pop_per_tower: many\n", id="bad-cost-value")])
-    def test_bad_config(self, inputs, text, tmp_path):
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("delta: [1\n", "", id="bad-yaml"),
+        pytest.param("delta: abc\n", "", id="bad-delta"),
+        pytest.param("cost:\n  pop_per_tower: many\n", "", id="bad-cost-value"),
+        pytest.param("activity_rule: 0.9\n", "'activity_rule'", id="unread-key"),
+        pytest.param("max_round: 5\n", "'max_round'", id="misspelt-key"),
+        pytest.param("cost:\n  tower_cost_lo_cad: 1\n", "cost: 'tower_cost_lo_cad'",
+                     id="misspelt-cost-key")])
+    def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)
         code, err = run_captured(["simulate", "--catalog", inputs["catalog"],
@@ -579,6 +583,7 @@ class TestMalformedInput:
                                   "--out", tmp_path / "sim"])
         assert code == 2
         assert f"{config}:" in err
+        assert named in err
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(which=st.sampled_from(CSVS), row=st.integers(0, 10_000),
