@@ -72,11 +72,13 @@ _COST_KEYS = {
 def _load_config(path: str | None, catalog: ProductCatalog
                  ) -> tuple[AuctionConfig, costmod.CostParameters]:
     """The auction and cost settings of a YAML config, its values converted
-    as the file is read; no config reads as an empty one, and a key the
-    program does not read (a typo, say) is an error."""
+    as the file is read; no config, like an empty block, reads as no
+    settings, and a key the program does not read (a typo, say) is an error."""
     def settings(text: str):
         cfg = yaml.safe_load(text) or {}
-        cost = cfg.get("cost", {})
+        if not isinstance(cfg, dict):
+            raise ValidationError(f"a config is a mapping of settings, not {cfg!r}")
+        cost = cfg.get("cost") or {}
         unread = [*(repr(k) for k in cfg if k not in _CONFIG_KEYS),
                   *(f"cost: {k!r}" for k in cost if k not in _COST_KEYS)]
         if unread:
@@ -146,7 +148,7 @@ def cmd_estimate(args) -> int:
     auction, _ = _load_config(args.config, catalog)
     raw = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
-    estimates = estimate_all(raw, catalog, auction.increments)
+    estimates = estimate_all(raw, catalog, auction.increments, keep_lp=bool(args.dump_lp))
     if args.dump_lp:
         Path(args.dump_lp).mkdir(parents=True, exist_ok=True)
     reports = {}

@@ -21,7 +21,8 @@ from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
-from .solver import EQ, LE, LinearProgram, MixedIntegerProgram, solve_mip
+from .solver import (EQ, LE, LinearProgram, MixedIntegerProgram, phase1_memo,
+                     solve_mip)
 
 
 @dataclass
@@ -176,10 +177,13 @@ def price_step(start: PriceVector, rnd: int, over: Mapping[Hashable, bool],
     return clock, posted
 
 
+@phase1_memo()
 def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
                market: Market) -> AuctionTrace:
     """Rounds of bids at start prices, exits and the activity rule, until no
-    key is overdemanded or `max_rounds` truncates the run."""
+    key is overdemanded or `max_rounds` truncates the run.  A run solves
+    phase 1 of the simplex once per distinct constraint system: the oracle
+    MIPs repeat their rows across rounds at new prices."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):

@@ -253,8 +253,8 @@ class EstimationReport:
     base_value_total: float
     violations: dict[str, int]
     fallback_used: bool = False
-    # the LP solved first, min sum(slack) + sum(base values) without
-    # marginal-rationality slack, even when the fallback was used
+    # with keep_lp, the LP solved first, min sum(slack) + sum(base values)
+    # without marginal-rationality slack, even when the fallback was used
     lp: LinearProgram | None = field(default=None, compare=False, repr=False)
 
 
@@ -277,14 +277,14 @@ def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
 
 
 def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
-             eligibility: dict[int, int], catalog: ProductCatalog
-             ) -> tuple[ValuationModel, EstimationReport]:
+             eligibility: dict[int, int], catalog: ProductCatalog,
+             keep_lp: bool = False) -> tuple[ValuationModel, EstimationReport]:
     """Solve the valuation LP with HiGHS and materialize a model.
 
     If the LP is infeasible (possible if smoothing interacts badly with
     eligibility), re-solve with penalized slack on the marginal-rationality
     block (weight 10x the revealed-preference slack) and flag the report.
-    The report keeps the LP solved first as `report.lp`.
+    With `keep_lp` the report keeps the LP solved first as `report.lp`.
     """
     prob = first = _build(space, start_prices, eligibility, catalog)
     sol = solve_lp(prob.lp, backend="highs")
@@ -303,7 +303,7 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
         bidder_id=space.bidder_id, status=sol.status,
         slack_total=float(slack_total),
         base_value_total=float(sum(model.base_values.values())),
-        violations=violations, fallback_used=fallback, lp=first.lp)
+        violations=violations, fallback_used=fallback, lp=first.lp if keep_lp else None)
     return model, report
 
 

@@ -43,9 +43,10 @@ class BidderEstimate:
     report: EstimationReport
 
 
-def estimate_all(raw: RawBidLog, catalog: ProductCatalog,
-                 increments: IncrementSchedule) -> dict[str, BidderEstimate]:
-    """Smooth the log and run the valuation LP for every bidder in it."""
+def estimate_all(raw: RawBidLog, catalog: ProductCatalog, increments: IncrementSchedule,
+                 keep_lp: bool = False) -> dict[str, BidderEstimate]:
+    """Smooth the log and run the valuation LP for every bidder in it; with
+    `keep_lp` each report keeps its LP."""
     smoothed = smooth_monotone(raw)
     start_prices = reconstruct_prices(raw, catalog, increments)
     out = {}
@@ -54,7 +55,7 @@ def estimate_all(raw: RawBidLog, catalog: ProductCatalog,
         if not space.bases:
             continue  # bidder never demanded anything
         eligibility = reconstruct_eligibility(space, catalog)
-        model, report = estimate(space, start_prices, eligibility, catalog)
+        model, report = estimate(space, start_prices, eligibility, catalog, keep_lp)
         out[bidder] = BidderEstimate(model=model, space=space, report=report)
     return out
 

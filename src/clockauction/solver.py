@@ -5,10 +5,14 @@ depth-first branch-and-bound for binary variables: no external solver in the
 loop, so identical inputs give identical outputs byte for byte.  It solves the
 bidder MIPs.  A "highs" backend (scipy.optimize.linprog) serves the valuation
 LPs through the same interface; it is also deterministic for fixed inputs.
+Inside `phase1_memo()` phase 1 of the simplex runs once per distinct
+constraint system: it reads only the constraint rows, never the objective.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +136,74 @@ def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
         basis[leave] = enter
 
 
+def _phase1(T: np.ndarray, basis: list[int], arts: list[int], first_art: int) -> bool:
+    """Phase 1 in place: minimize the sum of the artificials, then drive them
+    out of the basis where possible and zero their columns.  False when the
+    rows are infeasible."""
+    m, total = len(basis), T.shape[1] - 1
+    tol = 1e-7 * max(1.0, T[:m, -1].max())
+    T[-1, first_art:total] = 1.0
+    for i in arts:
+        T[-1, :] -= T[i, :]
+    status = _simplex_phase(T, basis, total)
+    if status == "unbounded":  # cannot happen for phase 1
+        raise SolverError("phase-1 unbounded")
+    if -T[-1, -1] > tol:
+        return False
+    for i in range(m):
+        if basis[i] >= first_art:
+            cols = np.flatnonzero(np.abs(T[i, :first_art]) > PIVOT_TOL)
+            if cols.size:
+                _pivot(T, i, int(cols[0]))
+                basis[i] = int(cols[0])
+    # forbid artificials from re-entering
+    T[:m, first_art:total] = 0.0
+    return True
+
+
+# phase-1 results of the current run, None outside `phase1_memo()`
+PHASE1: ContextVar[dict | None] = ContextVar("phase1", default=None)
+
+
+@contextmanager
+def phase1_memo():
+    """Keep phase-1 results for the block: a later LP whose constraint rows
+    match bit for bit starts phase 2 from the stored tableau and basis."""
+    token = PHASE1.set({})
+    try:
+        yield
+    finally:
+        PHASE1.reset(token)
+
+
+def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], n: int,
+                     first_art: int) -> bool:
+    """`_phase1`, served from PHASE1 when it is set.  Phase 1 reads only the
+    constraint rows T[:m], so the key is the shape, `n`, `first_art` and the
+    positions and bits of the entries of T[:m] other than +0.0; the value is
+    None (infeasible) or the same sparse form of T[:m] after phase 1, plus
+    the basis.  A hit leaves T[:m] and the basis as `_phase1` would."""
+    memo = PHASE1.get()
+    if memo is None:
+        return _phase1(T, basis, arts, first_art)
+    bits = T[:-1].view(np.uint64).reshape(-1)  # a view: writes reach T
+
+    def sparse():
+        where = np.flatnonzero(bits)
+        return where, bits[where]
+
+    where, values = sparse()
+    key = (T.shape, n, first_art, where.tobytes(), values.tobytes())
+    if key not in memo:
+        memo[key] = (*sparse(), basis.copy()) if _phase1(T, basis, arts, first_art) else None
+    elif memo[key] is not None:
+        where, values, solved = memo[key]
+        bits[:] = 0
+        bits[where] = values
+        basis[:] = solved
+    return memo[key] is not None
+
+
 def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
     upper bound is one (row, relation, rhs), negated with its relation flipped
@@ -143,79 +215,62 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     if not np.all(np.isfinite(lbs)):
         raise ValidationError("variables need finite lower bounds")
 
-    rows = []
-
-    def add(row, rel, rhs):
-        rows.append((-row, {LE: GE, GE: LE, EQ: EQ}[rel], -rhs) if rhs < 0 else (row, rel, rhs))
-
-    for con in lp.constraints:
-        row = np.zeros(n)
+    # rows: the constraints, then y_i <= ub_i - lb_i for each finite upper bound
+    bounded = [(i, v.ub - v.lb) for i, v in enumerate(lp.variables) if v.ub is not None]
+    k = len(lp.constraints)
+    m = k + len(bounded)
+    A = np.zeros((m, n))
+    b = np.zeros(m)
+    for r, con in enumerate(lp.constraints):
+        row = A[r]
         for name, coef in con.coeffs.items():
             row[index[name]] += coef
-        add(row, con.relation, con.rhs - row @ lbs)
-    for i, v in enumerate(lp.variables):
-        if v.ub is not None:
-            row = np.zeros(n)
-            row[i] = 1.0
-            add(row, LE, v.ub - v.lb)
+        b[r] = con.rhs - row @ lbs
+    A[range(k, m), [i for i, _ in bounded]] = 1.0
+    b[k:] = [rhs for _, rhs in bounded]
+    rels = [con.relation for con in lp.constraints] + [LE] * len(bounded)
+    for r in np.flatnonzero(b < 0).tolist():
+        A[r], b[r], rels[r] = -A[r], -b[r], {LE: GE, GE: LE, EQ: EQ}[rels[r]]
 
     # columns: structural | slack/surplus | artificial; <= rows start feasible
     # on their slack, the others on an artificial
-    m = len(rows)
-    slacks = [i for i, (_, rel, _) in enumerate(rows) if rel != EQ]
-    arts = [i for i, (_, rel, _) in enumerate(rows) if rel != LE]
+    slacks = [i for i, rel in enumerate(rels) if rel != EQ]
+    arts = [i for i, rel in enumerate(rels) if rel != LE]
     first_art = n + len(slacks)
     total = first_art + len(arts)
     T = np.zeros((m + 1, total + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[slacks, range(n, first_art)] = [1.0 if rels[i] == LE else -1.0 for i in slacks]
+    T[arts, range(first_art, total)] = 1.0
     basis = [0] * m
-    for i, (row, _, rhs) in enumerate(rows):
-        T[i, :n] = row
-        T[i, -1] = rhs
     for col, i in enumerate(slacks, n):
-        T[i, col] = 1.0 if rows[i][1] == LE else -1.0
         basis[i] = col
     for col, i in enumerate(arts, first_art):
-        T[i, col] = 1.0
         basis[i] = col
 
-    # phase 1: minimize sum of artificials
-    if arts:
-        T[-1, first_art:total] = 1.0
-        for i in arts:
-            T[-1, :] -= T[i, :]
-        status = _simplex_phase(T, basis, total)
-        if status == "unbounded":  # cannot happen for phase 1
-            raise SolverError("phase-1 unbounded")
-        if -T[-1, -1] > 1e-7 * max(1.0, max(rhs for _, _, rhs in rows)):
-            return Solution("infeasible", {}, None)
-        # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= first_art:
-                cols = np.flatnonzero(np.abs(T[i, :first_art]) > PIVOT_TOL)
-                if cols.size:
-                    _pivot(T, i, int(cols[0]))
-                    basis[i] = int(cols[0])
-        # forbid artificials from re-entering
-        T[:m, first_art:total] = 0.0
+    if arts and not _phase1_memoized(T, basis, arts, n, first_art):
+        return Solution("infeasible", {}, None)
 
-    # phase 2
+    # phase 2: price out the basic columns.  Each is a unit column, so its
+    # factor is its cost; subtract.reduce folds the rows in order, the same
+    # arithmetic as one row at a time
     c = np.zeros(n)
     for name, coef in lp.objective.items():
         c[index[name]] += coef
     T[-1, :] = 0.0
     T[-1, :n] = c
-    for i in range(m):
-        if T[-1, basis[i]] != 0.0:
-            T[-1, :] -= T[-1, basis[i]] * T[i, :]
+    factors = T[-1, basis]
+    priced = np.flatnonzero(factors)
+    T[-1, :] = np.subtract.reduce(np.vstack([T[-1], factors[priced, None] * T[priced]]), axis=0)
     status = _simplex_phase(T, basis, total)
     if status == "unbounded":
         return Solution("unbounded", {}, None)
 
     y = np.zeros(total)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
+    y[basis] = T[:m, -1]
     x = y[:n] + lbs
-    values = {v.name: float(x[i]) for i, v in enumerate(lp.variables)}
+    values = dict(zip(index, x.tolist()))
     return Solution("optimal", values, float(c @ y[:n] + c @ lbs))
 
 

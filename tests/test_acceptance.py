@@ -241,7 +241,7 @@ def test_03_lp_constraint_satisfaction():
     for seed in range(15):
         config, agents = random_setup(3000 + seed, n_bidders=4, n_products=8)
         raw = trace_to_bidlog(run_auction(config, agents))
-        estimates = estimate_all(raw, config.catalog, config.increments)
+        estimates = estimate_all(raw, config.catalog, config.increments, keep_lp=True)
         for est in estimates.values():
             space, lp = est.space, est.report.lp
             values = {}

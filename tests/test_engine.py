@@ -15,6 +15,7 @@ from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel, bundle_utility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
+from clockauction.solver import PHASE1
 from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  _best_tiered_copies)
@@ -305,6 +306,28 @@ class TestEngineInvariants:
         assert calls, "no best_copies call reached the MIP"
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.MIP_DIGESTS[seed]
+
+    def test_phase1_memo_lives_for_one_run(self, monkeypatch):
+        """The oracle MIPs of a run share one phase-1 memo; it is gone when the
+        run ends, also on an error, and a second run writes the same bytes."""
+        active = []
+        solve_mip = engine.solve_mip
+        monkeypatch.setattr(engine, "solve_mip",
+                            lambda mip: active.append(PHASE1.get() is not None)
+                            or solve_mip(mip))
+        config, agents = random_setup(0, n_bidders=8, n_products=24, n_bases=3)
+        texts = []
+        for _ in range(2):
+            trace = run_auction(config, agents)
+            assert PHASE1.get() is None
+            texts.append(trace_to_jsonl(trace)
+                         + json.dumps(trace_summary(trace), sort_keys=True))
+        assert active and all(active)
+        assert texts[0] == texts[1]
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == self.MIP_DIGESTS[0]
+        with pytest.raises(ValidationError):
+            run_auction(config, agents + agents[:1])
+        assert PHASE1.get() is None
 
     def test_byte_determinism(self):
         config, agents = random_setup(55, n_bidders=4, n_products=8)

@@ -122,7 +122,7 @@ class TestLpStructure:
         space = space_of({"A": [1]})
         catalog = make_catalog({"A": (5, 1)})
         prices = {1: PriceVector({"A": 100_00})}
-        lp = estimate(space, prices, {1: 1}, catalog)[1].lp
+        lp = estimate(space, prices, {1: 1}, catalog, keep_lp=True)[1].lp
         # one base, one variant, ladder of one level: only the positive-utility
         # row survives (no alternatives, no neighbors, no increments)
         assert len(lp.constraints) == 1
@@ -136,7 +136,7 @@ class TestLpStructure:
         catalog = make_catalog({"A": (6, 1)})
         prices = {r: PriceVector({"A": 100_00}) for r in (1, 2, 3, 4)}
         elig = reconstruct_eligibility(space, catalog)
-        lp = estimate(space, prices, elig, catalog)[1].lp
+        lp = estimate(space, prices, elig, catalog, keep_lp=True)[1].lp
         # round 2 holds 3 on ladder (2, 3, 5): neighbor rows may touch the
         # increments to 3 and to 5, never a non-neighbor pattern beyond them
         names = {v.name for v in lp.variables}
@@ -147,15 +147,25 @@ class TestLpStructure:
         catalog = make_catalog({"A": (5, 3)})
         prices = {1: PriceVector({"A": 100_00}), 2: PriceVector({"A": 110_00})}
         # with full eligibility round 2 sees the (A: 2) alternative...
-        lp_full = estimate(space, prices, {1: 6, 2: 6}, catalog)[1].lp
+        lp_full = estimate(space, prices, {1: 6, 2: 6}, catalog, keep_lp=True)[1].lp
         # ...with eligibility 3 it cannot afford it
-        lp_cut = estimate(space, prices, {1: 6, 2: 3}, catalog)[1].lp
+        lp_cut = estimate(space, prices, {1: 6, 2: 3}, catalog, keep_lp=True)[1].lp
         n_full = sum(1 for n in (v.name for v in lp_full.variables) if n.startswith("sl::2"))
         n_cut = sum(1 for n in (v.name for v in lp_cut.variables) if n.startswith("sl::2"))
         assert n_full == 1 and n_cut == 0
 
 
 class TestEstimate:
+    def test_lp_kept_only_on_request(self):
+        config, agents = random_setup(3000, n_bidders=4, n_products=8)
+        raw = trace_to_bidlog(run_auction(config, agents))
+        plain = estimate_all(raw, config.catalog, config.increments)
+        kept = estimate_all(raw, config.catalog, config.increments, keep_lp=True)
+        assert plain and all(est.report.lp is None for est in plain.values())
+        assert all(est.report.lp.constraints for est in kept.values())
+        assert ({b: (e.model, e.report) for b, e in plain.items()}
+                == {b: (e.model, e.report) for b, e in kept.items()})
+
     def test_zero_prices_give_zero_values(self):
         space = space_of({"A": [1]})
         catalog = make_catalog({"A": (5, 1)})

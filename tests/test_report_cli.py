@@ -204,6 +204,17 @@ class TestCliPipeline:
         table = cost_table_from_csv(tmp_path / "cost_table_none.csv")
         assert table == expected and table != default
 
+    def test_empty_blocks_read_as_no_overrides(self, workspace, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("cost:\ncoverage_targets:\n")
+        assert self.cost_table(workspace, config, tmp_path / "empty") == 0
+        assert run(["cost-table", "--catalog", workspace / "catalog.csv",
+                    "--demographics", workspace / "demographics.csv",
+                    "--inventory", workspace / "inventory.csv",
+                    "--out", tmp_path / "none"]) == 0
+        assert (cost_table_from_csv(tmp_path / "empty" / "cost_table_none.csv")
+                == cost_table_from_csv(tmp_path / "none" / "cost_table_none.csv"))
+
     @pytest.mark.parametrize("text", [
         pytest.param("coverage_targets:\n  metr: {low: 0.5}\n", id="area-class"),
         pytest.param("coverage_targets:\n  metro: {lo: 0.5}\n", id="tier"),
@@ -574,7 +585,9 @@ class TestMalformedInput:
         pytest.param("activity_rule: 0.9\n", "'activity_rule'", id="unread-key"),
         pytest.param("max_round: 5\n", "'max_round'", id="misspelt-key"),
         pytest.param("cost:\n  tower_cost_lo_cad: 1\n", "cost: 'tower_cost_lo_cad'",
-                     id="misspelt-cost-key")])
+                     id="misspelt-cost-key"),
+        pytest.param("5\n", "a config is a mapping of settings, not 5",
+                     id="not-a-mapping")])
     def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)

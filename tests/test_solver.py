@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+import clockauction.solver as solver
 from clockauction.errors import ValidationError
-from clockauction.solver import (EQ, GE, LE, PIVOT_TOL, LinearProgram,
-                                 MixedIntegerProgram, check_feasible,
-                                 solve_lp, solve_mip, write_lp_format)
+from clockauction.solver import (EQ, GE, LE, PHASE1, PIVOT_TOL, LinearProgram,
+                                 MixedIntegerProgram, Solution, check_feasible,
+                                 phase1_memo, solve_lp, solve_mip, write_lp_format)
 
 
 def lp_min(objective, variables, constraints):
@@ -234,6 +235,217 @@ class TestMip:
         lp.add_variable("z0", lb=0.0, ub=2.0)
         with pytest.raises(ValidationError):
             solve_mip(MixedIntegerProgram(lp, binaries=["z0"]))
+
+
+def counted_knapsacks():
+    """Seeded knapsack MIPs that also take exactly `count` items, each
+    constraint system at three objectives, as a run asks a bidder at new
+    prices.  The count row puts an artificial in every node, and fixings that
+    leave too few or too many free items make a node infeasible."""
+    rng = np.random.default_rng(7)
+    mips = []
+    for _ in range(25):
+        n = int(rng.integers(3, 8))
+        weights = [float(w) for w in rng.integers(1, 10, size=n)]
+        capacity = float(rng.integers(1, int(sum(weights))))
+        count = float(rng.integers(1, n + 1))
+        for _ in range(3):
+            mip = mip_max([float(p) for p in rng.integers(-5, 20, size=n)],
+                          weights, capacity)
+            mip.lp.add_constraint({name: 1.0 for name in mip.binaries}, EQ, count)
+            mips.append(mip)
+    return mips
+
+
+class TestPhase1Memo:
+    """Inside phase1_memo() a constraint system solved before skips phase 1,
+    and every answer is the one solved without the memo."""
+
+    def test_random_mips_match_without_memo(self, monkeypatch):
+        mips = counted_knapsacks()
+        plain = [solve_mip(mip) for mip in mips]
+        solves = []
+        real = solver.solve_lp
+        monkeypatch.setattr(solver, "solve_lp",
+                            lambda lp, backend="builtin": solves.append(1) or real(lp, backend))
+        with phase1_memo():
+            served = [solve_mip(mip) for mip in mips]
+            memo = PHASE1.get()
+        assert served == plain
+        assert {sol.status for sol in plain} == {"optimal", "infeasible"}
+        assert None in memo.values() and len(memo) < len(solves)
+        assert PHASE1.get() is None
+
+    def test_infeasible_phase1_is_served_again(self, monkeypatch):
+        lp = lp_min({"x": 1.0}, [("x", 0.0, None)],
+                    [({"x": 1.0}, GE, 2.0), ({"x": 1.0}, LE, 1.0)])
+        calls = []
+        real = solver._phase1
+        monkeypatch.setattr(solver, "_phase1", lambda *a: calls.append(1) or real(*a))
+        with phase1_memo():
+            assert [solve_lp(lp).status for _ in range(3)] == ["infeasible"] * 3
+            assert list(PHASE1.get().values()) == [None]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("first, second, same_rows", [
+        # row 0 is x0 + x1 <= 3 on a slack in the first, x0 + x1 = 3 on an
+        # artificial in the second: the tableau rows match bit for bit and
+        # only first_art tells them apart (x1 = 0 against x1 = 2)
+        pytest.param(lp_min({"x1": 1.0}, [("x0", 0.0, None), ("x1", 0.0, None)],
+                            [({"x0": 1.0, "x1": 1.0}, LE, 3.0), ({"x0": 1.0}, EQ, 1.0)]),
+                     lp_min({"x1": 1.0}, [("x0", 0.0, None), ("x1", 0.0, None)],
+                            [({"x0": 1.0, "x1": 1.0}, EQ, 3.0), ({"x0": 1.0}, EQ, 1.0)]),
+                     True, id="first_art"),
+        # the surplus column of x0 + x1 >= 1 is the structural x2 of
+        # x0 + x1 - x2 = 1: same rows, only n differs
+        pytest.param(lp_min({"x1": 1.0}, [("x0", 0.0, None), ("x1", 0.0, None)],
+                            [({"x0": 1.0, "x1": 1.0}, GE, 1.0), ({"x0": 1.0}, EQ, 1.0)]),
+                     lp_min({"x1": 1.0}, [("x0", 0.0, None), ("x1", 0.0, None),
+                                          ("x2", 0.0, None)],
+                            [({"x0": 1.0, "x1": 1.0, "x2": -1.0}, EQ, 1.0),
+                             ({"x0": 1.0}, EQ, 1.0)]),
+                     True, id="n"),
+        pytest.param(lp_min({"x0": 1.0, "x1": 2.0}, [("x0", 0.0, None), ("x1", 0.0, None)],
+                            [({"x0": 1.0, "x1": 1.0}, GE, 1.0)]),
+                     lp_min({"x0": 1.0, "x1": 2.0}, [("x0", 0.0, None), ("x1", 0.0, None)],
+                            [({"x0": 1.0, "x1": 1.0}, GE, 2.0)]),
+                     False, id="rhs")])
+    def test_distinct_systems_are_never_shared(self, first, second, same_rows):
+        plain = [solve_lp(first), solve_lp(second)]
+        with phase1_memo():
+            served = [solve_lp(first), solve_lp(second), solve_lp(first)]
+            keys = list(PHASE1.get())
+        assert served == plain + plain[:1]
+        # key: (shape, n, first_art, nonzero positions, their bits)
+        assert len(keys) == 2 and keys[0][0] == keys[1][0]
+        assert (keys[0][3:] == keys[1][3:]) == same_rows
+
+
+def loop_reference(lp):
+    """The built-in simplex with its tableau built, priced out and read one
+    row at a time, and phase 1 always solved: the reference for the
+    vectorised build and the phase-1 memo, whose answers must be identical."""
+    n = len(lp.variables)
+    index = {v.name: i for i, v in enumerate(lp.variables)}
+    lbs = np.array([v.lb for v in lp.variables], dtype=float)
+    rows = []
+
+    def add(row, rel, rhs):
+        rows.append((-row, {LE: GE, GE: LE, EQ: EQ}[rel], -rhs) if rhs < 0 else (row, rel, rhs))
+
+    for con in lp.constraints:
+        row = np.zeros(n)
+        for name, coef in con.coeffs.items():
+            row[index[name]] += coef
+        add(row, con.relation, con.rhs - row @ lbs)
+    for i, v in enumerate(lp.variables):
+        if v.ub is not None:
+            row = np.zeros(n)
+            row[i] = 1.0
+            add(row, LE, v.ub - v.lb)
+    m = len(rows)
+    slacks = [i for i, (_, rel, _) in enumerate(rows) if rel != EQ]
+    arts = [i for i, (_, rel, _) in enumerate(rows) if rel != LE]
+    first_art = n + len(slacks)
+    total = first_art + len(arts)
+    T = np.zeros((m + 1, total + 1))
+    basis = [0] * m
+    for i, (row, _, rhs) in enumerate(rows):
+        T[i, :n] = row
+        T[i, -1] = rhs
+    for col, i in enumerate(slacks, n):
+        T[i, col] = 1.0 if rows[i][1] == LE else -1.0
+        basis[i] = col
+    for col, i in enumerate(arts, first_art):
+        T[i, col] = 1.0
+        basis[i] = col
+    if arts:
+        T[-1, first_art:total] = 1.0
+        for i in arts:
+            T[-1, :] -= T[i, :]
+        solver._simplex_phase(T, basis, total)
+        if -T[-1, -1] > 1e-7 * max(1.0, max(rhs for _, _, rhs in rows)):
+            return Solution("infeasible", {}, None)
+        for i in range(m):
+            if basis[i] >= first_art:
+                cols = np.flatnonzero(np.abs(T[i, :first_art]) > PIVOT_TOL)
+                if cols.size:
+                    solver._pivot(T, i, int(cols[0]))
+                    basis[i] = int(cols[0])
+        T[:m, first_art:total] = 0.0
+    c = np.zeros(n)
+    for name, coef in lp.objective.items():
+        c[index[name]] += coef
+    T[-1, :] = 0.0
+    T[-1, :n] = c
+    for i in range(m):
+        if T[-1, basis[i]] != 0.0:
+            T[-1, :] -= T[-1, basis[i]] * T[i, :]
+    if solver._simplex_phase(T, basis, total) == "unbounded":
+        return Solution("unbounded", {}, None)
+    y = np.zeros(total)
+    for i in range(m):
+        y[basis[i]] = T[i, -1]
+    x = y[:n] + lbs
+    values = {v.name: float(x[i]) for i, v in enumerate(lp.variables)}
+    return Solution("optimal", values, float(c @ y[:n] + c @ lbs))
+
+
+def test_matches_loop_reference_bit_for_bit(monkeypatch):
+    """The tableau and basis each simplex phase starts from, bit for bit, and
+    every answer by repr, on rows with negative, -0.0 and integer
+    coefficients, negative right-hand sides, lower bounds, fixed and crossed
+    bounds, and on the branch-and-bound nodes of `counted_knapsacks`."""
+    rng = np.random.default_rng(5)
+    lps = []
+    for _ in range(400):
+        lp = LinearProgram()
+        n = int(rng.integers(1, 7))
+        for i in range(n):
+            lb = float(rng.integers(-3, 3))
+            ub = [None, lb, lb + float(rng.integers(-1, 6))][int(rng.integers(0, 3))]
+            lp.add_variable(f"x{i}", lb, ub)
+        lp.objective = {f"x{i}": float(rng.integers(-4, 5)) for i in range(n)
+                        if rng.random() < 0.8}
+        for _ in range(int(rng.integers(0, 6))):
+            coeffs = {f"x{i}": [float(rng.normal()), int(rng.integers(-3, 4)), -0.0][
+                int(rng.integers(0, 3))] for i in range(n) if rng.random() < 0.6}
+            rhs = [float(rng.normal() * 3), -0.0, 0][int(rng.integers(0, 3))]
+            lp.add_constraint(coeffs, [LE, GE, EQ][int(rng.integers(0, 3))], rhs)
+        lps.append(lp)
+    real_lp = solver.solve_lp
+    monkeypatch.setattr(solver, "solve_lp",
+                        lambda lp, backend="builtin": lps.append(lp) or real_lp(lp, backend))
+    for mip in counted_knapsacks():
+        solve_mip(mip)
+    monkeypatch.undo()
+
+    starts = []
+    real_phase = solver._simplex_phase
+    monkeypatch.setattr(solver, "_simplex_phase", lambda T, basis, ncols: starts.append(
+        (T.tobytes(), tuple(basis), ncols)) or real_phase(T, basis, ncols))
+
+    def runs(solve):
+        out = []
+        for lp in lps:
+            starts.clear()
+            sol = solve(lp)
+            out.append((repr((sol.status, sol.objective_value, sol.values)), list(starts)))
+        return out
+
+    def served(answer, phases):
+        """What a run shows when the memo serves its phase 1: it starts at
+        phase 2, or stops at once when phase 1 was infeasible."""
+        return answer, phases[1:] if len(phases) == 2 or "infeasible" in answer else phases
+
+    expected = runs(loop_reference)
+    assert {"optimal", "infeasible", "unbounded"} <= {a.split("'")[1] for a, _ in expected}
+    assert runs(solve_lp) == expected
+    with phase1_memo():
+        first, second = runs(solve_lp), runs(solve_lp)
+    # the knapsack nodes repeat their systems, so the first pass has hits too
+    assert all(got in (want, served(*want)) for got, want in zip(first, expected))
+    assert first != expected and second == [served(*want) for want in expected]
 
 
 class TestLpFormatDump:

@@ -12,6 +12,7 @@ from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
+from clockauction.solver import PHASE1
 from clockauction.synthetic import random_setup
 import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
@@ -229,6 +230,26 @@ def test_oracle_memo_is_exact_and_per_run(monkeypatch):
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(mip_keys)))
     assert runs[0] == runs[1]
     assert runs[0][0] == BB_DIGESTS[0]
+
+
+def test_phase1_memo_lives_for_one_run(monkeypatch):
+    """The oracle MIPs of a run share one phase-1 memo, it is gone when the
+    run ends, and a second run writes the same bytes."""
+    active = []
+    solve_mip = tiered.solve_mip
+    monkeypatch.setattr(tiered, "solve_mip",
+                        lambda mip: active.append(PHASE1.get() is not None) or solve_mip(mip))
+    config, agents = random_setup(1, n_bidders=4, n_products=8, n_bases=2)
+    adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
+                                         sorted({p.area_id for p in config.catalog}))
+    texts = []
+    for _ in range(2):
+        trace = run_extended_auction(config, agents, adj)
+        assert PHASE1.get() is None
+        texts.append(trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True))
+    assert active and all(active)
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == BB_DIGESTS[1]
 
 
 class TestCoverageReport:
