@@ -38,11 +38,20 @@ EXIT_SOLVER = 3
 EXIT_TRUNCATED = 4
 
 
+def _block(value, key: str) -> dict:
+    """The config block `value` under `key`; an empty block reads as none."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be a mapping, not {value!r}")
+    return value
+
+
 def _coverage_targets(cfg: dict) -> dict:
     """The default targets with the config's (area class, tier) values laid over them."""
     targets = dict(costmod.DEFAULT_COVERAGE_TARGETS)
-    for area_class, tiers in (cfg.get("coverage_targets") or {}).items():
-        for tier, value in tiers.items():
+    for area_class, tiers in _block(cfg.get("coverage_targets"), "'coverage_targets'").items():
+        for tier, value in _block(tiers, f"coverage_targets: {area_class!r}").items():
             if (area_class, tier) not in targets:
                 raise ValidationError(f"coverage_targets: no area class {area_class!r} "
                                       f"with tier {tier!r}")
@@ -78,7 +87,7 @@ def _load_config(path: str | None, catalog: ProductCatalog
         cfg = yaml.safe_load(text) or {}
         if not isinstance(cfg, dict):
             raise ValidationError(f"a config is a mapping of settings, not {cfg!r}")
-        cost = cfg.get("cost") or {}
+        cost = _block(cfg.get("cost"), "'cost'")
         unread = [*(repr(k) for k in cfg if k not in _CONFIG_KEYS),
                   *(f"cost: {k!r}" for k in cost if k not in _COST_KEYS)]
         if unread:

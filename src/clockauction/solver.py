@@ -3,8 +3,11 @@
 The built-in path is a dense two-phase simplex with Bland's rule plus a
 depth-first branch-and-bound for binary variables: no external solver in the
 loop, so identical inputs give identical outputs byte for byte.  It solves the
-bidder MIPs.  A "highs" backend (scipy.optimize.linprog) serves the valuation
-LPs through the same interface; it is also deterministic for fixed inputs.
+bidder MIPs; branch and bound validates and compiles each MIP's rows and
+costs once, and its nodes share them.  A "highs" backend serves the
+valuation LPs through the same interface: each LP becomes one sparse matrix
+in one pass over its rows and goes to HiGHS through scipy.optimize.milp
+without integrality; it is also deterministic for fixed inputs.
 Inside `phase1_memo()` phase 1 of the simplex runs once per distinct
 constraint system: it reads only the constraint rows, never the objective.
 """
@@ -52,6 +55,10 @@ class LinearProgram:
     variables: list[Variable] = field(default_factory=list)
     objective: dict[str, float] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
+    # `_compile` of the constraints and objective, already validated: set on
+    # the nodes of `solve_mip`, which share their MIP's; None compiles at
+    # each solve
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> str:
         self.variables.append(Variable(name, lb, ub))
@@ -204,31 +211,50 @@ def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], n: int,
     return memo[key] is not None
 
 
+def _costs(lp: LinearProgram, index: dict[str, int]) -> np.ndarray:
+    """The objective of `lp` as a vector over the columns of `index`."""
+    c = np.zeros(len(index))
+    for name, coef in lp.objective.items():
+        c[index[name]] += coef
+    return c
+
+
+def _compile(lp: LinearProgram) -> tuple[np.ndarray, list[float], list[str], np.ndarray]:
+    """The constraints of `lp` as a dense matrix over its variables in order,
+    their right-hand sides and relations, and the cost vector."""
+    index = {v.name: i for i, v in enumerate(lp.variables)}
+    rows = np.zeros((len(lp.constraints), len(index)))
+    for row, con in zip(rows, lp.constraints):
+        for name, coef in con.coeffs.items():
+            row[index[name]] += coef
+    return (rows, [con.rhs for con in lp.constraints],
+            [con.relation for con in lp.constraints], _costs(lp, index))
+
+
 def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
     upper bound is one (row, relation, rhs), negated with its relation flipped
     when the rhs is negative; slack then artificial columns follow in row order."""
-    lp.validate()
+    if lp._arrays is None:
+        lp.validate()
+    rows, rhs, relations, c = lp._arrays or _compile(lp)
     n = len(lp.variables)
-    index = {v.name: i for i, v in enumerate(lp.variables)}
     lbs = np.array([v.lb for v in lp.variables], dtype=float)
     if not np.all(np.isfinite(lbs)):
         raise ValidationError("variables need finite lower bounds")
 
     # rows: the constraints, then y_i <= ub_i - lb_i for each finite upper bound
     bounded = [(i, v.ub - v.lb) for i, v in enumerate(lp.variables) if v.ub is not None]
-    k = len(lp.constraints)
+    k = len(rhs)
     m = k + len(bounded)
     A = np.zeros((m, n))
+    A[:k] = rows
     b = np.zeros(m)
-    for r, con in enumerate(lp.constraints):
-        row = A[r]
-        for name, coef in con.coeffs.items():
-            row[index[name]] += coef
-        b[r] = con.rhs - row @ lbs
+    for r in range(k):
+        b[r] = rhs[r] - A[r] @ lbs
     A[range(k, m), [i for i, _ in bounded]] = 1.0
-    b[k:] = [rhs for _, rhs in bounded]
-    rels = [con.relation for con in lp.constraints] + [LE] * len(bounded)
+    b[k:] = [width for _, width in bounded]
+    rels = relations + [LE] * len(bounded)
     for r in np.flatnonzero(b < 0).tolist():
         A[r], b[r], rels[r] = -A[r], -b[r], {LE: GE, GE: LE, EQ: EQ}[rels[r]]
 
@@ -255,9 +281,6 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     # phase 2: price out the basic columns.  Each is a unit column, so its
     # factor is its cost; subtract.reduce folds the rows in order, the same
     # arithmetic as one row at a time
-    c = np.zeros(n)
-    for name, coef in lp.objective.items():
-        c[index[name]] += coef
     T[-1, :] = 0.0
     T[-1, :n] = c
     factors = T[-1, basis]
@@ -270,7 +293,7 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     y = np.zeros(total)
     y[basis] = T[:m, -1]
     x = y[:n] + lbs
-    values = dict(zip(index, x.tolist()))
+    values = dict(zip([v.name for v in lp.variables], x.tolist()))
     return Solution("optimal", values, float(c @ y[:n] + c @ lbs))
 
 
@@ -279,56 +302,46 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
 
 
 def _solve_lp_highs(lp: LinearProgram) -> Solution:
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    """HiGHS through scipy.optimize.milp without integrality, on the rows in
+    linprog's order: the <= rows and the negated >= rows as they come, then
+    the = rows, built into one sparse matrix in one pass."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
 
     lp.validate()
     index = {v.name: i for i, v in enumerate(lp.variables)}
-    n = len(lp.variables)
-    c = np.zeros(n)
-    for name, coef in lp.objective.items():
-        c[index[name]] += coef
-    bounds = [(v.lb, v.ub if v.ub is not None else None) for v in lp.variables]
+    inequalities = [con for con in lp.constraints if con.relation != EQ]
+    k = len(inequalities)
+    indptr, indices, data, upper = [0], [], [], []
+    for con in inequalities + [con for con in lp.constraints if con.relation == EQ]:
+        sign = -1.0 if con.relation == GE else 1.0
+        indices += map(index.__getitem__, con.coeffs)
+        data += [sign * coef for coef in con.coeffs.values()]
+        indptr.append(len(indices))
+        upper.append(sign * con.rhs)
+    A = csr_array((np.array(data, dtype=float), indices, indptr),
+                  shape=(len(upper), len(index)))
+    upper = np.array(upper, dtype=float)
+    lower = upper.copy()
+    lower[:k] = -np.inf
+    lb = np.array([v.lb for v in lp.variables], dtype=float)
+    ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
 
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-
-    def as_entries(coeffs, sign=1.0):
-        return [(index[name], sign * coef) for name, coef in coeffs.items()]
-
-    for con in lp.constraints:
-        if con.relation == EQ:
-            eq_rows.append(as_entries(con.coeffs))
-            eq_rhs.append(con.rhs)
-        elif con.relation == LE:
-            ub_rows.append(as_entries(con.coeffs))
-            ub_rhs.append(con.rhs)
-        else:
-            ub_rows.append(as_entries(con.coeffs, -1.0))
-            ub_rhs.append(-con.rhs)
-
-    def build(rows):
-        data, ri, ci = [], [], []
-        for i, row in enumerate(rows):
-            for j, v in row:
-                ri.append(i)
-                ci.append(j)
-                data.append(v)
-        return csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-
-    res = linprog(
-        c,
-        A_ub=build(ub_rows) if ub_rows else None, b_ub=ub_rhs or None,
-        A_eq=build(eq_rows) if eq_rows else None, b_eq=eq_rhs or None,
-        bounds=bounds, method="highs",
-    )
+    res = milp(_costs(lp, index), bounds=Bounds(lb, ub),
+               constraints=LinearConstraint(A, lower, upper))
     if res.status == 2:
         return Solution("infeasible", {}, None)
     if res.status == 3:
         return Solution("unbounded", {}, None)
     if res.status != 0:
         raise SolverError(f"highs failed: {res.message}")
-    values = {v.name: float(res.x[i]) for i, v in enumerate(lp.variables)}
-    return Solution("optimal", values, float(res.fun))
+    # linprog's check of the point HiGHS returns, which milp does not make
+    tol, x = 10 * np.sqrt(1e-9), res.x
+    excess = A @ x - upper
+    if not (np.all(excess[:k] <= tol) and np.all(np.abs(excess[k:]) <= tol)
+            and np.all(x >= lb - tol) and np.all(x <= ub + tol) and np.isfinite(res.fun)):
+        raise SolverError("highs returned a point outside the constraints")
+    return Solution("optimal", dict(zip(index, x.tolist())), float(res.fun))
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +381,19 @@ def solve_mip(mip: MixedIntegerProgram) -> Solution:
     deterministic.
     """
     mip.validate()
+    arrays = _compile(mip.lp)
+    position = {v.name: i for i, v in enumerate(mip.lp.variables)}
     binary = set(mip.binaries)
     binaries = [v.name for v in mip.lp.variables if v.name in binary]
     best = Solution("infeasible", {}, None)
 
-    def recurse(fixed: dict[str, float]):
+    def recurse(variables: list[Variable]):
+        """Solve the node whose variables are `variables`: the MIP's, with
+        the binaries branched on so far fixed."""
         nonlocal best
-        sol = solve_lp(LinearProgram(
-            [Variable(v.name, fixed.get(v.name, v.lb), fixed.get(v.name, v.ub))
-             for v in mip.lp.variables],
-            mip.lp.objective, mip.lp.constraints))
+        node = LinearProgram(variables, mip.lp.objective, mip.lp.constraints)
+        node._arrays = arrays
+        sol = solve_lp(node)
         if sol.status == "infeasible":
             return
         if sol.status == "unbounded":
@@ -392,9 +408,11 @@ def solve_mip(mip: MixedIntegerProgram) -> Solution:
                             sol.objective_value)
             return
         for branch in (0.0, 1.0):
-            recurse({**fixed, frac: branch})
+            child = list(variables)
+            child[position[frac]] = Variable(frac, branch, branch)
+            recurse(child)
 
-    recurse({})
+    recurse(mip.lp.variables)
     return best
 
 

@@ -587,7 +587,13 @@ class TestMalformedInput:
         pytest.param("cost:\n  tower_cost_lo_cad: 1\n", "cost: 'tower_cost_lo_cad'",
                      id="misspelt-cost-key"),
         pytest.param("5\n", "a config is a mapping of settings, not 5",
-                     id="not-a-mapping")])
+                     id="not-a-mapping"),
+        pytest.param("cost: 5\n", "'cost' must be a mapping, not 5", id="cost-not-a-mapping"),
+        pytest.param("coverage_targets: 5\n", "'coverage_targets' must be a mapping, not 5",
+                     id="coverage-targets-not-a-mapping"),
+        pytest.param("coverage_targets: {metro: 5}\n",
+                     "coverage_targets: 'metro' must be a mapping, not 5",
+                     id="area-class-not-a-mapping")])
     def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)

@@ -4,11 +4,18 @@ import json
 import numpy as np
 import pytest
 
+import clockauction.estimation as estimation
 import clockauction.solver as solver
-from clockauction.errors import ValidationError
+from clockauction.core import Bundle, PriceVector, Product, ProductCatalog
+from clockauction.engine import run_auction
+from clockauction.errors import SolverError, ValidationError
+from clockauction.ingest import (BidRow, BundleBase, BundleSpace, CopyLadder, RawBidLog,
+                                 build_bundle_space, smooth_monotone)
+from clockauction.pipeline import estimate_all, trace_to_bidlog
 from clockauction.solver import (EQ, GE, LE, PHASE1, PIVOT_TOL, LinearProgram,
                                  MixedIntegerProgram, Solution, check_feasible,
                                  phase1_memo, solve_lp, solve_mip, write_lp_format)
+from clockauction.synthetic import random_setup
 
 
 def lp_min(objective, variables, constraints):
@@ -183,6 +190,130 @@ class TestRandomLpCrossCheck:
         assert json.dumps(a.values, sort_keys=True) == json.dumps(b.values, sort_keys=True)
 
 
+def linprog_reference(lp):
+    """The HiGHS answer through scipy.optimize.linprog: the <= rows and the
+    negated >= rows as sparse A_ub, the = rows as A_eq, None for no upper
+    bound, and linprog's own parsing and check of the result."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_array
+
+    index = {v.name: i for i, v in enumerate(lp.variables)}
+    c = np.zeros(len(index))
+    for name, coef in lp.objective.items():
+        c[index[name]] += coef
+
+    def stacked(cons, sign):
+        entries = [(r, index[name], sign(con) * coef) for r, con in enumerate(cons)
+                   for name, coef in con.coeffs.items()]
+        rows, cols, data = zip(*entries) if entries else ((), (), ())
+        return (coo_array((data, (rows, cols)), shape=(len(cons), len(index))).tocsr()
+                if cons else None), [sign(con) * con.rhs for con in cons] or None
+
+    flip = lambda con: -1.0 if con.relation == GE else 1.0
+    A_ub, b_ub = stacked([con for con in lp.constraints if con.relation != EQ], flip)
+    A_eq, b_eq = stacked([con for con in lp.constraints if con.relation == EQ], flip)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(v.lb, v.ub) for v in lp.variables], method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    if status != "optimal":
+        return Solution(status, {}, None)
+    return Solution(status, dict(zip(index, res.x.tolist())), float(res.fun))
+
+
+def estimation_lps():
+    """Every LP that `estimate` hands to HiGHS on three random auctions, on an
+    irrational switch (forced revealed-preference slack) and on a log whose
+    hard LP is infeasible, so its fallback LP is solved too."""
+    lps = []
+    real = estimation.solve_lp
+
+    def collect(lp, backend="builtin"):
+        lps.append(lp)
+        return real(lp, backend)
+
+    catalog = ProductCatalog(products=tuple(
+        Product(id=j, area_id=f"area-{j}", area_class="urban", supply=5,
+                eligibility_points=1, opening_price=100_00) for j in ("A", "B")))
+    switch = BundleSpace(
+        bidder_id="X", bases=(BundleBase("X/bA", {"A": 1}), BundleBase("X/bB", {"B": 1})),
+        ladders={"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))},
+        observed={1: (Bundle({"A": 1}), "X/bA"), 2: (Bundle({"B": 1}), "X/bB")})
+    rows = (BidRow(round=1, bidder_id="X", product_id="A", quantity=2),
+            BidRow(round=2, bidder_id="X", product_id="A", quantity=1))
+    holding = build_bundle_space(smooth_monotone(RawBidLog(rows=rows)), "X")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "solve_lp", collect)
+        for seed in (3000, 3001, 3002):
+            config, agents = random_setup(seed, n_bidders=4, n_products=8)
+            estimate_all(trace_to_bidlog(run_auction(config, agents)), config.catalog,
+                         config.increments)
+        estimation.estimate(switch, {1: PriceVector({"A": 10_00, "B": 0}),
+                                     2: PriceVector({"A": 0, "B": 10_00})},
+                            {1: 2, 2: 2}, catalog)
+        _, report = estimation.estimate(holding, {1: PriceVector({"A": 10_00}),
+                                                  2: PriceVector({"A": 3_00})},
+                                        {1: 2, 2: 2}, catalog)
+    assert report.fallback_used
+    return lps
+
+
+class TestHighsAdapter:
+    """The HiGHS backend gives each status, and the answer linprog gives."""
+
+    @pytest.mark.parametrize("lp", [
+        pytest.param(lp_min({"x": 1.0}, [("x", 0.0, 1.0)], [({"x": 1.0}, GE, 2.0)]),
+                     id="bound-against-row"),
+        pytest.param(lp_min({"x": 1.0}, [("x", 2.0, 1.0)], []), id="crossed-bounds"),
+        pytest.param(lp_min({"x": 1.0}, [("x", 0.0, None), ("y", 0.0, None)],
+                            [({"x": 1.0, "y": 1.0}, EQ, 1.0), ({"x": 1.0}, GE, 2.0),
+                             ({"y": 1.0}, GE, 0.0)]), id="mixed-rows")])
+    def test_infeasible(self, lp):
+        assert solve_lp(lp, backend="highs") == Solution("infeasible", {}, None)
+
+    @pytest.mark.parametrize("lp", [
+        pytest.param(lp_min({"x": -1.0}, [("x", 0.0, None)], []), id="no-rows"),
+        pytest.param(lp_min({"x": -1.0}, [("x", 0.0, None), ("y", 0.0, None)],
+                            [({"x": 1.0, "y": -1.0}, GE, 2.0), ({"y": 1.0}, LE, 5.0)]),
+                     id="rows")])
+    def test_unbounded(self, lp):
+        assert solve_lp(lp, backend="highs") == Solution("unbounded", {}, None)
+
+    def test_mixed_rows(self):
+        # min x + 2y - z with x + y >= 2, x - z <= 1 and y + z = 3: z = 3 - y
+        # makes the objective x + 3y - 3, least at y = 0, x = 2 on the >= row
+        lp = lp_min({"x": 1.0, "y": 2.0, "z": -1.0},
+                    [("x", 0.0, None), ("y", 0.0, None), ("z", 0.0, None)],
+                    [({"x": 1.0, "y": 1.0}, GE, 2.0), ({"x": 1.0, "z": -1.0}, LE, 1.0),
+                     ({"y": 1.0, "z": 1.0}, EQ, 3.0)])
+        sol = solve_lp(lp, backend="highs")
+        assert sol.status == "optimal"
+        assert sol.values == pytest.approx({"x": 2.0, "y": 0.0, "z": 3.0}, abs=1e-9)
+        assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+        assert sol == linprog_reference(lp)
+
+    def test_matches_linprog_on_estimation_lps(self):
+        lps = estimation_lps()
+        answers = [solve_lp(lp, backend="highs") for lp in lps]
+        assert {sol.status for sol in answers} == {"optimal", "infeasible"}
+        assert answers == [linprog_reference(lp) for lp in lps]
+
+    def test_matches_linprog_on_mixed_rows(self):
+        rng = np.random.default_rng(20261018)
+        lps = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)]
+        assert [solve_lp(lp, backend="highs") for lp in lps] == \
+            [linprog_reference(lp) for lp in lps]
+
+    def test_point_outside_the_rows_is_an_error(self, monkeypatch):
+        # linprog's check of the returned point (status 4 there) is kept
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+        lp = lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1.0}, GE, 2.0)])
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: OptimizeResult(
+            status=0, x=np.array([1.0]), fun=1.0, message=""))
+        with pytest.raises(SolverError):
+            solve_lp(lp, backend="highs")
+
+
 def mip_max(profits, weights, capacity):
     """0/1 knapsack as a minimization MIP."""
     lp = LinearProgram()
@@ -235,6 +366,58 @@ class TestMip:
         lp.add_variable("z0", lb=0.0, ub=2.0)
         with pytest.raises(ValidationError):
             solve_mip(MixedIntegerProgram(lp, binaries=["z0"]))
+
+
+class TestBranchAndBoundNodes:
+    """solve_mip validates and compiles its MIP once; each node shares the
+    MIP's arrays and carries its own fixings."""
+
+    def test_validate_once_per_mip(self, monkeypatch):
+        mips = counted_knapsacks()
+        calls = []
+        real = LinearProgram.validate
+        monkeypatch.setattr(LinearProgram, "validate",
+                            lambda lp: calls.append(lp) or real(lp))
+        for mip in mips:
+            solve_mip(mip)
+        assert len(calls) == len(mips)
+        assert all(lp is mip.lp for lp, mip in zip(calls, mips))
+
+    def test_nodes_carry_their_fixings(self, monkeypatch):
+        nodes = []
+        real = solver.solve_lp
+
+        def record(lp, backend="builtin"):
+            nodes.append((lp, real(lp, backend)))
+            return nodes[-1][1]
+
+        monkeypatch.setattr(solver, "solve_lp", record)
+        for mip in counted_knapsacks():
+            nodes.clear()
+            solve_mip(mip)
+            assert nodes[0][0].variables is mip.lp.variables
+            fixings = []
+            for node, sol in nodes:
+                assert (node.objective, node.constraints) == (mip.lp.objective,
+                                                               mip.lp.constraints)
+                fixed = {}
+                for v, original in zip(node.variables, mip.lp.variables, strict=True):
+                    if v is not original:
+                        assert v.name in mip.binaries and v.lb == v.ub in (0.0, 1.0)
+                        fixed[v.name] = v.lb
+                # a child fixes one more binary, one its parent's relaxation
+                # left fractional
+                if fixed:
+                    ((before, parent),) = [
+                        (before, parent) for (_, parent), before in zip(nodes, fixings)
+                        if len(before) == len(fixed) - 1 and before.items() <= fixed.items()]
+                    (name,) = fixed.keys() - before.keys()
+                    assert abs(parent[name] - round(parent[name])) > solver.INT_TOL
+                assert fixed not in fixings
+                fixings.append(fixed)
+                # the shared arrays answer as the node's own rows and bounds do
+                assert solve_lp(LinearProgram(node.variables, node.objective,
+                                              node.constraints)) == sol
 
 
 def counted_knapsacks():
