@@ -11,13 +11,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from . import costs as costmod
-from .core import (DIGESTS, IncrementSchedule, ProductCatalog, atomic_write,
-                   cents_to_dollars, dollars_to_cents, read_document)
+from .core import (DIGESTS, INPUT_ERRORS, IncrementSchedule, ProductCatalog,
+                   atomic_write, cents_to_dollars, dollars_to_cents, input_error,
+                   read_document)
 from .engine import (AuctionConfig, BidderAgent, compare_allocations, run_auction,
                      trace_from_jsonl, trace_summary, trace_to_jsonl)
 from .errors import ParseError, SolverError, ValidationError
@@ -47,23 +49,26 @@ def _block(value, key: str) -> dict:
     return value
 
 
-def _coverage_targets(cfg: dict) -> dict:
-    """The default targets with the config's (area class, tier) values laid over them."""
-    targets = dict(costmod.DEFAULT_COVERAGE_TARGETS)
-    for area_class, tiers in _block(cfg.get("coverage_targets"), "'coverage_targets'").items():
-        for tier, value in _block(tiers, f"coverage_targets: {area_class!r}").items():
-            if (area_class, tier) not in targets:
-                raise ValidationError(f"coverage_targets: no area class {area_class!r} "
-                                      f"with tier {tier!r}")
-            if not 0.0 <= float(value) <= 1.0:
-                raise ValidationError(f"coverage_targets: {area_class} {tier} target "
-                                      f"{value} is outside [0, 1]")
-            targets[(area_class, tier)] = float(value)
-    return targets
+def _overlay(defaults: dict, block, key: str, tiers: bool = False) -> dict:
+    """`defaults`, keyed by area class (or by (area class, tier) with `tiers`),
+    with the config's block of area classes (and tiers) under `key` laid over them."""
+    entries = _block(block, repr(key)).items()
+    if tiers:
+        entries = [((area_class, tier), value) for area_class, per_tier in entries
+                   for tier, value in _block(per_tier, f"{key}: {area_class!r}").items()]
+    out = dict(defaults)
+    for k, value in entries:
+        if k not in defaults:
+            raise ValidationError(f"{key}: unknown area class{' or tier' if tiers else ''} {k!r}")
+        try:
+            out[k] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise input_error(f"{key}: {k!r}", exc) from exc
+    return out
 
 
 # the YAML keys the program reads: these at the top level, and under `cost:`
-# those of _COST_KEYS, each -> (CostParameters field, conversion)
+# spacing_km and those of _COST_KEYS, each -> (CostParameters field, conversion)
 _CONFIG_KEYS = ("delta", "max_rounds", "coverage_targets", "cost")
 _COST_KEYS = {
     "tower_cost_low_cad": ("tower_cost_low", dollars_to_cents),
@@ -72,9 +77,8 @@ _COST_KEYS = {
     "market_markup": ("market_markup", float),
     "inflation": ("inflation", float),
     "currency_premium": ("currency_premium", float),
-    "pop_per_tower": ("pop_per_tower", int),
-    "spacing_km": ("spacing_km", lambda d: {k: float(v) for k, v in d.items()}),
-    "tower_costs_post_adjustment": ("tower_costs_post_adjustment", bool),
+    "pop_per_tower": ("pop_per_tower", lambda n: n),
+    "tower_costs_post_adjustment": ("tower_costs_post_adjustment", lambda b: b),
 }
 
 
@@ -89,16 +93,24 @@ def _load_config(path: str | None, catalog: ProductCatalog
             raise ValidationError(f"a config is a mapping of settings, not {cfg!r}")
         cost = _block(cfg.get("cost"), "'cost'")
         unread = [*(repr(k) for k in cfg if k not in _CONFIG_KEYS),
-                  *(f"cost: {k!r}" for k in cost if k not in _COST_KEYS)]
+                  *(f"cost: {k!r}" for k in cost if k not in (*_COST_KEYS, "spacing_km"))]
         if unread:
             raise ValidationError(f"unknown config key {', '.join(unread)}")
         increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
-        return (AuctionConfig(catalog=catalog, increments=increments,
-                              max_rounds=int(cfg.get("max_rounds", 200))),
-                costmod.CostParameters(
-                    coverage_targets=_coverage_targets(cfg),
-                    **{field: convert(cost[key])
-                       for key, (field, convert) in _COST_KEYS.items() if key in cost}))
+        auction = AuctionConfig(catalog=catalog, increments=increments,
+                                max_rounds=int(cfg.get("max_rounds", 200)))
+        # laid over the defaults, then each cost value set in turn: its error names its key
+        params = costmod.CostParameters(
+            coverage_targets=_overlay(costmod.DEFAULT_COVERAGE_TARGETS,
+                                      cfg.get("coverage_targets"), "coverage_targets", True),
+            spacing_km=_overlay(costmod.DEFAULT_SPACING_KM, cost.get("spacing_km"), "spacing_km"))
+        for key, (field, convert) in _COST_KEYS.items():
+            if key in cost:
+                try:
+                    params = replace(params, **{field: convert(cost[key])})
+                except INPUT_ERRORS as exc:
+                    raise input_error(f"cost: {key!r}", exc) from exc
+        return auction, params
     try:
         return read_document(path, settings) if path else settings("")
     except yaml.YAMLError as exc:  # its message gives the line and column
@@ -130,11 +142,10 @@ def _load_models(models_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, catalog, auction settings, cost settings) -> exit code
 
 
-def cmd_ingest(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
+def cmd_ingest(args, catalog, auction, params) -> int:
     log = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
     write_bid_log(log, out / "bids.csv")
@@ -143,8 +154,7 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_smooth(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
+def cmd_smooth(args, catalog, auction, params) -> int:
     log = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
     write_bid_log(smooth_monotone(log), out / "smoothed.csv")
@@ -152,9 +162,7 @@ def cmd_smooth(args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
-    auction, _ = _load_config(args.config, catalog)
+def cmd_estimate(args, catalog, auction, params) -> int:
     raw = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
     estimates = estimate_all(raw, catalog, auction.increments, keep_lp=bool(args.dump_lp))
@@ -196,18 +204,14 @@ def _write_run(out: Path, suffix: str, trace, manifest: RunManifest,
     return EXIT_TRUNCATED if trace.truncated else EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
-    auction, _ = _load_config(args.config, catalog)
+def cmd_simulate(args, catalog, auction, params) -> int:
     agents = _load_models(args.models)
     trace = run_auction(auction, agents)
     return _write_run(_out_dir(args), "", trace,
                       _manifest(args, catalog=args.catalog))
 
 
-def cmd_simulate_extended(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
-    auction, params = _load_config(args.config, catalog)
+def cmd_simulate_extended(args, catalog, auction, params) -> int:
     agents = _load_models(args.models)
     table = costmod.cost_table_from_csv(args.cost_table)
     demographics = (costmod.load_demographics(args.demographics,
@@ -226,9 +230,7 @@ def cmd_simulate_extended(args) -> int:
                       **extra)
 
 
-def cmd_cost_table(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
-    _, params = _load_config(args.config, catalog)
+def cmd_cost_table(args, catalog, auction, params) -> int:
     demographics = costmod.load_demographics(args.demographics,
                                              areas={p.area_id for p in catalog})
     inventory = costmod.load_inventory(args.inventory)
@@ -245,9 +247,7 @@ def cmd_cost_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
-    _load_config(args.config, catalog)  # unused, but checked and named in the manifest
+def cmd_report(args, catalog, auction, params) -> int:
     trace_a = trace_from_jsonl(args.trace_a, catalog)
     trace_b = trace_from_jsonl(args.trace_b, catalog)
     out = _out_dir(args)
@@ -271,9 +271,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_roundtrip_check(args) -> int:
-    catalog = ProductCatalog.from_csv(args.catalog)
-    auction, _ = _load_config(args.config, catalog)
+def cmd_roundtrip_check(args, catalog, auction, params) -> int:
     raw = parse_bid_log(args.bids, catalog)
     estimates = estimate_all(raw, catalog, auction.increments)
     trace = run_auction(auction, agents_from_estimates(estimates))
@@ -358,7 +356,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     token = DIGESTS.set({})
     try:
-        return args.func(args)
+        catalog = ProductCatalog.from_csv(args.catalog)
+        return args.func(args, catalog, *_load_config(getattr(args, "config", None), catalog))
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

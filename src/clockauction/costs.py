@@ -27,6 +27,7 @@ DEFAULT_COVERAGE_TARGETS: dict[tuple[str, str], float] = {
     ("rural", "low"): 0.20, ("rural", "medium"): 0.30, ("rural", "high"): 0.40,
     ("remote", "low"): 0.05, ("remote", "medium"): 0.10, ("remote", "high"): 0.20,
 }
+DEFAULT_SPACING_KM = {"metro": 1.0, "urban": 1.0, "rural": 7.5, "remote": 15.0}
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,32 @@ class CostParameters:
     inflation: float = 0.10
     currency_premium: float = 0.30
     pop_per_tower: int = 20_000
-    spacing_km: dict[str, float] = field(default_factory=lambda: {
-        "metro": 1.0, "urban": 1.0, "rural": 7.5, "remote": 15.0})
+    spacing_km: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SPACING_KM))
     # The quoted per-tower dollar range is treated as already adjusted; the
     # three multiplicative factors then apply to the fibre rate only.  Set
     # False to apply them to towers as well.
     tower_costs_post_adjustment: bool = True
     coverage_targets: dict[tuple[str, str], float] = field(
         default_factory=lambda: dict(DEFAULT_COVERAGE_TARGETS))
+
+    def __post_init__(self):
+        """Check each value's range; the adjustment rates keep the factor positive."""
+        n, flag = self.pop_per_tower, self.tower_costs_post_adjustment
+        for bad, rule, value in [
+                *((not getattr(self, k) >= 0, f"{k} must be >= 0 cents", getattr(self, k))
+                  for k in ("tower_cost_low", "tower_cost_high", "fibre_cost_per_km")),
+                *((not getattr(self, k) > -1, f"{k} must be > -1", getattr(self, k))
+                  for k in ("market_markup", "inflation", "currency_premium")),
+                *((not v >= 0, f"spacing_km {k} must be >= 0", v)
+                  for k, v in self.spacing_km.items()),
+                *((not 0 <= v <= 1, f"coverage_targets {c} {t} must be in [0, 1]", v)
+                  for (c, t), v in self.coverage_targets.items()),
+                (isinstance(n, bool) or not isinstance(n, int) or n < 1,
+                 "pop_per_tower must be an integer >= 1", n),
+                (not isinstance(flag, bool), "tower_costs_post_adjustment must be true or false",
+                 flag)]:
+            if bad:
+                raise ValidationError(f"{rule}, not {value!r}")
 
     @property
     def tower_cost_mid(self) -> float:

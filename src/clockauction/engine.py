@@ -21,8 +21,7 @@ from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
-from .solver import (EQ, LE, LinearProgram, MixedIntegerProgram, phase1_memo,
-                     solve_mip)
+from .solver import EQ, LE, LinearProgram, phase1_memo, solve_mip
 
 
 @dataclass
@@ -67,11 +66,11 @@ def level_choices(base: BundleBase, model: ValuationModel, catalog: ProductCatal
 
 def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
                catalog: ProductCatalog, eligibility: int
-               ) -> tuple[MixedIntegerProgram, dict[tuple[str, Hashable], str]]:
+               ) -> tuple[LinearProgram, dict[tuple[str, Hashable], str]]:
     """BEST_COPIES as a binary MIP over `options`, per product {choice:
     (quantity, utility)}: one binary per option (sorted product, then choice
     order) minimizing -utility, one exactly-one row per product, then the
-    eligibility row.  Returns the MIP and the (product, choice) -> binary map."""
+    eligibility row.  Returns its LP and the (product, choice) -> binary map."""
     lp = LinearProgram()
     binary: dict[tuple[str, Hashable], str] = {}
     for j in sorted(options):
@@ -82,7 +81,7 @@ def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
         lp.add_constraint({binary[(j, c)]: 1.0 for c in options[j]}, EQ, 1.0)
     lp.add_constraint({name: float(options[j][c][0] * catalog.get(j).eligibility_points)
                        for (j, c), name in binary.items()}, LE, float(eligibility))
-    return MixedIntegerProgram(lp=lp, binaries=list(binary.values())), binary
+    return lp, binary
 
 
 def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
@@ -106,8 +105,8 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     if eligibility_cost(greedy, catalog) <= eligibility:
         return Bundle(greedy)
 
-    mip, binary = copies_mip(options, catalog, eligibility)
-    sol = solve_mip(mip)
+    lp, binary = copies_mip(options, catalog, eligibility)
+    sol = solve_mip(lp, list(binary.values()))
     if sol.status == "infeasible":
         return None
     return Bundle({j: q for (j, q), name in binary.items() if sol.values[name] > 0.5})
@@ -153,7 +152,7 @@ class Market:
     """What an auction format adds to the round loop.  Prices and demand are
     kept per market key: a product id, or a (product, tier) pair."""
     product_of: dict[Hashable, str]  # market key -> product id, in trace order
-    bid: Callable                    # (agent, start prices, eligibility) -> bid, None to exit
+    bid: Callable                    # (agent, start prices, eligibility, memo) -> bid, None to exit
     demand: Callable                 # bid -> {market key: quantity}
     empty: Any                       # the bid of an exited bidder
     overdemanded: Callable           # aggregate per key -> {market key: bool}
@@ -181,9 +180,9 @@ def price_step(start: PriceVector, rnd: int, over: Mapping[Hashable, bool],
 def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
                market: Market) -> AuctionTrace:
     """Rounds of bids at start prices, exits and the activity rule, until no
-    key is overdemanded or `max_rounds` truncates the run.  A run solves
-    phase 1 of the simplex once per distinct constraint system: the oracle
-    MIPs repeat their rows across rounds at new prices."""
+    key is overdemanded or `max_rounds` truncates the run.  The run owns its
+    oracle memo (`choose_base`'s, passed to each bid) and its phase-1 memo: the
+    oracle MIPs repeat their constraint rows across rounds at new prices."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):
@@ -193,6 +192,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
     start = PriceVector({k: catalog.get(j).opening_price for k, j in keys.items()})
     eligibility = {a.bidder_id: initial_eligibility(a.space, catalog) for a in agents}
     exited: set[str] = set()
+    memo: dict = {}
 
     rounds: list[RoundRecord] = []
     while True:
@@ -200,7 +200,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
         bids = {}
         for agent in agents:
             bid = (None if agent.bidder_id in exited else
-                   market.bid(agent, start, eligibility[agent.bidder_id]))
+                   market.bid(agent, start, eligibility[agent.bidder_id], memo))
             if bid is None:
                 # exit is permanent: zero demand and zero eligibility onward
                 exited.add(agent.bidder_id)
@@ -243,10 +243,9 @@ def _final(rounds: list[RoundRecord], demand: Callable,
 
 def run_auction(config: AuctionConfig, agents: list[BidderAgent]) -> AuctionTrace:
     catalog = config.catalog
-    memo: dict = {}
     return run_rounds(config, agents, Market(
         product_of={j: j for j in catalog.ids()},
-        bid=lambda agent, prices, elig: myopic_bid(agent, prices, catalog, elig, memo),
+        bid=lambda agent, prices, elig, memo: myopic_bid(agent, prices, catalog, elig, memo),
         demand=lambda bundle: bundle.quantities,
         empty=EMPTY_BUNDLE,
         overdemanded=lambda aggregate: overdemanded(aggregate, catalog)))

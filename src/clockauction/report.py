@@ -18,6 +18,7 @@ from .engine import AuctionTrace, compare_allocations
 from .ingest import RawBidLog
 
 TOOL_VERSION = "0.1.0"
+DETERMINISM = "seed-free; outputs are pure functions of the inputs"
 
 # quantile color ramp (light -> dark) applied to nonzero cells
 RAMP = ("#f7fbff", "#c6dbef", "#6baed6", "#2171b5", "#08306b")
@@ -29,22 +30,20 @@ class RunManifest:
     inputs: dict[str, str]
     config_hash: str = ""
     scenario: str = ""
-    tool_version: str = TOOL_VERSION
-    determinism: str = "seed-free; outputs are pure functions of the inputs"
 
     def _payload(self) -> dict:
         """The fields the hash covers."""
         return {"inputs": dict(sorted(self.inputs.items())),
                 "config_hash": self.config_hash,
                 "scenario": self.scenario,
-                "tool_version": self.tool_version}
+                "tool_version": TOOL_VERSION}
 
     def hash(self) -> str:
         payload = json.dumps(self._payload(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
     def to_json(self) -> str:
-        return json.dumps({**self._payload(), "determinism": self.determinism,
+        return json.dumps({**self._payload(), "determinism": DETERMINISM,
                            "manifest_hash": self.hash()}, indent=2, sort_keys=True)
 
 
@@ -59,12 +58,9 @@ def heatmap_matrix(log: RawBidLog, bidder_id: str) -> tuple[list[str], list[list
     return products, [[s[r] for s in columns] for r in range(log.num_rounds(bidder_id))]
 
 
-def heatmap_csv(log: RawBidLog, bidder_id: str, manifest_hash: str = "") -> str:
+def heatmap_csv(log: RawBidLog, bidder_id: str, manifest_hash: str) -> str:
     products, matrix = heatmap_matrix(log, bidder_id)
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest {manifest_hash}")
-    lines.append("round," + ",".join(products))
+    lines = [f"# manifest {manifest_hash}", "round," + ",".join(products)]
     for rnd, row in enumerate(matrix, start=1):
         lines.append(f"{rnd}," + ",".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -78,7 +74,7 @@ def _quantile_color(value: int, sorted_nonzero: list[int]) -> str:
     return RAMP[idx]
 
 
-def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str = "") -> str:
+def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str) -> str:
     products, matrix = heatmap_matrix(log, bidder_id)
     nonzero = sorted(v for row in matrix for v in row if v)
     width = CELL * max(1, len(products))
@@ -134,7 +130,7 @@ def compare_traces(a: AuctionTrace, b: AuctionTrace,
         truncated_a=a.truncated, truncated_b=b.truncated)
 
 
-def comparison_to_json(cmp: TraceComparison, manifest_hash: str = "") -> str:
+def comparison_to_json(cmp: TraceComparison, manifest_hash: str) -> str:
     return json.dumps({
         "manifest_hash": manifest_hash,
         "rmse_per_bidder": dict(sorted(cmp.rmse_per_bidder.items())),
@@ -154,12 +150,9 @@ def comparison_to_json(cmp: TraceComparison, manifest_hash: str = "") -> str:
 
 
 def final_price_scatter_csv(a: AuctionTrace, b: AuctionTrace,
-                            catalog: ProductCatalog, manifest_hash: str = "") -> str:
+                            catalog: ProductCatalog, manifest_hash: str) -> str:
     """Per-product final posted prices in the two traces (cents)."""
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest {manifest_hash}")
-    lines.append("product_id,final_price_a_cents,final_price_b_cents")
+    lines = [f"# manifest {manifest_hash}", "product_id,final_price_a_cents,final_price_b_cents"]
     pa = a.rounds[-1].posted
     pb = b.rounds[-1].posted
     for j in catalog.ids():

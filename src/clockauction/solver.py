@@ -3,8 +3,9 @@
 The built-in path is a dense two-phase simplex with Bland's rule plus a
 depth-first branch-and-bound for binary variables: no external solver in the
 loop, so identical inputs give identical outputs byte for byte.  It solves the
-bidder MIPs; branch and bound validates and compiles each MIP's rows and
-costs once, and its nodes share them.  A "highs" backend serves the
+bidder MIPs: `solve_mip(lp, binaries)` branches on the named [0, 1] variables
+of an LP, validates and compiles its rows and costs once, and its nodes
+share them.  A "highs" backend serves the
 valuation LPs through the same interface: each LP becomes one sparse matrix
 in one pass over its rows and goes to HiGHS through scipy.optimize.milp
 without integrality; it is also deterministic for fixed inputs.
@@ -78,21 +79,6 @@ class LinearProgram:
             for name in con.coeffs:
                 if name not in names:
                     raise ValidationError(f"constraint {i} references unknown variable {name!r}")
-
-
-@dataclass
-class MixedIntegerProgram:
-    lp: LinearProgram
-    binaries: list[str] = field(default_factory=list)
-
-    def validate(self) -> None:
-        self.lp.validate()
-        bounds = {v.name: (v.lb, v.ub) for v in self.lp.variables}
-        for name in self.binaries:
-            if name not in bounds:
-                raise ValidationError(f"unknown binary variable {name!r}")
-            if bounds[name] != (0.0, 1.0):
-                raise ValidationError(f"binary variable {name!r} must have bounds [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -357,41 +343,47 @@ def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
     raise ValidationError(f"unknown backend {backend!r}")
 
 
-def check_feasible(lp: LinearProgram, values: dict[str, float], tol: float = FEAS_TOL) -> list[int]:
-    """Indices of constraints violated beyond tol (rows scaled to unit max coefficient)."""
+def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
+    """Indices of constraints violated beyond FEAS_TOL (rows scaled to unit max coefficient)."""
     bad = []
     for i, con in enumerate(lp.constraints):
         act = sum(coef * values[name] for name, coef in con.coeffs.items())
         scale = max([abs(v) for v in con.coeffs.values()] + [abs(con.rhs), 1.0])
         resid = (act - con.rhs) / scale
-        if con.relation == LE and resid > tol:
+        if con.relation == LE and resid > FEAS_TOL:
             bad.append(i)
-        elif con.relation == GE and resid < -tol:
+        elif con.relation == GE and resid < -FEAS_TOL:
             bad.append(i)
-        elif con.relation == EQ and abs(resid) > tol:
+        elif con.relation == EQ and abs(resid) > FEAS_TOL:
             bad.append(i)
     return bad
 
 
-def solve_mip(mip: MixedIntegerProgram) -> Solution:
-    """Depth-first branch and bound over binary variables (built-in simplex).
+def solve_mip(lp: LinearProgram, binaries: list[str]) -> Solution:
+    """Depth-first branch and bound over the `binaries` of `lp`, variables
+    with bounds [0, 1] (built-in simplex).
 
     Branch order: lowest variable index first, 0-branch explored first; the
     first incumbent found at the optimal value wins, which makes the result
     deterministic.
     """
-    mip.validate()
-    arrays = _compile(mip.lp)
-    position = {v.name: i for i, v in enumerate(mip.lp.variables)}
-    binary = set(mip.binaries)
-    binaries = [v.name for v in mip.lp.variables if v.name in binary]
+    lp.validate()
+    position = {v.name: i for i, v in enumerate(lp.variables)}
+    for name in binaries:
+        if name not in position:
+            raise ValidationError(f"unknown binary variable {name!r}")
+        if lp.variables[position[name]] != Variable(name, 0.0, 1.0):
+            raise ValidationError(f"binary variable {name!r} must have bounds [0, 1]")
+    arrays = _compile(lp)
+    binary = set(binaries)
+    binaries = [v.name for v in lp.variables if v.name in binary]
     best = Solution("infeasible", {}, None)
 
     def recurse(variables: list[Variable]):
         """Solve the node whose variables are `variables`: the MIP's, with
         the binaries branched on so far fixed."""
         nonlocal best
-        node = LinearProgram(variables, mip.lp.objective, mip.lp.constraints)
+        node = LinearProgram(variables, lp.objective, lp.constraints)
         node._arrays = arrays
         sol = solve_lp(node)
         if sol.status == "infeasible":
@@ -412,7 +404,7 @@ def solve_mip(mip: MixedIntegerProgram) -> Solution:
             child[position[frac]] = Variable(frac, branch, branch)
             recurse(child)
 
-    recurse(mip.lp.variables)
+    recurse(lp.variables)
     return best
 
 

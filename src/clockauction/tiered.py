@@ -94,21 +94,19 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
     choices = level_choices(base, model, catalog, eligibility)
     if choices is None:
         return None
-    mip, binary = copies_mip(
+    lp, binary = copies_mip(
         {j: {(t, q): (q, model.cumulative_value(j, q) - q * prices[(j, t)])
              for t in TIERS for q in levels} for j, levels in choices.items()},
         catalog, eligibility)
-    lp = mip.lp
     area_of = {j: catalog.get(j).area_id for j in choices}
     engage = {(a, t): lp.add_variable(f"Y::{a}::{t}", lb=0.0, ub=1.0)
               for a in sorted(set(area_of.values())) for t in TIERS}
     lp.objective.update({name: float(adjustment.cost(bidder_id, a, t))
                          for (a, t), name in engage.items()})
-    mip.binaries.extend(engage.values())
     for (j, (t, q)), name in binary.items():
         lp.add_constraint({name: 1.0, engage[(area_of[j], t)]: -1.0}, LE, 0.0)
 
-    sol = solve_mip(mip)
+    sol = solve_mip(lp, [*binary.values(), *engage.values()])
     if sol.status == "infeasible":
         return None
     bundle = {j: c for (j, c), name in binary.items() if sol.values[name] > 0.5}
@@ -131,7 +129,6 @@ def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
     """The standard round loop over (product, tier) pairs; hierarchical
     overdemand decides which tier prices escalate from a shared opening."""
     catalog = config.catalog
-    memo: dict = {}
 
     def over(aggregate):
         out = {}
@@ -143,7 +140,7 @@ def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
 
     trace = run_rounds(config, agents, Market(
         product_of={(j, t): j for j in catalog.ids() for t in TIERS},
-        bid=lambda agent, prices, elig: _myopic_tiered_bid(
+        bid=lambda agent, prices, elig, memo: _myopic_tiered_bid(
             agent, prices, catalog, elig, adjustment, memo),
         demand=lambda bid: {(j, t): q for j, (t, q) in bid.items()},
         empty={},

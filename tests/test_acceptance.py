@@ -257,7 +257,7 @@ def test_03_lp_constraint_satisfaction():
                     rest = sum(coef * values[n] for n, coef in con.coeffs.items()
                                if not n.startswith("sl::"))
                     values[slack_names[0]] = max(0.0, con.rhs - rest)
-            bad = check_feasible(lp, values, tol=1e-6)
+            bad = check_feasible(lp, values)
             worst = max(worst, len(bad))
             slack_worst = max(slack_worst, est.report.slack_total,
                               sum(v for n, v in values.items()

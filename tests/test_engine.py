@@ -300,7 +300,7 @@ class TestEngineInvariants:
         calls = []
         solve_mip = engine.solve_mip
         monkeypatch.setattr(engine, "solve_mip",
-                            lambda mip: calls.append(1) or solve_mip(mip))
+                            lambda *a: calls.append(1) or solve_mip(*a))
         config, agents = random_setup(seed, n_bidders=8, n_products=24, n_bases=3)
         trace = run_auction(config, agents)
         assert calls, "no best_copies call reached the MIP"
@@ -313,8 +313,8 @@ class TestEngineInvariants:
         active = []
         solve_mip = engine.solve_mip
         monkeypatch.setattr(engine, "solve_mip",
-                            lambda mip: active.append(PHASE1.get() is not None)
-                            or solve_mip(mip))
+                            lambda *a: active.append(PHASE1.get() is not None)
+                            or solve_mip(*a))
         config, agents = random_setup(0, n_bidders=8, n_products=24, n_bases=3)
         texts = []
         for _ in range(2):
@@ -328,6 +328,31 @@ class TestEngineInvariants:
         with pytest.raises(ValidationError):
             run_auction(config, agents + agents[:1])
         assert PHASE1.get() is None
+
+    def test_oracle_memo_is_exact_and_per_run(self, monkeypatch):
+        """No two MIPs of a run ask the same oracle question, and a second run
+        in the same process solves as many MIPs and writes the same bytes."""
+        asked, mip_keys = [], []
+        oracle, solve_mip = engine.best_copies, engine.solve_mip
+
+        def recording_oracle(base, model, prices, eligibility, catalog):
+            asked.append((model.bidder_id, base.base_id, eligibility,
+                          tuple(prices[j] for j in base.quantities)))
+            return oracle(base, model, prices, eligibility, catalog)
+
+        monkeypatch.setattr(engine, "best_copies", recording_oracle)
+        monkeypatch.setattr(engine, "solve_mip",
+                            lambda *a: mip_keys.append(asked[-1]) or solve_mip(*a))
+        config, agents = random_setup(0, n_bidders=8, n_products=24, n_bases=3)
+        runs = []
+        for _ in range(2):
+            mip_keys.clear()
+            trace = run_auction(config, agents)
+            assert mip_keys and len(set(mip_keys)) == len(mip_keys)
+            text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+            runs.append((hashlib.sha256(text.encode()).hexdigest(), len(mip_keys)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == self.MIP_DIGESTS[0]
 
     def test_byte_determinism(self):
         config, agents = random_setup(55, n_bidders=4, n_products=8)

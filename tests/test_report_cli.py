@@ -13,8 +13,8 @@ from clockauction import cli
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
 from clockauction.core import ProductCatalog
-from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, SCENARIOS, AreaStats,
-                                CostParameters, build_cost_table, cost_table_from_csv,
+from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, DEFAULT_SPACING_KM, SCENARIOS,
+                                AreaStats, CostParameters, build_cost_table, cost_table_from_csv,
                                 load_demographics, load_inventory)
 from clockauction.engine import run_auction, trace_to_jsonl
 from clockauction.estimation import model_to_json
@@ -203,6 +203,24 @@ class TestCliPipeline:
                                    CostParameters())
         table = cost_table_from_csv(tmp_path / "cost_table_none.csv")
         assert table == expected and table != default
+
+    def test_partial_spacing_km(self, workspace, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("cost:\n  spacing_km: {rural: 2.0}\n")
+        assert self.cost_table(workspace, config, tmp_path) == 0
+        catalog = ProductCatalog.from_csv(workspace / "catalog.csv")
+        demographics = load_demographics(workspace / "demographics.csv")
+        inventory = load_inventory(workspace / "inventory.csv")
+        spacing = {**DEFAULT_SPACING_KM, "rural": 2.0}
+        expected = build_cost_table(catalog, demographics, inventory, SCENARIOS["none"],
+                                    CostParameters(spacing_km=spacing))
+        default = build_cost_table(catalog, demographics, inventory, SCENARIOS["none"],
+                                   CostParameters())
+        table = cost_table_from_csv(tmp_path / "cost_table_none.csv")
+        assert table == expected
+        # only the rural areas' costs move; every other class keeps its spacing
+        changed = {key[1] for key, cost in table.costs.items() if cost != default.costs[key]}
+        assert changed and changed <= {p.area_id for p in catalog if p.area_class == "rural"}
 
     def test_empty_blocks_read_as_no_overrides(self, workspace, tmp_path):
         config = tmp_path / "config.yaml"
@@ -593,7 +611,26 @@ class TestMalformedInput:
                      id="coverage-targets-not-a-mapping"),
         pytest.param("coverage_targets: {metro: 5}\n",
                      "coverage_targets: 'metro' must be a mapping, not 5",
-                     id="area-class-not-a-mapping")])
+                     id="area-class-not-a-mapping"),
+        pytest.param("cost: {spacing_km: 5}\n", "'spacing_km' must be a mapping, not 5",
+                     id="spacing-not-a-mapping"),
+        pytest.param("cost: {spacing_km: {suburb: 1}}\n",
+                     "spacing_km: unknown area class 'suburb'", id="spacing-unknown-class"),
+        pytest.param("cost: {spacing_km: {rural: -1}}\n", "spacing_km rural must be >= 0",
+                     id="negative-spacing"),
+        pytest.param("cost: {pop_per_tower: 0}\n", "cost: 'pop_per_tower'",
+                     id="zero-pop-per-tower"),
+        pytest.param("cost: {pop_per_tower: -5}\n", "cost: 'pop_per_tower'",
+                     id="negative-pop-per-tower"),
+        pytest.param("cost: {pop_per_tower: 2.5}\n", "cost: 'pop_per_tower'",
+                     id="fractional-pop-per-tower"),
+        pytest.param("cost: {tower_cost_low_cad: -1}\n", "cost: 'tower_cost_low_cad'",
+                     id="negative-money"),
+        pytest.param("cost: {inflation: -3}\n", "cost: 'inflation'", id="inflation-below-minus-one"),
+        pytest.param("cost: {market_markup: -1}\n", "cost: 'market_markup'",
+                     id="zero-adjustment-factor"),
+        pytest.param("cost: {tower_costs_post_adjustment: 'false'}\n",
+                     "cost: 'tower_costs_post_adjustment'", id="boolean-as-string")])
     def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)

@@ -12,9 +12,9 @@ from clockauction.errors import SolverError, ValidationError
 from clockauction.ingest import (BidRow, BundleBase, BundleSpace, CopyLadder, RawBidLog,
                                  build_bundle_space, smooth_monotone)
 from clockauction.pipeline import estimate_all, trace_to_bidlog
-from clockauction.solver import (EQ, GE, LE, PHASE1, PIVOT_TOL, LinearProgram,
-                                 MixedIntegerProgram, Solution, check_feasible,
-                                 phase1_memo, solve_lp, solve_mip, write_lp_format)
+from clockauction.solver import (EQ, GE, LE, PHASE1, PIVOT_TOL, LinearProgram, Solution,
+                                 check_feasible, phase1_memo, solve_lp, solve_mip,
+                                 write_lp_format)
 from clockauction.synthetic import random_setup
 
 
@@ -315,18 +315,18 @@ class TestHighsAdapter:
 
 
 def mip_max(profits, weights, capacity):
-    """0/1 knapsack as a minimization MIP."""
+    """0/1 knapsack as a minimization MIP: its LP and binaries."""
     lp = LinearProgram()
     for i in range(len(profits)):
         lp.add_variable(f"z{i}", lb=0.0, ub=1.0)
     lp.objective = {f"z{i}": -p for i, p in enumerate(profits)}
     lp.add_constraint({f"z{i}": w for i, w in enumerate(weights)}, LE, capacity)
-    return MixedIntegerProgram(lp, binaries=[f"z{i}" for i in range(len(profits))])
+    return lp, [f"z{i}" for i in range(len(profits))]
 
 
 class TestMip:
     def test_knapsack_example(self):
-        sol = solve_mip(mip_max([3.0, 2.0], [1.0, 1.0], 1.0))
+        sol = solve_mip(*mip_max([3.0, 2.0], [1.0, 1.0], 1.0))
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
         assert sol["z0"] == 1.0 and sol["z1"] == 0.0
 
@@ -336,7 +336,7 @@ class TestMip:
             lp.add_variable(f"z{i}", lb=0.0, ub=1.0)
         lp.objective = {f"z{i}": -c for i, c in enumerate([1.0, 5.0, 2.0, 5.0])}
         lp.add_constraint({f"z{i}": 1.0 for i in range(4)}, EQ, 1.0)
-        sol = solve_mip(MixedIntegerProgram(lp, binaries=[f"z{i}" for i in range(4)]))
+        sol = solve_mip(lp, [f"z{i}" for i in range(4)])
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
         # deterministic tie-break: first optimal incumbent wins
         assert sol["z1"] == 1.0 and sol["z3"] == 0.0
@@ -345,7 +345,7 @@ class TestMip:
         lp = LinearProgram()
         lp.add_variable("z0", lb=0.0, ub=1.0)
         lp.add_constraint({"z0": 1.0}, GE, 2.0)
-        assert solve_mip(MixedIntegerProgram(lp, binaries=["z0"])).status == "infeasible"
+        assert solve_mip(lp, ["z0"]).status == "infeasible"
 
     def test_random_knapsacks_match_brute_force(self):
         rng = np.random.default_rng(123)
@@ -354,7 +354,7 @@ class TestMip:
             profits = rng.integers(1, 20, size=n).astype(float)
             weights = rng.integers(1, 10, size=n).astype(float)
             capacity = float(rng.integers(1, int(weights.sum()) + 1))
-            sol = solve_mip(mip_max(list(profits), list(weights), capacity))
+            sol = solve_mip(*mip_max(list(profits), list(weights), capacity))
             best = 0.0
             for mask in itertools.product((0, 1), repeat=n):
                 if np.dot(mask, weights) <= capacity:
@@ -365,7 +365,12 @@ class TestMip:
         lp = LinearProgram()
         lp.add_variable("z0", lb=0.0, ub=2.0)
         with pytest.raises(ValidationError):
-            solve_mip(MixedIntegerProgram(lp, binaries=["z0"]))
+            solve_mip(lp, ["z0"])
+
+    def test_unknown_binary_rejected(self):
+        lp, binaries = mip_max([3.0, 2.0], [1.0, 1.0], 1.0)
+        with pytest.raises(ValidationError, match="unknown binary variable 'z2'"):
+            solve_mip(lp, [*binaries, "z2"])
 
 
 class TestBranchAndBoundNodes:
@@ -379,9 +384,9 @@ class TestBranchAndBoundNodes:
         monkeypatch.setattr(LinearProgram, "validate",
                             lambda lp: calls.append(lp) or real(lp))
         for mip in mips:
-            solve_mip(mip)
+            solve_mip(*mip)
         assert len(calls) == len(mips)
-        assert all(lp is mip.lp for lp, mip in zip(calls, mips))
+        assert all(lp is mip_lp for lp, (mip_lp, _) in zip(calls, mips))
 
     def test_nodes_carry_their_fixings(self, monkeypatch):
         nodes = []
@@ -392,18 +397,17 @@ class TestBranchAndBoundNodes:
             return nodes[-1][1]
 
         monkeypatch.setattr(solver, "solve_lp", record)
-        for mip in counted_knapsacks():
+        for lp, binaries in counted_knapsacks():
             nodes.clear()
-            solve_mip(mip)
-            assert nodes[0][0].variables is mip.lp.variables
+            solve_mip(lp, binaries)
+            assert nodes[0][0].variables is lp.variables
             fixings = []
             for node, sol in nodes:
-                assert (node.objective, node.constraints) == (mip.lp.objective,
-                                                               mip.lp.constraints)
+                assert (node.objective, node.constraints) == (lp.objective, lp.constraints)
                 fixed = {}
-                for v, original in zip(node.variables, mip.lp.variables, strict=True):
+                for v, original in zip(node.variables, lp.variables, strict=True):
                     if v is not original:
-                        assert v.name in mip.binaries and v.lb == v.ub in (0.0, 1.0)
+                        assert v.name in binaries and v.lb == v.ub in (0.0, 1.0)
                         fixed[v.name] = v.lb
                 # a child fixes one more binary, one its parent's relaxation
                 # left fractional
@@ -433,10 +437,10 @@ def counted_knapsacks():
         capacity = float(rng.integers(1, int(sum(weights))))
         count = float(rng.integers(1, n + 1))
         for _ in range(3):
-            mip = mip_max([float(p) for p in rng.integers(-5, 20, size=n)],
-                          weights, capacity)
-            mip.lp.add_constraint({name: 1.0 for name in mip.binaries}, EQ, count)
-            mips.append(mip)
+            lp, binaries = mip_max([float(p) for p in rng.integers(-5, 20, size=n)],
+                                   weights, capacity)
+            lp.add_constraint({name: 1.0 for name in binaries}, EQ, count)
+            mips.append((lp, binaries))
     return mips
 
 
@@ -446,13 +450,13 @@ class TestPhase1Memo:
 
     def test_random_mips_match_without_memo(self, monkeypatch):
         mips = counted_knapsacks()
-        plain = [solve_mip(mip) for mip in mips]
+        plain = [solve_mip(*mip) for mip in mips]
         solves = []
         real = solver.solve_lp
         monkeypatch.setattr(solver, "solve_lp",
                             lambda lp, backend="builtin": solves.append(1) or real(lp, backend))
         with phase1_memo():
-            served = [solve_mip(mip) for mip in mips]
+            served = [solve_mip(*mip) for mip in mips]
             memo = PHASE1.get()
         assert served == plain
         assert {sol.status for sol in plain} == {"optimal", "infeasible"}
@@ -600,7 +604,7 @@ def test_matches_loop_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(solver, "solve_lp",
                         lambda lp, backend="builtin": lps.append(lp) or real_lp(lp, backend))
     for mip in counted_knapsacks():
-        solve_mip(mip)
+        solve_mip(*mip)
     monkeypatch.undo()
 
     starts = []

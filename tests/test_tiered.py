@@ -194,7 +194,7 @@ def test_bb_path_trace_digest(seed, monkeypatch):
     calls = []
     solve_mip = tiered.solve_mip
     monkeypatch.setattr(tiered, "solve_mip",
-                        lambda mip: calls.append(1) or solve_mip(mip))
+                        lambda *a: calls.append(1) or solve_mip(*a))
     config, agents = random_setup(seed, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
@@ -217,7 +217,7 @@ def test_oracle_memo_is_exact_and_per_run(monkeypatch):
 
     monkeypatch.setattr(tiered, "_best_tiered_copies", recording_oracle)
     monkeypatch.setattr(tiered, "solve_mip",
-                        lambda mip: mip_keys.append(asked[-1]) or solve_mip(mip))
+                        lambda *a: mip_keys.append(asked[-1]) or solve_mip(*a))
     config, agents = random_setup(0, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
@@ -238,7 +238,7 @@ def test_phase1_memo_lives_for_one_run(monkeypatch):
     active = []
     solve_mip = tiered.solve_mip
     monkeypatch.setattr(tiered, "solve_mip",
-                        lambda mip: active.append(PHASE1.get() is not None) or solve_mip(mip))
+                        lambda *a: active.append(PHASE1.get() is not None) or solve_mip(*a))
     config, agents = random_setup(1, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
