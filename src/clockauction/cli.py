@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,16 @@ def _overlay(defaults: dict, block, key: str, tiers: bool = False) -> dict:
     return out
 
 
+@contextmanager
+def _naming(key: str):
+    """Raise an error in reading the config value under `key` as an input
+    error that names the key."""
+    try:
+        yield
+    except INPUT_ERRORS as exc:
+        raise input_error(key, exc) from exc
+
+
 # the YAML keys the program reads: these at the top level, and under `cost:`
 # spacing_km and those of _COST_KEYS, each -> (CostParameters field, conversion)
 _CONFIG_KEYS = ("delta", "max_rounds", "coverage_targets", "cost")
@@ -96,9 +107,11 @@ def _load_config(path: str | None, catalog: ProductCatalog
                   *(f"cost: {k!r}" for k in cost if k not in (*_COST_KEYS, "spacing_km"))]
         if unread:
             raise ValidationError(f"unknown config key {', '.join(unread)}")
-        increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
-        auction = AuctionConfig(catalog=catalog, increments=increments,
-                                max_rounds=int(cfg.get("max_rounds", 200)))
+        with _naming("'delta'"):
+            increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
+        with _naming("'max_rounds'"):
+            auction = AuctionConfig(catalog=catalog, increments=increments,
+                                    max_rounds=cfg.get("max_rounds", 200))
         # laid over the defaults, then each cost value set in turn: its error names its key
         params = costmod.CostParameters(
             coverage_targets=_overlay(costmod.DEFAULT_COVERAGE_TARGETS,
@@ -106,10 +119,8 @@ def _load_config(path: str | None, catalog: ProductCatalog
             spacing_km=_overlay(costmod.DEFAULT_SPACING_KM, cost.get("spacing_km"), "spacing_km"))
         for key, (field, convert) in _COST_KEYS.items():
             if key in cost:
-                try:
+                with _naming(f"cost: {key!r}"):
                     params = replace(params, **{field: convert(cost[key])})
-                except INPUT_ERRORS as exc:
-                    raise input_error(f"cost: {key!r}", exc) from exc
         return auction, params
     try:
         return read_document(path, settings) if path else settings("")
@@ -165,9 +176,9 @@ def cmd_smooth(args, catalog, auction, params) -> int:
 def cmd_estimate(args, catalog, auction, params) -> int:
     raw = parse_bid_log(args.bids, catalog)
     out = _out_dir(args)
-    estimates = estimate_all(raw, catalog, auction.increments, keep_lp=bool(args.dump_lp))
-    if args.dump_lp:
+    if args.dump_lp:  # before the solves, so that a bad path fails at once
         Path(args.dump_lp).mkdir(parents=True, exist_ok=True)
+    estimates = estimate_all(raw, catalog, auction.increments, keep_lp=bool(args.dump_lp))
     reports = {}
     for bidder, est in sorted(estimates.items()):
         if args.dump_lp:
@@ -360,6 +371,11 @@ def main(argv=None) -> int:
         return args.func(args, catalog, *_load_config(getattr(args, "config", None), catalog))
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # a failed write: a failed read is already an input error
+        # a failed rename names the temporary file first and its target second
+        where = f"{exc.filename2 or exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

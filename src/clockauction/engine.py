@@ -31,8 +31,9 @@ class AuctionConfig:
     max_rounds: int = 200
 
     def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValidationError("max_rounds must be >= 1")
+        n = self.max_rounds
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValidationError(f"max_rounds must be an integer >= 1, not {n!r}")
 
 
 @dataclass

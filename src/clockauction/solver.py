@@ -3,12 +3,12 @@
 The built-in path is a dense two-phase simplex with Bland's rule plus a
 depth-first branch-and-bound for binary variables: no external solver in the
 loop, so identical inputs give identical outputs byte for byte.  It solves the
-bidder MIPs: `solve_mip(lp, binaries)` branches on the named [0, 1] variables
-of an LP, validates and compiles its rows and costs once, and its nodes
-share them.  A "highs" backend serves the
-valuation LPs through the same interface: each LP becomes one sparse matrix
-in one pass over its rows and goes to HiGHS through scipy.optimize.milp
-without integrality; it is also deterministic for fixed inputs.
+bidder MIPs; a "highs" backend, HiGHS through scipy.optimize.milp without
+integrality, serves the valuation LPs through the same interface and is also
+deterministic for fixed inputs.  `_compile` is the one walk over an LP's
+names: it validates them and gives the rows as sparse triplets, which the
+simplex scatters into its tableau and the highs backend signs and orders as
+linprog would.  `solve_mip(lp, binaries)` compiles once and its nodes share it.
 Inside `phase1_memo()` phase 1 of the simplex runs once per distinct
 constraint system: it reads only the constraint rows, never the objective.
 """
@@ -56,9 +56,8 @@ class LinearProgram:
     variables: list[Variable] = field(default_factory=list)
     objective: dict[str, float] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
-    # `_compile` of the constraints and objective, already validated: set on
-    # the nodes of `solve_mip`, which share their MIP's; None compiles at
-    # each solve
+    # `_compile` of the LP, set on the nodes of `solve_mip`, which share
+    # their MIP's; None compiles at each solve
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> str:
@@ -67,19 +66,6 @@ class LinearProgram:
 
     def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float) -> None:
         self.constraints.append(Constraint(coeffs, relation, rhs))
-
-    def validate(self) -> None:
-        names = {v.name for v in self.variables}
-        if len(names) != len(self.variables):
-            raise ValidationError("duplicate variable names")
-        for name in self.objective:
-            if name not in names:
-                raise ValidationError(f"objective references unknown variable {name!r}")
-        for i, con in enumerate(self.constraints):
-            for name in con.coeffs:
-                if name not in names:
-                    raise ValidationError(f"constraint {i} references unknown variable {name!r}")
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -197,33 +183,38 @@ def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], n: int,
     return memo[key] is not None
 
 
-def _costs(lp: LinearProgram, index: dict[str, int]) -> np.ndarray:
-    """The objective of `lp` as a vector over the columns of `index`."""
+def _compile(lp: LinearProgram) -> tuple:
+    """The one walk over the names of `lp` before a solve.  Raises
+    ValidationError on a repeated or unknown variable name; else returns the
+    constraints in order as sparse triplets (indptr, indices, data), their
+    right-hand sides and relations, and the cost vector."""
+    index = {v.name: i for i, v in enumerate(lp.variables)}
+    if len(index) != len(lp.variables):
+        raise ValidationError("duplicate variable names")
     c = np.zeros(len(index))
     for name, coef in lp.objective.items():
+        if name not in index:
+            raise ValidationError(f"objective references unknown variable {name!r}")
         c[index[name]] += coef
-    return c
-
-
-def _compile(lp: LinearProgram) -> tuple[np.ndarray, list[float], list[str], np.ndarray]:
-    """The constraints of `lp` as a dense matrix over its variables in order,
-    their right-hand sides and relations, and the cost vector."""
-    index = {v.name: i for i, v in enumerate(lp.variables)}
-    rows = np.zeros((len(lp.constraints), len(index)))
-    for row, con in zip(rows, lp.constraints):
-        for name, coef in con.coeffs.items():
-            row[index[name]] += coef
-    return (rows, [con.rhs for con in lp.constraints],
-            [con.relation for con in lp.constraints], _costs(lp, index))
+    indptr, indices, data = [0], [], []
+    try:
+        for i, con in enumerate(lp.constraints):
+            indices += map(index.__getitem__, con.coeffs)
+            data += con.coeffs.values()
+            indptr.append(len(indices))
+    except KeyError as exc:
+        raise ValidationError(
+            f"constraint {i} references unknown variable {exc.args[0]!r}") from None
+    return (np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float),
+            [con.rhs for con in lp.constraints],
+            [con.relation for con in lp.constraints], c)
 
 
 def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
     upper bound is one (row, relation, rhs), negated with its relation flipped
     when the rhs is negative; slack then artificial columns follow in row order."""
-    if lp._arrays is None:
-        lp.validate()
-    rows, rhs, relations, c = lp._arrays or _compile(lp)
+    indptr, indices, data, rhs, relations, c = lp._arrays or _compile(lp)
     n = len(lp.variables)
     lbs = np.array([v.lb for v in lp.variables], dtype=float)
     if not np.all(np.isfinite(lbs)):
@@ -234,7 +225,7 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     k = len(rhs)
     m = k + len(bounded)
     A = np.zeros((m, n))
-    A[:k] = rows
+    A[np.arange(k).repeat(np.diff(indptr)), indices] += data
     b = np.zeros(m)
     for r in range(k):
         b[r] = rhs[r] - A[r] @ lbs
@@ -290,31 +281,25 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
 def _solve_lp_highs(lp: LinearProgram) -> Solution:
     """HiGHS through scipy.optimize.milp without integrality, on the rows in
     linprog's order: the <= rows and the negated >= rows as they come, then
-    the = rows, built into one sparse matrix in one pass."""
+    the = rows."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    lp.validate()
-    index = {v.name: i for i, v in enumerate(lp.variables)}
-    inequalities = [con for con in lp.constraints if con.relation != EQ]
-    k = len(inequalities)
-    indptr, indices, data, upper = [0], [], [], []
-    for con in inequalities + [con for con in lp.constraints if con.relation == EQ]:
-        sign = -1.0 if con.relation == GE else 1.0
-        indices += map(index.__getitem__, con.coeffs)
-        data += [sign * coef for coef in con.coeffs.values()]
-        indptr.append(len(indices))
-        upper.append(sign * con.rhs)
-    A = csr_array((np.array(data, dtype=float), indices, indptr),
-                  shape=(len(upper), len(index)))
-    upper = np.array(upper, dtype=float)
-    lower = upper.copy()
-    lower[:k] = -np.inf
+    indptr, indices, data, rhs, relations, c = _compile(lp)
+    sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
+    eq = np.array([rel == EQ for rel in relations], dtype=bool)
+    lengths = np.diff(indptr)
+    rows = np.argsort(eq, kind="stable")  # the = rows last, each part in order
+    entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
+    A = csr_array(((data * np.repeat(sign, lengths))[entries], indices[entries],
+                   np.concatenate([[0], np.cumsum(lengths[rows])])), shape=(len(rhs), len(c)))
+    upper = (sign * np.array(rhs, dtype=float))[rows]
+    k = len(relations) - relations.count(EQ)
+    lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
     lb = np.array([v.lb for v in lp.variables], dtype=float)
     ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
 
-    res = milp(_costs(lp, index), bounds=Bounds(lb, ub),
-               constraints=LinearConstraint(A, lower, upper))
+    res = milp(c, bounds=Bounds(lb, ub), constraints=LinearConstraint(A, lower, upper))
     if res.status == 2:
         return Solution("infeasible", {}, None)
     if res.status == 3:
@@ -327,7 +312,8 @@ def _solve_lp_highs(lp: LinearProgram) -> Solution:
     if not (np.all(excess[:k] <= tol) and np.all(np.abs(excess[k:]) <= tol)
             and np.all(x >= lb - tol) and np.all(x <= ub + tol) and np.isfinite(res.fun)):
         raise SolverError("highs returned a point outside the constraints")
-    return Solution("optimal", dict(zip(index, x.tolist())), float(res.fun))
+    return Solution("optimal", dict(zip([v.name for v in lp.variables], x.tolist())),
+                    float(res.fun))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +353,13 @@ def solve_mip(lp: LinearProgram, binaries: list[str]) -> Solution:
     first incumbent found at the optimal value wins, which makes the result
     deterministic.
     """
-    lp.validate()
+    arrays = _compile(lp)
     position = {v.name: i for i, v in enumerate(lp.variables)}
     for name in binaries:
         if name not in position:
             raise ValidationError(f"unknown binary variable {name!r}")
         if lp.variables[position[name]] != Variable(name, 0.0, 1.0):
             raise ValidationError(f"binary variable {name!r} must have bounds [0, 1]")
-    arrays = _compile(lp)
     binary = set(binaries)
     binaries = [v.name for v in lp.variables if v.name in binary]
     best = Solution("infeasible", {}, None)

@@ -94,9 +94,9 @@ class TestCliPipeline:
         def fail(src, dst):
             raise OSError("rename failed")
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError):
-            run(["smooth", "--catalog", workspace / "catalog.csv",
-                 "--bids", workspace / "bids.csv", "--out", tmp_path])
+        code, err = run_captured(["smooth", "--catalog", workspace / "catalog.csv",
+                                  "--bids", workspace / "bids.csv", "--out", tmp_path])
+        assert (code, err) == (2, "error: rename failed\n")
         assert (tmp_path / "smoothed.csv").read_text() == "old\n"
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -630,7 +630,11 @@ class TestMalformedInput:
         pytest.param("cost: {market_markup: -1}\n", "cost: 'market_markup'",
                      id="zero-adjustment-factor"),
         pytest.param("cost: {tower_costs_post_adjustment: 'false'}\n",
-                     "cost: 'tower_costs_post_adjustment'", id="boolean-as-string")])
+                     "cost: 'tower_costs_post_adjustment'", id="boolean-as-string"),
+        pytest.param("max_rounds: 2.5\n", "'max_rounds'", id="fractional-max-rounds"),
+        pytest.param("max_rounds: true\n", "'max_rounds'", id="boolean-max-rounds"),
+        pytest.param("max_rounds: '7'\n", "'max_rounds'", id="string-max-rounds"),
+        pytest.param("delta: -0.5\n", "'delta'", id="negative-delta")])
     def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)
@@ -640,6 +644,26 @@ class TestMalformedInput:
         assert code == 2
         assert f"{config}:" in err
         assert named in err
+
+    @pytest.mark.parametrize("command, where", [
+        pytest.param("ingest", "out", id="out-is-a-file"),
+        pytest.param("estimate", "lp", id="dump-lp-is-a-file"),
+        pytest.param("ingest", "out/bids.csv", id="artifact-is-a-directory")])
+    def test_unwritable_output(self, inputs, command, where, tmp_path, monkeypatch):
+        # a file where `--out` or `--dump-lp` needs a directory, or a
+        # directory where an artifact goes; estimate finds out before it
+        # solves anything
+        taken = tmp_path / where
+        if where.endswith(".csv"):
+            taken.mkdir(parents=True)
+        else:
+            taken.write_text("")
+        argv = [command, "--catalog", inputs["catalog"], "--bids", inputs["bids"],
+                "--out", tmp_path / "out", *(["--dump-lp", taken] if command == "estimate" else [])]
+        monkeypatch.setattr(cli, "estimate_all", lambda *a, **k: pytest.fail("estimated"))
+        code, err = run_captured(argv)
+        assert code == 2
+        assert f"error: {taken}: " in err and "Traceback" not in err
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(which=st.sampled_from(CSVS), row=st.integers(0, 10_000),

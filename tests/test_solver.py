@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,10 +90,22 @@ class TestLpExamples:
         assert sol["y"] == pytest.approx(2.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
-    def test_validate_rejects_unknown_names(self):
-        lp = lp_min({"ghost": 1.0}, [("x", 0.0, None)], [])
-        with pytest.raises(ValidationError):
-            solve_lp(lp)
+    @pytest.mark.parametrize("lp, message", [
+        pytest.param(lp_min({}, [("x", 0.0, None), ("x", 0.0, 1.0)], []),
+                     "duplicate variable names", id="repeated-variable"),
+        pytest.param(lp_min({"ghost": 1.0}, [("x", 0.0, None)], []),
+                     "objective references unknown variable 'ghost'", id="unknown-objective"),
+        pytest.param(lp_min({"x": 1.0}, [("x", 0.0, None)],
+                            [({"x": 1.0}, GE, 1.0), ({"x": 1.0, "ghost": 2.0}, LE, 5.0)]),
+                     "constraint 1 references unknown variable 'ghost'",
+                     id="unknown-in-constraint")])
+    @pytest.mark.parametrize("solve", [
+        pytest.param(lambda lp: solve_lp(lp, backend="builtin"), id="builtin"),
+        pytest.param(lambda lp: solve_lp(lp, backend="highs"), id="highs"),
+        pytest.param(lambda lp: solve_mip(lp, []), id="mip")])
+    def test_validate_rejects_unknown_names(self, solve, lp, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            solve(lp)
 
 
 class TestRandomLpCrossCheck:
@@ -314,6 +327,73 @@ class TestHighsAdapter:
             solve_lp(lp, backend="highs")
 
 
+def csr_reference(lp):
+    """The arguments of milp as the HiGHS adapter built them in one pass over
+    the rows in linprog's order, signing each coefficient as it went: the cost
+    vector and the constraint.  The reference for the adapter's signed and
+    reordered rows of `_compile`."""
+    from scipy.optimize import LinearConstraint
+    from scipy.sparse import csr_array
+
+    index = {v.name: i for i, v in enumerate(lp.variables)}
+    inequalities = [con for con in lp.constraints if con.relation != EQ]
+    indptr, indices, data, upper = [0], [], [], []
+    for con in inequalities + [con for con in lp.constraints if con.relation == EQ]:
+        sign = -1.0 if con.relation == GE else 1.0
+        indices += map(index.__getitem__, con.coeffs)
+        data += [sign * coef for coef in con.coeffs.values()]
+        indptr.append(len(indices))
+        upper.append(sign * con.rhs)
+    A = csr_array((np.array(data, dtype=float), indices, indptr),
+                  shape=(len(upper), len(index)))
+    upper = np.array(upper, dtype=float)
+    lower = upper.copy()
+    lower[:len(inequalities)] = -np.inf
+    c = np.zeros(len(index))
+    for name, coef in lp.objective.items():
+        c[index[name]] += coef
+    return c, LinearConstraint(A, lower, upper)
+
+
+def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
+    """milp gets the cost vector, matrix and row bounds of `csr_reference`,
+    compared by bytes and dtype, on the mixed-row LPs of TestHighsAdapter, on
+    the same LPs with each 0.0 coefficient written as -0.0 and with each
+    dropped (rows of unequal length), on every estimation LP and on an LP
+    without rows."""
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    rng = np.random.default_rng(20261018)
+    mixed = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)]
+
+    def recoded(lp, zero):
+        """`lp` with each 0.0 coefficient replaced by `zero`, or dropped for None."""
+        return lp_min(lp.objective, [(v.name, v.lb, v.ub) for v in lp.variables],
+                      [({name: coef if coef != 0 else zero for name, coef in con.coeffs.items()
+                         if coef != 0 or zero is not None}, con.relation, con.rhs)
+                       for con in lp.constraints])
+
+    lps = (mixed + [recoded(lp, -0.0) for lp in mixed] + [recoded(lp, None) for lp in mixed]
+           + estimation_lps() + [lp_min({"x": 1.0}, [("x", 0.0, None)], [])])
+    coefs = np.array([coef for lp in lps for con in lp.constraints
+                      for coef in con.coeffs.values()])
+    assert {False, True} <= set(np.signbit(coefs[coefs == 0]).tolist())
+
+    def received(c, constraint):
+        A = constraint.A
+        return ([a.tobytes() for a in (c, A.indptr, A.indices, A.data, constraint.lb,
+                                       constraint.ub)]
+                + [A.shape, A.indptr.dtype, A.indices.dtype, A.data.dtype])
+
+    got = []
+    monkeypatch.setattr(scipy.optimize, "milp", lambda c, bounds, constraints: got.append(
+        received(c, constraints)) or OptimizeResult(status=2))
+    for lp in lps:
+        assert solve_lp(lp, backend="highs").status == "infeasible"
+    assert got == [received(*csr_reference(lp)) for lp in lps]
+
+
 def mip_max(profits, weights, capacity):
     """0/1 knapsack as a minimization MIP: its LP and binaries."""
     lp = LinearProgram()
@@ -374,15 +454,14 @@ class TestMip:
 
 
 class TestBranchAndBoundNodes:
-    """solve_mip validates and compiles its MIP once; each node shares the
-    MIP's arrays and carries its own fixings."""
+    """solve_mip compiles (and so validates) its MIP once; each node shares
+    the MIP's arrays and carries its own fixings."""
 
     def test_validate_once_per_mip(self, monkeypatch):
         mips = counted_knapsacks()
         calls = []
-        real = LinearProgram.validate
-        monkeypatch.setattr(LinearProgram, "validate",
-                            lambda lp: calls.append(lp) or real(lp))
+        real = solver._compile
+        monkeypatch.setattr(solver, "_compile", lambda lp: calls.append(lp) or real(lp))
         for mip in mips:
             solve_mip(*mip)
         assert len(calls) == len(mips)
