@@ -108,7 +108,7 @@ def _load_config(path: str | None, catalog: ProductCatalog
         if unread:
             raise ValidationError(f"unknown config key {', '.join(unread)}")
         with _naming("'delta'"):
-            increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
+            increments = IncrementSchedule.constant(cfg.get("delta", 0.1))
         with _naming("'max_rounds'"):
             auction = AuctionConfig(catalog=catalog, increments=increments,
                                     max_rounds=cfg.get("max_rounds", 200))

@@ -170,6 +170,8 @@ class IncrementSchedule:
 
     @staticmethod
     def constant(value: float) -> "IncrementSchedule":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"price increment must be a number, not {value!r}")
         _check_delta(value)
         return IncrementSchedule(delta=lambda product_id, rnd: value)
 

@@ -10,10 +10,13 @@ the clock price; the loop ends when every product clears.  The same loop
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
+
+import numpy as np
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, clock_price,
@@ -85,6 +88,77 @@ def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
     return lp, binary
 
 
+# the most bundles `copies_exact` enumerates; larger oracle MIPs branch without it
+MAX_BUNDLES = 4096
+
+
+def copies_exact(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+                 catalog: ProductCatalog, eligibility: int,
+                 binary: Mapping[tuple[str, Hashable], str],
+                 needs: Mapping[tuple[str, Hashable], str] | None = None,
+                 costs: Mapping[str, float] | None = None
+                 ) -> Callable[[dict[str, float]], float] | None:
+    """The exact optimum of each branch-and-bound node of `copies_mip`'s MIP,
+    as `solve_mip`'s `exact`, or None above MAX_BUNDLES bundles.  A bundle is
+    one option per product: the bundles form a NumPy table with one axis per
+    product, holding each bundle's -utility, eligibility use and the
+    engagement binaries it engages.  `needs` maps an option to the
+    engagement binary it needs, and `costs` each engagement binary to its
+    lump-sum cost (the tiered oracle's).  `exact(fixed)` blocks the options
+    that the node's fixed binaries rule out and adds the costs of the engaged
+    and the forced engagements; inf when no fitting bundle is left."""
+    products = sorted(options)
+    sizes = [len(options[j]) for j in products]
+    if not products or math.prod(sizes) > MAX_BUNDLES:
+        return None
+    keys = [(j, c) for j in products for c in options[j]]
+    starts = np.cumsum([0, *sizes]).tolist()
+    spans = [slice(*span) for span in zip(starts, starts[1:])]
+
+    def table(per_option, combine=np.add):
+        """Rows per option combined across the products into the bundle
+        table, each product's rows along its own axis."""
+        per_option = np.asarray(per_option)
+        return functools.reduce(combine, [
+            per_option[span].reshape([n if axis == k else 1 for axis in range(len(sizes))]
+                                     + list(per_option.shape[1:]))
+            for k, (span, n) in enumerate(zip(spans, sizes))])
+
+    pair = {name: k for k, name in enumerate(costs or {})}
+    cost = np.array([costs[name] for name in pair], dtype=float)
+    uses = np.zeros((len(keys), len(pair)), dtype=bool)
+    if needs:
+        uses[range(len(keys)), [pair[needs[key]] for key in keys]] = True
+    engaged = table(uses, np.logical_or)
+    fits = table([options[j][c][0] * catalog.get(j).eligibility_points for j, c in keys]
+                 ) <= eligibility
+    value = np.where(fits, engaged @ cost - table([options[j][c][1] for j, c in keys]), math.inf)
+    option = {binary[key]: (i, span) for span in spans
+              for i, key in enumerate(keys[span], span.start)}
+
+    def exact(fixed: dict[str, float]) -> float:
+        blocked = np.zeros(len(keys))
+        forced = []
+        for name, v in fixed.items():
+            if name in option:
+                i, span = option[name]
+                if v:  # the product's other options are out
+                    kept = blocked[i]
+                    blocked[span] = math.inf
+                    blocked[i] = kept
+                else:
+                    blocked[i] = math.inf
+            elif v:
+                forced.append(pair[name])
+            else:
+                blocked[uses[:, pair[name]]] = math.inf
+        total = value + table(blocked)
+        if forced:  # their costs, where the bundle does not pay them already
+            total += (~engaged[..., forced] * cost[forced]).sum(axis=-1)
+        return float(total.min())
+    return exact
+
+
 def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
                 eligibility: int, catalog: ProductCatalog) -> Bundle | None:
     """Utility-maximizing ladder levels for one base: the cumulative increment
@@ -107,7 +181,8 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
         return Bundle(greedy)
 
     lp, binary = copies_mip(options, catalog, eligibility)
-    sol = solve_mip(lp, list(binary.values()))
+    sol = solve_mip(lp, list(binary.values()),
+                    copies_exact(options, catalog, eligibility, binary))
     if sol.status == "infeasible":
         return None
     return Bundle({j: q for (j, q), name in binary.items() if sol.values[name] > 0.5})

@@ -8,16 +8,20 @@ integrality, serves the valuation LPs through the same interface and is also
 deterministic for fixed inputs.  `_compile` is the one walk over an LP's
 names: it validates them and gives the rows as sparse triplets, which the
 simplex scatters into its tableau and the highs backend signs and orders as
-linprog would.  `solve_mip(lp, binaries)` compiles once and its nodes share it.
+linprog would.  `solve_mip(lp, binaries)` compiles once and its nodes share it;
+given the exact optimum of each node it skips the nodes that cannot hold the
+MIP's optimum, with the same result.
 Inside `phase1_memo()` phase 1 of the simplex runs once per distinct
 constraint system: it reads only the constraint rows, never the objective.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -345,13 +349,28 @@ def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
     return bad
 
 
-def solve_mip(lp: LinearProgram, binaries: list[str]) -> Solution:
+def solve_mip(lp: LinearProgram, binaries: list[str],
+              exact: Callable[[dict[str, float]], float] | None = None) -> Solution:
     """Depth-first branch and bound over the `binaries` of `lp`, variables
     with bounds [0, 1] (built-in simplex).
 
     Branch order: lowest variable index first, 0-branch explored first; the
     first incumbent found at the optimal value wins, which makes the result
     deterministic.
+
+    `exact(fixed)`, if given, is the exact integer optimum of the node whose
+    binaries `fixed` are fixed ({name: 0.0 | 1.0}), inf when it has no
+    integer point.  A node with `exact(fixed) > exact({}) + margin`, where
+    margin = 1e-6 * (1 + the 1-norm of the costs), ten times INT_TOL times
+    the objective's weight, is skipped before its simplex solve.  The result
+    is the one found without `exact`: a skipped subtree holds only points
+    worse than the optimum by more than the margin, and a node accepted as
+    integral within INT_TOL is that close to one of its integer points, so
+    any incumbent the subtree could set is replaced later and can never
+    prune a node that holds a near-optimal point.  So every near-optimal
+    incumbent is found at the same position in the search, from the same
+    LP, with or without `exact`.  After the search the two optima must
+    agree within the margin, or both be infeasible; else SolverError.
     """
     arrays = _compile(lp)
     position = {v.name: i for i, v in enumerate(lp.variables)}
@@ -363,11 +382,17 @@ def solve_mip(lp: LinearProgram, binaries: list[str]) -> Solution:
     binary = set(binaries)
     binaries = [v.name for v in lp.variables if v.name in binary]
     best = Solution("infeasible", {}, None)
+    if exact is not None:
+        bound = exact({})
+        margin = 1e-6 * (1.0 + float(np.abs(arrays[-1]).sum()))
+        cutoff = bound + margin
 
-    def recurse(variables: list[Variable]):
+    def recurse(variables: list[Variable], fixed: dict[str, float]):
         """Solve the node whose variables are `variables`: the MIP's, with
-        the binaries branched on so far fixed."""
+        the binaries branched on so far fixed as in `fixed`."""
         nonlocal best
+        if fixed and exact is not None and exact(fixed) > cutoff:
+            return
         node = LinearProgram(variables, lp.objective, lp.constraints)
         node._arrays = arrays
         sol = solve_lp(node)
@@ -387,9 +412,13 @@ def solve_mip(lp: LinearProgram, binaries: list[str]) -> Solution:
         for branch in (0.0, 1.0):
             child = list(variables)
             child[position[frac]] = Variable(frac, branch, branch)
-            recurse(child)
+            recurse(child, {**fixed, frac: branch})
 
-    recurse(lp.variables)
+    recurse(lp.variables, {})
+    if exact is not None:
+        found = math.inf if best.objective_value is None else best.objective_value
+        if math.isinf(found) != math.isinf(bound) or abs(found - bound) > margin:
+            raise SolverError(f"branch and bound gives {found!r}, the exact optimum {bound!r}")
     return best
 
 

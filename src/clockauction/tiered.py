@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .core import PriceVector, ProductCatalog
 from .errors import ValidationError
 from .engine import (AuctionConfig, AuctionTrace, BidderAgent, Market,
-                     choose_base, copies_mip, level_choices, run_rounds)
+                     choose_base, copies_exact, copies_mip, level_choices,
+                     run_rounds)
 from .estimation import ValuationModel
 from .ingest import BundleBase
 from .solver import LE, solve_mip
@@ -94,19 +95,20 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
     choices = level_choices(base, model, catalog, eligibility)
     if choices is None:
         return None
-    lp, binary = copies_mip(
-        {j: {(t, q): (q, model.cumulative_value(j, q) - q * prices[(j, t)])
-             for t in TIERS for q in levels} for j, levels in choices.items()},
-        catalog, eligibility)
+    options = {j: {(t, q): (q, model.cumulative_value(j, q) - q * prices[(j, t)])
+                   for t in TIERS for q in levels} for j, levels in choices.items()}
+    lp, binary = copies_mip(options, catalog, eligibility)
     area_of = {j: catalog.get(j).area_id for j in choices}
     engage = {(a, t): lp.add_variable(f"Y::{a}::{t}", lb=0.0, ub=1.0)
               for a in sorted(set(area_of.values())) for t in TIERS}
-    lp.objective.update({name: float(adjustment.cost(bidder_id, a, t))
-                         for (a, t), name in engage.items()})
-    for (j, (t, q)), name in binary.items():
-        lp.add_constraint({name: 1.0, engage[(area_of[j], t)]: -1.0}, LE, 0.0)
+    costs = {name: float(adjustment.cost(bidder_id, a, t)) for (a, t), name in engage.items()}
+    lp.objective.update(costs)
+    needs = {(j, (t, q)): engage[(area_of[j], t)] for (j, (t, q)) in binary}
+    for option, name in binary.items():
+        lp.add_constraint({name: 1.0, needs[option]: -1.0}, LE, 0.0)
 
-    sol = solve_mip(lp, [*binary.values(), *engage.values()])
+    sol = solve_mip(lp, [*binary.values(), *engage.values()],
+                    copies_exact(options, catalog, eligibility, binary, needs, costs))
     if sol.status == "infeasible":
         return None
     bundle = {j: c for (j, c), name in binary.items() if sol.values[name] > 0.5}

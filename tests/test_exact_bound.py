@@ -1,0 +1,230 @@
+"""The exact bound of the oracle MIPs: `engine.copies_exact` gives each
+branch-and-bound node's integer optimum, and `solve_mip(lp, binaries, exact)`
+skips the nodes that cannot hold the MIP's optimum with the same result, bit
+for bit, as the search without it."""
+
+import hashlib
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+
+import clockauction.engine as engine
+import clockauction.solver as solver
+import clockauction.tiered as tiered
+from clockauction.core import PriceVector, eligibility_cost
+from clockauction.engine import (MAX_BUNDLES, copies_exact, copies_mip,
+                                 run_auction, trace_summary, trace_to_jsonl)
+from clockauction.errors import SolverError
+from clockauction.solver import EQ, GE, LE, LinearProgram, solve_mip
+from clockauction.synthetic import random_setup
+from clockauction.tiered import TIERS, TieredValuationAdjustment, run_extended_auction
+
+
+def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[tuple]:
+    """`count` (lp, binaries, exact) triples, the MIPs that random calls of
+    the standard or the tiered oracle pass to `solve_mip`.  Half the calls
+    price every option at its opening price, as the opening round does, and
+    half the tiered calls have zero deployment costs: both tie options."""
+    rng = np.random.default_rng(seed)
+    module = tiered if kind == "tiered" else engine
+    recorded = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_mip", lambda *a: recorded.append(a) or solve_mip(*a))
+        while len(recorded) < count:
+            config, (agent,) = random_setup(int(rng.integers(1 << 31)), n_bidders=1,
+                                            n_products=int(rng.integers(3, 9)),
+                                            max_supply=max_supply, n_bases=2)
+            catalog, model = config.catalog, agent.model
+            base = agent.space.bases[int(rng.integers(len(agent.space.bases)))]
+            ladders = {j: model.ladder(j) for j in base.quantities}
+            low = eligibility_cost(base.quantities, catalog)
+            high = eligibility_cost({j: levels[-1] for j, levels in ladders.items()}, catalog)
+            eligibility = int(rng.integers(low, high + 1))
+            opening = rng.random() < 0.5
+
+            def price(j):
+                p = catalog.get(j).opening_price
+                return p if opening else int(p * rng.uniform(0.5, 3.0))
+
+            if kind == "standard":
+                engine.best_copies(base, model, PriceVector({j: price(j) for j in catalog.ids()}),
+                                   eligibility, catalog)
+                continue
+            zero = rng.random() < 0.5
+            costs = {}
+            for a in sorted({p.area_id for p in catalog}):
+                per_tier = [0, 0, 0] if zero else sorted(rng.integers(0, 3 * 10**7, size=3))
+                costs.update({(agent.bidder_id, a, t): int(c) for t, c in zip(TIERS, per_tier)})
+            tiered._best_tiered_copies(
+                base, model, PriceVector({(j, t): price(j) for j in catalog.ids() for t in TIERS}),
+                eligibility, catalog, agent.bidder_id, TieredValuationAdjustment(costs))
+    return recorded
+
+
+def bits(sol: solver.Solution):
+    """A solution field for field, floats by their hex form."""
+    value = sol.objective_value
+    return (sol.status, [(name, x.hex()) for name, x in sol.values.items()],
+            None if value is None else value.hex())
+
+
+def brute_force(lp: LinearProgram, fixed: dict[str, float]) -> float:
+    """The integer optimum of an all-binary MIP under `fixed`, over every 0/1
+    point of its variables (numpy, so up to about 16 variables); inf when no
+    point satisfies the rows."""
+    names = [v.name for v in lp.variables]
+    points = np.array(list(itertools.product((0.0, 1.0), repeat=len(names))))
+    for name, v in fixed.items():
+        points = points[points[:, names.index(name)] == v]
+    for con in lp.constraints:
+        row = np.array([con.coeffs.get(name, 0.0) for name in names])
+        act = points @ row
+        keep = {LE: act <= con.rhs + 1e-9, GE: act >= con.rhs - 1e-9,
+                EQ: np.abs(act - con.rhs) <= 1e-9}[con.relation]
+        points = points[keep]
+    if not len(points):
+        return math.inf
+    return float((points @ np.array([lp.objective.get(name, 0.0) for name in names])).min())
+
+
+@pytest.mark.parametrize("kind, seed", [("standard", 11), ("tiered", 12)])
+def test_bound_changes_no_bit(kind, seed):
+    """Over 250 oracle MIPs of each kind, the search with the bound gives the
+    search's result without it, field for field and bit for bit."""
+    mips = oracle_mips(kind, 250, seed)
+    skipped = 0
+    for lp, binaries, exact in mips:
+        assert exact is not None
+        plain, bounded = count_nodes(lp, binaries, None), count_nodes(lp, binaries, exact)
+        assert bits(bounded[0]) == bits(plain[0])
+        assert bounded[1] <= plain[1]
+        skipped += plain[1] - bounded[1]
+    assert skipped > 0
+
+
+def count_nodes(lp, binaries, exact) -> tuple[solver.Solution, int]:
+    """`solve_mip`'s answer and its count of simplex solves."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = solver.solve_lp
+        mp.setattr(solver, "solve_lp", lambda *a: calls.append(1) or real(*a))
+        return solve_mip(lp, binaries, exact), len(calls)
+
+
+@pytest.mark.parametrize("kind, seed", [("standard", 21), ("tiered", 22)])
+def test_exact_matches_brute_force_at_every_node(kind, seed):
+    """At every node the search visits, and at random fixings besides, the
+    enumeration gives the integer optimum that brute force over every 0/1
+    point of the MIP's variables gives."""
+    rng = np.random.default_rng(seed)
+    small = [mip for mip in oracle_mips(kind, 60, seed, max_supply=2)
+             if len(mip[0].variables) <= 16]
+    assert len(small) >= 20
+    for lp, binaries, exact in small:
+        nodes = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = solver.solve_lp
+            mp.setattr(solver, "solve_lp", lambda node, *a: nodes.append(node) or real(node, *a))
+            solve_mip(lp, binaries)
+        fixings = [{v.name: v.lb for v in node.variables if v.lb == v.ub} for node in nodes]
+        for _ in range(5):
+            chosen = rng.choice(binaries, size=int(rng.integers(1, 4)), replace=False)
+            fixings.append({name: float(rng.integers(2)) for name in chosen})
+        scale = 1e-9 * (1.0 + sum(abs(c) for c in lp.objective.values()))
+        for fixed in fixings:
+            want, got = brute_force(lp, fixed), exact(fixed)
+            assert got == want or abs(got - want) <= scale, fixed
+
+
+def knapsack():
+    """max 5 z0 + 4 z1 + 3 z2 with weights 4, 3, 2 under 6: the relaxation
+    is fractional, so the search branches; the optimum is z0 + z2, -8."""
+    lp = LinearProgram()
+    for i in range(3):
+        lp.add_variable(f"z{i}", lb=0.0, ub=1.0)
+    lp.objective = {"z0": -5.0, "z1": -4.0, "z2": -3.0}
+    lp.add_constraint({"z0": 4.0, "z1": 3.0, "z2": 2.0}, LE, 6.0)
+    return lp, ["z0", "z1", "z2"]
+
+
+def test_knapsack_bound_skips_and_agrees():
+    lp, binaries = knapsack()
+    exact = lambda fixed: brute_force(lp, fixed)
+    plain, bounded = count_nodes(lp, binaries, None), count_nodes(lp, binaries, exact)
+    assert bits(bounded[0]) == bits(plain[0])
+    assert bounded[0].objective_value == pytest.approx(-8.0)
+    assert bounded[1] < plain[1]
+
+
+@pytest.mark.parametrize("wrong", [
+    pytest.param(lambda true: lambda fixed: true(fixed) + 1.0, id="one-too-high"),
+    pytest.param(lambda true: lambda fixed: true(fixed) - 1.0, id="one-too-low"),
+    pytest.param(lambda true: lambda fixed: math.inf, id="says-infeasible"),
+    pytest.param(lambda true: lambda fixed: true(fixed) if not fixed else math.inf,
+                 id="skips-every-child")])
+def test_wrong_exact_is_a_solver_error(wrong):
+    lp, binaries = knapsack()
+    with pytest.raises(SolverError, match="exact optimum"):
+        solve_mip(lp, binaries, wrong(lambda fixed: brute_force(lp, fixed)))
+
+
+def test_exact_feasible_on_an_infeasible_mip_is_a_solver_error():
+    lp, binaries = knapsack()
+    lp.add_constraint({"z0": 1.0, "z1": 1.0, "z2": 1.0}, GE, 4.0)
+    assert solve_mip(lp, binaries).status == "infeasible"
+    assert solve_mip(lp, binaries, lambda fixed: math.inf).status == "infeasible"
+    with pytest.raises(SolverError, match="exact optimum"):
+        solve_mip(lp, binaries, lambda fixed: 0.0)
+
+
+def test_no_enumeration_above_max_bundles():
+    """Above MAX_BUNDLES bundles the oracles branch without the bound."""
+    config, _ = random_setup(0, n_bidders=1, n_products=8)
+    catalog = config.catalog
+    per_product = round(MAX_BUNDLES ** (1 / 3)) + 1
+    options = {j: {q: (1, float(q)) for q in range(per_product)} for j in catalog.ids()[:3]}
+    _, binary = copies_mip(options, catalog, 10**6)
+    assert copies_exact(options, catalog, 10**6, binary) is None
+    options = {j: dict(list(o.items())[:-2]) for j, o in options.items()}
+    _, binary = copies_mip(options, catalog, 10**6)
+    assert copies_exact(options, catalog, 10**6, binary) is not None
+
+
+@pytest.mark.parametrize("auction", ["standard", "tiered", "tiered-zero-costs"])
+def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
+    """Whole runs write the same trace with the bound as without it: runs
+    whose oracle calls reach best_copies' MIP, tiered runs with deployment
+    costs, where the bound skips nodes, and tiered runs with zero costs,
+    where every tier ties."""
+    module = engine if auction == "standard" else tiered
+    if auction == "standard":
+        config, agents = random_setup(0, n_bidders=8, n_products=24, n_bases=3)
+        run = lambda: run_auction(config, agents)
+    else:
+        config, agents = random_setup(0, n_bidders=4, n_products=8, n_bases=2)
+        areas = sorted({p.area_id for p in config.catalog})
+        adjustment = TieredValuationAdjustment.zero([a.bidder_id for a in agents], areas)
+        if auction == "tiered":
+            rng = np.random.default_rng(5)
+            adjustment = TieredValuationAdjustment({
+                (a.bidder_id, area, t): int(c) for a in agents for area in areas
+                for t, c in zip(TIERS, sorted(rng.integers(0, 2 * 10**7, size=3)))})
+        run = lambda: run_extended_auction(config, agents, adjustment)
+    calls = []
+    real = solver.solve_lp
+    monkeypatch.setattr(solver, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    runs = []
+    for bound in (copies_exact, lambda *a: None):
+        monkeypatch.setattr(module, "copies_exact", bound)
+        calls.clear()
+        trace = run()
+        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        runs.append((hashlib.sha256(text.encode()).hexdigest(), len(calls)))
+    (with_bound, bounded_calls), (without, plain_calls) = runs
+    assert with_bound == without
+    assert 0 < bounded_calls <= plain_calls
+    if auction != "tiered-zero-costs":
+        assert bounded_calls < plain_calls

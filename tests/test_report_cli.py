@@ -634,7 +634,9 @@ class TestMalformedInput:
         pytest.param("max_rounds: 2.5\n", "'max_rounds'", id="fractional-max-rounds"),
         pytest.param("max_rounds: true\n", "'max_rounds'", id="boolean-max-rounds"),
         pytest.param("max_rounds: '7'\n", "'max_rounds'", id="string-max-rounds"),
-        pytest.param("delta: -0.5\n", "'delta'", id="negative-delta")])
+        pytest.param("delta: -0.5\n", "'delta'", id="negative-delta"),
+        pytest.param("delta: '0.15'\n", "'delta'", id="string-delta"),
+        pytest.param("delta: true\n", "'delta'", id="boolean-delta")])
     def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)
