@@ -142,10 +142,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_models(models_dir: str):
+def _load_models(models_dir: str, catalog: ProductCatalog):
+    """An agent per model file, each checked against the catalog."""
+    def parse(text):
+        model, space = model_from_json(text)
+        space.check(catalog)
+        return model, space
     agents = []
     for path in sorted(Path(models_dir).glob("model_*.json")):
-        model, space = read_document(path, model_from_json)
+        model, space = read_document(path, parse)
         agents.append(BidderAgent(bidder_id=model.bidder_id, model=model, space=space))
     if not agents:
         raise ValidationError(f"no model_*.json files in {models_dir}")
@@ -216,14 +221,14 @@ def _write_run(out: Path, suffix: str, trace, manifest: RunManifest,
 
 
 def cmd_simulate(args, catalog, auction, params) -> int:
-    agents = _load_models(args.models)
+    agents = _load_models(args.models, catalog)
     trace = run_auction(auction, agents)
     return _write_run(_out_dir(args), "", trace,
                       _manifest(args, catalog=args.catalog))
 
 
 def cmd_simulate_extended(args, catalog, auction, params) -> int:
-    agents = _load_models(args.models)
+    agents = _load_models(args.models, catalog)
     table = costmod.cost_table_from_csv(args.cost_table)
     demographics = (costmod.load_demographics(args.demographics,
                                               areas={p.area_id for p in catalog})

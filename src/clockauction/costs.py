@@ -40,6 +40,11 @@ class AreaStats:
     def __post_init__(self):
         if self.area_class not in AREA_CLASSES:
             raise ValidationError(f"area {self.area_id}: unknown area_class {self.area_class!r}")
+        if self.population < 0:
+            raise ValidationError(f"area {self.area_id}: negative population")
+        if not math.isfinite(self.land_area_km2) or self.land_area_km2 < 0:
+            raise ValidationError(f"area {self.area_id}: land area must be finite and >= 0, "
+                                  f"not {self.land_area_km2!r}")
 
     def density(self) -> float:
         return self.population / self.land_area_km2 if self.land_area_km2 > 0 else 0.0

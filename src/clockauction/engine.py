@@ -3,7 +3,8 @@
 Each round, every agent picks the utility-maximizing bundle at the round's
 start prices: per base, a small MIP (BEST_COPIES) chooses one ladder level
 per product under the eligibility budget; the outer strategy adds the base
-complementarity value and keeps the best base.  Overdemanded products move to
+complementarity value and keeps the best base.  The tiered oracle's MIP runs
+only when an exact enumeration of its bundles cannot tell the bid.  Overdemanded products move to
 the clock price; the loop ends when every product clears.  The same loop
 (`run_rounds`) runs the deployment-tiered auction over (product, tier) keys.
 """
@@ -24,7 +25,7 @@ from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
-from .solver import EQ, LE, LinearProgram, phase1_memo, solve_mip
+from .solver import EQ, LE, LinearProgram, mip_margin, phase1_memo, solve_mip
 
 
 @dataclass
@@ -88,8 +89,51 @@ def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
     return lp, binary
 
 
-# the most bundles `copies_exact` enumerates; larger oracle MIPs branch without it
+# the most bundles an enumeration holds; larger oracle MIPs branch without it
 MAX_BUNDLES = 4096
+
+
+class Bundles:
+    """Every bundle of `options` (one option per product) as a NumPy table
+    with one axis per product, sorted, along its options in order.  `value`
+    is each bundle's objective in `copies_mip`'s MIP: -utility plus the
+    lump-sum costs of the engagements it needs, inf where its eligibility
+    does not fit.  `needs` maps an option to the engagement it needs, and
+    `costs` each engagement to its cost (the tiered oracle's)."""
+
+    def __init__(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+                 catalog: ProductCatalog, eligibility: int,
+                 needs: Mapping[tuple[str, Hashable], Hashable] | None = None,
+                 costs: Mapping[Hashable, float] | None = None):
+        products = sorted(options)
+        self.sizes = [len(options[j]) for j in products]
+        self.keys = [(j, c) for j in products for c in options[j]]
+        starts = np.cumsum([0, *self.sizes]).tolist()
+        self.spans = [slice(*span) for span in zip(starts, starts[1:])]
+        self.pair = {name: k for k, name in enumerate(costs or {})}
+        self.cost = np.array([costs[name] for name in self.pair], dtype=float)
+        self.uses = np.zeros((len(self.keys), len(self.pair)), dtype=bool)
+        if needs:
+            self.uses[range(len(self.keys)), [self.pair[needs[key]] for key in self.keys]] = True
+        self.engaged = self.table(self.uses, np.logical_or)
+        fits = self.table([options[j][c][0] * catalog.get(j).eligibility_points
+                           for j, c in self.keys]) <= eligibility
+        self.value = np.where(fits, self.engaged @ self.cost
+                              - self.table([options[j][c][1] for j, c in self.keys]), math.inf)
+
+    @staticmethod
+    def enumerable(options: Mapping[str, Mapping]) -> bool:
+        """Whether `options` has bundles, at most MAX_BUNDLES of them."""
+        return bool(options) and math.prod(map(len, options.values())) <= MAX_BUNDLES
+
+    def table(self, per_option, combine=np.add) -> np.ndarray:
+        """Rows per option combined across the products into the bundle
+        table, each product's rows along its own axis."""
+        per_option = np.asarray(per_option)
+        return functools.reduce(combine, [
+            per_option[span].reshape([n if axis == k else 1 for axis in range(len(self.sizes))]
+                                     + list(per_option.shape[1:]))
+            for k, (span, n) in enumerate(zip(self.spans, self.sizes))])
 
 
 def copies_exact(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
@@ -99,41 +143,16 @@ def copies_exact(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
                  costs: Mapping[str, float] | None = None
                  ) -> Callable[[dict[str, float]], float] | None:
     """The exact optimum of each branch-and-bound node of `copies_mip`'s MIP,
-    as `solve_mip`'s `exact`, or None above MAX_BUNDLES bundles.  A bundle is
-    one option per product: the bundles form a NumPy table with one axis per
-    product, holding each bundle's -utility, eligibility use and the
-    engagement binaries it engages.  `needs` maps an option to the
-    engagement binary it needs, and `costs` each engagement binary to its
-    lump-sum cost (the tiered oracle's).  `exact(fixed)` blocks the options
-    that the node's fixed binaries rule out and adds the costs of the engaged
-    and the forced engagements; inf when no fitting bundle is left."""
-    products = sorted(options)
-    sizes = [len(options[j]) for j in products]
-    if not products or math.prod(sizes) > MAX_BUNDLES:
+    as `solve_mip`'s `exact`, or None above MAX_BUNDLES bundles.  The
+    bundles are `Bundles`' table, with `needs` and `costs` naming the
+    engagement binaries.  `exact(fixed)` blocks the options that the node's
+    fixed binaries rule out and adds the costs of the forced engagements a
+    bundle does not pay already; inf when no fitting bundle is left."""
+    if not Bundles.enumerable(options):
         return None
-    keys = [(j, c) for j in products for c in options[j]]
-    starts = np.cumsum([0, *sizes]).tolist()
-    spans = [slice(*span) for span in zip(starts, starts[1:])]
-
-    def table(per_option, combine=np.add):
-        """Rows per option combined across the products into the bundle
-        table, each product's rows along its own axis."""
-        per_option = np.asarray(per_option)
-        return functools.reduce(combine, [
-            per_option[span].reshape([n if axis == k else 1 for axis in range(len(sizes))]
-                                     + list(per_option.shape[1:]))
-            for k, (span, n) in enumerate(zip(spans, sizes))])
-
-    pair = {name: k for k, name in enumerate(costs or {})}
-    cost = np.array([costs[name] for name in pair], dtype=float)
-    uses = np.zeros((len(keys), len(pair)), dtype=bool)
-    if needs:
-        uses[range(len(keys)), [pair[needs[key]] for key in keys]] = True
-    engaged = table(uses, np.logical_or)
-    fits = table([options[j][c][0] * catalog.get(j).eligibility_points for j, c in keys]
-                 ) <= eligibility
-    value = np.where(fits, engaged @ cost - table([options[j][c][1] for j, c in keys]), math.inf)
-    option = {binary[key]: (i, span) for span in spans
+    bundles = Bundles(options, catalog, eligibility, needs, costs)
+    keys, pair, uses, cost = bundles.keys, bundles.pair, bundles.uses, bundles.cost
+    option = {binary[key]: (i, span) for span in bundles.spans
               for i, key in enumerate(keys[span], span.start)}
 
     def exact(fixed: dict[str, float]) -> float:
@@ -152,11 +171,65 @@ def copies_exact(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
                 forced.append(pair[name])
             else:
                 blocked[uses[:, pair[name]]] = math.inf
-        total = value + table(blocked)
+        total = bundles.value + bundles.table(blocked)
         if forced:  # their costs, where the bundle does not pay them already
-            total += (~engaged[..., forced] * cost[forced]).sum(axis=-1)
+            total += (~bundles.engaged[..., forced] * cost[forced]).sum(axis=-1)
         return float(total.min())
     return exact
+
+
+@dataclass
+class BaseChoice:
+    """One base's entry for `choose_base`.  `utility` is the exact utility of
+    the base's best bid, base value included, and lies within `tolerance` of
+    the utility the oracle's MIP gives; `bid` is the MIP's bid where it is
+    already known, else None.  `solve()` runs the MIP and gives (bid,
+    utility); `resolve` calls it at most once.  An entry without `solve`
+    holds the MIP's own bid and utility."""
+    utility: float
+    bid: Any = None
+    tolerance: float = 0.0
+    solve: Callable[[], tuple[Any, float]] | None = None
+
+    def resolve(self) -> "BaseChoice":
+        """The entry with the MIP's bid and utility, tolerance 0."""
+        if self.solve is not None:
+            (self.bid, self.utility), self.tolerance, self.solve = self.solve(), 0.0, None
+        return self
+
+
+def copies_choice(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+                  catalog: ProductCatalog, eligibility: int, base_value: float,
+                  solve: Callable[[], tuple[Any, float] | None],
+                  needs: Mapping[tuple[str, Hashable], str] | None = None,
+                  costs: Mapping[str, float] | None = None) -> BaseChoice | None:
+    """The `choose_base` entry of a base whose bid `solve()` finds with the
+    MIP of `copies_mip` over `options`, plus the engagements of `needs` and
+    `costs` (as `copies_exact`), and whose utility is the base value less
+    the MIP's objective.  The enumeration gives the exact utility.  The MIP's
+    objective lies within the MIP's margin (`solver.mip_margin`) of the
+    optimum, or `solve_mip` raises; the tolerance is twice the margin of its
+    costs and the base value, which also covers the rounding of adding the
+    base value.  The bid is the enumeration's argmin when no other fitting
+    bundle lies within twice the margin of the optimum: the MIP's bundle is
+    within one margin, plus INT_TOL per binary it rounds.  Above MAX_BUNDLES
+    bundles `solve` runs at once; None when no bundle fits."""
+    if not Bundles.enumerable(options):
+        result = solve()
+        return None if result is None else BaseChoice(result[1], result[0])
+    value = Bundles(options, catalog, eligibility, needs, costs).value
+    optimum = float(value.min())
+    if optimum == math.inf:  # as solve_mip would find; level_choices rules it out
+        return None
+    coefficients = [u for o in options.values() for _, u in o.values()]
+    coefficients += (costs or {}).values()
+    margin = mip_margin(coefficients)
+    bid = None
+    if np.count_nonzero(value <= optimum + 2 * margin) == 1:
+        at = np.unravel_index(int(value.argmin()), value.shape)
+        bid = {j: list(options[j])[int(i)] for j, i in zip(sorted(options), at)}
+    return BaseChoice(base_value - optimum, bid,
+                      2 * mip_margin([*coefficients, base_value]), solve)
 
 
 def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
@@ -190,20 +263,37 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
 
 def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: int,
                 prices: Callable) -> Any | None:
-    """Best bid across bases; `solve(base)` gives (bid, utility with the base
-    value) or None, a function of the bidder, base, eligibility and
+    """Best bid across bases; `solve(base)` gives the base's `BaseChoice`, or
+    None when no bid fits, a function of the bidder, base, eligibility and
     `prices(base)` (the start prices of the base's market keys) that `memo`
-    keeps for the run.  Strict > keeps the lower-indexed base on a tie; the
-    bid stands if its utility is >= 0, else the bidder exits (None)."""
-    best_u = -math.inf
-    best_bid = None
+    keeps for the run, resolved MIPs included.  The rule, on the MIPs'
+    utilities: strict > keeps the lower-indexed base on a tie, and the bid
+    stands if its utility is >= 0, else the bidder exits (None).  When the
+    exact winner leads every other base by more than their summed tolerances
+    and its utility is more than its tolerance from 0, the rule picks it and
+    its exit, and only an unknown winning bid runs its MIP.  Otherwise every
+    base is resolved and the rule runs as written."""
+    entries = []
     for base in agent.space.bases:
         key = (agent.bidder_id, base.base_id, eligibility, prices(base))
         if key not in memo:
             memo[key] = solve(base)
-        result = memo[key]
-        if result is not None and result[1] > best_u:
-            best_bid, best_u = result
+        if memo[key] is not None:
+            entries.append(memo[key])
+    if not entries:
+        return None
+    best = max(entries, key=lambda entry: entry.utility)
+    if abs(best.utility) > best.tolerance and all(
+            best.utility - entry.utility > best.tolerance + entry.tolerance
+            for entry in entries if entry is not best):
+        if best.utility < 0:
+            return None
+        return (best if best.bid is not None else best.resolve()).bid
+    best_u = -math.inf
+    best_bid = None
+    for entry in map(BaseChoice.resolve, entries):
+        if entry.utility > best_u:
+            best_bid, best_u = entry.bid, entry.utility
     return best_bid if best_bid is not None and best_u >= 0 else None
 
 
@@ -214,7 +304,7 @@ def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
         bundle = best_copies(base, agent.model, prices, eligibility, catalog)
         if bundle is None:
             return None
-        return bundle, bundle_utility(agent.model, bundle, base, prices)
+        return BaseChoice(bundle_utility(agent.model, bundle, base, prices), bundle)
     return choose_base(agent, solve, memo, eligibility,
                        lambda base: tuple(prices[j] for j in base.quantities))
 

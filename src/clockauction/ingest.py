@@ -118,6 +118,25 @@ class BundleSpace:
     ladders: dict[str, CopyLadder]
     observed: dict[int, tuple[Bundle, str | None]]  # round -> (bundle, base_id)
 
+    def check(self, catalog: ProductCatalog) -> None:
+        """ValidationError unless every base and ladder product is in
+        `catalog`, every base product has a ladder that reaches its base
+        quantity, a base quantity is 1 or more, and no ladder level exceeds
+        its product's supply."""
+        for base in self.bases:
+            for j, q in base.quantities.items():
+                catalog.get(j)
+                if j not in self.ladders:
+                    raise ValidationError(f"base {base.base_id!r}: no ladder for {j!r}")
+                if not 1 <= q <= self.ladders[j].levels[-1]:
+                    raise ValidationError(f"base {base.base_id!r}: quantity {q} of {j!r} "
+                                          "is not between 1 and its ladder's top level")
+        for j, ladder in self.ladders.items():
+            supply = catalog.get(j).supply
+            if ladder.levels[-1] > supply:
+                raise ValidationError(f"ladder of {j!r} goes to {ladder.levels[-1]}, "
+                                      f"above its supply {supply}")
+
 
 def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
     """Load a bid log CSV with columns round, bidder_id, product_id, quantity."""

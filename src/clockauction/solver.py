@@ -349,6 +349,12 @@ def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
     return bad
 
 
+def mip_margin(costs) -> float:
+    """`solve_mip`'s margin for a MIP with these objective costs: 1e-6 * (1 +
+    their 1-norm), ten times INT_TOL times the objective's weight."""
+    return 1e-6 * (1.0 + float(np.abs(costs).sum()))
+
+
 def solve_mip(lp: LinearProgram, binaries: list[str],
               exact: Callable[[dict[str, float]], float] | None = None) -> Solution:
     """Depth-first branch and bound over the `binaries` of `lp`, variables
@@ -361,13 +367,12 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
     `exact(fixed)`, if given, is the exact integer optimum of the node whose
     binaries `fixed` are fixed ({name: 0.0 | 1.0}), inf when it has no
     integer point.  A node with `exact(fixed) > exact({}) + margin`, where
-    margin = 1e-6 * (1 + the 1-norm of the costs), ten times INT_TOL times
-    the objective's weight, is skipped before its simplex solve.  The result
-    is the one found without `exact`: a skipped subtree holds only points
-    worse than the optimum by more than the margin, and a node accepted as
-    integral within INT_TOL is that close to one of its integer points, so
-    any incumbent the subtree could set is replaced later and can never
-    prune a node that holds a near-optimal point.  So every near-optimal
+    margin is `mip_margin` of the costs, is skipped before its simplex
+    solve.  The result is the one found without `exact`: a skipped subtree
+    holds only points worse than the optimum by more than the margin, and a
+    node accepted as integral within INT_TOL is that close to one of its
+    integer points, so any incumbent the subtree could set is replaced later
+    and can never prune a node that holds a near-optimal point.  So every near-optimal
     incumbent is found at the same position in the search, from the same
     LP, with or without `exact`.  After the search the two optima must
     agree within the margin, or both be infeasible; else SolverError.
@@ -384,7 +389,7 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
     best = Solution("infeasible", {}, None)
     if exact is not None:
         bound = exact({})
-        margin = 1e-6 * (1.0 + float(np.abs(arrays[-1]).sum()))
+        margin = mip_margin(arrays[-1])
         cutoff = bound + margin
 
     def recurse(variables: list[Variable], fixed: dict[str, float]):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from .core import PriceVector, ProductCatalog
 from .errors import ValidationError
-from .engine import (AuctionConfig, AuctionTrace, BidderAgent, Market,
-                     choose_base, copies_exact, copies_mip, level_choices,
-                     run_rounds)
+from .engine import (AuctionConfig, AuctionTrace, BaseChoice, BidderAgent, Market,
+                     choose_base, copies_choice, copies_exact, copies_mip,
+                     level_choices, run_rounds)
 from .estimation import ValuationModel
 from .ingest import BundleBase
 from .solver import LE, solve_mip
@@ -86,33 +86,39 @@ class TieredAuctionTrace(AuctionTrace):
 def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                         prices: PriceVector, eligibility: int,
                         catalog: ProductCatalog, bidder_id: str,
-                        adjustment: TieredValuationAdjustment
-                        ) -> tuple[TieredBundle, float] | None:
-    """Level and tier choice for one base, and its utility net of the engaged
-    deployment costs plus the base value: BEST_COPIES over (tier, level)
-    options plus binary (area, tier) engagement variables carrying the lump-sum
-    costs; a level at a tier needs its area engaged at that tier."""
+                        adjustment: TieredValuationAdjustment) -> BaseChoice | None:
+    """Level and tier choice for one base, as `choose_base`'s entry: its
+    utility is net of the engaged deployment costs plus the base value.  The
+    MIP is BEST_COPIES over (tier, level) options plus binary (area, tier)
+    engagement variables carrying the lump-sum costs; a level at a tier needs
+    its area engaged at that tier.  It runs only where `copies_choice` cannot
+    name its bid or `choose_base` must resolve the base."""
     choices = level_choices(base, model, catalog, eligibility)
     if choices is None:
         return None
     options = {j: {(t, q): (q, model.cumulative_value(j, q) - q * prices[(j, t)])
                    for t in TIERS for q in levels} for j, levels in choices.items()}
-    lp, binary = copies_mip(options, catalog, eligibility)
     area_of = {j: catalog.get(j).area_id for j in choices}
-    engage = {(a, t): lp.add_variable(f"Y::{a}::{t}", lb=0.0, ub=1.0)
-              for a in sorted(set(area_of.values())) for t in TIERS}
+    engage = {(a, t): f"Y::{a}::{t}" for a in sorted(set(area_of.values())) for t in TIERS}
     costs = {name: float(adjustment.cost(bidder_id, a, t)) for (a, t), name in engage.items()}
-    lp.objective.update(costs)
-    needs = {(j, (t, q)): engage[(area_of[j], t)] for (j, (t, q)) in binary}
-    for option, name in binary.items():
-        lp.add_constraint({name: 1.0, needs[option]: -1.0}, LE, 0.0)
+    needs = {(j, c): engage[(area_of[j], c[0])] for j, o in options.items() for c in o}
+    base_value = model.base_values.get(base.base_id, 0.0)
 
-    sol = solve_mip(lp, [*binary.values(), *engage.values()],
-                    copies_exact(options, catalog, eligibility, binary, needs, costs))
-    if sol.status == "infeasible":
-        return None
-    bundle = {j: c for (j, c), name in binary.items() if sol.values[name] > 0.5}
-    return bundle, -sol.objective_value + model.base_values.get(base.base_id, 0.0)
+    def solve():
+        lp, binary = copies_mip(options, catalog, eligibility)
+        for name in costs:
+            lp.add_variable(name, lb=0.0, ub=1.0)
+        lp.objective.update(costs)
+        for option, name in binary.items():
+            lp.add_constraint({name: 1.0, needs[option]: -1.0}, LE, 0.0)
+        sol = solve_mip(lp, [*binary.values(), *costs],
+                        copies_exact(options, catalog, eligibility, binary, needs, costs))
+        if sol.status == "infeasible":
+            return None
+        bundle = {j: c for (j, c), name in binary.items() if sol.values[name] > 0.5}
+        return bundle, -sol.objective_value + base_value
+
+    return copies_choice(options, catalog, eligibility, base_value, solve, needs, costs)
 
 
 def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,

@@ -1,7 +1,10 @@
-"""The exact bound of the oracle MIPs: `engine.copies_exact` gives each
+"""The exact optimum of the oracle MIPs.  `engine.copies_exact` gives each
 branch-and-bound node's integer optimum, and `solve_mip(lp, binaries, exact)`
 skips the nodes that cannot hold the MIP's optimum with the same result, bit
-for bit, as the search without it."""
+for bit, as the search without it.  `engine.choose_base` picks the base from
+the exact utilities of the tiered oracle's entries and runs a MIP only where
+they cannot tell, with the bid, bit for bit, of the rule that runs every
+base's MIP."""
 
 import hashlib
 import itertools
@@ -10,24 +13,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clockauction.engine as engine
 import clockauction.solver as solver
 import clockauction.tiered as tiered
-from clockauction.core import PriceVector, eligibility_cost
-from clockauction.engine import (MAX_BUNDLES, copies_exact, copies_mip,
+from clockauction.core import PriceVector, Product, ProductCatalog, eligibility_cost
+from clockauction.engine import (MAX_BUNDLES, BidderAgent, copies_exact, copies_mip,
                                  run_auction, trace_summary, trace_to_jsonl)
 from clockauction.errors import SolverError
+from clockauction.estimation import ValuationModel, initial_eligibility
+from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
 from clockauction.solver import EQ, GE, LE, LinearProgram, solve_mip
 from clockauction.synthetic import random_setup
 from clockauction.tiered import TIERS, TieredValuationAdjustment, run_extended_auction
 
 
+def random_costs(rng, bidder, catalog, zero):
+    """Deployment costs rising with the tier, or zero at every tier."""
+    costs = {}
+    for a in sorted({p.area_id for p in catalog}):
+        per_tier = [0, 0, 0] if zero else sorted(rng.integers(0, 3 * 10**7, size=3))
+        costs.update({(bidder, a, t): int(c) for t, c in zip(TIERS, per_tier)})
+    return TieredValuationAdjustment(costs)
+
+
 def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[tuple]:
     """`count` (lp, binaries, exact) triples, the MIPs that random calls of
-    the standard or the tiered oracle pass to `solve_mip`.  Half the calls
-    price every option at its opening price, as the opening round does, and
-    half the tiered calls have zero deployment costs: both tie options."""
+    the standard oracle pass to `solve_mip`, or that the tiered oracle's
+    entries pass to it when they are resolved.  Half the calls price every
+    option at its opening price, as the opening round does, and half the
+    tiered calls have zero deployment costs: both tie options."""
     rng = np.random.default_rng(seed)
     module = tiered if kind == "tiered" else engine
     recorded = []
@@ -53,14 +69,11 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
                 engine.best_copies(base, model, PriceVector({j: price(j) for j in catalog.ids()}),
                                    eligibility, catalog)
                 continue
-            zero = rng.random() < 0.5
-            costs = {}
-            for a in sorted({p.area_id for p in catalog}):
-                per_tier = [0, 0, 0] if zero else sorted(rng.integers(0, 3 * 10**7, size=3))
-                costs.update({(agent.bidder_id, a, t): int(c) for t, c in zip(TIERS, per_tier)})
-            tiered._best_tiered_copies(
+            adjustment = random_costs(rng, agent.bidder_id, catalog, rng.random() < 0.5)
+            entry = tiered._best_tiered_copies(
                 base, model, PriceVector({(j, t): price(j) for j in catalog.ids() for t in TIERS}),
-                eligibility, catalog, agent.bidder_id, TieredValuationAdjustment(costs))
+                eligibility, catalog, agent.bidder_id, adjustment)
+            entry.resolve()
     return recorded
 
 
@@ -195,11 +208,11 @@ def test_no_enumeration_above_max_bundles():
 
 @pytest.mark.parametrize("auction", ["standard", "tiered", "tiered-zero-costs"])
 def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
-    """Whole runs write the same trace with the bound as without it: runs
+    """Whole runs write the same trace with the enumeration as without it,
+    where every oracle MIP runs at once and branches without the bound: runs
     whose oracle calls reach best_copies' MIP, tiered runs with deployment
-    costs, where the bound skips nodes, and tiered runs with zero costs,
-    where every tier ties."""
-    module = engine if auction == "standard" else tiered
+    costs, where the exact optimum names nearly every bid, and tiered runs
+    with zero costs, where every tier ties and the winning base's MIP runs."""
     if auction == "standard":
         config, agents = random_setup(0, n_bidders=8, n_products=24, n_bases=3)
         run = lambda: run_auction(config, agents)
@@ -217,14 +230,137 @@ def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
     real = solver.solve_lp
     monkeypatch.setattr(solver, "solve_lp", lambda *a: calls.append(1) or real(*a))
     runs = []
-    for bound in (copies_exact, lambda *a: None):
-        monkeypatch.setattr(module, "copies_exact", bound)
+    for limit in (MAX_BUNDLES, 0):
+        monkeypatch.setattr(engine, "MAX_BUNDLES", limit)
         calls.clear()
         trace = run()
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(calls)))
-    (with_bound, bounded_calls), (without, plain_calls) = runs
-    assert with_bound == without
-    assert 0 < bounded_calls <= plain_calls
-    if auction != "tiered-zero-costs":
-        assert bounded_calls < plain_calls
+    (lazy, lazy_calls), (eager, eager_calls) = runs
+    assert lazy == eager
+    assert 0 < eager_calls
+    assert lazy_calls < eager_calls
+
+
+# ---------------------------------------------------------------------------
+# the base chooser
+
+
+def eager_choose_base(agent, solve, memo, eligibility, prices):
+    """The base choice that runs every base's MIP: the first strict maximum
+    of the MIPs' utilities, whose bid stands if its utility is >= 0."""
+    best_u, best_bid = -math.inf, None
+    for base in agent.space.bases:
+        entry = solve(base)
+        if entry is not None and entry.resolve().utility > best_u:
+            best_bid, best_u = entry.bid, entry.utility
+    return best_bid if best_bid is not None and best_u >= 0 else None
+
+
+def tiered_call(agent, catalog, prices, eligibility, adjustment):
+    """The tiered bid at `prices` {product: price, the same at every tier}."""
+    at = PriceVector({(j, t): prices[j] for j in catalog.ids() for t in TIERS})
+    return lambda memo: tiered._myopic_tiered_bid(agent, at, catalog, eligibility,
+                                                  adjustment, memo)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       kind=st.sampled_from(["standard", "tiered", "tiered-zero-costs"]),
+       opening=st.booleans())
+def test_chooser_bids_as_the_eager_rule(seed, kind, opening):
+    """On a random oracle call, at opening prices (where tiers tie) or at
+    random ones, the chooser's bid is the eager rule's, bit for bit.  Each
+    tiered entry's exact utility lies within its tolerance of its MIP's
+    utility, and a bid it knows is the MIP's bid."""
+    rng = np.random.default_rng(seed)
+    config, (agent,) = random_setup(seed, n_bidders=1, n_products=int(rng.integers(3, 7)),
+                                    n_bases=3)
+    catalog = config.catalog
+    low = min(eligibility_cost(base.quantities, catalog) for base in agent.space.bases)
+    eligibility = int(rng.integers(low, initial_eligibility(agent.space, catalog) + 1))
+    prices = {j: int(catalog.get(j).opening_price * (1.0 if opening else rng.uniform(0.5, 3.0)))
+              for j in catalog.ids()}
+    if kind == "standard":
+        module = engine
+        bid = lambda memo: engine.myopic_bid(agent, PriceVector(prices), catalog,
+                                             eligibility, memo)
+    else:
+        module = tiered
+        adjustment = random_costs(rng, agent.bidder_id, catalog, kind == "tiered-zero-costs")
+        bid = tiered_call(agent, catalog, prices, eligibility, adjustment)
+        at = PriceVector({(j, t): prices[j] for j in catalog.ids() for t in TIERS})
+        for base in agent.space.bases:
+            entry = tiered._best_tiered_copies(base, agent.model, at, eligibility, catalog,
+                                               agent.bidder_id, adjustment)
+            if entry is None:
+                continue
+            exact, tolerance, known = entry.utility, entry.tolerance, entry.bid
+            entry.resolve()
+            assert abs(entry.utility - exact) <= tolerance
+            assert known is None or repr(known) == repr(entry.bid)
+    got = bid({})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "choose_base", eager_choose_base)
+        want = bid({})
+    assert repr(got) == repr(want)
+
+
+def one_copy_agent(values):
+    """A bidder whose base i is one copy of product P{i}, alone in its area,
+    with base value values[i]; every product opens at 100_00 cents."""
+    n = range(len(values))
+    catalog = ProductCatalog(products=tuple(
+        Product(id=f"P{i}", area_id=f"A{i}", area_class="urban", supply=1,
+                eligibility_points=1, opening_price=100_00) for i in n))
+    model = ValuationModel("X", {f"X/base{i}": v for i, v in zip(n, values)},
+                           {(f"P{i}", 1): 0.0 for i in n})
+    space = BundleSpace("X", bases=tuple(BundleBase(f"X/base{i}", {f"P{i}": 1}) for i in n),
+                        ladders={f"P{i}": CopyLadder(f"P{i}", (1,)) for i in n}, observed={})
+    return catalog, BidderAgent("X", model, space)
+
+
+@pytest.mark.parametrize("values, costs, mips", [
+    pytest.param([200_00, 200_00 + 1e-3], (0, 0, 0), 2, id="near-tie-resolves-every-base"),
+    pytest.param([100_00 + 1e-3, 50_00], (0, 0, 0), 2, id="near-zero-resolves-every-base"),
+    pytest.param([300_00, 200_00], (0, 0, 0), 1, id="tied-tiers-resolve-the-winner"),
+    pytest.param([300_00, 200_00], (0, 1_00, 2_00), 0, id="known-bid-runs-no-mip")])
+def test_chooser_runs_the_mips_it_needs(values, costs, mips, monkeypatch):
+    """Exact utilities closer than their summed tolerances, or a winner within
+    its tolerance of 0, resolve every base; a clear winner whose tiers tie
+    runs its own MIP only, and one with a known bid runs none.  Each bids
+    what the eager rule bids."""
+    catalog, agent = one_copy_agent(values)
+    adjustment = TieredValuationAdjustment({
+        ("X", p.area_id, t): c for p in catalog for t, c in zip(TIERS, costs)})
+    bid = tiered_call(agent, catalog, {j: 100_00 for j in catalog.ids()}, 2, adjustment)
+    ran = []
+    real = tiered.solve_mip
+    monkeypatch.setattr(tiered, "solve_mip", lambda *a: ran.append(1) or real(*a))
+    memo = {}
+    got = bid(memo)
+    assert len(ran) == mips
+    if mips == len(values):
+        assert all(entry.solve is None for entry in memo.values())
+    monkeypatch.setattr(tiered, "choose_base", eager_choose_base)
+    assert repr(got) == repr(bid({}))
+
+
+def test_no_enumeration_resolves_at_once(monkeypatch):
+    """Above MAX_BUNDLES bundles the tiered entry runs its MIP when it is made,
+    without the bound, and holds the MIP's bid and utility."""
+    catalog, agent = one_copy_agent([300_00])
+    (base,) = agent.space.bases
+    adjustment = TieredValuationAdjustment.zero(["X"], ["A0"])
+    prices = PriceVector({("P0", t): 100_00 for t in TIERS})
+    lazy = tiered._best_tiered_copies(base, agent.model, prices, 1, catalog, "X", adjustment)
+    assert lazy.solve is not None and lazy.bid is None
+    ran = []
+    real = tiered.solve_mip
+    monkeypatch.setattr(tiered, "solve_mip", lambda *a: ran.append(a[2]) or real(*a))
+    monkeypatch.setattr(engine, "MAX_BUNDLES", 2)
+    entry = tiered._best_tiered_copies(base, agent.model, prices, 1, catalog, "X", adjustment)
+    assert ran == [None]
+    assert entry.solve is None and entry.tolerance == 0.0
+    lazy.resolve()
+    assert (repr(entry.bid), entry.utility) == (repr(lazy.bid), lazy.utility)

@@ -1,7 +1,10 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
+import operator
 import os
 import tempfile
 from pathlib import Path
@@ -476,6 +479,14 @@ def with_file(files, which, lines, out):
     return {**files, which: path}
 
 
+def json_values(doc, key=()):
+    """(key path, value) of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield (*key, k), v
+        yield from json_values(v, (*key, k))
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("which", CSVS)
     def test_short_row_names_its_line(self, inputs, which, tmp_path):
@@ -515,7 +526,15 @@ class TestMalformedInput:
         pytest.param("cost_table", "low", lambda f: f[:3] + [str(10**12)], False,
                      "not monotone in tier", id="falling-costs"),
         pytest.param("demographics", None, lambda f: None, False,
-                     "areas without demographics", id="missing-area")])
+                     "areas without demographics", id="missing-area"),
+        pytest.param("demographics", None, lambda f: f[:2] + ["-1", f[3]], True,
+                     "negative population", id="negative-population"),
+        pytest.param("demographics", None, lambda f: f[:3] + ["nan"], True,
+                     "land area", id="nan-land-area"),
+        pytest.param("demographics", None, lambda f: f[:3] + ["inf"], True,
+                     "land area", id="infinite-land-area"),
+        pytest.param("demographics", None, lambda f: f[:3] + ["-5"], True,
+                     "land area", id="negative-land-area")])
     def test_domain_error_names_its_file(self, inputs, which, tier, edit,
                                          at_line, message, tmp_path):
         lines = inputs[which].read_text().splitlines()
@@ -581,7 +600,28 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda doc: doc.pop("bases"), id="no-bases"),
-        pytest.param(lambda doc: doc.update(marginals=[{}]), id="empty-marginal")])
+        pytest.param(lambda doc: doc.update(marginals=[{}]), id="empty-marginal"),
+        pytest.param(lambda doc: doc["bases"][0]["products"].update(nowhere=1),
+                     id="base-product-off-the-catalog"),
+        pytest.param(lambda doc: doc.update(marginals=[
+            m for m in doc["marginals"]
+            if m["product_id"] != min(doc["bases"][0]["products"])]),
+                     id="base-product-without-a-ladder"),
+        pytest.param(lambda doc: doc["marginals"].append(
+            {"product_id": "nowhere", "level": 1, "value_cents_per_unit": 0.0}),
+                     id="ladder-product-off-the-catalog"),
+        pytest.param(lambda doc: doc["marginals"].append(
+            {"product_id": min(doc["bases"][0]["products"]), "level": 99,
+             "value_cents_per_unit": 0.0}), id="level-above-supply"),
+        pytest.param(lambda doc: doc["bases"][0]["products"].update(
+            {min(doc["bases"][0]["products"]): 99}), id="base-quantity-above-its-ladder"),
+        pytest.param(lambda doc: doc["bases"][0]["products"].update(
+            {min(doc["bases"][0]["products"]): 0}), id="zero-base-quantity"),
+        pytest.param(lambda doc: doc["bases"][0].update(value_cents=math.nan),
+                     id="nan-value"),
+        pytest.param(lambda doc: doc["bases"][0].update(value_cents=math.inf),
+                     id="infinite-value"),
+        pytest.param(lambda doc: doc.update(bidder_id=[]), id="bidder-id-not-a-string")])
     def test_bad_model_file(self, inputs, damage, tmp_path):
         models = tmp_path / "models"
         models.mkdir()
@@ -594,7 +634,7 @@ class TestMalformedInput:
         code, err = run_captured(["simulate", "--catalog", inputs["catalog"],
                                   "--models", models, "--out", tmp_path / "sim"])
         assert code == 2
-        assert f"{bad}:" in err
+        assert f"{bad}:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text, named", [
         pytest.param("delta: [1\n", "", id="bad-yaml"),
@@ -691,4 +731,40 @@ class TestMalformedInput:
         with tempfile.TemporaryDirectory() as tmp:
             files = with_file(inputs, which, lines, Path(tmp))
             code, _ = run_captured(reading(which, files, Path(tmp) / "out"))
+        assert code in (0, 2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["simulate", "simulate-extended"]),
+           which=st.integers(0, 100), at=st.integers(0, 10_000),
+           change=st.sampled_from(["missing", "nan", "sign", "type"]),
+           value=st.sampled_from(["", "x", None, True, [], {}, 0, 2.5]))
+    def test_fuzzed_model_never_raises(self, inputs, command, which, at, change, value):
+        """One JSON value of a model file changed, by its type, its sign or
+        to NaN, or its key removed: exit 0 or 2, never a traceback."""
+        files = sorted(inputs["models"].glob("model_*.json"))
+        path = files[which % len(files)]
+        doc = json.loads(path.read_text())
+        where = list(json_values(doc))
+        key, value_at = where[at % len(where)]
+        parent = functools.reduce(operator.getitem, key[:-1], doc)
+        if change == "missing":
+            del parent[key[-1]]
+        elif change == "nan":
+            parent[key[-1]] = math.nan
+        elif change == "sign":
+            number = isinstance(value_at, (int, float)) and not isinstance(value_at, bool)
+            parent[key[-1]] = -value_at if number else -1
+        else:
+            parent[key[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            models = Path(tmp) / "models"
+            models.mkdir()
+            for other in files:
+                (models / other.name).write_text(
+                    json.dumps(doc) if other == path else other.read_text())
+            argv = [command, "--catalog", inputs["catalog"], "--models", models,
+                    "--out", Path(tmp) / "out"]
+            if command == "simulate-extended":
+                argv += ["--cost-table", inputs["cost_table"]]
+            code, _ = run_captured(argv)
         assert code in (0, 2)

@@ -206,18 +206,21 @@ def test_bb_path_trace_digest(seed, monkeypatch):
 
 def test_oracle_memo_is_exact_and_per_run(monkeypatch):
     """No two MIPs of a run ask the same oracle question, and a second run in
-    the same process solves as many MIPs and writes the same bytes."""
-    asked, mip_keys = [], []
-    oracle, solve_mip = tiered._best_tiered_copies, tiered.solve_mip
+    the same process solves as many MIPs and writes the same bytes.  A MIP
+    runs when its entry is resolved, so the entry records its question."""
+    mip_keys = []
+    oracle = tiered._best_tiered_copies
 
     def recording_oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment):
-        asked.append((bidder_id, base.base_id, eligibility,
-                      tuple(prices[(j, t)] for j in base.quantities for t in TIERS)))
-        return oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment)
+        key = (bidder_id, base.base_id, eligibility,
+               tuple(prices[(j, t)] for j in base.quantities for t in TIERS))
+        entry = oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment)
+        if entry is not None and entry.solve is not None:
+            solve = entry.solve
+            entry.solve = lambda: mip_keys.append(key) or solve()
+        return entry
 
     monkeypatch.setattr(tiered, "_best_tiered_copies", recording_oracle)
-    monkeypatch.setattr(tiered, "solve_mip",
-                        lambda *a: mip_keys.append(asked[-1]) or solve_mip(*a))
     config, agents = random_setup(0, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
