@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
+import math
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -229,6 +231,19 @@ def input_error(where: str, exc: Exception) -> ClockAuctionError:
     ValidationError stays one, any other error becomes a ParseError."""
     kind = ValidationError if isinstance(exc, ValidationError) else ParseError
     return kind(f"{where}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflow are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite number {text}")
+    return value
+
+
+def finite_json(text: str):
+    """The JSON document `text`, whose numbers must all be finite."""
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 # path -> sha256 prefix of the bytes read_document parsed from it, recorded

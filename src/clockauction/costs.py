@@ -115,14 +115,17 @@ class CostParameters:
         default_factory=lambda: dict(DEFAULT_COVERAGE_TARGETS))
 
     def __post_init__(self):
-        """Check each value's range; the adjustment rates keep the factor positive."""
+        """Check each value's range, which is finite; the adjustment rates keep
+        the factor positive."""
         n, flag = self.pop_per_tower, self.tower_costs_post_adjustment
         for bad, rule, value in [
-                *((not getattr(self, k) >= 0, f"{k} must be >= 0 cents", getattr(self, k))
+                *((not 0 <= getattr(self, k) < math.inf, f"{k} must be >= 0 cents and finite",
+                   getattr(self, k))
                   for k in ("tower_cost_low", "tower_cost_high", "fibre_cost_per_km")),
-                *((not getattr(self, k) > -1, f"{k} must be > -1", getattr(self, k))
+                *((not -1 < getattr(self, k) < math.inf, f"{k} must be > -1 and finite",
+                   getattr(self, k))
                   for k in ("market_markup", "inflation", "currency_premium")),
-                *((not v >= 0, f"spacing_km {k} must be >= 0", v)
+                *((not 0 <= v < math.inf, f"spacing_km {k} must be >= 0 and finite", v)
                   for k, v in self.spacing_km.items()),
                 *((not 0 <= v <= 1, f"coverage_targets {c} {t} must be in [0, 1]", v)
                   for (c, t), v in self.coverage_targets.items()),

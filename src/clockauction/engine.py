@@ -14,14 +14,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
 import numpy as np
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
-                   PriceVector, ProductCatalog, RoundRecord, clock_price,
-                   eligibility_cost, input_error, read_lines, step_price)
+                   PriceVector, ProductCatalog, RoundRecord, clock_price, eligibility_cost,
+                   finite_json, input_error, read_lines, step_price)
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -81,7 +83,7 @@ def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
     for j in sorted(options):
         for c in options[j]:
             binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
-    lp.objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
+    lp.objective = copies_objective(options, binary)
     for j in sorted(options):
         lp.add_constraint({binary[(j, c)]: 1.0 for c in options[j]}, EQ, 1.0)
     lp.add_constraint({name: float(options[j][c][0] * catalog.get(j).eligibility_points)
@@ -89,37 +91,46 @@ def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
     return lp, binary
 
 
+def copies_objective(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+                     binary: Mapping[tuple[str, Hashable], str]) -> dict[str, float]:
+    """`copies_mip`'s objective over `options`: -utility on each option's binary."""
+    return {name: -options[j][c][1] for (j, c), name in binary.items()}
+
+
 # the most bundles an enumeration holds; larger oracle MIPs branch without it
 MAX_BUNDLES = 4096
 
 
 class Bundles:
-    """Every bundle of `options` (one option per product) as a NumPy table
-    with one axis per product, sorted, along its options in order.  `value`
-    is each bundle's objective in `copies_mip`'s MIP: -utility plus the
-    lump-sum costs of the engagements it needs, inf where its eligibility
-    does not fit.  `needs` maps an option to the engagement it needs, and
-    `costs` each engagement to its cost (the tiered oracle's)."""
+    """Every bundle of a base's options (one option per product) as NumPy
+    tables with one axis per product, sorted, along its options in order:
+    the price-free part of the enumeration, built from each option's
+    quantity in `quantities` {product: {choice: quantity}}.  `engaged` marks
+    the engagements each bundle needs, `fits` the bundles whose eligibility
+    fits, and `paid` is each bundle's lump-sum engagement costs.  `needs`
+    maps an option to the engagement it needs, and `costs` each engagement
+    to its cost (the tiered oracle's)."""
 
-    def __init__(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+    def __init__(self, quantities: Mapping[str, Mapping[Hashable, int]],
                  catalog: ProductCatalog, eligibility: int,
                  needs: Mapping[tuple[str, Hashable], Hashable] | None = None,
                  costs: Mapping[Hashable, float] | None = None):
-        products = sorted(options)
-        self.sizes = [len(options[j]) for j in products]
-        self.keys = [(j, c) for j in products for c in options[j]]
+        products = sorted(quantities)
+        self.sizes = [len(quantities[j]) for j in products]
+        self.keys = [(j, c) for j in products for c in quantities[j]]
         starts = np.cumsum([0, *self.sizes]).tolist()
         self.spans = [slice(*span) for span in zip(starts, starts[1:])]
+        self.axes = [tuple(n if axis == k else 1 for axis in range(len(self.sizes)))
+                     for k, n in enumerate(self.sizes)]
         self.pair = {name: k for k, name in enumerate(costs or {})}
         self.cost = np.array([costs[name] for name in self.pair], dtype=float)
         self.uses = np.zeros((len(self.keys), len(self.pair)), dtype=bool)
         if needs:
             self.uses[range(len(self.keys)), [self.pair[needs[key]] for key in self.keys]] = True
         self.engaged = self.table(self.uses, np.logical_or)
-        fits = self.table([options[j][c][0] * catalog.get(j).eligibility_points
-                           for j, c in self.keys]) <= eligibility
-        self.value = np.where(fits, self.engaged @ self.cost
-                              - self.table([options[j][c][1] for j, c in self.keys]), math.inf)
+        self.fits = self.table([quantities[j][c] * catalog.get(j).eligibility_points
+                                for j, c in self.keys]) <= eligibility
+        self.paid = self.engaged @ self.cost
 
     @staticmethod
     def enumerable(options: Mapping[str, Mapping]) -> bool:
@@ -130,52 +141,62 @@ class Bundles:
         """Rows per option combined across the products into the bundle
         table, each product's rows along its own axis."""
         per_option = np.asarray(per_option)
-        return functools.reduce(combine, [
-            per_option[span].reshape([n if axis == k else 1 for axis in range(len(self.sizes))]
-                                     + list(per_option.shape[1:]))
-            for k, (span, n) in enumerate(zip(self.spans, self.sizes))])
+        return functools.reduce(combine, [per_option[span].reshape(axes + per_option.shape[1:])
+                                          for span, axes in zip(self.spans, self.axes)])
+
+    def value(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]]) -> np.ndarray:
+        """Each bundle's objective in `copies_mip`'s MIP over `options`, per
+        product {choice: (quantity, utility)} with these quantities: -utility
+        plus `paid`, inf where its eligibility does not fit."""
+        utilities = self.table([options[j][c][1] for j, c in self.keys])
+        return np.where(self.fits, self.paid - utilities, math.inf)
+
+    def exact(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
+              binary: Mapping[tuple[str, Hashable], str]) -> Callable[[dict[str, float]], float]:
+        """The exact optimum of each branch-and-bound node of `copies_mip`'s
+        MIP over `options`, as `solve_mip`'s `exact`; `binary` names the
+        options' binaries and the keys of `costs` the engagement binaries.
+        `exact(fixed)` blocks the options that the node's fixed binaries rule
+        out and adds the costs of the forced engagements a bundle does not
+        pay already; inf when no fitting bundle is left."""
+        value = self.value(options)
+        keys, pair, uses, cost = self.keys, self.pair, self.uses, self.cost
+        option = {binary[key]: (i, span) for span in self.spans
+                  for i, key in enumerate(keys[span], span.start)}
+
+        def exact(fixed: dict[str, float]) -> float:
+            blocked = np.zeros(len(keys))
+            forced = []
+            for name, v in fixed.items():
+                if name in option:
+                    i, span = option[name]
+                    if v:  # the product's other options are out
+                        kept = blocked[i]
+                        blocked[span] = math.inf
+                        blocked[i] = kept
+                    else:
+                        blocked[i] = math.inf
+                elif v:
+                    forced.append(pair[name])
+                else:
+                    blocked[uses[:, pair[name]]] = math.inf
+            total = value + self.table(blocked)
+            if forced:  # their costs, where the bundle does not pay them already
+                total += (~self.engaged[..., forced] * cost[forced]).sum(axis=-1)
+            return float(total.min())
+        return exact
 
 
 def copies_exact(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
                  catalog: ProductCatalog, eligibility: int,
-                 binary: Mapping[tuple[str, Hashable], str],
-                 needs: Mapping[tuple[str, Hashable], str] | None = None,
-                 costs: Mapping[str, float] | None = None
+                 binary: Mapping[tuple[str, Hashable], str]
                  ) -> Callable[[dict[str, float]], float] | None:
-    """The exact optimum of each branch-and-bound node of `copies_mip`'s MIP,
-    as `solve_mip`'s `exact`, or None above MAX_BUNDLES bundles.  The
-    bundles are `Bundles`' table, with `needs` and `costs` naming the
-    engagement binaries.  `exact(fixed)` blocks the options that the node's
-    fixed binaries rule out and adds the costs of the forced engagements a
-    bundle does not pay already; inf when no fitting bundle is left."""
+    """`Bundles.exact` of the bundles of `options`, or None above
+    MAX_BUNDLES bundles."""
     if not Bundles.enumerable(options):
         return None
-    bundles = Bundles(options, catalog, eligibility, needs, costs)
-    keys, pair, uses, cost = bundles.keys, bundles.pair, bundles.uses, bundles.cost
-    option = {binary[key]: (i, span) for span in bundles.spans
-              for i, key in enumerate(keys[span], span.start)}
-
-    def exact(fixed: dict[str, float]) -> float:
-        blocked = np.zeros(len(keys))
-        forced = []
-        for name, v in fixed.items():
-            if name in option:
-                i, span = option[name]
-                if v:  # the product's other options are out
-                    kept = blocked[i]
-                    blocked[span] = math.inf
-                    blocked[i] = kept
-                else:
-                    blocked[i] = math.inf
-            elif v:
-                forced.append(pair[name])
-            else:
-                blocked[uses[:, pair[name]]] = math.inf
-        total = bundles.value + bundles.table(blocked)
-        if forced:  # their costs, where the bundle does not pay them already
-            total += (~bundles.engaged[..., forced] * cost[forced]).sum(axis=-1)
-        return float(total.min())
-    return exact
+    quantities = {j: {c: q for c, (q, _) in o.items()} for j, o in options.items()}
+    return Bundles(quantities, catalog, eligibility).exact(options, binary)
 
 
 @dataclass
@@ -199,30 +220,29 @@ class BaseChoice:
 
 
 def copies_choice(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
-                  catalog: ProductCatalog, eligibility: int, base_value: float,
-                  solve: Callable[[], tuple[Any, float] | None],
-                  needs: Mapping[tuple[str, Hashable], str] | None = None,
-                  costs: Mapping[str, float] | None = None) -> BaseChoice | None:
+                  bundles: Bundles | None, base_value: float,
+                  solve: Callable[[], tuple[Any, float] | None]) -> BaseChoice | None:
     """The `choose_base` entry of a base whose bid `solve()` finds with the
-    MIP of `copies_mip` over `options`, plus the engagements of `needs` and
-    `costs` (as `copies_exact`), and whose utility is the base value less
-    the MIP's objective.  The enumeration gives the exact utility.  The MIP's
-    objective lies within the MIP's margin (`solver.mip_margin`) of the
-    optimum, or `solve_mip` raises; the tolerance is twice the margin of its
-    costs and the base value, which also covers the rounding of adding the
-    base value.  The bid is the enumeration's argmin when no other fitting
-    bundle lies within twice the margin of the optimum: the MIP's bundle is
-    within one margin, plus INT_TOL per binary it rounds.  Above MAX_BUNDLES
-    bundles `solve` runs at once; None when no bundle fits."""
-    if not Bundles.enumerable(options):
+    MIP of `copies_mip` over `options`, plus the engagements of `bundles`,
+    and whose utility is the base value less the MIP's objective.  The
+    enumeration of `bundles` (None above MAX_BUNDLES bundles) gives the
+    exact utility.  The MIP's objective lies within the MIP's margin
+    (`solver.mip_margin`) of the optimum, or `solve_mip` raises; the
+    tolerance is twice the margin of its costs and the base value, which
+    also covers the rounding of adding the base value.  The bid is the
+    enumeration's argmin when no other fitting bundle lies within twice the
+    margin of the optimum: the MIP's bundle is within one margin, plus
+    INT_TOL per binary it rounds.  Without an enumeration `solve` runs at
+    once; None when no bundle fits."""
+    if bundles is None:
         result = solve()
         return None if result is None else BaseChoice(result[1], result[0])
-    value = Bundles(options, catalog, eligibility, needs, costs).value
+    value = bundles.value(options)
     optimum = float(value.min())
     if optimum == math.inf:  # as solve_mip would find; level_choices rules it out
         return None
     coefficients = [u for o in options.values() for _, u in o.values()]
-    coefficients += (costs or {}).values()
+    coefficients += bundles.cost.tolist()
     margin = mip_margin(coefficients)
     bid = None
     if np.count_nonzero(value <= optimum + 2 * margin) == 1:
@@ -342,13 +362,29 @@ def price_step(start: PriceVector, rnd: int, over: Mapping[Hashable, bool],
     return clock, posted
 
 
+# the oracle memo of the run in progress, None outside `run_rounds`
+ORACLE_MEMO: ContextVar[dict | None] = ContextVar("oracle_memo", default=None)
+
+
+@contextmanager
+def oracle_memo():
+    """A new ORACLE_MEMO for the block."""
+    token = ORACLE_MEMO.set({})
+    try:
+        yield
+    finally:
+        ORACLE_MEMO.reset(token)
+
+
 @phase1_memo()
+@oracle_memo()
 def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
                market: Market) -> AuctionTrace:
     """Rounds of bids at start prices, exits and the activity rule, until no
     key is overdemanded or `max_rounds` truncates the run.  The run owns its
-    oracle memo (`choose_base`'s, passed to each bid) and its phase-1 memo: the
-    oracle MIPs repeat their constraint rows across rounds at new prices."""
+    oracle memo (`choose_base`'s, passed to each bid, and ORACLE_MEMO while
+    it runs, where the tiered oracle keeps its frames) and its phase-1 memo:
+    the oracle MIPs repeat their constraint rows across rounds at new prices."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):
@@ -358,7 +394,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
     start = PriceVector({k: catalog.get(j).opening_price for k, j in keys.items()})
     eligibility = {a.bidder_id: initial_eligibility(a.space, catalog) for a in agents}
     exited: set[str] = set()
-    memo: dict = {}
+    memo = ORACLE_MEMO.get()
 
     rounds: list[RoundRecord] = []
     while True:
@@ -465,21 +501,52 @@ def trace_to_jsonl(trace: AuctionTrace) -> str:
     return "\n".join(round_to_json(r) for r in trace.rounds) + "\n"
 
 
+def _count(value, what: str) -> int:
+    """`value` if it is an integer >= 0 and not a bool, else a ValidationError
+    naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{what} must be an integer >= 0, not {value!r}")
+    return value
+
+
 def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
     """Read a standard auction's trace (truncated if its final round is still
-    overdemanded); a malformed or tiered round is an input error at `path:line`."""
+    overdemanded).  Its rounds are numbered 1, 2, ... in order; each round
+    prices every catalog product and gives its aggregate demand, and its
+    bids are of catalog products; every price, quantity and eligibility is an
+    integer >= 0.  Anything else, or a tiered round, is an input error at
+    `path:line`."""
+    products = set(catalog.ids())
+
+    def per_product(doc, what: str, every: bool = True) -> dict[str, int]:
+        """{product: integer >= 0}; its products are the catalog's, or
+        some of them unless `every`."""
+        unknown, missing = set(doc) - products, products - set(doc)
+        if unknown:
+            raise ValidationError(f"{what}: products {sorted(unknown)} are not in the catalog")
+        if every and missing:
+            raise ValidationError(f"{what}: no entry for products {sorted(missing)}")
+        return {j: _count(q, f"{what} of {j!r}") for j, q in doc.items()}
+
     rounds, over = [], {}
     for n, line in read_lines(path):
         try:
-            doc = json.loads(line)
+            doc = finite_json(line)
             bids = doc["bids"]
             if any(isinstance(q, list) for bid in bids.values() for q in bid.values()):
                 raise ValidationError("a tiered bid; report compares standard-auction traces")
+            if _count(doc["round"], "round") != len(rounds) + 1:
+                raise ValidationError(
+                    f"round {doc['round']} where round {len(rounds) + 1} belongs")
             rounds.append(RoundRecord(
-                round=doc["round"], start=PriceVector(doc["start"]),
-                clock=PriceVector(doc["clock"]), posted=PriceVector(doc["posted"]),
-                aggregate=doc["aggregate"], eligibility=doc["eligibility"],
-                bids={bidder: Bundle(q) for bidder, q in bids.items()}))
+                round=doc["round"],
+                **{name: PriceVector(per_product(doc[name], f"{name} price"))
+                   for name in ("start", "clock", "posted")},
+                aggregate=per_product(doc["aggregate"], "aggregate demand"),
+                eligibility={bidder: _count(e, f"eligibility of {bidder!r}")
+                             for bidder, e in doc["eligibility"].items()},
+                bids={bidder: Bundle(per_product(q, f"bid of {bidder!r}", every=False))
+                      for bidder, q in bids.items()}))
             over = overdemanded(rounds[-1].aggregate, catalog)
         except INPUT_ERRORS as exc:
             raise input_error(f"{path}:{n}", exc) from exc

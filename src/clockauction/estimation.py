@@ -14,11 +14,10 @@ solved with HiGHS.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import Bundle, PriceVector, ProductCatalog, eligibility_cost
+from .core import Bundle, PriceVector, ProductCatalog, eligibility_cost, finite_json
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, enumerate_variants
 from .solver import GE, LinearProgram, Solution, check_feasible, solve_lp
@@ -331,17 +330,9 @@ def model_to_json(model: ValuationModel, space: BundleSpace) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _finite(text: str) -> float:
-    """A JSON number as a float; NaN, Infinity and overflow are errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValidationError(f"non-finite number {text}")
-    return value
-
-
 def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
     """Rebuild a model plus a simulation-ready bundle space (no observed map)."""
-    doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    doc = finite_json(text)
     for name in [doc["bidder_id"], *(b["base_id"] for b in doc["bases"])]:
         if not isinstance(name, str):
             raise ValidationError(f"an id must be a string, not {name!r}")

@@ -6,17 +6,19 @@ loop, so identical inputs give identical outputs byte for byte.  It solves the
 bidder MIPs; a "highs" backend, HiGHS through scipy.optimize.milp without
 integrality, serves the valuation LPs through the same interface and is also
 deterministic for fixed inputs.  `_compile` is the one walk over an LP's
-names: it validates them and gives the rows as sparse triplets, which the
-simplex scatters into its tableau and the highs backend signs and orders as
-linprog would.  `solve_mip(lp, binaries)` compiles once and its nodes share it;
-given the exact optimum of each node it skips the nodes that cannot hold the
-MIP's optimum, with the same result.
+names: it validates them and gives the rows as sparse triplets (`Rows`),
+which the simplex copies into its tableau as one dense block and the highs
+backend signs and orders as linprog would.  `solve_mip(lp, binaries)`
+compiles once and its nodes share it, and the LPs of `with_objective` share
+their rows; given the exact optimum of each node `solve_mip` skips the nodes
+that cannot hold the MIP's optimum, with the same result.
 Inside `phase1_memo()` phase 1 of the simplex runs once per distinct
 constraint system: it reads only the constraint rows, never the objective.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -60,6 +62,9 @@ class LinearProgram:
     variables: list[Variable] = field(default_factory=list)
     objective: dict[str, float] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
+    # the `Rows` of the constraints, set by `with_objective` on the LPs that
+    # share them; None walks the constraints at each compile
+    _rows: Rows | None = field(default=None, init=False, repr=False, compare=False)
     # `_compile` of the LP, set on the nodes of `solve_mip`, which share
     # their MIP's; None compiles at each solve
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -70,6 +75,38 @@ class LinearProgram:
 
     def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float) -> None:
         self.constraints.append(Constraint(coeffs, relation, rhs))
+
+    def with_objective(self, objective: dict[str, float]) -> LinearProgram:
+        """This LP minimizing `objective` instead, sharing its variables, its
+        constraints and their `Rows`, compiled here at the first call; so
+        neither may change after it."""
+        if self._rows is None:
+            self._rows = _compile(self)[0]
+        lp = LinearProgram(self.variables, objective, self.constraints)
+        lp._rows = self._rows
+        return lp
+
+
+@dataclass(eq=False)
+class Rows:
+    """An LP's constraints as `_compile` walks them, in order: sparse
+    triplets (indptr, indices, data) over `width` variable columns, their
+    right-hand sides and relations.  `dense` is the triplets scattered into
+    a read-only matrix at first use, which each simplex solve copies."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rhs: list[float]
+    relations: list[str]
+    width: int
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        A = np.zeros((len(self.rhs), self.width))
+        A[np.arange(len(self.rhs)).repeat(np.diff(self.indptr)), self.indices] += self.data
+        A.flags.writeable = False
+        return A
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -88,33 +125,40 @@ class Solution:
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     """Scale `row` to a unit entry at `col`, then clear `col` from every other
     row with a nonzero entry there."""
-    T[row, :] /= T[row, col]
+    pivot = T[row]
+    pivot /= pivot[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    rows = (factors != 0.0).nonzero()[0]
-    T[rows, :] -= factors[rows, None] * T[row, :]
+    rows = factors.nonzero()[0]
+    T[rows] -= factors[rows, None] * pivot
 
 
 def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """Run Bland-rule pivots on tableau T in place; last row is the objective
     (minimize), last column the rhs. Returns 'optimal' or 'unbounded'."""
     m = T.shape[0] - 1
+    if not ncols:
+        return "optimal"
+    costs, rhs = T[-1, :ncols], T[:m, -1]  # views, which the pivots update
     while True:
-        improving = (T[-1, :ncols] < -PIVOT_TOL).nonzero()[0]
-        if not improving.size:
+        improving = costs < -PIVOT_TOL
+        enter = int(improving.argmax())  # Bland: the lowest improving column
+        if not improving[enter]:
             return "optimal"
-        enter = int(improving[0])  # Bland: the lowest improving column
         # ratio test over the rows whose entry exceeds PIVOT_TOL, in row order;
         # a ratio within 1e-12 of the best goes to the smaller basis index (Bland)
-        rows = (T[:m, enter] > PIVOT_TOL).nonzero()[0].tolist()
-        if not rows:
+        column = T[:m, enter]
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             return "unbounded"
-        ratios = (T[rows, -1] / T[rows, enter]).tolist()
-        leave, best = rows[0], ratios[0]
-        for i, ratio in zip(rows, ratios):
-            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
-                                        and basis[i] < basis[leave]):
-                leave, best = i, ratio
+        leave = int(rows[0])
+        if rows.size > 1:
+            ratios = (rhs[rows] / column[rows]).tolist()
+            best = ratios[0]
+            for i, ratio in zip(rows.tolist(), ratios):
+                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
+                                            and basis[i] < basis[leave]):
+                    leave, best = i, ratio
         _pivot(T, leave, enter)
         basis[leave] = enter
 
@@ -187,11 +231,10 @@ def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], n: int,
     return memo[key] is not None
 
 
-def _compile(lp: LinearProgram) -> tuple:
+def _compile(lp: LinearProgram) -> tuple[Rows, np.ndarray]:
     """The one walk over the names of `lp` before a solve.  Raises
     ValidationError on a repeated or unknown variable name; else returns the
-    constraints in order as sparse triplets (indptr, indices, data), their
-    right-hand sides and relations, and the cost vector."""
+    constraints' `Rows` (the shared `lp._rows` when set) and the cost vector."""
     index = {v.name: i for i, v in enumerate(lp.variables)}
     if len(index) != len(lp.variables):
         raise ValidationError("duplicate variable names")
@@ -200,6 +243,8 @@ def _compile(lp: LinearProgram) -> tuple:
         if name not in index:
             raise ValidationError(f"objective references unknown variable {name!r}")
         c[index[name]] += coef
+    if lp._rows is not None:
+        return lp._rows, c
     indptr, indices, data = [0], [], []
     try:
         for i, con in enumerate(lp.constraints):
@@ -209,16 +254,16 @@ def _compile(lp: LinearProgram) -> tuple:
     except KeyError as exc:
         raise ValidationError(
             f"constraint {i} references unknown variable {exc.args[0]!r}") from None
-    return (np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float),
-            [con.rhs for con in lp.constraints],
-            [con.relation for con in lp.constraints], c)
+    return Rows(np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float),
+                [con.rhs for con in lp.constraints],
+                [con.relation for con in lp.constraints], len(index)), c
 
 
 def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
     upper bound is one (row, relation, rhs), negated with its relation flipped
     when the rhs is negative; slack then artificial columns follow in row order."""
-    indptr, indices, data, rhs, relations, c = lp._arrays or _compile(lp)
+    rows, c = lp._arrays or _compile(lp)
     n = len(lp.variables)
     lbs = np.array([v.lb for v in lp.variables], dtype=float)
     if not np.all(np.isfinite(lbs)):
@@ -226,16 +271,16 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
 
     # rows: the constraints, then y_i <= ub_i - lb_i for each finite upper bound
     bounded = [(i, v.ub - v.lb) for i, v in enumerate(lp.variables) if v.ub is not None]
-    k = len(rhs)
+    k = len(rows.rhs)
     m = k + len(bounded)
     A = np.zeros((m, n))
-    A[np.arange(k).repeat(np.diff(indptr)), indices] += data
+    A[:k] = rows.dense
     b = np.zeros(m)
     for r in range(k):
-        b[r] = rhs[r] - A[r] @ lbs
+        b[r] = rows.rhs[r] - A[r] @ lbs
     A[range(k, m), [i for i, _ in bounded]] = 1.0
     b[k:] = [width for _, width in bounded]
-    rels = relations + [LE] * len(bounded)
+    rels = rows.relations + [LE] * len(bounded)
     for r in np.flatnonzero(b < 0).tolist():
         A[r], b[r], rels[r] = -A[r], -b[r], {LE: GE, GE: LE, EQ: EQ}[rels[r]]
 
@@ -289,7 +334,9 @@ def _solve_lp_highs(lp: LinearProgram) -> Solution:
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    indptr, indices, data, rhs, relations, c = _compile(lp)
+    rows, c = _compile(lp)
+    indptr, indices, data, rhs, relations = (rows.indptr, rows.indices, rows.data, rows.rhs,
+                                             rows.relations)
     sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
     eq = np.array([rel == EQ for rel in relations], dtype=bool)
     lengths = np.diff(indptr)
@@ -382,14 +429,15 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
     for name in binaries:
         if name not in position:
             raise ValidationError(f"unknown binary variable {name!r}")
-        if lp.variables[position[name]] != Variable(name, 0.0, 1.0):
+        v = lp.variables[position[name]]
+        if (v.lb, v.ub) != (0.0, 1.0):
             raise ValidationError(f"binary variable {name!r} must have bounds [0, 1]")
     binary = set(binaries)
     binaries = [v.name for v in lp.variables if v.name in binary]
     best = Solution("infeasible", {}, None)
     if exact is not None:
         bound = exact({})
-        margin = mip_margin(arrays[-1])
+        margin = mip_margin(arrays[1])
         cutoff = bound + margin
 
     def recurse(variables: list[Variable], fixed: dict[str, float]):
@@ -407,11 +455,12 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
             raise SolverError("MIP relaxation unbounded")
         if best.objective_value is not None and sol.objective_value >= best.objective_value - 1e-9:
             return
+        values = sol.values
         frac = next((name for name in binaries
-                     if abs(sol[name] - round(sol[name])) > INT_TOL), None)
+                     if abs(values[name] - round(values[name])) > INT_TOL), None)
         if frac is None:
-            best = Solution("optimal", {**sol.values, **{name: float(round(sol[name]))
-                                                         for name in binaries}},
+            best = Solution("optimal", {**values, **{name: float(round(values[name]))
+                                                     for name in binaries}},
                             sol.objective_value)
             return
         for branch in (0.0, 1.0):

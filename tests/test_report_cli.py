@@ -598,6 +598,35 @@ class TestMalformedInput:
         if case == "tiered":
             assert "standard-auction" in err
 
+    @pytest.mark.parametrize("line, damage", [
+        pytest.param(0, lambda doc: doc.update(round="x"), id="round-a-string"),
+        pytest.param(0, lambda doc: doc.update(round=1.5), id="fractional-round"),
+        pytest.param(1, lambda doc: doc.update(round=1), id="repeated-round"),
+        pytest.param(0, lambda doc: doc.update(round=2), id="reversed-rounds"),
+        pytest.param(0, lambda doc: doc.update(round=0), id="round-zero"),
+        pytest.param(0, lambda doc: doc.update(round=-3), id="negative-round"),
+        pytest.param(0, lambda doc: doc.update(round=True), id="boolean-round"),
+        pytest.param(0, lambda doc: next(bid for bid in doc["bids"].values() if bid).update(
+            {min(next(bid for bid in doc["bids"].values() if bid)): 1.7}),
+                     id="fractional-quantity"),
+        pytest.param(0, lambda doc: doc["posted"].update(
+            {min(doc["posted"]): math.inf}), id="infinite-price"),
+        pytest.param(0, lambda doc: next(iter(doc["bids"].values())).update(NOPE=1),
+                     id="product-off-the-catalog")])
+    def test_report_rejects_malformed_trace(self, inputs, line, damage, tmp_path):
+        lines = inputs["trace"].read_text().splitlines()
+        assert len(lines) >= 2
+        doc = json.loads(lines[line])
+        damage(doc)
+        lines[line] = json.dumps(doc)
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        code, err = run_captured(["report", "--catalog", inputs["catalog"],
+                                  "--trace-a", inputs["trace"], "--trace-b", trace,
+                                  "--out", tmp_path / "rep"])
+        assert code == 2
+        assert f"{trace}:{line + 1}:" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda doc: doc.pop("bases"), id="no-bases"),
         pytest.param(lambda doc: doc.update(marginals=[{}]), id="empty-marginal"),
@@ -676,7 +705,17 @@ class TestMalformedInput:
         pytest.param("max_rounds: '7'\n", "'max_rounds'", id="string-max-rounds"),
         pytest.param("delta: -0.5\n", "'delta'", id="negative-delta"),
         pytest.param("delta: '0.15'\n", "'delta'", id="string-delta"),
-        pytest.param("delta: true\n", "'delta'", id="boolean-delta")])
+        pytest.param("delta: true\n", "'delta'", id="boolean-delta"),
+        pytest.param("cost: {inflation: .inf}\n", "cost: 'inflation'", id="infinite-inflation"),
+        pytest.param("cost: {currency_premium: .inf}\n", "cost: 'currency_premium'",
+                     id="infinite-currency-premium"),
+        pytest.param("cost: {market_markup: .inf}\n", "cost: 'market_markup'",
+                     id="infinite-market-markup"),
+        pytest.param("cost: {spacing_km: {rural: .inf}}\n", "spacing_km rural",
+                     id="infinite-spacing"),
+        pytest.param("delta: 0.1\ndelta: 0.2\n", "repeated key 'delta'", id="repeated-key"),
+        pytest.param("cost:\n  inflation: 0.1\n  inflation: 0.2\n", "repeated key 'inflation'",
+                     id="repeated-cost-key")])
     def test_bad_config(self, inputs, text, named, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(text)
@@ -767,4 +806,40 @@ class TestMalformedInput:
             if command == "simulate-extended":
                 argv += ["--cost-table", inputs["cost_table"]]
             code, _ = run_captured(argv)
+        assert code in (0, 2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(line=st.integers(0, 1000), at=st.integers(0, 10_000), other=st.integers(0, 1000),
+           change=st.sampled_from(["missing", "nan", "sign", "type", "swap"]),
+           value=st.sampled_from(["", "x", None, True, [], {}, 0, 2.5]))
+    def test_fuzzed_trace_never_raises(self, inputs, line, at, other, change, value):
+        """One JSON value of one trace line changed, by its type, its sign or
+        to NaN, or its key removed, or two lines swapped: `report` exits 0 or
+        2, never with a traceback."""
+        lines = inputs["trace"].read_text().splitlines()
+        i = line % len(lines)
+        if change == "swap":
+            j = other % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            doc = json.loads(lines[i])
+            where = list(json_values(doc))
+            key, value_at = where[at % len(where)]
+            parent = functools.reduce(operator.getitem, key[:-1], doc)
+            if change == "missing":
+                del parent[key[-1]]
+            elif change == "nan":
+                parent[key[-1]] = math.nan
+            elif change == "sign":
+                number = isinstance(value_at, (int, float)) and not isinstance(value_at, bool)
+                parent[key[-1]] = -value_at if number else -1
+            else:
+                parent[key[-1]] = value
+            lines[i] = json.dumps(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = Path(tmp) / "trace.jsonl"
+            trace.write_text("\n".join(lines) + "\n")
+            code, _ = run_captured(["report", "--catalog", inputs["catalog"],
+                                    "--trace-a", inputs["trace"], "--trace-b", trace,
+                                    "--out", Path(tmp) / "rep"])
         assert code in (0, 2)

@@ -467,6 +467,22 @@ class TestBranchAndBoundNodes:
         assert len(calls) == len(mips)
         assert all(lp is mip_lp for lp, (mip_lp, _) in zip(calls, mips))
 
+    def test_with_objective_shares_rows_bit_for_bit(self):
+        """An LP from `with_objective` shares the constraint rows of its
+        source, compiled and made dense once, and solves as the LP built
+        afresh with that objective does, bit for bit."""
+        mips = counted_knapsacks()
+        for k in range(0, len(mips), 3):
+            source, binaries = mips[k]
+            for lp, _ in mips[k:k + 3]:
+                shared = source.with_objective(lp.objective)
+                assert shared._rows is source._rows is not None
+                assert (shared.variables, shared.constraints) == (lp.variables, lp.constraints)
+                # repr tells every float apart, -0.0 from 0.0 too
+                assert repr(solve_mip(shared, binaries)) == repr(solve_mip(lp, binaries))
+            assert source._rows.dense is source._rows.dense
+            assert not source._rows.dense.flags.writeable
+
     def test_nodes_carry_their_fixings(self, monkeypatch):
         nodes = []
         real = solver.solve_lp
@@ -712,6 +728,56 @@ def test_matches_loop_reference_bit_for_bit(monkeypatch):
     # the knapsack nodes repeat their systems, so the first pass has hits too
     assert all(got in (want, served(*want)) for got, want in zip(first, expected))
     assert first != expected and second == [served(*want) for want in expected]
+
+
+def reference_phase(T, basis, ncols):
+    """Bland-rule pivots written plainly: the lowest improving column, then
+    the ratio test over every row with an entry above PIVOT_TOL, and each
+    pivot clearing the column from the rows with a nonzero entry there."""
+    m = T.shape[0] - 1
+    while True:
+        improving = (T[-1, :ncols] < -PIVOT_TOL).nonzero()[0]
+        if not improving.size:
+            return "optimal"
+        enter = int(improving[0])
+        rows = (T[:m, enter] > PIVOT_TOL).nonzero()[0].tolist()
+        if not rows:
+            return "unbounded"
+        ratios = (T[rows, -1] / T[rows, enter]).tolist()
+        leave, best = rows[0], ratios[0]
+        for i, ratio in zip(rows, ratios):
+            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[leave]):
+                leave, best = i, ratio
+        T[leave, :] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        rows = (factors != 0.0).nonzero()[0]
+        T[rows, :] -= factors[rows, None] * T[leave, :]
+        basis[leave] = enter
+
+
+def test_simplex_phase_matches_reference_pivots(monkeypatch):
+    """Every simplex phase of the knapsack MIPs, of a tiered auction and of
+    an unbounded LP ends with the tableau bytes, basis and status of
+    `reference_phase`, from the same start."""
+    from clockauction.tiered import TieredValuationAdjustment, run_extended_auction
+
+    starts = []
+    real = solver._simplex_phase
+    monkeypatch.setattr(solver, "_simplex_phase", lambda T, basis, ncols: starts.append(
+        (T.copy(), list(basis), ncols)) or real(T, basis, ncols))
+    for mip in counted_knapsacks():
+        solve_mip(*mip)
+    config, agents = random_setup(1, n_bidders=4, n_products=8, n_bases=2)
+    run_extended_auction(config, agents, TieredValuationAdjustment.zero(
+        [a.bidder_id for a in agents], sorted({p.area_id for p in config.catalog})))
+    assert solve_lp(lp_min({"x": -1.0}, [("x", 0.0, None)], [])).status == "unbounded"
+    monkeypatch.undo()
+    assert len(starts) > 100
+    for T, basis, ncols in starts:
+        got, want = (T.copy(), list(basis)), (T.copy(), list(basis))
+        assert real(*got, ncols) == reference_phase(*want, ncols)
+        assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
 
 
 class TestLpFormatDump:

@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from clockauction.core import (Bundle, IncrementSchedule, Product,
+import clockauction.engine as engine
+from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog, RoundRecord)
 from clockauction.costs import AreaStats, DEFAULT_COVERAGE_TARGETS
 from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
                                  trace_summary, trace_to_jsonl)
 from clockauction.errors import ValidationError
-from clockauction.estimation import ValuationModel
+from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
 from clockauction.solver import PHASE1
 from clockauction.synthetic import random_setup
@@ -253,6 +254,89 @@ def test_phase1_memo_lives_for_one_run(monkeypatch):
     assert active and all(active)
     assert texts[0] == texts[1]
     assert hashlib.sha256(texts[0].encode()).hexdigest() == BB_DIGESTS[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
+    """Over a run's kind of price sequence, each oracle entry built from the
+    run's frame of its (bidder, base, eligibility) equals one built from a
+    frame of its own: utility and tolerance by float.hex, bid by repr, and
+    each enumeration table by its bytes; so does each resolve's (bid,
+    utility).  Odd seeds have zero deployment costs, where tiers tie."""
+    rng = np.random.default_rng(seed)
+    config, agents = random_setup(seed, n_bidders=2, n_products=int(rng.integers(3, 7)),
+                                  n_bases=2)
+    catalog = config.catalog
+    areas = sorted({p.area_id for p in catalog})
+    bidders = [a.bidder_id for a in agents]
+    adjustment = TieredValuationAdjustment.zero(bidders, areas) if seed % 2 else \
+        TieredValuationAdjustment({(b, a, t): int(c) for b in bidders for a in areas
+                                   for t, c in zip(TIERS, sorted(rng.integers(0, 3 * 10**7, 3)))})
+    tables, frames = [], []
+    value, frame = engine.Bundles.value, tiered._Frame.__init__
+    monkeypatch.setattr(engine.Bundles, "value",
+                        lambda self, options: tables.append(value(self, options)) or tables[-1])
+    monkeypatch.setattr(tiered._Frame, "__init__",
+                        lambda self, *a: frames.append(1) or frame(self, *a))
+
+    # rounds of rising prices on random keys, each agent's eligibility falling once
+    prices = {(j, t): catalog.get(j).opening_price for j in catalog.ids() for t in TIERS}
+    calls = []
+    for rnd in range(8):
+        for agent in agents:
+            eligibility = initial_eligibility(agent.space, catalog) - (rnd >= 4)
+            calls += [(agent, base, eligibility, PriceVector(prices)) for base in agent.space.bases]
+        prices = {k: int(p * 1.1) if rng.random() < 0.5 else p for k, p in prices.items()}
+
+    def answers():
+        out = []
+        for agent, base, eligibility, at in calls:
+            tables.clear()
+            entry = tiered._best_tiered_copies(base, agent.model, at, eligibility, catalog,
+                                               agent.bidder_id, adjustment)
+            if entry is None:
+                out.append(None)
+                continue
+            asked = (entry.utility.hex(), entry.tolerance.hex(), repr(entry.bid))
+            entry.resolve()
+            out.append((asked, repr(entry.bid), entry.utility.hex(),
+                        [table.tobytes() for table in tables]))
+        return out
+
+    with engine.oracle_memo():
+        framed = answers()
+    assert 0 < len(frames) < len(calls)
+    frames.clear()
+    assert framed == answers()
+    assert len(frames) == len(calls)
+    assert sum(answer is not None for answer in framed) > len(calls) // 2
+
+
+def test_frames_live_for_one_run(monkeypatch):
+    """A run builds one frame per (bidder, base, eligibility) it asks about,
+    and one enumeration per frame: resolving an entry builds none.  A second
+    run builds its own frames, and none outlives its run."""
+    frames, enumerations, mips = [], [], []
+    frame, bundles, solve_mip = tiered._Frame.__init__, engine.Bundles.__init__, tiered.solve_mip
+    monkeypatch.setattr(tiered._Frame, "__init__",
+                        lambda self, *a: frames.append(self) or frame(self, *a))
+    monkeypatch.setattr(engine.Bundles, "__init__",
+                        lambda self, *a: enumerations.append(1) or bundles(self, *a))
+    monkeypatch.setattr(tiered, "solve_mip", lambda *a: mips.append(1) or solve_mip(*a))
+    config, agents = random_setup(0, n_bidders=4, n_products=8, n_bases=2)
+    adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
+                                         sorted({p.area_id for p in config.catalog}))
+    runs = []
+    for _ in range(2):
+        frames.clear(), enumerations.clear(), mips.clear()
+        trace = run_extended_auction(config, agents, adj)
+        assert engine.ORACLE_MEMO.get() is None
+        assert mips and all(f.bundles is not None for f in frames)
+        assert len(enumerations) == len(frames)
+        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        runs.append((hashlib.sha256(text.encode()).hexdigest(), len(frames), len(mips)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == BB_DIGESTS[0]
 
 
 class TestCoverageReport:
