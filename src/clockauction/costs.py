@@ -28,6 +28,10 @@ DEFAULT_COVERAGE_TARGETS: dict[tuple[str, str], float] = {
     ("remote", "low"): 0.05, ("remote", "medium"): 0.10, ("remote", "high"): 0.20,
 }
 DEFAULT_SPACING_KM = {"metro": 1.0, "urban": 1.0, "rural": 7.5, "remote": 15.0}
+# the most cents the cost model's floating-point arithmetic holds exactly
+MAX_CENTS = 2**53
+# the largest factor one weighting puts on the fibre cost; two can apply
+MAX_WEIGHT = 2.0
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,13 @@ class CostParameters:
 
     def __post_init__(self):
         """Check each value's range, which is finite; the adjustment rates keep
-        the factor positive."""
+        the factor positive.  One tower with its fibre, at any cost level,
+        area class and weighting, must cost at most MAX_CENTS, so every cost
+        is finite."""
         n, flag = self.pop_per_tower, self.tower_costs_post_adjustment
         for bad, rule, value in [
-                *((not 0 <= getattr(self, k) < math.inf, f"{k} must be >= 0 cents and finite",
-                   getattr(self, k))
+                *((not 0 <= getattr(self, k) <= MAX_CENTS, f"{k} must be >= 0 cents and "
+                   "at most 2**53", getattr(self, k))
                   for k in ("tower_cost_low", "tower_cost_high", "fibre_cost_per_km")),
                 *((not -1 < getattr(self, k) < math.inf, f"{k} must be > -1 and finite",
                    getattr(self, k))
@@ -135,6 +141,11 @@ class CostParameters:
                  flag)]:
             if bad:
                 raise ValidationError(f"{rule}, not {value!r}")
+        most = (max(map(self.tower_cost, ("low", "mid", "high"))) + MAX_WEIGHT ** 2
+                * max(self.spacing_km.values(), default=0.0) * self.fibre_rate())
+        if not most <= MAX_CENTS:
+            raise ValidationError(f"one tower with its fibre may cost {most!r} cents, "
+                                  "above 2**53")
 
     @property
     def tower_cost_mid(self) -> float:
@@ -180,7 +191,7 @@ def towers_needed(population: int, coverage_target: float, existing: int,
     return max(0, required - existing)
 
 
-def _clamp(x: float, lo: float = 0.5, hi: float = 2.0) -> float:
+def _clamp(x: float, lo: float = 0.5, hi: float = MAX_WEIGHT) -> float:
     return max(lo, min(hi, x))
 
 
@@ -206,7 +217,7 @@ def _fibre_multiplier(area: AreaStats, scenario: CostScenario,
     mult = 1.0
     if scenario.weighting in ("population", "both"):
         density = area.density()
-        mult *= _clamp(refs.density / density) if density > 0 else 2.0
+        mult *= _clamp(refs.density / density) if density > 0 else MAX_WEIGHT
     if scenario.weighting in ("area", "both"):
         mult *= _clamp(area.land_area_km2 / refs.area_km2) if refs.area_km2 > 0 else 1.0
     return mult

@@ -1,11 +1,13 @@
 """Clock-auction round loop with myopic bidders.
 
 Each round, every agent picks the utility-maximizing bundle at the round's
-start prices: per base, a small MIP (BEST_COPIES) chooses one ladder level
-per product under the eligibility budget; the outer strategy adds the base
-complementarity value and keeps the best base.  The tiered oracle's MIP runs
-only when an exact enumeration of its bundles cannot tell the bid.  Overdemanded products move to
-the clock price; the loop ends when every product clears.  The same loop
+start prices: per base, BEST_COPIES chooses one ladder level per product
+under the eligibility budget; the outer strategy adds the base
+complementarity value and keeps the best base.  Both oracles work from one
+`Frame` per (bidder, base, eligibility): past the standard greedy fast path,
+an exact enumeration of its bundles names the bid, and its MIP runs only
+when the enumeration cannot.  Overdemanded products move to the clock
+price; the loop ends when every product clears.  The same loop
 (`run_rounds`) runs the deployment-tiered auction over (product, tier) keys.
 """
 
@@ -58,45 +60,6 @@ class AuctionTrace:
     truncated: bool = False
 
 
-def level_choices(base: BundleBase, model: ValuationModel, catalog: ProductCatalog,
-                  eligibility: int) -> dict[str, tuple[int, ...]] | None:
-    """Model ladder levels at or above each base quantity, by sorted product;
-    None when even the lowest levels exceed the eligibility budget."""
-    choices = {}
-    for j, base_q in sorted(base.quantities.items()):
-        choices[j] = tuple(q for q in model.ladder(j) if q >= base_q)
-        if not choices[j]:
-            raise ValidationError(f"base quantity of {j!r} off the model ladder")
-    min_cost = eligibility_cost({j: levels[0] for j, levels in choices.items()}, catalog)
-    return None if min_cost > eligibility else choices
-
-
-def copies_mip(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
-               catalog: ProductCatalog, eligibility: int
-               ) -> tuple[LinearProgram, dict[tuple[str, Hashable], str]]:
-    """BEST_COPIES as a binary MIP over `options`, per product {choice:
-    (quantity, utility)}: one binary per option (sorted product, then choice
-    order) minimizing -utility, one exactly-one row per product, then the
-    eligibility row.  Returns its LP and the (product, choice) -> binary map."""
-    lp = LinearProgram()
-    binary: dict[tuple[str, Hashable], str] = {}
-    for j in sorted(options):
-        for c in options[j]:
-            binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
-    lp.objective = copies_objective(options, binary)
-    for j in sorted(options):
-        lp.add_constraint({binary[(j, c)]: 1.0 for c in options[j]}, EQ, 1.0)
-    lp.add_constraint({name: float(options[j][c][0] * catalog.get(j).eligibility_points)
-                       for (j, c), name in binary.items()}, LE, float(eligibility))
-    return lp, binary
-
-
-def copies_objective(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
-                     binary: Mapping[tuple[str, Hashable], str]) -> dict[str, float]:
-    """`copies_mip`'s objective over `options`: -utility on each option's binary."""
-    return {name: -options[j][c][1] for (j, c), name in binary.items()}
-
-
 # the most bundles an enumeration holds; larger oracle MIPs branch without it
 MAX_BUNDLES = 4096
 
@@ -145,7 +108,7 @@ class Bundles:
                                           for span, axes in zip(self.spans, self.axes)])
 
     def value(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]]) -> np.ndarray:
-        """Each bundle's objective in `copies_mip`'s MIP over `options`, per
+        """Each bundle's objective in `Frame.solve`'s MIP over `options`, per
         product {choice: (quantity, utility)} with these quantities: -utility
         plus `paid`, inf where its eligibility does not fit."""
         utilities = self.table([options[j][c][1] for j, c in self.keys])
@@ -153,7 +116,7 @@ class Bundles:
 
     def exact(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
               binary: Mapping[tuple[str, Hashable], str]) -> Callable[[dict[str, float]], float]:
-        """The exact optimum of each branch-and-bound node of `copies_mip`'s
+        """The exact optimum of each branch-and-bound node of `Frame.solve`'s
         MIP over `options`, as `solve_mip`'s `exact`; `binary` names the
         options' binaries and the keys of `costs` the engagement binaries.
         `exact(fixed)` blocks the options that the node's fixed binaries rule
@@ -187,18 +150,6 @@ class Bundles:
         return exact
 
 
-def copies_exact(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
-                 catalog: ProductCatalog, eligibility: int,
-                 binary: Mapping[tuple[str, Hashable], str]
-                 ) -> Callable[[dict[str, float]], float] | None:
-    """`Bundles.exact` of the bundles of `options`, or None above
-    MAX_BUNDLES bundles."""
-    if not Bundles.enumerable(options):
-        return None
-    quantities = {j: {c: q for c, (q, _) in o.items()} for j, o in options.items()}
-    return Bundles(quantities, catalog, eligibility).exact(options, binary)
-
-
 @dataclass
 class BaseChoice:
     """One base's entry for `choose_base`.  `utility` is the exact utility of
@@ -206,7 +157,7 @@ class BaseChoice:
     the utility the oracle's MIP gives; `bid` is the MIP's bid where it is
     already known, else None.  `solve()` runs the MIP and gives (bid,
     utility); `resolve` calls it at most once.  An entry without `solve`
-    holds the MIP's own bid and utility."""
+    holds the oracle's answer: its bid and utility, tolerance 0."""
     utility: float
     bid: Any = None
     tolerance: float = 0.0
@@ -219,50 +170,143 @@ class BaseChoice:
         return self
 
 
-def copies_choice(options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
-                  bundles: Bundles | None, base_value: float,
-                  solve: Callable[[], tuple[Any, float] | None]) -> BaseChoice | None:
-    """The `choose_base` entry of a base whose bid `solve()` finds with the
-    MIP of `copies_mip` over `options`, plus the engagements of `bundles`,
-    and whose utility is the base value less the MIP's objective.  The
-    enumeration of `bundles` (None above MAX_BUNDLES bundles) gives the
-    exact utility.  The MIP's objective lies within the MIP's margin
-    (`solver.mip_margin`) of the optimum, or `solve_mip` raises; the
-    tolerance is twice the margin of its costs and the base value, which
-    also covers the rounding of adding the base value.  The bid is the
-    enumeration's argmin when no other fitting bundle lies within twice the
-    margin of the optimum: the MIP's bundle is within one margin, plus
-    INT_TOL per binary it rounds.  Without an enumeration `solve` runs at
-    once; None when no bundle fits."""
-    if bundles is None:
-        result = solve()
-        return None if result is None else BaseChoice(result[1], result[0])
-    value = bundles.value(options)
-    optimum = float(value.min())
-    if optimum == math.inf:  # as solve_mip would find; level_choices rules it out
-        return None
-    coefficients = [u for o in options.values() for _, u in o.values()]
-    coefficients += bundles.cost.tolist()
-    margin = mip_margin(coefficients)
-    bid = None
-    if np.count_nonzero(value <= optimum + 2 * margin) == 1:
-        at = np.unravel_index(int(value.argmin()), value.shape)
-        bid = {j: list(options[j])[int(i)] for j, i in zip(sorted(options), at)}
-    return BaseChoice(base_value - optimum, bid,
-                      2 * mip_margin([*coefficients, base_value]), solve)
+class Frame:
+    """The price-free part of one bidder's oracle on one base at one
+    eligibility, which a run builds once and keeps in ORACLE_MEMO.  `levels`
+    gives each product's options, by sorted product, as (choice, quantity,
+    cumulative value, price key): (level, level, value, product) in the
+    standard auction, ((tier, level), level, value, (product, tier)) in the
+    tiered one, whose frames also carry `costs`, each (area, tier)
+    engagement's lump-sum cost, and `needs`, the engagement each (product,
+    choice) needs.  `bid` makes a bid of {product: choice}.  The
+    enumeration's `Bundles` (None above MAX_BUNDLES bundles) is built at its
+    first use, and the MIP, with its rows compiled, at the first solve."""
+
+    def __init__(self, levels: dict[str, list[tuple[Hashable, int, float, Hashable]]],
+                 base_value: float, catalog: ProductCatalog, eligibility: int,
+                 bid: Callable[[dict], Any] = dict,
+                 needs: Mapping[tuple[str, Hashable], str] | None = None,
+                 costs: Mapping[str, float] | None = None):
+        self.levels, self.base_value, self.bid = levels, base_value, bid
+        self.catalog, self.eligibility = catalog, eligibility
+        self.needs, self.costs = needs or {}, costs or {}
+        self.mip = None
+
+    @functools.cached_property
+    def bundles(self) -> Bundles | None:
+        quantities = {j: {c: q for c, q, _, _ in levels} for j, levels in self.levels.items()}
+        return (Bundles(quantities, self.catalog, self.eligibility, self.needs, self.costs)
+                if Bundles.enumerable(quantities) else None)
+
+    def options(self, prices: PriceVector) -> dict:
+        """The options at `prices`: per product {choice: (quantity,
+        cumulative value - quantity * price)}."""
+        return {j: {c: (q, value - q * prices[key]) for c, q, value, key in levels}
+                for j, levels in self.levels.items()}
+
+    def solve(self, options: dict, solve_mip: Callable,
+              utility: Callable[[Any], float] | None = None) -> tuple[Any, float] | None:
+        """(bid, utility) of BEST_COPIES at the prices of `options` as a binary
+        MIP that `solve_mip` solves, None when it is infeasible; the utility
+        is `utility(bid)`, by default the base value less the MIP's objective.
+        One binary per option (by product, then choice) minimizes -utility,
+        and one per engagement carries its cost; one exactly-one row per
+        product, the eligibility row, then one row per option that needs an
+        engagement."""
+        if self.mip is None:
+            lp, binary = LinearProgram(), {}
+            for j, levels in self.levels.items():
+                for c, *_ in levels:
+                    binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
+            for name in self.costs:
+                lp.add_variable(name, lb=0.0, ub=1.0)
+            for j, levels in self.levels.items():
+                lp.add_constraint({binary[(j, c)]: 1.0 for c, *_ in levels}, EQ, 1.0)
+            lp.add_constraint({binary[(j, c)]: float(q * self.catalog.get(j).eligibility_points)
+                               for j, levels in self.levels.items() for c, q, *_ in levels},
+                              LE, float(self.eligibility))
+            for option, engagement in self.needs.items():
+                lp.add_constraint({binary[option]: 1.0, engagement: -1.0}, LE, 0.0)
+            self.mip = lp, binary
+        lp, binary = self.mip
+        objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
+        sol = solve_mip(lp.with_objective({**objective, **self.costs}),
+                        [*binary.values(), *self.costs],
+                        None if self.bundles is None else self.bundles.exact(options, binary))
+        if sol.status == "infeasible":
+            return None
+        bid = self.bid({j: c for (j, c), name in binary.items() if sol.values[name] > 0.5})
+        return bid, self.base_value - sol.objective_value if utility is None else utility(bid)
+
+    def choice(self, options: dict, solve_mip: Callable,
+               utility: Callable[[Any], float] | None = None) -> BaseChoice | None:
+        """The `choose_base` entry at the prices of `options`, whose `solve`
+        is `Frame.solve`'s.  The enumeration gives the exact utility.  The
+        MIP's objective lies within the MIP's margin (`solver.mip_margin`) of
+        the optimum, or `solve_mip` raises; the tolerance is twice the margin
+        of its costs and the base value, which also covers the rounding of
+        adding the base value.  The bid is the enumeration's argmin when no
+        other fitting bundle lies within twice the margin of the optimum: the
+        MIP's bundle is within one margin, plus INT_TOL per binary it
+        rounds.  Without an enumeration the MIP runs at once; None when no
+        bundle fits."""
+        solve = functools.partial(self.solve, options, solve_mip, utility)
+        if self.bundles is None:
+            result = solve()
+            return None if result is None else BaseChoice(result[1], result[0])
+        value = self.bundles.value(options)
+        optimum = float(value.min())
+        if optimum == math.inf:  # as solve_mip would find; oracle_frame rules it out
+            return None
+        coefficients = [u for o in options.values() for _, u in o.values()]
+        coefficients += self.bundles.cost.tolist()
+        margin = mip_margin(coefficients)
+        bid = None
+        if np.count_nonzero(value <= optimum + 2 * margin) == 1:
+            at = np.unravel_index(int(value.argmin()), value.shape)
+            bid = self.bid({j: list(options[j])[int(i)] for j, i in zip(sorted(options), at)})
+        return BaseChoice(self.base_value - optimum, bid,
+                          2 * mip_margin([*coefficients, self.base_value]), solve)
+
+
+def oracle_frame(bidder_id: str, base: BundleBase, model: ValuationModel,
+                 catalog: ProductCatalog, eligibility: int,
+                 build: Callable[[dict[str, tuple[int, ...]]], Frame]) -> Frame | None:
+    """The `Frame` of the bidder on `base` at `eligibility`: the run's, which
+    ORACLE_MEMO keeps under (bidder, base, eligibility), or outside a run one
+    for this call alone.  `build` makes it from the model ladder levels at or
+    above each base quantity, by sorted product; None when even the lowest
+    levels exceed the eligibility budget."""
+    frames = ORACLE_MEMO.get()
+    if frames is None:
+        frames = {}
+    key = (bidder_id, base.base_id, eligibility)
+    if key not in frames:
+        choices = {}
+        for j, base_q in sorted(base.quantities.items()):
+            choices[j] = tuple(q for q in model.ladder(j) if q >= base_q)
+            if not choices[j]:
+                raise ValidationError(f"base quantity of {j!r} off the model ladder")
+        lowest = eligibility_cost({j: levels[0] for j, levels in choices.items()}, catalog)
+        frames[key] = None if lowest > eligibility else build(choices)
+    return frames[key]
 
 
 def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
-                eligibility: int, catalog: ProductCatalog) -> Bundle | None:
-    """Utility-maximizing ladder levels for one base: the cumulative increment
-    value up to the chosen level minus quantity * price, through `copies_mip`
-    unless the per-product argmax levels fit the budget.  Returns None when
-    even the minimum levels exceed the eligibility budget."""
-    choices = level_choices(base, model, catalog, eligibility)
-    if choices is None:
+                eligibility: int, catalog: ProductCatalog) -> BaseChoice | None:
+    """`choose_base`'s entry for one base: the ladder levels that maximize the
+    cumulative increment value up to the chosen level minus quantity *
+    price, plus the base value.  The per-product argmax levels are the bid
+    when they fit the budget; else the entry is the frame's, whose resolved
+    utility is the MIP bundle's `bundle_utility`.  None when even the
+    minimum levels exceed the eligibility budget."""
+    frame = oracle_frame(model.bidder_id, base, model, catalog, eligibility, lambda choices: Frame(
+        {j: [(q, q, model.cumulative_value(j, q), j) for q in levels]
+         for j, levels in choices.items()},
+        model.base_values.get(base.base_id, 0.0), catalog, eligibility, Bundle))
+    if frame is None:
         return None
-    options = {j: {q: (q, model.cumulative_value(j, q) - q * prices[j]) for q in levels}
-               for j, levels in choices.items()}
+    options = frame.options(prices)
 
     # fast path: with eligibility slack at the per-product argmax levels the
     # products decouple and the MIP is unnecessary
@@ -271,14 +315,10 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     # still held the larger level, and held it
     greedy = {j: max(o, key=lambda q: (o[q][1], q)) for j, o in options.items()}
     if eligibility_cost(greedy, catalog) <= eligibility:
-        return Bundle(greedy)
-
-    lp, binary = copies_mip(options, catalog, eligibility)
-    sol = solve_mip(lp, list(binary.values()),
-                    copies_exact(options, catalog, eligibility, binary))
-    if sol.status == "infeasible":
-        return None
-    return Bundle({j: q for (j, q), name in binary.items() if sol.values[name] > 0.5})
+        bundle = Bundle(greedy)
+        return BaseChoice(bundle_utility(model, bundle, base, prices), bundle)
+    return frame.choice(options, solve_mip,
+                        lambda bundle: bundle_utility(model, bundle, base, prices))
 
 
 def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: int,
@@ -320,13 +360,9 @@ def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: in
 def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
                eligibility: int, memo: dict) -> Bundle | None:
     """best_copies per base, then the base choice of choose_base."""
-    def solve(base):
-        bundle = best_copies(base, agent.model, prices, eligibility, catalog)
-        if bundle is None:
-            return None
-        return BaseChoice(bundle_utility(agent.model, bundle, base, prices), bundle)
-    return choose_base(agent, solve, memo, eligibility,
-                       lambda base: tuple(prices[j] for j in base.quantities))
+    return choose_base(agent, lambda base: best_copies(base, agent.model, prices, eligibility,
+                                                       catalog),
+                       memo, eligibility, lambda base: tuple(prices[j] for j in base.quantities))
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +548,10 @@ def _count(value, what: str) -> int:
 def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
     """Read a standard auction's trace (truncated if its final round is still
     overdemanded).  Its rounds are numbered 1, 2, ... in order; each round
-    prices every catalog product and gives its aggregate demand, and its
-    bids are of catalog products; every price, quantity and eligibility is an
-    integer >= 0.  Anything else, or a tiered round, is an input error at
-    `path:line`."""
+    prices every catalog product and gives its aggregate demand, the sum of
+    its bids, which are of catalog products; every price, quantity and
+    eligibility is an integer >= 0.  Anything else, or a tiered round, is an
+    input error at `path:line`."""
     products = set(catalog.ids())
 
     def per_product(doc, what: str, every: bool = True) -> dict[str, int]:
@@ -547,7 +583,13 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
                              for bidder, e in doc["eligibility"].items()},
                 bids={bidder: Bundle(per_product(q, f"bid of {bidder!r}", every=False))
                       for bidder, q in bids.items()}))
-            over = overdemanded(rounds[-1].aggregate, catalog)
+            record = rounds[-1]
+            for j in sorted(products):
+                summed = sum(bid[j] for bid in record.bids.values())
+                if record.aggregate[j] != summed:
+                    raise ValidationError(f"aggregate demand of {j!r} is "
+                                          f"{record.aggregate[j]}, but its bids sum to {summed}")
+            over = overdemanded(record.aggregate, catalog)
         except INPUT_ERRORS as exc:
             raise input_error(f"{path}:{n}", exc) from exc
     if not rounds:

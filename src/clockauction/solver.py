@@ -101,6 +101,13 @@ class Rows:
     width: int
 
     @functools.cached_property
+    def integer_weight(self) -> float | None:
+        """The sum of the coefficients' magnitudes when every coefficient is an
+        integer, else None."""
+        integral = np.array_equal(self.data, np.rint(self.data))
+        return float(np.abs(self.data).sum()) if integral else None
+
+    @functools.cached_property
     def dense(self) -> np.ndarray:
         A = np.zeros((len(self.rhs), self.width))
         A[np.arange(len(self.rhs)).repeat(np.diff(self.indptr)), self.indices] += self.data
@@ -276,8 +283,17 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     A = np.zeros((m, n))
     A[:k] = rows.dense
     b = np.zeros(m)
-    for r in range(k):
-        b[r] = rows.rhs[r] - A[r] @ lbs
+    weight = rows.integer_weight
+    if weight is not None and np.array_equal(lbs, np.rint(lbs)) and \
+            weight * np.abs(lbs).max(initial=0.0) < 2**53:
+        # integer rows and bounds whose products and partial sums stay below
+        # 2**53 sum exactly in any order, so one matrix-vector product gives
+        # the bits of one dot product per row.  Every oracle MIP row and bound
+        # is such: one-hot rows, points * quantities, +-1 links, 0/1 bounds
+        b[:k] = rows.rhs - A[:k] @ lbs
+    else:
+        for r in range(k):
+            b[r] = rows.rhs[r] - A[r] @ lbs
     A[range(k, m), [i for i, _ in bounded]] = 1.0
     b[k:] = [width for _, width in bounded]
     rels = rows.relations + [LE] * len(bounded)

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 from .core import PriceVector, ProductCatalog
 from .errors import ValidationError
-from .engine import (ORACLE_MEMO, AuctionConfig, AuctionTrace, BaseChoice, BidderAgent,
-                     Bundles, Market, choose_base, copies_choice, copies_mip,
-                     copies_objective, level_choices, run_rounds)
+from .engine import (AuctionConfig, AuctionTrace, BaseChoice, BidderAgent, Frame, Market,
+                     choose_base, oracle_frame, run_rounds)
 from .estimation import ValuationModel
 from .ingest import BundleBase
-from .solver import LE, solve_mip
+from .solver import solve_mip
 
 TIERS = ("low", "medium", "high")
 TIER_RANK = {t: i for i, t in enumerate(TIERS)}
@@ -83,85 +82,29 @@ class TieredAuctionTrace(AuctionTrace):
     deployment_costs: dict[str, int] = field(default_factory=dict)
 
 
-class _Frame:
-    """The price-free part of one bidder's tiered oracle on one base at one
-    eligibility, which a run builds once and keeps in ORACLE_MEMO: each
-    product's levels with their cumulative values, the (area, tier)
-    engagements' costs and the engagement each (tier, level) option needs,
-    the base value, the enumeration's `Bundles` (None above MAX_BUNDLES
-    bundles) and, from the first resolve on, the MIP with its rows compiled."""
-
-    def __init__(self, choices: dict[str, tuple[int, ...]], base: BundleBase,
-                 model: ValuationModel, eligibility: int, catalog: ProductCatalog,
-                 bidder_id: str, adjustment: TieredValuationAdjustment):
-        self.levels = {j: [(q, model.cumulative_value(j, q)) for q in levels]
-                       for j, levels in choices.items()}
-        area_of = {j: catalog.get(j).area_id for j in choices}
-        engage = {(a, t): f"Y::{a}::{t}" for a in sorted(set(area_of.values())) for t in TIERS}
-        self.costs = {name: float(adjustment.cost(bidder_id, a, t))
-                      for (a, t), name in engage.items()}
-        quantities = {j: {(t, q): q for t in TIERS for q in levels}
-                      for j, levels in choices.items()}
-        self.needs = {(j, c): engage[(area_of[j], c[0])] for j, o in quantities.items() for c in o}
-        self.base_value = model.base_values.get(base.base_id, 0.0)
-        self.bundles = (Bundles(quantities, catalog, eligibility, self.needs, self.costs)
-                        if Bundles.enumerable(quantities) else None)
-        self.catalog, self.eligibility = catalog, eligibility
-        self.mip = None
-
-    def options(self, prices: PriceVector) -> dict:
-        """`copies_mip`'s options at `prices`: per product {(tier, level):
-        (level, cumulative value - level * price)}."""
-        return {j: {(t, q): (q, value - q * prices[(j, t)]) for t in TIERS for q, value in levels}
-                for j, levels in self.levels.items()}
-
-    def solve(self, options: dict) -> tuple[dict, float] | None:
-        """(bid, utility net of the engaged costs, plus the base value) of
-        the MIP at the prices of `options`, None when it is infeasible.  The
-        MIP is BEST_COPIES over the options plus binary engagement variables
-        carrying the lump-sum costs; a level at a tier needs its area engaged
-        at that tier."""
-        if self.mip is None:
-            lp, binary = copies_mip(options, self.catalog, self.eligibility)
-            for name in self.costs:
-                lp.add_variable(name, lb=0.0, ub=1.0)
-            for option, name in binary.items():
-                lp.add_constraint({name: 1.0, self.needs[option]: -1.0}, LE, 0.0)
-            self.mip = lp, binary
-        lp, binary = self.mip
-        sol = solve_mip(lp.with_objective({**copies_objective(options, binary), **self.costs}),
-                        [*binary.values(), *self.costs],
-                        None if self.bundles is None else self.bundles.exact(options, binary))
-        if sol.status == "infeasible":
-            return None
-        bundle = {j: c for (j, c), name in binary.items() if sol.values[name] > 0.5}
-        return bundle, -sol.objective_value + self.base_value
-
-
 def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                         prices: PriceVector, eligibility: int,
                         catalog: ProductCatalog, bidder_id: str,
                         adjustment: TieredValuationAdjustment) -> BaseChoice | None:
     """Level and tier choice for one base, as `choose_base`'s entry: its
     utility is net of the engaged deployment costs plus the base value.  The
-    base's `_Frame` comes from the run's ORACLE_MEMO, under (bidder, base,
-    eligibility), or is built for this call alone outside a run; the call
-    adds the utilities at `prices`.  The frame's MIP runs only where
-    `copies_choice` cannot name its bid or `choose_base` must resolve the
-    base."""
-    frames = ORACLE_MEMO.get()
-    if frames is None:
-        frames = {}
-    key = (bidder_id, base.base_id, eligibility)
-    if key not in frames:
-        choices = level_choices(base, model, catalog, eligibility)
-        frames[key] = None if choices is None else _Frame(
-            choices, base, model, eligibility, catalog, bidder_id, adjustment)
-    frame = frames[key]
-    if frame is None:
-        return None
-    options = frame.options(prices)
-    return copies_choice(options, frame.bundles, frame.base_value, lambda: frame.solve(options))
+    base's `engine.Frame` holds each (tier, level) option, the (area, tier)
+    engagements' costs and the engagement each option needs; the call adds
+    the utilities at `prices`.  Its MIP runs only where the frame's entry
+    cannot name its bid or `choose_base` must resolve the base."""
+    def build(choices):
+        area_of = {j: catalog.get(j).area_id for j in choices}
+        engage = {(a, t): f"Y::{a}::{t}" for a in sorted(set(area_of.values())) for t in TIERS}
+        return Frame({j: [((t, q), q, model.cumulative_value(j, q), (j, t))
+                          for t in TIERS for q in levels] for j, levels in choices.items()},
+                     model.base_values.get(base.base_id, 0.0), catalog, eligibility,
+                     needs={(j, (t, q)): engage[(area_of[j], t)]
+                            for j, levels in choices.items() for t in TIERS for q in levels},
+                     costs={name: float(adjustment.cost(bidder_id, a, t))
+                            for (a, t), name in engage.items()})
+
+    frame = oracle_frame(bidder_id, base, model, catalog, eligibility, build)
+    return None if frame is None else frame.choice(frame.options(prices), solve_mip)
 
 
 def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,

@@ -78,7 +78,9 @@ def test_01_best_copies_oracle():
         elig = int(rng.integers(0, 40))
 
         from clockauction.core import PriceVector
-        got = best_copies(base, model, PriceVector(price), elig, catalog)
+        entry = best_copies(base, model, PriceVector(price), elig, catalog)
+        # the bid the auction uses: the entry's known bid, else its MIP's
+        got = None if entry is None else (entry if entry.bid is not None else entry.resolve()).bid
 
         def cum(j, q):
             total, prev = 0, ladders[j][0]
@@ -116,7 +118,8 @@ def test_01_best_copies_oracle():
 def test_01b_tiered_oracle():
     """The tiered bidder oracle against enumeration of every base and every
     (tier, ladder level) per product, with lump-sum deployment costs per
-    engaged (area, tier); integer data, so utilities agree to 1e-6."""
+    engaged (area, tier): the bid across bases, and each base's own; integer
+    data, so utilities agree to 1e-6."""
     rng = np.random.default_rng(271828)
     mismatches = []
     for instance in range(200):
@@ -160,7 +163,7 @@ def test_01b_tiered_oracle():
             observed={}))
 
         from clockauction.core import PriceVector
-        from clockauction.tiered import _myopic_tiered_bid
+        from clockauction.tiered import _best_tiered_copies, _myopic_tiered_bid
         got = _myopic_tiered_bid(agent, PriceVector(price), catalog, elig, adjustment, {})
 
         def cum(j, q):
@@ -187,12 +190,24 @@ def test_01b_tiered_oracle():
 
         best_u = None
         for base in bases:
+            base_u = None
             for combo in itertools.product(
                     *[[(j, (t, q)) for t in TIERS for q in ladders[j]
                        if q >= base.quantities[j]] for j in sorted(base.quantities)]):
                 u = utility(base, dict(combo))
-                if u is not None and (best_u is None or u > best_u):
-                    best_u = u
+                if u is not None and (base_u is None or u > base_u):
+                    base_u = u
+            # the base's own bid, as the auction uses it: known, else its MIP's
+            entry = _best_tiered_copies(base, model, PriceVector(price), elig, catalog, "X",
+                                        adjustment)
+            if (entry is None) != (base_u is None):
+                mismatches.append((instance, base.base_id, base_u, entry))
+            elif entry is not None:
+                bid = (entry if entry.bid is not None else entry.resolve()).bid
+                if abs(utility(base, bid) - base_u) > 1e-6:
+                    mismatches.append((instance, base.base_id, base_u, bid))
+            if base_u is not None and (best_u is None or base_u > best_u):
+                best_u = base_u
         exits = best_u is None or best_u < 0
         if exits != (got is None):
             mismatches.append((instance, best_u, got))

@@ -1,10 +1,10 @@
-"""The exact optimum of the oracle MIPs.  `engine.copies_exact` gives each
+"""The exact optimum of the oracle MIPs.  `engine.Bundles.exact` gives each
 branch-and-bound node's integer optimum, and `solve_mip(lp, binaries, exact)`
 skips the nodes that cannot hold the MIP's optimum with the same result, bit
 for bit, as the search without it.  `engine.choose_base` picks the base from
-the exact utilities of the tiered oracle's entries and runs a MIP only where
-they cannot tell, with the bid, bit for bit, of the rule that runs every
-base's MIP."""
+the exact utilities of the oracles' entries and runs a MIP only where they
+cannot tell, with the bid, bit for bit, of the rule that runs every base's
+MIP."""
 
 import hashlib
 import itertools
@@ -19,8 +19,8 @@ import clockauction.engine as engine
 import clockauction.solver as solver
 import clockauction.tiered as tiered
 from clockauction.core import PriceVector, Product, ProductCatalog, eligibility_cost
-from clockauction.engine import (MAX_BUNDLES, BidderAgent, copies_exact, copies_mip,
-                                 run_auction, trace_summary, trace_to_jsonl)
+from clockauction.engine import (MAX_BUNDLES, BidderAgent, Frame, run_auction, trace_summary,
+                                 trace_to_jsonl)
 from clockauction.errors import SolverError
 from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
@@ -39,9 +39,9 @@ def random_costs(rng, bidder, catalog, zero):
 
 
 def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[tuple]:
-    """`count` (lp, binaries, exact) triples, the MIPs that random calls of
-    the standard oracle pass to `solve_mip`, or that the tiered oracle's
-    entries pass to it when they are resolved.  Half the calls price every
+    """`count` (lp, binaries, exact) triples, the MIPs that the entries of
+    random calls of the standard or the tiered oracle pass to `solve_mip`
+    when they are resolved.  Half the calls price every
     option at its opening price, as the opening round does, and half the
     tiered calls have zero deployment costs: both tie options."""
     rng = np.random.default_rng(seed)
@@ -66,13 +66,15 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
                 return p if opening else int(p * rng.uniform(0.5, 3.0))
 
             if kind == "standard":
-                engine.best_copies(base, model, PriceVector({j: price(j) for j in catalog.ids()}),
-                                   eligibility, catalog)
-                continue
-            adjustment = random_costs(rng, agent.bidder_id, catalog, rng.random() < 0.5)
-            entry = tiered._best_tiered_copies(
-                base, model, PriceVector({(j, t): price(j) for j in catalog.ids() for t in TIERS}),
-                eligibility, catalog, agent.bidder_id, adjustment)
+                entry = engine.best_copies(
+                    base, model, PriceVector({j: price(j) for j in catalog.ids()}),
+                    eligibility, catalog)
+            else:
+                adjustment = random_costs(rng, agent.bidder_id, catalog, rng.random() < 0.5)
+                entry = tiered._best_tiered_copies(
+                    base, model,
+                    PriceVector({(j, t): price(j) for j in catalog.ids() for t in TIERS}),
+                    eligibility, catalog, agent.bidder_id, adjustment)
             entry.resolve()
     return recorded
 
@@ -194,16 +196,29 @@ def test_exact_feasible_on_an_infeasible_mip_is_a_solver_error():
 
 
 def test_no_enumeration_above_max_bundles():
-    """Above MAX_BUNDLES bundles the oracles branch without the bound."""
+    """Above MAX_BUNDLES bundles a frame has no enumeration, and its MIP
+    branches without the bound; at or below it the frame's `Bundles.exact`
+    is the bound, which gives the MIP's optimum at the root."""
     config, _ = random_setup(0, n_bidders=1, n_products=8)
     catalog = config.catalog
     per_product = round(MAX_BUNDLES ** (1 / 3)) + 1
-    options = {j: {q: (1, float(q)) for q in range(per_product)} for j in catalog.ids()[:3]}
-    _, binary = copies_mip(options, catalog, 10**6)
-    assert copies_exact(options, catalog, 10**6, binary) is None
-    options = {j: dict(list(o.items())[:-2]) for j, o in options.items()}
-    _, binary = copies_mip(options, catalog, 10**6)
-    assert copies_exact(options, catalog, 10**6, binary) is not None
+    for levels, enumerated in [(per_product, False), (per_product - 2, True)]:
+        frame = Frame({j: [(q, 1, float(q), j) for q in range(levels)]
+                       for j in catalog.ids()[:3]}, 0.0, catalog, 10**6)
+        options = frame.options(PriceVector({j: 0 for j in catalog.ids()}))
+        bounds = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "solve_mip", lambda *a: bounds.append(a[2]) or solve_mip(*a))
+            entry = frame.choice(options, engine.solve_mip)
+        assert (frame.bundles is not None) == enumerated
+        if enumerated:
+            binary = {(j, c): f"I{i}" for i, (j, c) in enumerate(
+                (j, c) for j in sorted(options) for c in options[j])}
+            assert bounds == [] and entry.solve is not None
+            assert frame.bundles.exact(options, binary)({}) == -3.0 * (levels - 1)
+        else:
+            assert bounds == [None] and entry.solve is None
+        assert entry.resolve().utility == 3.0 * (levels - 1)
 
 
 @pytest.mark.parametrize("auction", ["standard", "tiered", "tiered-zero-costs"])

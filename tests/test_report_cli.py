@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from clockauction import cli
@@ -612,7 +613,9 @@ class TestMalformedInput:
         pytest.param(0, lambda doc: doc["posted"].update(
             {min(doc["posted"]): math.inf}), id="infinite-price"),
         pytest.param(0, lambda doc: next(iter(doc["bids"].values())).update(NOPE=1),
-                     id="product-off-the-catalog")])
+                     id="product-off-the-catalog"),
+        pytest.param(-1, lambda doc: doc["aggregate"].update({min(doc["aggregate"]): 1_000_000}),
+                     id="aggregate-not-the-sum-of-bids")])
     def test_report_rejects_malformed_trace(self, inputs, line, damage, tmp_path):
         lines = inputs["trace"].read_text().splitlines()
         assert len(lines) >= 2
@@ -625,7 +628,7 @@ class TestMalformedInput:
                                   "--trace-a", inputs["trace"], "--trace-b", trace,
                                   "--out", tmp_path / "rep"])
         assert code == 2
-        assert f"{trace}:{line + 1}:" in err and "Traceback" not in err
+        assert f"{trace}:{line % len(lines) + 1}:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda doc: doc.pop("bases"), id="no-bases"),
@@ -713,6 +716,15 @@ class TestMalformedInput:
                      id="infinite-market-markup"),
         pytest.param("cost: {spacing_km: {rural: .inf}}\n", "spacing_km rural",
                      id="infinite-spacing"),
+        pytest.param("cost: {tower_cost_low_cad: 1e308}\n",
+                     "cost: 'tower_cost_low_cad': tower_cost_low must be >= 0 cents and at most",
+                     id="huge-money"),
+        pytest.param("cost: {tower_cost_low_cad: 1e400}\n",
+                     "cost: 'tower_cost_low_cad': tower_cost_low must be >= 0 cents and at most",
+                     id="money-past-the-float-range"),
+        pytest.param("cost: {market_markup: 1e308}\n",
+                     "cost: 'market_markup': one tower with its fibre may cost inf cents",
+                     id="huge-market-markup"),
         pytest.param("delta: 0.1\ndelta: 0.2\n", "repeated key 'delta'", id="repeated-key"),
         pytest.param("cost:\n  inflation: 0.1\n  inflation: 0.2\n", "repeated key 'inflation'",
                      id="repeated-cost-key")])
@@ -843,3 +855,56 @@ class TestMalformedInput:
                                     "--trace-a", inputs["trace"], "--trace-b", trace,
                                     "--out", Path(tmp) / "rep"])
         assert code in (0, 2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["estimate", "simulate", "simulate-extended", "report",
+                                    "roundtrip-check"]),
+           at=st.integers(0, 10_000), change=st.sampled_from(["set", "sign", "drop", "repeat"]),
+           value=st.sampled_from(["", "x", None, True, [], {}, 0, 2.5, math.nan, math.inf,
+                                  1e308, "1e308", "1e400"]))
+    def test_fuzzed_config_never_raises(self, inputs, command, at, change, value):
+        """One value of a config that sets every key changed, by its type, its
+        sign, to NaN, infinity or 1e308 (as a float, and as the YAML text
+        `1e308` or `1e400`, which reads as a string), or one key dropped or
+        repeated: every command that takes `--config` exits 0 or 2, never
+        with a traceback.  Each config goes to `cost-table`, which reads
+        every cost value, and to one other command."""
+        doc = {"delta": 0.15, "max_rounds": 200,
+               "coverage_targets": {"metro": {"low": 0.5, "high": 0.75},
+                                    "rural": {"medium": 0.3}},
+               "cost": {"tower_cost_low_cad": 286176, "tower_cost_high_cad": "360481.50",
+                        "fibre_cost_per_km_cad": 50000, "market_markup": 0.1,
+                        "inflation": 0.1, "currency_premium": 0.3, "pop_per_tower": 20000,
+                        "tower_costs_post_adjustment": False,
+                        "spacing_km": {"rural": 7.5, "remote": 15}}}
+        where = list(json_values(doc))
+        key, value_at = where[at % len(where)]
+        parent = functools.reduce(operator.getitem, key[:-1], doc)
+        if change == "set":
+            parent[key[-1]] = value
+        elif change == "sign":
+            number = isinstance(value_at, (int, float)) and not isinstance(value_at, bool)
+            parent[key[-1]] = -value_at if number else -1
+        elif change == "drop":
+            del parent[key[-1]]
+        lines = yaml.safe_dump(doc, default_flow_style=False).splitlines()
+        if change == "repeat":
+            lines.insert(at % len(lines), lines[at % len(lines)])
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "config.yaml", Path(tmp) / "out"
+            config.write_text("\n".join(lines) + "\n")
+            argv = {"cost-table": ["--demographics", inputs["demographics"],
+                                   "--inventory", inputs["inventory"], "--out", out],
+                    "estimate": ["--bids", inputs["bids"], "--out", out],
+                    "simulate": ["--models", inputs["models"], "--out", out],
+                    "simulate-extended": ["--models", inputs["models"],
+                                          "--cost-table", inputs["cost_table"],
+                                          "--demographics", inputs["demographics"],
+                                          "--out", out],
+                    "report": ["--trace-a", inputs["trace"], "--trace-b", inputs["trace"],
+                               "--out", out],
+                    "roundtrip-check": ["--bids", inputs["bids"]]}
+            for name in ("cost-table", command):
+                code, _ = run_captured([name, "--catalog", inputs["catalog"],
+                                        "--config", config, *argv[name]])
+                assert code in (0, 2), name

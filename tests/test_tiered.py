@@ -273,11 +273,11 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
         TieredValuationAdjustment({(b, a, t): int(c) for b in bidders for a in areas
                                    for t, c in zip(TIERS, sorted(rng.integers(0, 3 * 10**7, 3)))})
     tables, frames = [], []
-    value, frame = engine.Bundles.value, tiered._Frame.__init__
+    value, frame = engine.Bundles.value, engine.Frame.__init__
     monkeypatch.setattr(engine.Bundles, "value",
                         lambda self, options: tables.append(value(self, options)) or tables[-1])
-    monkeypatch.setattr(tiered._Frame, "__init__",
-                        lambda self, *a: frames.append(1) or frame(self, *a))
+    monkeypatch.setattr(engine.Frame, "__init__",
+                        lambda self, *a, **k: frames.append(1) or frame(self, *a, **k))
 
     # rounds of rising prices on random keys, each agent's eligibility falling once
     prices = {(j, t): catalog.get(j).opening_price for j in catalog.ids() for t in TIERS}
@@ -317,9 +317,9 @@ def test_frames_live_for_one_run(monkeypatch):
     and one enumeration per frame: resolving an entry builds none.  A second
     run builds its own frames, and none outlives its run."""
     frames, enumerations, mips = [], [], []
-    frame, bundles, solve_mip = tiered._Frame.__init__, engine.Bundles.__init__, tiered.solve_mip
-    monkeypatch.setattr(tiered._Frame, "__init__",
-                        lambda self, *a: frames.append(self) or frame(self, *a))
+    frame, bundles, solve_mip = engine.Frame.__init__, engine.Bundles.__init__, tiered.solve_mip
+    monkeypatch.setattr(engine.Frame, "__init__",
+                        lambda self, *a, **k: frames.append(self) or frame(self, *a, **k))
     monkeypatch.setattr(engine.Bundles, "__init__",
                         lambda self, *a: enumerations.append(1) or bundles(self, *a))
     monkeypatch.setattr(tiered, "solve_mip", lambda *a: mips.append(1) or solve_mip(*a))
@@ -331,8 +331,8 @@ def test_frames_live_for_one_run(monkeypatch):
         frames.clear(), enumerations.clear(), mips.clear()
         trace = run_extended_auction(config, agents, adj)
         assert engine.ORACLE_MEMO.get() is None
-        assert mips and all(f.bundles is not None for f in frames)
         assert len(enumerations) == len(frames)
+        assert mips and all(f.bundles is not None for f in frames)
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(frames), len(mips)))
     assert runs[0] == runs[1]
