@@ -46,6 +46,8 @@ class AreaStats:
             raise ValidationError(f"area {self.area_id}: unknown area_class {self.area_class!r}")
         if self.population < 0:
             raise ValidationError(f"area {self.area_id}: negative population")
+        if self.population > MAX_CENTS:  # a float must hold it, as it holds money
+            raise ValidationError(f"area {self.area_id}: population above 2**53")
         if not math.isfinite(self.land_area_km2) or self.land_area_km2 < 0:
             raise ValidationError(f"area {self.area_id}: land area must be finite and >= 0, "
                                   f"not {self.land_area_km2!r}")

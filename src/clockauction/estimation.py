@@ -8,7 +8,8 @@ utility each round, marginal rationality against neighboring ladder levels,
 and revealed preference against every eligible alternative variant, with
 penalized slack.  Minimizing slack plus total base value yields the tightest
 lower-bound valuations consistent with myopic, monotonic bidding.  The LP is
-solved with HiGHS.
+written straight into the compiled rows HiGHS reads (`solver.SparseLP`), with
+no per-row dicts, and solved with HiGHS.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .core import Bundle, PriceVector, ProductCatalog, eligibility_cost, finite_json
 from .errors import SolverError, ValidationError
-from .ingest import BundleBase, BundleSpace, CopyLadder, enumerate_variants
-from .solver import GE, LinearProgram, Solution, check_feasible, solve_lp
+from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
+from .solver import GE, Rows, Solution, SparseLP, check_feasible, solve_lp
 
 VALUE_TOL = 1e-6
 
@@ -121,10 +126,27 @@ def reconstruct_eligibility(space: BundleSpace, catalog: ProductCatalog) -> dict
 # LP construction
 
 
+BLOCKS = ("positive_utility", "marginal_rationality", "revealed_preference",
+          "diminishing_returns")
+
+
+class _Listing(NamedTuple):
+    """Rows in compiled form: the observed bundle's table row, the entries
+    (-1 for a slack column) and their number per row, each row's alternative
+    (None for sitting out) and block, and the tails of the slack names."""
+    own: int
+    indices: list[int]
+    values: list[float]
+    lengths: list[int]
+    alternatives: list[int | None]
+    kinds: list[int]
+    tags: list[tuple[str, object]]
+
+
 @dataclass
 class _Problem:
-    lp: LinearProgram
-    blocks: list[str]                 # per-constraint block label
+    lp: SparseLP
+    kinds: list[int]                  # per row, the index of its block in BLOCKS
     slack_names: list[str]
     mr_slack_names: list[str] = field(default_factory=list)
 
@@ -137,112 +159,176 @@ def _vm(product_id: str, level: int) -> str:
     return f"vm::{product_id}::{level}"
 
 
-def _utility_terms(space: BundleSpace, bundle: Bundle, base_id: str,
-                   prices: PriceVector) -> tuple[dict[str, float], float]:
-    """Linear coefficients over LP variables plus the constant price part of
-    u(bundle; prices)."""
-    coeffs: dict[str, float] = {_vb(base_id): 1.0}
-    constant = 0.0
-    for j, q in bundle.quantities.items():
-        for level, width in _ladder_steps(space.ladders[j].levels, q):
-            coeffs[_vm(j, level)] = coeffs.get(_vm(j, level), 0.0) + width
-        constant -= q * prices[j]
-    return coeffs, constant
-
-
-def _preference(observed: tuple[dict[str, float], float],
-                alternative: tuple[dict[str, float], float]
-                ) -> tuple[dict[str, float], float]:
-    """u(observed) - u(alternative) >= 0 as (coefficients, rhs), each utility
-    given by its `_utility_terms`."""
-    (u_coeffs, u_const), (a_coeffs, a_const) = observed, alternative
-    coeffs = dict(u_coeffs)
-    for name, coef in a_coeffs.items():
-        coeffs[name] = coeffs.get(name, 0.0) - coef
-    return coeffs, a_const - u_const
-
-
 def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
            eligibility: dict[int, int], catalog: ProductCatalog,
            mr_slack_weight: float | None = None) -> _Problem:
-    """Every row is `>=`; rows (a)-(c) each say the observed bundle is no worse
-    than an alternative, through `_preference`."""
-    lp = LinearProgram()
-    for base in space.bases:
-        lp.add_variable(_vb(base.base_id), lb=0.0)
-        lp.objective[_vb(base.base_id)] = 1.0
-    for j in sorted(space.ladders):
-        ladder = space.ladders[j]
-        for level in ladder.levels[1:]:
-            lp.add_variable(_vm(j, level), lb=0.0)
-            # tiny weight picks the vertex with minimal marginals out of the
-            # degenerate optimal face; keeps re-simulation ties canonical
-            lp.objective[_vm(j, level)] = 1e-6
+    """The valuation LP, written straight into its compiled rows.
 
-    prob = _Problem(lp=lp, blocks=[], slack_names=[])
-    variants = [(variant, base.base_id, eligibility_cost(variant, catalog))
-                for base in space.bases
-                for variant in enumerate_variants(base, space.ladders)]
+    Every row is `>=` and says u(observed) - u(alternative) >= 0 for the
+    round's observed bundle; per round come (a) sitting out, (b) one ladder
+    step on one product and (c) each eligible variant with a slack, and at
+    the end (d) diminishing returns.  A bundle's utility is its row of a
+    table over the vb/vm columns (1.0 on its base, each ladder width up to
+    its quantity) minus its cost at the round's prices.  A row lists the
+    observed bundle's columns, then the alternative's others, keeping the
+    cancelled terms as 0.0 except in (b).  Each observed bundle's rows are
+    made once, and each (observed bundle, eligibility) picks its (c) rows
+    once; the rounds reuse them.  Slack columns follow the fixed ones in row
+    order.  Costs are integers below 2**53 cents, so a right-hand side has
+    the bits of the sums over the bundles' products."""
+    ladders, bases = space.ladders, space.bases
+    products = sorted(ladders)
+    names = [_vb(base.base_id) for base in bases]
+    vm, pairs = [], []   # (product, level, width) per vm column; the (d) columns
+    for j in products:
+        levels = ladders[j].levels
+        for k, (prev, level) in enumerate(zip(levels, levels[1:])):
+            if k:
+                pairs += (len(names) - 1, len(names))
+            names.append(_vm(j, level))
+            vm.append((j, level, float(level - prev)))
+    nfix, n_d = len(names), len(pairs) // 2
+    if len(set(names)) < nfix:
+        raise ValidationError("duplicate variable names")
+    base_index = {base.base_id: i for i, base in enumerate(bases)}
 
-    def add(coeffs, rhs, block):
-        lp.add_constraint(coeffs, GE, rhs)
-        prob.blocks.append(block)
+    # per bundle: its utility coefficients, the columns where they are not
+    # zero, and its quantities (one flat list); a variant's row is reused
+    table, support, quantities, rows_of = [], [], [], {}
 
-    def slack(name, weight, names):
-        """A penalized nonnegative slack variable, listed on `names`."""
-        lp.add_variable(name, lb=0.0)
-        lp.objective[name] = weight
-        names.append(name)
-        return name
+    def add(key: tuple, base: int | None) -> int:
+        if (key, base) in rows_of:
+            return rows_of[key, base]
+        bundle = dict(key)
+        row = [0.0] * len(bases)
+        if base is not None:
+            row[base] = 1.0
+        row += [width if bundle.get(j, 0) >= level else 0.0 for j, level, width in vm]
+        table.append(row)
+        support.append([c for c, v in enumerate(row) if v])
+        quantities.extend([bundle.get(j, 0) for j in products])
+        rows_of[key, base] = len(table) - 1
+        return len(table) - 1
 
-    for rnd in sorted(space.observed):
-        bundle, base_id = space.observed[rnd]
-        if rnd not in start_prices:
-            raise ValidationError(f"no start prices for round {rnd}")
-        prices = start_prices[rnd]
+    points = {j: catalog.get(j).eligibility_points for base in bases for j in base.quantities}
+    variants = [(add(key, i), key, sum([points[j] * q for j, q in key]))
+                for i, base in enumerate(bases) for key in variant_keys(base, ladders)]
+    empty = add((), None)
 
-        u: tuple[dict[str, float], float] = ({}, 0.0)
-        if bundle:
-            if base_id is None:
-                raise ValidationError(f"round {rnd}: observed bundle has no base")
-            u = _utility_terms(space, bundle, base_id, prices)
+    def observe(key: tuple, base_id: str | None) -> tuple[_Listing, Callable, dict]:
+        """An observed bundle's (a) and (b) rows, the entries of its row
+        against an alternative, and a cache of its (c) rows' entries."""
+        if key and base_id not in base_index:
+            raise ValidationError(f"observed base {base_id!r} is not one of the bases")
+        own = add(key, base_index[base_id]) if key else empty
+        u, first = table[own], support[own]
 
-            # (a) positive utility: no worse than sitting out, whose utility
-            # is 0 (the constant -0.0 keeps the rhs exactly -u_const)
-            add(*_preference(u, ({}, -0.0)), "positive_utility")
+        def entries(alt: int) -> tuple[list, list]:
+            """The observed bundle's columns, then the alternative's others."""
+            a = table[alt]
+            columns = first + [c for c in support[alt] if not u[c]]
+            return columns, [u[c] - a[c] for c in columns]
 
-            # (b) marginal rationality: no worse than one ladder step on one
-            # product; the terms that cancel are left out
-            for j, q in bundle.quantities.items():
-                ladder = space.ladders[j]
-                k = ladder.index_of(q)
+        head = _Listing(own, [], [], [], [], [], [])
+        if key:
+            rows = [(None, 0, first, [u[c] for c in first], None)]
+            for j, q in key:
+                levels = ladders[j].levels
+                k = ladders[j].index_of(q)
                 for k2 in (k - 1, k + 1):
-                    if not (1 <= k2 <= len(ladder.levels)):
-                        continue
-                    step = Bundle({**bundle.quantities, j: ladder.levels[k2 - 1]})
-                    coeffs, rhs = _preference(
-                        u, _utility_terms(space, step, base_id, prices))
-                    coeffs = {name: coef for name, coef in coeffs.items() if coef}
-                    if mr_slack_weight is not None:
-                        coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight,
-                                     prob.mr_slack_names)] = 1.0
-                    add(coeffs, rhs, "marginal_rationality")
+                    if 1 <= k2 <= len(levels):
+                        t = add(tuple((i, levels[k2 - 1] if i == j else n) for i, n in key),
+                                base_index[base_id])
+                        columns, values = entries(t)   # less the cancelled terms
+                        columns = [c for c, v in zip(columns, values) if v]
+                        values = [v for v in values if v]
+                        if mr_slack_weight is None:
+                            rows.append((t, 1, columns, values, None))
+                        else:
+                            rows.append((t, 1, columns + [-1], values + [1.0],
+                                         ("ms", f"{j}::{k2}")))
+            for t, kind, columns, values, tag in rows:
+                head.indices.extend(columns)
+                head.values.extend(values)
+                head.lengths.append(len(columns))
+                head.alternatives.append(t)
+                head.kinds.append(kind)
+                if tag:
+                    head.tags.append(tag)
+        return head, entries, {}
 
-        # (c) revealed preference with slack against eligible alternatives
-        eligible = [(alt, alt_base) for alt, alt_base, cost in variants
-                    if cost <= eligibility[rnd] and alt.key() != bundle.key()]
-        for n, (alt, alt_base) in enumerate(eligible):
-            coeffs, rhs = _preference(u, _utility_terms(space, alt, alt_base, prices))
-            coeffs[slack(f"sl::{rnd}::{n}", 1.0, prob.slack_names)] = 1.0
-            add(coeffs, rhs, "revealed_preference")
+    observed: dict[tuple, tuple] = {}
 
-    # (d) diminishing returns between consecutive non-baseline increments
-    for j in sorted(space.ladders):
-        levels = space.ladders[j].levels
-        for a, b in zip(levels[1:], levels[2:]):
-            add({_vm(j, a): 1.0, _vm(j, b): -1.0}, 0.0, "diminishing_returns")
+    def listing(key: tuple, base_id: str | None, limit: int) -> _Listing:
+        """The rows of a round whose observed bundle is `key` on `base_id`,
+        with eligibility `limit`."""
+        if (key, base_id) not in observed:
+            observed[key, base_id] = observe(key, base_id)
+        head, entries, known = observed[key, base_id]
+        eligible = [t for t, other, cost in variants if cost <= limit and other != key]
+        for t in eligible:
+            if t not in known:
+                columns, values = entries(t)
+                known[t] = columns + [-1], values + [1.0]
+        return _Listing(head.own, head.indices + [k for t in eligible for k in known[t][0]],
+                        head.values + [v for t in eligible for v in known[t][1]],
+                        head.lengths + [len(known[t][0]) for t in eligible],
+                        head.alternatives + eligible, head.kinds + [2] * len(eligible),
+                        head.tags + [("sl", n) for n in range(len(eligible))])
 
-    return prob
+    rounds = sorted(space.observed)
+    listings: dict[tuple, _Listing] = {}
+    chosen, prices = [], []
+    for rnd in rounds:
+        bundle, base_id = space.observed[rnd]
+        vector = start_prices.get(rnd)
+        if vector is None:
+            raise ValidationError(f"no start prices for round {rnd}")
+        if bundle and base_id is None:
+            raise ValidationError(f"round {rnd}: observed bundle has no base")
+        key = (bundle.key(), base_id, eligibility[rnd])
+        rows = listings.get(key)
+        if rows is None:
+            rows = listings[key] = listing(*key)
+        chosen.append(rows)
+        prices.append(vector.prices)
+    try:
+        prices = [vector[j] for vector in prices for j in products]
+    except KeyError as exc:
+        raise ValidationError(f"no price for product {exc.args[0]!r}") from None
+    costs = np.array(prices, dtype=float).reshape(len(rounds), len(products)) @ \
+        np.array(quantities, dtype=float).reshape(len(table), len(products)).T
+    if costs.size and costs.max() >= 2**53:
+        raise ValidationError(f"{space.bidder_id}: a bundle costs 2**53 cents or more")
+
+    # per round: each row's rhs a_const - u_const, a bundle's constant being
+    # 0.0 - its cost and sitting out's -0.0; the slack names
+    rhs, slack_names = [], []
+    for rnd, rows, cost in zip(rounds, chosen, costs.tolist()):
+        u_const = 0.0 - cost[rows.own]
+        rhs += [(-0.0 if t is None else 0.0 - cost[t]) - u_const for t in rows.alternatives]
+        slack_names += [f"{prefix}::{rnd}::{tail}" for prefix, tail in rows.tags]
+    row_indices, row_values, row_lengths, kinds = (
+        list(chain.from_iterable(part)) for part in
+        ([rows.indices for rows in chosen], [rows.values for rows in chosen],
+         [rows.lengths for rows in chosen], [rows.kinds for rows in chosen]))
+    indices = np.array(row_indices + pairs, dtype=np.intp)
+    indices[indices < 0] = np.arange(nfix, nfix + len(slack_names))
+    rhs += [0.0] * n_d
+
+    # the tiny weight on the marginals picks the vertex with minimal marginals
+    # out of the degenerate optimal face; keeps re-simulation ties canonical
+    revealed = [name.startswith("sl::") for name in slack_names]
+    weights = [1.0 if sl else mr_slack_weight for sl in revealed]
+    return _Problem(
+        lp=SparseLP(names + slack_names,
+                    np.array([1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights),
+                    Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
+                         np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
+                         nfix + len(slack_names))),
+        kinds=kinds + [3] * n_d,
+        slack_names=[name for name, sl in zip(slack_names, revealed) if sl],
+        mr_slack_names=[name for name, sl in zip(slack_names, revealed) if not sl])
 
 
 @dataclass(frozen=True)
@@ -255,7 +341,7 @@ class EstimationReport:
     fallback_used: bool = False
     # with keep_lp, the LP solved first, min sum(slack) + sum(base values)
     # without marginal-rationality slack, even when the fallback was used
-    lp: LinearProgram | None = field(default=None, compare=False, repr=False)
+    lp: SparseLP | None = field(default=None, compare=False, repr=False)
 
 
 def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
@@ -298,7 +384,7 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     model = _materialize(space, sol)
     slack_total = sum(sol.values[name] for name in prob.slack_names)
     slack_total += sum(sol.values[name] for name in prob.mr_slack_names)
-    violations = dict(Counter(prob.blocks[i] for i in check_feasible(prob.lp, sol.values)))
+    violations = dict(Counter(BLOCKS[prob.kinds[i]] for i in check_feasible(prob.lp, sol.values)))
     report = EstimationReport(
         bidder_id=space.bidder_id, status=sol.status,
         slack_total=float(slack_total),
@@ -330,22 +416,39 @@ def model_to_json(model: ValuationModel, space: BundleSpace) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _integer(value, what: str) -> int:
+    """`value` if it is a JSON integer (not a boolean), else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """`value` as a float if it is a JSON number (not a boolean or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
 def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
-    """Rebuild a model plus a simulation-ready bundle space (no observed map)."""
+    """Rebuild a model plus a simulation-ready bundle space (no observed map).
+    Levels and base quantities must be JSON integers, values JSON numbers."""
     doc = finite_json(text)
     for name in [doc["bidder_id"], *(b["base_id"] for b in doc["bases"])]:
         if not isinstance(name, str):
             raise ValidationError(f"an id must be a string, not {name!r}")
-    base_values = {b["base_id"]: float(b["value_cents"]) for b in doc["bases"]}
+    base_values = {b["base_id"]: _number(b["value_cents"], "value_cents") for b in doc["bases"]}
     if len(base_values) < len(doc["bases"]):
         raise ValidationError("duplicate base_id")
-    marginals = {(m["product_id"], int(m["level"])): float(m["value_cents_per_unit"])
+    marginals = {(m["product_id"], _integer(m["level"], "level")):
+                 _number(m["value_cents_per_unit"], "value_cents_per_unit")
                  for m in doc["marginals"]}
     model = ValuationModel(bidder_id=doc["bidder_id"],
                            base_values=base_values, marginals=marginals)
     ladders = {j: CopyLadder(j, levels) for j, levels in model._ladders.items()}
     bases = tuple(BundleBase(base_id=b["base_id"],
-                             quantities={j: int(q) for j, q in b["products"].items()})
+                             quantities={j: _integer(q, "a base quantity")
+                                         for j, q in b["products"].items()})
                   for b in doc["bases"])
     space = BundleSpace(bidder_id=doc["bidder_id"], bases=bases,
                         ladders=ladders, observed={})

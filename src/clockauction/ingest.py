@@ -189,8 +189,9 @@ def build_ladders(log: RawBidLog, bidder_id: str) -> dict[str, CopyLadder]:
             for j in log.products(bidder_id)}
 
 
-def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list[Bundle]:
-    """Cartesian product over base products of ladder levels >= the base level."""
+def variant_keys(base: BundleBase, ladders: dict[str, CopyLadder]) -> list[tuple]:
+    """The `Bundle.key()` of each of `enumerate_variants`, in its order,
+    without making the bundles."""
     per_product = []
     for j, base_q in base.quantities.items():
         ladder = ladders.get(j)
@@ -198,7 +199,12 @@ def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list
             raise ValidationError(f"no ladder for base product {j!r}")
         ladder.index_of(base_q)  # base quantity must sit on the ladder
         per_product.append([(j, q) for q in ladder.levels if q >= base_q])
-    return [Bundle(dict(combo)) for combo in iproduct(*per_product)]
+    return list(iproduct(*per_product))
+
+
+def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list[Bundle]:
+    """Cartesian product over base products of ladder levels >= the base level."""
+    return [Bundle(dict(key)) for key in variant_keys(base, ladders)]
 
 
 def build_bundle_space(log: RawBidLog, bidder_id: str) -> BundleSpace:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .errors import SolverError, ValidationError
 FEAS_TOL = 1e-6   # on row activity after scaling rows to unit max coefficient
 PIVOT_TOL = 1e-9
 INT_TOL = 1e-7
+HIGHS_TOL = 10 * math.sqrt(1e-9)  # linprog's check of a HiGHS point
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -76,6 +78,10 @@ class LinearProgram:
     def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float) -> None:
         self.constraints.append(Constraint(coeffs, relation, rhs))
 
+    @property
+    def names(self) -> list[str]:
+        return [v.name for v in self.variables]
+
     def with_objective(self, objective: dict[str, float]) -> LinearProgram:
         """This LP minimizing `objective` instead, sharing its variables, its
         constraints and their `Rows`, compiled here at the first call; so
@@ -89,10 +95,10 @@ class LinearProgram:
 
 @dataclass(eq=False)
 class Rows:
-    """An LP's constraints as `_compile` walks them, in order: sparse
-    triplets (indptr, indices, data) over `width` variable columns, their
-    right-hand sides and relations.  `dense` is the triplets scattered into
-    a read-only matrix at first use, which each simplex solve copies."""
+    """An LP's constraints, in order: sparse triplets (indptr, indices, data)
+    over `width` variable columns, their right-hand sides and relations.
+    `dense` is the triplets scattered into a read-only matrix at first use,
+    which each simplex solve copies."""
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -113,6 +119,51 @@ class Rows:
         A[np.arange(len(self.rhs)).repeat(np.diff(self.indptr)), self.indices] += self.data
         A.flags.writeable = False
         return A
+
+
+class _View(Sequence):
+    """A read-only sequence of `n` items, each made by `item(i)` at access."""
+
+    def __init__(self, n: int, item: Callable[[int], object]):
+        self._n, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int):
+        if not -self._n <= i < self._n:
+            raise IndexError(i)
+        return self._item(i % self._n)
+
+
+@dataclass(eq=False)
+class SparseLP:
+    """Minimization LP over nonnegative columns `names` with costs `costs`,
+    built straight into its compiled `rows`.  `variables`, `objective` and
+    `constraints` give the `LinearProgram` view, each item made at access,
+    for `write_lp_format` and for checks; `len` of either view is free."""
+    names: list[str]
+    costs: np.ndarray
+    rows: Rows
+
+    @property
+    def variables(self) -> Sequence[Variable]:
+        return _View(len(self.names), lambda i: Variable(self.names[i]))
+
+    @property
+    def objective(self) -> dict[str, float]:
+        return dict(zip(self.names, self.costs.tolist()))
+
+    @property
+    def constraints(self) -> Sequence[Constraint]:
+        rows = self.rows
+
+        def constraint(i):
+            span = slice(rows.indptr[i], rows.indptr[i + 1])
+            return Constraint(dict(zip([self.names[k] for k in rows.indices[span].tolist()],
+                                       rows.data[span].tolist())),
+                              rows.relations[i], float(rows.rhs[i]))
+        return _View(len(rows.rhs), constraint)
 
 
 @dataclass(frozen=True)
@@ -238,10 +289,13 @@ def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], n: int,
     return memo[key] is not None
 
 
-def _compile(lp: LinearProgram) -> tuple[Rows, np.ndarray]:
-    """The one walk over the names of `lp` before a solve.  Raises
-    ValidationError on a repeated or unknown variable name; else returns the
-    constraints' `Rows` (the shared `lp._rows` when set) and the cost vector."""
+def _compile(lp: LinearProgram | SparseLP) -> tuple[Rows, np.ndarray]:
+    """The constraints' `Rows` and the cost vector of `lp`: a `SparseLP`'s
+    own, else from the one walk over the names of a `LinearProgram` before a
+    solve, which raises ValidationError on a repeated or unknown variable
+    name; its `Rows` are the shared `lp._rows` when set."""
+    if isinstance(lp, SparseLP):
+        return lp.rows, lp.costs
     index = {v.name: i for i, v in enumerate(lp.variables)}
     if len(index) != len(lp.variables):
         raise ValidationError("duplicate variable names")
@@ -343,52 +397,62 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
 # highs backend
 
 
-def _solve_lp_highs(lp: LinearProgram) -> Solution:
+def _solve_lp_highs(lp: LinearProgram | SparseLP) -> Solution:
     """HiGHS through scipy.optimize.milp without integrality, on the rows in
     linprog's order: the <= rows and the negated >= rows as they come, then
-    the = rows."""
+    the = rows; rows that are all >= are only negated."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
     rows, c = _compile(lp)
-    indptr, indices, data, rhs, relations = (rows.indptr, rows.indices, rows.data, rows.rhs,
-                                             rows.relations)
-    sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
-    eq = np.array([rel == EQ for rel in relations], dtype=bool)
-    lengths = np.diff(indptr)
-    rows = np.argsort(eq, kind="stable")  # the = rows last, each part in order
-    entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
-    A = csr_array(((data * np.repeat(sign, lengths))[entries], indices[entries],
-                   np.concatenate([[0], np.cumsum(lengths[rows])])), shape=(len(rhs), len(c)))
-    upper = (sign * np.array(rhs, dtype=float))[rows]
-    k = len(relations) - relations.count(EQ)
-    lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
-    lb = np.array([v.lb for v in lp.variables], dtype=float)
-    ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
+    relations, m = rows.relations, len(rows.rhs)
+    k = m - relations.count(EQ)
+    if relations.count(GE) == m:
+        A = csr_array((-rows.data, rows.indices, rows.indptr), shape=(m, len(c)))
+        upper = -np.array(rows.rhs, dtype=float)
+        lower = np.full(m, -np.inf)
+    else:
+        sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
+        eq = np.array([rel == EQ for rel in relations], dtype=bool)
+        lengths = np.diff(rows.indptr)
+        order = np.argsort(eq, kind="stable")  # the = rows last, each part in order
+        entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
+        A = csr_array(((rows.data * np.repeat(sign, lengths))[entries], rows.indices[entries],
+                       np.concatenate([[0], np.cumsum(lengths[order])])), shape=(m, len(c)))
+        upper = (sign * np.array(rows.rhs, dtype=float))[order]
+        lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
+    if isinstance(lp, SparseLP):  # milp's default bounds, 0 <= x < inf
+        bounds, lb, ub = None, 0.0, None
+    else:
+        lb = np.array([v.lb for v in lp.variables], dtype=float)
+        ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
+        bounds = Bounds(lb, ub)
 
-    res = milp(c, bounds=Bounds(lb, ub), constraints=LinearConstraint(A, lower, upper))
-    if res.status == 2:
+    res = milp(c, bounds=bounds, constraints=LinearConstraint(A, lower, upper))
+    status = res.status
+    if status == 2:
         return Solution("infeasible", {}, None)
-    if res.status == 3:
+    if status == 3:
         return Solution("unbounded", {}, None)
-    if res.status != 0:
+    if status != 0:
         raise SolverError(f"highs failed: {res.message}")
     # linprog's check of the point HiGHS returns, which milp does not make
-    tol, x = 10 * np.sqrt(1e-9), res.x
+    x = res.x
     excess = A @ x - upper
-    if not (np.all(excess[:k] <= tol) and np.all(np.abs(excess[k:]) <= tol)
-            and np.all(x >= lb - tol) and np.all(x <= ub + tol) and np.isfinite(res.fun)):
+    if not ((excess[:k] <= HIGHS_TOL).all() and (k == m or (abs(excess[k:]) <= HIGHS_TOL).all())
+            and (x >= lb - HIGHS_TOL).all() and (ub is None or (x <= ub + HIGHS_TOL).all())
+            and math.isfinite(res.fun)):
         raise SolverError("highs returned a point outside the constraints")
-    return Solution("optimal", dict(zip([v.name for v in lp.variables], x.tolist())),
-                    float(res.fun))
+    return Solution("optimal", dict(zip(lp.names, x.tolist())), float(res.fun))
 
 
 # ---------------------------------------------------------------------------
 # public interface
 
 
-def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
-    """Solve a minimization LP. backend: 'builtin' (reference) or 'highs'."""
+def solve_lp(lp: LinearProgram | SparseLP, backend: str = "builtin") -> Solution:
+    """Solve a minimization LP. backend: 'builtin' (reference, a
+    `LinearProgram` only) or 'highs'."""
     if backend == "builtin":
         return _solve_lp_builtin(lp)
     if backend == "highs":
@@ -396,18 +460,24 @@ def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
     raise ValidationError(f"unknown backend {backend!r}")
 
 
-def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
-    """Indices of constraints violated beyond FEAS_TOL (rows scaled to unit max coefficient)."""
+def check_feasible(lp: LinearProgram | SparseLP, values: dict[str, float]) -> list[int]:
+    """Indices of constraints violated beyond FEAS_TOL (rows scaled to unit max
+    coefficient).  One sparse product A @ x over the compiled rows gives each
+    row's gap to its rhs, its entries summed in order as a loop over the row
+    would; a scale is 1 or more, so only rows whose gap exceeds FEAS_TOL on
+    the violating side are scaled and checked."""
+    rows, _ = _compile(lp)
+    x = np.array([values[name] for name in lp.names], dtype=float)
+    m = len(rows.rhs)
+    row = np.arange(m).repeat(np.diff(rows.indptr))
+    gap = np.bincount(row, weights=rows.data * x[rows.indices], minlength=m) - rows.rhs
+    relations = rows.relations
     bad = []
-    for i, con in enumerate(lp.constraints):
-        act = sum(coef * values[name] for name, coef in con.coeffs.items())
-        scale = max([abs(v) for v in con.coeffs.values()] + [abs(con.rhs), 1.0])
-        resid = (act - con.rhs) / scale
-        if con.relation == LE and resid > FEAS_TOL:
-            bad.append(i)
-        elif con.relation == GE and resid < -FEAS_TOL:
-            bad.append(i)
-        elif con.relation == EQ and abs(resid) > FEAS_TOL:
+    for i in sorted([i for i in np.flatnonzero(gap < -FEAS_TOL).tolist() if relations[i] != LE]
+                    + [i for i in np.flatnonzero(gap > FEAS_TOL).tolist() if relations[i] != GE]):
+        coeffs = np.abs(rows.data[rows.indptr[i]:rows.indptr[i + 1]])
+        resid = gap[i] / max(coeffs.max(initial=0.0), abs(rows.rhs[i]), 1.0)
+        if abs(resid) > FEAS_TOL:
             bad.append(i)
     return bad
 

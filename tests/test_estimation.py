@@ -1,19 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
+from clockauction import estimation
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
-                               ProductCatalog)
+                               ProductCatalog, eligibility_cost)
 from clockauction.errors import ValidationError
-from clockauction.estimation import (EstimationReport, ValuationModel,
+from clockauction.estimation import (BLOCKS, EstimationReport, ValuationModel,
                                      bundle_utility, bundle_value,
                                      estimate, initial_eligibility,
                                      model_from_json, model_to_json,
                                      reconstruct_eligibility)
 from clockauction.ingest import (BidRow, BundleBase, BundleSpace, CopyLadder,
-                                 RawBidLog, build_bundle_space, smooth_monotone)
-from clockauction.pipeline import estimate_all, trace_to_bidlog
-from clockauction.solver import GE
+                                 RawBidLog, build_bundle_space, enumerate_variants,
+                                 smooth_monotone)
+from clockauction.pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
+from clockauction.solver import GE, LinearProgram
 from clockauction.synthetic import random_setup
 from clockauction.engine import run_auction
 
@@ -240,3 +243,157 @@ class TestSerialization:
         doc["bases"][1]["base_id"] = doc["bases"][0]["base_id"]
         with pytest.raises(ValidationError, match="duplicate base_id"):
             model_from_json(json.dumps(doc))
+
+
+def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=None):
+    """The valuation LP built one `Constraint` dict at a time, each row as the
+    difference of two utilities given as (coefficients, constant): the
+    reference for `estimation._build`, whose arrays must hold the same bits.
+    Returns the LP, each row's block, and the revealed-preference and the
+    marginal-rationality slack names."""
+    def vb(base_id):
+        return f"vb::{base_id}"
+
+    def vm(j, level):
+        return f"vm::{j}::{level}"
+
+    def utility_terms(bundle, base_id, prices):
+        coeffs, constant = {vb(base_id): 1.0}, 0.0
+        for j, q in bundle.quantities.items():
+            levels = space.ladders[j].levels
+            for prev, level in zip(levels, levels[1:]):
+                if level > q:
+                    break
+                coeffs[vm(j, level)] = coeffs.get(vm(j, level), 0.0) + (level - prev)
+            constant -= q * prices[j]
+        return coeffs, constant
+
+    def preference(observed, alternative):
+        (u_coeffs, u_const), (a_coeffs, a_const) = observed, alternative
+        coeffs = dict(u_coeffs)
+        for name, coef in a_coeffs.items():
+            coeffs[name] = coeffs.get(name, 0.0) - coef
+        return coeffs, a_const - u_const
+
+    lp, blocks, slack_names, mr_slack_names = LinearProgram(), [], [], []
+    for base in space.bases:
+        lp.add_variable(vb(base.base_id), lb=0.0)
+        lp.objective[vb(base.base_id)] = 1.0
+    for j in sorted(space.ladders):
+        for level in space.ladders[j].levels[1:]:
+            lp.add_variable(vm(j, level), lb=0.0)
+            lp.objective[vm(j, level)] = 1e-6
+    variants = [(variant, base.base_id, eligibility_cost(variant, catalog))
+                for base in space.bases for variant in enumerate_variants(base, space.ladders)]
+
+    def add(coeffs, rhs, block):
+        lp.add_constraint(coeffs, GE, rhs)
+        blocks.append(block)
+
+    def slack(name, weight, names):
+        lp.add_variable(name, lb=0.0)
+        lp.objective[name] = weight
+        names.append(name)
+        return name
+
+    for rnd in sorted(space.observed):
+        bundle, base_id = space.observed[rnd]
+        prices = start_prices[rnd]
+        u = ({}, 0.0)
+        if bundle:
+            u = utility_terms(bundle, base_id, prices)
+            add(*preference(u, ({}, -0.0)), "positive_utility")
+            for j, q in bundle.quantities.items():
+                ladder = space.ladders[j]
+                k = ladder.index_of(q)
+                for k2 in (k - 1, k + 1):
+                    if not 1 <= k2 <= len(ladder.levels):
+                        continue
+                    step = Bundle({**bundle.quantities, j: ladder.levels[k2 - 1]})
+                    coeffs, rhs = preference(u, utility_terms(step, base_id, prices))
+                    coeffs = {name: coef for name, coef in coeffs.items() if coef}
+                    if mr_slack_weight is not None:
+                        coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight,
+                                     mr_slack_names)] = 1.0
+                    add(coeffs, rhs, "marginal_rationality")
+        eligible = [(alt, alt_base) for alt, alt_base, cost in variants
+                    if cost <= eligibility[rnd] and alt.key() != bundle.key()]
+        for n, (alt, alt_base) in enumerate(eligible):
+            coeffs, rhs = preference(u, utility_terms(alt, alt_base, start_prices[rnd]))
+            coeffs[slack(f"sl::{rnd}::{n}", 1.0, slack_names)] = 1.0
+            add(coeffs, rhs, "revealed_preference")
+    for j in sorted(space.ladders):
+        levels = space.ladders[j].levels
+        for a, b in zip(levels[1:], levels[2:]):
+            add({vm(j, a): 1.0, vm(j, b): -1.0}, 0.0, "diminishing_returns")
+    return lp, blocks, slack_names, mr_slack_names
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def assert_builds_match(space, start_prices, eligibility, catalog, weight):
+    """`_build` against `dict_reference`: names and cost bits of the columns;
+    each row's columns and value bits in order, its rhs bits and relation;
+    the block labels and both slack lists."""
+    prob = estimation._build(space, start_prices, eligibility, catalog, weight)
+    lp, blocks, slack_names, mr_slack_names = dict_reference(
+        space, start_prices, eligibility, catalog, weight)
+    rows, names = prob.lp.rows, prob.lp.names
+    assert names == [v.name for v in lp.variables]
+    assert bits(prob.lp.costs) == bits([lp.objective[name] for name in names])
+    assert rows.width == len(names) and len(rows.rhs) == len(lp.constraints)
+    got = [([names[k] for k in rows.indices[a:b]], bits(rows.data[a:b]))
+           for a, b in zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())]
+    assert got == [(list(con.coeffs), bits(list(con.coeffs.values())))
+                   for con in lp.constraints]
+    assert bits(rows.rhs) == bits([con.rhs for con in lp.constraints])
+    assert rows.relations == [con.relation for con in lp.constraints]
+    assert [BLOCKS[k] for k in prob.kinds] == blocks
+    assert (prob.slack_names, prob.mr_slack_names) == (slack_names, mr_slack_names)
+    return lp
+
+
+class TestBuilderMatchesDictReference:
+    @pytest.mark.parametrize("n_bases", [1, 2, 3])
+    def test_random_auctions(self, n_bases):
+        """Every bidder of twelve random auctions, at the reconstructed and at
+        zero prices, with and without marginal-rationality slack."""
+        zeros = seen = 0
+        for seed in range(12):
+            config, agents = random_setup(seed, 8, 24, n_bases=n_bases)
+            raw = trace_to_bidlog(run_auction(config, agents))
+            smoothed = smooth_monotone(raw)
+            start = reconstruct_prices(raw, config.catalog, config.increments)
+            free = {rnd: PriceVector({j: 0 for j in prices.prices})
+                    for rnd, prices in start.items()}
+            for bidder in smoothed.bidders():
+                space = build_bundle_space(smoothed, bidder)
+                if not space.bases:
+                    continue
+                eligibility = reconstruct_eligibility(space, config.catalog)
+                for prices in (start, free):
+                    for weight in (None, 10.0):
+                        lp = assert_builds_match(space, prices, eligibility,
+                                                 config.catalog, weight)
+                        seen += len(lp.constraints)
+                        zeros += sum(coef == 0 for con in lp.constraints
+                                     for coef in [*con.coeffs.values(), con.rhs])
+        assert seen and zeros  # explicit zeros and signed zero rhs were met
+
+    def test_forced_slack_and_fallback_logs(self):
+        catalog = make_catalog({"A": (5, 1), "B": (5, 1)})
+        switch = BundleSpace(
+            bidder_id="X", bases=(BundleBase("X/bA", {"A": 1}), BundleBase("X/bB", {"B": 1})),
+            ladders={"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))},
+            observed={1: (Bundle({"A": 1}), "X/bA"), 2: (Bundle({"B": 1}), "X/bB")})
+        for weight in (None, 10.0):
+            assert_builds_match(switch, {1: PriceVector({"A": 10_00, "B": 0}),
+                                         2: PriceVector({"A": 0, "B": 10_00})},
+                                {1: 2, 2: 2}, catalog, weight)
+        holding = space_of({"A": [2, 1]})
+        prices = {1: PriceVector({"A": 10_00}), 2: PriceVector({"A": 3_00})}
+        assert estimate(holding, prices, {1: 2, 2: 2}, catalog)[1].fallback_used
+        for weight in (None, 10.0):
+            assert_builds_match(holding, prices, {1: 2, 2: 2}, catalog, weight)

@@ -6,6 +6,8 @@ import json
 import math
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +29,19 @@ from clockauction.pipeline import trace_to_bidlog
 from clockauction.report import (RunManifest, compare_traces, heatmap_csv,
                                  heatmap_matrix, heatmap_svg)
 from clockauction.synthetic import random_setup
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The command line starts without scipy: the HiGHS adapter imports it at
+    its first solve, so a command that solves no LP never pays for it."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, clockauction.cli\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, cwd=root,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def write_catalog(catalog, path):
@@ -530,6 +545,8 @@ class TestMalformedInput:
                      "areas without demographics", id="missing-area"),
         pytest.param("demographics", None, lambda f: f[:2] + ["-1", f[3]], True,
                      "negative population", id="negative-population"),
+        pytest.param("demographics", None, lambda f: f[:2] + ["9" * 401, f[3]], True,
+                     "population above 2**53", id="population-past-the-float-range"),
         pytest.param("demographics", None, lambda f: f[:3] + ["nan"], True,
                      "land area", id="nan-land-area"),
         pytest.param("demographics", None, lambda f: f[:3] + ["inf"], True,
@@ -562,6 +579,18 @@ class TestMalformedInput:
         assert code == 2
         assert f"{files['demographics']}: areas without demographics" in err
         assert "Traceback" not in err and not (out / "trace_tiered.jsonl").exists()
+
+    def test_extended_rejects_a_population_past_the_float_range(self, inputs, tmp_path):
+        lines = inputs["demographics"].read_text().splitlines()
+        i = data_lines(lines)[0]
+        fields = lines[i].split(",")
+        lines[i] = ",".join(fields[:2] + ["9" * 401, fields[3]])
+        files = with_file(inputs, "demographics", lines, tmp_path)
+        code, err = run_captured(reading("cost_table", files, tmp_path / "out")
+                                 + ["--demographics", files["demographics"]])
+        assert code == 2
+        assert f"{files['demographics']}:{i + 1}:" in err and "population above 2**53" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("which", ["catalog", "bids"])
     def test_comment_lines_accepted(self, inputs, which, tmp_path):
@@ -653,7 +682,22 @@ class TestMalformedInput:
                      id="nan-value"),
         pytest.param(lambda doc: doc["bases"][0].update(value_cents=math.inf),
                      id="infinite-value"),
-        pytest.param(lambda doc: doc.update(bidder_id=[]), id="bidder-id-not-a-string")])
+        pytest.param(lambda doc: doc.update(bidder_id=[]), id="bidder-id-not-a-string"),
+        # each below was read through int() or float() and so accepted
+        pytest.param(lambda doc: doc["marginals"][-1].update(
+            level=doc["marginals"][-1]["level"] + 0.5), id="fractional-level"),
+        pytest.param(lambda doc: doc["marginals"][-1].update(
+            level=str(doc["marginals"][-1]["level"])), id="level-a-string"),
+        pytest.param(lambda doc: next(m for m in doc["marginals"] if m["level"] == 1).update(
+            level=True), id="boolean-level"),
+        pytest.param(lambda doc: doc["bases"][0]["products"].update(
+            {j: q + 0.5 for j, q in doc["bases"][0]["products"].items()}),
+                     id="fractional-base-quantity"),
+        pytest.param(lambda doc: doc["marginals"][-1].update(
+            value_cents_per_unit=str(doc["marginals"][-1]["value_cents_per_unit"])),
+                     id="value-a-string"),
+        pytest.param(lambda doc: doc["bases"][0].update(value_cents=True),
+                     id="boolean-value")])
     def test_bad_model_file(self, inputs, damage, tmp_path):
         models = tmp_path / "models"
         models.mkdir()
@@ -764,7 +808,8 @@ class TestMalformedInput:
            column=st.integers(0, 5), keep=st.integers(0, 5),
            value=st.one_of(
                st.sampled_from(["", "0", "-1", "1/0", "1.5", "nan", "inf", "1e9",
-                                "9" * 30, "#", "P00", "A00", "B0", "low", "x y"]),
+                                "9" * 30, "9" * 401, "#", "P00", "A00", "B0", "low",
+                                "x y"]),
                st.text(alphabet="0123456789-./#\"', abcPAB", max_size=6)))
     def test_fuzzed_row_never_raises(self, inputs, which, row, op, column, keep,
                                      value):
@@ -787,11 +832,12 @@ class TestMalformedInput:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(command=st.sampled_from(["simulate", "simulate-extended"]),
            which=st.integers(0, 100), at=st.integers(0, 10_000),
-           change=st.sampled_from(["missing", "nan", "sign", "type"]),
+           change=st.sampled_from(["missing", "nan", "sign", "type", "float"]),
            value=st.sampled_from(["", "x", None, True, [], {}, 0, 2.5]))
     def test_fuzzed_model_never_raises(self, inputs, command, which, at, change, value):
-        """One JSON value of a model file changed, by its type, its sign or
-        to NaN, or its key removed: exit 0 or 2, never a traceback."""
+        """One JSON value of a model file changed, by its type, its sign, to
+        NaN or to a float where an integer belongs, or its key removed: exit 0
+        or 2, never a traceback."""
         files = sorted(inputs["models"].glob("model_*.json"))
         path = files[which % len(files)]
         doc = json.loads(path.read_text())
@@ -805,6 +851,9 @@ class TestMalformedInput:
         elif change == "sign":
             number = isinstance(value_at, (int, float)) and not isinstance(value_at, bool)
             parent[key[-1]] = -value_at if number else -1
+        elif change == "float":
+            integer = isinstance(value_at, int) and not isinstance(value_at, bool)
+            parent[key[-1]] = value_at + 0.5 if integer else 2.5
         else:
             parent[key[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
@@ -885,6 +934,9 @@ class TestMalformedInput:
         elif change == "sign":
             number = isinstance(value_at, (int, float)) and not isinstance(value_at, bool)
             parent[key[-1]] = -value_at if number else -1
+        elif change == "float":
+            integer = isinstance(value_at, int) and not isinstance(value_at, bool)
+            parent[key[-1]] = value_at + 0.5 if integer else 2.5
         elif change == "drop":
             del parent[key[-1]]
         lines = yaml.safe_dump(doc, default_flow_style=False).splitlines()

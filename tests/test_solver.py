@@ -394,6 +394,42 @@ def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
     assert got == [received(*csr_reference(lp)) for lp in lps]
 
 
+def feasible_reference(lp, values):
+    """`check_feasible` as one loop over the constraint dicts: the reference
+    for the check over the compiled rows, which must name the same rows."""
+    bad = []
+    for i, con in enumerate(lp.constraints):
+        act = sum(coef * values[name] for name, coef in con.coeffs.items())
+        scale = max([abs(v) for v in con.coeffs.values()] + [abs(con.rhs), 1.0])
+        resid = (act - con.rhs) / scale
+        if ((con.relation == LE and resid > solver.FEAS_TOL)
+                or (con.relation == GE and resid < -solver.FEAS_TOL)
+                or (con.relation == EQ and abs(resid) > solver.FEAS_TOL)):
+            bad.append(i)
+    return bad
+
+
+def test_check_feasible_matches_the_loop_over_rows():
+    """The same violated rows as `feasible_reference`, on the mixed-row LPs
+    and every estimation LP, at random points and at points a little off
+    each LP's optimum, on both sides of the tolerance."""
+    rng = np.random.default_rng(20261019)
+    lps = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)] + estimation_lps()
+    seen = 0
+    for lp in lps:
+        names = [v.name for v in lp.variables]
+        points = [dict(zip(names, rng.normal(0, 3, len(names)).tolist()))]
+        sol = solve_lp(lp, backend="highs")
+        if sol.status == "optimal":
+            points += [{name: value + step * rng.choice([-1.0, 1.0])
+                        for name, value in sol.values.items()} for step in (1e-7, 1e-5)]
+        for values in points:
+            bad = solver.check_feasible(lp, values)
+            assert bad == feasible_reference(lp, values)
+            seen += len(bad)
+    assert seen
+
+
 def mip_max(profits, weights, capacity):
     """0/1 knapsack as a minimization MIP: its LP and binaries."""
     lp = LinearProgram()
