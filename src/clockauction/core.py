@@ -134,6 +134,13 @@ class Bundle:
 EMPTY_BUNDLE = Bundle({})
 
 
+def check_bidder_id(bidder_id: str) -> str:
+    """`bidder_id` if it can be part of a file name: not empty, no `/`, `\\` or NUL."""
+    if not bidder_id or "/" in bidder_id or "\\" in bidder_id or "\0" in bidder_id:
+        raise ValidationError(f"bidder id {bidder_id!r} cannot be part of a file name")
+    return bidder_id
+
+
 @dataclass(frozen=True)
 class PriceVector:
     prices: Mapping[str, Money]

@@ -24,8 +24,8 @@ from typing import Any, Callable, Hashable, Mapping
 import numpy as np
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
-                   PriceVector, ProductCatalog, RoundRecord, clock_price, eligibility_cost,
-                   finite_json, input_error, read_lines, step_price)
+                   PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
+                   eligibility_cost, finite_json, input_error, read_lines, step_price)
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -550,8 +550,8 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
     overdemanded).  Its rounds are numbered 1, 2, ... in order; each round
     prices every catalog product and gives its aggregate demand, the sum of
     its bids, which are of catalog products; every price, quantity and
-    eligibility is an integer >= 0.  Anything else, or a tiered round, is an
-    input error at `path:line`."""
+    eligibility is an integer >= 0, and every bidder id can be part of a file
+    name.  Anything else, or a tiered round, is an input error at `path:line`."""
     products = set(catalog.ids())
 
     def per_product(doc, what: str, every: bool = True) -> dict[str, int]:
@@ -571,6 +571,8 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
             bids = doc["bids"]
             if any(isinstance(q, list) for bid in bids.values() for q in bid.values()):
                 raise ValidationError("a tiered bid; report compares standard-auction traces")
+            for bidder in (*doc["eligibility"], *bids):
+                check_bidder_id(bidder)
             if _count(doc["round"], "round") != len(rounds) + 1:
                 raise ValidationError(
                     f"round {doc['round']} where round {len(rounds) + 1} belongs")

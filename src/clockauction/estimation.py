@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Bundle, PriceVector, ProductCatalog, eligibility_cost, finite_json
+from .core import (Bundle, PriceVector, ProductCatalog, check_bidder_id, eligibility_cost,
+                   finite_json)
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
 from .solver import GE, Rows, Solution, SparseLP, check_feasible, solve_lp
@@ -437,6 +438,7 @@ def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
     for name in [doc["bidder_id"], *(b["base_id"] for b in doc["bases"])]:
         if not isinstance(name, str):
             raise ValidationError(f"an id must be a string, not {name!r}")
+    check_bidder_id(doc["bidder_id"])
     base_values = {b["base_id"]: _number(b["value_cents"], "value_cents") for b in doc["bases"]}
     if len(base_values) < len(doc["bases"]):
         raise ValidationError("duplicate base_id")

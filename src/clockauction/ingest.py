@@ -13,70 +13,69 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import accumulate, product as iproduct
+from typing import Iterable
 
-from .core import Bundle, EMPTY_BUNDLE, ProductCatalog, atomic_write, read_csv
+from .core import Bundle, ProductCatalog, atomic_write, check_bidder_id, read_csv
 from .errors import ParseError, ValidationError
 
-
-@dataclass(frozen=True)
-class BidRow:
-    round: int
-    bidder_id: str
-    product_id: str
-    quantity: int
+Row = tuple[int, str, str, int]  # (round, bidder_id, product_id, quantity)
 
 
 @dataclass(frozen=True)
 class RawBidLog:
-    """Bid rows, indexed once when the log is made: per bidder, per product
-    (both sorted), the zero-filled quantity in each round 1..R, R being the
-    bidder's last round in the log.  Every query answers from that map; a
-    repeated (round, bidder, product) keeps its last row."""
-    rows: tuple[BidRow, ...]
+    """A bid log as its series: per bidder, per product (both sorted), the
+    quantity in each round 1..R, R being the bidder's last round in the log.
+    A round with no row for the product holds None, which reads as 0, so
+    `rows` gives back the rows the log was made from, and two logs are equal
+    when their rows are, in any order."""
+    cells: dict[str, dict[str, tuple[int | None, ...]]]
 
-    def __post_init__(self):
-        rounds: dict[str, int] = {}
-        for r in self.rows:
-            rounds[r.bidder_id] = max(rounds.get(r.bidder_id, 0), r.round)
-        series: dict[str, dict[str, list[int]]] = {b: {} for b in rounds}
-        for r in self.rows:
-            series[r.bidder_id].setdefault(
-                r.product_id, [0] * rounds[r.bidder_id])[r.round - 1] = r.quantity
-        # kept outside the dataclass fields, so equality stays on the rows;
-        # tuples so no caller can change them
-        object.__setattr__(self, "_rounds", rounds)
-        object.__setattr__(self, "_series", {
-            b: {j: tuple(q) for j, q in sorted(series[b].items())} for b in sorted(series)})
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> RawBidLog:
+        """The log of (round, bidder_id, product_id, quantity) rows; a
+        repeated (round, bidder_id, product_id) keeps its last row."""
+        cells: dict[str, dict[str, dict[int, int]]] = {}
+        for rnd, bidder, product_id, q in rows:
+            cells.setdefault(bidder, {}).setdefault(product_id, {})[rnd] = q
+        rounds = {b: range(1, max(map(max, by_product.values())) + 1)
+                  for b, by_product in cells.items()}
+        return cls({b: {j: tuple(map(s.get, rounds[b])) for j, s in sorted(cells[b].items())}
+                    for b in sorted(cells)})
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The cells that hold a row, in (round, bidder, product) order."""
+        return tuple(sorted((rnd, b, j, q) for b, by_product in self.cells.items()
+                            for j, s in by_product.items()
+                            for rnd, q in enumerate(s, start=1) if q is not None))
 
     def bidders(self) -> tuple[str, ...]:
-        return tuple(self._series)
+        return tuple(self.cells)
 
     def num_rounds(self, bidder_id: str | None = None) -> int:
         if bidder_id is None:
-            return max(self._rounds.values(), default=0)
-        return self._rounds.get(bidder_id, 0)
+            return max(map(self.num_rounds, self.cells), default=0)
+        return len(next(iter(self.cells.get(bidder_id, {}).values()), ()))
 
     def series(self, bidder_id: str, product_id: str) -> list[int]:
         """Quantity per round (1..R for this bidder), zero-filled."""
-        by_product = self._series.get(bidder_id, {})
-        return list(by_product.get(product_id, (0,) * self.num_rounds(bidder_id)))
+        cells = self.cells.get(bidder_id, {}).get(product_id)
+        return [q or 0 for q in cells] if cells else [0] * self.num_rounds(bidder_id)
 
     def bundle(self, bidder_id: str, rnd: int) -> Bundle:
-        if not 1 <= rnd <= self.num_rounds(bidder_id):
-            return EMPTY_BUNDLE
-        q = {j: s[rnd - 1] for j, s in self._series[bidder_id].items() if s[rnd - 1] > 0}
-        return Bundle(q) if q else EMPTY_BUNDLE
+        return Bundle({j: s[rnd - 1] for j, s in self.cells.get(bidder_id, {}).items()
+                       if 1 <= rnd <= len(s) and s[rnd - 1]})
 
     def products(self, bidder_id: str) -> tuple[str, ...]:
-        return tuple(j for j, s in self._series.get(bidder_id, {}).items() if max(s) > 0)
+        return tuple(j for j, s in self.cells.get(bidder_id, {}).items() if any(s))
 
     def demand(self) -> list[dict[str, int]]:
         """Aggregate quantity per product in each round 1..num_rounds()."""
         totals: list[dict[str, int]] = [{} for _ in range(self.num_rounds())]
-        for by_product in self._series.values():
+        for by_product in self.cells.values():
             for j, series in by_product.items():
                 for aggregate, q in zip(totals, series):
-                    aggregate[j] = aggregate.get(j, 0) + q
+                    aggregate[j] = aggregate.get(j, 0) + (q or 0)
         return totals
 
 
@@ -140,47 +139,41 @@ class BundleSpace:
 
 def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
     """Load a bid log CSV with columns round, bidder_id, product_id, quantity."""
-    def bid_row(rnd, bidder_id, product_id, quantity) -> BidRow:
-        rec = BidRow(int(rnd), bidder_id, product_id, int(quantity))
-        if rec.round < 1:
+    def bid_row(rnd, bidder_id, product_id, quantity) -> Row:
+        rnd, quantity = int(rnd), int(quantity)
+        if rnd < 1:
             raise ParseError("round must be >= 1")
-        if rec.quantity < 0:
+        if quantity < 0:
             raise ValidationError("negative quantity")
-        if rec.quantity > catalog.get(product_id).supply:
-            raise ValidationError(f"quantity {rec.quantity} exceeds supply of {product_id!r}")
-        return rec
+        if quantity > catalog.get(product_id).supply:
+            raise ValidationError(f"quantity {quantity} exceeds supply of {product_id!r}")
+        return rnd, check_bidder_id(bidder_id), product_id, quantity
 
     rows = read_csv(path, ["round", "bidder_id", "product_id", "quantity"], bid_row,
-                    key=lambda r: (r.round, r.bidder_id, r.product_id))
-    have = {(r.bidder_id, r.round) for r in rows}
+                    key=lambda r: r[:3])
+    have = {(b, rnd) for rnd, b, _, _ in rows}
     gaps = sorted({b for b, rnd in have if rnd > 1 and (b, rnd - 1) not in have})
     if gaps:
         raise ValidationError(f"{path}: rounds not contiguous from 1 for bidders {gaps}")
-    return RawBidLog(rows=tuple(rows))
+    return RawBidLog.from_rows(rows)
 
 
 def write_bid_log(log: RawBidLog, path) -> None:
     text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["round", "bidder_id", "product_id", "quantity"])
-    for row in sorted(log.rows, key=lambda r: (r.round, r.bidder_id, r.product_id)):
-        writer.writerow([row.round, row.bidder_id, row.product_id, row.quantity])
+    csv.writer(text).writerows([("round", "bidder_id", "product_id", "quantity"), *log.rows])
     atomic_write(path, text.getvalue())
 
 
 def smooth_monotone(log: RawBidLog) -> RawBidLog:
     """Suffix maximum per (bidder, product): c'^r = max_{r' >= r} c^{r'}.
 
-    Non-increasing by construction and preserves the final-round quantity,
-    so final allocations survive smoothing verbatim.
+    Non-increasing by construction, with a quantity in every cell; it keeps
+    the final-round quantity, so final allocations survive smoothing verbatim.
     """
-    rows = []
-    for bidder, by_product in log._series.items():
-        for product_id, series in by_product.items():
-            smoothed = list(accumulate(reversed(series), max))[::-1]
-            rows.extend(BidRow(round=r, bidder_id=bidder, product_id=product_id,
-                               quantity=q) for r, q in enumerate(smoothed, start=1))
-    return RawBidLog(rows=tuple(rows))
+    return RawBidLog({
+        b: {j: tuple(accumulate((q or 0 for q in reversed(s)), max))[::-1]
+            for j, s in by_product.items()}
+        for b, by_product in log.cells.items()})
 
 
 def build_ladders(log: RawBidLog, bidder_id: str) -> dict[str, CopyLadder]:
@@ -209,22 +202,22 @@ def enumerate_variants(base: BundleBase, ladders: dict[str, CopyLadder]) -> list
 
 def build_bundle_space(log: RawBidLog, bidder_id: str) -> BundleSpace:
     """Ladders, bases and a round -> (bundle, base) map for one bidder, from
-    one walk of its rounds.  One base per distinct nonzero product-support
-    set, in order of first appearance; a base quantity is the minimum
-    observed among rounds sharing that support.  A round where the bidder
-    sits out maps to no base (value 0)."""
+    one walk of its rounds' columns, with one `Bundle` per distinct column.
+    One base per distinct nonzero product-support set, in order of first
+    appearance; a base quantity is the minimum observed among rounds sharing
+    that support.  A round where the bidder sits out maps to no base (value 0)."""
+    by_product = log.cells.get(bidder_id, {})
+    columns = list(zip(*by_product.values()))
+    bundles = {column: Bundle({j: q for j, q in zip(by_product, column) if q})
+               for column in dict.fromkeys(columns)}
     mins: dict[frozenset, dict[str, int]] = {}
-    bundles = []
-    for rnd in range(1, log.num_rounds(bidder_id) + 1):
-        bundle = log.bundle(bidder_id, rnd)
-        if bundle:
-            base = mins.setdefault(bundle.support(), dict(bundle.quantities))
-            for j, q in bundle.quantities.items():
-                base[j] = min(base[j], q)
-        bundles.append(bundle)
+    for bundle in filter(None, bundles.values()):
+        base = mins.setdefault(bundle.support(), dict(bundle.quantities))
+        for j, q in bundle.quantities.items():
+            base[j] = min(base[j], q)
     ids = {support: f"{bidder_id}/base{i}" for i, support in enumerate(mins)}
     bases = tuple(BundleBase(base_id=ids[s], quantities=q) for s, q in mins.items())
-    observed = {rnd: (bundle, ids.get(bundle.support()))
-                for rnd, bundle in enumerate(bundles, start=1)}
+    placed = {column: (bundle, ids.get(bundle.support())) for column, bundle in bundles.items()}
+    observed = {rnd: placed[column] for rnd, column in enumerate(columns, start=1)}
     return BundleSpace(bidder_id=bidder_id, bases=bases,
                        ladders=build_ladders(log, bidder_id), observed=observed)

@@ -14,8 +14,7 @@ from .engine import (AuctionConfig, AuctionTrace, BidderAgent, compare_allocatio
 from .errors import ValidationError
 from .estimation import (EstimationReport, ValuationModel, estimate,
                          reconstruct_eligibility)
-from .ingest import (BidRow, BundleSpace, RawBidLog,
-                     build_bundle_space, smooth_monotone)
+from .ingest import BundleSpace, RawBidLog, build_bundle_space, smooth_monotone
 
 
 def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
@@ -66,13 +65,9 @@ def agents_from_estimates(estimates: dict[str, BidderEstimate]) -> list[BidderAg
 
 
 def trace_to_bidlog(trace: AuctionTrace) -> RawBidLog:
-    rows = []
-    for record in trace.rounds:
-        for bidder, bundle in sorted(record.bids.items()):
-            for j, q in bundle.quantities.items():
-                rows.append(BidRow(round=record.round, bidder_id=bidder,
-                                   product_id=j, quantity=q))
-    return RawBidLog(rows=tuple(rows))
+    return RawBidLog.from_rows((record.round, bidder, j, q) for record in trace.rounds
+                               for bidder, bundle in record.bids.items()
+                               for j, q in bundle.quantities.items())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from clockauction.core import (Bundle, PriceVector, Product, ProductCatalog,
                                step_price)
 from clockauction.engine import overdemanded
 from clockauction.errors import ParseError, ValidationError
-from clockauction.ingest import BidRow, RawBidLog
+from clockauction.ingest import RawBidLog
 
 
 def d(x):
@@ -80,14 +80,13 @@ class TestAggregateDemand:
 
     @staticmethod
     def log(quantities):
-        return RawBidLog(rows=tuple(BidRow(1, f"B{i}", "A", q)
-                                    for i, q in enumerate(quantities)))
+        return RawBidLog.from_rows((1, f"B{i}", "A", q) for i, q in enumerate(quantities))
 
     def test_sum(self):
         assert self.log([2, 3, 1]).demand() == [{"A": 6}]
 
     def test_empty(self):
-        assert RawBidLog(rows=()).demand() == []
+        assert RawBidLog.from_rows(()).demand() == []
 
     def test_zero_demand(self):
         assert self.log([0, 0, 0]).demand() == [{"A": 0}]

@@ -12,7 +12,7 @@ from clockauction.estimation import (BLOCKS, EstimationReport, ValuationModel,
                                      estimate, initial_eligibility,
                                      model_from_json, model_to_json,
                                      reconstruct_eligibility)
-from clockauction.ingest import (BidRow, BundleBase, BundleSpace, CopyLadder,
+from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
                                  RawBidLog, build_bundle_space, enumerate_variants,
                                  smooth_monotone)
 from clockauction.pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
@@ -30,11 +30,9 @@ def make_catalog(specs):
 
 
 def space_of(series_by_product, bidder="X"):
-    rows = []
-    for j, series in series_by_product.items():
-        for rnd, q in enumerate(series, start=1):
-            rows.append(BidRow(round=rnd, bidder_id=bidder, product_id=j, quantity=q))
-    return build_bundle_space(smooth_monotone(RawBidLog(rows=tuple(rows))), bidder)
+    log = RawBidLog.from_rows((rnd, bidder, j, q) for j, series in series_by_product.items()
+                              for rnd, q in enumerate(series, start=1))
+    return build_bundle_space(smooth_monotone(log), bidder)
 
 
 class TestValuationModel:

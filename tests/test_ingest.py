@@ -1,12 +1,18 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import tempfile
+from pathlib import Path
 
-from clockauction.core import Bundle, Product, ProductCatalog, dollars_to_cents
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from clockauction.core import (Bundle, PriceVector, Product, ProductCatalog, RoundRecord,
+                               dollars_to_cents)
+from clockauction.engine import AuctionTrace
 from clockauction.errors import ParseError, ValidationError
-from clockauction.ingest import (BidRow, BundleBase, CopyLadder, RawBidLog,
+from clockauction.ingest import (BundleBase, CopyLadder, RawBidLog,
                                  build_bundle_space, build_ladders,
                                  enumerate_variants, parse_bid_log,
                                  smooth_monotone, write_bid_log)
+from clockauction.pipeline import trace_to_bidlog
 
 
 def make_catalog(supplies):
@@ -17,11 +23,8 @@ def make_catalog(supplies):
 
 
 def log_from_series(series_by_product, bidder="X"):
-    rows = []
-    for j, series in series_by_product.items():
-        for rnd, q in enumerate(series, start=1):
-            rows.append(BidRow(round=rnd, bidder_id=bidder, product_id=j, quantity=q))
-    return RawBidLog(rows=tuple(rows))
+    return RawBidLog.from_rows((rnd, bidder, j, q) for j, series in series_by_product.items()
+                               for rnd, q in enumerate(series, start=1))
 
 
 class TestParse:
@@ -112,12 +115,12 @@ class TestSmoothing:
 
 class TestLadders:
     def test_distinct_ascending(self):
-        log = RawBidLog(log_from_series({"A": [5, 3, 3, 1]}).rows)
+        log = RawBidLog.from_rows(log_from_series({"A": [5, 3, 3, 1]}).rows)
         ladders = build_ladders(log, "X")
         assert ladders["A"].levels == (1, 3, 5)
 
     def test_zero_rounds_dropped_from_levels(self):
-        log = RawBidLog(log_from_series({"A": [2, 2, 0]}).rows)
+        log = RawBidLog.from_rows(log_from_series({"A": [2, 2, 0]}).rows)
         assert build_ladders(log, "X")["A"].levels == (2,)
 
     def test_index_of(self):
@@ -137,23 +140,23 @@ class TestLadders:
 class TestBases:
     def test_min_quantities_per_support(self):
         # same support {A, B} in both rounds: base takes per-product minimums
-        log = RawBidLog(log_from_series({"A": [4, 4], "B": [5, 3]}).rows)
+        log = RawBidLog.from_rows(log_from_series({"A": [4, 4], "B": [5, 3]}).rows)
         bases = build_bundle_space(log, "X").bases
         assert len(bases) == 1
         assert bases[0].quantities == {"A": 4, "B": 3}
 
     def test_support_change_creates_second_base(self):
-        log = RawBidLog(log_from_series({"A": [2, 2, 0], "B": [0, 0, 1]}).rows)
+        log = RawBidLog.from_rows(log_from_series({"A": [2, 2, 0], "B": [0, 0, 1]}).rows)
         bases = build_bundle_space(log, "X").bases
         assert [b.quantities for b in bases] == [{"A": 2}, {"B": 1}]
         assert bases[0].base_id == "X/base0"
 
     def test_single_round(self):
-        log = RawBidLog(log_from_series({"A": [3]}).rows)
+        log = RawBidLog.from_rows(log_from_series({"A": [3]}).rows)
         assert build_bundle_space(log, "X").bases[0].quantities == {"A": 3}
 
     def test_empty_rounds_skipped(self):
-        log = RawBidLog(log_from_series({"A": [2, 0]}).rows)
+        log = RawBidLog.from_rows(log_from_series({"A": [2, 0]}).rows)
         bases = build_bundle_space(log, "X").bases
         assert len(bases) == 1
 
@@ -208,10 +211,10 @@ class TestIndexOracle:
 
     @staticmethod
     def scan_series(rows, bidder, product):
-        out = [0] * max((r.round for r in rows if r.bidder_id == bidder), default=0)
-        for r in rows:
-            if r.bidder_id == bidder and r.product_id == product:
-                out[r.round - 1] = r.quantity
+        out = [0] * max((rnd for rnd, b, _, _ in rows if b == bidder), default=0)
+        for rnd, b, j, q in rows:
+            if b == bidder and j == product:
+                out[rnd - 1] = q
         return out
 
     @settings(max_examples=300, deadline=None)
@@ -219,30 +222,87 @@ class TestIndexOracle:
         st.tuples(st.integers(1, 6), st.sampled_from(BIDDERS), st.sampled_from(PRODUCTS)),
         st.integers(0, 4), max_size=30))
     def test_queries_match_row_scan(self, cells):
-        rows = [BidRow(rnd, b, j, q) for (rnd, b, j), q in cells.items()]
-        log = RawBidLog(rows=tuple(rows))
-        assert log.bidders() == tuple(sorted({r.bidder_id for r in rows}))
-        assert log.num_rounds() == max((r.round for r in rows), default=0)
+        rows = [(rnd, b, j, q) for (rnd, b, j), q in cells.items()]
+        log = RawBidLog.from_rows(rows)
+        assert log.bidders() == tuple(sorted({b for _, b, _, _ in rows}))
+        assert log.num_rounds() == max((rnd for rnd, _, _, _ in rows), default=0)
         for b in BIDDERS + ("W",):
-            mine = [r for r in rows if r.bidder_id == b]
-            assert log.num_rounds(b) == max((r.round for r in mine), default=0)
-            assert log.products(b) == tuple(sorted({r.product_id for r in mine
-                                                    if r.quantity > 0}))
+            mine = [r for r in rows if r[1] == b]
+            assert log.num_rounds(b) == max((rnd for rnd, _, _, _ in mine), default=0)
+            assert log.products(b) == tuple(sorted({j for _, _, j, q in mine if q > 0}))
             for j in PRODUCTS + ("Q",):
                 assert log.series(b, j) == self.scan_series(rows, b, j)
             for rnd in range(0, 8):
                 assert log.bundle(b, rnd) == Bundle({
-                    r.product_id: r.quantity for r in mine if r.round == rnd})
+                    j: q for r, _, j, q in mine if r == rnd})
         demand = [{j: q for j, q in totals.items() if q} for totals in log.demand()]
         assert demand == [
             {j: q for j in PRODUCTS
-             if (q := sum(r.quantity for r in rows if r.round == rnd and r.product_id == j))}
+             if (q := sum(n for r, _, k, n in rows if r == rnd and k == j))}
             for rnd in range(1, log.num_rounds() + 1)]
 
         smoothed = []
-        for b in sorted({r.bidder_id for r in rows}):
-            for j in sorted({r.product_id for r in rows if r.bidder_id == b}):
+        for b in sorted({b for _, b, _, _ in rows}):
+            for j in sorted({j for _, c, j, _ in rows if c == b}):
                 series = self.scan_series(rows, b, j)
-                smoothed += [BidRow(rnd, b, j, max(series[rnd - 1:]))
+                smoothed += [(rnd, b, j, max(series[rnd - 1:]))
                              for rnd in range(1, len(series) + 1)]
-        assert list(smooth_monotone(log).rows) == smoothed
+        assert smooth_monotone(log).rows == tuple(sorted(smoothed))
+        assert log.rows == tuple(sorted(rows))
+        assert RawBidLog.from_rows(reversed(rows)) == log
+
+    def test_equal_rows_in_any_order_are_equal_logs(self):
+        a, b, c = (1, "X", "A", 2), (1, "Y", "B", 0), (2, "X", "B", 1)
+        assert RawBidLog.from_rows([a, b, c]) == RawBidLog.from_rows([c, b, a])
+        # an explicit zero row is a row of its own
+        assert RawBidLog.from_rows([a, c]) != RawBidLog.from_rows([a, b, c])
+
+
+@st.composite
+def bid_log_rows(draw):
+    """The rows of a valid bid log, in any order: each bidder bids in rounds
+    1..R and names one or more products each round, with quantities that may
+    be explicit zeros."""
+    rows = []
+    for b in draw(st.lists(st.sampled_from(BIDDERS), min_size=1, unique=True)):
+        for rnd in range(1, draw(st.integers(1, 4)) + 1):
+            named = draw(st.dictionaries(st.sampled_from(PRODUCTS), st.integers(0, 3),
+                                         min_size=1))
+            rows += [(rnd, b, j, q) for j, q in named.items()]
+    return draw(st.permutations(rows))
+
+
+class TestRowsRoundTrip:
+    """`ingest` writes back every row it read, explicit zeros and bidders
+    with only zero rows included; a trace's log holds its nonzero bids."""
+    HEADER = "round,bidder_id,product_id,quantity\n"
+
+    @classmethod
+    def csv(cls, rows):
+        return cls.HEADER + "".join(f"{r},{b},{j},{q}\n" for r, b, j, q in rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bid_log_rows())
+    @example([(2, "X", "A", 0), (1, "Y", "B", 1), (1, "X", "B", 0), (2, "Y", "B", 0)])
+    def test_ingest_writes_every_row(self, rows):
+        catalog = make_catalog({j: 5 for j in PRODUCTS})
+        with tempfile.TemporaryDirectory() as tmp:
+            source, written = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+            source.write_text(self.csv(rows))
+            log = parse_bid_log(source, catalog)
+            write_bid_log(log, written)
+            assert written.read_text() == self.csv(sorted(rows))
+            assert len(log.rows) == len(rows)
+            assert parse_bid_log(written, catalog) == log
+
+        by_round: dict[int, dict[str, dict[str, int]]] = {}
+        for rnd, b, j, q in rows:
+            by_round.setdefault(rnd, {}).setdefault(b, {})[j] = q
+        free = PriceVector({})
+        trace = AuctionTrace(rounds=[
+            RoundRecord(round=rnd, start=free, clock=free, posted=free, aggregate={},
+                        bids={b: Bundle(q) for b, q in by_round[rnd].items()},
+                        eligibility={})
+            for rnd in sorted(by_round)], final_allocation={}, revenue=0,
+            rounds_used=len(by_round))
+        assert trace_to_bidlog(trace) == RawBidLog.from_rows(r for r in rows if r[3])

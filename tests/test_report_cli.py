@@ -402,7 +402,7 @@ class TestHeatmaps:
         for bidder in log.bidders():
             products, matrix = heatmap_matrix(log, bidder)
             total = sum(sum(row) for row in matrix)
-            expected = sum(r.quantity for r in log.rows if r.bidder_id == bidder)
+            expected = sum(q for _, b, _, q in log.rows if b == bidder)
             assert total == expected
 
     def test_csv_embeds_manifest_and_parses(self):
@@ -659,6 +659,44 @@ class TestMalformedInput:
         assert code == 2
         assert f"{trace}:{line % len(lines) + 1}:" in err and "Traceback" not in err
 
+    BAD_BIDDER_IDS = [pytest.param("", id="empty"), pytest.param("x/y", id="slash"),
+                      pytest.param("x\\y", id="backslash"), pytest.param("x\0y", id="nul")]
+
+    @pytest.mark.parametrize("bidder", BAD_BIDDER_IDS)
+    def test_estimate_rejects_a_bidder_id_that_names_no_file(self, inputs, bidder, tmp_path):
+        lines = inputs["bids"].read_text().splitlines()
+        first = data_lines(lines)[0]
+        renamed = lines[first].split(",")[1]
+        for i in data_lines(lines):
+            fields = lines[i].split(",")
+            if fields[1] == renamed:
+                lines[i] = ",".join([fields[0], bidder, *fields[2:]])
+        files = with_file(inputs, "bids", lines, tmp_path)
+        out = tmp_path / "out"
+        code, err = run_captured(["estimate", "--catalog", files["catalog"],
+                                  "--bids", files["bids"], "--out", out])
+        assert code == 2
+        assert f"{files['bids']}:{first + 1}:" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("bidder", BAD_BIDDER_IDS)
+    def test_report_rejects_a_bidder_id_that_names_no_file(self, inputs, bidder, tmp_path):
+        lines = inputs["trace"].read_text().splitlines()
+        doc = json.loads(lines[0])
+        renamed = next(b for b, bid in doc["bids"].items() if bid)
+        doc["bids"][bidder] = doc["bids"].pop(renamed)
+        doc["eligibility"][bidder] = doc["eligibility"].pop(renamed)
+        lines[0] = json.dumps(doc)
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rep"
+        code, err = run_captured(["report", "--catalog", inputs["catalog"],
+                                  "--trace-a", inputs["trace"], "--trace-b", trace,
+                                  "--out", out])
+        assert code == 2
+        assert f"{trace}:1:" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda doc: doc.pop("bases"), id="no-bases"),
         pytest.param(lambda doc: doc.update(marginals=[{}]), id="empty-marginal"),
@@ -683,6 +721,7 @@ class TestMalformedInput:
         pytest.param(lambda doc: doc["bases"][0].update(value_cents=math.inf),
                      id="infinite-value"),
         pytest.param(lambda doc: doc.update(bidder_id=[]), id="bidder-id-not-a-string"),
+        pytest.param(lambda doc: doc.update(bidder_id="x/y"), id="bidder-id-not-a-file-name"),
         # each below was read through int() or float() and so accepted
         pytest.param(lambda doc: doc["marginals"][-1].update(
             level=doc["marginals"][-1]["level"] + 0.5), id="fractional-level"),

@@ -10,7 +10,7 @@ import clockauction.solver as solver
 from clockauction.core import Bundle, PriceVector, Product, ProductCatalog
 from clockauction.engine import run_auction
 from clockauction.errors import SolverError, ValidationError
-from clockauction.ingest import (BidRow, BundleBase, BundleSpace, CopyLadder, RawBidLog,
+from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder, RawBidLog,
                                  build_bundle_space, smooth_monotone)
 from clockauction.pipeline import estimate_all, trace_to_bidlog
 from clockauction.solver import (EQ, GE, LE, PHASE1, PIVOT_TOL, LinearProgram, Solution,
@@ -251,9 +251,8 @@ def estimation_lps():
         bidder_id="X", bases=(BundleBase("X/bA", {"A": 1}), BundleBase("X/bB", {"B": 1})),
         ladders={"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))},
         observed={1: (Bundle({"A": 1}), "X/bA"), 2: (Bundle({"B": 1}), "X/bB")})
-    rows = (BidRow(round=1, bidder_id="X", product_id="A", quantity=2),
-            BidRow(round=2, bidder_id="X", product_id="A", quantity=1))
-    holding = build_bundle_space(smooth_monotone(RawBidLog(rows=rows)), "X")
+    rows = ((1, "X", "A", 2), (2, "X", "A", 1))
+    holding = build_bundle_space(smooth_monotone(RawBidLog.from_rows(rows)), "X")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "solve_lp", collect)
         for seed in (3000, 3001, 3002):
