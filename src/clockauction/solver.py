@@ -3,12 +3,16 @@
 The built-in path is a dense two-phase simplex with Bland's rule plus a
 depth-first branch-and-bound for binary variables: no external solver in the
 loop, so identical inputs give identical outputs byte for byte.  It solves the
-bidder MIPs; a "highs" backend, HiGHS through scipy.optimize.milp without
-integrality, serves the valuation LPs through the same interface and is also
-deterministic for fixed inputs.  `_compile` is the one walk over an LP's
-names: it validates them and gives the rows as sparse triplets (`Rows`),
-which the simplex copies into its tableau as one dense block and the highs
-backend signs and orders as linprog would.  `solve_mip(lp, binaries)`
+bidder MIPs; a "highs" backend serves the valuation LPs through the same
+interface and is also deterministic for fixed inputs.  It hands each LP
+straight to SciPy's bundled HiGHS bindings, the model scipy.optimize.milp
+would build without integrality, and solves it on one HiGHS instance per
+thread, made at the thread's first solve; passModel replaces the model and
+the last solve's state, and a test checks that a reused instance answers as
+a fresh one.  `_compile` is the one walk over an LP's names: it validates
+them and gives the rows as sparse triplets (`Rows`), which the simplex
+copies into its tableau as one dense block and the highs backend signs and
+orders as linprog would.  `solve_mip(lp, binaries)`
 compiles once and its nodes share it, and the LPs of `with_objective` share
 their rows; given the exact optimum of each node `solve_mip` skips the nodes
 that cannot hold the MIP's optimum, with the same result.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -397,53 +402,109 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
 # highs backend
 
 
-def _solve_lp_highs(lp: LinearProgram | SparseLP) -> Solution:
-    """HiGHS through scipy.optimize.milp without integrality, on the rows in
-    linprog's order: the <= rows and the negated >= rows as they come, then
-    the = rows; rows that are all >= are only negated."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_array
+# this thread's HiGHS instance, made at its first solve
+_HIGHS = threading.local()
 
+
+def _highspy():
+    """SciPy's bundled HiGHS bindings, which scipy.optimize.milp calls."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        raise SolverError("the highs backend needs scipy>=1.15, the first release "
+                          "with scipy.optimize._highspy._core") from None
+    return _core
+
+
+def _highs(core):
+    """This thread's HiGHS instance, made at its first call with milp's only
+    option, log_to_console=False.  Each solve's passModel replaces the model
+    and clears the last solve's basis, solution and status."""
+    highs = getattr(_HIGHS, "instance", None)
+    if highs is None:
+        highs = core._Highs()
+        options = core.HighsOptions()
+        options.log_to_console = False
+        if highs.passOptions(options) == core.HighsStatus.kError:
+            raise SolverError("highs rejected its options")
+        _HIGHS.instance = highs
+    return highs
+
+
+def _solve_lp_highs(lp: LinearProgram | SparseLP) -> Solution:
+    """HiGHS on the rows in linprog's order: the <= rows and the negated >= rows
+    as they come, then the = rows; rows that are all >= are only negated.  The
+    model is the one milp builds for an LP: column-wise, each column's entries
+    in row order as SciPy's CSR-to-CSC copy leaves them, every column
+    continuous, with milp's default bounds 0 <= x < inf for a `SparseLP`.
+    It is solved on this thread's instance.  A non-finite cost, coefficient,
+    right-hand side or bound is a ValidationError, and a model HiGHS refuses
+    a SolverError."""
+    core = _highspy()
     rows, c = _compile(lp)
-    relations, m = rows.relations, len(rows.rhs)
+    relations, m, n = rows.relations, len(rows.rhs), len(c)
     k = m - relations.count(EQ)
+    lengths = np.diff(rows.indptr)
     if relations.count(GE) == m:
-        A = csr_array((-rows.data, rows.indices, rows.indptr), shape=(m, len(c)))
+        data, indices = -rows.data, rows.indices
         upper = -np.array(rows.rhs, dtype=float)
         lower = np.full(m, -np.inf)
+        row = np.arange(m).repeat(lengths)
     else:
         sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
         eq = np.array([rel == EQ for rel in relations], dtype=bool)
-        lengths = np.diff(rows.indptr)
         order = np.argsort(eq, kind="stable")  # the = rows last, each part in order
         entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
-        A = csr_array(((rows.data * np.repeat(sign, lengths))[entries], rows.indices[entries],
-                       np.concatenate([[0], np.cumsum(lengths[order])])), shape=(m, len(c)))
+        data = (rows.data * np.repeat(sign, lengths))[entries]
+        indices = rows.indices[entries]
         upper = (sign * np.array(rows.rhs, dtype=float))[order]
         lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
-    if isinstance(lp, SparseLP):  # milp's default bounds, 0 <= x < inf
-        bounds, lb, ub = None, 0.0, None
+        row = np.arange(m).repeat(lengths[order])
+    if isinstance(lp, SparseLP):
+        lb, ub = np.zeros(n), np.full(n, np.inf)
     else:
         lb = np.array([v.lb for v in lp.variables], dtype=float)
         ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
-        bounds = Bounds(lb, ub)
+    for what, finite in (("cost", np.isfinite(c)), ("coefficient", np.isfinite(data)),
+                         ("right-hand side", np.isfinite(upper)),
+                         ("bound", np.isfinite(lb) & (ub > -np.inf))):
+        if not finite.all():
+            raise ValidationError(f"LP has a non-finite {what}")
 
-    res = milp(c, bounds=bounds, constraints=LinearConstraint(A, lower, upper))
-    status = res.status
-    if status == 2:
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = m
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
+    model.row_lower_, model.row_upper_ = lower, upper
+    by_column = np.argsort(indices, kind="stable")  # keeps row order within a column
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(indices, minlength=n), out=start[1:])
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = row[by_column]
+    model.a_matrix_.value_ = data[by_column]
+    model.integrality_ = [core.HighsVarType.kContinuous] * n
+
+    highs = _highs(core)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        raise SolverError("highs refused the LP")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kInfeasible:
         return Solution("infeasible", {}, None)
-    if status == 3:
+    if status == core.HighsModelStatus.kUnbounded:
         return Solution("unbounded", {}, None)
-    if status != 0:
-        raise SolverError(f"highs failed: {res.message}")
-    # linprog's check of the point HiGHS returns, which milp does not make
-    x = res.x
-    excess = A @ x - upper
-    if not ((excess[:k] <= HIGHS_TOL).all() and (k == m or (abs(excess[k:]) <= HIGHS_TOL).all())
-            and (x >= lb - HIGHS_TOL).all() and (ub is None or (x <= ub + HIGHS_TOL).all())
-            and math.isfinite(res.fun)):
+    if status != core.HighsModelStatus.kOptimal:
+        raise SolverError(f"highs failed: {highs.modelStatusToString(status)}")
+    # linprog's check of the point HiGHS returns
+    x = np.array(highs.getSolution().col_value)
+    fun = highs.getInfo().objective_function_value
+    excess = np.bincount(row, weights=data * x[indices], minlength=m) - upper
+    if not ((excess[:k] <= HIGHS_TOL).all() and (abs(excess[k:]) <= HIGHS_TOL).all()
+            and (x >= lb - HIGHS_TOL).all() and (x <= ub + HIGHS_TOL).all()
+            and math.isfinite(fun)):
         raise SolverError("highs returned a point outside the constraints")
-    return Solution("optimal", dict(zip(lp.names, x.tolist())), float(res.fun))
+    return Solution("optimal", dict(zip(lp.names, x.tolist())), float(fun))
 
 
 # ---------------------------------------------------------------------------

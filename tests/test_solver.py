@@ -1,6 +1,10 @@
 import itertools
 import json
+import math
 import re
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,20 +321,103 @@ class TestHighsAdapter:
 
     def test_point_outside_the_rows_is_an_error(self, monkeypatch):
         # linprog's check of the returned point (status 4 there) is kept
-        import scipy.optimize
-        from scipy.optimize import OptimizeResult
+        core = highspy_core()
         lp = lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1.0}, GE, 2.0)])
-        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: OptimizeResult(
-            status=0, x=np.array([1.0]), fun=1.0, message=""))
+        off = SimpleNamespace(passModel=lambda model: core.HighsStatus.kOk,
+                              run=lambda: core.HighsStatus.kOk,
+                              getModelStatus=lambda: core.HighsModelStatus.kOptimal,
+                              getSolution=lambda: SimpleNamespace(col_value=[1.0]),
+                              getInfo=lambda: SimpleNamespace(objective_function_value=1.0))
+        monkeypatch.setattr(solver, "_highs", lambda core: off)
         with pytest.raises(SolverError):
             solve_lp(lp, backend="highs")
 
+    @pytest.mark.parametrize("lp", [
+        pytest.param(lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": math.nan}, GE, 2.0)]),
+                     id="nan-coefficient"),
+        pytest.param(lp_min({"x": math.nan}, [("x", 0.0, None)], [({"x": 1.0}, GE, 2.0)]),
+                     id="nan-cost"),
+        pytest.param(lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": math.inf}, GE, 2.0)]),
+                     id="inf-coefficient"),
+        pytest.param(lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1.0}, LE, -math.inf)]),
+                     id="inf-rhs"),
+        pytest.param(lp_min({"x": 1.0}, [("x", math.nan, None)], []), id="nan-bound")])
+    def test_non_finite_input_is_rejected_before_highs(self, lp, monkeypatch):
+        monkeypatch.setattr(solver, "_highs", lambda core: pytest.fail("HiGHS was called"))
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_lp(lp, backend="highs")
+
+    def test_a_model_highs_refuses_is_an_error(self):
+        # HiGHS refuses a coefficient of 1e15 or more; milp reported that
+        # model error as an infeasible LP
+        with pytest.raises(SolverError, match="refused"):
+            solve_lp(REFUSED, backend="highs")
+
+    def test_scipy_without_the_bindings_is_an_error(self, monkeypatch):
+        # SciPy before 1.15 has no scipy.optimize._highspy
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+        with pytest.raises(SolverError, match=r"scipy>=1\.15"):
+            solve_lp(lp_min({"x": 1.0}, [("x", 0.0, None)], []), backend="highs")
+
+
+def highspy_core():
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+# a finite LP whose coefficient HiGHS refuses
+REFUSED = lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1e20}, GE, 2.0)])
+
+
+def test_the_threads_instance_keeps_no_state_between_calls(monkeypatch):
+    """The thread's one HiGHS instance, reused through optimal, infeasible,
+    unbounded and refused LPs, answers each as a fresh instance does, by repr;
+    another thread gets its own instance and the same answers."""
+    sequence = [
+        lp_min({"x": 1.0, "y": 2.0, "z": -1.0},
+               [("x", 0.0, None), ("y", 0.0, None), ("z", 0.0, None)],
+               [({"x": 1.0, "y": 1.0}, GE, 2.0), ({"x": 1.0, "z": -1.0}, LE, 1.0),
+                ({"y": 1.0, "z": 1.0}, EQ, 3.0)]),
+        lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1.0}, GE, 1.0), ({"x": 1.0}, LE, 0.0)]),
+        lp_min({"x": -1.0}, [("x", 0.0, None), ("y", 0.0, None)],
+               [({"x": 1.0, "y": -1.0}, GE, 2.0), ({"y": 1.0}, LE, 5.0)]),
+        REFUSED,
+        TestRandomLpCrossCheck()._mixed_lp(np.random.default_rng(20261019))]
+
+    def answer(lp):
+        try:
+            return repr(solve_lp(lp, backend="highs"))
+        except SolverError as exc:
+            return repr(exc)
+
+    core = highspy_core()
+    instance = solver._highs(core)
+    reused = [answer(lp) for lp in sequence]
+    assert solver._highs(core) is instance
+    assert [a.split("(")[0] for a in reused] == ["Solution"] * 3 + ["SolverError", "Solution"]
+    assert "'optimal'" in reused[0] and "'optimal'" in reused[4]
+    fresh = []
+    for lp in sequence:
+        monkeypatch.setattr(solver, "_HIGHS", threading.local())
+        fresh.append(answer(lp))
+    assert reused == fresh
+    monkeypatch.undo()
+
+    other = {}
+    thread = threading.Thread(target=lambda: other.update(
+        answers=[answer(lp) for lp in sequence], instance=solver._highs(core)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert other["instance"] is not instance
+    assert other["answers"] == reused
+
 
 def csr_reference(lp):
-    """The arguments of milp as the HiGHS adapter built them in one pass over
-    the rows in linprog's order, signing each coefficient as it went: the cost
-    vector and the constraint.  The reference for the adapter's signed and
-    reordered rows of `_compile`."""
+    """The cost vector and the constraint, as CSR rows built in one pass over
+    the rows in linprog's order, signing each coefficient as it goes.  Through
+    SciPy's own CSC conversion, the reference for the column-wise model the
+    HiGHS adapter builds from the rows of `_compile`."""
     from scipy.optimize import LinearConstraint
     from scipy.sparse import csr_array
 
@@ -355,13 +442,13 @@ def csr_reference(lp):
 
 
 def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
-    """milp gets the cost vector, matrix and row bounds of `csr_reference`,
-    compared by bytes and dtype, on the mixed-row LPs of TestHighsAdapter, on
-    the same LPs with each 0.0 coefficient written as -0.0 and with each
-    dropped (rows of unequal length), on every estimation LP and on an LP
-    without rows."""
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    """HighsLp gets the cost vector, the column-wise matrix of
+    `csr_reference` as SciPy's csc_array gives it, the row bounds, milp's
+    column bounds and all-continuous integrality, compared by bytes and
+    dtype, on the mixed-row LPs of TestHighsAdapter, on the same LPs with
+    each 0.0 coefficient written as -0.0 and with each dropped (rows of
+    unequal length), on every estimation LP and on an LP without rows."""
+    from scipy.sparse import csc_array
 
     rng = np.random.default_rng(20261018)
     mixed = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)]
@@ -379,18 +466,43 @@ def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
                       for coef in con.coeffs.values()])
     assert {False, True} <= set(np.signbit(coefs[coefs == 0]).tolist())
 
-    def received(c, constraint):
-        A = constraint.A
-        return ([a.tobytes() for a in (c, A.indptr, A.indices, A.data, constraint.lb,
-                                       constraint.ub)]
-                + [A.shape, A.indptr.dtype, A.indices.dtype, A.data.dtype])
+    def arrays(c, start, index, value, lower, upper, lb, ub, integrality):
+        return ([a.tobytes() for a in (c, start, index, value, lower, upper, lb, ub)]
+                + [a.dtype for a in (c, start, index, value, lower, upper, lb, ub)]
+                + [integrality])
 
+    def reference(lp):
+        c, constraint = csr_reference(lp)
+        A = csc_array(constraint.A)
+        lb = np.array([v.lb for v in lp.variables], dtype=float)
+        ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
+        return arrays(c, A.indptr, A.indices, A.data, constraint.lb, constraint.ub, lb, ub,
+                      [core.HighsVarType.kContinuous] * len(c)) + [
+            A.shape, core.MatrixFormat.kColwise]
+
+    def received(model):
+        A = model.a_matrix_
+        assert (A.num_row_, A.num_col_) == (model.num_row_, model.num_col_)
+        return arrays(model.col_cost_, A.start_, A.index_, A.value_, model.row_lower_,
+                      model.row_upper_, model.col_lower_, model.col_upper_,
+                      model.integrality_) + [(model.num_row_, model.num_col_), A.format_]
+
+    class RecordingLp:
+        """Stands in for HighsLp, keeping what the adapter writes into it."""
+        def __init__(self):
+            self.a_matrix_ = SimpleNamespace()
+
+    core = highspy_core()
     got = []
-    monkeypatch.setattr(scipy.optimize, "milp", lambda c, bounds, constraints: got.append(
-        received(c, constraints)) or OptimizeResult(status=2))
+    refuse = SimpleNamespace(passModel=lambda model: got.append(received(model))
+                             or core.HighsStatus.kOk,
+                             run=lambda: core.HighsStatus.kOk,
+                             getModelStatus=lambda: core.HighsModelStatus.kInfeasible)
+    monkeypatch.setattr(core, "HighsLp", RecordingLp)
+    monkeypatch.setattr(solver, "_highs", lambda core: refuse)
     for lp in lps:
         assert solve_lp(lp, backend="highs").status == "infeasible"
-    assert got == [received(*csr_reference(lp)) for lp in lps]
+    assert got == [reference(lp) for lp in lps]
 
 
 def feasible_reference(lp, values):
