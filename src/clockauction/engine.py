@@ -13,6 +13,7 @@ price; the loop ends when every product clears.  The same loop
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
-from .solver import EQ, LE, LinearProgram, mip_margin, phase1_memo, solve_mip
+from .solver import EQ, LE, LinearProgram, mip_margin, solve_mip
 
 
 @dataclass
@@ -180,7 +181,8 @@ class Frame:
     engagement's lump-sum cost, and `needs`, the engagement each (product,
     choice) needs.  `bid` makes a bid of {product: choice}.  The
     enumeration's `Bundles` (None above MAX_BUNDLES bundles) is built at its
-    first use, and the MIP, with its rows compiled, at the first solve."""
+    first use, and the MIP at the first solve; every solve re-prices a copy
+    that shares its rows (`solver.Rows`), and their phase-1 memo."""
 
     def __init__(self, levels: dict[str, list[tuple[Hashable, int, float, Hashable]]],
                  base_value: float, catalog: ProductCatalog, eligibility: int,
@@ -230,8 +232,9 @@ class Frame:
             self.mip = lp, binary
         lp, binary = self.mip
         objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
-        sol = solve_mip(lp.with_objective({**objective, **self.costs}),
-                        [*binary.values(), *self.costs],
+        mip = copy.copy(lp)  # shares the rows, and so their phase-1 memo
+        mip.objective = {**objective, **self.costs}
+        sol = solve_mip(mip, [*binary.values(), *self.costs],
                         None if self.bundles is None else self.bundles.exact(options, binary))
         if sol.status == "infeasible":
             return None
@@ -412,15 +415,15 @@ def oracle_memo():
         ORACLE_MEMO.reset(token)
 
 
-@phase1_memo()
 @oracle_memo()
 def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
                market: Market) -> AuctionTrace:
     """Rounds of bids at start prices, exits and the activity rule, until no
     key is overdemanded or `max_rounds` truncates the run.  The run owns its
     oracle memo (`choose_base`'s, passed to each bid, and ORACLE_MEMO while
-    it runs, where the tiered oracle keeps its frames) and its phase-1 memo:
-    the oracle MIPs repeat their constraint rows across rounds at new prices."""
+    it runs, where the oracles keep their frames), and so the frames' MIP
+    rows with their phase-1 memos: the oracle MIPs repeat their rows across
+    rounds at new prices."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):

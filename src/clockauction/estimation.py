@@ -8,8 +8,9 @@ utility each round, marginal rationality against neighboring ladder levels,
 and revealed preference against every eligible alternative variant, with
 penalized slack.  Minimizing slack plus total base value yields the tightest
 lower-bound valuations consistent with myopic, monotonic bidding.  The LP is
-written straight into the compiled rows HiGHS reads (`solver.SparseLP`), with
-no per-row dicts, and solved with HiGHS.
+written straight into the sparse rows HiGHS reads (`solver.Rows`), with no
+per-row dicts, handed to a `solver.LinearProgram` whole and solved with
+HiGHS.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (Bundle, PriceVector, ProductCatalog, check_bidder_id, eligibi
                    finite_json)
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
-from .solver import GE, Rows, Solution, SparseLP, check_feasible, solve_lp
+from .solver import GE, LinearProgram, Rows, Solution, check_feasible, solve_lp
 
 VALUE_TOL = 1e-6
 
@@ -132,7 +133,7 @@ BLOCKS = ("positive_utility", "marginal_rationality", "revealed_preference",
 
 
 class _Listing(NamedTuple):
-    """Rows in compiled form: the observed bundle's table row, the entries
+    """Rows in sparse form: the observed bundle's table row, the entries
     (-1 for a slack column) and their number per row, each row's alternative
     (None for sitting out) and block, and the tails of the slack names."""
     own: int
@@ -146,7 +147,7 @@ class _Listing(NamedTuple):
 
 @dataclass
 class _Problem:
-    lp: SparseLP
+    lp: LinearProgram
     kinds: list[int]                  # per row, the index of its block in BLOCKS
     slack_names: list[str]
     mr_slack_names: list[str] = field(default_factory=list)
@@ -163,7 +164,7 @@ def _vm(product_id: str, level: int) -> str:
 def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
            eligibility: dict[int, int], catalog: ProductCatalog,
            mr_slack_weight: float | None = None) -> _Problem:
-    """The valuation LP, written straight into its compiled rows.
+    """The valuation LP, written straight into its sparse rows (`Rows`).
 
     Every row is `>=` and says u(observed) - u(alternative) >= 0 for the
     round's observed bundle; per round come (a) sitting out, (b) one ladder
@@ -189,8 +190,6 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
             names.append(_vm(j, level))
             vm.append((j, level, float(level - prev)))
     nfix, n_d = len(names), len(pairs) // 2
-    if len(set(names)) < nfix:
-        raise ValidationError("duplicate variable names")
     base_index = {base.base_id: i for i, base in enumerate(bases)}
 
     # per bundle: its utility coefficients, the columns where they are not
@@ -322,11 +321,11 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     revealed = [name.startswith("sl::") for name in slack_names]
     weights = [1.0 if sl else mr_slack_weight for sl in revealed]
     return _Problem(
-        lp=SparseLP(names + slack_names,
-                    np.array([1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights),
-                    Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
-                         np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
-                         nfix + len(slack_names))),
+        lp=LinearProgram(names + slack_names,
+                         [1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights,
+                         Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
+                              np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
+                              nfix + len(slack_names))),
         kinds=kinds + [3] * n_d,
         slack_names=[name for name, sl in zip(slack_names, revealed) if sl],
         mr_slack_names=[name for name, sl in zip(slack_names, revealed) if not sl])
@@ -342,7 +341,7 @@ class EstimationReport:
     fallback_used: bool = False
     # with keep_lp, the LP solved first, min sum(slack) + sum(base values)
     # without marginal-rationality slack, even when the fallback was used
-    lp: SparseLP | None = field(default=None, compare=False, repr=False)
+    lp: LinearProgram | None = field(default=None, compare=False, repr=False)
 
 
 def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:

@@ -9,25 +9,27 @@ straight to SciPy's bundled HiGHS bindings, the model scipy.optimize.milp
 would build without integrality, and solves it on one HiGHS instance per
 thread, made at the thread's first solve; passModel replaces the model and
 the last solve's state, and a test checks that a reused instance answers as
-a fresh one.  `_compile` is the one walk over an LP's names: it validates
-them and gives the rows as sparse triplets (`Rows`), which the simplex
-copies into its tableau as one dense block and the highs backend signs and
-orders as linprog would.  `solve_mip(lp, binaries)`
-compiles once and its nodes share it, and the LPs of `with_objective` share
-their rows; given the exact optimum of each node `solve_mip` skips the nodes
-that cannot hold the MIP's optimum, with the same result.
-Inside `phase1_memo()` phase 1 of the simplex runs once per distinct
-constraint system: it reads only the constraint rows, never the objective.
+a fresh one.
+
+Every LP is a `LinearProgram`: named columns with bounds and costs, and its
+constraints as sparse triplets (`Rows`), added a row at a time or, as in
+estimation, handed over whole.  The simplex copies the rows into its tableau
+as one dense block, the highs backend signs and orders them as linprog
+would, and both refuse non-finite input.  LPs share what they do not
+change: the nodes of `solve_mip(lp, binaries)` differ from their MIP only
+in the bounds, and a MIP re-priced at new costs shares its rows, which keep
+the simplex's phase-1 results by bounds (`Rows.phase1`), since phase 1
+never reads the costs.  Given the exact optimum of each node `solve_mip`
+skips the nodes that cannot hold the MIP's optimum, with the same result.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import threading
 from collections.abc import Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,59 +59,23 @@ class Constraint:
     relation: str
     rhs: float
 
-    def __post_init__(self):
-        if self.relation not in (LE, GE, EQ):
-            raise ValidationError(f"bad relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", dict(self.coeffs))
-
-
-@dataclass
-class LinearProgram:
-    """Minimization LP over named variables."""
-    variables: list[Variable] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
-    # the `Rows` of the constraints, set by `with_objective` on the LPs that
-    # share them; None walks the constraints at each compile
-    _rows: Rows | None = field(default=None, init=False, repr=False, compare=False)
-    # `_compile` of the LP, set on the nodes of `solve_mip`, which share
-    # their MIP's; None compiles at each solve
-    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> str:
-        self.variables.append(Variable(name, lb, ub))
-        return name
-
-    def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float) -> None:
-        self.constraints.append(Constraint(coeffs, relation, rhs))
-
-    @property
-    def names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
-    def with_objective(self, objective: dict[str, float]) -> LinearProgram:
-        """This LP minimizing `objective` instead, sharing its variables, its
-        constraints and their `Rows`, compiled here at the first call; so
-        neither may change after it."""
-        if self._rows is None:
-            self._rows = _compile(self)[0]
-        lp = LinearProgram(self.variables, objective, self.constraints)
-        lp._rows = self._rows
-        return lp
-
 
 @dataclass(eq=False)
 class Rows:
     """An LP's constraints, in order: sparse triplets (indptr, indices, data)
     over `width` variable columns, their right-hand sides and relations.
-    `dense` is the triplets scattered into a read-only matrix at first use,
-    which each simplex solve copies."""
+    Their arrays and lists never change, so LPs share them; an LP that adds
+    a row or a column makes new `Rows`.  `dense` is the triplets scattered
+    into a read-only matrix at first use, which each simplex solve copies,
+    and `phase1` the simplex's phase-1 results over these rows, by bounds
+    (`_phase1_memoized`)."""
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     rhs: list[float]
     relations: list[str]
     width: int
+    phase1: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def integer_weight(self) -> float | None:
@@ -124,6 +90,14 @@ class Rows:
         A[np.arange(len(self.rhs)).repeat(np.diff(self.indptr)), self.indices] += self.data
         A.flags.writeable = False
         return A
+
+    @functools.cached_property
+    def nonfinite(self) -> str | None:
+        """'coefficient' or 'right-hand side', the first part of the rows
+        that holds a value that is not finite; None when all are."""
+        if not np.isfinite(self.data).all():
+            return "coefficient"
+        return None if np.isfinite(self.rhs).all() else "right-hand side"
 
 
 class _View(Sequence):
@@ -141,23 +115,75 @@ class _View(Sequence):
         return self._item(i % self._n)
 
 
-@dataclass(eq=False)
-class SparseLP:
-    """Minimization LP over nonnegative columns `names` with costs `costs`,
-    built straight into its compiled `rows`.  `variables`, `objective` and
-    `constraints` give the `LinearProgram` view, each item made at access,
-    for `write_lp_format` and for checks; `len` of either view is free."""
-    names: list[str]
-    costs: np.ndarray
-    rows: Rows
+class LinearProgram:
+    """Minimization LP over the columns `names`, with bounds `lb` <= x <= `ub`
+    (+inf for none) and costs `costs`, and its constraint `rows`.  Made
+    whole from names, costs and rows (bounds 0 and +inf), or a column and a
+    row at a time by `add_variable` and `add_constraint`, which reject a
+    repeated or unknown name.  `objective` is the costs by name.  The LP
+    replaces its lists and rows rather than change them, so `copy.copy`
+    gives an LP that shares them all, ready to take new bounds or a new
+    objective.  `variables` and `constraints` are views, each item made at
+    access, for `write_lp_format` and for checks; `len` of either is free."""
 
-    @property
-    def variables(self) -> Sequence[Variable]:
-        return _View(len(self.names), lambda i: Variable(self.names[i]))
+    def __init__(self, names: Sequence[str] = (), costs: Sequence[float] | None = None,
+                 rows: Rows | None = None):
+        self.names = list(names)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        if len(self._index) < len(self.names):
+            raise ValidationError("duplicate variable names")
+        n = len(self.names)
+        self.costs = [0.0] * n if costs is None else costs
+        self.lb, self.ub = [0.0] * n, [math.inf] * n
+        self.rows = rows if rows is not None else Rows(
+            np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), [], [], n)
+
+    def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> str:
+        if name in self._index:
+            raise ValidationError("duplicate variable names")
+        self._index = {**self._index, name: len(self.names)}
+        self.names = [*self.names, name]
+        self.costs = [*self.costs, 0.0]
+        self.lb = [*self.lb, float(lb)]
+        self.ub = [*self.ub, math.inf if ub is None else float(ub)]
+        rows = self.rows
+        self.rows = Rows(rows.indptr, rows.indices, rows.data, rows.rhs, rows.relations,
+                         len(self.names))
+        return name
+
+    def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float) -> None:
+        if relation not in (LE, GE, EQ):
+            raise ValidationError(f"bad relation {relation!r}")
+        rows = self.rows
+        try:
+            columns = np.array([self._index[name] for name in coeffs], dtype=np.intp)
+        except KeyError as exc:
+            raise ValidationError(f"constraint {len(rows.rhs)} references unknown "
+                                  f"variable {exc.args[0]!r}") from None
+        self.rows = Rows(np.append(rows.indptr, len(rows.indices) + len(columns)),
+                         np.concatenate((rows.indices, columns)),
+                         np.concatenate((rows.data, np.fromiter(coeffs.values(), float))),
+                         [*rows.rhs, float(rhs)], [*rows.relations, relation], rows.width)
 
     @property
     def objective(self) -> dict[str, float]:
-        return dict(zip(self.names, self.costs.tolist()))
+        """The costs by name.  Setting it makes new costs, 0.0 plus each
+        given coefficient and 0.0 elsewhere."""
+        return dict(zip(self.names, self.costs))
+
+    @objective.setter
+    def objective(self, objective: dict[str, float]) -> None:
+        costs = [0.0] * len(self.names)
+        for name, coef in objective.items():
+            if name not in self._index:
+                raise ValidationError(f"objective references unknown variable {name!r}")
+            costs[self._index[name]] += coef
+        self.costs = costs
+
+    @property
+    def variables(self) -> Sequence[Variable]:
+        return _View(len(self.names), lambda i: Variable(
+            self.names[i], self.lb[i], None if self.ub[i] == math.inf else self.ub[i]))
 
     @property
     def constraints(self) -> Sequence[Constraint]:
@@ -167,7 +193,7 @@ class SparseLP:
             span = slice(rows.indptr[i], rows.indptr[i + 1])
             return Constraint(dict(zip([self.names[k] for k in rows.indices[span].tolist()],
                                        rows.data[span].tolist())),
-                              rows.relations[i], float(rows.rhs[i]))
+                              rows.relations[i], rows.rhs[i])
         return _View(len(rows.rhs), constraint)
 
 
@@ -251,92 +277,50 @@ def _phase1(T: np.ndarray, basis: list[int], arts: list[int], first_art: int) ->
     return True
 
 
-# phase-1 results of the current run, None outside `phase1_memo()`
-PHASE1: ContextVar[dict | None] = ContextVar("phase1", default=None)
-
-
-@contextmanager
-def phase1_memo():
-    """Keep phase-1 results for the block: a later LP whose constraint rows
-    match bit for bit starts phase 2 from the stored tableau and basis."""
-    token = PHASE1.set({})
-    try:
-        yield
-    finally:
-        PHASE1.reset(token)
-
-
-def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], n: int,
-                     first_art: int) -> bool:
-    """`_phase1`, served from PHASE1 when it is set.  Phase 1 reads only the
-    constraint rows T[:m], so the key is the shape, `n`, `first_art` and the
-    positions and bits of the entries of T[:m] other than +0.0; the value is
-    None (infeasible) or the same sparse form of T[:m] after phase 1, plus
-    the basis.  A hit leaves T[:m] and the basis as `_phase1` would."""
-    memo = PHASE1.get()
-    if memo is None:
-        return _phase1(T, basis, arts, first_art)
+def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], first_art: int,
+                     memo: dict, bounds: tuple[bytes, bytes]) -> bool:
+    """`_phase1`, kept in `memo`, the phase-1 memo of the LP's rows, under
+    the bits of its `bounds` (lb, ub): the rows and the bounds fix T[:m],
+    all that phase 1 reads.  The value is None (infeasible) or the positions
+    and bits of the entries of T[:m] other than +0.0 after phase 1, plus the
+    basis.  A hit leaves T[:m] and the basis as `_phase1` would."""
     bits = T[:-1].view(np.uint64).reshape(-1)  # a view: writes reach T
-
-    def sparse():
-        where = np.flatnonzero(bits)
-        return where, bits[where]
-
-    where, values = sparse()
-    key = (T.shape, n, first_art, where.tobytes(), values.tobytes())
-    if key not in memo:
-        memo[key] = (*sparse(), basis.copy()) if _phase1(T, basis, arts, first_art) else None
-    elif memo[key] is not None:
-        where, values, solved = memo[key]
+    if bounds not in memo:
+        memo[bounds] = None
+        if _phase1(T, basis, arts, first_art):
+            where = np.flatnonzero(bits)
+            memo[bounds] = where, bits[where], basis.copy()
+    elif memo[bounds] is not None:
+        where, values, solved = memo[bounds]
         bits[:] = 0
         bits[where] = values
         basis[:] = solved
-    return memo[key] is not None
+    return memo[bounds] is not None
 
 
-def _compile(lp: LinearProgram | SparseLP) -> tuple[Rows, np.ndarray]:
-    """The constraints' `Rows` and the cost vector of `lp`: a `SparseLP`'s
-    own, else from the one walk over the names of a `LinearProgram` before a
-    solve, which raises ValidationError on a repeated or unknown variable
-    name; its `Rows` are the shared `lp._rows` when set."""
-    if isinstance(lp, SparseLP):
-        return lp.rows, lp.costs
-    index = {v.name: i for i, v in enumerate(lp.variables)}
-    if len(index) != len(lp.variables):
-        raise ValidationError("duplicate variable names")
-    c = np.zeros(len(index))
-    for name, coef in lp.objective.items():
-        if name not in index:
-            raise ValidationError(f"objective references unknown variable {name!r}")
-        c[index[name]] += coef
-    if lp._rows is not None:
-        return lp._rows, c
-    indptr, indices, data = [0], [], []
-    try:
-        for i, con in enumerate(lp.constraints):
-            indices += map(index.__getitem__, con.coeffs)
-            data += con.coeffs.values()
-            indptr.append(len(indices))
-    except KeyError as exc:
-        raise ValidationError(
-            f"constraint {i} references unknown variable {exc.args[0]!r}") from None
-    return Rows(np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float),
-                [con.rhs for con in lp.constraints],
-                [con.relation for con in lp.constraints], len(index)), c
+def _columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The costs and the lower and upper bounds of `lp` as arrays.  A
+    non-finite cost, coefficient, right-hand side or bound (but an upper
+    bound of +inf) is a ValidationError; the rows are checked once."""
+    c, lb, ub = (np.array(values, dtype=float) for values in (lp.costs, lp.lb, lp.ub))
+    if not np.isfinite(c).all():
+        raise ValidationError("LP has a non-finite cost")
+    if lp.rows.nonfinite:
+        raise ValidationError(f"LP has a non-finite {lp.rows.nonfinite}")
+    if not (np.isfinite(lb) & (ub > -np.inf)).all():
+        raise ValidationError("LP has a non-finite bound")
+    return c, lb, ub
 
 
 def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
     upper bound is one (row, relation, rhs), negated with its relation flipped
     when the rhs is negative; slack then artificial columns follow in row order."""
-    rows, c = lp._arrays or _compile(lp)
-    n = len(lp.variables)
-    lbs = np.array([v.lb for v in lp.variables], dtype=float)
-    if not np.all(np.isfinite(lbs)):
-        raise ValidationError("variables need finite lower bounds")
+    c, lbs, ubs = _columns(lp)
+    rows, n = lp.rows, len(c)
 
     # rows: the constraints, then y_i <= ub_i - lb_i for each finite upper bound
-    bounded = [(i, v.ub - v.lb) for i, v in enumerate(lp.variables) if v.ub is not None]
+    bounded = np.flatnonzero(ubs < np.inf)
     k = len(rows.rhs)
     m = k + len(bounded)
     A = np.zeros((m, n))
@@ -353,8 +337,8 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     else:
         for r in range(k):
             b[r] = rows.rhs[r] - A[r] @ lbs
-    A[range(k, m), [i for i, _ in bounded]] = 1.0
-    b[k:] = [width for _, width in bounded]
+    A[range(k, m), bounded] = 1.0
+    b[k:] = (ubs - lbs)[bounded]
     rels = rows.relations + [LE] * len(bounded)
     for r in np.flatnonzero(b < 0).tolist():
         A[r], b[r], rels[r] = -A[r], -b[r], {LE: GE, GE: LE, EQ: EQ}[rels[r]]
@@ -376,7 +360,8 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     for col, i in enumerate(arts, first_art):
         basis[i] = col
 
-    if arts and not _phase1_memoized(T, basis, arts, n, first_art):
+    if arts and not _phase1_memoized(T, basis, arts, first_art, rows.phase1,
+                                     (lbs.tobytes(), ubs.tobytes())):
         return Solution("infeasible", {}, None)
 
     # phase 2: price out the basic columns.  Each is a unit column, so its
@@ -394,7 +379,7 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
     y = np.zeros(total)
     y[basis] = T[:m, -1]
     x = y[:n] + lbs
-    values = dict(zip([v.name for v in lp.variables], x.tolist()))
+    values = dict(zip(lp.names, x.tolist()))
     return Solution("optimal", values, float(c @ y[:n] + c @ lbs))
 
 
@@ -431,17 +416,16 @@ def _highs(core):
     return highs
 
 
-def _solve_lp_highs(lp: LinearProgram | SparseLP) -> Solution:
+def _solve_lp_highs(lp: LinearProgram) -> Solution:
     """HiGHS on the rows in linprog's order: the <= rows and the negated >= rows
     as they come, then the = rows; rows that are all >= are only negated.  The
     model is the one milp builds for an LP: column-wise, each column's entries
     in row order as SciPy's CSR-to-CSC copy leaves them, every column
-    continuous, with milp's default bounds 0 <= x < inf for a `SparseLP`.
-    It is solved on this thread's instance.  A non-finite cost, coefficient,
-    right-hand side or bound is a ValidationError, and a model HiGHS refuses
-    a SolverError."""
+    continuous.  It is solved on this thread's instance; a model HiGHS
+    refuses is a SolverError."""
     core = _highspy()
-    rows, c = _compile(lp)
+    rows = lp.rows
+    c, lb, ub = _columns(lp)
     relations, m, n = rows.relations, len(rows.rhs), len(c)
     k = m - relations.count(EQ)
     lengths = np.diff(rows.indptr)
@@ -460,16 +444,6 @@ def _solve_lp_highs(lp: LinearProgram | SparseLP) -> Solution:
         upper = (sign * np.array(rows.rhs, dtype=float))[order]
         lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
         row = np.arange(m).repeat(lengths[order])
-    if isinstance(lp, SparseLP):
-        lb, ub = np.zeros(n), np.full(n, np.inf)
-    else:
-        lb = np.array([v.lb for v in lp.variables], dtype=float)
-        ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
-    for what, finite in (("cost", np.isfinite(c)), ("coefficient", np.isfinite(data)),
-                         ("right-hand side", np.isfinite(upper)),
-                         ("bound", np.isfinite(lb) & (ub > -np.inf))):
-        if not finite.all():
-            raise ValidationError(f"LP has a non-finite {what}")
 
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
@@ -511,9 +485,8 @@ def _solve_lp_highs(lp: LinearProgram | SparseLP) -> Solution:
 # public interface
 
 
-def solve_lp(lp: LinearProgram | SparseLP, backend: str = "builtin") -> Solution:
-    """Solve a minimization LP. backend: 'builtin' (reference, a
-    `LinearProgram` only) or 'highs'."""
+def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
+    """Solve a minimization LP. backend: 'builtin' (reference) or 'highs'."""
     if backend == "builtin":
         return _solve_lp_builtin(lp)
     if backend == "highs":
@@ -521,13 +494,13 @@ def solve_lp(lp: LinearProgram | SparseLP, backend: str = "builtin") -> Solution
     raise ValidationError(f"unknown backend {backend!r}")
 
 
-def check_feasible(lp: LinearProgram | SparseLP, values: dict[str, float]) -> list[int]:
+def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
     """Indices of constraints violated beyond FEAS_TOL (rows scaled to unit max
-    coefficient).  One sparse product A @ x over the compiled rows gives each
+    coefficient).  One sparse product A @ x over the rows gives each
     row's gap to its rhs, its entries summed in order as a loop over the row
     would; a scale is 1 or more, so only rows whose gap exceeds FEAS_TOL on
     the violating side are scaled and checked."""
-    rows, _ = _compile(lp)
+    rows = lp.rows
     x = np.array([values[name] for name in lp.names], dtype=float)
     m = len(rows.rhs)
     row = np.arange(m).repeat(np.diff(rows.indptr))
@@ -571,30 +544,28 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
     LP, with or without `exact`.  After the search the two optima must
     agree within the margin, or both be infeasible; else SolverError.
     """
-    arrays = _compile(lp)
-    position = {v.name: i for i, v in enumerate(lp.variables)}
+    position = lp._index
     for name in binaries:
         if name not in position:
             raise ValidationError(f"unknown binary variable {name!r}")
-        v = lp.variables[position[name]]
-        if (v.lb, v.ub) != (0.0, 1.0):
+        if (lp.lb[position[name]], lp.ub[position[name]]) != (0.0, 1.0):
             raise ValidationError(f"binary variable {name!r} must have bounds [0, 1]")
     binary = set(binaries)
-    binaries = [v.name for v in lp.variables if v.name in binary]
+    binaries = [name for name in lp.names if name in binary]
     best = Solution("infeasible", {}, None)
     if exact is not None:
         bound = exact({})
-        margin = mip_margin(arrays[1])
+        margin = mip_margin(lp.costs)
         cutoff = bound + margin
 
-    def recurse(variables: list[Variable], fixed: dict[str, float]):
-        """Solve the node whose variables are `variables`: the MIP's, with
-        the binaries branched on so far fixed as in `fixed`."""
+    def recurse(lb: list[float], ub: list[float], fixed: dict[str, float]):
+        """Solve the node with bounds `lb` and `ub`: the MIP's, with the
+        binaries branched on so far fixed as in `fixed`."""
         nonlocal best
         if fixed and exact is not None and exact(fixed) > cutoff:
             return
-        node = LinearProgram(variables, lp.objective, lp.constraints)
-        node._arrays = arrays
+        node = copy.copy(lp)
+        node.lb, node.ub = lb, ub
         sol = solve_lp(node)
         if sol.status == "infeasible":
             return
@@ -611,11 +582,11 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
                             sol.objective_value)
             return
         for branch in (0.0, 1.0):
-            child = list(variables)
-            child[position[frac]] = Variable(frac, branch, branch)
-            recurse(child, {**fixed, frac: branch})
+            child_lb, child_ub = list(lb), list(ub)
+            child_lb[position[frac]] = child_ub[position[frac]] = branch
+            recurse(child_lb, child_ub, {**fixed, frac: branch})
 
-    recurse(lp.variables, {})
+    recurse(lp.lb, lp.ub, {})
     if exact is not None:
         found = math.inf if best.objective_value is None else best.objective_value
         if math.isinf(found) != math.isinf(bound) or abs(found - bound) > margin:

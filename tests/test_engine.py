@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel, bundle_utility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
-from clockauction.solver import PHASE1
 from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  _best_tiered_copies)
@@ -372,26 +373,34 @@ class TestEngineInvariants:
     STANDARD_MIP_DIGEST = "80aa252cccc2eaadc21f469aa8ff5f0dad846b85524e639014f0d86c54eaad10"
 
     def test_phase1_memo_lives_for_one_run(self, monkeypatch):
-        """The oracle MIPs of a run share one phase-1 memo; it is gone when the
-        run ends, also on an error, and a second run writes the same bytes."""
-        active = []
+        """The oracle MIPs of a run are re-priced copies of their frames'
+        MIPs and share their rows, which hold the phase-1 memo; no rows
+        outlive the run, also on an error, and a second run writes the same
+        bytes."""
+        rows, memos = [], []
         solve_mip = engine.solve_mip
-        monkeypatch.setattr(engine, "solve_mip",
-                            lambda *a: active.append(PHASE1.get() is not None)
-                            or solve_mip(*a))
+
+        def record(lp, *args):
+            rows.append(weakref.ref(lp.rows))
+            memos.append(lp.rows.phase1)
+            return solve_mip(lp, *args)
+
+        monkeypatch.setattr(engine, "solve_mip", record)
         config, agents = standard_mip_setup()
         texts = []
         for _ in range(2):
+            rows.clear()
+            memos.clear()
             trace = run_auction(config, agents)
-            assert PHASE1.get() is None
+            gc.collect()
+            assert rows and all(memos) and all(ref() is None for ref in rows)
             texts.append(trace_to_jsonl(trace)
                          + json.dumps(trace_summary(trace), sort_keys=True))
-        assert active and all(active)
         assert texts[0] == texts[1]
         assert hashlib.sha256(texts[0].encode()).hexdigest() == self.STANDARD_MIP_DIGEST
         with pytest.raises(ValidationError):
             run_auction(config, agents + agents[:1])
-        assert PHASE1.get() is None
+        assert engine.ORACLE_MEMO.get() is None
 
     def test_oracle_memo_is_exact_and_per_run(self, monkeypatch):
         """No two MIPs of a run ask the same oracle question, and a second run

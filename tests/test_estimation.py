@@ -274,13 +274,14 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
         return coeffs, a_const - u_const
 
     lp, blocks, slack_names, mr_slack_names = LinearProgram(), [], [], []
+    objective = {}
     for base in space.bases:
         lp.add_variable(vb(base.base_id), lb=0.0)
-        lp.objective[vb(base.base_id)] = 1.0
+        objective[vb(base.base_id)] = 1.0
     for j in sorted(space.ladders):
         for level in space.ladders[j].levels[1:]:
             lp.add_variable(vm(j, level), lb=0.0)
-            lp.objective[vm(j, level)] = 1e-6
+            objective[vm(j, level)] = 1e-6
     variants = [(variant, base.base_id, eligibility_cost(variant, catalog))
                 for base in space.bases for variant in enumerate_variants(base, space.ladders)]
 
@@ -290,7 +291,7 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
 
     def slack(name, weight, names):
         lp.add_variable(name, lb=0.0)
-        lp.objective[name] = weight
+        objective[name] = weight
         names.append(name)
         return name
 
@@ -324,6 +325,7 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
         levels = space.ladders[j].levels
         for a, b in zip(levels[1:], levels[2:]):
             add({vm(j, a): 1.0, vm(j, b): -1.0}, 0.0, "diminishing_returns")
+    lp.objective = objective
     return lp, blocks, slack_names, mr_slack_names
 
 

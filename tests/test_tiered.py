@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import clockauction.engine as engine
+import clockauction.solver as solver
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog, RoundRecord)
 from clockauction.costs import AreaStats, DEFAULT_COVERAGE_TARGETS
@@ -13,7 +16,6 @@ from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
-from clockauction.solver import PHASE1
 from clockauction.synthetic import random_setup
 import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
@@ -236,24 +238,58 @@ def test_oracle_memo_is_exact_and_per_run(monkeypatch):
     assert runs[0][0] == BB_DIGESTS[0]
 
 
-def test_phase1_memo_lives_for_one_run(monkeypatch):
-    """The oracle MIPs of a run share one phase-1 memo, it is gone when the
-    run ends, and a second run writes the same bytes."""
-    active = []
-    solve_mip = tiered.solve_mip
-    monkeypatch.setattr(tiered, "solve_mip",
-                        lambda *a: active.append(PHASE1.get() is not None) or solve_mip(*a))
+def zero_cost_run():
+    """The zero-cost tiered run of `random_setup(1, 4, 8, n_bases=2)`."""
     config, agents = random_setup(1, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
+    return run_extended_auction(config, agents, adj)
+
+
+def test_phase1_memo_lives_for_one_run(monkeypatch):
+    """The oracle MIPs of a run are re-priced copies of their frames' MIPs
+    and share their rows, which hold the phase-1 memo, across rounds; no
+    rows outlive the run, and a second run writes the same bytes."""
+    rows, memos = [], []
+    solve_mip = tiered.solve_mip
+
+    def record(lp, *args):
+        rows.append(weakref.ref(lp.rows))
+        memos.append(lp.rows.phase1)
+        return solve_mip(lp, *args)
+
+    monkeypatch.setattr(tiered, "solve_mip", record)
     texts = []
     for _ in range(2):
-        trace = run_extended_auction(config, agents, adj)
-        assert PHASE1.get() is None
+        rows.clear()
+        memos.clear()
+        trace = zero_cost_run()
+        assert len({id(memo) for memo in memos}) < len(memos) and all(memos)
+        gc.collect()
+        assert all(ref() is None for ref in rows)
         texts.append(trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True))
-    assert active and all(active)
     assert texts[0] == texts[1]
     assert hashlib.sha256(texts[0].encode()).hexdigest() == BB_DIGESTS[1]
+
+
+def test_phase1_runs_once_per_rows_and_bounds(monkeypatch):
+    """The zero-cost run of `test_phase1_memo_lives_for_one_run` solves 38
+    simplex LPs and phase 1 of only 10 of them, one per frame MIP and
+    fixings met; the memo serves the rest.  A memo keyed more finely than by
+    rows and bounds solves more."""
+    counts = {"simplex": 0, "phase1": 0}
+    solve_lp, phase1 = solver.solve_lp, solver._phase1
+
+    def count(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(solver, "solve_lp", count("simplex", solve_lp))
+    monkeypatch.setattr(solver, "_phase1", count("phase1", phase1))
+    zero_cost_run()
+    assert counts == {"simplex": 38, "phase1": 10}
 
 
 @pytest.mark.parametrize("seed", range(6))
