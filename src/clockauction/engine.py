@@ -30,7 +30,7 @@ from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
 from .errors import ValidationError
 from .estimation import ValuationModel, bundle_utility, initial_eligibility
 from .ingest import BundleBase, BundleSpace
-from .solver import EQ, LE, LinearProgram, mip_margin, solve_mip
+from .solver import EQ, LE, LinearProgram, Rows, mip_margin, solve_mip
 
 
 @dataclass
@@ -216,19 +216,23 @@ class Frame:
         product, the eligibility row, then one row per option that needs an
         engagement."""
         if self.mip is None:
-            lp, binary = LinearProgram(), {}
-            for j, levels in self.levels.items():
-                for c, *_ in levels:
-                    binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
-            for name in self.costs:
-                lp.add_variable(name, lb=0.0, ub=1.0)
-            for j, levels in self.levels.items():
-                lp.add_constraint({binary[(j, c)]: 1.0 for c, *_ in levels}, EQ, 1.0)
-            lp.add_constraint({binary[(j, c)]: float(q * self.catalog.get(j).eligibility_points)
-                               for j, levels in self.levels.items() for c, q, *_ in levels},
-                              LE, float(self.eligibility))
-            for option, engagement in self.needs.items():
-                lp.add_constraint({binary[option]: 1.0, engagement: -1.0}, LE, 0.0)
+            # the binaries are the first columns, in (product, choice) order, so
+            # the product rows and then the eligibility row list them in turn
+            choices = [(j, c) for j, levels in self.levels.items() for c, *_ in levels]
+            binary = {option: f"I{k}" for k, option in enumerate(choices)}
+            column = {key: k for k, key in enumerate([*choices, *self.costs])}
+            products, n, links = len(self.levels), len(choices), len(self.needs)
+            lp = LinearProgram([*binary.values(), *self.costs], None, Rows(
+                np.cumsum([0, *map(len, self.levels.values()), n, *[2] * links]),
+                np.array([*range(n), *range(n),
+                          *[column[key] for link in self.needs.items() for key in link]],
+                         dtype=np.intp),
+                np.array([1.0] * n + [float(q * self.catalog.get(j).eligibility_points)
+                                      for j, levels in self.levels.items() for _, q, *_ in levels]
+                         + [1.0, -1.0] * links),
+                [1.0] * products + [float(self.eligibility)] + [0.0] * links,
+                [EQ] * products + [LE] * (1 + links), len(column)))
+            lp.ub = [1.0] * len(column)
             self.mip = lp, binary
         lp, binary = self.mip
         objective = {name: -options[j][c][1] for (j, c), name in binary.items()}

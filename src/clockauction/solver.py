@@ -6,28 +6,35 @@ loop, so identical inputs give identical outputs byte for byte.  It solves the
 bidder MIPs; a "highs" backend serves the valuation LPs through the same
 interface and is also deterministic for fixed inputs.  It hands each LP
 straight to SciPy's bundled HiGHS bindings, the model scipy.optimize.milp
-would build without integrality, and solves it on one HiGHS instance per
-thread, made at the thread's first solve; passModel replaces the model and
-the last solve's state, and a test checks that a reused instance answers as
-a fresh one.
+would build without integrality.  It loads that one extension module from
+SciPy's directory at the first solve, without importing scipy.optimize,
+whose import would cost more than the solves of a whole `estimate`
+(`_highspy`).  It solves each LP on one HiGHS instance per thread, made at
+the thread's first solve; passModel replaces the model and the last solve's
+state, and a test checks that a reused instance answers as a fresh one.
 
 Every LP is a `LinearProgram`: named columns with bounds and costs, and its
 constraints as sparse triplets (`Rows`), added a row at a time or, as in
-estimation, handed over whole.  The simplex copies the rows into its tableau
-as one dense block, the highs backend signs and orders them as linprog
-would, and both refuse non-finite input.  LPs share what they do not
-change: the nodes of `solve_mip(lp, binaries)` differ from their MIP only
-in the bounds, and a MIP re-priced at new costs shares its rows, which keep
-the simplex's phase-1 results by bounds (`Rows.phase1`), since phase 1
-never reads the costs.  Given the exact optimum of each node `solve_mip`
-skips the nodes that cannot hold the MIP's optimum, with the same result.
+estimation and the bidder oracle's MIPs, handed over whole.  The simplex
+copies the rows into its tableau as one dense block, the highs backend signs
+and orders them as linprog would, and both refuse non-finite input.  LPs
+share what they do not change: the nodes of `solve_mip(lp, binaries)`
+differ from their MIP only in the bounds, and a MIP re-priced at new costs
+shares its rows, which keep the simplex's phase-1 results by bounds
+(`Rows.phase1`), since phase 1 never reads the costs.  Given the exact
+optimum of each node `solve_mip` skips the nodes that cannot hold the MIP's
+optimum, with the same result.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -389,16 +396,38 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
 
 # this thread's HiGHS instance, made at its first solve
 _HIGHS = threading.local()
+# the extension's own name, under which scipy.optimize imports it
+_HIGHSPY = "scipy.optimize._highspy._core"
 
 
 def _highspy():
-    """SciPy's bundled HiGHS bindings, which scipy.optimize.milp calls."""
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
+    """SciPy's bundled HiGHS bindings, the extension module that
+    scipy.optimize.milp calls, loaded from its file in SciPy's directory:
+    importing it through scipy.optimize would first load all of that package
+    (with scipy.linalg, scipy.sparse and scipy.special), which costs more
+    than a whole `estimate`'s solves.  It goes into sys.modules under its own
+    name, so a later import of scipy.optimize reuses it, as this reuses one
+    that scipy.optimize loaded, and pybind11 registers HiGHS's types once."""
+    core = sys.modules.get(_HIGHSPY, False)
+    if core is False:  # not loaded yet
+        core = None
+        scipy = importlib.util.find_spec("scipy")
+        paths = [os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+                 for root in (scipy and scipy.submodule_search_locations) or ()
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(_HIGHSPY, path)
+            core = sys.modules[_HIGHSPY] = importlib.util.module_from_spec(spec)
+            try:
+                spec.loader.exec_module(core)
+            except BaseException:
+                del sys.modules[_HIGHSPY]
+                raise
+    if core is None:
         raise SolverError("the highs backend needs scipy>=1.15, the first release "
-                          "with scipy.optimize._highspy._core") from None
-    return _core
+                          f"with {_HIGHSPY}")
+    return core
 
 
 def _highs(core):

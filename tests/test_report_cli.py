@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import hashlib
@@ -31,17 +32,88 @@ from clockauction.report import (RunManifest, compare_traces, heatmap_csv,
 from clockauction.synthetic import random_setup
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """The command line starts without scipy: the HiGHS adapter imports it at
-    its first solve, so a command that solves no LP never pays for it."""
+def loaded_scipy(code: str) -> tuple[str, list[str]]:
+    """Run `code` in a fresh interpreter: its output, and the scipy modules
+    loaded after it."""
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, clockauction.cli\n"
+        [sys.executable, "-c", f"{code}\nimport sys\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env={**os.environ, "PYTHONPATH": str(root / "src")}, cwd=root,
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    *output, modules = done.stdout.splitlines()
+    return "\n".join(output), ast.literal_eval(modules)
+
+
+def only_highs(modules: list[str]) -> bool:
+    """The modules are SciPy's HiGHS extension and its own submodules, as
+    solver._highspy loads it: no scipy.optimize, scipy.linalg or scipy.sparse."""
+    core = "scipy.optimize._highspy._core"
+    return core in modules and all(m == core or m.startswith(core + ".") for m in modules)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The command line starts without scipy: the HiGHS adapter loads it at
+    its first solve, so a command that solves no LP never pays for it."""
+    assert loaded_scipy("import clockauction.cli") == ("", [])
+
+
+def test_a_highs_solve_loads_only_the_extension():
+    _, modules = loaded_scipy(
+        "import clockauction.cli\n"
+        "from clockauction.solver import LinearProgram, solve_lp\n"
+        "lp = LinearProgram()\n"
+        "lp.add_variable('x', 0.0, 1.0)\n"
+        "lp.objective = {'x': -1.0}\n"
+        "assert solve_lp(lp, backend='highs').status == 'optimal'")
+    assert only_highs(modules), modules
+
+
+def test_estimate_loads_only_the_highs_extension(workspace, tmp_path):
+    argv = ["estimate", "--catalog", str(workspace / "catalog.csv"),
+            "--bids", str(workspace / "bids.csv"), "--out", str(tmp_path)]
+    _, modules = loaded_scipy(f"from clockauction import cli\nassert cli.main({argv!r}) == 0")
+    assert only_highs(modules), modules
+    assert list(tmp_path.glob("model_*.json"))
+
+
+# one LP through the adapter and through linprog: min x + 2y - z subject to
+# x + y >= 2, x - z <= 1, y + z = 3, all >= 0
+ADAPTER = """
+from clockauction.solver import EQ, GE, LE, LinearProgram, solve_lp, _highspy
+lp = LinearProgram()
+for name in "xyz":
+    lp.add_variable(name)
+lp.objective = {"x": 1.0, "y": 2.0, "z": -1.0}
+lp.add_constraint({"x": 1.0, "y": 1.0}, GE, 2.0)
+lp.add_constraint({"x": 1.0, "z": -1.0}, LE, 1.0)
+lp.add_constraint({"y": 1.0, "z": 1.0}, EQ, 3.0)
+print(repr(solve_lp(lp, backend="highs")))
+"""
+LINPROG = """
+from scipy.optimize import linprog
+res = linprog([1.0, 2.0, -1.0], A_ub=[[-1.0, -1.0, 0.0], [1.0, 0.0, -1.0]], b_ub=[-2.0, 1.0],
+              A_eq=[[0.0, 1.0, 1.0]], b_eq=[3.0])
+print(res.status, res.x.tolist(), res.fun)
+"""
+SAME_MODULE = """
+import sys
+import scipy.optimize._highspy._highs_wrapper as wrapper
+print(wrapper._h is _highspy() is sys.modules["scipy.optimize._highspy._core"])
+"""
+
+
+def test_the_adapter_and_linprog_share_one_extension_in_either_order():
+    """Loaded by the adapter first or by scipy.optimize first, the extension
+    is one module object, which registers HiGHS's types once, and both
+    orders give the same answers."""
+    adapter_first, _ = loaded_scipy(ADAPTER + LINPROG + SAME_MODULE)
+    linprog_first, _ = loaded_scipy(LINPROG + ADAPTER + SAME_MODULE)
+    solution, answer, same = adapter_first.splitlines()
+    assert solution.startswith("Solution(status='optimal'") and answer.startswith("0 ")
+    assert same == "True"
+    assert linprog_first.splitlines() == [answer, solution, same]
 
 
 def write_catalog(catalog, path):

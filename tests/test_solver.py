@@ -388,11 +388,28 @@ class TestHighsAdapter:
         with pytest.raises(SolverError, match="refused"):
             solve_lp(REFUSED, backend="highs")
 
-    def test_scipy_without_the_bindings_is_an_error(self, monkeypatch):
-        # SciPy before 1.15 has no scipy.optimize._highspy
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
-        with pytest.raises(SolverError, match=r"scipy>=1\.15"):
-            solve_lp(lp_min({"x": 1.0}, [("x", 0.0, None)], []), backend="highs")
+    def test_scipy_without_the_bindings_is_an_error(self, monkeypatch, tmp_path):
+        """Each way the bindings can be missing is the same SolverError, it
+        leaves nothing registered, and the real bindings load afterwards."""
+        (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        cases = {
+            # SciPy before 1.15: an installed scipy whose optimize/_highspy has no _core
+            "no _core file": lambda patch: patch.syspath_prepend(str(tmp_path)),
+            # find_spec reads a None entry as a package that is not installed
+            "no scipy": lambda patch: patch.setitem(sys.modules, "scipy", None),
+            "a None entry": lambda patch: patch.setitem(sys.modules, solver._HIGHSPY, None),
+        }
+        lp = lp_min({"x": 1.0}, [("x", 0.0, None)], [])
+        for case, simulate in cases.items():
+            with monkeypatch.context() as patch:
+                patch.delitem(sys.modules, solver._HIGHSPY, raising=False)
+                patch.delitem(sys.modules, "scipy", raising=False)
+                simulate(patch)
+                with pytest.raises(SolverError, match=r"scipy>=1\.15"):
+                    solve_lp(lp, backend="highs")
+                assert sys.modules.get(solver._HIGHSPY) is None, case
+        assert solve_lp(lp, backend="highs") == Solution("optimal", {"x": 0.0}, 0.0)
 
 
 def highspy_core():

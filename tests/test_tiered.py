@@ -375,6 +375,57 @@ def test_frames_live_for_one_run(monkeypatch):
     assert runs[0][0] == BB_DIGESTS[0]
 
 
+def row_at_a_time(frame):
+    """`frame`'s MIP and binaries, built by `add_variable` and
+    `add_constraint` a column and a row at a time."""
+    lp, binary = solver.LinearProgram(), {}
+    for j, levels in frame.levels.items():
+        for c, *_ in levels:
+            binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
+    for name in frame.costs:
+        lp.add_variable(name, lb=0.0, ub=1.0)
+    for j, levels in frame.levels.items():
+        lp.add_constraint({binary[(j, c)]: 1.0 for c, *_ in levels}, solver.EQ, 1.0)
+    lp.add_constraint({binary[(j, c)]: float(q * frame.catalog.get(j).eligibility_points)
+                       for j, levels in frame.levels.items() for c, q, *_ in levels},
+                      solver.LE, float(frame.eligibility))
+    for option, engagement in frame.needs.items():
+        lp.add_constraint({binary[option]: 1.0, engagement: -1.0}, solver.LE, 0.0)
+    return lp, binary
+
+
+@pytest.mark.parametrize("auction", ["standard", "tiered"])
+def test_frame_mips_equal_the_row_at_a_time_build(auction, monkeypatch):
+    """Every frame of a run builds the MIP that adding its columns and rows
+    one at a time builds, bit for bit: the same columns, bounds and costs,
+    and the same arrays in its rows, so phase 1 and each simplex solve see
+    the same input."""
+    frames, init = [], engine.Frame.__init__
+    monkeypatch.setattr(engine.Frame, "__init__",
+                        lambda self, *a, **k: frames.append(self) or init(self, *a, **k))
+    config, agents = random_setup(5, n_bidders=3, n_products=6, n_bases=2)
+    if auction == "standard":
+        run_auction(config, agents)
+    else:
+        areas = sorted({p.area_id for p in config.catalog})
+        run_extended_auction(config, agents, TieredValuationAdjustment(
+            {(a.bidder_id, area, t): 10**6 * (k + 1) for a in agents for area in areas
+             for k, t in enumerate(TIERS)}))
+    assert frames and (auction == "standard" or all(f.needs and f.costs for f in frames))
+    for frame in frames:
+        prices = PriceVector({key: 0 for levels in frame.levels.values() for *_, key in levels})
+        frame.solve(frame.options(prices), lambda *a: solver.Solution("infeasible", {}, None))
+        (lp, binary), (reference, expected) = frame.mip, row_at_a_time(frame)
+        assert binary == expected
+        assert (lp.names, lp.lb, lp.ub, lp.costs) == \
+            (reference.names, reference.lb, reference.ub, reference.costs)
+        rows, want = lp.rows, reference.rows
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(rows, name), getattr(want, name)
+            assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name
+        assert (rows.rhs, rows.relations, rows.width) == (want.rhs, want.relations, want.width)
+
+
 class TestCoverageReport:
     def demographics(self):
         return {"A1": AreaStats("A1", "metro", 100_000, 50.0),
