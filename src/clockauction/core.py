@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -284,33 +285,47 @@ def atomic_write(path, text: str) -> None:
             os.remove(tmp)
 
 
+def _kept(text: str) -> list[tuple[int, str]]:
+    """(line number, line) for each line of `text` that is neither blank nor
+    a `#` comment."""
+    return [(n, line) for n, line in enumerate(io.StringIO(text, newline=""), start=1)
+            if line.strip() and not line.startswith("#")]
+
+
 def read_lines(path) -> list[tuple[int, str]]:
     """(line number, line) for each line that is neither blank nor a `#` comment."""
-    return read_document(path, lambda text: [
-        (n, line) for n, line in enumerate(io.StringIO(text, newline=""), start=1)
-        if line.strip() and not line.startswith("#")])
+    return read_document(path, _kept)
 
 
 def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> list:
     """`parse_row(*fields)` for each row of the CSV file at `path`, skipping
     `#` and blank lines.  The header must name every `required` column; each
     row passes those fields, stripped and in that order.  A short row, a
-    malformed field and a repeated `key(value)` are input errors at `path:line`."""
-    numbered = read_lines(path)
-    reader = csv.reader(line for _, line in numbered)
+    malformed field and a repeated `key(value)` are input errors at
+    `path:line`; the line numbers are found again only for an error."""
+    text = read_document(path, str)
+    lines = [line for line in io.StringIO(text, newline="")
+             if line.strip() and not line.startswith("#")]
+    reader = csv.reader(lines)
     header = [c.strip() for c in next(reader, [])]
     if not set(required) <= set(header):
         raise ParseError(f"{path}: header must contain {required}")
     columns = [header.index(c) for c in required]
-    values, seen = [], {}
+    fields = operator.itemgetter(*columns) if len(columns) > 1 else \
+        lambda row: (row[columns[0]],)
+    values, seen = [], set()
     try:
         for row in reader:
-            value = parse_row(*[row[i].strip() for i in columns])
+            value = parse_row(*map(str.strip, fields(row)))
             k = key(value)
             if k in seen:
-                raise ValidationError(f"{k!r} repeats line {numbered[seen[k] - 1][0]}")
-            seen[k] = reader.line_num
+                # the kept line that ends the first row with this key
+                again = csv.reader(lines)
+                for _ in range(2 + [key(v) for v in values].index(k)):
+                    next(again)
+                raise ValidationError(f"{k!r} repeats line {_kept(text)[again.line_num - 1][0]}")
+            seen.add(k)
             values.append(value)
     except (csv.Error, *INPUT_ERRORS) as exc:
-        raise input_error(f"{path}:{numbered[reader.line_num - 1][0]}", exc) from exc
+        raise input_error(f"{path}:{_kept(text)[reader.line_num - 1][0]}", exc) from exc
     return values

@@ -115,18 +115,22 @@ class Bundles:
         utilities = self.table([options[j][c][1] for j, c in self.keys])
         return np.where(self.fits, self.paid - utilities, math.inf)
 
-    def exact(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]],
-              binary: Mapping[tuple[str, Hashable], str]) -> Callable[[dict[str, float]], float]:
+    def index(self, binary: Mapping[tuple[str, Hashable], str]) -> dict[str, tuple[int, slice]]:
+        """Each option's binary, as `binary` names it, to the option's place
+        among the keys and its product's span of them."""
+        return {binary[key]: (i, span) for span in self.spans
+                for i, key in enumerate(self.keys[span], span.start)}
+
+    def exact(self, value: np.ndarray,
+              option: Mapping[str, tuple[int, slice]]) -> Callable[[dict[str, float]], float]:
         """The exact optimum of each branch-and-bound node of `Frame.solve`'s
-        MIP over `options`, as `solve_mip`'s `exact`; `binary` names the
-        options' binaries and the keys of `costs` the engagement binaries.
-        `exact(fixed)` blocks the options that the node's fixed binaries rule
-        out and adds the costs of the forced engagements a bundle does not
-        pay already; inf when no fitting bundle is left."""
-        value = self.value(options)
+        MIP over some options, as `solve_mip`'s `exact`: `value` is their
+        table (`value`), `option` the `index` of the options' binaries, and
+        the keys of `costs` are the engagement binaries.  `exact(fixed)`
+        blocks the options that the node's fixed binaries rule out and adds
+        the costs of the forced engagements a bundle does not pay already;
+        inf when no fitting bundle is left."""
         keys, pair, uses, cost = self.keys, self.pair, self.uses, self.cost
-        option = {binary[key]: (i, span) for span in self.spans
-                  for i, key in enumerate(keys[span], span.start)}
 
         def exact(fixed: dict[str, float]) -> float:
             blocked = np.zeros(len(keys))
@@ -181,8 +185,9 @@ class Frame:
     engagement's lump-sum cost, and `needs`, the engagement each (product,
     choice) needs.  `bid` makes a bid of {product: choice}.  The
     enumeration's `Bundles` (None above MAX_BUNDLES bundles) is built at its
-    first use, and the MIP at the first solve; every solve re-prices a copy
-    that shares its rows (`solver.Rows`), and their phase-1 memo."""
+    first use, and the MIP at the first solve with `option`, the index of
+    its binaries in the enumeration; every solve re-prices a copy that
+    shares its rows (`solver.Rows`), and their memo of simplex starts."""
 
     def __init__(self, levels: dict[str, list[tuple[Hashable, int, float, Hashable]]],
                  base_value: float, catalog: ProductCatalog, eligibility: int,
@@ -192,7 +197,7 @@ class Frame:
         self.levels, self.base_value, self.bid = levels, base_value, bid
         self.catalog, self.eligibility = catalog, eligibility
         self.needs, self.costs = needs or {}, costs or {}
-        self.mip = None
+        self.mip = self.option = None
 
     @functools.cached_property
     def bundles(self) -> Bundles | None:
@@ -207,14 +212,16 @@ class Frame:
                 for j, levels in self.levels.items()}
 
     def solve(self, options: dict, solve_mip: Callable,
-              utility: Callable[[Any], float] | None = None) -> tuple[Any, float] | None:
+              utility: Callable[[Any], float] | None = None,
+              value: np.ndarray | None = None) -> tuple[Any, float] | None:
         """(bid, utility) of BEST_COPIES at the prices of `options` as a binary
         MIP that `solve_mip` solves, None when it is infeasible; the utility
         is `utility(bid)`, by default the base value less the MIP's objective.
         One binary per option (by product, then choice) minimizes -utility,
         and one per engagement carries its cost; one exactly-one row per
         product, the eligibility row, then one row per option that needs an
-        engagement."""
+        engagement.  With an enumeration the node bound is `Bundles.exact`
+        over `value`, the table of `options` when given, else built here."""
         if self.mip is None:
             # the binaries are the first columns, in (product, choice) order, so
             # the product rows and then the eligibility row list them in turn
@@ -234,12 +241,16 @@ class Frame:
                 [EQ] * products + [LE] * (1 + links), len(column)))
             lp.ub = [1.0] * len(column)
             self.mip = lp, binary
+            self.option = None if self.bundles is None else self.bundles.index(binary)
         lp, binary = self.mip
         objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
-        mip = copy.copy(lp)  # shares the rows, and so their phase-1 memo
+        mip = copy.copy(lp)  # shares the rows, and so their memo of simplex starts
         mip.objective = {**objective, **self.costs}
-        sol = solve_mip(mip, [*binary.values(), *self.costs],
-                        None if self.bundles is None else self.bundles.exact(options, binary))
+        exact = None
+        if self.option is not None:
+            exact = self.bundles.exact(self.bundles.value(options) if value is None else value,
+                                       self.option)
+        sol = solve_mip(mip, [*binary.values(), *self.costs], exact)
         if sol.status == "infeasible":
             return None
         bid = self.bid({j: c for (j, c), name in binary.items() if sol.values[name] > 0.5})
@@ -256,12 +267,13 @@ class Frame:
         other fitting bundle lies within twice the margin of the optimum: the
         MIP's bundle is within one margin, plus INT_TOL per binary it
         rounds.  Without an enumeration the MIP runs at once; None when no
-        bundle fits."""
-        solve = functools.partial(self.solve, options, solve_mip, utility)
+        bundle fits.  The entry's `solve` bounds its nodes by the table that
+        gave the utility."""
         if self.bundles is None:
-            result = solve()
+            result = self.solve(options, solve_mip, utility)
             return None if result is None else BaseChoice(result[1], result[0])
         value = self.bundles.value(options)
+        solve = functools.partial(self.solve, options, solve_mip, utility, value)
         optimum = float(value.min())
         if optimum == math.inf:  # as solve_mip would find; oracle_frame rules it out
             return None
@@ -426,8 +438,8 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
     key is overdemanded or `max_rounds` truncates the run.  The run owns its
     oracle memo (`choose_base`'s, passed to each bid, and ORACLE_MEMO while
     it runs, where the oracles keep their frames), and so the frames' MIP
-    rows with their phase-1 memos: the oracle MIPs repeat their rows across
-    rounds at new prices."""
+    rows with their memos of simplex starts: the oracle MIPs repeat their
+    rows across rounds at new prices."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):

@@ -20,10 +20,12 @@ copies the rows into its tableau as one dense block, the highs backend signs
 and orders them as linprog would, and both refuse non-finite input.  LPs
 share what they do not change: the nodes of `solve_mip(lp, binaries)`
 differ from their MIP only in the bounds, and a MIP re-priced at new costs
-shares its rows, which keep the simplex's phase-1 results by bounds
-(`Rows.phase1`), since phase 1 never reads the costs.  Given the exact
-optimum of each node `solve_mip` skips the nodes that cannot hold the MIP's
-optimum, with the same result.
+shares its rows.  The rows keep, by bounds, the tableau and basis that
+phase 2 starts from (`Rows.phase1`), since neither the build nor phase 1
+reads the costs: a node met again builds no tableau and runs no phase 1,
+and starts phase 2 from the same bits.  Given the exact optimum of each
+node `solve_mip` skips the nodes that cannot hold the MIP's optimum, with
+the same result.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ class Rows:
     over `width` variable columns, their right-hand sides and relations.
     Their arrays and lists never change, so LPs share them; an LP that adds
     a row or a column makes new `Rows`.  `dense` is the triplets scattered
-    into a read-only matrix at first use, which each simplex solve copies,
-    and `phase1` the simplex's phase-1 results over these rows, by bounds
-    (`_phase1_memoized`)."""
+    into a read-only matrix at first use, which each tableau build copies,
+    and `phase1` the memo of the simplex's starts over these rows, by
+    bounds: the tableau and basis that phase 2 starts from, after phase 1,
+    or None where phase 1 finds them infeasible (`_start`)."""
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -220,13 +223,16 @@ class Solution:
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     """Scale `row` to a unit entry at `col`, then clear `col` from every other
-    row with a nonzero entry there."""
+    row with a nonzero entry there: those rows are taken out, updated and
+    put back, which `take` does in fewer steps than fancy indexing."""
     pivot = T[row]
     pivot /= pivot[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
     rows = factors.nonzero()[0]
-    T[rows] -= factors[rows, None] * pivot
+    cleared = T.take(rows, axis=0)
+    cleared -= factors.take(rows)[:, None] * pivot
+    T[rows] = cleared
 
 
 def _simplex_phase(T: np.ndarray, basis: list[int], ncols: int) -> str:
@@ -284,48 +290,14 @@ def _phase1(T: np.ndarray, basis: list[int], arts: list[int], first_art: int) ->
     return True
 
 
-def _phase1_memoized(T: np.ndarray, basis: list[int], arts: list[int], first_art: int,
-                     memo: dict, bounds: tuple[bytes, bytes]) -> bool:
-    """`_phase1`, kept in `memo`, the phase-1 memo of the LP's rows, under
-    the bits of its `bounds` (lb, ub): the rows and the bounds fix T[:m],
-    all that phase 1 reads.  The value is None (infeasible) or the positions
-    and bits of the entries of T[:m] other than +0.0 after phase 1, plus the
-    basis.  A hit leaves T[:m] and the basis as `_phase1` would."""
-    bits = T[:-1].view(np.uint64).reshape(-1)  # a view: writes reach T
-    if bounds not in memo:
-        memo[bounds] = None
-        if _phase1(T, basis, arts, first_art):
-            where = np.flatnonzero(bits)
-            memo[bounds] = where, bits[where], basis.copy()
-    elif memo[bounds] is not None:
-        where, values, solved = memo[bounds]
-        bits[:] = 0
-        bits[where] = values
-        basis[:] = solved
-    return memo[bounds] is not None
-
-
-def _columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The costs and the lower and upper bounds of `lp` as arrays.  A
-    non-finite cost, coefficient, right-hand side or bound (but an upper
-    bound of +inf) is a ValidationError; the rows are checked once."""
-    c, lb, ub = (np.array(values, dtype=float) for values in (lp.costs, lp.lb, lp.ub))
-    if not np.isfinite(c).all():
-        raise ValidationError("LP has a non-finite cost")
-    if lp.rows.nonfinite:
-        raise ValidationError(f"LP has a non-finite {lp.rows.nonfinite}")
-    if not (np.isfinite(lb) & (ub > -np.inf)).all():
-        raise ValidationError("LP has a non-finite bound")
-    return c, lb, ub
-
-
-def _solve_lp_builtin(lp: LinearProgram) -> Solution:
-    """Two-phase simplex over y = x - lb >= 0.  Each constraint and each finite
-    upper bound is one (row, relation, rhs), negated with its relation flipped
-    when the rhs is negative; slack then artificial columns follow in row order."""
-    c, lbs, ubs = _columns(lp)
-    rows, n = lp.rows, len(c)
-
+def _tableau(rows: Rows, lbs: np.ndarray, ubs: np.ndarray
+             ) -> tuple[np.ndarray, list[int], list[int], int]:
+    """The simplex's starting tableau over y = x - lb >= 0, its basis, its
+    artificial rows and its first artificial column.  Each constraint and
+    each finite upper bound is one (row, relation, rhs), negated with its
+    relation flipped when the rhs is negative; slack then artificial columns
+    follow in row order.  The last row, the objective, is zero."""
+    n = len(lbs)
     # rows: the constraints, then y_i <= ub_i - lb_i for each finite upper bound
     bounded = np.flatnonzero(ubs < np.inf)
     k = len(rows.rhs)
@@ -366,15 +338,63 @@ def _solve_lp_builtin(lp: LinearProgram) -> Solution:
         basis[i] = col
     for col, i in enumerate(arts, first_art):
         basis[i] = col
+    return T, basis, arts, first_art
 
-    if arts and not _phase1_memoized(T, basis, arts, first_art, rows.phase1,
-                                     (lbs.tobytes(), ubs.tobytes())):
+
+def _start(rows: Rows, lbs: np.ndarray, ubs: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
+    """The tableau and basis that phase 2 starts from, its objective row
+    zero: `_tableau` after `_phase1` where it has artificials; None when
+    the rows are infeasible.  Kept in `rows.phase1` under the bits of the
+    bounds (lb, ub), since the rows and the bounds fix all that the build
+    and phase 1 read; the value is None or the positions and bits of the
+    entries of T[:m] other than +0.0, the basis and the tableau's shape.  A
+    hit scatters the bits into a zero tableau, the same bits as a miss."""
+    key = (lbs.tobytes(), ubs.tobytes())
+    memo = rows.phase1
+    if key in memo:
+        if memo[key] is None:
+            return None
+        where, values, basis, shape = memo[key]
+        T = np.zeros(shape)
+        T.reshape(-1).view(np.uint64)[where] = values  # a view: writes reach T
+        return T, list(basis)
+    T, basis, arts, first_art = _tableau(rows, lbs, ubs)
+    memo[key] = None
+    if arts and not _phase1(T, basis, arts, first_art):
+        return None
+    bits = T[:-1].reshape(-1).view(np.uint64)
+    where = np.flatnonzero(bits)
+    memo[key] = where, bits[where], tuple(basis), T.shape
+    T[-1] = 0.0
+    return T, basis
+
+
+def _columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The costs and the lower and upper bounds of `lp` as arrays.  A
+    non-finite cost, coefficient, right-hand side or bound (but an upper
+    bound of +inf) is a ValidationError; the rows are checked once."""
+    c, lb, ub = (np.array(values, dtype=float) for values in (lp.costs, lp.lb, lp.ub))
+    if not np.isfinite(c).all():
+        raise ValidationError("LP has a non-finite cost")
+    if lp.rows.nonfinite:
+        raise ValidationError(f"LP has a non-finite {lp.rows.nonfinite}")
+    if not (np.isfinite(lb) & (ub > -np.inf)).all():
+        raise ValidationError("LP has a non-finite bound")
+    return c, lb, ub
+
+
+def _solve_lp_builtin(lp: LinearProgram) -> Solution:
+    """Two-phase simplex: phase 2 from the memoized start (`_start`)."""
+    c, lbs, ubs = _columns(lp)
+    start = _start(lp.rows, lbs, ubs)
+    if start is None:
         return Solution("infeasible", {}, None)
+    T, basis = start
+    n, m, total = len(c), len(basis), T.shape[1] - 1
 
     # phase 2: price out the basic columns.  Each is a unit column, so its
     # factor is its cost; subtract.reduce folds the rows in order, the same
     # arithmetic as one row at a time
-    T[-1, :] = 0.0
     T[-1, :n] = c
     factors = T[-1, basis]
     priced = np.flatnonzero(factors)

@@ -215,7 +215,9 @@ def test_no_enumeration_above_max_bundles():
             binary = {(j, c): f"I{i}" for i, (j, c) in enumerate(
                 (j, c) for j in sorted(options) for c in options[j])}
             assert bounds == [] and entry.solve is not None
-            assert frame.bundles.exact(options, binary)({}) == -3.0 * (levels - 1)
+            bundles = frame.bundles
+            assert bundles.exact(bundles.value(options), bundles.index(binary))({}) == \
+                -3.0 * (levels - 1)
         else:
             assert bounds == [None] and entry.solve is None
         assert entry.resolve().utility == 3.0 * (levels - 1)

@@ -803,14 +803,19 @@ class TestPhase1Memo:
         assert len(phases) == sum(map(len, memos)) < len(solves)
 
     def test_infeasible_phase1_is_served_again(self, monkeypatch):
+        """The 2nd and 3rd solves build no tableau and run no phase 1."""
         lp = lp_min({"x": 1.0}, [("x", 0.0, None)],
                     [({"x": 1.0}, GE, 2.0), ({"x": 1.0}, LE, 1.0)])
-        calls = []
-        real = solver._phase1
+        calls, builds = [], []
+        real, tableau = solver._phase1, solver._tableau
         monkeypatch.setattr(solver, "_phase1", lambda *a: calls.append(1) or real(*a))
-        assert [solve_lp(lp).status for _ in range(3)] == ["infeasible"] * 3
+        monkeypatch.setattr(solver, "_tableau", lambda *a: builds.append(1) or tableau(*a))
+        statuses = []
+        for _ in range(3):
+            statuses.append(solve_lp(lp).status)
+            assert (len(calls), len(builds)) == (1, 1)
+        assert statuses == ["infeasible"] * 3
         assert list(lp.rows.phase1.values()) == [None]
-        assert len(calls) == 1
 
     FIXABLE = lp_min({"x0": 1.0, "x1": 2.0}, [("x0", 0.0, 1.0), ("x1", 0.0, 1.0)],
                      [({"x0": 1.0, "x1": 1.0}, EQ, 1.0)])

@@ -274,11 +274,12 @@ def test_phase1_memo_lives_for_one_run(monkeypatch):
 
 def test_phase1_runs_once_per_rows_and_bounds(monkeypatch):
     """The zero-cost run of `test_phase1_memo_lives_for_one_run` solves 38
-    simplex LPs and phase 1 of only 10 of them, one per frame MIP and
-    fixings met; the memo serves the rest.  A memo keyed more finely than by
-    rows and bounds solves more."""
-    counts = {"simplex": 0, "phase1": 0}
-    solve_lp, phase1 = solver.solve_lp, solver._phase1
+    simplex LPs and builds the tableau of and runs phase 1 on only 10 of
+    them, one per frame MIP and fixings met; the memo serves the rest their
+    start of phase 2.  A memo keyed more finely than by rows and bounds
+    solves more."""
+    counts = {"simplex": 0, "phase1": 0, "tableau": 0}
+    solve_lp, phase1, tableau = solver.solve_lp, solver._phase1, solver._tableau
 
     def count(name, real):
         def counted(*args):
@@ -288,8 +289,9 @@ def test_phase1_runs_once_per_rows_and_bounds(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_lp", count("simplex", solve_lp))
     monkeypatch.setattr(solver, "_phase1", count("phase1", phase1))
+    monkeypatch.setattr(solver, "_tableau", count("tableau", tableau))
     zero_cost_run()
-    assert counts == {"simplex": 38, "phase1": 10}
+    assert counts == {"simplex": 38, "phase1": 10, "tableau": 10}
 
 
 @pytest.mark.parametrize("seed", range(6))
