@@ -25,6 +25,8 @@ from .errors import ClockAuctionError, ParseError, ValidationError
 AREA_CLASSES = ("metro", "urban", "rural", "remote")
 
 Money = int  # cents
+# the most cents a float holds exactly, and so whole-cent sums below it
+MAX_CENTS = 2**53
 
 
 def dollars_to_cents(text: str | float | int) -> Money:

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .core import AREA_CLASSES, Money, ProductCatalog, dollars_to_cents, read_csv
+from .core import AREA_CLASSES, MAX_CENTS, Money, ProductCatalog, dollars_to_cents, read_csv
 from .errors import ValidationError
 from .tiered import TIERS, TieredValuationAdjustment
 
@@ -28,8 +28,6 @@ DEFAULT_COVERAGE_TARGETS: dict[tuple[str, str], float] = {
     ("remote", "low"): 0.05, ("remote", "medium"): 0.10, ("remote", "high"): 0.20,
 }
 DEFAULT_SPACING_KM = {"metro": 1.0, "urban": 1.0, "rural": 7.5, "remote": 15.0}
-# the most cents the cost model's floating-point arithmetic holds exactly
-MAX_CENTS = 2**53
 # the largest factor one weighting puts on the fibre cost; two can apply
 MAX_WEIGHT = 2.0
 

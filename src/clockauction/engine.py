@@ -3,12 +3,14 @@
 Each round, every agent picks the utility-maximizing bundle at the round's
 start prices: per base, BEST_COPIES chooses one ladder level per product
 under the eligibility budget; the outer strategy adds the base
-complementarity value and keeps the best base.  Both oracles work from one
-`Frame` per (bidder, base, eligibility): past the standard greedy fast path,
-an exact enumeration of its bundles names the bid, and its MIP runs only
-when the enumeration cannot.  Overdemanded products move to the clock
-price; the loop ends when every product clears.  The same loop
-(`run_rounds`) runs the deployment-tiered auction over (product, tier) keys.
+complementarity value and keeps the best base.  Money is whole cents, so
+every utility is an exact integer and bases compare exactly.  Both oracles
+work from one `Frame` per (bidder, base, eligibility): past the standard
+greedy fast path, an exact enumeration of its bundles names the bid, and
+its MIP runs only when the winning base's optimum is tied.  Overdemanded
+products move to the clock price; the loop ends when every product clears.
+The same loop (`run_rounds`) runs the deployment-tiered auction over
+(product, tier) keys.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
                    eligibility_cost, finite_json, input_error, read_lines, step_price)
 from .errors import ValidationError
-from .estimation import ValuationModel, bundle_utility, initial_eligibility
+from .estimation import ValuationModel, initial_eligibility
 from .ingest import BundleBase, BundleSpace
-from .solver import EQ, LE, LinearProgram, Rows, mip_margin, solve_mip
+from .solver import EQ, LE, LinearProgram, Rows, solve_mip
 
 
 @dataclass
@@ -158,20 +160,18 @@ class Bundles:
 @dataclass
 class BaseChoice:
     """One base's entry for `choose_base`.  `utility` is the exact utility of
-    the base's best bid, base value included, and lies within `tolerance` of
-    the utility the oracle's MIP gives; `bid` is the MIP's bid where it is
-    already known, else None.  `solve()` runs the MIP and gives (bid,
-    utility); `resolve` calls it at most once.  An entry without `solve`
-    holds the oracle's answer: its bid and utility, tolerance 0."""
+    the base's best bid, base value included, in whole cents; `bid` is that
+    bid where it is already known, else None.  `solve()` runs the MIP and
+    gives (bid, utility), with the same utility; `resolve` calls it at most
+    once.  An entry without `solve` holds the oracle's answer."""
     utility: float
     bid: Any = None
-    tolerance: float = 0.0
     solve: Callable[[], tuple[Any, float]] | None = None
 
     def resolve(self) -> "BaseChoice":
-        """The entry with the MIP's bid and utility, tolerance 0."""
+        """The entry with the MIP's bid and utility."""
         if self.solve is not None:
-            (self.bid, self.utility), self.tolerance, self.solve = self.solve(), 0.0, None
+            (self.bid, self.utility), self.solve = self.solve(), None
         return self
 
 
@@ -212,11 +212,11 @@ class Frame:
                 for j, levels in self.levels.items()}
 
     def solve(self, options: dict, solve_mip: Callable,
-              utility: Callable[[Any], float] | None = None,
               value: np.ndarray | None = None) -> tuple[Any, float] | None:
         """(bid, utility) of BEST_COPIES at the prices of `options` as a binary
         MIP that `solve_mip` solves, None when it is infeasible; the utility
-        is `utility(bid)`, by default the base value less the MIP's objective.
+        is the base value plus the chosen options' utilities less the costs
+        of the engagements they need, exact in whole cents.
         One binary per option (by product, then choice) minimizes -utility,
         and one per engagement carries its cost; one exactly-one row per
         product, the eligibility row, then one row per option that needs an
@@ -253,39 +253,32 @@ class Frame:
         sol = solve_mip(mip, [*binary.values(), *self.costs], exact)
         if sol.status == "infeasible":
             return None
-        bid = self.bid({j: c for (j, c), name in binary.items() if sol.values[name] > 0.5})
-        return bid, self.base_value - sol.objective_value if utility is None else utility(bid)
+        chosen = [(j, c) for (j, c), name in binary.items() if sol.values[name] > 0.5]
+        engaged = {self.needs[option] for option in chosen if option in self.needs}
+        utility = sum(options[j][c][1] for j, c in chosen) - sum(self.costs[e] for e in engaged)
+        return self.bid(dict(chosen)), self.base_value + utility
 
-    def choice(self, options: dict, solve_mip: Callable,
-               utility: Callable[[Any], float] | None = None) -> BaseChoice | None:
+    def choice(self, options: dict, solve_mip: Callable) -> BaseChoice | None:
         """The `choose_base` entry at the prices of `options`, whose `solve`
-        is `Frame.solve`'s.  The enumeration gives the exact utility.  The
-        MIP's objective lies within the MIP's margin (`solver.mip_margin`) of
-        the optimum, or `solve_mip` raises; the tolerance is twice the margin
-        of its costs and the base value, which also covers the rounding of
-        adding the base value.  The bid is the enumeration's argmin when no
-        other fitting bundle lies within twice the margin of the optimum: the
-        MIP's bundle is within one margin, plus INT_TOL per binary it
-        rounds.  Without an enumeration the MIP runs at once; None when no
-        bundle fits.  The entry's `solve` bounds its nodes by the table that
-        gave the utility."""
+        is `Frame.solve`'s.  Money is whole cents, so the enumeration's
+        optimum is exact, and so is the MIP's bundle, which attains it: the
+        bid is known when exactly one bundle attains the optimum.  Without
+        an enumeration the MIP runs at once; None when no bundle fits.  The
+        entry's `solve` bounds its nodes by the table that gave the
+        utility."""
         if self.bundles is None:
-            result = self.solve(options, solve_mip, utility)
+            result = self.solve(options, solve_mip)
             return None if result is None else BaseChoice(result[1], result[0])
         value = self.bundles.value(options)
-        solve = functools.partial(self.solve, options, solve_mip, utility, value)
         optimum = float(value.min())
         if optimum == math.inf:  # as solve_mip would find; oracle_frame rules it out
             return None
-        coefficients = [u for o in options.values() for _, u in o.values()]
-        coefficients += self.bundles.cost.tolist()
-        margin = mip_margin(coefficients)
         bid = None
-        if np.count_nonzero(value <= optimum + 2 * margin) == 1:
+        if np.count_nonzero(value == optimum) == 1:
             at = np.unravel_index(int(value.argmin()), value.shape)
             bid = self.bid({j: list(options[j])[int(i)] for j, i in zip(sorted(options), at)})
         return BaseChoice(self.base_value - optimum, bid,
-                          2 * mip_margin([*coefficients, self.base_value]), solve)
+                          functools.partial(self.solve, options, solve_mip, value))
 
 
 def oracle_frame(bidder_id: str, base: BundleBase, model: ValuationModel,
@@ -316,9 +309,8 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     """`choose_base`'s entry for one base: the ladder levels that maximize the
     cumulative increment value up to the chosen level minus quantity *
     price, plus the base value.  The per-product argmax levels are the bid
-    when they fit the budget; else the entry is the frame's, whose resolved
-    utility is the MIP bundle's `bundle_utility`.  None when even the
-    minimum levels exceed the eligibility budget."""
+    when they fit the budget; else the entry is the frame's.  None when
+    even the minimum levels exceed the eligibility budget."""
     frame = oracle_frame(model.bidder_id, base, model, catalog, eligibility, lambda choices: Frame(
         {j: [(q, q, model.cumulative_value(j, q), j) for q in levels]
          for j, levels in choices.items()},
@@ -334,10 +326,9 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     # still held the larger level, and held it
     greedy = {j: max(o, key=lambda q: (o[q][1], q)) for j, o in options.items()}
     if eligibility_cost(greedy, catalog) <= eligibility:
-        bundle = Bundle(greedy)
-        return BaseChoice(bundle_utility(model, bundle, base, prices), bundle)
-    return frame.choice(options, solve_mip,
-                        lambda bundle: bundle_utility(model, bundle, base, prices))
+        return BaseChoice(frame.base_value + sum(options[j][q][1] for j, q in greedy.items()),
+                          Bundle(greedy))
+    return frame.choice(options, solve_mip)
 
 
 def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: int,
@@ -345,13 +336,10 @@ def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: in
     """Best bid across bases; `solve(base)` gives the base's `BaseChoice`, or
     None when no bid fits, a function of the bidder, base, eligibility and
     `prices(base)` (the start prices of the base's market keys) that `memo`
-    keeps for the run, resolved MIPs included.  The rule, on the MIPs'
-    utilities: strict > keeps the lower-indexed base on a tie, and the bid
-    stands if its utility is >= 0, else the bidder exits (None).  When the
-    exact winner leads every other base by more than their summed tolerances
-    and its utility is more than its tolerance from 0, the rule picks it and
-    its exit, and only an unknown winning bid runs its MIP.  Otherwise every
-    base is resolved and the rule runs as written."""
+    keeps for the run, resolved MIPs included.  The rule, on the entries'
+    exact utilities: the strict maximum, the lower-indexed base on a tie,
+    whose bid stands if its utility is >= 0, else the bidder exits (None).
+    Only the winner's MIP runs, and only when its bid is unknown."""
     entries = []
     for base in agent.space.bases:
         key = (agent.bidder_id, base.base_id, eligibility, prices(base))
@@ -359,21 +347,10 @@ def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: in
             memo[key] = solve(base)
         if memo[key] is not None:
             entries.append(memo[key])
-    if not entries:
+    best = max(entries, key=lambda entry: entry.utility, default=None)  # the first on a tie
+    if best is None or best.utility < 0:
         return None
-    best = max(entries, key=lambda entry: entry.utility)
-    if abs(best.utility) > best.tolerance and all(
-            best.utility - entry.utility > best.tolerance + entry.tolerance
-            for entry in entries if entry is not best):
-        if best.utility < 0:
-            return None
-        return (best if best.bid is not None else best.resolve()).bid
-    best_u = -math.inf
-    best_bid = None
-    for entry in map(BaseChoice.resolve, entries):
-        if entry.utility > best_u:
-            best_bid, best_u = entry.bid, entry.utility
-    return best_bid if best_bid is not None and best_u >= 0 else None
+    return (best if best.bid is not None else best.resolve()).bid
 
 
 def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,

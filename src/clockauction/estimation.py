@@ -23,13 +23,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (Bundle, PriceVector, ProductCatalog, check_bidder_id, eligibility_cost,
-                   finite_json)
+from .core import (MAX_CENTS, Bundle, PriceVector, ProductCatalog, check_bidder_id,
+                   eligibility_cost, finite_json)
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
 from .solver import GE, LinearProgram, Rows, Solution, check_feasible, solve_lp
-
-VALUE_TOL = 1e-6
 
 
 def _ladder_steps(levels: tuple[int, ...], quantity: int):
@@ -44,17 +42,25 @@ def _ladder_steps(levels: tuple[int, ...], quantity: int):
 
 @dataclass(frozen=True)
 class ValuationModel:
+    """A bidder's values in whole cents: each base value and marginal is a
+    whole number of cents, and their total (every base value plus each
+    ladder's top cumulative value) is below MAX_CENTS, so every sum of them
+    that the oracles take is exact."""
     bidder_id: str
     base_values: dict[str, float]            # base_id -> cents
     marginals: dict[tuple[str, int], float]  # (product_id, ladder level) -> cents/unit
 
     def __post_init__(self):
         for (j, level), v in self.marginals.items():
-            if v < -VALUE_TOL:
+            if v < 0:
                 raise ValidationError(f"negative marginal for ({j}, {level})")
+            if not float(v).is_integer():
+                raise ValidationError(f"marginal for ({j}, {level}) is not whole cents: {v!r}")
         for b, v in self.base_values.items():
-            if v < -VALUE_TOL:
+            if v < 0:
                 raise ValidationError(f"negative base value for {b}")
+            if not float(v).is_integer():
+                raise ValidationError(f"base value for {b} is not whole cents: {v!r}")
         levels: dict[str, list[int]] = {}
         for (j, level) in self.marginals:
             levels.setdefault(j, []).append(level)
@@ -62,11 +68,16 @@ class ValuationModel:
         object.__setattr__(self, "_ladders",
                            {j: tuple(sorted(lv)) for j, lv in levels.items()})
         for j, lv in self._ladders.items():
-            if abs(self.marginals[(j, lv[0])]) > VALUE_TOL:
+            if self.marginals[(j, lv[0])] != 0:
                 raise ValidationError(f"first ladder level of {j} must be 0")
             for a, b in zip(lv[1:], lv[2:]):
-                if self.marginals[(j, a)] < self.marginals[(j, b)] - VALUE_TOL:
+                if self.marginals[(j, a)] < self.marginals[(j, b)]:
                     raise ValidationError(f"diminishing returns violated for {j}")
+        total = sum(map(int, self.base_values.values())) + sum(
+            (b - a) * int(self.marginals[(j, b)])
+            for j, lv in self._ladders.items() for a, b in zip(lv, lv[1:]))
+        if total >= MAX_CENTS:
+            raise ValidationError(f"{self.bidder_id}: values total 2**53 cents or more")
 
     def ladder(self, product_id: str) -> tuple[int, ...]:
         levels = self._ladders.get(product_id)
@@ -345,15 +356,17 @@ class EstimationReport:
 
 
 def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
+    """The model of the LP's values, each rounded to whole cents."""
+    cents = lambda name: max(0.0, float(round(sol.values[name])))
     base_values = {}
     for base in space.bases:
-        base_values[base.base_id] = max(0.0, sol.values[_vb(base.base_id)])
+        base_values[base.base_id] = cents(_vb(base.base_id))
     marginals: dict[tuple[str, int], float] = {}
     for j, ladder in space.ladders.items():
         marginals[(j, ladder.levels[0])] = 0.0
         prev_value = None
         for level in ladder.levels[1:]:
-            v = max(0.0, sol.values[_vm(j, level)])
+            v = cents(_vm(j, level))
             if prev_value is not None:
                 v = min(v, prev_value)  # snap solver noise back onto monotonicity
             marginals[(j, level)] = v

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import PriceVector, ProductCatalog
+from .core import MAX_CENTS, PriceVector, ProductCatalog
 from .errors import ValidationError
 from .engine import (AuctionConfig, AuctionTrace, BaseChoice, BidderAgent, Frame, Market,
                      choose_base, oracle_frame, run_rounds)
@@ -32,7 +32,10 @@ class TieredValuationAdjustment:
         object.__setattr__(self, "costs", dict(self.costs))
         grouped: dict[tuple[str, str], dict[str, int]] = {}
         for (bidder, area, tier), cost in self.costs.items():
-            grouped.setdefault((bidder, area), {})[tier] = self.checked(tier, cost)
+            try:
+                grouped.setdefault((bidder, area), {})[tier] = self.checked(tier, cost)
+            except ValidationError as exc:
+                raise ValidationError(f"({bidder}, {area}, {tier}): {exc}") from None
         for key, per_tier in grouped.items():
             ordered = [per_tier.get(t, 0) for t in TIERS]
             if ordered != sorted(ordered):
@@ -40,11 +43,14 @@ class TieredValuationAdjustment:
 
     @staticmethod
     def checked(tier: str, cost: int) -> int:
-        """One entry's cost, if its tier is known and the cost nonnegative."""
+        """One entry's cost, if its tier is known and the cost between 0 and
+        MAX_CENTS, which a float holds exactly."""
         if tier not in TIER_RANK:
             raise ValidationError(f"unknown tier {tier!r}")
         if cost < 0:
             raise ValidationError("negative deployment cost")
+        if cost > MAX_CENTS:
+            raise ValidationError("deployment cost above 2**53 cents")
         return cost
 
     def cost(self, bidder: str, area: str, tier: str) -> int:
@@ -90,8 +96,8 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
     utility is net of the engaged deployment costs plus the base value.  The
     base's `engine.Frame` holds each (tier, level) option, the (area, tier)
     engagements' costs and the engagement each option needs; the call adds
-    the utilities at `prices`.  Its MIP runs only where the frame's entry
-    cannot name its bid or `choose_base` must resolve the base."""
+    the utilities at `prices`.  Its MIP runs only where the base wins and
+    the frame's entry cannot name its bid."""
     def build(choices):
         area_of = {j: catalog.get(j).area_id for j in choices}
         engage = {(a, t): f"Y::{a}::{t}" for a in sorted(set(area_of.values())) for t in TIERS}

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
+from clockauction import cli
 from clockauction.core import (Bundle, IncrementSchedule, Product,
-                               ProductCatalog, dollars_to_cents,
+                               ProductCatalog, cents_to_dollars, dollars_to_cents,
                                eligibility_cost)
+from clockauction.errors import ValidationError
 from clockauction.costs import (CostParameters, SCENARIOS, AreaStats,
                                 TowerInventory, build_cost_table,
                                 cost_table_to_csv, load_demographics,
@@ -25,7 +26,7 @@ from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
                                  trace_to_jsonl)
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
-                                 parse_bid_log, smooth_monotone)
+                                 parse_bid_log, smooth_monotone, write_bid_log)
 from clockauction.pipeline import estimate_all, roundtrip, trace_to_bidlog
 from clockauction.solver import check_feasible
 from clockauction.synthetic import random_setup
@@ -430,28 +431,48 @@ def test_06_cost_model_fixtures():
 
 
 def _load_band(root: Path):
-    cfg = {}
-    cfg_path = root / "config.yaml"
-    if cfg_path.exists():
-        cfg = yaml.safe_load(cfg_path.read_text()) or {}
+    """The band's catalog, raw bid log, auction config and named companies;
+    `config.yaml`, when there is one, is read as the command line reads it."""
     catalog = ProductCatalog.from_csv(root / "catalog.csv")
     raw = parse_bid_log(root / "bids.csv", catalog)
-    increments = IncrementSchedule.constant(float(cfg.get("delta", 0.1)))
+    cfg_path = root / "config.yaml"
+    config, _ = cli._load_config(str(cfg_path) if cfg_path.exists() else None, catalog)
     companies = []
     names = root / "companies.txt"
     if names.exists():
         companies = [l.strip() for l in names.read_text().splitlines() if l.strip()]
-    return catalog, raw, increments, cfg, companies
+    return catalog, raw, config, companies
+
+
+def test_load_band_reads_the_config_as_the_command_line(tmp_path):
+    """The replays below are skipped without the round data, so their loader
+    is checked here on a band of its own: no config gives the defaults, a
+    config's delta and max_rounds are read, and a key the program does not
+    read is an error naming the file."""
+    truth, agents = random_setup(91, n_bidders=3, n_products=4, max_supply=3)
+    lines = ["product_id,area_id,area_class,supply,eligibility_points,opening_price_cad"]
+    lines += [f"{p.id},{p.area_id},{p.area_class},{p.supply},{p.eligibility_points},"
+              f"{cents_to_dollars(p.opening_price)}" for p in truth.catalog]
+    (tmp_path / "catalog.csv").write_text("\n".join(lines) + "\n")
+    write_bid_log(trace_to_bidlog(run_auction(truth, agents)), tmp_path / "bids.csv")
+    catalog, raw, config, companies = _load_band(tmp_path)
+    assert catalog == truth.catalog and companies == []
+    assert sorted(raw.bidders()) == sorted(a.bidder_id for a in agents)
+    assert (config.increments("P00", 1), config.max_rounds) == (0.1, 200)
+    (tmp_path / "config.yaml").write_text("delta: 0.15\nmax_rounds: 30\n")
+    _, _, config, _ = _load_band(tmp_path)
+    assert (config.increments("P00", 1), config.max_rounds) == (0.15, 30)
+    (tmp_path / "config.yaml").write_text("max_round: 30\n")
+    with pytest.raises(ValidationError, match="max_round"):
+        _load_band(tmp_path)
 
 
 def _replicate_band(root, revenue_cents, units, rmse_cap, rounds_expected):
-    catalog, raw, increments, cfg, companies = _load_band(Path(root))
+    catalog, raw, config, companies = _load_band(Path(root))
     smoothed = smooth_monotone(raw)
-    estimates = estimate_all(raw, catalog, increments)
+    estimates = estimate_all(raw, catalog, config.increments)
     agents = [BidderAgent(bidder_id=b, model=e.model, space=e.space)
               for b, e in sorted(estimates.items())]
-    config = AuctionConfig(catalog=catalog, increments=increments,
-                           max_rounds=int(cfg.get("max_rounds", 200)))
     trace = run_auction(config, agents)
     actual = {b: smoothed.bundle(b, smoothed.num_rounds(b)) for b in estimates}
     simulated = {b: trace.final_allocation.get(b, Bundle({})) for b in estimates}
@@ -502,15 +523,13 @@ def test_07b_replication_3500():
                            "(set CLOCKAUCTION_ISED_EXTENDED_DIR)")
 def test_08_extended_scenarios():
     root = Path(os.environ["CLOCKAUCTION_ISED_EXTENDED_DIR"])
-    catalog, raw, increments, cfg, _ = _load_band(root)
+    catalog, raw, config, _ = _load_band(root)
     demographics = load_demographics(root / "demographics.csv")
     inventory = load_inventory(root / "inventory.csv")
     params = CostParameters()
-    estimates = estimate_all(raw, catalog, increments)
+    estimates = estimate_all(raw, catalog, config.increments)
     agents = [BidderAgent(bidder_id=b, model=e.model, space=e.space)
               for b, e in sorted(estimates.items())]
-    config = AuctionConfig(catalog=catalog, increments=increments,
-                           max_rounds=int(cfg.get("max_rounds", 200)))
 
     baseline = run_auction(config, agents)
     licenses = sum(q for b in baseline.final_allocation.values()

@@ -165,6 +165,15 @@ class TestCostTable:
                                  SCENARIOS["combined"], CostParameters())
         assert all(c == 0 for c in table.costs.values())
 
+    def test_cost_above_2_53_cents_rejected(self):
+        """Many towers at one tier can cost more cents than a float holds
+        exactly; the table names the entry instead of writing the cost."""
+        crowd = {a: AreaStats(a, "urban", 2**53, 1.0) for a in ("A1", "A2")}
+        inv = TowerInventory({("X", "A1"): 0, ("X", "A2"): 0})
+        with pytest.raises(ValidationError, match=r"\(X, A1, low\): deployment cost above 2\*\*53"):
+            build_cost_table(self.catalog(), crowd, inv, SCENARIOS["none"],
+                             CostParameters(pop_per_tower=1))
+
     def test_missing_demographics_rejected(self):
         inv = TowerInventory({("X", "A1"): 0})
         with pytest.raises(ValidationError):

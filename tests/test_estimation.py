@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ class TestValuationModel:
             ValuationModel("X", {}, {("A", 1): 0.0, ("A", 2): 3.0, ("A", 3): 9.0})
         with pytest.raises(ValidationError):  # nonnegativity
             ValuationModel("X", {"b": -1.0}, {})
+
+    @pytest.mark.parametrize("base_values, marginals", [
+        pytest.param({"b": 1.5}, {}, id="base-value"),
+        pytest.param({}, {("A", 1): 0.0, ("A", 2): 0.25}, id="marginal"),
+        pytest.param({}, {("A", 1): 1e-9}, id="first-level"),
+        pytest.param({"b": math.nan}, {}, id="nan"),
+        pytest.param({"b": math.inf}, {}, id="inf")])
+    def test_values_are_whole_cents(self, base_values, marginals):
+        with pytest.raises(ValidationError):
+            ValuationModel("X", base_values, marginals)
+
+    def test_values_total_below_2_53_cents(self):
+        """Base values plus each ladder's top cumulative value (the width
+        times the marginal per level) must stay below 2**53 cents."""
+        ladder = {("A", 1): 0.0, ("A", 3): 1.0, ("A", 4): 1.0}  # 2 + 1 cents at the top
+        ValuationModel("X", {"b": float(2**53 - 4)}, ladder)
+        with pytest.raises(ValidationError, match=r"2\*\*53"):
+            ValuationModel("X", {"b": float(2**53 - 3)}, ladder)
+        with pytest.raises(ValidationError, match=r"2\*\*53"):
+            ValuationModel("X", {"b": float(2**52), "c": float(2**52)}, {})
 
 
 class TestEligibility:

@@ -613,6 +613,8 @@ class TestMalformedInput:
                      True, "unknown tier", id="unknown-tier"),
         pytest.param("cost_table", "low", lambda f: f[:3] + [str(10**12)], False,
                      "not monotone in tier", id="falling-costs"),
+        pytest.param("cost_table", "high", lambda f: f[:3] + [str(2**53 + 1)], True,
+                     "deployment cost above 2**53", id="cost-past-the-float-range"),
         pytest.param("demographics", None, lambda f: None, False,
                      "areas without demographics", id="missing-area"),
         pytest.param("demographics", None, lambda f: f[:2] + ["-1", f[3]], True,
@@ -792,6 +794,9 @@ class TestMalformedInput:
                      id="nan-value"),
         pytest.param(lambda doc: doc["bases"][0].update(value_cents=math.inf),
                      id="infinite-value"),
+        pytest.param(lambda doc: doc["marginals"][-1].update(
+            value_cents_per_unit=doc["marginals"][-1]["value_cents_per_unit"] + 0.5),
+                     id="fractional-cent"),
         pytest.param(lambda doc: doc.update(bidder_id=[]), id="bidder-id-not-a-string"),
         pytest.param(lambda doc: doc.update(bidder_id="x/y"), id="bidder-id-not-a-file-name"),
         # each below was read through int() or float() and so accepted

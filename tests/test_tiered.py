@@ -298,7 +298,7 @@ def test_phase1_runs_once_per_rows_and_bounds(monkeypatch):
 def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
     """Over a run's kind of price sequence, each oracle entry built from the
     run's frame of its (bidder, base, eligibility) equals one built from a
-    frame of its own: utility and tolerance by float.hex, bid by repr, and
+    frame of its own: utility by float.hex, bid by repr, and
     each enumeration table by its bytes; so does each resolve's (bid,
     utility).  Odd seeds have zero deployment costs, where tiers tie."""
     rng = np.random.default_rng(seed)
@@ -335,7 +335,7 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
             if entry is None:
                 out.append(None)
                 continue
-            asked = (entry.utility.hex(), entry.tolerance.hex(), repr(entry.bid))
+            asked = (entry.utility.hex(), repr(entry.bid))
             entry.resolve()
             out.append((asked, repr(entry.bid), entry.utility.hex(),
                         [table.tobytes() for table in tables]))
