@@ -6,9 +6,11 @@ under the eligibility budget; the outer strategy adds the base
 complementarity value and keeps the best base.  Money is whole cents, so
 every utility is an exact integer and bases compare exactly.  Both oracles
 work from one `Frame` per (bidder, base, eligibility): past the standard
-greedy fast path, an exact enumeration of its bundles names the bid, and
-its MIP runs only when the winning base's optimum is tied.  Overdemanded
-products move to the clock price; the loop ends when every product clears.
+greedy fast path, an exact knapsack DP over its options gives the utility
+and, where one bundle alone attains it, the bid; its MIP, bounded at each
+node by the same DP, runs only when the winning base's optimum is tied.
+Overdemanded products move to the clock price; the loop ends when every
+product clears.
 The same loop (`run_rounds`) runs the deployment-tiered auction over
 (product, tier) keys.
 """
@@ -17,14 +19,13 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
-
-import numpy as np
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
@@ -63,100 +64,6 @@ class AuctionTrace:
     truncated: bool = False
 
 
-# the most bundles an enumeration holds; larger oracle MIPs branch without it
-MAX_BUNDLES = 4096
-
-
-class Bundles:
-    """Every bundle of a base's options (one option per product) as NumPy
-    tables with one axis per product, sorted, along its options in order:
-    the price-free part of the enumeration, built from each option's
-    quantity in `quantities` {product: {choice: quantity}}.  `engaged` marks
-    the engagements each bundle needs, `fits` the bundles whose eligibility
-    fits, and `paid` is each bundle's lump-sum engagement costs.  `needs`
-    maps an option to the engagement it needs, and `costs` each engagement
-    to its cost (the tiered oracle's)."""
-
-    def __init__(self, quantities: Mapping[str, Mapping[Hashable, int]],
-                 catalog: ProductCatalog, eligibility: int,
-                 needs: Mapping[tuple[str, Hashable], Hashable] | None = None,
-                 costs: Mapping[Hashable, float] | None = None):
-        products = sorted(quantities)
-        self.sizes = [len(quantities[j]) for j in products]
-        self.keys = [(j, c) for j in products for c in quantities[j]]
-        starts = np.cumsum([0, *self.sizes]).tolist()
-        self.spans = [slice(*span) for span in zip(starts, starts[1:])]
-        self.axes = [tuple(n if axis == k else 1 for axis in range(len(self.sizes)))
-                     for k, n in enumerate(self.sizes)]
-        self.pair = {name: k for k, name in enumerate(costs or {})}
-        self.cost = np.array([costs[name] for name in self.pair], dtype=float)
-        self.uses = np.zeros((len(self.keys), len(self.pair)), dtype=bool)
-        if needs:
-            self.uses[range(len(self.keys)), [self.pair[needs[key]] for key in self.keys]] = True
-        self.engaged = self.table(self.uses, np.logical_or)
-        self.fits = self.table([quantities[j][c] * catalog.get(j).eligibility_points
-                                for j, c in self.keys]) <= eligibility
-        self.paid = self.engaged @ self.cost
-
-    @staticmethod
-    def enumerable(options: Mapping[str, Mapping]) -> bool:
-        """Whether `options` has bundles, at most MAX_BUNDLES of them."""
-        return bool(options) and math.prod(map(len, options.values())) <= MAX_BUNDLES
-
-    def table(self, per_option, combine=np.add) -> np.ndarray:
-        """Rows per option combined across the products into the bundle
-        table, each product's rows along its own axis."""
-        per_option = np.asarray(per_option)
-        return functools.reduce(combine, [per_option[span].reshape(axes + per_option.shape[1:])
-                                          for span, axes in zip(self.spans, self.axes)])
-
-    def value(self, options: Mapping[str, Mapping[Hashable, tuple[int, float]]]) -> np.ndarray:
-        """Each bundle's objective in `Frame.solve`'s MIP over `options`, per
-        product {choice: (quantity, utility)} with these quantities: -utility
-        plus `paid`, inf where its eligibility does not fit."""
-        utilities = self.table([options[j][c][1] for j, c in self.keys])
-        return np.where(self.fits, self.paid - utilities, math.inf)
-
-    def index(self, binary: Mapping[tuple[str, Hashable], str]) -> dict[str, tuple[int, slice]]:
-        """Each option's binary, as `binary` names it, to the option's place
-        among the keys and its product's span of them."""
-        return {binary[key]: (i, span) for span in self.spans
-                for i, key in enumerate(self.keys[span], span.start)}
-
-    def exact(self, value: np.ndarray,
-              option: Mapping[str, tuple[int, slice]]) -> Callable[[dict[str, float]], float]:
-        """The exact optimum of each branch-and-bound node of `Frame.solve`'s
-        MIP over some options, as `solve_mip`'s `exact`: `value` is their
-        table (`value`), `option` the `index` of the options' binaries, and
-        the keys of `costs` are the engagement binaries.  `exact(fixed)`
-        blocks the options that the node's fixed binaries rule out and adds
-        the costs of the forced engagements a bundle does not pay already;
-        inf when no fitting bundle is left."""
-        keys, pair, uses, cost = self.keys, self.pair, self.uses, self.cost
-
-        def exact(fixed: dict[str, float]) -> float:
-            blocked = np.zeros(len(keys))
-            forced = []
-            for name, v in fixed.items():
-                if name in option:
-                    i, span = option[name]
-                    if v:  # the product's other options are out
-                        kept = blocked[i]
-                        blocked[span] = math.inf
-                        blocked[i] = kept
-                    else:
-                        blocked[i] = math.inf
-                elif v:
-                    forced.append(pair[name])
-                else:
-                    blocked[uses[:, pair[name]]] = math.inf
-            total = value + self.table(blocked)
-            if forced:  # their costs, where the bundle does not pay them already
-                total += (~self.engaged[..., forced] * cost[forced]).sum(axis=-1)
-            return float(total.min())
-        return exact
-
-
 @dataclass
 class BaseChoice:
     """One base's entry for `choose_base`.  `utility` is the exact utility of
@@ -175,6 +82,17 @@ class BaseChoice:
         return self
 
 
+def _keep(best: dict, key, value: float, alone: bool, found) -> None:
+    """Keep in `best[key]` (value, alone, found) for the highest value that
+    reaches `key`: whether one candidate alone attains it, and the first one
+    that does."""
+    kept = best.get(key)
+    if kept is None or value > kept[0]:
+        best[key] = (value, alone, found)
+    elif value == kept[0]:
+        best[key] = (value, False, kept[2])
+
+
 class Frame:
     """The price-free part of one bidder's oracle on one base at one
     eligibility, which a run builds once and keeps in ORACLE_MEMO.  `levels`
@@ -183,11 +101,12 @@ class Frame:
     standard auction, ((tier, level), level, value, (product, tier)) in the
     tiered one, whose frames also carry `costs`, each (area, tier)
     engagement's lump-sum cost, and `needs`, the engagement each (product,
-    choice) needs.  `bid` makes a bid of {product: choice}.  The
-    enumeration's `Bundles` (None above MAX_BUNDLES bundles) is built at its
-    first use, and the MIP at the first solve with `option`, the index of
-    its binaries in the enumeration; every solve re-prices a copy that
-    shares its rows (`solver.Rows`), and their memo of simplex starts."""
+    choice) needs.  `bid` makes a bid of {product: choice}.  One exact
+    knapsack DP over the options (`best`) gives every answer the oracle
+    needs: each entry's utility and its bid where the optimum is unique, and
+    each node bound of the MIP.  The MIP is built at the first solve; every
+    solve re-prices a copy that shares its rows (`solver.Rows`), and their
+    memo of simplex starts."""
 
     def __init__(self, levels: dict[str, list[tuple[Hashable, int, float, Hashable]]],
                  base_value: float, catalog: ProductCatalog, eligibility: int,
@@ -197,13 +116,68 @@ class Frame:
         self.levels, self.base_value, self.bid = levels, base_value, bid
         self.catalog, self.eligibility = catalog, eligibility
         self.needs, self.costs = needs or {}, costs or {}
-        self.mip = self.option = None
+        self.mip = None
 
     @functools.cached_property
-    def bundles(self) -> Bundles | None:
-        quantities = {j: {c: q for c, q, _, _ in levels} for j, levels in self.levels.items()}
-        return (Bundles(quantities, self.catalog, self.eligibility, self.needs, self.costs)
-                if Bundles.enumerable(quantities) else None)
+    def walk(self) -> list[tuple[str, list[tuple], set[str]]]:
+        """The DP's price-free part, per product in sorted order: its options
+        as (choice, eligibility points, shared engagement, own engagement),
+        and the shared engagements that no later product needs.  An
+        engagement is shared when two or more products need it, else it is
+        the one product's own (None where an option needs none)."""
+        users: dict[str, set[str]] = {}
+        for (j, _), e in self.needs.items():
+            users.setdefault(e, set()).add(j)
+        last = {e: max(products) for e, products in users.items() if len(products) > 1}
+        walk = []
+        for j in sorted(self.levels):
+            points = self.catalog.get(j).eligibility_points
+            options = []
+            for c, q, *_ in self.levels[j]:
+                e = self.needs.get((j, c))
+                options.append((c, q * points, *((e, None) if e in last else (None, e))))
+            walk.append((j, options, {e for e, k in last.items() if k == j}))
+        return walk
+
+    def best(self, options: dict, blocked=(), forced=()) -> tuple[float, dict | None] | None:
+        """The best bundle of `options` (per product {choice: (quantity,
+        utility)}, one choice per product) within the eligibility, without the
+        (product, choice) options in `blocked` and with the engagements in
+        `forced` paid whether or not the bundle needs them: (its utility less
+        the costs of the engagements it pays, its {product: choice} if no
+        other bundle attains that, else None); None when no bundle fits.
+        A multiple-choice knapsack DP over the products in sorted order,
+        whose states are (eligibility used, shared engagements paid that a
+        later product needs); each keeps its best utility, whether one
+        partial bundle alone attains it, and that bundle.  An own engagement's
+        cost is folded into its options, and options of equal points and
+        shared engagement are merged first.  Money is whole cents, so every
+        sum is exact."""
+        cost = {e: 0.0 if e in forced else c for e, c in self.costs.items()}
+        states = {(0, frozenset()): (-sum(self.costs[e] for e in forced), True, ())}
+        for j, choices, closing in self.walk:
+            merged: dict[tuple, tuple] = {}  # (points, shared) -> (utility, alone, choice)
+            for c, points, shared, own in choices:
+                if (j, c) not in blocked:
+                    u = options[j][c][1]
+                    _keep(merged, (points, shared), u if own is None else u - cost[own], True, c)
+            reached: dict[tuple, tuple] = {}
+            for (used, paid), (v, unique, chosen) in states.items():
+                for (points, shared), (u, alone, c) in merged.items():
+                    if used + points <= self.eligibility:
+                        value, now = v + u, paid
+                        if shared is not None and shared not in paid:
+                            value, now = value - cost[shared], paid | {shared}
+                        _keep(reached, (used + points, now - closing), value, unique and alone,
+                              (*chosen, (j, c)))
+            states = reached
+        final: dict[None, tuple] = {}
+        for value, unique, chosen in states.values():
+            _keep(final, None, value, unique, chosen)
+        if not final:
+            return None
+        optimum, unique, chosen = final[None]
+        return optimum, dict(chosen) if unique else None
 
     def options(self, prices: PriceVector) -> dict:
         """The options at `prices`: per product {choice: (quantity,
@@ -211,8 +185,7 @@ class Frame:
         return {j: {c: (q, value - q * prices[key]) for c, q, value, key in levels}
                 for j, levels in self.levels.items()}
 
-    def solve(self, options: dict, solve_mip: Callable,
-              value: np.ndarray | None = None) -> tuple[Any, float] | None:
+    def solve(self, options: dict, solve_mip: Callable) -> tuple[Any, float] | None:
         """(bid, utility) of BEST_COPIES at the prices of `options` as a binary
         MIP that `solve_mip` solves, None when it is infeasible; the utility
         is the base value plus the chosen options' utilities less the costs
@@ -220,8 +193,10 @@ class Frame:
         One binary per option (by product, then choice) minimizes -utility,
         and one per engagement carries its cost; one exactly-one row per
         product, the eligibility row, then one row per option that needs an
-        engagement.  With an enumeration the node bound is `Bundles.exact`
-        over `value`, the table of `options` when given, else built here."""
+        engagement.  Each node's bound is `best` without the options its
+        fixed binaries rule out (an option at 0, the product's other options
+        at 1, the options of an engagement at 0) and with the engagements
+        fixed at 1 paid."""
         if self.mip is None:
             # the binaries are the first columns, in (product, choice) order, so
             # the product rows and then the eligibility row list them in turn
@@ -230,26 +205,37 @@ class Frame:
             column = {key: k for k, key in enumerate([*choices, *self.costs])}
             products, n, links = len(self.levels), len(choices), len(self.needs)
             lp = LinearProgram([*binary.values(), *self.costs], None, Rows(
-                np.cumsum([0, *map(len, self.levels.values()), n, *[2] * links]),
-                np.array([*range(n), *range(n),
-                          *[column[key] for link in self.needs.items() for key in link]],
-                         dtype=np.intp),
-                np.array([1.0] * n + [float(q * self.catalog.get(j).eligibility_points)
-                                      for j, levels in self.levels.items() for _, q, *_ in levels]
-                         + [1.0, -1.0] * links),
+                list(itertools.accumulate([*map(len, self.levels.values()), n, *[2] * links],
+                                          initial=0)),
+                [*range(n), *range(n),
+                 *[column[key] for link in self.needs.items() for key in link]],
+                [1.0] * n + [float(q * self.catalog.get(j).eligibility_points)
+                             for j, levels in self.levels.items() for _, q, *_ in levels]
+                + [1.0, -1.0] * links,
                 [1.0] * products + [float(self.eligibility)] + [0.0] * links,
                 [EQ] * products + [LE] * (1 + links), len(column)))
             lp.ub = [1.0] * len(column)
             self.mip = lp, binary
-            self.option = None if self.bundles is None else self.bundles.index(binary)
         lp, binary = self.mip
+        option = {name: key for key, name in binary.items()}
+
+        def exact(fixed: dict[str, float]) -> float:
+            blocked, forced = set(), set()
+            for name, v in fixed.items():
+                if name in option:
+                    j, c = option[name]
+                    blocked.update([(j, other) for other in options[j] if other != c]
+                                   if v else [(j, c)])
+                elif v:
+                    forced.add(name)
+                else:
+                    blocked.update(key for key, e in self.needs.items() if e == name)
+            best = self.best(options, blocked, forced)
+            return math.inf if best is None else -best[0]
+
         objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
         mip = copy.copy(lp)  # shares the rows, and so their memo of simplex starts
         mip.objective = {**objective, **self.costs}
-        exact = None
-        if self.option is not None:
-            exact = self.bundles.exact(self.bundles.value(options) if value is None else value,
-                                       self.option)
         sol = solve_mip(mip, [*binary.values(), *self.costs], exact)
         if sol.status == "infeasible":
             return None
@@ -259,26 +245,17 @@ class Frame:
         return self.bid(dict(chosen)), self.base_value + utility
 
     def choice(self, options: dict, solve_mip: Callable) -> BaseChoice | None:
-        """The `choose_base` entry at the prices of `options`, whose `solve`
-        is `Frame.solve`'s.  Money is whole cents, so the enumeration's
-        optimum is exact, and so is the MIP's bundle, which attains it: the
-        bid is known when exactly one bundle attains the optimum.  Without
-        an enumeration the MIP runs at once; None when no bundle fits.  The
-        entry's `solve` bounds its nodes by the table that gave the
-        utility."""
-        if self.bundles is None:
-            result = self.solve(options, solve_mip)
-            return None if result is None else BaseChoice(result[1], result[0])
-        value = self.bundles.value(options)
-        optimum = float(value.min())
-        if optimum == math.inf:  # as solve_mip would find; oracle_frame rules it out
+        """The `choose_base` entry at the prices of `options`: the base value
+        plus `best`'s utility, and `best`'s bid where one bundle alone attains
+        it; None when no bundle fits (oracle_frame rules that out).  Its
+        `solve` is `Frame.solve`'s, whose bundle attains the same exact
+        optimum."""
+        best = self.best(options)
+        if best is None:
             return None
-        bid = None
-        if np.count_nonzero(value == optimum) == 1:
-            at = np.unravel_index(int(value.argmin()), value.shape)
-            bid = self.bid({j: list(options[j])[int(i)] for j, i in zip(sorted(options), at)})
-        return BaseChoice(self.base_value - optimum, bid,
-                          functools.partial(self.solve, options, solve_mip, value))
+        utility, chosen = best
+        return BaseChoice(self.base_value + utility, None if chosen is None else self.bid(chosen),
+                          functools.partial(self.solve, options, solve_mip))
 
 
 def oracle_frame(bidder_id: str, base: BundleBase, model: ValuationModel,

@@ -78,7 +78,8 @@ class Rows:
     into a read-only matrix at first use, which each tableau build copies,
     and `phase1` the memo of the simplex's starts over these rows, by
     bounds: the tableau and basis that phase 2 starts from, after phase 1,
-    or None where phase 1 finds them infeasible (`_start`)."""
+    or None where phase 1 finds them infeasible (`_start`).  The triplets
+    may be given as lists; they are kept as arrays."""
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -86,6 +87,11 @@ class Rows:
     relations: list[str]
     width: int
     phase1: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.intp)
+        self.indices = np.asarray(self.indices, dtype=np.intp)
+        self.data = np.asarray(self.data, dtype=float)
 
     @functools.cached_property
     def integer_weight(self) -> float | None:
@@ -145,8 +151,7 @@ class LinearProgram:
         n = len(self.names)
         self.costs = [0.0] * n if costs is None else costs
         self.lb, self.ub = [0.0] * n, [math.inf] * n
-        self.rows = rows if rows is not None else Rows(
-            np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), [], [], n)
+        self.rows = rows if rows is not None else Rows([0], [], [], [], [], n)
 
     def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> str:
         if name in self._index:

@@ -282,10 +282,11 @@ class TestRunAuction:
 def standard_mip_setup():
     """Three bidders on one product S whose price climbs; two of them then
     turn to a second base with less eligibility than its argmax levels need,
-    so the standard oracle runs its MIP: W's base has seven products of four
-    levels each, 4**7 bundles, above MAX_BUNDLES, so its MIP runs in
-    best_copies; V's has two identical products that tie under its budget,
-    so its MIP runs when choose_base resolves the entry."""
+    so the standard oracle goes past its fast path: W's base has seven
+    products of four levels each, 4**7 bundles, and one of them alone is
+    best, so the frame's DP names the bid; V's has two identical products
+    that tie under its budget, so its MIP runs when choose_base resolves
+    the entry."""
     wide = [f"P{i}" for i in range(7)]
     catalog = make_catalog({"S": (4, 3, 100_00), "A": (2, 2, 10_00), "B": (2, 2, 10_00),
                             **{j: (4, 1, 10_00) for j in wide}})
@@ -357,13 +358,13 @@ class TestEngineInvariants:
 
     @pytest.mark.parametrize("seed, n_bases", sorted(MIP_DIGESTS))
     def test_mip_path_trace_digest(self, seed, n_bases, monkeypatch):
-        enumerated = []  # per Frame.choice call, whether the frame enumerates
+        reached = []  # one per Frame.choice call, past the fast path
         choice = engine.Frame.choice
-        monkeypatch.setattr(engine.Frame, "choice", lambda self, *a: enumerated.append(
-            self.bundles is not None) or choice(self, *a))
+        monkeypatch.setattr(engine.Frame, "choice",
+                            lambda self, *a: reached.append(1) or choice(self, *a))
         config, agents = random_setup(seed, n_bidders=8, n_products=24, n_bases=n_bases)
         trace = run_auction(config, agents)
-        assert sum(enumerated) > 0, "no best_copies call reached the enumeration entry"
+        assert reached, "no best_copies call reached the frame's DP"
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.MIP_DIGESTS[seed, n_bases]
 
@@ -402,12 +403,12 @@ class TestEngineInvariants:
         assert engine.ORACLE_MEMO.get() is None
 
     def test_oracle_memo_is_exact_and_per_run(self, monkeypatch):
-        """No two MIPs of a run ask the same oracle question, and a second run
-        in the same process solves as many MIPs and writes the same bytes.  A
-        MIP runs in best_copies or when its entry is resolved, so the entry
-        records its question again."""
-        asked, mip_keys = [], []
-        oracle, solve_mip = engine.best_copies, engine.solve_mip
+        """No two entries of a frame's DP and no two MIPs of a run ask the
+        same oracle question, and a second run in the same process asks as
+        many and writes the same bytes.  A MIP runs when its entry is
+        resolved, so the entry records its question again."""
+        asked, dp_keys, mip_keys = [], [], []
+        oracle, choice, solve_mip = engine.best_copies, engine.Frame.choice, engine.solve_mip
 
         def recording_oracle(base, model, prices, eligibility, catalog):
             key = (model.bidder_id, base.base_id, eligibility,
@@ -420,18 +421,42 @@ class TestEngineInvariants:
             return entry
 
         monkeypatch.setattr(engine, "best_copies", recording_oracle)
+        monkeypatch.setattr(engine.Frame, "choice",
+                            lambda self, *a: dp_keys.append(asked[-1]) or choice(self, *a))
         monkeypatch.setattr(engine, "solve_mip",
                             lambda *a: mip_keys.append(asked[-1]) or solve_mip(*a))
         config, agents = standard_mip_setup()
         runs = []
         for _ in range(2):
-            mip_keys.clear()
+            dp_keys.clear(), mip_keys.clear()
             trace = run_auction(config, agents)
-            assert len(mip_keys) == 2 and len(set(mip_keys)) == len(mip_keys)
+            assert len(dp_keys) == 2 and len(set(dp_keys)) == len(dp_keys)
+            assert len(mip_keys) == 1 and set(mip_keys) <= set(dp_keys)
             text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
-            runs.append((hashlib.sha256(text.encode()).hexdigest(), len(mip_keys)))
+            runs.append((hashlib.sha256(text.encode()).hexdigest(), len(dp_keys),
+                         len(mip_keys)))
         assert runs[0] == runs[1]
         assert runs[0][0] == self.STANDARD_MIP_DIGEST
+
+    def test_wide_frame_bids_without_a_mip(self, monkeypatch):
+        """W's base of 4**7 bundles, whose optimum one bundle alone attains,
+        takes its bid from the frame's DP and never builds its MIP; only V's
+        tied base runs one, and the run writes STANDARD_MIP_DIGEST."""
+        entries, mips = [], []
+        choice, solve_mip = engine.Frame.choice, engine.solve_mip
+
+        def recorded(self, *args):
+            entries.append((self, choice(self, *args)))
+            return entries[-1][1]
+
+        monkeypatch.setattr(engine.Frame, "choice", recorded)
+        monkeypatch.setattr(engine, "solve_mip", lambda *a: mips.append(1) or solve_mip(*a))
+        trace = run_auction(*standard_mip_setup())
+        wide = [(frame, entry) for frame, entry in entries if len(frame.levels) == 7]
+        assert wide and all(entry.bid is not None and frame.mip is None for frame, entry in wide)
+        assert len(mips) == 1
+        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.STANDARD_MIP_DIGEST
 
     def test_byte_determinism(self):
         config, agents = random_setup(55, n_bidders=4, n_products=8)

@@ -1,11 +1,12 @@
-"""The exact optimum of the oracle MIPs.  `engine.Bundles.exact` gives each
-branch-and-bound node's integer optimum, and `solve_mip(lp, binaries, exact)`
-skips the nodes that cannot hold the MIP's optimum with the same result, bit
-for bit, as the search without it.  `engine.choose_base` picks the base from
-the exact utilities of the oracles' entries and runs a MIP only where they
-cannot tell, with the bid, bit for bit, of the rule that runs every base's
-MIP."""
+"""The exact optimum of the oracle MIPs.  `engine.Frame.best`, a knapsack DP
+over a frame's options, gives each branch-and-bound node's integer optimum,
+and `solve_mip(lp, binaries, exact)` skips the nodes that cannot hold the
+MIP's optimum with the same result, bit for bit, as the search without it.
+`engine.choose_base` picks the base from the exact utilities of the
+oracles' entries and runs a MIP only where they cannot tell, with the bid,
+bit for bit, of the rule that runs every base's MIP."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,8 +20,7 @@ import clockauction.engine as engine
 import clockauction.solver as solver
 import clockauction.tiered as tiered
 from clockauction.core import PriceVector, Product, ProductCatalog, eligibility_cost
-from clockauction.engine import (MAX_BUNDLES, BidderAgent, Frame, run_auction, trace_summary,
-                                 trace_to_jsonl)
+from clockauction.engine import BidderAgent, Frame, run_auction, trace_summary, trace_to_jsonl
 from clockauction.errors import SolverError
 from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
@@ -43,9 +43,12 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
     random calls of the standard or the tiered oracle pass to `solve_mip`
     when they are resolved.  Half the calls price every
     option at its opening price, as the opening round does, and half the
-    tiered calls have zero deployment costs: both tie options."""
+    tiered calls have zero deployment costs: both tie options.  In
+    "tiered-shared" calls 2-3 products of the base share one area, so the
+    DP carries open engagements and the nodes fix shared engagement
+    binaries; every product of `random_setup` is alone in its area."""
     rng = np.random.default_rng(seed)
-    module = tiered if kind == "tiered" else engine
+    module = engine if kind == "standard" else tiered
     recorded = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "solve_mip", lambda *a: recorded.append(a) or solve_mip(*a))
@@ -55,6 +58,12 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
                                             max_supply=max_supply, n_bases=2)
             catalog, model = config.catalog, agent.model
             base = agent.space.bases[int(rng.integers(len(agent.space.bases)))]
+            if kind == "tiered-shared":
+                members = rng.choice(sorted(base.quantities), replace=False,
+                                     size=int(rng.integers(2, len(base.quantities) + 1)))
+                area = catalog.get(members[0]).area_id
+                catalog = ProductCatalog(tuple(dataclasses.replace(p, area_id=area)
+                                               if p.id in members else p for p in catalog))
             ladders = {j: model.ladder(j) for j in base.quantities}
             low = eligibility_cost(base.quantities, catalog)
             high = eligibility_cost({j: levels[-1] for j, levels in ladders.items()}, catalog)
@@ -105,7 +114,8 @@ def brute_force(lp: LinearProgram, fixed: dict[str, float]) -> float:
     return float((points @ np.array([lp.objective.get(name, 0.0) for name in names])).min())
 
 
-@pytest.mark.parametrize("kind, seed", [("standard", 11), ("tiered", 12)])
+@pytest.mark.parametrize("kind, seed", [("standard", 11), ("tiered", 12),
+                                        ("tiered-shared", 13)])
 def test_bound_changes_no_bit(kind, seed):
     """Over 250 oracle MIPs of each kind, the search with the bound gives the
     search's result without it, field for field and bit for bit."""
@@ -129,10 +139,11 @@ def count_nodes(lp, binaries, exact) -> tuple[solver.Solution, int]:
         return solve_mip(lp, binaries, exact), len(calls)
 
 
-@pytest.mark.parametrize("kind, seed", [("standard", 21), ("tiered", 22)])
+@pytest.mark.parametrize("kind, seed", [("standard", 21), ("tiered", 22),
+                                        ("tiered-shared", 23)])
 def test_exact_matches_brute_force_at_every_node(kind, seed):
     """At every node the search visits, and at random fixings besides, the
-    enumeration gives the integer optimum that brute force over every 0/1
+    DP gives the integer optimum that brute force over every 0/1
     point of the MIP's variables gives."""
     rng = np.random.default_rng(seed)
     small = [mip for mip in oracle_mips(kind, 60, seed, max_supply=2)
@@ -152,6 +163,65 @@ def test_exact_matches_brute_force_at_every_node(kind, seed):
         for fixed in fixings:
             want, got = brute_force(lp, fixed), exact(fixed)
             assert got == want or abs(got - want) <= scale, fixed
+
+
+def every_bundle(frame: Frame, options: dict, blocked: set, forced: set):
+    """`Frame.best`'s answer by brute force over every bundle of `options`,
+    one option per product (`itertools.product`): the best utility less the
+    costs of the engagements the bundle needs or `forced` holds, and the
+    bundle if no other attains it; None when no bundle fits."""
+    products = sorted(options)
+    best, count = None, 0
+    for bundle in itertools.product(*[options[j] for j in products]):
+        chosen = list(zip(products, bundle))
+        points = sum(options[j][c][0] * frame.catalog.get(j).eligibility_points
+                     for j, c in chosen)
+        if blocked.intersection(chosen) or points > frame.eligibility:
+            continue
+        engaged = {frame.needs[key] for key in chosen if key in frame.needs} | forced
+        value = sum(options[j][c][1] for j, c in chosen) - sum(frame.costs[e] for e in engaged)
+        if best is None or value > best[0]:
+            best, count = (value, dict(chosen)), 1
+        elif value == best[0]:
+            count += 1
+    return None if best is None else (best[0], best[1] if count == 1 else None)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       kind=st.sampled_from(["standard", "tiered", "tiered-zero-costs"]))
+def test_best_matches_every_bundle(seed, kind):
+    """On random bases of 1-8 products in at most four areas, so that areas
+    often hold several products of the base, `Frame.best` gives the brute
+    force's optimum, and its bundle exactly where no other bundle attains
+    it; also with random options blocked and engagements forced.  Small
+    whole-cent values make ties common."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    catalog = ProductCatalog(tuple(
+        Product(id=f"P{i}", area_id=f"A{int(rng.integers(4))}", area_class="urban", supply=5,
+                eligibility_points=int(rng.integers(4)), opening_price=0) for i in range(n)))
+    tiers = (None,) if kind == "standard" else TIERS
+    most = max(1, min(4, round(4000 ** (1 / n)) // len(tiers)))  # levels; 3**8 bundles at most
+    levels, needs = {}, {}
+    for p in catalog:
+        qs = sorted(int(q) for q in rng.choice(np.arange(1, 6), replace=False,
+                                               size=int(rng.integers(1, most + 1))))
+        levels[p.id] = [((t, q) if t else q, q, float(rng.integers(-2, 5) * 100_00), (p.id, t))
+                        for t in tiers for q in qs]
+        needs.update({(p.id, (t, q)): f"Y::{p.area_id}::{t}" for t in tiers if t for q in qs})
+    costs = {e: 0.0 if kind == "tiered-zero-costs" else float(rng.integers(0, 3) * 100_00)
+             for e in sorted(set(needs.values()))}
+    low, high = ([f(q for _, q, *_ in ls) * catalog.get(j).eligibility_points
+                  for j, ls in levels.items()] for f in (min, max))
+    frame = Frame(levels, 0.0, catalog, int(rng.integers(sum(low) - 1, sum(high) + 2)),
+                  needs=needs, costs=costs)
+    options = frame.options(PriceVector({key: 0 for ls in levels.values() for *_, key in ls}))
+    for blocked, forced in [(set(), set())] + [
+            ({(j, c) for j in options for c in options[j] if rng.random() < 0.2},
+             {e for e in costs if rng.random() < 0.3}) for _ in range(3)]:
+        want = every_bundle(frame, options, blocked, forced)
+        assert frame.best(options, blocked, forced) == want, (blocked, forced)
 
 
 def knapsack():
@@ -195,14 +265,14 @@ def test_exact_feasible_on_an_infeasible_mip_is_a_solver_error():
         solve_mip(lp, binaries, lambda fixed: 0.0)
 
 
-def test_no_enumeration_above_max_bundles():
-    """Above MAX_BUNDLES bundles a frame has no enumeration, and its MIP
-    branches without the bound; at or below it the frame's `Bundles.exact`
-    is the bound, which gives the MIP's optimum at the root."""
+def test_every_frame_bounds_its_mip():
+    """A frame's entry names its bid from the DP when one bundle attains the
+    optimum, with no MIP, and its resolve branches with the DP's bound,
+    whose root value is the MIP's optimum, on 5**3 and 17**3 bundles
+    alike."""
     config, _ = random_setup(0, n_bidders=1, n_products=8)
     catalog = config.catalog
-    per_product = round(MAX_BUNDLES ** (1 / 3)) + 1
-    for levels, enumerated in [(per_product, False), (per_product - 2, True)]:
+    for levels in (5, 17):
         frame = Frame({j: [(q, 1, float(q), j) for q in range(levels)]
                        for j in catalog.ids()[:3]}, 0.0, catalog, 10**6)
         options = frame.options(PriceVector({j: 0 for j in catalog.ids()}))
@@ -210,23 +280,17 @@ def test_no_enumeration_above_max_bundles():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "solve_mip", lambda *a: bounds.append(a[2]) or solve_mip(*a))
             entry = frame.choice(options, engine.solve_mip)
-        assert (frame.bundles is not None) == enumerated
-        if enumerated:
-            binary = {(j, c): f"I{i}" for i, (j, c) in enumerate(
-                (j, c) for j in sorted(options) for c in options[j])}
             assert bounds == [] and entry.solve is not None
-            bundles = frame.bundles
-            assert bundles.exact(bundles.value(options), bundles.index(binary))({}) == \
-                -3.0 * (levels - 1)
-        else:
-            assert bounds == [None] and entry.solve is None
-        assert entry.resolve().utility == 3.0 * (levels - 1)
+            assert entry.bid == dict.fromkeys(catalog.ids()[:3], levels - 1)
+            assert entry.resolve().utility == 3.0 * (levels - 1)
+        (exact,) = bounds
+        assert exact({}) == -3.0 * (levels - 1)
 
 
 @pytest.mark.parametrize("auction", ["standard", "tiered", "tiered-zero-costs"])
 def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
-    """Whole runs write the same trace with the enumeration as without it,
-    where every oracle MIP runs at once and branches without the bound: runs
+    """Whole runs write the same trace as the eager rule, which runs every
+    base's MIP whenever it is asked and branches without the bound: runs
     whose oracle calls reach best_copies' MIP, tiered runs with deployment
     costs, where the exact optimum names nearly every bid, and tiered runs
     with zero costs, where every tier ties and the winning base's MIP runs."""
@@ -247,8 +311,12 @@ def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
     real = solver.solve_lp
     monkeypatch.setattr(solver, "solve_lp", lambda *a: calls.append(1) or real(*a))
     runs = []
-    for limit in (MAX_BUNDLES, 0):
-        monkeypatch.setattr(engine, "MAX_BUNDLES", limit)
+    for eager in (False, True):
+        if eager:
+            for module in (engine, tiered):
+                monkeypatch.setattr(module, "choose_base", eager_choose_base)
+                monkeypatch.setattr(module, "solve_mip",
+                                    lambda lp, binaries, exact=None: solve_mip(lp, binaries))
         calls.clear()
         trace = run()
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
@@ -363,21 +431,20 @@ def test_chooser_runs_the_mips_it_needs(values, costs, mips, monkeypatch):
     assert repr(got) == repr(bid({}))
 
 
-def test_no_enumeration_resolves_at_once(monkeypatch):
-    """Above MAX_BUNDLES bundles the tiered entry runs its MIP when it is made,
-    without the bound, and holds the MIP's bid and utility."""
+def test_tied_entry_resolves_with_the_bound(monkeypatch):
+    """An entry whose tiers tie runs no MIP when it is made; its resolve runs
+    one, bounded by the DP at the entry's optimum, and keeps its utility."""
     catalog, agent = one_copy_agent([300_00])
     (base,) = agent.space.bases
     adjustment = TieredValuationAdjustment.zero(["X"], ["A0"])
     prices = PriceVector({("P0", t): 100_00 for t in TIERS})
-    lazy = tiered._best_tiered_copies(base, agent.model, prices, 1, catalog, "X", adjustment)
-    assert lazy.solve is not None and lazy.bid is None
     ran = []
     real = tiered.solve_mip
     monkeypatch.setattr(tiered, "solve_mip", lambda *a: ran.append(a[2]) or real(*a))
-    monkeypatch.setattr(engine, "MAX_BUNDLES", 2)
     entry = tiered._best_tiered_copies(base, agent.model, prices, 1, catalog, "X", adjustment)
-    assert ran == [None]
-    assert entry.solve is None and entry.bid is not None
-    lazy.resolve()
-    assert (repr(entry.bid), entry.utility) == (repr(lazy.bid), lazy.utility)
+    assert ran == [] and entry.solve is not None and entry.bid is None
+    assert entry.utility == 200_00
+    entry.resolve()
+    (exact,) = ran
+    assert exact({}) == 300_00 - entry.utility
+    assert entry.utility == 200_00 and entry.bid["P0"][1] == 1

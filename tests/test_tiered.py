@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -298,9 +299,10 @@ def test_phase1_runs_once_per_rows_and_bounds(monkeypatch):
 def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
     """Over a run's kind of price sequence, each oracle entry built from the
     run's frame of its (bidder, base, eligibility) equals one built from a
-    frame of its own: utility by float.hex, bid by repr, and
-    each enumeration table by its bytes; so does each resolve's (bid,
-    utility).  Odd seeds have zero deployment costs, where tiers tie."""
+    frame of its own: utility by float.hex, bid by repr, and each answer
+    of the frame's DP (the entry's and every node bound's) by repr; so does
+    each resolve's (bid, utility).  Odd seeds have zero deployment costs,
+    where tiers tie."""
     rng = np.random.default_rng(seed)
     config, agents = random_setup(seed, n_bidders=2, n_products=int(rng.integers(3, 7)),
                                   n_bases=2)
@@ -310,10 +312,15 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
     adjustment = TieredValuationAdjustment.zero(bidders, areas) if seed % 2 else \
         TieredValuationAdjustment({(b, a, t): int(c) for b in bidders for a in areas
                                    for t, c in zip(TIERS, sorted(rng.integers(0, 3 * 10**7, 3)))})
-    tables, frames = [], []
-    value, frame = engine.Bundles.value, engine.Frame.__init__
-    monkeypatch.setattr(engine.Bundles, "value",
-                        lambda self, options: tables.append(value(self, options)) or tables[-1])
+    answered, frames = [], []
+    best, frame = engine.Frame.best, engine.Frame.__init__
+
+    def recorded(self, *args):
+        answer = best(self, *args)
+        answered.append(repr(answer))
+        return answer
+
+    monkeypatch.setattr(engine.Frame, "best", recorded)
     monkeypatch.setattr(engine.Frame, "__init__",
                         lambda self, *a, **k: frames.append(1) or frame(self, *a, **k))
 
@@ -329,7 +336,7 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
     def answers():
         out = []
         for agent, base, eligibility, at in calls:
-            tables.clear()
+            answered.clear()
             entry = tiered._best_tiered_copies(base, agent.model, at, eligibility, catalog,
                                                agent.bidder_id, adjustment)
             if entry is None:
@@ -338,7 +345,7 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
             asked = (entry.utility.hex(), repr(entry.bid))
             entry.resolve()
             out.append((asked, repr(entry.bid), entry.utility.hex(),
-                        [table.tobytes() for table in tables]))
+                        list(answered)))
         return out
 
     with engine.oracle_memo():
@@ -352,25 +359,26 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
 
 def test_frames_live_for_one_run(monkeypatch):
     """A run builds one frame per (bidder, base, eligibility) it asks about,
-    and one enumeration per frame: resolving an entry builds none.  A second
+    and each frame's DP builds its price-free part once: resolving an entry
+    builds none.  A second
     run builds its own frames, and none outlives its run."""
-    frames, enumerations, mips = [], [], []
-    frame, bundles, solve_mip = engine.Frame.__init__, engine.Bundles.__init__, tiered.solve_mip
+    frames, walks, mips = [], [], []
+    frame, walk, solve_mip = engine.Frame.__init__, engine.Frame.walk.func, tiered.solve_mip
     monkeypatch.setattr(engine.Frame, "__init__",
                         lambda self, *a, **k: frames.append(self) or frame(self, *a, **k))
-    monkeypatch.setattr(engine.Bundles, "__init__",
-                        lambda self, *a: enumerations.append(1) or bundles(self, *a))
+    counted = functools.cached_property(lambda self: walks.append(1) or walk(self))
+    counted.__set_name__(engine.Frame, "walk")
+    monkeypatch.setattr(engine.Frame, "walk", counted)
     monkeypatch.setattr(tiered, "solve_mip", lambda *a: mips.append(1) or solve_mip(*a))
     config, agents = random_setup(0, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
     runs = []
     for _ in range(2):
-        frames.clear(), enumerations.clear(), mips.clear()
+        frames.clear(), walks.clear(), mips.clear()
         trace = run_extended_auction(config, agents, adj)
         assert engine.ORACLE_MEMO.get() is None
-        assert len(enumerations) == len(frames)
-        assert mips and all(f.bundles is not None for f in frames)
+        assert mips and len(walks) == len(frames)
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(frames), len(mips)))
     assert runs[0] == runs[1]
