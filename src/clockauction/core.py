@@ -60,6 +60,8 @@ class Product:
             raise ValidationError(f"product {self.id}: negative eligibility points")
         if self.opening_price < 0:
             raise ValidationError(f"product {self.id}: negative opening price")
+        if self.opening_price > MAX_CENTS:  # a float must hold it, as it holds money
+            raise ValidationError(f"product {self.id}: opening price above 2**53 cents")
         if self.area_class not in AREA_CLASSES:
             raise ValidationError(
                 f"product {self.id}: area_class {self.area_class!r} not in {AREA_CLASSES}"

@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,19 +141,6 @@ BLOCKS = ("positive_utility", "marginal_rationality", "revealed_preference",
           "diminishing_returns")
 
 
-class _Listing(NamedTuple):
-    """Rows in sparse form: the observed bundle's table row, the entries
-    (-1 for a slack column) and their number per row, each row's alternative
-    (None for sitting out) and block, and the tails of the slack names."""
-    own: int
-    indices: list[int]
-    values: list[float]
-    lengths: list[int]
-    alternatives: list[int | None]
-    kinds: list[int]
-    tags: list[tuple[str, object]]
-
-
 @dataclass
 class _Problem:
     lp: LinearProgram
@@ -184,11 +169,12 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     table over the vb/vm columns (1.0 on its base, each ladder width up to
     its quantity) minus its cost at the round's prices.  A row lists the
     observed bundle's columns, then the alternative's others, keeping the
-    cancelled terms as 0.0 except in (b).  Each observed bundle's rows are
-    made once, and each (observed bundle, eligibility) picks its (c) rows
-    once; the rounds reuse them.  Slack columns follow the fixed ones in row
-    order.  Costs are integers below 2**53 cents, so a right-hand side has
-    the bits of the sums over the bundles' products."""
+    cancelled terms as 0.0 except in (b).  One cache, keyed by (observed
+    bundle, base, eligibility), holds each block of a round's rows; the
+    rounds that share a key reuse it and add only their right-hand sides
+    and slack names.  Slack columns follow the fixed ones in row order.
+    Costs are integers below 2**53 cents, so a right-hand side has the bits
+    of the sums over the bundles' products."""
     ladders, bases = space.ladders, space.bases
     products = sorted(ladders)
     names = [_vb(base.base_id) for base in bases]
@@ -226,23 +212,23 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
                 for i, base in enumerate(bases) for key in variant_keys(base, ladders)]
     empty = add((), None)
 
-    def observe(key: tuple, base_id: str | None) -> tuple[_Listing, Callable, dict]:
-        """An observed bundle's (a) and (b) rows, the entries of its row
-        against an alternative, and a cache of its (c) rows' entries."""
-        if key and base_id not in base_index:
-            raise ValidationError(f"observed base {base_id!r} is not one of the bases")
-        own = add(key, base_index[base_id]) if key else empty
-        u, first = table[own], support[own]
+    def entries(own: int, alt: int) -> tuple[list, list]:
+        """The observed bundle's columns, then the alternative's others."""
+        u, a = table[own], table[alt]
+        columns = support[own] + [c for c in support[alt] if not u[c]]
+        return columns, [u[c] - a[c] for c in columns]
 
-        def entries(alt: int) -> tuple[list, list]:
-            """The observed bundle's columns, then the alternative's others."""
-            a = table[alt]
-            columns = first + [c for c in support[alt] if not u[c]]
-            return columns, [u[c] - a[c] for c in columns]
-
-        head = _Listing(own, [], [], [], [], [], [])
+    def block(key: tuple, base_id: str | None, limit: int) -> tuple[int, list]:
+        """The observed bundle's table row, and the rows of a round that
+        observes `key` on `base_id` with eligibility `limit`: (alternative,
+        block, columns, values, slack tag), the alternative None for sitting
+        out and the slack column -1."""
+        own, rows = empty, []
         if key:
-            rows = [(None, 0, first, [u[c] for c in first], None)]
+            if base_id not in base_index:
+                raise ValidationError(f"observed base {base_id!r} is not one of the bases")
+            own = add(key, base_index[base_id])
+            rows.append((None, 0, support[own], [table[own][c] for c in support[own]], None))
             for j, q in key:
                 levels = ladders[j].levels
                 k = ladders[j].index_of(q)
@@ -250,7 +236,7 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
                     if 1 <= k2 <= len(levels):
                         t = add(tuple((i, levels[k2 - 1] if i == j else n) for i, n in key),
                                 base_index[base_id])
-                        columns, values = entries(t)   # less the cancelled terms
+                        columns, values = entries(own, t)   # less the cancelled terms
                         columns = [c for c, v in zip(columns, values) if v]
                         values = [v for v in values if v]
                         if mr_slack_weight is None:
@@ -258,37 +244,14 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
                         else:
                             rows.append((t, 1, columns + [-1], values + [1.0],
                                          ("ms", f"{j}::{k2}")))
-            for t, kind, columns, values, tag in rows:
-                head.indices.extend(columns)
-                head.values.extend(values)
-                head.lengths.append(len(columns))
-                head.alternatives.append(t)
-                head.kinds.append(kind)
-                if tag:
-                    head.tags.append(tag)
-        return head, entries, {}
-
-    observed: dict[tuple, tuple] = {}
-
-    def listing(key: tuple, base_id: str | None, limit: int) -> _Listing:
-        """The rows of a round whose observed bundle is `key` on `base_id`,
-        with eligibility `limit`."""
-        if (key, base_id) not in observed:
-            observed[key, base_id] = observe(key, base_id)
-        head, entries, known = observed[key, base_id]
         eligible = [t for t, other, cost in variants if cost <= limit and other != key]
-        for t in eligible:
-            if t not in known:
-                columns, values = entries(t)
-                known[t] = columns + [-1], values + [1.0]
-        return _Listing(head.own, head.indices + [k for t in eligible for k in known[t][0]],
-                        head.values + [v for t in eligible for v in known[t][1]],
-                        head.lengths + [len(known[t][0]) for t in eligible],
-                        head.alternatives + eligible, head.kinds + [2] * len(eligible),
-                        head.tags + [("sl", n) for n in range(len(eligible))])
+        for n, t in enumerate(eligible):
+            columns, values = entries(own, t)
+            rows.append((t, 2, columns + [-1], values + [1.0], ("sl", n)))
+        return own, rows
 
     rounds = sorted(space.observed)
-    listings: dict[tuple, _Listing] = {}
+    blocks: dict[tuple, tuple] = {}
     chosen, prices = [], []
     for rnd in rounds:
         bundle, base_id = space.observed[rnd]
@@ -298,10 +261,9 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
         if bundle and base_id is None:
             raise ValidationError(f"round {rnd}: observed bundle has no base")
         key = (bundle.key(), base_id, eligibility[rnd])
-        rows = listings.get(key)
-        if rows is None:
-            rows = listings[key] = listing(*key)
-        chosen.append(rows)
+        if key not in blocks:
+            blocks[key] = block(*key)
+        chosen.append(blocks[key])
         prices.append(vector.prices)
     try:
         prices = [vector[j] for vector in prices for j in products]
@@ -312,17 +274,19 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     if costs.size and costs.max() >= 2**53:
         raise ValidationError(f"{space.bidder_id}: a bundle costs 2**53 cents or more")
 
-    # per round: each row's rhs a_const - u_const, a bundle's constant being
-    # 0.0 - its cost and sitting out's -0.0; the slack names
-    rhs, slack_names = [], []
-    for rnd, rows, cost in zip(rounds, chosen, costs.tolist()):
-        u_const = 0.0 - cost[rows.own]
-        rhs += [(-0.0 if t is None else 0.0 - cost[t]) - u_const for t in rows.alternatives]
-        slack_names += [f"{prefix}::{rnd}::{tail}" for prefix, tail in rows.tags]
-    row_indices, row_values, row_lengths, kinds = (
-        list(chain.from_iterable(part)) for part in
-        ([rows.indices for rows in chosen], [rows.values for rows in chosen],
-         [rows.lengths for rows in chosen], [rows.kinds for rows in chosen]))
+    # per row: its rhs a_const - u_const, a bundle's constant being 0.0 - its
+    # cost and sitting out's -0.0; its slack name, entries and block
+    rhs, slack_names, row_indices, row_values, row_lengths, kinds = [], [], [], [], [], []
+    for rnd, (own, rows), cost in zip(rounds, chosen, costs.tolist()):
+        u_const = 0.0 - cost[own]
+        for t, kind, columns, values, tag in rows:
+            rhs.append((-0.0 if t is None else 0.0 - cost[t]) - u_const)
+            if tag:
+                slack_names.append(f"{tag[0]}::{rnd}::{tag[1]}")
+            row_indices += columns
+            row_values += values
+            row_lengths.append(len(columns))
+            kinds.append(kind)
     indices = np.array(row_indices + pairs, dtype=np.intp)
     indices[indices < 0] = np.arange(nfix, nfix + len(slack_names))
     rhs += [0.0] * n_d

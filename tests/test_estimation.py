@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,3 +419,30 @@ class TestBuilderMatchesDictReference:
         assert estimate(holding, prices, {1: 2, 2: 2}, catalog)[1].fallback_used
         for weight in (None, 10.0):
             assert_builds_match(holding, prices, {1: 2, 2: 2}, catalog, weight)
+
+
+@pytest.mark.parametrize("observed, prices, message", [
+    pytest.param({1: (Bundle({"A": 1}), "X/bZ")}, {}, "observed base 'X/bZ' is not one "
+                 "of the bases", id="unknown-base"),
+    pytest.param({}, {2: None}, "no start prices for round 2", id="no-start-prices"),
+    pytest.param({1: (Bundle({"A": 1}), None)}, {}, "round 1: observed bundle has no base",
+                 id="no-base"),
+    pytest.param({}, {2: PriceVector({"A": 0})}, "no price for product 'B'",
+                 id="no-price"),
+    pytest.param({}, {1: PriceVector({"A": 2**53, "B": 0})},
+                 "X: a bundle costs 2**53 cents or more", id="cost-2-53"),
+])
+def test_build_refusals(observed, prices, message):
+    """Each input `_build` refuses, made by one change to the switching
+    log of `test_forced_slack_and_fallback_logs`."""
+    catalog = make_catalog({"A": (5, 1), "B": (5, 1)})
+    space = BundleSpace(
+        bidder_id="X", bases=(BundleBase("X/bA", {"A": 1}), BundleBase("X/bB", {"B": 1})),
+        ladders={"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))},
+        observed={1: (Bundle({"A": 1}), "X/bA"), 2: (Bundle({"B": 1}), "X/bB"),
+                  **observed})
+    start = {1: PriceVector({"A": 10_00, "B": 0}), 2: PriceVector({"A": 0, "B": 10_00}),
+             **prices}
+    start = {rnd: vector for rnd, vector in start.items() if vector is not None}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        estimation._build(space, start, {1: 2, 2: 2}, catalog)
