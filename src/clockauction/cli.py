@@ -33,7 +33,7 @@ from .pipeline import (agents_from_estimates, estimate_all, reconstruct_prices,
 from .report import (RunManifest, comparison_to_json, compare_traces,
                      final_price_scatter_csv, heatmap_csv, heatmap_svg)
 from .solver import write_lp_format
-from .tiered import coverage_report, run_extended_auction
+from .tiered import TIERS, coverage_report, run_extended_auction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,14 +159,19 @@ def _out_dir(args) -> Path:
 
 
 def _load_models(models_dir: str, catalog: ProductCatalog):
-    """An agent per model file, each checked against the catalog."""
+    """An agent per model file, each checked against the catalog; two files
+    of one bidder id are an error naming both."""
     def parse(text):
         model, space = model_from_json(text)
         space.check(catalog)
         return model, space
-    agents = []
+    agents, files = [], {}
     for path in sorted(Path(models_dir).glob("model_*.json")):
         model, space = read_document(path, parse)
+        if model.bidder_id in files:
+            raise ValidationError(f"{files[model.bidder_id]} and {path}: duplicate bidder id "
+                                  f"{model.bidder_id!r}")
+        files[model.bidder_id] = path
         agents.append(BidderAgent(bidder_id=model.bidder_id, model=model, space=space))
     if not agents:
         raise ValidationError(f"no model_*.json files in {models_dir}")
@@ -246,6 +251,13 @@ def cmd_simulate(args, catalog, auction, params) -> int:
 def cmd_simulate_extended(args, catalog, auction, params) -> int:
     agents = _load_models(args.models, catalog)
     table = costmod.cost_table_from_csv(args.cost_table)
+    # each (bidder, area, tier) of a base product: round 1's frames ask for them all
+    needed = [(a.bidder_id, catalog.get(j).area_id, t) for a in agents
+              for base in a.space.bases for j in sorted(base.quantities) for t in TIERS]
+    missing = [key for key in needed if key not in table.costs]
+    if missing:
+        raise ValidationError(f"--cost-table {args.cost_table}: no deployment cost for "
+                              f"({', '.join(missing[0])})")
     demographics = (costmod.load_demographics(args.demographics,
                                               areas={p.area_id for p in catalog})
                     if args.demographics else None)

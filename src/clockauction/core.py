@@ -179,20 +179,18 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class IncrementSchedule:
-    """Per-product, per-round price increment fraction, constrained to [0.1, 0.2]."""
-    delta: Callable[[str, int], float]
+    """The price increment `delta`, a fraction in [0.1, 0.2]: every round
+    raises each clock by it, on every product."""
+    delta: float
+
+    def __post_init__(self):
+        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
+            raise ValidationError(f"price increment must be a number, not {self.delta!r}")
+        _check_delta(self.delta)
 
     @staticmethod
     def constant(value: float) -> "IncrementSchedule":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"price increment must be a number, not {value!r}")
-        _check_delta(value)
-        return IncrementSchedule(delta=lambda product_id, rnd: value)
-
-    def __call__(self, product_id: str, rnd: int) -> float:
-        value = self.delta(product_id, rnd)
-        _check_delta(value)
-        return value
+        return IncrementSchedule(value)
 
 
 def _check_delta(delta: float) -> None:

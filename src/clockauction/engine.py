@@ -22,10 +22,8 @@ import functools
 import itertools
 import json
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
@@ -95,7 +93,7 @@ def _keep(best: dict, key, value: float, alone: bool, found) -> None:
 
 class Frame:
     """The price-free part of one bidder's oracle on one base at one
-    eligibility, which a run builds once and keeps in ORACLE_MEMO.  `levels`
+    eligibility, which a run builds once and keeps in its oracle memo.  `levels`
     gives each product's options, by sorted product, as (choice, quantity,
     cumulative value, price key): (level, level, value, product) in the
     standard auction, ((tier, level), level, value, (product, tier)) in the
@@ -259,39 +257,38 @@ class Frame:
 
 
 def oracle_frame(bidder_id: str, base: BundleBase, model: ValuationModel,
-                 catalog: ProductCatalog, eligibility: int,
+                 catalog: ProductCatalog, eligibility: int, memo: dict,
                  build: Callable[[dict[str, tuple[int, ...]]], Frame]) -> Frame | None:
-    """The `Frame` of the bidder on `base` at `eligibility`: the run's, which
-    ORACLE_MEMO keeps under (bidder, base, eligibility), or outside a run one
-    for this call alone.  `build` makes it from the model ladder levels at or
-    above each base quantity, by sorted product; None when even the lowest
-    levels exceed the eligibility budget."""
-    frames = ORACLE_MEMO.get()
-    if frames is None:
-        frames = {}
+    """The `Frame` of the bidder on `base` at `eligibility`, which `memo`, the
+    run's oracle memo, keeps under (bidder, base, eligibility).  `build`
+    makes it from the model ladder levels at or above each base quantity, by
+    sorted product; None when even the lowest levels exceed the eligibility
+    budget."""
     key = (bidder_id, base.base_id, eligibility)
-    if key not in frames:
+    if key not in memo:
         choices = {}
         for j, base_q in sorted(base.quantities.items()):
             choices[j] = tuple(q for q in model.ladder(j) if q >= base_q)
             if not choices[j]:
                 raise ValidationError(f"base quantity of {j!r} off the model ladder")
         lowest = eligibility_cost({j: levels[0] for j, levels in choices.items()}, catalog)
-        frames[key] = None if lowest > eligibility else build(choices)
-    return frames[key]
+        memo[key] = None if lowest > eligibility else build(choices)
+    return memo[key]
 
 
 def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
-                eligibility: int, catalog: ProductCatalog) -> BaseChoice | None:
+                eligibility: int, catalog: ProductCatalog, memo: dict) -> BaseChoice | None:
     """`choose_base`'s entry for one base: the ladder levels that maximize the
     cumulative increment value up to the chosen level minus quantity *
     price, plus the base value.  The per-product argmax levels are the bid
-    when they fit the budget; else the entry is the frame's.  None when
-    even the minimum levels exceed the eligibility budget."""
-    frame = oracle_frame(model.bidder_id, base, model, catalog, eligibility, lambda choices: Frame(
-        {j: [(q, q, model.cumulative_value(j, q), j) for q in levels]
-         for j, levels in choices.items()},
-        model.base_values.get(base.base_id, 0.0), catalog, eligibility, Bundle))
+    when they fit the budget; else the entry is the frame's, which `memo`
+    keeps.  None when even the minimum levels exceed the eligibility
+    budget."""
+    frame = oracle_frame(
+        model.bidder_id, base, model, catalog, eligibility, memo, lambda choices: Frame(
+            {j: [(q, q, model.cumulative_value(j, q), j) for q in levels]
+             for j, levels in choices.items()},
+            model.base_values.get(base.base_id, 0.0), catalog, eligibility, Bundle))
     if frame is None:
         return None
     options = frame.options(prices)
@@ -334,7 +331,7 @@ def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
                eligibility: int, memo: dict) -> Bundle | None:
     """best_copies per base, then the base choice of choose_base."""
     return choose_base(agent, lambda base: best_copies(base, agent.model, prices, eligibility,
-                                                       catalog),
+                                                       catalog, memo),
                        memo, eligibility, lambda base: tuple(prices[j] for j in base.quantities))
 
 
@@ -359,41 +356,24 @@ def overdemanded(aggregate: Mapping[str, int],
     return {j: q > catalog.get(j).supply for j, q in aggregate.items()}
 
 
-def price_step(start: PriceVector, rnd: int, over: Mapping[Hashable, bool],
-               product_of: Mapping[Hashable, str], increments: IncrementSchedule
-               ) -> tuple[PriceVector, PriceVector]:
-    """(clock, posted) prices of round `rnd`; the clock is one increment up
-    and is posted where the key is overdemanded."""
-    clock = PriceVector({k: clock_price(start[k], increments(j, rnd))
-                         for k, j in product_of.items()})
-    posted = PriceVector({k: step_price(start[k], clock[k], over[k])
-                          for k in product_of})
+def price_step(start: PriceVector, over: Mapping[Hashable, bool], keys: Iterable[Hashable],
+               increments: IncrementSchedule) -> tuple[PriceVector, PriceVector]:
+    """(clock, posted) prices of `keys` after a round that started at
+    `start`: the clock is one increment, `increments.delta`, up, and is
+    posted where the key is overdemanded."""
+    clock = PriceVector({k: clock_price(start[k], increments.delta) for k in keys})
+    posted = PriceVector({k: step_price(start[k], clock[k], over[k]) for k in keys})
     return clock, posted
 
 
-# the oracle memo of the run in progress, None outside `run_rounds`
-ORACLE_MEMO: ContextVar[dict | None] = ContextVar("oracle_memo", default=None)
-
-
-@contextmanager
-def oracle_memo():
-    """A new ORACLE_MEMO for the block."""
-    token = ORACLE_MEMO.set({})
-    try:
-        yield
-    finally:
-        ORACLE_MEMO.reset(token)
-
-
-@oracle_memo()
 def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
                market: Market) -> AuctionTrace:
     """Rounds of bids at start prices, exits and the activity rule, until no
     key is overdemanded or `max_rounds` truncates the run.  The run owns its
-    oracle memo (`choose_base`'s, passed to each bid, and ORACLE_MEMO while
-    it runs, where the oracles keep their frames), and so the frames' MIP
-    rows with their memos of simplex starts: the oracle MIPs repeat their
-    rows across rounds at new prices."""
+    oracle memo, which it passes to each bid: `choose_base` keeps its
+    entries there and the oracles their frames, and so the frames' MIP rows
+    with their memos of simplex starts (the oracle MIPs repeat their rows
+    across rounds at new prices).  Nothing of it outlives the run."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):
@@ -403,7 +383,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
     start = PriceVector({k: catalog.get(j).opening_price for k, j in keys.items()})
     eligibility = {a.bidder_id: initial_eligibility(a.space, catalog) for a in agents}
     exited: set[str] = set()
-    memo = ORACLE_MEMO.get()
+    memo: dict = {}
 
     rounds: list[RoundRecord] = []
     while True:
@@ -424,7 +404,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
             for k, q in market.demand(bid).items():
                 aggregate[k] += q
         over = market.overdemanded(aggregate)
-        clock, posted = price_step(start, rnd, over, keys, config.increments)
+        clock, posted = price_step(start, over, keys, config.increments)
         rounds.append(RoundRecord(
             round=rnd, start=start, clock=clock, posted=posted,
             aggregate=aggregate, bids=bids, eligibility=dict(eligibility)))

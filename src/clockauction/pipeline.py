@@ -24,14 +24,13 @@ def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
     demand = log.demand()
     if not demand:
         raise ValidationError("empty bid log")
-    product_of = {j: j for j in catalog.ids()}
+    ids = catalog.ids()
     start_prices: dict[int, PriceVector] = {}
-    start = PriceVector({j: catalog.get(j).opening_price for j in product_of})
+    start = PriceVector({j: catalog.get(j).opening_price for j in ids})
     for rnd, totals in enumerate(demand, start=1):
-        aggregate = {j: totals.get(j, 0) for j in product_of}
+        aggregate = {j: totals.get(j, 0) for j in ids}
         start_prices[rnd] = start
-        _, start = price_step(start, rnd, overdemanded(aggregate, catalog),
-                              product_of, increments)
+        _, start = price_step(start, overdemanded(aggregate, catalog), ids, increments)
     return start_prices
 
 

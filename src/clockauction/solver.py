@@ -34,6 +34,7 @@ import copy
 import functools
 import importlib.machinery
 import importlib.util
+import json
 import math
 import os
 import sys
@@ -140,7 +141,7 @@ class LinearProgram:
     replaces its lists and rows rather than change them, so `copy.copy`
     gives an LP that shares them all, ready to take new bounds or a new
     objective.  `variables` and `constraints` are views, each item made at
-    access, for `write_lp_format` and for checks; `len` of either is free."""
+    access, for checks; `len` of either is free."""
 
     def __init__(self, names: Sequence[str] = (), costs: Sequence[float] | None = None,
                  rows: Rows | None = None):
@@ -472,32 +473,25 @@ def _highs(core):
 
 def _solve_lp_highs(lp: LinearProgram) -> Solution:
     """HiGHS on the rows in linprog's order: the <= rows and the negated >= rows
-    as they come, then the = rows; rows that are all >= are only negated.  The
-    model is the one milp builds for an LP: column-wise, each column's entries
-    in row order as SciPy's CSR-to-CSC copy leaves them, every column
-    continuous.  It is solved on this thread's instance; a model HiGHS
-    refuses is a SolverError."""
+    as they come, then the = rows.  The model is the one milp builds for an
+    LP: column-wise, each column's entries in row order as SciPy's
+    CSR-to-CSC copy leaves them, every column continuous.  It is solved on
+    this thread's instance; a model HiGHS refuses is a SolverError."""
     core = _highspy()
     rows = lp.rows
     c, lb, ub = _columns(lp)
     relations, m, n = rows.relations, len(rows.rhs), len(c)
     k = m - relations.count(EQ)
     lengths = np.diff(rows.indptr)
-    if relations.count(GE) == m:
-        data, indices = -rows.data, rows.indices
-        upper = -np.array(rows.rhs, dtype=float)
-        lower = np.full(m, -np.inf)
-        row = np.arange(m).repeat(lengths)
-    else:
-        sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
-        eq = np.array([rel == EQ for rel in relations], dtype=bool)
-        order = np.argsort(eq, kind="stable")  # the = rows last, each part in order
-        entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
-        data = (rows.data * np.repeat(sign, lengths))[entries]
-        indices = rows.indices[entries]
-        upper = (sign * np.array(rows.rhs, dtype=float))[order]
-        lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
-        row = np.arange(m).repeat(lengths[order])
+    sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
+    eq = np.array([rel == EQ for rel in relations], dtype=bool)
+    order = np.argsort(eq, kind="stable")  # the = rows last, each part in order
+    entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
+    data = (rows.data * np.repeat(sign, lengths))[entries]
+    indices = rows.indices[entries]
+    upper = (sign * np.array(rows.rhs, dtype=float))[order]
+    lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
+    row = np.arange(m).repeat(lengths[order])
 
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
@@ -570,12 +564,6 @@ def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
     return bad
 
 
-def mip_margin(costs) -> float:
-    """`solve_mip`'s margin for a MIP with these objective costs: 1e-6 * (1 +
-    their 1-norm), ten times INT_TOL times the objective's weight."""
-    return 1e-6 * (1.0 + float(np.abs(costs).sum()))
-
-
 def solve_mip(lp: LinearProgram, binaries: list[str],
               exact: Callable[[dict[str, float]], float] | None = None) -> Solution:
     """Depth-first branch and bound over the `binaries` of `lp`, variables
@@ -588,7 +576,8 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
     `exact(fixed)`, if given, is the exact integer optimum of the node whose
     binaries `fixed` are fixed ({name: 0.0 | 1.0}), inf when it has no
     integer point.  A node with `exact(fixed) > exact({}) + margin`, where
-    margin is `mip_margin` of the costs, is skipped before its simplex
+    margin is 1e-6 * (1 + the 1-norm of the objective costs), ten times
+    INT_TOL times the objective's weight, is skipped before its simplex
     solve.  The result is the one found without `exact`: a skipped subtree
     holds only points worse than the optimum by more than the margin, and a
     node accepted as integral within INT_TOL is that close to one of its
@@ -609,7 +598,7 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
     best = Solution("infeasible", {}, None)
     if exact is not None:
         bound = exact({})
-        margin = mip_margin(lp.costs)
+        margin = 1e-6 * (1.0 + float(np.abs(lp.costs).sum()))
         cutoff = bound + margin
 
     def recurse(lb: list[float], ub: list[float], fixed: dict[str, float]):
@@ -649,25 +638,26 @@ def solve_mip(lp: LinearProgram, binaries: list[str],
 
 
 def write_lp_format(lp: LinearProgram, path) -> None:
-    """Dump in CPLEX LP text format for cross-checking with external solvers."""
-    def term(coef, name, first):
-        sign = "-" if coef < 0 else ("" if first else "+")
-        mag = abs(coef)
-        return f" {sign} {mag:.12g} {name}" if not first else f"{sign}{mag:.12g} {name}"
+    """Dump in CPLEX LP text format for cross-checking with external solvers.
+    Column k is written `xk`, as LP readers refuse the `:` and `/` of the
+    LP's names; in the bounds, a comment line `\\ xk "name"` before each
+    column's bounds gives its name, JSON-quoted.  The objective lists every
+    column in order, so a reader numbers them as here, and each number is
+    its `repr`, which reads back exactly."""
+    def expr(columns, coefs) -> str:
+        text = "".join(f" {'-' if c < 0 else '+'} {abs(float(c))!r} x{k}"
+                       for k, c in zip(columns, coefs))
+        return text[3:] if text.startswith(" + ") else text[1:] or "0 x0"
 
-    lines = ["Minimize", " obj:"]
-    parts = []
-    for i, (name, coef) in enumerate(sorted(lp.objective.items())):
-        parts.append(term(coef, name, i == 0))
-    lines[-1] += " " + "".join(parts) if parts else " 0 " + lp.variables[0].name
-    lines.append("Subject To")
-    for i, con in enumerate(lp.constraints):
-        expr = "".join(term(coef, name, j == 0)
-                       for j, (name, coef) in enumerate(sorted(con.coeffs.items())))
-        lines.append(f" c{i}: {expr} {con.relation} {con.rhs:.12g}")
+    rows = lp.rows
+    lines = ["Minimize", " obj: " + expr(range(len(lp.names)), lp.costs), "Subject To"]
+    for i, (rel, rhs) in enumerate(zip(rows.relations, rows.rhs)):
+        span = slice(rows.indptr[i], rows.indptr[i + 1])
+        lines.append(f" c{i}: {expr(rows.indices[span].tolist(), rows.data[span])} "
+                     f"{rel} {float(rhs)!r}")
     lines.append("Bounds")
-    for v in lp.variables:
-        ub = "+inf" if v.ub is None else f"{v.ub:.12g}"
-        lines.append(f" {v.lb:.12g} <= {v.name} <= {ub}")
+    for k, (name, lb, ub) in enumerate(zip(lp.names, lp.lb, lp.ub)):
+        lines += [f"\\ x{k} {json.dumps(name)}",
+                  f" {float(lb)!r} <= x{k} <= {'+inf' if ub == math.inf else repr(float(ub))}"]
     lines.append("End")
     atomic_write(path, "\n".join(lines) + "\n")

@@ -91,13 +91,13 @@ class TieredAuctionTrace(AuctionTrace):
 def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                         prices: PriceVector, eligibility: int,
                         catalog: ProductCatalog, bidder_id: str,
-                        adjustment: TieredValuationAdjustment) -> BaseChoice | None:
+                        adjustment: TieredValuationAdjustment, memo: dict) -> BaseChoice | None:
     """Level and tier choice for one base, as `choose_base`'s entry: its
     utility is net of the engaged deployment costs plus the base value.  The
-    base's `engine.Frame` holds each (tier, level) option, the (area, tier)
-    engagements' costs and the engagement each option needs; the call adds
-    the utilities at `prices`.  Its MIP runs only where the base wins and
-    the frame's entry cannot name its bid."""
+    base's `engine.Frame`, which `memo` keeps, holds each (tier, level)
+    option, the (area, tier) engagements' costs and the engagement each
+    option needs; the call adds the utilities at `prices`.  Its MIP runs
+    only where the base wins and the frame's entry cannot name its bid."""
     def build(choices):
         area_of = {j: catalog.get(j).area_id for j in choices}
         engage = {(a, t): f"Y::{a}::{t}" for a in sorted(set(area_of.values())) for t in TIERS}
@@ -109,7 +109,7 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                      costs={name: float(adjustment.cost(bidder_id, a, t))
                             for (a, t), name in engage.items()})
 
-    frame = oracle_frame(bidder_id, base, model, catalog, eligibility, build)
+    frame = oracle_frame(bidder_id, base, model, catalog, eligibility, memo, build)
     return None if frame is None else frame.choice(frame.options(prices), solve_mip)
 
 
@@ -119,7 +119,7 @@ def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,
                        ) -> TieredBundle | None:
     return choose_base(
         agent, lambda base: _best_tiered_copies(
-            base, agent.model, prices, eligibility, catalog, agent.bidder_id, adjustment),
+            base, agent.model, prices, eligibility, catalog, agent.bidder_id, adjustment, memo),
         memo, eligibility,
         lambda base: tuple(prices[(j, t)] for j in base.quantities for t in TIERS))
 

@@ -79,7 +79,7 @@ def test_01_best_copies_oracle():
         elig = int(rng.integers(0, 40))
 
         from clockauction.core import PriceVector
-        entry = best_copies(base, model, PriceVector(price), elig, catalog)
+        entry = best_copies(base, model, PriceVector(price), elig, catalog, {})
         # the bid the auction uses: the entry's known bid, else its MIP's
         got = None if entry is None else (entry if entry.bid is not None else entry.resolve()).bid
 
@@ -200,7 +200,7 @@ def test_01b_tiered_oracle():
                     base_u = u
             # the base's own bid, as the auction uses it: known, else its MIP's
             entry = _best_tiered_copies(base, model, PriceVector(price), elig, catalog, "X",
-                                        adjustment)
+                                        adjustment, {})
             if (entry is None) != (base_u is None):
                 mismatches.append((instance, base.base_id, base_u, entry))
             elif entry is not None:
@@ -458,10 +458,10 @@ def test_load_band_reads_the_config_as_the_command_line(tmp_path):
     catalog, raw, config, companies = _load_band(tmp_path)
     assert catalog == truth.catalog and companies == []
     assert sorted(raw.bidders()) == sorted(a.bidder_id for a in agents)
-    assert (config.increments("P00", 1), config.max_rounds) == (0.1, 200)
+    assert (config.increments.delta, config.max_rounds) == (0.1, 200)
     (tmp_path / "config.yaml").write_text("delta: 0.15\nmax_rounds: 30\n")
     _, _, config, _ = _load_band(tmp_path)
-    assert (config.increments("P00", 1), config.max_rounds) == (0.15, 30)
+    assert (config.increments.delta, config.max_rounds) == (0.15, 30)
     (tmp_path / "config.yaml").write_text("max_round: 30\n")
     with pytest.raises(ValidationError, match="max_round"):
         _load_band(tmp_path)

@@ -14,7 +14,7 @@ from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
                                  compare_allocations, myopic_bid, run_auction,
                                  trace_from_jsonl, trace_to_jsonl,
                                  trace_summary)
-from clockauction.errors import ValidationError
+from clockauction.errors import SolverError, ValidationError
 from clockauction.estimation import ValuationModel, bundle_utility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
 from clockauction.synthetic import random_setup
@@ -41,7 +41,7 @@ def single_product_model(levels, marginals, base_value=0.0, bidder="X"):
 def copies_bid(base, model, prices, eligibility, catalog):
     """The bid of `best_copies`' entry that the auction uses: the known bid,
     else the resolved one; None when no bid fits."""
-    entry = best_copies(base, model, prices, eligibility, catalog)
+    entry = best_copies(base, model, prices, eligibility, catalog, {})
     return None if entry is None else (entry if entry.bid is not None else entry.resolve()).bid
 
 
@@ -59,7 +59,7 @@ class TestBestCopies:
         model = single_product_model([1], [])
         base = BundleBase("X/base0", {"A": 1})
         catalog = make_catalog({"A": (5, 2, 1_00)})
-        assert best_copies(base, model, PriceVector({"A": 0}), 1, catalog) is None
+        assert best_copies(base, model, PriceVector({"A": 0}), 1, catalog, {}) is None
 
     def test_zero_prices_take_max_levels(self):
         model = single_product_model([1, 2, 4], [5_00, 3_00])
@@ -133,14 +133,14 @@ class TestBestCopies:
 
 def standard_oracle(base, model, eligibility, catalog):
     prices = PriceVector({j: 0 for j in catalog.ids()})
-    return best_copies(base, model, prices, eligibility, catalog)
+    return best_copies(base, model, prices, eligibility, catalog, {})
 
 
 def tiered_oracle(base, model, eligibility, catalog):
     prices = PriceVector({(j, t): 0 for j in catalog.ids() for t in TIERS})
     adjustment = TieredValuationAdjustment.zero(["X"], [p.area_id for p in catalog])
     return _best_tiered_copies(base, model, prices, eligibility, catalog, "X",
-                               adjustment)
+                               adjustment, {})
 
 
 @pytest.mark.parametrize("oracle", [standard_oracle, tiered_oracle],
@@ -374,11 +374,11 @@ class TestEngineInvariants:
 
     def test_phase1_memo_lives_for_one_run(self, monkeypatch):
         """The oracle MIPs of a run are re-priced copies of their frames'
-        MIPs and share their rows, which hold the phase-1 memo; no rows
-        outlive the run, also on an error, and a second run writes the same
-        bytes."""
-        rows, memos = [], []
-        solve_mip = engine.solve_mip
+        MIPs and share their rows, which hold the phase-1 memo; no frame and
+        no rows outlive the run, also on an error, and a second run writes
+        the same bytes."""
+        rows, memos, frames = [], [], []
+        solve_mip, frame = engine.solve_mip, engine.Frame.__init__
 
         def record(lp, *args):
             rows.append(weakref.ref(lp.rows))
@@ -386,21 +386,34 @@ class TestEngineInvariants:
             return solve_mip(lp, *args)
 
         monkeypatch.setattr(engine, "solve_mip", record)
+        monkeypatch.setattr(engine.Frame, "__init__", lambda self, *a, **k:
+                            frames.append(weakref.ref(self)) or frame(self, *a, **k))
         config, agents = standard_mip_setup()
         texts = []
         for _ in range(2):
             rows.clear()
             memos.clear()
+            frames.clear()
             trace = run_auction(config, agents)
             gc.collect()
             assert rows and all(memos) and all(ref() is None for ref in rows)
+            assert frames and all(ref() is None for ref in frames)
             texts.append(trace_to_jsonl(trace)
                          + json.dumps(trace_summary(trace), sort_keys=True))
         assert texts[0] == texts[1]
         assert hashlib.sha256(texts[0].encode()).hexdigest() == self.STANDARD_MIP_DIGEST
         with pytest.raises(ValidationError):
             run_auction(config, agents + agents[:1])
-        assert engine.ORACLE_MEMO.get() is None
+
+        def fail(*args):
+            raise SolverError("the run's MIP")
+
+        monkeypatch.setattr(engine, "solve_mip", fail)
+        frames.clear()
+        with pytest.raises(SolverError):
+            run_auction(config, agents)
+        gc.collect()
+        assert frames and all(ref() is None for ref in frames)
 
     def test_oracle_memo_is_exact_and_per_run(self, monkeypatch):
         """No two entries of a frame's DP and no two MIPs of a run ask the
@@ -410,11 +423,11 @@ class TestEngineInvariants:
         asked, dp_keys, mip_keys = [], [], []
         oracle, choice, solve_mip = engine.best_copies, engine.Frame.choice, engine.solve_mip
 
-        def recording_oracle(base, model, prices, eligibility, catalog):
+        def recording_oracle(base, model, prices, eligibility, catalog, memo):
             key = (model.bidder_id, base.base_id, eligibility,
                    tuple(prices[j] for j in base.quantities))
             asked.append(key)
-            entry = oracle(base, model, prices, eligibility, catalog)
+            entry = oracle(base, model, prices, eligibility, catalog, memo)
             if entry is not None and entry.solve is not None:
                 solve = entry.solve
                 entry.solve = lambda: asked.append(key) or solve()

@@ -77,13 +77,13 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
             if kind == "standard":
                 entry = engine.best_copies(
                     base, model, PriceVector({j: price(j) for j in catalog.ids()}),
-                    eligibility, catalog)
+                    eligibility, catalog, {})
             else:
                 adjustment = random_costs(rng, agent.bidder_id, catalog, rng.random() < 0.5)
                 entry = tiered._best_tiered_copies(
                     base, model,
                     PriceVector({(j, t): price(j) for j in catalog.ids() for t in TIERS}),
-                    eligibility, catalog, agent.bidder_id, adjustment)
+                    eligibility, catalog, agent.bidder_id, adjustment, {})
             entry.resolve()
     return recorded
 
@@ -377,7 +377,7 @@ def test_chooser_bids_as_the_eager_rule(seed, kind, opening):
         at = PriceVector({(j, t): prices[j] for j in catalog.ids() for t in TIERS})
         for base in agent.space.bases:
             entry = tiered._best_tiered_copies(base, agent.model, at, eligibility, catalog,
-                                               agent.bidder_id, adjustment)
+                                               agent.bidder_id, adjustment, {})
             if entry is None:
                 continue
             exact, known = entry.utility, entry.bid
@@ -441,7 +441,8 @@ def test_tied_entry_resolves_with_the_bound(monkeypatch):
     ran = []
     real = tiered.solve_mip
     monkeypatch.setattr(tiered, "solve_mip", lambda *a: ran.append(a[2]) or real(*a))
-    entry = tiered._best_tiered_copies(base, agent.model, prices, 1, catalog, "X", adjustment)
+    entry = tiered._best_tiered_copies(base, agent.model, prices, 1, catalog, "X", adjustment,
+                                       {})
     assert ran == [] and entry.solve is not None and entry.bid is None
     assert entry.utility == 200_00
     entry.resolve()

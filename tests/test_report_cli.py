@@ -16,7 +16,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from clockauction import cli
+from clockauction import cli, estimation
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
 from clockauction.core import ProductCatalog
@@ -29,6 +29,7 @@ from clockauction.ingest import write_bid_log
 from clockauction.pipeline import trace_to_bidlog
 from clockauction.report import (RunManifest, compare_traces, heatmap_csv,
                                  heatmap_matrix, heatmap_svg)
+from clockauction.solver import GE, LE, _highspy
 from clockauction.synthetic import random_setup
 
 
@@ -213,6 +214,46 @@ class TestCliPipeline:
         assert sorted(p.name for p in (out / "lp").iterdir()) == sorted(
             f"estimation_{b}.lp" for b in estimated)
 
+    def test_each_dumped_lp_loads_in_highs_at_the_solved_optimum(self, workspace, tmp_path,
+                                                                 monkeypatch):
+        """HiGHS's LP reader loads every LP that `estimate --dump-lp` writes:
+        its columns in order, with the costs, bounds and row bounds of the
+        LP that `estimate` solved bit for bit, and that LP's optimum."""
+        estimates, solved = {}, []
+        real_estimate_all, real_solve_lp = cli.estimate_all, estimation.solve_lp
+
+        def kept(*args, **kwargs):
+            estimates.update(real_estimate_all(*args, **kwargs))
+            return estimates
+
+        monkeypatch.setattr(cli, "estimate_all", kept)
+        monkeypatch.setattr(estimation, "solve_lp", lambda lp, *a, **k:
+                            solved.append((lp, real_solve_lp(lp, *a, **k))) or solved[-1][1])
+        out = tmp_path / "est"
+        assert run(["estimate", "--catalog", workspace / "catalog.csv",
+                    "--bids", workspace / "bids.csv", "--out", out,
+                    "--dump-lp", out / "lp"]) == 0
+        core = _highspy()
+        options = core.HighsOptions()
+        options.log_to_console = False
+        assert estimates
+        for bidder, est in estimates.items():
+            lp = est.report.lp
+            (objective,) = [sol.objective_value for solved_lp, sol in solved if solved_lp is lp]
+            highs = core._Highs()
+            highs.passOptions(options)
+            assert highs.readModel(str(out / "lp" / f"estimation_{bidder}.lp")) == \
+                core.HighsStatus.kOk, bidder
+            read = highs.getLp()
+            assert (list(read.col_cost_), list(read.col_lower_), list(read.col_upper_)) == \
+                (list(lp.costs), lp.lb, lp.ub)
+            assert list(zip(read.row_lower_, read.row_upper_)) == [
+                (-math.inf if rel == LE else b, math.inf if rel == GE else b)
+                for rel, b in zip(lp.rows.relations, lp.rows.rhs)]
+            highs.run()
+            assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+            assert highs.getInfo().objective_function_value == pytest.approx(objective, abs=1e-6)
+
     def test_estimate_simulate_report(self, workspace, tmp_path):
         est = tmp_path / "est"
         code = run(["estimate", "--catalog", workspace / "catalog.csv",
@@ -346,6 +387,57 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"{table}:3:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dropped, missing", [
+        (["B1,A03,low"], "(B1, A03, low)"),  # B1's base holds P03, in area A03
+        (["B0,A00,low", "B0,A00,medium", "B0,A00,high"], None),  # no base of B0 holds P00
+    ], ids=["needed", "unneeded"])
+    def test_cost_table_without_a_needed_row(self, workspace, tmp_path, capsys, dropped,
+                                             missing):
+        """A cost table without a (bidder, area, tier) that some model's base
+        products need is an error naming the table and the first such
+        triple, before the auction runs; rows no base needs may be absent."""
+        assert run(["cost-table", "--catalog", workspace / "catalog.csv",
+                    "--demographics", workspace / "demographics.csv",
+                    "--inventory", workspace / "inventory.csv",
+                    "--scenario", "none", "--out", tmp_path]) == 0
+        table = tmp_path / "cost_table_none.csv"
+        lines = table.read_text().splitlines()
+        kept = [line for line in lines if not any(line.startswith(row + ",") for row in dropped)]
+        assert len(kept) == len(lines) - len(dropped)
+        table.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        code = run(["simulate-extended", "--catalog", workspace / "catalog.csv",
+                    "--models", workspace / "models", "--cost-table", table,
+                    "--out", tmp_path / "ext"])
+        err = capsys.readouterr().err
+        if missing is None:
+            assert code in (0, 4) and err == ""
+        else:
+            assert (code, err) == (2, f"error: --cost-table {table}: no deployment cost for "
+                                      f"{missing}\n")
+            assert not (tmp_path / "ext" / "trace_tiered.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "simulate-extended"])
+    def test_duplicate_bidder_ids_name_both_files(self, workspace, tmp_path, capsys, command):
+        """Two model files of one bidder id are an error naming the id and
+        both files."""
+        models = tmp_path / "models"
+        models.mkdir()
+        for path in (workspace / "models").glob("model_*.json"):
+            (models / path.name).write_bytes(path.read_bytes())
+        (models / "model_B2_copy.json").write_bytes((models / "model_B2.json").read_bytes())
+        extra = []
+        if command == "simulate-extended":
+            assert run(["cost-table", "--catalog", workspace / "catalog.csv",
+                        "--demographics", workspace / "demographics.csv",
+                        "--inventory", workspace / "inventory.csv",
+                        "--scenario", "none", "--out", tmp_path]) == 0
+            extra = ["--cost-table", tmp_path / "cost_table_none.csv"]
+        code, err = run_captured([command, "--catalog", workspace / "catalog.csv",
+                                  "--models", models, *extra, "--out", tmp_path / "out"])
+        assert (code, err) == (2, f"error: {models / 'model_B2.json'} and "
+                                  f"{models / 'model_B2_copy.json'}: duplicate bidder id 'B2'\n")
+
     def test_report_flags_truncated_trace(self, workspace, tmp_path):
         config = tmp_path / "short.yaml"
         config.write_text("max_rounds: 1\n")
@@ -411,9 +503,10 @@ class TestArtifactDigests:
     the scan-per-query bid log did, on a log where most bidders have several
     bases and smoothing raises 23 series."""
     # sha256 over (file name, bytes) of each command's artifacts, recorded
-    # before the bid log was indexed
+    # before the bid log was indexed; "estimate" re-recorded when the LP dumps
+    # took column numbers and exact numbers, its other files unchanged
     DIGESTS = {
-        "estimate": "0f4bea3c0e5ef9a9892723899bc2c0ece8b08e5184e79012a75589bf8f5fb832",
+        "estimate": "e8a5e8c5e680ef8b0c4e5967b24290bb7a241c46bef91e4824d18619f1c06035",
         "smooth": "2a9c8c9931979ca5507be8c73fe77ddee7f8a167c016e45adcbbe8e21776ed03",
         "report": "bb1c11e7a533734499e2f4ecde00cb204ca10ec484b3f07818119ecce18b6d66"}
     PATTERNS = {"estimate": ["model_*.json", "estimation_report.json",

@@ -1048,3 +1048,25 @@ class TestLpFormatDump:
         text = path.read_text()
         assert text.startswith("Minimize")
         assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
+
+    def test_money_and_names_read_back_exactly(self, tmp_path):
+        """A right-hand side above 10**12 cents and a bound with 17
+        significant digits read back bit for bit, and a comment line gives
+        each column's name, which HiGHS's LP reader would refuse."""
+        lp = lp_min({"vb::B0/base0": 1.0, "sl::2::B0": -1.0},
+                    [("vb::B0/base0", 0.0, None), ("sl::2::B0", 0.0, 0.1 + 0.2)],
+                    [({"vb::B0/base0": 3.0, "sl::2::B0": -0.1}, GE, 1234567890123.0)])
+        path = tmp_path / "model.lp"
+        write_lp_format(lp, path)
+        comments = [line for line in path.read_text().splitlines() if line.startswith("\\")]
+        assert comments == ['\\ x0 "vb::B0/base0"', '\\ x1 "sl::2::B0"']
+        core = solver._highspy()
+        options = core.HighsOptions()
+        options.log_to_console = False
+        highs = core._Highs()
+        highs.passOptions(options)
+        assert highs.readModel(str(path)) == core.HighsStatus.kOk
+        read = highs.getLp()
+        assert list(read.row_lower_) == [1234567890123.0]
+        assert list(read.col_upper_) == [math.inf, 0.1 + 0.2]
+        assert list(read.col_cost_) == [1.0, -1.0]

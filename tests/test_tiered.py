@@ -215,10 +215,11 @@ def test_oracle_memo_is_exact_and_per_run(monkeypatch):
     mip_keys = []
     oracle = tiered._best_tiered_copies
 
-    def recording_oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment):
+    def recording_oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment,
+                         memo):
         key = (bidder_id, base.base_id, eligibility,
                tuple(prices[(j, t)] for j in base.quantities for t in TIERS))
-        entry = oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment)
+        entry = oracle(base, model, prices, eligibility, catalog, bidder_id, adjustment, memo)
         if entry is not None and entry.solve is not None:
             solve = entry.solve
             entry.solve = lambda: mip_keys.append(key) or solve()
@@ -333,12 +334,15 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
             calls += [(agent, base, eligibility, PriceVector(prices)) for base in agent.space.bases]
         prices = {k: int(p * 1.1) if rng.random() < 0.5 else p for k, p in prices.items()}
 
-    def answers():
+    def answers(memo=None):
+        """The answers with one memo for all calls, or without `memo` a new
+        one per call."""
         out = []
         for agent, base, eligibility, at in calls:
             answered.clear()
             entry = tiered._best_tiered_copies(base, agent.model, at, eligibility, catalog,
-                                               agent.bidder_id, adjustment)
+                                               agent.bidder_id, adjustment,
+                                               {} if memo is None else memo)
             if entry is None:
                 out.append(None)
                 continue
@@ -348,8 +352,7 @@ def test_frame_entries_equal_fresh_ones(seed, monkeypatch):
                         list(answered)))
         return out
 
-    with engine.oracle_memo():
-        framed = answers()
+    framed = answers({})
     assert 0 < len(frames) < len(calls)
     frames.clear()
     assert framed == answers()
@@ -365,7 +368,8 @@ def test_frames_live_for_one_run(monkeypatch):
     frames, walks, mips = [], [], []
     frame, walk, solve_mip = engine.Frame.__init__, engine.Frame.walk.func, tiered.solve_mip
     monkeypatch.setattr(engine.Frame, "__init__",
-                        lambda self, *a, **k: frames.append(self) or frame(self, *a, **k))
+                        lambda self, *a, **k: frames.append(weakref.ref(self)) or
+                        frame(self, *a, **k))
     counted = functools.cached_property(lambda self: walks.append(1) or walk(self))
     counted.__set_name__(engine.Frame, "walk")
     monkeypatch.setattr(engine.Frame, "walk", counted)
@@ -377,7 +381,8 @@ def test_frames_live_for_one_run(monkeypatch):
     for _ in range(2):
         frames.clear(), walks.clear(), mips.clear()
         trace = run_extended_auction(config, agents, adj)
-        assert engine.ORACLE_MEMO.get() is None
+        gc.collect()
+        assert all(ref() is None for ref in frames)
         assert mips and len(walks) == len(frames)
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(frames), len(mips)))
