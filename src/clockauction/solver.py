@@ -5,20 +5,20 @@ depth-first branch-and-bound for binary variables: no external solver in the
 loop, so identical inputs give identical outputs byte for byte.  It solves the
 bidder MIPs; a "highs" backend serves the valuation LPs through the same
 interface and is also deterministic for fixed inputs.  It hands each LP
-straight to SciPy's bundled HiGHS bindings, the model scipy.optimize.milp
-would build without integrality.  It loads that one extension module from
-SciPy's directory at the first solve, without importing scipy.optimize,
-whose import would cost more than the solves of a whole `estimate`
-(`_highspy`).  It solves each LP on one HiGHS instance per thread, made at
-the thread's first solve; passModel replaces the model and the last solve's
-state, and a test checks that a reused instance answers as a fresh one.
+as written to SciPy's bundled HiGHS bindings, loading that one extension
+module from SciPy's directory at the first solve, without importing
+scipy.optimize, whose import would cost more than the solves of a whole
+`estimate` (`_highspy`).  It solves each LP on one HiGHS instance per
+thread, made at the thread's first solve; passModel replaces the model and
+the last solve's state, and a test checks that a reused instance answers as
+a fresh one.
 
 Every LP is a `LinearProgram`: named columns with bounds and costs, and its
 constraints as sparse triplets (`Rows`), added a row at a time or, as in
 estimation and the bidder oracle's MIPs, handed over whole.  The simplex
-copies the rows into its tableau as one dense block, the highs backend signs
-and orders them as linprog would, and both refuse non-finite input.  LPs
-share what they do not change: the nodes of `solve_mip(lp, binaries)`
+copies the rows into its tableau as one dense block, the highs backend passes
+their arrays as they are, and both refuse non-finite input.  LPs share
+what they do not change: the nodes of `solve_mip(lp, binaries)`
 differ from their MIP only in the bounds, and a MIP re-priced at new costs
 shares its rows.  The rows keep, by bounds, the tableau and basis that
 phase 2 starts from (`Rows.phase1`), since neither the build nor phase 1
@@ -51,7 +51,9 @@ from .errors import SolverError, ValidationError
 FEAS_TOL = 1e-6   # on row activity after scaling rows to unit max coefficient
 PIVOT_TOL = 1e-9
 INT_TOL = 1e-7
-HIGHS_TOL = 10 * math.sqrt(1e-9)  # linprog's check of a HiGHS point
+# how far a HiGHS point may lie outside a row or a bound: linprog's tolerance,
+# kept so that every point linprog accepted is still accepted
+HIGHS_TOL = 10 * math.sqrt(1e-9)
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -93,6 +95,21 @@ class Rows:
         self.indptr = np.asarray(self.indptr, dtype=np.intp)
         self.indices = np.asarray(self.indices, dtype=np.intp)
         self.data = np.asarray(self.data, dtype=float)
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """Each row's activity A @ x, its entries summed in row order as a
+        loop over the row would."""
+        row = np.arange(len(self.rhs)).repeat(np.diff(self.indptr))
+        return np.bincount(row, weights=self.data * x[self.indices], minlength=len(self.rhs))
+
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's lower and upper bound on its activity, what its relation
+        means: [rhs, +inf] for >=, [-inf, rhs] for <= and [rhs, rhs] for =."""
+        rhs = np.array(self.rhs, dtype=float)
+        lower = np.where([rel == LE for rel in self.relations], -np.inf, rhs)
+        upper = np.where([rel == GE for rel in self.relations], np.inf, rhs)
+        return lower, upper
 
     @functools.cached_property
     def integer_weight(self) -> float | None:
@@ -472,40 +489,24 @@ def _highs(core):
 
 
 def _solve_lp_highs(lp: LinearProgram) -> Solution:
-    """HiGHS on the rows in linprog's order: the <= rows and the negated >= rows
-    as they come, then the = rows.  The model is the one milp builds for an
-    LP: column-wise, each column's entries in row order as SciPy's
-    CSR-to-CSC copy leaves them, every column continuous.  It is solved on
-    this thread's instance; a model HiGHS refuses is a SolverError."""
+    """HiGHS on the LP as written: the rows row-wise, in their order, each
+    with the bounds its relation gives (`Rows.bounds`), every column
+    continuous.  It is solved on this thread's instance; a model HiGHS
+    refuses is a SolverError, and so is a point outside the rows or bounds
+    by more than HIGHS_TOL."""
     core = _highspy()
     rows = lp.rows
     c, lb, ub = _columns(lp)
-    relations, m, n = rows.relations, len(rows.rhs), len(c)
-    k = m - relations.count(EQ)
-    lengths = np.diff(rows.indptr)
-    sign = np.array([-1.0 if rel == GE else 1.0 for rel in relations])
-    eq = np.array([rel == EQ for rel in relations], dtype=bool)
-    order = np.argsort(eq, kind="stable")  # the = rows last, each part in order
-    entries = np.argsort(np.repeat(eq, lengths), kind="stable")  # and their entries
-    data = (rows.data * np.repeat(sign, lengths))[entries]
-    indices = rows.indices[entries]
-    upper = (sign * np.array(rows.rhs, dtype=float))[order]
-    lower = np.concatenate([np.full(k, -np.inf), upper[k:]])
-    row = np.arange(m).repeat(lengths[order])
+    lower, upper = rows.bounds
 
     model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = m
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.num_col_ = model.a_matrix_.num_col_ = len(c)
+    model.num_row_ = model.a_matrix_.num_row_ = len(rows.rhs)
+    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = \
+        rows.indptr, rows.indices, rows.data
     model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
     model.row_lower_, model.row_upper_ = lower, upper
-    by_column = np.argsort(indices, kind="stable")  # keeps row order within a column
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(indices, minlength=n), out=start[1:])
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = row[by_column]
-    model.a_matrix_.value_ = data[by_column]
-    model.integrality_ = [core.HighsVarType.kContinuous] * n
 
     highs = _highs(core)
     if highs.passModel(model) == core.HighsStatus.kError:
@@ -518,11 +519,10 @@ def _solve_lp_highs(lp: LinearProgram) -> Solution:
         return Solution("unbounded", {}, None)
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"highs failed: {highs.modelStatusToString(status)}")
-    # linprog's check of the point HiGHS returns
     x = np.array(highs.getSolution().col_value)
     fun = highs.getInfo().objective_function_value
-    excess = np.bincount(row, weights=data * x[indices], minlength=m) - upper
-    if not ((excess[:k] <= HIGHS_TOL).all() and (abs(excess[k:]) <= HIGHS_TOL).all()
+    activity = rows.activity(x)
+    if not ((activity - lower >= -HIGHS_TOL).all() and (activity - upper <= HIGHS_TOL).all()
             and (x >= lb - HIGHS_TOL).all() and (x <= ub + HIGHS_TOL).all()
             and math.isfinite(fun)):
         raise SolverError("highs returned a point outside the constraints")
@@ -544,19 +544,17 @@ def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
 
 def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
     """Indices of constraints violated beyond FEAS_TOL (rows scaled to unit max
-    coefficient).  One sparse product A @ x over the rows gives each
-    row's gap to its rhs, its entries summed in order as a loop over the row
-    would; a scale is 1 or more, so only rows whose gap exceeds FEAS_TOL on
-    the violating side are scaled and checked."""
+    coefficient).  Each row's gap is its activity's distance outside its
+    bounds (`Rows.activity`, `Rows.bounds`), signed: activity - rhs on the
+    violating side, 0 inside; a scale is 1 or more, so only rows whose gap
+    exceeds FEAS_TOL are scaled and checked."""
     rows = lp.rows
     x = np.array([values[name] for name in lp.names], dtype=float)
-    m = len(rows.rhs)
-    row = np.arange(m).repeat(np.diff(rows.indptr))
-    gap = np.bincount(row, weights=rows.data * x[rows.indices], minlength=m) - rows.rhs
-    relations = rows.relations
+    activity = rows.activity(x)
+    lower, upper = rows.bounds
+    gap = np.minimum(activity - lower, 0.0) + np.maximum(activity - upper, 0.0)
     bad = []
-    for i in sorted([i for i in np.flatnonzero(gap < -FEAS_TOL).tolist() if relations[i] != LE]
-                    + [i for i in np.flatnonzero(gap > FEAS_TOL).tolist() if relations[i] != GE]):
+    for i in np.flatnonzero(abs(gap) > FEAS_TOL).tolist():
         coeffs = np.abs(rows.data[rows.indptr[i]:rows.indptr[i + 1]])
         resid = gap[i] / max(coeffs.max(initial=0.0), abs(rows.rhs[i]), 1.0)
         if abs(resid) > FEAS_TOL:

@@ -37,7 +37,7 @@ class TieredValuationAdjustment:
             except ValidationError as exc:
                 raise ValidationError(f"({bidder}, {area}, {tier}): {exc}") from None
         for key, per_tier in grouped.items():
-            ordered = [per_tier.get(t, 0) for t in TIERS]
+            ordered = [per_tier[t] for t in TIERS if t in per_tier]
             if ordered != sorted(ordered):
                 raise ValidationError(f"costs not monotone in tier for {key}")
 

@@ -389,8 +389,9 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("dropped, missing", [
         (["B1,A03,low"], "(B1, A03, low)"),  # B1's base holds P03, in area A03
+        (["B1,A05,medium"], "(B1, A05, medium)"),  # its low cost is above 0
         (["B0,A00,low", "B0,A00,medium", "B0,A00,high"], None),  # no base of B0 holds P00
-    ], ids=["needed", "unneeded"])
+    ], ids=["needed", "needed-medium", "unneeded"])
     def test_cost_table_without_a_needed_row(self, workspace, tmp_path, capsys, dropped,
                                              missing):
         """A cost table without a (bidder, area, tier) that some model's base

@@ -291,7 +291,8 @@ def test_an_estimation_lp_solves_on_both_backends(seed):
 
 
 class TestHighsAdapter:
-    """The HiGHS backend gives each status, and the answer linprog gives."""
+    """The HiGHS backend gives each status, and the answer linprog gives: bit
+    for bit on the estimation LPs, within 1e-9 on mixed rows."""
 
     @pytest.mark.parametrize("lp", [
         pytest.param(lp_min({"x": 1.0}, [("x", 0.0, 1.0)], [({"x": 1.0}, GE, 2.0)]),
@@ -330,24 +331,42 @@ class TestHighsAdapter:
         assert {sol.status for sol in answers} == {"optimal", "infeasible"}
         assert answers == [linprog_reference(lp) for lp in lps]
 
-    def test_matches_linprog_on_mixed_rows(self):
+    def test_agrees_with_linprog_on_mixed_rows(self):
+        """HiGHS reads mixed <=, >= and = rows as written, where linprog
+        negates the >= rows and moves the = rows last, so a point can differ
+        from linprog's in the last bits: the same status, the objective within
+        1e-9 relative, and every point inside the rows."""
         rng = np.random.default_rng(20261018)
-        lps = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)]
-        assert [solve_lp(lp, backend="highs") for lp in lps] == \
-            [linprog_reference(lp) for lp in lps]
+        for lp in [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)]:
+            sol, ref = solve_lp(lp, backend="highs"), linprog_reference(lp)
+            assert sol.status == ref.status == "optimal"
+            assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+            assert check_feasible(lp, sol.values) == []
 
-    def test_point_outside_the_rows_is_an_error(self, monkeypatch):
-        # linprog's check of the returned point (status 4 there) is kept
+    @pytest.mark.parametrize("relation, off", [
+        pytest.param(LE, 2.0 + 2 * solver.HIGHS_TOL, id="le-above"),
+        pytest.param(GE, 2.0 - 2 * solver.HIGHS_TOL, id="ge-below"),
+        pytest.param(EQ, 2.0 - 2 * solver.HIGHS_TOL, id="eq-below"),
+        pytest.param(EQ, 2.0 + 2 * solver.HIGHS_TOL, id="eq-above")])
+    def test_point_outside_the_rows_is_an_error(self, relation, off, monkeypatch):
+        """A point HiGHS calls optimal is checked against the row's bounds, as
+        linprog checked it (status 4 there): one outside by more than
+        HIGHS_TOL on a side the row bounds is an error, one on the row is
+        not."""
         core = highspy_core()
-        lp = lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1.0}, GE, 2.0)])
-        off = SimpleNamespace(passModel=lambda model: core.HighsStatus.kOk,
-                              run=lambda: core.HighsStatus.kOk,
-                              getModelStatus=lambda: core.HighsModelStatus.kOptimal,
-                              getSolution=lambda: SimpleNamespace(col_value=[1.0]),
-                              getInfo=lambda: SimpleNamespace(objective_function_value=1.0))
-        monkeypatch.setattr(solver, "_highs", lambda core: off)
-        with pytest.raises(SolverError):
+        lp = lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": 1.0}, relation, 2.0)])
+
+        def answering(x):
+            return SimpleNamespace(passModel=lambda model: core.HighsStatus.kOk,
+                                   run=lambda: core.HighsStatus.kOk,
+                                   getModelStatus=lambda: core.HighsModelStatus.kOptimal,
+                                   getSolution=lambda: SimpleNamespace(col_value=[x]),
+                                   getInfo=lambda: SimpleNamespace(objective_function_value=x))
+        monkeypatch.setattr(solver, "_highs", lambda core: answering(off))
+        with pytest.raises(SolverError, match="outside the constraints"):
             solve_lp(lp, backend="highs")
+        monkeypatch.setattr(solver, "_highs", lambda core: answering(2.0))
+        assert solve_lp(lp, backend="highs") == Solution("optimal", {"x": 2.0}, 2.0)
 
     @pytest.mark.parametrize("lp", [
         pytest.param(lp_min({"x": 1.0}, [("x", 0.0, None)], [({"x": math.nan}, GE, 2.0)]),
@@ -465,43 +484,33 @@ def test_the_threads_instance_keeps_no_state_between_calls(monkeypatch):
     assert other["answers"] == reused
 
 
-def csr_reference(lp):
-    """The cost vector and the constraint, as CSR rows built in one pass over
-    the rows in linprog's order, signing each coefficient as it goes.  Through
-    SciPy's own CSC conversion, the reference for the column-wise model the
-    HiGHS adapter builds from an LP's `Rows`."""
-    from scipy.optimize import LinearConstraint
-    from scipy.sparse import csr_array
-
+def rows_reference(lp):
+    """The cost vector, the rows in triplets and each row's bounds, built in
+    one loop over the constraints as written: >= is [rhs, +inf], <= is
+    [-inf, rhs] and = is [rhs, rhs].  The reference for the row-wise model
+    the HiGHS adapter builds from an LP's `Rows`."""
     index = {v.name: i for i, v in enumerate(lp.variables)}
-    inequalities = [con for con in lp.constraints if con.relation != EQ]
-    indptr, indices, data, upper = [0], [], [], []
-    for con in inequalities + [con for con in lp.constraints if con.relation == EQ]:
-        sign = -1.0 if con.relation == GE else 1.0
+    indptr, indices, data, lower, upper = [0], [], [], [], []
+    for con in lp.constraints:
         indices += map(index.__getitem__, con.coeffs)
-        data += [sign * coef for coef in con.coeffs.values()]
+        data += con.coeffs.values()
         indptr.append(len(indices))
-        upper.append(sign * con.rhs)
-    A = csr_array((np.array(data, dtype=float), indices, indptr),
-                  shape=(len(upper), len(index)))
-    upper = np.array(upper, dtype=float)
-    lower = upper.copy()
-    lower[:len(inequalities)] = -np.inf
+        lower.append(-math.inf if con.relation == LE else con.rhs)
+        upper.append(math.inf if con.relation == GE else con.rhs)
     c = np.zeros(len(index))
     for name, coef in lp.objective.items():
         c[index[name]] += coef
-    return c, LinearConstraint(A, lower, upper)
+    return c, (np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp),
+               np.array(data, dtype=float)), np.array(lower), np.array(upper)
 
 
-def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
-    """HighsLp gets the cost vector, the column-wise matrix of
-    `csr_reference` as SciPy's csc_array gives it, the row bounds, milp's
-    column bounds and all-continuous integrality, compared by bytes and
-    dtype, on the mixed-row LPs of TestHighsAdapter, on the same LPs with
-    each 0.0 coefficient written as -0.0 and with each dropped (rows of
-    unequal length), on every estimation LP and on an LP without rows."""
-    from scipy.sparse import csc_array
-
+def test_highs_receives_the_rows_as_written(monkeypatch):
+    """HighsLp gets the cost vector, the LP's own row-wise triplets as
+    `rows_reference` gives them, each row's bounds, the column bounds and
+    no integrality, compared by bytes and dtype, on the mixed-row LPs of
+    TestHighsAdapter, on the same LPs with each 0.0 coefficient written as
+    -0.0 and with each dropped (rows of unequal length), on every estimation
+    LP and on an LP without rows."""
     rng = np.random.default_rng(20261018)
     mixed = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)]
 
@@ -518,26 +527,26 @@ def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
                       for coef in con.coeffs.values()])
     assert {False, True} <= set(np.signbit(coefs[coefs == 0]).tolist())
 
-    def arrays(c, start, index, value, lower, upper, lb, ub, integrality):
+    def arrays(c, start, index, value, lower, upper, lb, ub):
         return ([a.tobytes() for a in (c, start, index, value, lower, upper, lb, ub)]
-                + [a.dtype for a in (c, start, index, value, lower, upper, lb, ub)]
-                + [integrality])
+                + [a.dtype for a in (c, start, index, value, lower, upper, lb, ub)])
 
     def reference(lp):
-        c, constraint = csr_reference(lp)
-        A = csc_array(constraint.A)
+        c, (indptr, indices, data), lower, upper = rows_reference(lp)
         lb = np.array([v.lb for v in lp.variables], dtype=float)
         ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
-        return arrays(c, A.indptr, A.indices, A.data, constraint.lb, constraint.ub, lb, ub,
-                      [core.HighsVarType.kContinuous] * len(c)) + [
-            A.shape, core.MatrixFormat.kColwise]
+        return arrays(c, indptr, indices, data, lower, upper, lb, ub) + [
+            (len(lower), len(c)), core.MatrixFormat.kRowwise, [True] * 3]
 
-    def received(model):
+    def received(model, lp):
         A = model.a_matrix_
         assert (A.num_row_, A.num_col_) == (model.num_row_, model.num_col_)
+        assert not hasattr(model, "integrality_")
         return arrays(model.col_cost_, A.start_, A.index_, A.value_, model.row_lower_,
-                      model.row_upper_, model.col_lower_, model.col_upper_,
-                      model.integrality_) + [(model.num_row_, model.num_col_), A.format_]
+                      model.row_upper_, model.col_lower_, model.col_upper_) + [
+            (model.num_row_, model.num_col_), A.format_,
+            [a is b for a, b in zip((A.start_, A.index_, A.value_),
+                                    (lp.rows.indptr, lp.rows.indices, lp.rows.data))]]
 
     class RecordingLp:
         """Stands in for HighsLp, keeping what the adapter writes into it."""
@@ -546,15 +555,16 @@ def test_highs_receives_the_one_pass_arrays_bit_for_bit(monkeypatch):
 
     core = highspy_core()
     got = []
-    refuse = SimpleNamespace(passModel=lambda model: got.append(received(model))
-                             or core.HighsStatus.kOk,
+    refuse = SimpleNamespace(passModel=lambda model: got.append(model) or core.HighsStatus.kOk,
                              run=lambda: core.HighsStatus.kOk,
                              getModelStatus=lambda: core.HighsModelStatus.kInfeasible)
     monkeypatch.setattr(core, "HighsLp", RecordingLp)
     monkeypatch.setattr(solver, "_highs", lambda core: refuse)
     for lp in lps:
         assert solve_lp(lp, backend="highs").status == "infeasible"
-    assert got == [reference(lp) for lp in lps]
+    assert len(got) == len(lps)
+    assert [received(model, lp) for model, lp in zip(got, lps)] == \
+        [reference(lp) for lp in lps]
 
 
 def feasible_reference(lp, values):

@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import json
+import re
 import weakref
 
 import numpy as np
@@ -84,6 +85,28 @@ class TestAdjustment:
         with pytest.raises(ValidationError):  # high cheaper than low
             TieredValuationAdjustment({("B", "A1", "low"): 10,
                                        ("B", "A1", "high"): 5})
+
+    @pytest.mark.parametrize("costs, falling", [
+        pytest.param({"low": 5, "high": 10}, False, id="no-medium"),
+        pytest.param({"medium": 5, "high": 10}, False, id="no-low"),
+        pytest.param({"low": 5, "medium": 10}, False, id="no-high"),
+        pytest.param({"low": 10, "high": 5}, True, id="falling-without-medium"),
+        pytest.param({"medium": 10, "high": 5}, True, id="falling-without-low"),
+        pytest.param({"low": 10, "medium": 5, "high": 20}, True, id="falling-once")])
+    def test_monotone_over_the_tiers_present(self, costs, falling):
+        """Costs may not fall from one tier to a stricter one among the tiers
+        a (bidder, area) has; a tier it lacks has no cost, not cost 0, and
+        asking for it is the error."""
+        table = {("B", "A1", tier): cost for tier, cost in costs.items()}
+        if falling:
+            with pytest.raises(ValidationError,
+                               match=re.escape("costs not monotone in tier for ('B', 'A1')")):
+                TieredValuationAdjustment(table)
+            return
+        adj = TieredValuationAdjustment(table)
+        missing = next(t for t in TIERS if t not in costs)
+        with pytest.raises(ValidationError, match=re.escape(f"(B, A1, {missing})")):
+            adj.cost("B", "A1", missing)
 
     def test_zero_helper_and_missing_key(self):
         adj = TieredValuationAdjustment.zero(["B"], ["A1"])
