@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 from . import costs as costmod
 from .core import (DIGESTS, INPUT_ERRORS, IncrementSchedule, ProductCatalog,
                    atomic_write, cents_to_dollars, dollars_to_cents, input_error,
@@ -93,29 +91,13 @@ _COST_KEYS = {
 }
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, except that a key repeated in one mapping is an
-    error, not a silent overwrite."""
-
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
-                key = self.construct_object(key_node, deep=deep)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"repeated key {key!r}", key_node.start_mark)
-                seen.add(key)
-        return super().construct_mapping(node, deep=deep)
-
-
 def _load_config(path: str | None, catalog: ProductCatalog
                  ) -> tuple[AuctionConfig, costmod.CostParameters]:
     """The auction and cost settings of a YAML config, its values converted
     as the file is read; no config, like an empty block, reads as no
     settings, and a key the program does not read (a typo, say) is an error."""
-    def settings(text: str):
-        cfg = yaml.load(text, Loader=_ConfigLoader) or {}
+    def settings(cfg):
+        cfg = cfg or {}
         if not isinstance(cfg, dict):
             raise ValidationError(f"a config is a mapping of settings, not {cfg!r}")
         cost = _block(cfg.get("cost"), "'cost'")
@@ -138,8 +120,27 @@ def _load_config(path: str | None, catalog: ProductCatalog
                 with _naming(f"cost: {key!r}"):
                     params = replace(params, **{field: convert(cost[key])})
         return auction, params
+    if not path:
+        return settings(None)
+    import yaml  # only a run with a config loads PyYAML
+
+    class Loader(yaml.SafeLoader):
+        """PyYAML's safe loader, except that a key repeated in one mapping is
+        an error, not a silent overwrite."""
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and \
+                        key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node, deep=deep)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep=deep)
     try:
-        return read_document(path, settings) if path else settings("")
+        return read_document(path, lambda text: settings(yaml.load(text, Loader=Loader)))
     except yaml.YAMLError as exc:  # its message gives the line and column
         raise ParseError(f"{path}: {' '.join(str(exc).split())}") from exc
 

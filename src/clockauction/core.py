@@ -276,15 +276,17 @@ def read_document(path, parse: Callable[[str], object]):
 
 def atomic_write(path, text: str) -> None:
     """Write `text` to a temporary file, then rename it over `path`, so no
-    reader ever sees a partial file; on failure the temporary file goes."""
+    reader ever sees a partial file; if the write or the rename fails, the
+    temporary file goes."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
 
 
 def _kept(text: str) -> list[tuple[int, str]]:

@@ -16,8 +16,10 @@ HiGHS.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .core import (MAX_CENTS, Bundle, PriceVector, ProductCatalog, check_bidder_
                    eligibility_cost, finite_json)
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
-from .solver import GE, LinearProgram, Rows, Solution, check_feasible, solve_lp
+from .solver import GE, LinearProgram, Rows, Solution, solve_lp
 
 
 def _ladder_steps(levels: tuple[int, ...], quantity: int):
@@ -145,8 +147,6 @@ BLOCKS = ("positive_utility", "marginal_rationality", "revealed_preference",
 class _Problem:
     lp: LinearProgram
     kinds: list[int]                  # per row, the index of its block in BLOCKS
-    slack_names: list[str]
-    mr_slack_names: list[str] = field(default_factory=list)
 
 
 def _vb(base_id: str) -> str:
@@ -293,17 +293,14 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
 
     # the tiny weight on the marginals picks the vertex with minimal marginals
     # out of the degenerate optimal face; keeps re-simulation ties canonical
-    revealed = [name.startswith("sl::") for name in slack_names]
-    weights = [1.0 if sl else mr_slack_weight for sl in revealed]
+    weights = [1.0 if name.startswith("sl::") else mr_slack_weight for name in slack_names]
     return _Problem(
         lp=LinearProgram(names + slack_names,
                          [1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights,
                          Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
                               np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
                               nfix + len(slack_names))),
-        kinds=kinds + [3] * n_d,
-        slack_names=[name for name, sl in zip(slack_names, revealed) if sl],
-        mr_slack_names=[name for name, sl in zip(slack_names, revealed) if not sl])
+        kinds=kinds + [3] * n_d)
 
 
 @dataclass(frozen=True)
@@ -339,6 +336,26 @@ def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
                           base_values=base_values, marginals=marginals)
 
 
+def shortfalls(lp: LinearProgram, model: ValuationModel) -> list[int]:
+    """Each (>=) row's shortfall on `model` in whole cents: how far its
+    activity, at the model's values and every slack column at 0, falls
+    below its right-hand side, else 0.  The sums are Python integers, so a
+    coefficient or right-hand side that is not whole is a ValidationError."""
+    rows, rhs = lp.rows, np.array(lp.rows.rhs, dtype=float)
+    if not (np.array_equal(rows.data, np.rint(rows.data)) and np.array_equal(rhs, np.rint(rhs))):
+        raise ValidationError(f"{model.bidder_id}: an LP row is not in whole numbers")
+    cents = {_vb(b): v for b, v in model.base_values.items()}
+    cents.update((_vm(j, level), v) for (j, level), v in model.marginals.items())
+    x = [int(cents.get(name, 0)) for name in lp.names]
+    # running sums of the entries' products: a row's activity is the
+    # difference of the sums at its ends
+    sums = [0, *accumulate(map(operator.mul, map(int, rows.data.tolist()),
+                               map(x.__getitem__, rows.indices.tolist())))]
+    at = list(map(sums.__getitem__, rows.indptr.tolist()))
+    return [d if d > 0 else 0 for d in map(operator.sub, map(int, rows.rhs),
+                                           map(operator.sub, at[1:], at[:-1]))]
+
+
 def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
              eligibility: dict[int, int], catalog: ProductCatalog,
              keep_lp: bool = False) -> tuple[ValuationModel, EstimationReport]:
@@ -347,7 +364,9 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     If the LP is infeasible (possible if smoothing interacts badly with
     eligibility), re-solve with penalized slack on the marginal-rationality
     block (weight 10x the revealed-preference slack) and flag the report.
-    With `keep_lp` the report keeps the LP solved first as `report.lp`.
+    The report's slack and violations are the written model's `shortfalls`
+    on the rows solved.  With `keep_lp` the report keeps the LP solved
+    first as `report.lp`.
     """
     prob = first = _build(space, start_prices, eligibility, catalog)
     sol = solve_lp(prob.lp, backend="highs")
@@ -358,15 +377,18 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     if sol.status != "optimal":
         raise SolverError(f"estimation LP for {space.bidder_id}: {sol.status}")
 
+    # the written model against the rows: (c) rows have a slack column, and
+    # so do (b) rows in the fallback; any other short row is a violation
     model = _materialize(space, sol)
-    slack_total = sum(sol.values[name] for name in prob.slack_names)
-    slack_total += sum(sol.values[name] for name in prob.mr_slack_names)
-    violations = dict(Counter(BLOCKS[prob.kinds[i]] for i in check_feasible(prob.lp, sol.values)))
+    short = list(zip(prob.kinds, shortfalls(prob.lp, model)))
+    slacked = (1, 2) if fallback else (2,)
     report = EstimationReport(
         bidder_id=space.bidder_id, status=sol.status,
-        slack_total=float(slack_total),
+        slack_total=float(sum(cents for kind, cents in short if kind in slacked)),
         base_value_total=float(sum(model.base_values.values())),
-        violations=violations, fallback_used=fallback, lp=first.lp if keep_lp else None)
+        violations=dict(Counter(BLOCKS[kind] for kind, cents in short
+                                if cents and kind not in slacked)),
+        fallback_used=fallback, lp=first.lp if keep_lp else None)
     return model, report
 
 

@@ -48,7 +48,6 @@ import numpy as np
 from .core import atomic_write
 from .errors import SolverError, ValidationError
 
-FEAS_TOL = 1e-6   # on row activity after scaling rows to unit max coefficient
 PIVOT_TOL = 1e-9
 INT_TOL = 1e-7
 # how far a HiGHS point may lie outside a row or a bound: linprog's tolerance,
@@ -95,21 +94,6 @@ class Rows:
         self.indptr = np.asarray(self.indptr, dtype=np.intp)
         self.indices = np.asarray(self.indices, dtype=np.intp)
         self.data = np.asarray(self.data, dtype=float)
-
-    def activity(self, x: np.ndarray) -> np.ndarray:
-        """Each row's activity A @ x, its entries summed in row order as a
-        loop over the row would."""
-        row = np.arange(len(self.rhs)).repeat(np.diff(self.indptr))
-        return np.bincount(row, weights=self.data * x[self.indices], minlength=len(self.rhs))
-
-    @functools.cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's lower and upper bound on its activity, what its relation
-        means: [rhs, +inf] for >=, [-inf, rhs] for <= and [rhs, rhs] for =."""
-        rhs = np.array(self.rhs, dtype=float)
-        lower = np.where([rel == LE for rel in self.relations], -np.inf, rhs)
-        upper = np.where([rel == GE for rel in self.relations], np.inf, rhs)
-        return lower, upper
 
     @functools.cached_property
     def integer_weight(self) -> float | None:
@@ -490,14 +474,16 @@ def _highs(core):
 
 def _solve_lp_highs(lp: LinearProgram) -> Solution:
     """HiGHS on the LP as written: the rows row-wise, in their order, each
-    with the bounds its relation gives (`Rows.bounds`), every column
-    continuous.  It is solved on this thread's instance; a model HiGHS
-    refuses is a SolverError, and so is a point outside the rows or bounds
-    by more than HIGHS_TOL."""
+    with the bounds its relation gives ([rhs, +inf] for >=, [-inf, rhs] for
+    <= and [rhs, rhs] for =), every column continuous.  It is solved on
+    this thread's instance; a model HiGHS refuses is a SolverError, and so
+    is a point outside the rows or bounds by more than HIGHS_TOL."""
     core = _highspy()
     rows = lp.rows
     c, lb, ub = _columns(lp)
-    lower, upper = rows.bounds
+    rhs = np.array(rows.rhs, dtype=float)
+    lower = np.where([rel == LE for rel in rows.relations], -np.inf, rhs)
+    upper = np.where([rel == GE for rel in rows.relations], np.inf, rhs)
 
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = len(c)
@@ -521,7 +507,9 @@ def _solve_lp_highs(lp: LinearProgram) -> Solution:
         raise SolverError(f"highs failed: {highs.modelStatusToString(status)}")
     x = np.array(highs.getSolution().col_value)
     fun = highs.getInfo().objective_function_value
-    activity = rows.activity(x)
+    # each row's activity, its entries summed in row order
+    activity = np.bincount(np.arange(len(rhs)).repeat(np.diff(rows.indptr)),
+                           weights=rows.data * x[rows.indices], minlength=len(rhs))
     if not ((activity - lower >= -HIGHS_TOL).all() and (activity - upper <= HIGHS_TOL).all()
             and (x >= lb - HIGHS_TOL).all() and (x <= ub + HIGHS_TOL).all()
             and math.isfinite(fun)):
@@ -540,26 +528,6 @@ def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
     if backend == "highs":
         return _solve_lp_highs(lp)
     raise ValidationError(f"unknown backend {backend!r}")
-
-
-def check_feasible(lp: LinearProgram, values: dict[str, float]) -> list[int]:
-    """Indices of constraints violated beyond FEAS_TOL (rows scaled to unit max
-    coefficient).  Each row's gap is its activity's distance outside its
-    bounds (`Rows.activity`, `Rows.bounds`), signed: activity - rhs on the
-    violating side, 0 inside; a scale is 1 or more, so only rows whose gap
-    exceeds FEAS_TOL are scaled and checked."""
-    rows = lp.rows
-    x = np.array([values[name] for name in lp.names], dtype=float)
-    activity = rows.activity(x)
-    lower, upper = rows.bounds
-    gap = np.minimum(activity - lower, 0.0) + np.maximum(activity - upper, 0.0)
-    bad = []
-    for i in np.flatnonzero(abs(gap) > FEAS_TOL).tolist():
-        coeffs = np.abs(rows.data[rows.indptr[i]:rows.indptr[i + 1]])
-        resid = gap[i] / max(coeffs.max(initial=0.0), abs(rows.rhs[i]), 1.0)
-        if abs(resid) > FEAS_TOL:
-            bad.append(i)
-    return bad
 
 
 def solve_mip(lp: LinearProgram, binaries: list[str],

@@ -28,11 +28,11 @@ from clockauction.estimation import ValuationModel
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
                                  parse_bid_log, smooth_monotone, write_bid_log)
 from clockauction.pipeline import estimate_all, roundtrip, trace_to_bidlog
-from clockauction.solver import check_feasible
 from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  coverage_report, run_extended_auction,
                                  tier_overdemand)
+from test_solver import feasible_reference
 
 
 def report(label, ok, detail=""):
@@ -273,7 +273,7 @@ def test_03_lp_constraint_satisfaction():
                     rest = sum(coef * values[n] for n, coef in con.coeffs.items()
                                if not n.startswith("sl::"))
                     values[slack_names[0]] = max(0.0, con.rhs - rest)
-            bad = check_feasible(lp, values)
+            bad = feasible_reference(lp, values)
             worst = max(worst, len(bad))
             slack_worst = max(slack_worst, est.report.slack_total,
                               sum(v for n, v in values.items()

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import clockauction
 from clockauction.core import (Bundle, PriceVector, Product, ProductCatalog,
-                               clock_price, dollars_to_cents, eligibility_cost,
-                               step_price)
+                               atomic_write, clock_price, dollars_to_cents,
+                               eligibility_cost, step_price)
 from clockauction.engine import overdemanded
 from clockauction.errors import ParseError, ValidationError
 from clockauction.ingest import RawBidLog
@@ -143,6 +143,16 @@ class TestIoLayers:
                     openers.add((path.name, fn.name))
         assert with_open == {"core.py"}
         assert openers == {("core.py", "read_document"), ("core.py", "atomic_write")}
+
+    def test_atomic_write_leaves_no_temporary_file(self, tmp_path):
+        """A write that succeeds, and one that fails in the write, each leave
+        no `.tmp` behind; the failed one keeps the old file."""
+        path = tmp_path / "out.txt"
+        atomic_write(path, "new\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(path, "\ud800")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestEligibilityCost:

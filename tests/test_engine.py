@@ -17,6 +17,7 @@ from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
 from clockauction.errors import SolverError, ValidationError
 from clockauction.estimation import ValuationModel, bundle_utility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
+from clockauction.pipeline import roundtrip
 from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  _best_tiered_copies)
@@ -521,3 +522,83 @@ class TestTraceSerialization:
         assert again.final_allocation == trace.final_allocation
         assert trace_to_jsonl(again) == text
         assert trace_summary(again) == trace_summary(trace)
+
+
+def relabelled(config, agents, seed):
+    """The instance with its product, area and bidder ids permuted (by
+    `seed`) onto new labels, which sort in another order, the money kept;
+    and the map from each new id back to its old one.  The catalog and the
+    agents come in the order of their new ids, as a relabelled input file
+    would give them."""
+    rng = np.random.default_rng(seed)
+    old = list(config.catalog)
+    perm = rng.permutation(len(old)).tolist()
+    pid = {p.id: f"Q{k:02d}" for p, k in zip(old, perm)}
+    catalog = ProductCatalog(products=tuple(sorted(
+        (Product(id=pid[p.id], area_id=f"R{k:02d}", area_class=p.area_class,
+                 supply=p.supply, eligibility_points=p.eligibility_points,
+                 opening_price=p.opening_price) for p, k in zip(old, perm)),
+        key=lambda p: p.id)))
+    bperm = rng.permutation(len(agents)).tolist()
+    bid = {a.bidder_id: f"C{k:02d}" for a, k in zip(agents, bperm)}
+    moved = []
+    for agent in agents:
+        bidder = bid[agent.bidder_id]
+        base_ids = {base.base_id: f"{bidder}/base{n}"
+                    for n, base in enumerate(agent.space.bases)}
+        model = ValuationModel(
+            bidder_id=bidder,
+            base_values={base_ids[b]: v for b, v in agent.model.base_values.items()},
+            marginals={(pid[j], level): v for (j, level), v in agent.model.marginals.items()})
+        space = BundleSpace(
+            bidder_id=bidder,
+            bases=tuple(BundleBase(base_ids[base.base_id],
+                                   {pid[j]: q for j, q in base.quantities.items()})
+                        for base in agent.space.bases),
+            ladders={pid[j]: CopyLadder(pid[j], ladder.levels)
+                     for j, ladder in agent.space.ladders.items()},
+            observed={})
+        moved.append(BidderAgent(bidder_id=bidder, model=model, space=space))
+    moved.sort(key=lambda a: a.bidder_id)
+    back = {new: old for new, old in [*zip(pid.values(), pid), *zip(bid.values(), bid)]}
+    return AuctionConfig(catalog, config.increments, config.max_rounds), moved, back
+
+
+def mapped(doc, back):
+    """`doc` with every dict key in `back` replaced by its value."""
+    if isinstance(doc, dict):
+        return {back.get(k, k): mapped(v, back) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(mapped(v, back) for v in doc)
+    return doc
+
+
+def outcome(trace):
+    """Every round of `trace` as its JSON document, and its summary."""
+    return [json.loads(line) for line in trace_to_jsonl(trace).splitlines()], \
+        trace_summary(trace)
+
+
+class TestRelabelling:
+    """Labels do not decide an outcome: with its product, area and bidder
+    ids permuted and the money kept, an instance gives the same rounds,
+    bids, prices and summary under the old labels."""
+
+    @pytest.mark.parametrize("n_bases", [1, 2])
+    def test_standard_auction(self, n_bases):
+        for seed in range(20):
+            config, agents = random_setup(seed, 4, 8, n_bases=n_bases)
+            config_b, agents_b, back = relabelled(config, agents, seed)
+            assert mapped(outcome(run_auction(config_b, agents_b)), back) == \
+                outcome(run_auction(config, agents)), seed
+
+    @pytest.mark.parametrize("n_bases", [1, 2])
+    def test_roundtrip_replay(self, n_bases):
+        """`pipeline.roundtrip`: the auction, the estimation from its bid log
+        and the replay on the estimated models."""
+        for seed in range(12):
+            config, agents = random_setup(seed, 4, 8, n_bases=n_bases)
+            config_b, agents_b, back = relabelled(config, agents, seed)
+            a, b = roundtrip(config, agents), roundtrip(config_b, agents_b)
+            assert mapped(outcome(b.replayed), back) == outcome(a.replayed), seed
+            assert mapped(b.rmse_per_bidder, back) == a.rmse_per_bidder, seed

@@ -13,12 +13,12 @@ from clockauction.estimation import (BLOCKS, EstimationReport, ValuationModel,
                                      bundle_utility, bundle_value,
                                      estimate, initial_eligibility,
                                      model_from_json, model_to_json,
-                                     reconstruct_eligibility)
+                                     reconstruct_eligibility, shortfalls)
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
                                  RawBidLog, build_bundle_space, enumerate_variants,
                                  smooth_monotone)
 from clockauction.pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
-from clockauction.solver import GE, LinearProgram
+from clockauction.solver import GE, LinearProgram, Solution
 from clockauction.synthetic import random_setup
 from clockauction.engine import run_auction
 
@@ -240,6 +240,67 @@ class TestEstimate:
             assert not est.report.violations
 
 
+class TestShortfalls:
+    """The report accounts for the model as written, row by row, in cents."""
+
+    def instance(self):
+        # holding 4 at 10.00, then 2 at 20.00, on the ladder (2, 4): the step
+        # from 2 to 4 is worth 10.00 a unit at least and at most 20.00, so the
+        # least model values it at exactly 10.00 and the base at 40.00
+        space = space_of({"A": [4, 2]})
+        catalog = make_catalog({"A": (6, 1)})
+        prices = {1: PriceVector({"A": 10_00}), 2: PriceVector({"A": 20_00})}
+        return space, prices, reconstruct_eligibility(space, catalog), catalog
+
+    def test_one_cent_off_a_marginal_is_that_shortfall_on_the_rows_it_breaks(self):
+        """One cent less on the marginal of the step to 4 breaks round 1's
+        rows against holding 2, the (b) row and the (c) row, each by the
+        step's width, 2 cents; every other row still holds."""
+        space, prices, eligibility, catalog = self.instance()
+        model, report = estimate(space, prices, eligibility, catalog, keep_lp=True)
+        assert model.marginals[("A", 4)] == 10_00 and model.base_values["X/base0"] == 40_00
+        lp = report.lp
+        assert shortfalls(lp, model) == [0] * len(lp.rows.rhs)
+        moved = ValuationModel("X", model.base_values, {**model.marginals, ("A", 4): 9_99})
+        short = {i: cents for i, cents in enumerate(shortfalls(lp, moved)) if cents}
+        assert short == {1: 2, 2: 2}
+        kinds = estimation._build(space, prices, eligibility, catalog).kinds
+        assert [BLOCKS[kinds[i]] for i in short] == ["marginal_rationality",
+                                                    "revealed_preference"]
+        assert [lp.constraints[i].coeffs["vm::A::4"] for i in short] == [2.0, 2.0]
+        assert "sl::1::0" in lp.constraints[2].coeffs
+
+    @pytest.mark.parametrize("coefficient, rhs", [(0.5, 0.0), (1.0, 0.5)],
+                             ids=["coefficient", "right-hand-side"])
+    def test_a_row_not_in_whole_numbers_is_refused(self, coefficient, rhs):
+        model, report = estimate(*self.instance(), keep_lp=True)
+        report.lp.add_constraint({"vm::A::4": coefficient}, GE, rhs)
+        with pytest.raises(ValidationError, match="X: an LP row is not in whole numbers"):
+            shortfalls(report.lp, model)
+
+    def test_values_just_below_whole_cents_are_written_as_the_nearest_cent(self, monkeypatch):
+        """HiGHS's point a hair below every whole cent: the model and the
+        report are those of the point itself.  Rounding down would write each
+        value a cent short and break rows of every block."""
+        config, agents = random_setup(2024, n_bidders=3, n_products=6)
+        raw = trace_to_bidlog(run_auction(config, agents))
+        exact = {b: (e.model, e.report) for b, e in
+                 estimate_all(raw, config.catalog, config.increments).items()}
+        single = estimate(*self.instance())
+        real = estimation.solve_lp
+
+        def below(lp, backend):
+            sol = real(lp, backend=backend)
+            return Solution(sol.status, {name: math.nextafter(value, -math.inf)
+                                         for name, value in sol.values.items()},
+                            sol.objective_value)
+        monkeypatch.setattr(estimation, "solve_lp", below)
+        assert estimate(*self.instance()) == single
+        assert {b: (e.model, e.report) for b, e in
+                estimate_all(raw, config.catalog, config.increments).items()} == exact
+        assert any(model.marginals for model, _ in exact.values())
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         config, agents = random_setup(7, n_bidders=2, n_products=5)
@@ -269,8 +330,7 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
     """The valuation LP built one `Constraint` dict at a time, each row as the
     difference of two utilities given as (coefficients, constant): the
     reference for `estimation._build`, whose arrays must hold the same bits.
-    Returns the LP, each row's block, and the revealed-preference and the
-    marginal-rationality slack names."""
+    Returns the LP and each row's block."""
     def vb(base_id):
         return f"vb::{base_id}"
 
@@ -295,7 +355,7 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
             coeffs[name] = coeffs.get(name, 0.0) - coef
         return coeffs, a_const - u_const
 
-    lp, blocks, slack_names, mr_slack_names = LinearProgram(), [], [], []
+    lp, blocks = LinearProgram(), []
     objective = {}
     for base in space.bases:
         lp.add_variable(vb(base.base_id), lb=0.0)
@@ -311,10 +371,9 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
         lp.add_constraint(coeffs, GE, rhs)
         blocks.append(block)
 
-    def slack(name, weight, names):
+    def slack(name, weight):
         lp.add_variable(name, lb=0.0)
         objective[name] = weight
-        names.append(name)
         return name
 
     for rnd in sorted(space.observed):
@@ -334,21 +393,20 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
                     coeffs, rhs = preference(u, utility_terms(step, base_id, prices))
                     coeffs = {name: coef for name, coef in coeffs.items() if coef}
                     if mr_slack_weight is not None:
-                        coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight,
-                                     mr_slack_names)] = 1.0
+                        coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight)] = 1.0
                     add(coeffs, rhs, "marginal_rationality")
         eligible = [(alt, alt_base) for alt, alt_base, cost in variants
                     if cost <= eligibility[rnd] and alt.key() != bundle.key()]
         for n, (alt, alt_base) in enumerate(eligible):
             coeffs, rhs = preference(u, utility_terms(alt, alt_base, start_prices[rnd]))
-            coeffs[slack(f"sl::{rnd}::{n}", 1.0, slack_names)] = 1.0
+            coeffs[slack(f"sl::{rnd}::{n}", 1.0)] = 1.0
             add(coeffs, rhs, "revealed_preference")
     for j in sorted(space.ladders):
         levels = space.ladders[j].levels
         for a, b in zip(levels[1:], levels[2:]):
             add({vm(j, a): 1.0, vm(j, b): -1.0}, 0.0, "diminishing_returns")
     lp.objective = objective
-    return lp, blocks, slack_names, mr_slack_names
+    return lp, blocks
 
 
 def bits(values):
@@ -358,10 +416,9 @@ def bits(values):
 def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     """`_build` against `dict_reference`: names and cost bits of the columns;
     each row's columns and value bits in order, its rhs bits and relation;
-    the block labels and both slack lists."""
+    the block labels."""
     prob = estimation._build(space, start_prices, eligibility, catalog, weight)
-    lp, blocks, slack_names, mr_slack_names = dict_reference(
-        space, start_prices, eligibility, catalog, weight)
+    lp, blocks = dict_reference(space, start_prices, eligibility, catalog, weight)
     rows, names = prob.lp.rows, prob.lp.names
     assert names == [v.name for v in lp.variables]
     assert bits(prob.lp.costs) == bits([lp.objective[name] for name in names])
@@ -373,7 +430,6 @@ def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     assert bits(rows.rhs) == bits([con.rhs for con in lp.constraints])
     assert rows.relations == [con.relation for con in lp.constraints]
     assert [BLOCKS[k] for k in prob.kinds] == blocks
-    assert (prob.slack_names, prob.mr_slack_names) == (slack_names, mr_slack_names)
     return lp
 
 

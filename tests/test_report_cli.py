@@ -79,6 +79,22 @@ def test_estimate_loads_only_the_highs_extension(workspace, tmp_path):
     assert list(tmp_path.glob("model_*.json"))
 
 
+def test_pyyaml_is_imported_only_for_a_config(workspace, tmp_path):
+    """Importing the CLI, and a command run without --config, leave PyYAML
+    unloaded: a run without a config takes the defaults directly."""
+    config = tmp_path / "config.yaml"
+    config.write_text("delta: 0.1\n")
+    argv = ["estimate", "--catalog", str(workspace / "catalog.csv"),
+            "--bids", str(workspace / "bids.csv"), "--out", str(tmp_path)]
+    check = "print('yaml loaded:', 'yaml' in sys.modules)\n"
+    output, _ = loaded_scipy(
+        f"import sys\nfrom clockauction import cli\n{check}"
+        f"assert cli.main({argv!r}) == 0\n{check}"
+        f"assert cli.main({argv + ['--config', str(config)]!r}) == 0\n{check}")
+    assert [line for line in output.splitlines() if line.startswith("yaml loaded:")] == \
+        ["yaml loaded: False", "yaml loaded: False", "yaml loaded: True"]
+
+
 # one LP through the adapter and through linprog: min x + 2y - z subject to
 # x + y >= 2, x - z <= 1, y + z = 3, all >= 0
 ADAPTER = """

@@ -19,8 +19,8 @@ from clockauction.errors import SolverError, ValidationError
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder, RawBidLog,
                                  build_bundle_space, smooth_monotone)
 from clockauction.pipeline import estimate_all, trace_to_bidlog
-from clockauction.solver import (EQ, GE, LE, PIVOT_TOL, LinearProgram, Solution,
-                                 check_feasible, solve_lp, solve_mip, write_lp_format)
+from clockauction.solver import (EQ, GE, LE, PIVOT_TOL, LinearProgram, Solution, solve_lp,
+                                 solve_mip, write_lp_format)
 from clockauction.synthetic import random_setup
 
 
@@ -140,7 +140,7 @@ class TestRandomLpCrossCheck:
             b = solve_lp(lp, backend="highs")
             assert a.status == b.status == "optimal"
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
-            assert not check_feasible(lp, a.values)
+            assert not feasible_reference(lp, a.values)
 
     def _mixed_lp(self, rng):
         # <=, >= and = rows through a known point x0, negative coefficients,
@@ -175,7 +175,7 @@ class TestRandomLpCrossCheck:
             b = solve_lp(lp, backend="highs")
             assert a.status == b.status == "optimal"
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
-            assert not check_feasible(lp, a.values)
+            assert not feasible_reference(lp, a.values)
 
     def test_weak_duality_certificate(self):
         # dual of  min c'x : A x >= b, x >= 0  is  max b'y : A'y <= c, y >= 0;
@@ -287,7 +287,7 @@ def test_an_estimation_lp_solves_on_both_backends(seed):
     builtin, highs = solve_lp(lp), solve_lp(lp, backend="highs")
     assert builtin.status == highs.status == "optimal"
     assert builtin.objective_value == pytest.approx(highs.objective_value, abs=1e-6)
-    assert check_feasible(lp, builtin.values) == []
+    assert feasible_reference(lp, builtin.values) == []
 
 
 class TestHighsAdapter:
@@ -341,7 +341,7 @@ class TestHighsAdapter:
             sol, ref = solve_lp(lp, backend="highs"), linprog_reference(lp)
             assert sol.status == ref.status == "optimal"
             assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
-            assert check_feasible(lp, sol.values) == []
+            assert feasible_reference(lp, sol.values) == []
 
     @pytest.mark.parametrize("relation, off", [
         pytest.param(LE, 2.0 + 2 * solver.HIGHS_TOL, id="le-above"),
@@ -568,39 +568,19 @@ def test_highs_receives_the_rows_as_written(monkeypatch):
 
 
 def feasible_reference(lp, values):
-    """`check_feasible` as one loop over the constraint dicts: the reference
-    for the check over the sparse rows, which must name the same rows."""
+    """The rows of `lp` that the point `values` violates by more than 1e-6,
+    each row scaled to a unit largest coefficient (or rhs, or 1): one loop
+    over the constraint dicts."""
     bad = []
     for i, con in enumerate(lp.constraints):
         act = sum(coef * values[name] for name, coef in con.coeffs.items())
         scale = max([abs(v) for v in con.coeffs.values()] + [abs(con.rhs), 1.0])
         resid = (act - con.rhs) / scale
-        if ((con.relation == LE and resid > solver.FEAS_TOL)
-                or (con.relation == GE and resid < -solver.FEAS_TOL)
-                or (con.relation == EQ and abs(resid) > solver.FEAS_TOL)):
+        if ((con.relation == LE and resid > 1e-6)
+                or (con.relation == GE and resid < -1e-6)
+                or (con.relation == EQ and abs(resid) > 1e-6)):
             bad.append(i)
     return bad
-
-
-def test_check_feasible_matches_the_loop_over_rows():
-    """The same violated rows as `feasible_reference`, on the mixed-row LPs
-    and every estimation LP, at random points and at points a little off
-    each LP's optimum, on both sides of the tolerance."""
-    rng = np.random.default_rng(20261019)
-    lps = [TestRandomLpCrossCheck()._mixed_lp(rng) for _ in range(100)] + estimation_lps()
-    seen = 0
-    for lp in lps:
-        names = [v.name for v in lp.variables]
-        points = [dict(zip(names, rng.normal(0, 3, len(names)).tolist()))]
-        sol = solve_lp(lp, backend="highs")
-        if sol.status == "optimal":
-            points += [{name: value + step * rng.choice([-1.0, 1.0])
-                        for name, value in sol.values.items()} for step in (1e-7, 1e-5)]
-        for values in points:
-            bad = solver.check_feasible(lp, values)
-            assert bad == feasible_reference(lp, values)
-            seen += len(bad)
-    assert seen
 
 
 def mip_max(profits, weights, capacity):
