@@ -65,9 +65,9 @@ def main() -> None:
               f"(deployment cost ${cents_to_dollars(trace.deployment_costs[bidder])})")
 
     cov = coverage_report(trace, catalog, demographics, DEFAULT_COVERAGE_TARGETS)
-    print(f"\nlicenses by class and tier: {cov.licenses_by_class_tier}")
+    print(f"\nlicenses by class and tier: {cov['licenses_by_class_tier']}")
     print(f"population newly covered vs an all-Low outcome: "
-          f"{cov.additional_population:,}")
+          f"{cov['additional_population']:,}")
 
 
 if __name__ == "__main__":

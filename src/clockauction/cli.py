@@ -28,8 +28,8 @@ from .estimation import model_from_json, model_to_json
 from .ingest import build_bundle_space, parse_bid_log, smooth_monotone, write_bid_log
 from .pipeline import (agents_from_estimates, estimate_all, reconstruct_prices,
                        trace_to_bidlog)
-from .report import (RunManifest, comparison_to_json, compare_traces,
-                     final_price_scatter_csv, heatmap_csv, heatmap_svg)
+from .report import (RunManifest, compare_traces, final_price_scatter_csv, heatmap_csv,
+                     heatmap_svg)
 from .solver import write_lp_format
 from .tiered import TIERS, coverage_report, run_extended_auction
 
@@ -48,6 +48,14 @@ def _block(value, key: str) -> dict:
     return value
 
 
+def _number(value) -> float:
+    """A config number as a float: numeric text counts (PyYAML reads `1e308`
+    as text), a bool does not."""
+    if isinstance(value, bool):
+        raise ValidationError(f"must be a number, not {value!r}")
+    return float(value)
+
+
 def _overlay(defaults: dict, block, key: str, tiers: bool = False) -> dict:
     """`defaults`, keyed by area class (or by (area class, tier) with `tiers`),
     with the config's block of area classes (and tiers) under `key` laid over them."""
@@ -59,10 +67,8 @@ def _overlay(defaults: dict, block, key: str, tiers: bool = False) -> dict:
     for k, value in entries:
         if k not in defaults:
             raise ValidationError(f"{key}: unknown area class{' or tier' if tiers else ''} {k!r}")
-        try:
-            out[k] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise input_error(f"{key}: {k!r}", exc) from exc
+        with _naming(f"{key}: {k!r}"):
+            out[k] = _number(value)
     return out
 
 
@@ -83,9 +89,9 @@ _COST_KEYS = {
     "tower_cost_low_cad": ("tower_cost_low", dollars_to_cents),
     "tower_cost_high_cad": ("tower_cost_high", dollars_to_cents),
     "fibre_cost_per_km_cad": ("fibre_cost_per_km", dollars_to_cents),
-    "market_markup": ("market_markup", float),
-    "inflation": ("inflation", float),
-    "currency_premium": ("currency_premium", float),
+    "market_markup": ("market_markup", _number),
+    "inflation": ("inflation", _number),
+    "currency_premium": ("currency_premium", _number),
     "pop_per_tower": ("pop_per_tower", lambda n: n),
     "tower_costs_post_adjustment": ("tower_costs_post_adjustment", lambda b: b),
 }
@@ -263,13 +269,8 @@ def cmd_simulate_extended(args, catalog, auction, params) -> int:
                                               areas={p.area_id for p in catalog})
                     if args.demographics else None)
     trace = run_extended_auction(auction, agents, table)
-    extra = {}
-    if demographics is not None:
-        cov = coverage_report(trace, catalog, demographics, params.coverage_targets)
-        extra["coverage"] = {
-            "licenses_by_class_tier": cov.licenses_by_class_tier,
-            "additional_population": cov.additional_population,
-        }
+    extra = {} if demographics is None else {
+        "coverage": coverage_report(trace, catalog, demographics, params.coverage_targets)}
     return _write_run(_out_dir(args), "_tiered", trace,
                       _manifest(args, catalog=args.catalog, cost_table=args.cost_table),
                       **extra)
@@ -300,7 +301,8 @@ def cmd_report(args, catalog, auction, params) -> int:
                          trace_a=args.trace_a, trace_b=args.trace_b)
     h = manifest.hash()
     cmp = compare_traces(trace_a, trace_b, catalog)
-    atomic_write(out / "comparison.json", comparison_to_json(cmp, h))
+    atomic_write(out / "comparison.json",
+                 json.dumps({"manifest_hash": h, **cmp}, indent=2, sort_keys=True))
     atomic_write(out / "final_price_scatter.csv",
                  final_price_scatter_csv(trace_a, trace_b, catalog, h))
     for label, trace in (("a", trace_a), ("b", trace_b)):
@@ -311,8 +313,8 @@ def cmd_report(args, catalog, auction, params) -> int:
             atomic_write(out / f"heatmap_{label}_{bidder}.svg",
                          heatmap_svg(log, bidder, h))
     atomic_write(out / "manifest.json", manifest.to_json())
-    print(f"rmse_mean={cmp.rmse_mean:.4f} revenue_gap={cmp.revenue_gap_pct:.2f}% "
-          f"rounds {cmp.rounds_a} vs {cmp.rounds_b}")
+    print(f"rmse_mean={cmp['rmse_mean']:.4f} revenue_gap={cmp['revenue_gap_pct']:.2f}% "
+          f"rounds {cmp['rounds_a']} vs {cmp['rounds_b']}")
     return EXIT_OK
 
 

@@ -87,9 +87,6 @@ class ProductCatalog:
     def __len__(self):
         return len(self.products)
 
-    def __contains__(self, product_id: str) -> bool:
-        return product_id in self._by_id
-
     def get(self, product_id: str) -> Product:
         try:
             return self._by_id[product_id]
@@ -162,9 +159,6 @@ class PriceVector:
         except KeyError:
             raise ValidationError(f"no price for product {product_id!r}") from None
 
-    def get(self, product_id: str, default: Money | None = None) -> Money | None:
-        return self.prices.get(product_id, default)
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -226,7 +220,7 @@ def step_price(start: Money, clock: Money, overdemanded: bool) -> Money:
 
 def eligibility_cost(bundle: Bundle | Mapping[str, int], catalog: ProductCatalog) -> int:
     """Eligibility points times quantity, summed over a bundle or a
-    {product: quantity} map; the only place that sums points."""
+    {product: quantity} map."""
     quantities = bundle.quantities if isinstance(bundle, Bundle) else bundle
     return sum(catalog.get(j).eligibility_points * q for j, q in quantities.items())
 
@@ -317,18 +311,14 @@ def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> l
     columns = [header.index(c) for c in required]
     fields = operator.itemgetter(*columns) if len(columns) > 1 else \
         lambda row: (row[columns[0]],)
-    values, seen = [], set()
+    values, ends = [], {}  # ends: key -> the kept line that ends its row
     try:
         for row in reader:
             value = parse_row(*map(str.strip, fields(row)))
             k = key(value)
-            if k in seen:
-                # the kept line that ends the first row with this key
-                again = csv.reader(lines)
-                for _ in range(2 + [key(v) for v in values].index(k)):
-                    next(again)
-                raise ValidationError(f"{k!r} repeats line {_kept(text)[again.line_num - 1][0]}")
-            seen.add(k)
+            if k in ends:
+                raise ValidationError(f"{k!r} repeats line {_kept(text)[ends[k] - 1][0]}")
+            ends[k] = reader.line_num
             values.append(value)
     except (csv.Error, *INPUT_ERRORS) as exc:
         raise input_error(f"{path}:{_kept(text)[reader.line_num - 1][0]}", exc) from exc

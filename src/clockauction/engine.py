@@ -28,7 +28,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
                    eligibility_cost, finite_json, input_error, read_lines, step_price)
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .estimation import ValuationModel, initial_eligibility
 from .ingest import BundleBase, BundleSpace
 from .solver import EQ, LE, LinearProgram, Rows, solve_mip
@@ -67,16 +67,21 @@ class BaseChoice:
     """One base's entry for `choose_base`.  `utility` is the exact utility of
     the base's best bid, base value included, in whole cents; `bid` is that
     bid where it is already known, else None.  `solve()` runs the MIP and
-    gives (bid, utility), with the same utility; `resolve` calls it at most
-    once.  An entry without `solve` holds the oracle's answer."""
+    gives (bid, utility); `resolve` calls it at most once.  An entry without
+    `solve` holds the oracle's answer."""
     utility: float
     bid: Any = None
     solve: Callable[[], tuple[Any, float]] | None = None
 
     def resolve(self) -> "BaseChoice":
-        """The entry with the MIP's bid and utility."""
+        """The entry with the MIP's bid, whose utility must be the entry's
+        exactly: the MIP only chooses among the tied optima; else SolverError."""
         if self.solve is not None:
-            (self.bid, self.utility), self.solve = self.solve(), None
+            bid, utility = self.solve()
+            if utility != self.utility:
+                raise SolverError(f"the MIP's bid is worth {utility!r}, "
+                                  f"the exact optimum {self.utility!r}")
+            self.bid, self.solve = bid, None
         return self
 
 

@@ -96,57 +96,25 @@ def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str) -> str:
 # trace comparison
 
 
-@dataclass(frozen=True)
-class TraceComparison:
-    rmse_per_bidder: dict[str, float]
-    rmse_mean: float
-    revenue_a: int
-    revenue_b: int
-    revenue_gap_pct: float
-    rounds_a: int
-    rounds_b: int
-    units_a: int
-    units_b: int
-    truncated_a: bool
-    truncated_b: bool
-
-
-def compare_traces(a: AuctionTrace, b: AuctionTrace,
-                   catalog: ProductCatalog) -> TraceComparison:
+def compare_traces(a: AuctionTrace, b: AuctionTrace, catalog: ProductCatalog) -> dict:
+    """comparison.json's document, but for its manifest hash: the final
+    allocations' RMSE per bidder and its mean, the revenue gap of `b` below
+    `a` in percent, and each trace's revenue (in cents and in dollars),
+    rounds, licenses won and truncation, suffixed `_a` and `_b`."""
     bidders = set(a.final_allocation) | set(b.final_allocation)
     alloc_a = {x: a.final_allocation.get(x, EMPTY_BUNDLE) for x in bidders}
     alloc_b = {x: b.final_allocation.get(x, EMPTY_BUNDLE) for x in bidders}
     per_bidder, mean = compare_allocations(alloc_a, alloc_b, catalog)
-    gap = 0.0
-    if a.revenue:
-        gap = 100.0 * (a.revenue - b.revenue) / a.revenue
-    units = lambda t: sum(q for bundle in t.final_allocation.values()
-                          for q in bundle.quantities.values())
-    return TraceComparison(
-        rmse_per_bidder=per_bidder, rmse_mean=mean,
-        revenue_a=a.revenue, revenue_b=b.revenue, revenue_gap_pct=gap,
-        rounds_a=a.rounds_used, rounds_b=b.rounds_used,
-        units_a=units(a), units_b=units(b),
-        truncated_a=a.truncated, truncated_b=b.truncated)
-
-
-def comparison_to_json(cmp: TraceComparison, manifest_hash: str) -> str:
-    return json.dumps({
-        "manifest_hash": manifest_hash,
-        "rmse_per_bidder": dict(sorted(cmp.rmse_per_bidder.items())),
-        "rmse_mean": cmp.rmse_mean,
-        "revenue_a_cents": cmp.revenue_a,
-        "revenue_b_cents": cmp.revenue_b,
-        "revenue_a": cents_to_dollars(cmp.revenue_a),
-        "revenue_b": cents_to_dollars(cmp.revenue_b),
-        "revenue_gap_pct": cmp.revenue_gap_pct,
-        "rounds_a": cmp.rounds_a,
-        "rounds_b": cmp.rounds_b,
-        "units_a": cmp.units_a,
-        "units_b": cmp.units_b,
-        "truncated_a": cmp.truncated_a,
-        "truncated_b": cmp.truncated_b,
-    }, indent=2, sort_keys=True)
+    doc = {"rmse_per_bidder": per_bidder, "rmse_mean": mean,
+           "revenue_gap_pct": 100.0 * (a.revenue - b.revenue) / a.revenue if a.revenue else 0.0}
+    for side, t in (("a", a), ("b", b)):
+        doc.update({f"revenue_{side}_cents": t.revenue,
+                    f"revenue_{side}": cents_to_dollars(t.revenue),
+                    f"rounds_{side}": t.rounds_used,
+                    f"units_{side}": sum(q for bundle in t.final_allocation.values()
+                                         for q in bundle.quantities.values()),
+                    f"truncated_{side}": t.truncated})
+    return doc
 
 
 def final_price_scatter_csv(a: AuctionTrace, b: AuctionTrace,

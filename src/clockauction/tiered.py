@@ -157,17 +157,12 @@ def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
 # coverage reporting
 
 
-@dataclass(frozen=True)
-class CoverageSummary:
-    licenses_by_class_tier: dict[str, dict[str, int]]
-    additional_population: int
-
-
 def coverage_report(trace: TieredAuctionTrace, catalog: ProductCatalog,
-                    demographics, coverage_targets: dict[tuple[str, str], float]
-                    ) -> CoverageSummary:
-    """License counts per area-class and tier, plus population newly reached
-    within five years by Medium/High commitments relative to the Low baseline.
+                    demographics, coverage_targets: dict[tuple[str, str], float]) -> dict:
+    """The summary's `coverage` section: license counts per area class and
+    tier (`licenses_by_class_tier`), and the population newly reached within
+    five years by Medium/High commitments relative to the Low baseline
+    (`additional_population`).
 
     Population in an area counts once, at the strongest tier any license in
     that area carries.
@@ -191,6 +186,6 @@ def coverage_report(trace: TieredAuctionTrace, catalog: ProductCatalog,
         low = coverage_targets[(stats.area_class, "low")]
         delta = coverage_targets[(stats.area_class, tier)] - low
         additional += delta * stats.population
-    return CoverageSummary(licenses_by_class_tier=by_class_tier,
-                           additional_population=int(round(additional)))
+    return {"licenses_by_class_tier": by_class_tier,
+            "additional_population": int(round(additional))}
 

@@ -558,7 +558,7 @@ def test_08_extended_scenarios():
         ok = ok and dollars_to_cents("1150000000") <= trace.revenue \
             <= dollars_to_cents("1300000000")
         ok = ok and 0.18 <= share <= 0.22
-        ok = ok and cov.additional_population == cov_again.additional_population
+        ok = ok and cov["additional_population"] == cov_again["additional_population"]
         details.append(f"{key}: revenue {trace.revenue}, M+H share {share:.3f}, "
-                       f"added pop {cov.additional_population}")
+                       f"added pop {cov['additional_population']}")
     report("8 extended-auction scenario ranges", ok, "; ".join(details))

@@ -24,7 +24,7 @@ from clockauction.engine import BidderAgent, Frame, run_auction, trace_summary, 
 from clockauction.errors import SolverError
 from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
-from clockauction.solver import EQ, GE, LE, LinearProgram, solve_mip
+from clockauction.solver import EQ, GE, LE, LinearProgram, Solution, solve_mip
 from clockauction.synthetic import random_setup
 from clockauction.tiered import TIERS, TieredValuationAdjustment, run_extended_auction
 
@@ -285,6 +285,27 @@ def test_every_frame_bounds_its_mip():
             assert entry.resolve().utility == 3.0 * (levels - 1)
         (exact,) = bounds
         assert exact({}) == -3.0 * (levels - 1)
+
+
+def test_resolve_keeps_the_exact_utility():
+    """A MIP bundle below the DP's optimum, which branch and bound accepts
+    within its margin, is a solver error when the entry resolves: the entry
+    never takes a lower utility into the run's memo."""
+    config, _ = random_setup(0, n_bidders=1, n_products=8)
+    catalog = config.catalog
+    frame = Frame({j: [(q, 1, float(q), j) for q in range(3)] for j in catalog.ids()[:2]},
+                  0.0, catalog, 10**6)
+    options = frame.options(PriceVector({j: 0 for j in catalog.ids()}))
+
+    def short(lp, binaries, exact):
+        """Levels 2 and 1, worth 3, where levels 2 and 2 are worth 4."""
+        picked = {binaries[2], binaries[4]}
+        return Solution("optimal", {name: float(name in picked) for name in lp.names}, -3.0)
+
+    entry = frame.choice(options, short)
+    assert entry.utility == 4.0
+    with pytest.raises(SolverError, match="exact optimum 4.0"):
+        entry.resolve()
 
 
 @pytest.mark.parametrize("auction", ["standard", "tiered", "tiered-zero-costs"])

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, DEFAULT_SPACING_KM, SC
 from clockauction.engine import run_auction, trace_to_jsonl
 from clockauction.estimation import model_to_json
 from clockauction.ingest import write_bid_log
-from clockauction.pipeline import trace_to_bidlog
+from clockauction.pipeline import roundtrip, trace_to_bidlog
 from clockauction.report import (RunManifest, compare_traces, heatmap_csv,
                                  heatmap_matrix, heatmap_svg)
 from clockauction.solver import GE, LE, _highspy
@@ -610,9 +611,47 @@ class TestCompareTraces:
         config, agents = random_setup(29, n_bidders=3, n_products=5)
         trace = run_auction(config, agents)
         cmp = compare_traces(trace, trace, config.catalog)
-        assert cmp.rmse_mean == 0.0
-        assert cmp.revenue_gap_pct == 0.0
-        assert cmp.units_a == cmp.units_b
+        assert cmp["rmse_mean"] == 0.0
+        assert cmp["revenue_gap_pct"] == 0.0
+        assert cmp["units_a"] == cmp["units_b"]
+
+
+class TestComparisonBytes:
+    """`report` writes the same comparison.json on three fixed pairs: a trace
+    against itself, an auction against its replay on estimated valuations
+    (two bases per bidder), and a run cut short at round 3 against the full
+    run.  sha256 of each file, recorded before the comparison was a plain
+    document."""
+    DIGESTS = {
+        "self": "5fd99a17193a85c353fb9af97fb9318589570627450f41e6ec881ab830a3aa58",
+        "roundtrip": "2d999b0c0db8495fde4f4c8233194770f078f1416dfbb7c78b88fc0b0be0c7cd",
+        "truncated": "3eb315c537711e1db865953de6939755e1d7570b1a6d087cb67abf9fd8bab2c3"}
+
+    @staticmethod
+    def pair(name):
+        if name == "self":
+            config, agents = random_setup(29, n_bidders=3, n_products=5)
+            trace = run_auction(config, agents)
+            return config.catalog, trace, trace
+        if name == "roundtrip":
+            config, agents = random_setup(2, n_bidders=5, n_products=10, n_bases=2)
+            result = roundtrip(config, agents)
+            return config.catalog, result.original, result.replayed
+        config, agents = random_setup(29, n_bidders=3, n_products=5)
+        short = run_auction(replace(config, max_rounds=3), agents)
+        return config.catalog, short, run_auction(config, agents)
+
+    @pytest.mark.parametrize("name", ["self", "roundtrip", "truncated"])
+    def test_comparison_unchanged(self, name, tmp_path):
+        catalog, trace_a, trace_b = self.pair(name)
+        write_catalog(catalog, tmp_path / "catalog.csv")
+        (tmp_path / "a.jsonl").write_text(trace_to_jsonl(trace_a))
+        (tmp_path / "b.jsonl").write_text(trace_to_jsonl(trace_b))
+        assert run(["report", "--catalog", tmp_path / "catalog.csv",
+                    "--trace-a", tmp_path / "a.jsonl", "--trace-b", tmp_path / "b.jsonl",
+                    "--out", tmp_path / "rep"]) == 0
+        data = (tmp_path / "rep" / "comparison.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +1035,15 @@ class TestMalformedInput:
         pytest.param("cost: {market_markup: 1e308}\n",
                      "cost: 'market_markup': one tower with its fibre may cost inf cents",
                      id="huge-market-markup"),
+        pytest.param("cost: {market_markup: true}\n",
+                     "cost: 'market_markup': must be a number, not True",
+                     id="boolean-market-markup"),
+        pytest.param("coverage_targets: {rural: {low: true}}\n",
+                     "coverage_targets: ('rural', 'low'): must be a number, not True",
+                     id="boolean-coverage-target"),
+        pytest.param("cost: {spacing_km: {rural: yes}}\n",
+                     "spacing_km: 'rural': must be a number, not True",
+                     id="boolean-spacing"),
         pytest.param("delta: 0.1\ndelta: 0.2\n", "repeated key 'delta'", id="repeated-key"),
         pytest.param("cost:\n  inflation: 0.1\n  inflation: 0.2\n", "repeated key 'inflation'",
                      id="repeated-cost-key")])

@@ -484,23 +484,23 @@ class TestCoverageReport:
         trace = self.trace_with({"X": {"P1": ("low", 2), "P2": ("low", 1)}})
         summary = coverage_report(trace, self.catalog(), self.demographics(),
                                   DEFAULT_COVERAGE_TARGETS)
-        assert summary.additional_population == 0
-        assert summary.licenses_by_class_tier == {"metro": {"low": 2},
-                                                  "rural": {"low": 1}}
+        assert summary["additional_population"] == 0
+        assert summary["licenses_by_class_tier"] == {"metro": {"low": 2},
+                                                     "rural": {"low": 1}}
 
     def test_high_tier_adds_target_delta(self):
         trace = self.trace_with({"X": {"P1": ("high", 1)}})
         summary = coverage_report(trace, self.catalog(), self.demographics(),
                                   DEFAULT_COVERAGE_TARGETS)
         # metro: 70% - 50% of 100,000
-        assert summary.additional_population == 20_000
+        assert summary["additional_population"] == 20_000
 
     def test_area_counted_once_at_strongest_tier(self):
         trace = self.trace_with({"X": {"P1": ("high", 1)},
                                  "Y": {"P1": ("medium", 2)}})
         summary = coverage_report(trace, self.catalog(), self.demographics(),
                                   DEFAULT_COVERAGE_TARGETS)
-        assert summary.additional_population == 20_000
+        assert summary["additional_population"] == 20_000
 
     def test_missing_demographics_rejected(self):
         trace = self.trace_with({"X": {"P1": ("low", 1)}})
