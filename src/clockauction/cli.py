@@ -8,8 +8,11 @@ error, 3 solver failure, 4 truncated auction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -18,7 +21,7 @@ from pathlib import Path
 from . import costs as costmod
 from .core import (DIGESTS, INPUT_ERRORS, IncrementSchedule, ProductCatalog,
                    atomic_write, cents_to_dollars, dollars_to_cents, input_error,
-                   read_document)
+                   number, read_document)
 from .engine import (AuctionConfig, BidderAgent, compare_allocations, run_auction,
                      trace_from_jsonl, trace_summary, trace_to_jsonl)
 from .errors import ParseError, SolverError, ValidationError
@@ -48,14 +51,6 @@ def _block(value, key: str) -> dict:
     return value
 
 
-def _number(value) -> float:
-    """A config number as a float: numeric text counts (PyYAML reads `1e308`
-    as text), a bool does not."""
-    if isinstance(value, bool):
-        raise ValidationError(f"must be a number, not {value!r}")
-    return float(value)
-
-
 def _overlay(defaults: dict, block, key: str, tiers: bool = False) -> dict:
     """`defaults`, keyed by area class (or by (area class, tier) with `tiers`),
     with the config's block of area classes (and tiers) under `key` laid over them."""
@@ -68,7 +63,7 @@ def _overlay(defaults: dict, block, key: str, tiers: bool = False) -> dict:
         if k not in defaults:
             raise ValidationError(f"{key}: unknown area class{' or tier' if tiers else ''} {k!r}")
         with _naming(f"{key}: {k!r}"):
-            out[k] = _number(value)
+            out[k] = number(value, "")
     return out
 
 
@@ -89,9 +84,8 @@ _COST_KEYS = {
     "tower_cost_low_cad": ("tower_cost_low", dollars_to_cents),
     "tower_cost_high_cad": ("tower_cost_high", dollars_to_cents),
     "fibre_cost_per_km_cad": ("fibre_cost_per_km", dollars_to_cents),
-    "market_markup": ("market_markup", _number),
-    "inflation": ("inflation", _number),
-    "currency_premium": ("currency_premium", _number),
+    **{rate: (rate, functools.partial(number, what=""))
+       for rate in ("market_markup", "inflation", "currency_premium")},
     "pop_per_tower": ("pop_per_tower", lambda n: n),
     "tower_costs_post_adjustment": ("tower_costs_post_adjustment", lambda b: b),
 }
@@ -132,7 +126,10 @@ def _load_config(path: str | None, catalog: ProductCatalog
 
     class Loader(yaml.SafeLoader):
         """PyYAML's safe loader, except that a key repeated in one mapping is
-        an error, not a silent overwrite."""
+        an error, not a silent overwrite, and that a number reads as in YAML
+        1.2 and JSON: PyYAML reads one with an exponent but no dot, or no sign
+        after the `e` (`1e-1`, `1.0e3`), as text.  Such a number is its float
+        when that is finite, else (`1e400`) it stays text."""
 
         def construct_mapping(self, node, deep=False):
             seen = set()
@@ -145,6 +142,13 @@ def _load_config(path: str | None, catalog: ProductCatalog
                             None, None, f"repeated key {key!r}", key_node.start_mark)
                     seen.add(key)
             return super().construct_mapping(node, deep=deep)
+
+        def construct_exponent(self, node):
+            text = self.construct_scalar(node)
+            return value if math.isfinite(value := float(text)) else text
+    Loader.add_implicit_resolver("tag:clockauction:exponent", re.compile(
+        r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+\Z"), list("-+0123456789."))
+    Loader.add_constructor("tag:clockauction:exponent", Loader.construct_exponent)
     try:
         return read_document(path, lambda text: settings(yaml.load(text, Loader=Loader)))
     except yaml.YAMLError as exc:  # its message gives the line and column

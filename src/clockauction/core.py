@@ -29,9 +29,35 @@ Money = int  # cents
 MAX_CENTS = 2**53
 
 
+def integer(value, what: str, least: int | None = None) -> int:
+    """`value`, read from JSON or YAML, if it is an int (not a bool) of at
+    least `least`, where given; else a ValidationError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, int) or \
+            least is not None and value < least:
+        at_least = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{what} must be an integer{at_least}, not {value!r}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """`value`, read from JSON or YAML, as a float if it is an int or a float
+    (not a bool or text); else a ValidationError that `what`, if any, begins."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, not {value!r}".lstrip())
+    return float(value)
+
+
+def plain(text: str) -> str:
+    """A numeric CSV field if it is ASCII without `_`, else a ValueError:
+    `int`, `float` and `Fraction` read `1_0` as 10 and `\u0662` as 2."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return text
+
+
 def dollars_to_cents(text: str | float | int) -> Money:
     """Parse a dollar amount ("1234.56", 1234.5, 1200) into integer cents."""
-    frac = Fraction(str(text).replace(",", "").strip())
+    frac = Fraction(plain(str(text).replace(",", "").strip()))
     cents = frac * 100
     if cents.denominator != 1:
         raise ValidationError(f"sub-cent amount not representable: {text!r}")
@@ -104,7 +130,8 @@ class ProductCatalog:
             path, ["product_id", "area_id", "area_class", "supply",
                    "eligibility_points", "opening_price_cad"],
             lambda pid, area, area_class, supply, points, price: Product(
-                pid, area, area_class, int(supply), int(points), dollars_to_cents(price)),
+                pid, area, area_class, int(plain(supply)), int(plain(points)),
+                dollars_to_cents(price)),
             key=lambda p: p.id)))
 
 
@@ -178,9 +205,7 @@ class IncrementSchedule:
     delta: float
 
     def __post_init__(self):
-        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
-            raise ValidationError(f"price increment must be a number, not {self.delta!r}")
-        _check_delta(self.delta)
+        _check_delta(number(self.delta, "price increment"))
 
     @staticmethod
     def constant(value: float) -> "IncrementSchedule":
@@ -283,16 +308,11 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def _kept(text: str) -> list[tuple[int, str]]:
-    """(line number, line) for each line of `text` that is neither blank nor
-    a `#` comment."""
-    return [(n, line) for n, line in enumerate(io.StringIO(text, newline=""), start=1)
-            if line.strip() and not line.startswith("#")]
-
-
 def read_lines(path) -> list[tuple[int, str]]:
     """(line number, line) for each line that is neither blank nor a `#` comment."""
-    return read_document(path, _kept)
+    return read_document(path, lambda text: [
+        (n, line) for n, line in enumerate(io.StringIO(text, newline=""), start=1)
+        if line.strip() and not line.startswith("#")])
 
 
 def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> list:
@@ -300,26 +320,22 @@ def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> l
     `#` and blank lines.  The header must name every `required` column; each
     row passes those fields, stripped and in that order.  A short row, a
     malformed field and a repeated `key(value)` are input errors at
-    `path:line`; the line numbers are found again only for an error."""
-    text = read_document(path, str)
-    lines = [line for line in io.StringIO(text, newline="")
-             if line.strip() and not line.startswith("#")]
-    reader = csv.reader(lines)
+    `path:line`.  Every reader names two or more columns."""
+    kept = read_lines(path)
+    reader = csv.reader(line for _, line in kept)
     header = [c.strip() for c in next(reader, [])]
     if not set(required) <= set(header):
         raise ParseError(f"{path}: header must contain {required}")
-    columns = [header.index(c) for c in required]
-    fields = operator.itemgetter(*columns) if len(columns) > 1 else \
-        lambda row: (row[columns[0]],)
+    fields = operator.itemgetter(*[header.index(c) for c in required])
     values, ends = [], {}  # ends: key -> the kept line that ends its row
     try:
         for row in reader:
             value = parse_row(*map(str.strip, fields(row)))
             k = key(value)
             if k in ends:
-                raise ValidationError(f"{k!r} repeats line {_kept(text)[ends[k] - 1][0]}")
+                raise ValidationError(f"{k!r} repeats line {kept[ends[k] - 1][0]}")
             ends[k] = reader.line_num
             values.append(value)
     except (csv.Error, *INPUT_ERRORS) as exc:
-        raise input_error(f"{path}:{_kept(text)[reader.line_num - 1][0]}", exc) from exc
+        raise input_error(f"{path}:{kept[reader.line_num - 1][0]}", exc) from exc
     return values

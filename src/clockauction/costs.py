@@ -14,7 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .core import AREA_CLASSES, MAX_CENTS, Money, ProductCatalog, dollars_to_cents, read_csv
+from .core import (AREA_CLASSES, MAX_CENTS, Money, ProductCatalog, dollars_to_cents, integer,
+                   plain, read_csv)
 from .errors import ValidationError
 from .tiered import TIERS, TieredValuationAdjustment
 
@@ -59,7 +60,7 @@ def load_demographics(path, areas=()) -> dict[str, AreaStats]:
     per area, and one for each of `areas`."""
     demographics = {a.area_id: a for a in read_csv(
         path, ["area_id", "area_class", "population", "land_area_km2"],
-        lambda area, cls, pop, land: AreaStats(area, cls, int(pop), float(land)),
+        lambda area, cls, pop, land: AreaStats(area, cls, int(plain(pop)), float(plain(land))),
         key=lambda a: a.area_id)}
     missing = sorted(set(areas) - set(demographics))
     if missing:
@@ -97,7 +98,8 @@ def load_inventory(path) -> TowerInventory:
     """CSV columns: bidder_id, area_id, tower_count; one row per (bidder, area)."""
     return TowerInventory(counts=dict(read_csv(
         path, ["bidder_id", "area_id", "tower_count"],
-        lambda bidder, area, n: ((bidder, area), TowerInventory.checked((bidder, area), int(n))),
+        lambda bidder, area, n: ((bidder, area),
+                                 TowerInventory.checked((bidder, area), int(plain(n)))),
         key=lambda kv: kv[0])))
 
 
@@ -123,7 +125,8 @@ class CostParameters:
         the factor positive.  One tower with its fibre, at any cost level,
         area class and weighting, must cost at most MAX_CENTS, so every cost
         is finite."""
-        n, flag = self.pop_per_tower, self.tower_costs_post_adjustment
+        integer(self.pop_per_tower, "pop_per_tower", least=1)
+        flag = self.tower_costs_post_adjustment
         for bad, rule, value in [
                 *((not 0 <= getattr(self, k) <= MAX_CENTS, f"{k} must be >= 0 cents and "
                    "at most 2**53", getattr(self, k))
@@ -135,8 +138,6 @@ class CostParameters:
                   for k, v in self.spacing_km.items()),
                 *((not 0 <= v <= 1, f"coverage_targets {c} {t} must be in [0, 1]", v)
                   for (c, t), v in self.coverage_targets.items()),
-                (isinstance(n, bool) or not isinstance(n, int) or n < 1,
-                 "pop_per_tower must be an integer >= 1", n),
                 (not isinstance(flag, bool), "tower_costs_post_adjustment must be true or false",
                  flag)]:
             if bad:
@@ -277,7 +278,7 @@ def cost_table_from_csv(path) -> TieredValuationAdjustment:
     rows = read_csv(
         path, ["bidder_id", "area_id", "tier", "cost_cents"],
         lambda bidder, area, tier, cost: (
-            (bidder, area, tier), TieredValuationAdjustment.checked(tier, int(cost))),
+            (bidder, area, tier), TieredValuationAdjustment.checked(tier, int(plain(cost)))),
         key=lambda kv: kv[0])
     try:
         return TieredValuationAdjustment(costs=dict(rows))

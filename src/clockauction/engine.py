@@ -27,7 +27,8 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
                    PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
-                   eligibility_cost, finite_json, input_error, read_lines, step_price)
+                   eligibility_cost, finite_json, input_error, integer, read_lines,
+                   step_price)
 from .errors import SolverError, ValidationError
 from .estimation import ValuationModel, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -41,9 +42,7 @@ class AuctionConfig:
     max_rounds: int = 200
 
     def __post_init__(self):
-        n = self.max_rounds
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"max_rounds must be an integer >= 1, not {n!r}")
+        integer(self.max_rounds, "max_rounds", least=1)
 
 
 @dataclass
@@ -247,16 +246,13 @@ class Frame:
         utility = sum(options[j][c][1] for j, c in chosen) - sum(self.costs[e] for e in engaged)
         return self.bid(dict(chosen)), self.base_value + utility
 
-    def choice(self, options: dict, solve_mip: Callable) -> BaseChoice | None:
+    def choice(self, options: dict, solve_mip: Callable) -> BaseChoice:
         """The `choose_base` entry at the prices of `options`: the base value
         plus `best`'s utility, and `best`'s bid where one bundle alone attains
-        it; None when no bundle fits (oracle_frame rules that out).  Its
-        `solve` is `Frame.solve`'s, whose bundle attains the same exact
-        optimum."""
-        best = self.best(options)
-        if best is None:
-            return None
-        utility, chosen = best
+        it; some bundle fits, as `oracle_frame` builds no frame where none
+        does.  Its `solve` is `Frame.solve`'s, whose bundle attains the same
+        exact optimum."""
+        utility, chosen = self.best(options)
         return BaseChoice(self.base_value + utility, None if chosen is None else self.bid(chosen),
                           functools.partial(self.solve, options, solve_mip))
 
@@ -495,14 +491,6 @@ def trace_to_jsonl(trace: AuctionTrace) -> str:
     return "\n".join(round_to_json(r) for r in trace.rounds) + "\n"
 
 
-def _count(value, what: str) -> int:
-    """`value` if it is an integer >= 0 and not a bool, else a ValidationError
-    naming `what`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(f"{what} must be an integer >= 0, not {value!r}")
-    return value
-
-
 def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
     """Read a standard auction's trace (truncated if its final round is still
     overdemanded).  Its rounds are numbered 1, 2, ... in order; each round
@@ -520,7 +508,7 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
             raise ValidationError(f"{what}: products {sorted(unknown)} are not in the catalog")
         if every and missing:
             raise ValidationError(f"{what}: no entry for products {sorted(missing)}")
-        return {j: _count(q, f"{what} of {j!r}") for j, q in doc.items()}
+        return {j: integer(q, f"{what} of {j!r}", least=0) for j, q in doc.items()}
 
     rounds, over = [], {}
     for n, line in read_lines(path):
@@ -531,7 +519,7 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
                 raise ValidationError("a tiered bid; report compares standard-auction traces")
             for bidder in (*doc["eligibility"], *bids):
                 check_bidder_id(bidder)
-            if _count(doc["round"], "round") != len(rounds) + 1:
+            if integer(doc["round"], "round", least=0) != len(rounds) + 1:
                 raise ValidationError(
                     f"round {doc['round']} where round {len(rounds) + 1} belongs")
             rounds.append(RoundRecord(
@@ -539,7 +527,7 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
                 **{name: PriceVector(per_product(doc[name], f"{name} price"))
                    for name in ("start", "clock", "posted")},
                 aggregate=per_product(doc["aggregate"], "aggregate demand"),
-                eligibility={bidder: _count(e, f"eligibility of {bidder!r}")
+                eligibility={bidder: integer(e, f"eligibility of {bidder!r}", least=0)
                              for bidder, e in doc["eligibility"].items()},
                 bids={bidder: Bundle(per_product(q, f"bid of {bidder!r}", every=False))
                       for bidder, q in bids.items()}))

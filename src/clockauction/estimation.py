@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import (MAX_CENTS, Bundle, PriceVector, ProductCatalog, check_bidder_id,
-                   eligibility_cost, finite_json)
+                   eligibility_cost, finite_json, integer, number)
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
 from .solver import GE, LinearProgram, Rows, Solution, solve_lp
@@ -415,20 +415,6 @@ def model_to_json(model: ValuationModel, space: BundleSpace) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _integer(value, what: str) -> int:
-    """`value` if it is a JSON integer (not a boolean), else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """`value` as a float if it is a JSON number (not a boolean or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, not {value!r}")
-    return float(value)
-
-
 def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
     """Rebuild a model plus a simulation-ready bundle space (no observed map).
     Levels and base quantities must be JSON integers, values JSON numbers."""
@@ -437,17 +423,17 @@ def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
         if not isinstance(name, str):
             raise ValidationError(f"an id must be a string, not {name!r}")
     check_bidder_id(doc["bidder_id"])
-    base_values = {b["base_id"]: _number(b["value_cents"], "value_cents") for b in doc["bases"]}
+    base_values = {b["base_id"]: number(b["value_cents"], "value_cents") for b in doc["bases"]}
     if len(base_values) < len(doc["bases"]):
         raise ValidationError("duplicate base_id")
-    marginals = {(m["product_id"], _integer(m["level"], "level")):
-                 _number(m["value_cents_per_unit"], "value_cents_per_unit")
+    marginals = {(m["product_id"], integer(m["level"], "level")):
+                 number(m["value_cents_per_unit"], "value_cents_per_unit")
                  for m in doc["marginals"]}
     model = ValuationModel(bidder_id=doc["bidder_id"],
                            base_values=base_values, marginals=marginals)
     ladders = {j: CopyLadder(j, levels) for j, levels in model._ladders.items()}
     bases = tuple(BundleBase(base_id=b["base_id"],
-                             quantities={j: _integer(q, "a base quantity")
+                             quantities={j: integer(q, "a base quantity")
                                          for j, q in b["products"].items()})
                   for b in doc["bases"])
     space = BundleSpace(bidder_id=doc["bidder_id"], bases=bases,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, product as iproduct
 from typing import Iterable
 
-from .core import Bundle, ProductCatalog, atomic_write, check_bidder_id, read_csv
+from .core import Bundle, ProductCatalog, atomic_write, check_bidder_id, plain, read_csv
 from .errors import ParseError, ValidationError
 
 Row = tuple[int, str, str, int]  # (round, bidder_id, product_id, quantity)
@@ -140,7 +140,7 @@ class BundleSpace:
 def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
     """Load a bid log CSV with columns round, bidder_id, product_id, quantity."""
     def bid_row(rnd, bidder_id, product_id, quantity) -> Row:
-        rnd, quantity = int(rnd), int(quantity)
+        rnd, quantity = int(plain(rnd)), int(plain(quantity))
         if rnd < 1:
             raise ParseError("round must be >= 1")
         if quantity < 0:

@@ -486,10 +486,44 @@ class TestCliPipeline:
         for out in (sim, rep):
             assert json.loads((out / "manifest.json").read_text())["config_hash"] == digest
 
+    @pytest.mark.parametrize("exponent, decimal", [("1e-1", "0.1"), ("1.5e-1", "0.15"),
+                                                   ("15E-2", "0.15"), ("+.2e0", "0.2")])
+    def test_a_number_with_an_exponent_reads_as_its_float(self, workspace, tmp_path,
+                                                           exponent, decimal):
+        """`delta: 1e-1` is the number 0.1, as in YAML 1.2 and JSON, not the
+        text PyYAML would read: the same trace as `delta: 0.1`."""
+        traces = []
+        for written in (exponent, decimal):
+            config, out = tmp_path / f"{written}.yaml", tmp_path / written
+            config.write_text(f"delta: {written}\n")
+            assert run(["simulate", "--catalog", workspace / "catalog.csv", "--config", config,
+                        "--models", workspace / "models", "--out", out]) == 0
+            traces.append((out / "trace.jsonl").read_bytes())
+        assert traces[0] == traces[1]
+
     def test_roundtrip_check(self, workspace, tmp_path):
         code = run(["roundtrip-check", "--catalog", workspace / "catalog.csv",
                     "--bids", workspace / "bids.csv"])
         assert code == 0
+
+    def test_a_bidder_whose_rows_are_all_zero(self, workspace, tmp_path):
+        """A bidder that never demands anything gets no model and no report
+        entry; the others are estimated, replayed and checked as ever."""
+        lines = (workspace / "bids.csv").read_text().splitlines()
+        product = lines[1].split(",")[2]
+        bids = tmp_path / "bids.csv"
+        bids.write_text("\n".join([*lines, f"1,Z,{product},0", f"2,Z,{product},0"]) + "\n")
+        out = tmp_path / "est"
+        assert run(["estimate", "--catalog", workspace / "catalog.csv", "--bids", bids,
+                    "--out", out]) == 0
+        models = {path.name for path in out.glob("model_*.json")}
+        assert models == {path.name for path in (workspace / "models").glob("model_*.json")}
+        report = json.loads((out / "estimation_report.json").read_text())
+        assert sorted(report["bidders"]) == sorted(name[6:-5] for name in models)
+        assert run(["simulate", "--catalog", workspace / "catalog.csv", "--models", out,
+                    "--out", tmp_path / "sim"]) == 0
+        assert run(["roundtrip-check", "--catalog", workspace / "catalog.csv",
+                    "--bids", bids]) == 0
 
     @pytest.mark.parametrize("command, option, value", [
         ("ingest", "--config", "auction.yaml"), ("smooth", "--config", "auction.yaml"),
@@ -834,6 +868,35 @@ class TestMalformedInput:
         code, err = run_captured(reading("catalog", files, tmp_path / "out"))
         assert code == 2
         assert f"{files['catalog']}:2:" in err
+
+    @pytest.mark.parametrize("which, column, value", [
+        pytest.param("bids", "quantity", "1_0", id="underscore-quantity"),
+        pytest.param("bids", "quantity", "\u0662", id="arabic-indic-quantity"),
+        pytest.param("bids", "round", "\uff11", id="fullwidth-round"),
+        pytest.param("catalog", "supply", "1_2", id="underscore-supply"),
+        pytest.param("catalog", "opening_price_cad", "1_000", id="underscore-price"),
+        pytest.param("catalog", "supply", "\u0663", id="arabic-indic-supply"),
+        pytest.param("catalog", "opening_price_cad", "\u0663", id="arabic-indic-price"),
+        pytest.param("catalog", "eligibility_points", "\u0661", id="arabic-indic-points"),
+        pytest.param("demographics", "population", "2_000", id="underscore-population"),
+        pytest.param("demographics", "land_area_km2", "5_0.5", id="underscore-land-area"),
+        pytest.param("demographics", "land_area_km2", "\u0665", id="arabic-indic-land-area"),
+        pytest.param("inventory", "tower_count", "\u0661", id="arabic-indic-towers"),
+        pytest.param("cost_table", "cost_cents", "0_0", id="underscore-cost")])
+    def test_numbers_are_plain_ascii_decimals(self, inputs, which, column, value, tmp_path):
+        """`int`, `float` and `Fraction` read `1_0` as 10 and `\u0662` as 2; a
+        CSV field is a number only as plain ASCII, else exit 2 at `file:line`."""
+        lines = inputs[which].read_text().splitlines()
+        header = next(line for line in lines if not line.startswith("#")).split(",")
+        i = data_lines(lines)[0]
+        fields = lines[i].split(",")
+        fields[header.index(column)] = value
+        lines[i] = ",".join(fields)
+        files = with_file(inputs, which, lines, tmp_path)
+        code, err = run_captured(reading(which, files, tmp_path / "out"))
+        assert code == 2
+        assert f"{files[which]}:{i + 1}: {value!r} is not a plain ASCII number" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["tiered", "cut"])
     def test_report_rejects_trace(self, inputs, case, tmp_path):
