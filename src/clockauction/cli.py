@@ -29,8 +29,7 @@ from .estimation import model_from_json, model_to_json
 # build_bundle_space and reconstruct_prices have no caller here; they stay
 # bound because the traced benchmark wraps them at this module (bench/spans.py)
 from .ingest import build_bundle_space, parse_bid_log, smooth_monotone, write_bid_log
-from .pipeline import (agents_from_estimates, estimate_all, reconstruct_prices,
-                       trace_to_bidlog)
+from .pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
 from .report import (RunManifest, compare_traces, final_price_scatter_csv, heatmap_csv,
                      heatmap_svg)
 from .solver import write_lp_format
@@ -325,7 +324,7 @@ def cmd_report(args, catalog, auction, params) -> int:
 def cmd_roundtrip_check(args, catalog, auction, params) -> int:
     raw = parse_bid_log(args.bids, catalog)
     estimates = estimate_all(raw, catalog, auction.increments)
-    trace = run_auction(auction, agents_from_estimates(estimates))
+    trace = run_auction(auction, [estimates[b] for b in sorted(estimates)])
     # smoothing keeps every final round, so the raw final bundles are the ones estimated
     actual = {b: raw.bundle(b, raw.num_rounds(b)) for b in estimates}
     per_bidder, mean = compare_allocations(actual, trace.final_allocation, catalog)

@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import os
+import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,10 +56,17 @@ def plain(text: str) -> str:
     return text
 
 
+# a decimal number with its sign and exponent, commas only between groups of
+# three digits: not `1/2` or `1,0,0`, which Fraction reads once commas go
+_DOLLARS = re.compile(r"[-+]?(?=\.?\d)(\d{1,3}(,\d{3})+|\d*)(\.\d*)?([eE][-+]?\d+)?")
+
+
 def dollars_to_cents(text: str | float | int) -> Money:
-    """Parse a dollar amount ("1234.56", 1234.5, 1200) into integer cents."""
-    frac = Fraction(plain(str(text).replace(",", "").strip()))
-    cents = frac * 100
+    """Parse a dollar amount ("1,234.56", 1234.5, 1200) into integer cents."""
+    text = plain(str(text).strip())
+    if not _DOLLARS.fullmatch(text):
+        raise ValueError(f"{text!r} is not a dollar amount")
+    cents = Fraction(text.replace(",", "")) * 100
     if cents.denominator != 1:
         raise ValidationError(f"sub-cent amount not representable: {text!r}")
     return int(cents)

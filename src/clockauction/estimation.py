@@ -143,12 +143,6 @@ BLOCKS = ("positive_utility", "marginal_rationality", "revealed_preference",
           "diminishing_returns")
 
 
-@dataclass
-class _Problem:
-    lp: LinearProgram
-    kinds: list[int]                  # per row, the index of its block in BLOCKS
-
-
 def _vb(base_id: str) -> str:
     return f"vb::{base_id}"
 
@@ -159,8 +153,9 @@ def _vm(product_id: str, level: int) -> str:
 
 def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
            eligibility: dict[int, int], catalog: ProductCatalog,
-           mr_slack_weight: float | None = None) -> _Problem:
-    """The valuation LP, written straight into its sparse rows (`Rows`).
+           mr_slack_weight: float | None = None) -> tuple[LinearProgram, list[int]]:
+    """The valuation LP, written straight into its sparse rows (`Rows`), and
+    per row the index of its block in BLOCKS.
 
     Every row is `>=` and says u(observed) - u(alternative) >= 0 for the
     round's observed bundle; per round come (a) sitting out, (b) one ladder
@@ -294,18 +289,16 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     # the tiny weight on the marginals picks the vertex with minimal marginals
     # out of the degenerate optimal face; keeps re-simulation ties canonical
     weights = [1.0 if name.startswith("sl::") else mr_slack_weight for name in slack_names]
-    return _Problem(
-        lp=LinearProgram(names + slack_names,
-                         [1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights,
-                         Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
-                              np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
-                              nfix + len(slack_names))),
-        kinds=kinds + [3] * n_d)
+    lp = LinearProgram(names + slack_names,
+                       [1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights,
+                       Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
+                            np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
+                            nfix + len(slack_names)))
+    return lp, kinds + [3] * n_d
 
 
 @dataclass(frozen=True)
 class EstimationReport:
-    bidder_id: str
     status: str
     slack_total: float
     base_value_total: float
@@ -368,27 +361,28 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     on the rows solved.  With `keep_lp` the report keeps the LP solved
     first as `report.lp`.
     """
-    prob = first = _build(space, start_prices, eligibility, catalog)
-    sol = solve_lp(prob.lp, backend="highs")
+    lp, kinds = _build(space, start_prices, eligibility, catalog)
+    first = lp
+    sol = solve_lp(lp, backend="highs")
     fallback = sol.status == "infeasible"
     if fallback:
-        prob = _build(space, start_prices, eligibility, catalog, mr_slack_weight=10.0)
-        sol = solve_lp(prob.lp, backend="highs")
+        lp, kinds = _build(space, start_prices, eligibility, catalog, mr_slack_weight=10.0)
+        sol = solve_lp(lp, backend="highs")
     if sol.status != "optimal":
         raise SolverError(f"estimation LP for {space.bidder_id}: {sol.status}")
 
     # the written model against the rows: (c) rows have a slack column, and
     # so do (b) rows in the fallback; any other short row is a violation
     model = _materialize(space, sol)
-    short = list(zip(prob.kinds, shortfalls(prob.lp, model)))
+    short = list(zip(kinds, shortfalls(lp, model)))
     slacked = (1, 2) if fallback else (2,)
     report = EstimationReport(
-        bidder_id=space.bidder_id, status=sol.status,
+        status=sol.status,
         slack_total=float(sum(cents for kind, cents in short if kind in slacked)),
         base_value_total=float(sum(model.base_values.values())),
         violations=dict(Counter(BLOCKS[kind] for kind, cents in short
                                 if cents and kind not in slacked)),
-        fallback_used=fallback, lp=first.lp if keep_lp else None)
+        fallback_used=fallback, lp=first if keep_lp else None)
     return model, report
 
 

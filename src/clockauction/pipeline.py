@@ -12,9 +12,8 @@ from .core import IncrementSchedule, PriceVector, ProductCatalog
 from .engine import (AuctionConfig, AuctionTrace, BidderAgent, compare_allocations,
                      overdemanded, price_step, run_auction)
 from .errors import ValidationError
-from .estimation import (EstimationReport, ValuationModel, estimate,
-                         reconstruct_eligibility)
-from .ingest import BundleSpace, RawBidLog, build_bundle_space, smooth_monotone
+from .estimation import EstimationReport, estimate, reconstruct_eligibility
+from .ingest import RawBidLog, build_bundle_space, smooth_monotone
 
 
 def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
@@ -34,10 +33,9 @@ def reconstruct_prices(log: RawBidLog, catalog: ProductCatalog,
     return start_prices
 
 
-@dataclass(frozen=True)
-class BidderEstimate:
-    model: ValuationModel
-    space: BundleSpace
+@dataclass
+class BidderEstimate(BidderAgent):
+    """A bidder's estimated agent, which replays as it is, and its report."""
     report: EstimationReport
 
 
@@ -54,13 +52,8 @@ def estimate_all(raw: RawBidLog, catalog: ProductCatalog, increments: IncrementS
             continue  # bidder never demanded anything
         eligibility = reconstruct_eligibility(space, catalog)
         model, report = estimate(space, start_prices, eligibility, catalog, keep_lp)
-        out[bidder] = BidderEstimate(model=model, space=space, report=report)
+        out[bidder] = BidderEstimate(bidder, model, space, report)
     return out
-
-
-def agents_from_estimates(estimates: dict[str, BidderEstimate]) -> list[BidderAgent]:
-    return [BidderAgent(bidder_id=bidder, model=est.model, space=est.space)
-            for bidder, est in sorted(estimates.items())]
 
 
 def trace_to_bidlog(trace: AuctionTrace) -> RawBidLog:
@@ -84,10 +77,7 @@ def roundtrip(config: AuctionConfig, agents: list[BidderAgent]) -> RoundTripResu
     raw = trace_to_bidlog(original)
     estimates = estimate_all(raw, config.catalog, config.increments)
     # a bidder that never bid is re-simulated with its own agent
-    replayed = run_auction(config, [
-        BidderAgent(bidder_id=a.bidder_id, model=estimates[a.bidder_id].model,
-                    space=estimates[a.bidder_id].space)
-        if a.bidder_id in estimates else a for a in agents])
+    replayed = run_auction(config, [estimates.get(a.bidder_id, a) for a in agents])
     # both runs allocate to every agent, exited ones included
     per_bidder, mean = compare_allocations(original.final_allocation,
                                            replayed.final_allocation, config.catalog)

@@ -210,6 +210,22 @@ class TestCatalogCsv:
                     eligibility_points=1, opening_price=1)
 
 
+class TestDollars:
+    @pytest.mark.parametrize("text, cents", [
+        ("1234.56", 123456), ("1,234.56", 123456), ("1,234,567", 123456700),
+        (" -1 ", -100), ("+.5", 50), ("1.", 100), ("1E3", 100000), ("1e-2", 1),
+        (1e3, 100000), (1200, 120000)])
+    def test_decimal_amounts(self, text, cents):
+        assert dollars_to_cents(text) == cents
+
+    @pytest.mark.parametrize("text", ["1/2", "1/0", "1,0,0", "1,23", "12,3456", ",100",
+                                      "1,000,", "nan", "inf", "", ".",
+                                      "e5", "1e", "-", True])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(ValueError, match="is not a dollar amount"):
+            dollars_to_cents(text)
+
+
 class TestBundle:
     def test_sparse_absent_is_zero(self):
         b = Bundle({"A": 2, "B": 0})

@@ -264,7 +264,7 @@ class TestShortfalls:
         moved = ValuationModel("X", model.base_values, {**model.marginals, ("A", 4): 9_99})
         short = {i: cents for i, cents in enumerate(shortfalls(lp, moved)) if cents}
         assert short == {1: 2, 2: 2}
-        kinds = estimation._build(space, prices, eligibility, catalog).kinds
+        _, kinds = estimation._build(space, prices, eligibility, catalog)
         assert [BLOCKS[kinds[i]] for i in short] == ["marginal_rationality",
                                                     "revealed_preference"]
         assert [lp.constraints[i].coeffs["vm::A::4"] for i in short] == [2.0, 2.0]
@@ -417,11 +417,11 @@ def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     """`_build` against `dict_reference`: names and cost bits of the columns;
     each row's columns and value bits in order, its rhs bits and relation;
     the block labels."""
-    prob = estimation._build(space, start_prices, eligibility, catalog, weight)
+    built, kinds = estimation._build(space, start_prices, eligibility, catalog, weight)
     lp, blocks = dict_reference(space, start_prices, eligibility, catalog, weight)
-    rows, names = prob.lp.rows, prob.lp.names
+    rows, names = built.rows, built.names
     assert names == [v.name for v in lp.variables]
-    assert bits(prob.lp.costs) == bits([lp.objective[name] for name in names])
+    assert bits(built.costs) == bits([lp.objective[name] for name in names])
     assert rows.width == len(names) and len(rows.rhs) == len(lp.constraints)
     got = [([names[k] for k in rows.indices[a:b]], bits(rows.data[a:b]))
            for a, b in zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())]
@@ -429,7 +429,7 @@ def assert_builds_match(space, start_prices, eligibility, catalog, weight):
                    for con in lp.constraints]
     assert bits(rows.rhs) == bits([con.rhs for con in lp.constraints])
     assert rows.relations == [con.relation for con in lp.constraints]
-    assert [BLOCKS[k] for k in prob.kinds] == blocks
+    assert [BLOCKS[k] for k in kinds] == blocks
     return lp
 
 

@@ -12,8 +12,10 @@ other draw `trace_to_jsonl` must give the same bytes for `run_auction` and
 import itertools
 from types import SimpleNamespace
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
 
+from clockauction import engine
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog, RoundRecord, clock_price)
 from clockauction.engine import AuctionConfig, BidderAgent, run_auction, trace_to_jsonl
@@ -172,13 +174,33 @@ def check(config, agents, costs):
     assert trace_to_jsonl(got) == trace_to_jsonl(SimpleNamespace(rounds=want))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+# no shrinking: each shrink step replays both auctions, so a failure took
+# minutes to report; the failing draw as found is reported at once
+@settings(derandomize=True, max_examples=400, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
 @given(instances(tiered=False))
 def test_the_standard_auction_matches_the_reference(instance):
     check(*instance)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
 @given(instances(tiered=True))
 def test_the_tiered_auction_matches_the_reference(instance):
     check(*instance)
+
+
+@pytest.mark.parametrize("reference_test", [test_the_standard_auction_matches_the_reference,
+                                            test_the_tiered_auction_matches_the_reference])
+def test_a_price_step_that_never_posts_the_last_key_fails(reference_test, monkeypatch):
+    """The engine's price step with the last market key never overdemanded,
+    so its price is never posted: each reference test must catch it."""
+    real = engine.price_step
+
+    def mutant(start, over, keys, increments):
+        keys = list(keys)
+        return real(start, {**over, keys[-1]: False}, keys, increments)
+
+    monkeypatch.setattr(engine, "price_step", mutant)
+    with pytest.raises(AssertionError):
+        reference_test()

@@ -501,10 +501,19 @@ class TestCliPipeline:
             traces.append((out / "trace.jsonl").read_bytes())
         assert traces[0] == traces[1]
 
-    def test_roundtrip_check(self, workspace, tmp_path):
-        code = run(["roundtrip-check", "--catalog", workspace / "catalog.csv",
-                    "--bids", workspace / "bids.csv"])
-        assert code == 0
+    def test_roundtrip_check(self, workspace, tmp_path, capsys):
+        """The replay it prints is `simulate`'s run of the models that
+        `estimate` writes for the same log."""
+        catalog, bids = workspace / "catalog.csv", workspace / "bids.csv"
+        assert run(["roundtrip-check", "--catalog", catalog, "--bids", bids]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert run(["estimate", "--catalog", catalog, "--bids", bids,
+                    "--out", tmp_path / "est"]) == 0
+        assert run(["simulate", "--catalog", catalog, "--models", tmp_path / "est",
+                    "--out", tmp_path / "sim"]) == 0
+        summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+        assert printed.endswith(f"; simulated revenue {summary['revenue']} over "
+                                f"{summary['rounds_used']} rounds")
 
     def test_a_bidder_whose_rows_are_all_zero(self, workspace, tmp_path):
         """A bidder that never demands anything gets no model and no report
@@ -858,6 +867,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("column, value", [("opening_price_cad", "1/0"),
                                                ("opening_price_cad", "9" * 401),
+                                               ("opening_price_cad", "1/2"),
+                                               ("opening_price_cad", '"1,0,0"'),
                                                ("supply", "0")])
     def test_bad_catalog_field(self, inputs, column, value, tmp_path):
         lines = inputs["catalog"].read_text().splitlines()
@@ -1095,6 +1106,9 @@ class TestMalformedInput:
         pytest.param("cost: {tower_cost_low_cad: 1e400}\n",
                      "cost: 'tower_cost_low_cad': tower_cost_low must be >= 0 cents and at most",
                      id="money-past-the-float-range"),
+        pytest.param("cost: {tower_cost_low_cad: '1/2'}\n",
+                     "cost: 'tower_cost_low_cad': '1/2' is not a dollar amount",
+                     id="ratio-money"),
         pytest.param("cost: {market_markup: 1e308}\n",
                      "cost: 'market_markup': one tower with its fibre may cost inf cents",
                      id="huge-market-markup"),
