@@ -17,6 +17,7 @@ import os
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -57,7 +58,7 @@ def plain(text: str) -> str:
 
 
 # a decimal number with its sign and exponent, commas only between groups of
-# three digits: not `1/2` or `1,0,0`, which Fraction reads once commas go
+# three digits: not `1/2`, nor `1,0,0`, which reads as 100 once commas are dropped
 _DOLLARS = re.compile(r"[-+]?(?=\.?\d)(\d{1,3}(,\d{3})+|\d*)(\.\d*)?([eE][-+]?\d+)?")
 
 
@@ -66,8 +67,12 @@ def dollars_to_cents(text: str | float | int) -> Money:
     text = plain(str(text).strip())
     if not _DOLLARS.fullmatch(text):
         raise ValueError(f"{text!r} is not a dollar amount")
-    cents = Fraction(text.replace(",", "")) * 100
-    if cents.denominator != 1:
+    amount = Decimal(text.replace(",", ""))
+    # the power of ten of its first digit, read from the text, so that no
+    # exponent has Fraction build a number of millions of digits
+    if amount and amount.adjusted() > 999:
+        raise ValidationError(f"amount far past 2**53 cents: {text!r}")
+    if amount and amount.adjusted() < -2 or (cents := Fraction(amount) * 100).denominator != 1:
         raise ValidationError(f"sub-cent amount not representable: {text!r}")
     return int(cents)
 

@@ -157,19 +157,20 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     """The valuation LP, written straight into its sparse rows (`Rows`), and
     per row the index of its block in BLOCKS.
 
-    Every row is `>=` and says u(observed) - u(alternative) >= 0 for the
-    round's observed bundle; per round come (a) sitting out, (b) one ladder
-    step on one product and (c) each eligible variant with a slack, and at
-    the end (d) diminishing returns.  A bundle's utility is its row of a
-    table over the vb/vm columns (1.0 on its base, each ladder width up to
-    its quantity) minus its cost at the round's prices.  A row lists the
-    observed bundle's columns, then the alternative's others, keeping the
-    cancelled terms as 0.0 except in (b).  One cache, keyed by (observed
-    bundle, base, eligibility), holds each block of a round's rows; the
-    rounds that share a key reuse it and add only their right-hand sides
-    and slack names.  Slack columns follow the fixed ones in row order.
-    Costs are integers below 2**53 cents, so a right-hand side has the bits
-    of the sums over the bundles' products."""
+    Every row is `>=`, and all but (d) say u(observed) - u(alternative) >= 0
+    for the round's observed bundle; per round the alternatives are (a) the
+    empty bundle, that is sitting out, (b) one ladder step on one product
+    and (c) each eligible variant with a slack, and at the end come (d)
+    diminishing returns.  A bundle's utility is its row of a table over the
+    vb/vm columns (1.0 on its base, each ladder width up to its quantity)
+    minus its cost at the round's prices, so a row is the difference of two
+    table rows, over the columns where they differ (the observed bundle's,
+    then the alternative's others), with right-hand side cost(observed) -
+    cost(alternative).  One cache, keyed by (observed bundle, base,
+    eligibility), holds each block of a round's rows; the rounds that share
+    a key reuse it and add only their right-hand sides and slack names.
+    Slack columns follow the fixed ones in row order.  Costs are integers
+    below 2**53 cents, so a right-hand side is exact."""
     ladders, bases = space.ladders, space.bases
     products = sorted(ladders)
     names = [_vb(base.base_id) for base in bases]
@@ -192,9 +193,7 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
         if (key, base) in rows_of:
             return rows_of[key, base]
         bundle = dict(key)
-        row = [0.0] * len(bases)
-        if base is not None:
-            row[base] = 1.0
+        row = [float(i == base) for i in range(len(bases))]
         row += [width if bundle.get(j, 0) >= level else 0.0 for j, level, width in vm]
         table.append(row)
         support.append([c for c, v in enumerate(row) if v])
@@ -207,23 +206,28 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
                 for i, base in enumerate(bases) for key in variant_keys(base, ladders)]
     empty = add((), None)
 
-    def entries(own: int, alt: int) -> tuple[list, list]:
-        """The observed bundle's columns, then the alternative's others."""
+    def entries(own: int, alt: int, kind: int, tag: tuple | None) -> tuple:
+        """The row u(own) - u(alt): (alternative, block, columns, values,
+        slack tag), its columns the observed bundle's, then the
+        alternative's others, where the two utilities differ, and for a
+        tagged row the slack column -1."""
         u, a = table[own], table[alt]
-        columns = support[own] + [c for c in support[alt] if not u[c]]
-        return columns, [u[c] - a[c] for c in columns]
+        columns = [c for c in support[own] if u[c] != a[c]] + \
+            [c for c in support[alt] if not u[c]]
+        values = [u[c] - a[c] for c in columns]
+        if tag:
+            columns, values = columns + [-1], values + [1.0]
+        return alt, kind, columns, values, tag
 
     def block(key: tuple, base_id: str | None, limit: int) -> tuple[int, list]:
         """The observed bundle's table row, and the rows of a round that
-        observes `key` on `base_id` with eligibility `limit`: (alternative,
-        block, columns, values, slack tag), the alternative None for sitting
-        out and the slack column -1."""
-        own, rows = empty, []
+        observes `key` on `base_id` with eligibility `limit`."""
+        own, alternatives = empty, []
         if key:
             if base_id not in base_index:
                 raise ValidationError(f"observed base {base_id!r} is not one of the bases")
             own = add(key, base_index[base_id])
-            rows.append((None, 0, support[own], [table[own][c] for c in support[own]], None))
+            alternatives.append((empty, 0, None))
             for j, q in key:
                 levels = ladders[j].levels
                 k = ladders[j].index_of(q)
@@ -231,19 +235,11 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
                     if 1 <= k2 <= len(levels):
                         t = add(tuple((i, levels[k2 - 1] if i == j else n) for i, n in key),
                                 base_index[base_id])
-                        columns, values = entries(own, t)   # less the cancelled terms
-                        columns = [c for c, v in zip(columns, values) if v]
-                        values = [v for v in values if v]
-                        if mr_slack_weight is None:
-                            rows.append((t, 1, columns, values, None))
-                        else:
-                            rows.append((t, 1, columns + [-1], values + [1.0],
-                                         ("ms", f"{j}::{k2}")))
+                        alternatives.append((t, 1, None if mr_slack_weight is None
+                                             else ("ms", f"{j}::{k2}")))
         eligible = [t for t, other, cost in variants if cost <= limit and other != key]
-        for n, t in enumerate(eligible):
-            columns, values = entries(own, t)
-            rows.append((t, 2, columns + [-1], values + [1.0], ("sl", n)))
-        return own, rows
+        alternatives += [(t, 2, ("sl", n)) for n, t in enumerate(eligible)]
+        return own, [entries(own, *alternative) for alternative in alternatives]
 
     rounds = sorted(space.observed)
     blocks: dict[tuple, tuple] = {}
@@ -269,13 +265,11 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     if costs.size and costs.max() >= 2**53:
         raise ValidationError(f"{space.bidder_id}: a bundle costs 2**53 cents or more")
 
-    # per row: its rhs a_const - u_const, a bundle's constant being 0.0 - its
-    # cost and sitting out's -0.0; its slack name, entries and block
+    # per row: its rhs, its slack name, entries and block
     rhs, slack_names, row_indices, row_values, row_lengths, kinds = [], [], [], [], [], []
     for rnd, (own, rows), cost in zip(rounds, chosen, costs.tolist()):
-        u_const = 0.0 - cost[own]
         for t, kind, columns, values, tag in rows:
-            rhs.append((-0.0 if t is None else 0.0 - cost[t]) - u_const)
+            rhs.append(cost[own] - cost[t])
             if tag:
                 slack_names.append(f"{tag[0]}::{rnd}::{tag[1]}")
             row_indices += columns

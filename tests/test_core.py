@@ -214,9 +214,19 @@ class TestDollars:
     @pytest.mark.parametrize("text, cents", [
         ("1234.56", 123456), ("1,234.56", 123456), ("1,234,567", 123456700),
         (" -1 ", -100), ("+.5", 50), ("1.", 100), ("1E3", 100000), ("1e-2", 1),
-        (1e3, 100000), (1200, 120000)])
+        (1e3, 100000), (1200, 120000), ("1e400", 10**402), ("0e10000000", 0),
+        ("0e-10000000", 0)])
     def test_decimal_amounts(self, text, cents):
         assert dollars_to_cents(text) == cents
+
+    @pytest.mark.parametrize("text, message", [
+        ("1e10000000", "amount far past"), ("-1e1000", "amount far past"),
+        ("1e-10000000", "sub-cent amount"), ("0.001", "sub-cent amount")])
+    def test_exponent_read_from_the_text(self, text, message):
+        """An amount whose first digit is past 10**999 dollars or under a cent
+        is refused without building the number its exponent names."""
+        with pytest.raises(ValidationError, match=message):
+            dollars_to_cents(text)
 
     @pytest.mark.parametrize("text", ["1/2", "1/0", "1,0,0", "1,23", "12,3456", ",100",
                                       "1,000,", "nan", "inf", "", ".",

@@ -328,9 +328,12 @@ class TestSerialization:
 
 def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=None):
     """The valuation LP built one `Constraint` dict at a time, each row as the
-    difference of two utilities given as (coefficients, constant): the
+    difference of two utilities given as (coefficients, cost): its nonzero
+    coefficients, and the observed bundle's cost less the alternative's
+    (sitting out is the alternative with no terms and cost 0).  The
     reference for `estimation._build`, whose arrays must hold the same bits.
-    Returns the LP and each row's block."""
+    Returns the LP, each row's block and each row's right-hand side in
+    Python integers."""
     def vb(base_id):
         return f"vb::{base_id}"
 
@@ -338,24 +341,24 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
         return f"vm::{j}::{level}"
 
     def utility_terms(bundle, base_id, prices):
-        coeffs, constant = {vb(base_id): 1.0}, 0.0
+        coeffs, cost = {vb(base_id): 1.0}, 0
         for j, q in bundle.quantities.items():
             levels = space.ladders[j].levels
             for prev, level in zip(levels, levels[1:]):
                 if level > q:
                     break
                 coeffs[vm(j, level)] = coeffs.get(vm(j, level), 0.0) + (level - prev)
-            constant -= q * prices[j]
-        return coeffs, constant
+            cost += q * prices[j]
+        return coeffs, cost
 
     def preference(observed, alternative):
-        (u_coeffs, u_const), (a_coeffs, a_const) = observed, alternative
+        (u_coeffs, u_cost), (a_coeffs, a_cost) = observed, alternative
         coeffs = dict(u_coeffs)
         for name, coef in a_coeffs.items():
             coeffs[name] = coeffs.get(name, 0.0) - coef
-        return coeffs, a_const - u_const
+        return {name: coef for name, coef in coeffs.items() if coef}, u_cost - a_cost
 
-    lp, blocks = LinearProgram(), []
+    lp, blocks, cents = LinearProgram(), [], []
     objective = {}
     for base in space.bases:
         lp.add_variable(vb(base.base_id), lb=0.0)
@@ -370,6 +373,7 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
     def add(coeffs, rhs, block):
         lp.add_constraint(coeffs, GE, rhs)
         blocks.append(block)
+        cents.append(rhs)
 
     def slack(name, weight):
         lp.add_variable(name, lb=0.0)
@@ -379,10 +383,10 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
     for rnd in sorted(space.observed):
         bundle, base_id = space.observed[rnd]
         prices = start_prices[rnd]
-        u = ({}, 0.0)
+        u = ({}, 0)
         if bundle:
             u = utility_terms(bundle, base_id, prices)
-            add(*preference(u, ({}, -0.0)), "positive_utility")
+            add(*preference(u, ({}, 0)), "positive_utility")
             for j, q in bundle.quantities.items():
                 ladder = space.ladders[j]
                 k = ladder.index_of(q)
@@ -391,7 +395,6 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
                         continue
                     step = Bundle({**bundle.quantities, j: ladder.levels[k2 - 1]})
                     coeffs, rhs = preference(u, utility_terms(step, base_id, prices))
-                    coeffs = {name: coef for name, coef in coeffs.items() if coef}
                     if mr_slack_weight is not None:
                         coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight)] = 1.0
                     add(coeffs, rhs, "marginal_rationality")
@@ -404,9 +407,9 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
     for j in sorted(space.ladders):
         levels = space.ladders[j].levels
         for a, b in zip(levels[1:], levels[2:]):
-            add({vm(j, a): 1.0, vm(j, b): -1.0}, 0.0, "diminishing_returns")
+            add({vm(j, a): 1.0, vm(j, b): -1.0}, 0, "diminishing_returns")
     lp.objective = objective
-    return lp, blocks
+    return lp, blocks, cents
 
 
 def bits(values):
@@ -416,9 +419,10 @@ def bits(values):
 def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     """`_build` against `dict_reference`: names and cost bits of the columns;
     each row's columns and value bits in order, its rhs bits and relation;
-    the block labels."""
+    the block labels.  Returns the built LP and the reference's right-hand
+    sides in Python integers."""
     built, kinds = estimation._build(space, start_prices, eligibility, catalog, weight)
-    lp, blocks = dict_reference(space, start_prices, eligibility, catalog, weight)
+    lp, blocks, cents = dict_reference(space, start_prices, eligibility, catalog, weight)
     rows, names = built.rows, built.names
     assert names == [v.name for v in lp.variables]
     assert bits(built.costs) == bits([lp.objective[name] for name in names])
@@ -430,7 +434,7 @@ def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     assert bits(rows.rhs) == bits([con.rhs for con in lp.constraints])
     assert rows.relations == [con.relation for con in lp.constraints]
     assert [BLOCKS[k] for k in kinds] == blocks
-    return lp
+    return built, cents
 
 
 class TestBuilderMatchesDictReference:
@@ -438,7 +442,7 @@ class TestBuilderMatchesDictReference:
     def test_random_auctions(self, n_bases):
         """Every bidder of twelve random auctions, at the reconstructed and at
         zero prices, with and without marginal-rationality slack."""
-        zeros = seen = 0
+        seen = 0
         for seed in range(12):
             config, agents = random_setup(seed, 8, 24, n_bases=n_bases)
             raw = trace_to_bidlog(run_auction(config, agents))
@@ -453,12 +457,14 @@ class TestBuilderMatchesDictReference:
                 eligibility = reconstruct_eligibility(space, config.catalog)
                 for prices in (start, free):
                     for weight in (None, 10.0):
-                        lp = assert_builds_match(space, prices, eligibility,
-                                                 config.catalog, weight)
-                        seen += len(lp.constraints)
-                        zeros += sum(coef == 0 for con in lp.constraints
-                                     for coef in [*con.coeffs.values(), con.rhs])
-        assert seen and zeros  # explicit zeros and signed zero rhs were met
+                        built, cents = assert_builds_match(space, prices, eligibility,
+                                                           config.catalog, weight)
+                        # every row lists only the columns where the two
+                        # utilities differ, over cost(observed) - cost(alternative)
+                        assert 0.0 not in built.rows.data.tolist()
+                        assert [int(r) for r in built.rows.rhs] == cents
+                        seen += len(cents)
+        assert seen
 
     def test_forced_slack_and_fallback_logs(self):
         catalog = make_catalog({"A": (5, 1), "B": (5, 1)})

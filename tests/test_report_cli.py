@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -564,14 +565,16 @@ class TestArtifactDigests:
     the scan-per-query bid log did, on a log where most bidders have several
     bases and smoothing raises 23 series."""
     # sha256 over (file name, bytes) of each command's artifacts, recorded
-    # before the bid log was indexed; "estimate" re-recorded when the LP dumps
-    # took column numbers and exact numbers, its other files unchanged
+    # before the bid log was indexed; "lp", the `--dump-lp` files, re-recorded
+    # when the dumps took column numbers and exact numbers, and again when
+    # their rows lost their zero terms and a -0.0 right-hand side became 0.0
     DIGESTS = {
-        "estimate": "e8a5e8c5e680ef8b0c4e5967b24290bb7a241c46bef91e4824d18619f1c06035",
+        "estimate": "874ca37a79866e753a4e4ce5e6ede341daebb2133163847be1a25120fbf0c39c",
+        "lp": "d2d1cb37a36df605f829326d2c4407748966e08d974f12b1a0e9b90e247e7be4",
         "smooth": "2a9c8c9931979ca5507be8c73fe77ddee7f8a167c016e45adcbbe8e21776ed03",
         "report": "bb1c11e7a533734499e2f4ecde00cb204ca10ec484b3f07818119ecce18b6d66"}
-    PATTERNS = {"estimate": ["model_*.json", "estimation_report.json",
-                             "manifest.json", "lp/estimation_*.lp"],
+    PATTERNS = {"estimate": ["model_*.json", "estimation_report.json", "manifest.json"],
+                "lp": ["estimation_*.lp"],
                 "smooth": ["smoothed.csv"],
                 "report": ["heatmap_*.csv", "heatmap_*.svg"]}
 
@@ -593,8 +596,9 @@ class TestArtifactDigests:
         write_bid_log(trace_to_bidlog(trace), bids)
         (tmp_path / "trace.jsonl").write_text(trace_to_jsonl(trace))
         out = {name: tmp_path / name for name in self.DIGESTS}
+        out["lp"] = out["estimate"] / "lp"
         assert run(["estimate", "--catalog", catalog, "--bids", bids,
-                    "--out", out["estimate"], "--dump-lp", out["estimate"] / "lp"]) == 0
+                    "--out", out["estimate"], "--dump-lp", out["lp"]]) == 0
         assert run(["smooth", "--catalog", catalog, "--bids", bids,
                     "--out", out["smooth"]]) == 0
         assert run(["simulate", "--catalog", catalog, "--models", out["estimate"],
@@ -869,14 +873,19 @@ class TestMalformedInput:
                                                ("opening_price_cad", "9" * 401),
                                                ("opening_price_cad", "1/2"),
                                                ("opening_price_cad", '"1,0,0"'),
+                                               ("opening_price_cad", "1e10000000"),
                                                ("supply", "0")])
     def test_bad_catalog_field(self, inputs, column, value, tmp_path):
+        """Exit 2 at `file:line`, at once: an exponent alone far past 2**53
+        cents is refused before `Fraction` builds its ten million digits."""
         lines = inputs["catalog"].read_text().splitlines()
         fields = lines[1].split(",")
         fields[lines[0].split(",").index(column)] = value
         lines[1] = ",".join(fields)
         files = with_file(inputs, "catalog", lines, tmp_path)
+        start = time.perf_counter()
         code, err = run_captured(reading("catalog", files, tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert f"{files['catalog']}:2:" in err
 
