@@ -270,8 +270,11 @@ INPUT_ERRORS = (ParseError, ValidationError, ValueError, LookupError,
 
 def input_error(where: str, exc: Exception) -> ClockAuctionError:
     """`exc`, met while reading `where` (a file or `file:line`), to raise: a
-    ValidationError stays one, any other error becomes a ParseError."""
+    ValidationError stays one, any other error becomes a ParseError, and a
+    KeyError names the key that is missing."""
     kind = ValidationError if isinstance(exc, ValidationError) else ParseError
+    if isinstance(exc, KeyError):
+        return kind(f"{where}: missing key {exc}")
     return kind(f"{where}: {getattr(exc, 'strerror', None) or exc}")
 
 
@@ -330,19 +333,27 @@ def read_lines(path) -> list[tuple[int, str]]:
 
 def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> list:
     """`parse_row(*fields)` for each row of the CSV file at `path`, skipping
-    `#` and blank lines.  The header must name every `required` column; each
-    row passes those fields, stripped and in that order.  A short row, a
-    malformed field and a repeated `key(value)` are input errors at
-    `path:line`.  Every reader names two or more columns."""
+    `#` and blank lines.  The header must name every `required` column
+    once; each row passes those fields, stripped and in that order.  A row
+    too short to hold them, a malformed field and a repeated `key(value)`
+    are input errors at `path:line`.  Every reader names two or more
+    columns."""
     kept = read_lines(path)
     reader = csv.reader(line for _, line in kept)
     header = [c.strip() for c in next(reader, [])]
     if not set(required) <= set(header):
         raise ParseError(f"{path}: header must contain {required}")
-    fields = operator.itemgetter(*[header.index(c) for c in required])
+    for c in required:
+        if header.count(c) > 1:
+            raise ParseError(f"{path}: header repeats column {c!r}")
+    at = [header.index(c) for c in required]
+    fields, width = operator.itemgetter(*at), max(at) + 1
     values, ends = [], {}  # ends: key -> the kept line that ends its row
     try:
         for row in reader:
+            if len(row) < width:
+                missing = header[min(i for i in at if i >= len(row))]
+                raise ParseError(f"missing column {missing!r}: the row has {len(row)} fields")
             value = parse_row(*map(str.strip, fields(row)))
             k = key(value)
             if k in ends:

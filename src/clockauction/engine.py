@@ -235,9 +235,10 @@ class Frame:
             best = self.best(options, blocked, forced)
             return math.inf if best is None else -best[0]
 
-        objective = {name: -options[j][c][1] for (j, c), name in binary.items()}
         mip = copy.copy(lp)  # shares the rows, and so their memo of simplex starts
-        mip.objective = {**objective, **self.costs}
+        # by column, each 0.0 plus its coefficient, so a zero utility costs +0.0
+        mip.costs = [0.0 + coef for coef in [*(-options[j][c][1] for j, c in binary),
+                                             *self.costs.values()]]
         sol = solve_mip(mip, [*binary.values(), *self.costs], exact)
         if sol.status == "infeasible":
             return None

@@ -14,13 +14,12 @@ the last solve's state, and a test checks that a reused instance answers as
 a fresh one.
 
 Every LP is a `LinearProgram`: named columns with bounds and costs, and its
-constraints as sparse triplets (`Rows`), added a row at a time or, as in
-estimation and the bidder oracle's MIPs, handed over whole.  The simplex
-copies the rows into its tableau as one dense block, the highs backend passes
-their arrays as they are, and both refuse non-finite input.  LPs share
-what they do not change: the nodes of `solve_mip(lp, binaries)`
-differ from their MIP only in the bounds, and a MIP re-priced at new costs
-shares its rows.  The rows keep, by bounds, the tableau and basis that
+constraints as sparse triplets (`Rows`), handed over whole, as estimation
+and the bidder oracle's MIPs make them.  The simplex copies the rows into
+its tableau as one dense block, the highs backend passes their arrays as
+they are, and both refuse non-finite input.  LPs share what they do not
+change: the nodes of `solve_mip(lp, binaries)` differ from their MIP only
+in the bounds, and a MIP re-priced at new costs shares its rows.  The rows keep, by bounds, the tableau and basis that
 phase 2 starts from (`Rows.phase1`), since neither the build nor phase 1
 reads the costs: a node met again builds no tableau and runs no phase 1,
 and starts phase 2 from the same bits.  Given the exact optimum of each
@@ -76,8 +75,8 @@ class Rows:
     """An LP's constraints, in order: sparse triplets (indptr, indices, data)
     over `width` variable columns, their right-hand sides and relations.
     Their arrays and lists never change, so LPs share them; an LP that adds
-    a row or a column makes new `Rows`.  `dense` is the triplets scattered
-    into a read-only matrix at first use, which each tableau build copies,
+    a column makes new `Rows`.  `dense` is the triplets scattered into a
+    read-only matrix at first use, which each tableau build copies,
     and `phase1` the memo of the simplex's starts over these rows, by
     bounds: the tableau and basis that phase 2 starts from, after phase 1,
     or None where phase 1 finds them infeasible (`_start`).  The triplets
@@ -94,13 +93,6 @@ class Rows:
         self.indptr = np.asarray(self.indptr, dtype=np.intp)
         self.indices = np.asarray(self.indices, dtype=np.intp)
         self.data = np.asarray(self.data, dtype=float)
-
-    @functools.cached_property
-    def integer_weight(self) -> float | None:
-        """The sum of the coefficients' magnitudes when every coefficient is an
-        integer, else None."""
-        integral = np.array_equal(self.data, np.rint(self.data))
-        return float(np.abs(self.data).sum()) if integral else None
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
@@ -135,14 +127,16 @@ class _View(Sequence):
 
 class LinearProgram:
     """Minimization LP over the columns `names`, with bounds `lb` <= x <= `ub`
-    (+inf for none) and costs `costs`, and its constraint `rows`.  Made
-    whole from names, costs and rows (bounds 0 and +inf), or a column and a
-    row at a time by `add_variable` and `add_constraint`, which reject a
-    repeated or unknown name.  `objective` is the costs by name.  The LP
-    replaces its lists and rows rather than change them, so `copy.copy`
-    gives an LP that shares them all, ready to take new bounds or a new
-    objective.  `variables` and `constraints` are views, each item made at
-    access, for checks; `len` of either is free."""
+    (+inf for none) and costs `costs`, and its constraint `rows`, made whole
+    from names, costs and rows (bounds 0 and +inf); a repeated name is an
+    error.  The LP replaces its lists and rows rather than change them, so
+    `copy.copy` gives an LP that shares them all, ready to take new bounds
+    or costs.
+
+    The rest is kept only for `bench/`: its setup builds an LP a column at
+    a time by `add_variable` and the `objective` setter, and its spans count
+    the `variables` and `constraints` views (each item made at access).  The
+    next change to `bench/` deletes it."""
 
     def __init__(self, names: Sequence[str] = (), costs: Sequence[float] | None = None,
                  rows: Rows | None = None):
@@ -168,34 +162,16 @@ class LinearProgram:
                          len(self.names))
         return name
 
-    def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float) -> None:
-        if relation not in (LE, GE, EQ):
-            raise ValidationError(f"bad relation {relation!r}")
-        rows = self.rows
-        try:
-            columns = np.array([self._index[name] for name in coeffs], dtype=np.intp)
-        except KeyError as exc:
-            raise ValidationError(f"constraint {len(rows.rhs)} references unknown "
-                                  f"variable {exc.args[0]!r}") from None
-        self.rows = Rows(np.append(rows.indptr, len(rows.indices) + len(columns)),
-                         np.concatenate((rows.indices, columns)),
-                         np.concatenate((rows.data, np.fromiter(coeffs.values(), float))),
-                         [*rows.rhs, float(rhs)], [*rows.relations, relation], rows.width)
-
-    @property
-    def objective(self) -> dict[str, float]:
-        """The costs by name.  Setting it makes new costs, 0.0 plus each
-        given coefficient and 0.0 elsewhere."""
-        return dict(zip(self.names, self.costs))
-
-    @objective.setter
-    def objective(self, objective: dict[str, float]) -> None:
+    def _set_objective(self, objective: dict[str, float]) -> None:
         costs = [0.0] * len(self.names)
         for name, coef in objective.items():
             if name not in self._index:
                 raise ValidationError(f"objective references unknown variable {name!r}")
             costs[self._index[name]] += coef
         self.costs = costs
+
+    objective = property(fset=_set_objective, doc="""Setting it makes new costs,
+        0.0 plus each coefficient given by name and 0.0 elsewhere.""")
 
     @property
     def variables(self) -> Sequence[Variable]:
@@ -219,9 +195,6 @@ class Solution:
     status: str  # optimal | infeasible | unbounded
     values: dict[str, float]
     objective_value: float | None
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +285,7 @@ def _tableau(rows: Rows, lbs: np.ndarray, ubs: np.ndarray
     A = np.zeros((m, n))
     A[:k] = rows.dense
     b = np.zeros(m)
-    weight = rows.integer_weight
-    if weight is not None and np.array_equal(lbs, np.rint(lbs)) and \
-            weight * np.abs(lbs).max(initial=0.0) < 2**53:
-        # integer rows and bounds whose products and partial sums stay below
-        # 2**53 sum exactly in any order, so one matrix-vector product gives
-        # the bits of one dot product per row.  Every oracle MIP row and bound
-        # is such: one-hot rows, points * quantities, +-1 links, 0/1 bounds
-        b[:k] = rows.rhs - A[:k] @ lbs
-    else:
-        for r in range(k):
-            b[r] = rows.rhs[r] - A[r] @ lbs
+    b[:k] = rows.rhs - A[:k] @ lbs
     A[range(k, m), bounded] = 1.0
     b[k:] = (ubs - lbs)[bounded]
     rels = rows.relations + [LE] * len(bounded)

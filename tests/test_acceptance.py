@@ -32,7 +32,7 @@ from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  coverage_report, run_extended_auction,
                                  tier_overdemand)
-from test_solver import feasible_reference
+from test_solver import constraints, feasible_reference
 
 
 def report(label, ok, detail=""):
@@ -267,12 +267,12 @@ def test_03_lp_constraint_satisfaction():
                 values[f"vm::{j}::{level}"] = v
             # give every revealed-preference row its minimal admissible slack,
             # then nothing else in the system may be violated
-            for con in lp.constraints:
-                slack_names = [n for n in con.coeffs if n.startswith("sl::")]
+            for coeffs, _, rhs in constraints(lp):
+                slack_names = [n for n in coeffs if n.startswith("sl::")]
                 if slack_names:
-                    rest = sum(coef * values[n] for n, coef in con.coeffs.items()
+                    rest = sum(coef * values[n] for n, coef in coeffs.items()
                                if not n.startswith("sl::"))
-                    values[slack_names[0]] = max(0.0, con.rhs - rest)
+                    values[slack_names[0]] = max(0.0, rhs - rest)
             bad = feasible_reference(lp, values)
             worst = max(worst, len(bad))
             slack_worst = max(slack_worst, est.report.slack_total,

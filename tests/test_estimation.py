@@ -18,9 +18,10 @@ from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
                                  RawBidLog, build_bundle_space, enumerate_variants,
                                  smooth_monotone)
 from clockauction.pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
-from clockauction.solver import GE, LinearProgram, Solution
+from clockauction.solver import GE, Solution
 from clockauction.synthetic import random_setup
 from clockauction.engine import run_auction
+from test_solver import columns, constraints, lp_min
 
 
 def make_catalog(specs):
@@ -148,11 +149,7 @@ class TestLpStructure:
         lp = estimate(space, prices, {1: 1}, catalog, keep_lp=True)[1].lp
         # one base, one variant, ladder of one level: only the positive-utility
         # row survives (no alternatives, no neighbors, no increments)
-        assert len(lp.constraints) == 1
-        con = lp.constraints[0]
-        assert con.relation == GE
-        assert con.coeffs == {"vb::X/base0": 1.0}
-        assert con.rhs == 100_00
+        assert constraints(lp) == [({"vb::X/base0": 1.0}, GE, 100_00)]
 
     def test_marginal_rationality_neighbors_only(self):
         space = space_of({"A": [5, 3, 3, 2]})
@@ -162,7 +159,7 @@ class TestLpStructure:
         lp = estimate(space, prices, elig, catalog, keep_lp=True)[1].lp
         # round 2 holds 3 on ladder (2, 3, 5): neighbor rows may touch the
         # increments to 3 and to 5, never a non-neighbor pattern beyond them
-        names = {v.name for v in lp.variables}
+        names = set(lp.names)
         assert "vm::A::3" in names and "vm::A::5" in names and "vm::A::2" not in names
 
     def test_eligibility_filters_alternatives(self):
@@ -173,8 +170,8 @@ class TestLpStructure:
         lp_full = estimate(space, prices, {1: 6, 2: 6}, catalog, keep_lp=True)[1].lp
         # ...with eligibility 3 it cannot afford it
         lp_cut = estimate(space, prices, {1: 6, 2: 3}, catalog, keep_lp=True)[1].lp
-        n_full = sum(1 for n in (v.name for v in lp_full.variables) if n.startswith("sl::2"))
-        n_cut = sum(1 for n in (v.name for v in lp_cut.variables) if n.startswith("sl::2"))
+        n_full = sum(1 for n in lp_full.names if n.startswith("sl::2"))
+        n_cut = sum(1 for n in lp_cut.names if n.startswith("sl::2"))
         assert n_full == 1 and n_cut == 0
 
 
@@ -185,7 +182,7 @@ class TestEstimate:
         plain = estimate_all(raw, config.catalog, config.increments)
         kept = estimate_all(raw, config.catalog, config.increments, keep_lp=True)
         assert plain and all(est.report.lp is None for est in plain.values())
-        assert all(est.report.lp.constraints for est in kept.values())
+        assert all(est.report.lp.rows.rhs for est in kept.values())
         assert ({b: (e.model, e.report) for b, e in plain.items()}
                 == {b: (e.model, e.report) for b, e in kept.items()})
 
@@ -267,16 +264,19 @@ class TestShortfalls:
         _, kinds = estimation._build(space, prices, eligibility, catalog)
         assert [BLOCKS[kinds[i]] for i in short] == ["marginal_rationality",
                                                     "revealed_preference"]
-        assert [lp.constraints[i].coeffs["vm::A::4"] for i in short] == [2.0, 2.0]
-        assert "sl::1::0" in lp.constraints[2].coeffs
+        rows = constraints(lp)
+        assert [rows[i][0]["vm::A::4"] for i in short] == [2.0, 2.0]
+        assert "sl::1::0" in rows[2][0]
 
     @pytest.mark.parametrize("coefficient, rhs", [(0.5, 0.0), (1.0, 0.5)],
                              ids=["coefficient", "right-hand-side"])
     def test_a_row_not_in_whole_numbers_is_refused(self, coefficient, rhs):
         model, report = estimate(*self.instance(), keep_lp=True)
-        report.lp.add_constraint({"vm::A::4": coefficient}, GE, rhs)
+        lp = report.lp
+        lp = lp_min(dict(zip(lp.names, lp.costs)), columns(lp),
+                    [*constraints(lp), ({"vm::A::4": coefficient}, GE, rhs)])
         with pytest.raises(ValidationError, match="X: an LP row is not in whole numbers"):
-            shortfalls(report.lp, model)
+            shortfalls(lp, model)
 
     def test_values_just_below_whole_cents_are_written_as_the_nearest_cent(self, monkeypatch):
         """HiGHS's point a hair below every whole cent: the model and the
@@ -327,12 +327,12 @@ class TestSerialization:
 
 
 def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=None):
-    """The valuation LP built one `Constraint` dict at a time, each row as the
+    """The valuation LP built one row dict at a time, each row as the
     difference of two utilities given as (coefficients, cost): its nonzero
     coefficients, and the observed bundle's cost less the alternative's
     (sitting out is the alternative with no terms and cost 0).  The
     reference for `estimation._build`, whose arrays must hold the same bits.
-    Returns the LP, each row's block and each row's right-hand side in
+    Returns the LP that `lp_min` makes of the dicts, each row's block and each row's right-hand side in
     Python integers."""
     def vb(base_id):
         return f"vb::{base_id}"
@@ -358,27 +358,25 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
             coeffs[name] = coeffs.get(name, 0.0) - coef
         return {name: coef for name, coef in coeffs.items() if coef}, u_cost - a_cost
 
-    lp, blocks, cents = LinearProgram(), [], []
-    objective = {}
+    variables, objective, rows, blocks, cents = [], {}, [], [], []
+
+    def column(name, weight):
+        variables.append((name, 0.0, None))
+        objective[name] = weight
+        return name
+
     for base in space.bases:
-        lp.add_variable(vb(base.base_id), lb=0.0)
-        objective[vb(base.base_id)] = 1.0
+        column(vb(base.base_id), 1.0)
     for j in sorted(space.ladders):
         for level in space.ladders[j].levels[1:]:
-            lp.add_variable(vm(j, level), lb=0.0)
-            objective[vm(j, level)] = 1e-6
+            column(vm(j, level), 1e-6)
     variants = [(variant, base.base_id, eligibility_cost(variant, catalog))
                 for base in space.bases for variant in enumerate_variants(base, space.ladders)]
 
     def add(coeffs, rhs, block):
-        lp.add_constraint(coeffs, GE, rhs)
+        rows.append((coeffs, GE, rhs))
         blocks.append(block)
         cents.append(rhs)
-
-    def slack(name, weight):
-        lp.add_variable(name, lb=0.0)
-        objective[name] = weight
-        return name
 
     for rnd in sorted(space.observed):
         bundle, base_id = space.observed[rnd]
@@ -396,20 +394,19 @@ def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=No
                     step = Bundle({**bundle.quantities, j: ladder.levels[k2 - 1]})
                     coeffs, rhs = preference(u, utility_terms(step, base_id, prices))
                     if mr_slack_weight is not None:
-                        coeffs[slack(f"ms::{rnd}::{j}::{k2}", mr_slack_weight)] = 1.0
+                        coeffs[column(f"ms::{rnd}::{j}::{k2}", mr_slack_weight)] = 1.0
                     add(coeffs, rhs, "marginal_rationality")
         eligible = [(alt, alt_base) for alt, alt_base, cost in variants
                     if cost <= eligibility[rnd] and alt.key() != bundle.key()]
         for n, (alt, alt_base) in enumerate(eligible):
             coeffs, rhs = preference(u, utility_terms(alt, alt_base, start_prices[rnd]))
-            coeffs[slack(f"sl::{rnd}::{n}", 1.0)] = 1.0
+            coeffs[column(f"sl::{rnd}::{n}", 1.0)] = 1.0
             add(coeffs, rhs, "revealed_preference")
     for j in sorted(space.ladders):
         levels = space.ladders[j].levels
         for a, b in zip(levels[1:], levels[2:]):
             add({vm(j, a): 1.0, vm(j, b): -1.0}, 0, "diminishing_returns")
-    lp.objective = objective
-    return lp, blocks, cents
+    return lp_min(objective, variables, rows), blocks, cents
 
 
 def bits(values):
@@ -424,15 +421,15 @@ def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     built, kinds = estimation._build(space, start_prices, eligibility, catalog, weight)
     lp, blocks, cents = dict_reference(space, start_prices, eligibility, catalog, weight)
     rows, names = built.rows, built.names
-    assert names == [v.name for v in lp.variables]
-    assert bits(built.costs) == bits([lp.objective[name] for name in names])
-    assert rows.width == len(names) and len(rows.rhs) == len(lp.constraints)
+    assert names == lp.names
+    assert bits(built.costs) == bits(lp.costs)
+    assert rows.width == len(names) and len(rows.rhs) == len(lp.rows.rhs)
     got = [([names[k] for k in rows.indices[a:b]], bits(rows.data[a:b]))
            for a, b in zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())]
-    assert got == [(list(con.coeffs), bits(list(con.coeffs.values())))
-                   for con in lp.constraints]
-    assert bits(rows.rhs) == bits([con.rhs for con in lp.constraints])
-    assert rows.relations == [con.relation for con in lp.constraints]
+    assert got == [(list(coeffs), bits(list(coeffs.values())))
+                   for coeffs, _, _ in constraints(lp)]
+    assert bits(rows.rhs) == bits(lp.rows.rhs)
+    assert rows.relations == lp.rows.relations
     assert [BLOCKS[k] for k in kinds] == blocks
     return built, cents
 

@@ -27,6 +27,7 @@ from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
 from clockauction.solver import EQ, GE, LE, LinearProgram, Solution, solve_mip
 from clockauction.synthetic import random_setup
 from clockauction.tiered import TIERS, TieredValuationAdjustment, run_extended_auction
+from test_solver import columns, constraints, mip_max
 
 
 def random_costs(rng, bidder, catalog, zero):
@@ -99,19 +100,19 @@ def brute_force(lp: LinearProgram, fixed: dict[str, float]) -> float:
     """The integer optimum of an all-binary MIP under `fixed`, over every 0/1
     point of its variables (numpy, so up to about 16 variables); inf when no
     point satisfies the rows."""
-    names = [v.name for v in lp.variables]
+    names = lp.names
     points = np.array(list(itertools.product((0.0, 1.0), repeat=len(names))))
     for name, v in fixed.items():
         points = points[points[:, names.index(name)] == v]
-    for con in lp.constraints:
-        row = np.array([con.coeffs.get(name, 0.0) for name in names])
+    for coeffs, rel, rhs in constraints(lp):
+        row = np.array([coeffs.get(name, 0.0) for name in names])
         act = points @ row
-        keep = {LE: act <= con.rhs + 1e-9, GE: act >= con.rhs - 1e-9,
-                EQ: np.abs(act - con.rhs) <= 1e-9}[con.relation]
+        keep = {LE: act <= rhs + 1e-9, GE: act >= rhs - 1e-9,
+                EQ: np.abs(act - rhs) <= 1e-9}[rel]
         points = points[keep]
     if not len(points):
         return math.inf
-    return float((points @ np.array([lp.objective.get(name, 0.0) for name in names])).min())
+    return float((points @ np.array(lp.costs, dtype=float)).min())
 
 
 @pytest.mark.parametrize("kind, seed", [("standard", 11), ("tiered", 12),
@@ -147,7 +148,7 @@ def test_exact_matches_brute_force_at_every_node(kind, seed):
     point of the MIP's variables gives."""
     rng = np.random.default_rng(seed)
     small = [mip for mip in oracle_mips(kind, 60, seed, max_supply=2)
-             if len(mip[0].variables) <= 16]
+             if len(mip[0].names) <= 16]
     assert len(small) >= 20
     for lp, binaries, exact in small:
         nodes = []
@@ -155,11 +156,11 @@ def test_exact_matches_brute_force_at_every_node(kind, seed):
             real = solver.solve_lp
             mp.setattr(solver, "solve_lp", lambda node, *a: nodes.append(node) or real(node, *a))
             solve_mip(lp, binaries)
-        fixings = [{v.name: v.lb for v in node.variables if v.lb == v.ub} for node in nodes]
+        fixings = [{name: lb for name, lb, ub in columns(node) if lb == ub} for node in nodes]
         for _ in range(5):
             chosen = rng.choice(binaries, size=int(rng.integers(1, 4)), replace=False)
             fixings.append({name: float(rng.integers(2)) for name in chosen})
-        scale = 1e-9 * (1.0 + sum(abs(c) for c in lp.objective.values()))
+        scale = 1e-9 * (1.0 + sum(abs(c) for c in lp.costs))
         for fixed in fixings:
             want, got = brute_force(lp, fixed), exact(fixed)
             assert got == want or abs(got - want) <= scale, fixed
@@ -224,15 +225,11 @@ def test_best_matches_every_bundle(seed, kind):
         assert frame.best(options, blocked, forced) == want, (blocked, forced)
 
 
-def knapsack():
-    """max 5 z0 + 4 z1 + 3 z2 with weights 4, 3, 2 under 6: the relaxation
-    is fractional, so the search branches; the optimum is z0 + z2, -8."""
-    lp = LinearProgram()
-    for i in range(3):
-        lp.add_variable(f"z{i}", lb=0.0, ub=1.0)
-    lp.objective = {"z0": -5.0, "z1": -4.0, "z2": -3.0}
-    lp.add_constraint({"z0": 4.0, "z1": 3.0, "z2": 2.0}, LE, 6.0)
-    return lp, ["z0", "z1", "z2"]
+def knapsack(*more):
+    """max 5 z0 + 4 z1 + 3 z2 with weights 4, 3, 2 under 6, then the rows
+    `more`.  Without them the relaxation is fractional, so the search
+    branches, and the optimum is z0 + z2, -8."""
+    return mip_max([5.0, 4.0, 3.0], [4.0, 3.0, 2.0], 6.0, more)
 
 
 def test_knapsack_bound_skips_and_agrees():
@@ -257,8 +254,7 @@ def test_wrong_exact_is_a_solver_error(wrong):
 
 
 def test_exact_feasible_on_an_infeasible_mip_is_a_solver_error():
-    lp, binaries = knapsack()
-    lp.add_constraint({"z0": 1.0, "z1": 1.0, "z2": 1.0}, GE, 4.0)
+    lp, binaries = knapsack(({"z0": 1.0, "z1": 1.0, "z2": 1.0}, GE, 4.0))
     assert solve_mip(lp, binaries).status == "infeasible"
     assert solve_mip(lp, binaries, lambda fixed: math.inf).status == "infeasible"
     with pytest.raises(SolverError, match="exact optimum"):

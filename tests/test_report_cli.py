@@ -66,9 +66,8 @@ def test_a_highs_solve_loads_only_the_extension():
     _, modules = loaded_scipy(
         "import clockauction.cli\n"
         "from clockauction.solver import LinearProgram, solve_lp\n"
-        "lp = LinearProgram()\n"
-        "lp.add_variable('x', 0.0, 1.0)\n"
-        "lp.objective = {'x': -1.0}\n"
+        "lp = LinearProgram(['x'], [-1.0])\n"
+        "lp.ub = [1.0]\n"
         "assert solve_lp(lp, backend='highs').status == 'optimal'")
     assert only_highs(modules), modules
 
@@ -100,14 +99,10 @@ def test_pyyaml_is_imported_only_for_a_config(workspace, tmp_path):
 # one LP through the adapter and through linprog: min x + 2y - z subject to
 # x + y >= 2, x - z <= 1, y + z = 3, all >= 0
 ADAPTER = """
-from clockauction.solver import EQ, GE, LE, LinearProgram, solve_lp, _highspy
-lp = LinearProgram()
-for name in "xyz":
-    lp.add_variable(name)
-lp.objective = {"x": 1.0, "y": 2.0, "z": -1.0}
-lp.add_constraint({"x": 1.0, "y": 1.0}, GE, 2.0)
-lp.add_constraint({"x": 1.0, "z": -1.0}, LE, 1.0)
-lp.add_constraint({"y": 1.0, "z": 1.0}, EQ, 3.0)
+from clockauction.solver import EQ, GE, LE, LinearProgram, Rows, solve_lp, _highspy
+lp = LinearProgram(["x", "y", "z"], [1.0, 2.0, -1.0],
+                   Rows([0, 2, 4, 6], [0, 1, 0, 2, 1, 2], [1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
+                        [2.0, 1.0, 3.0], [GE, LE, EQ], 3))
 print(repr(solve_lp(lp, backend="highs")))
 """
 LINPROG = """
@@ -783,6 +778,26 @@ class TestMalformedInput:
         assert code == 2
         assert f"{files[which]}:{last + 1}:" in err and "Traceback" not in err
 
+    def test_a_short_bid_row_names_the_missing_column(self, inputs, tmp_path):
+        lines = inputs["bids"].read_text().splitlines()
+        last = data_lines(lines)[-1]
+        lines[last] = ",".join(lines[last].split(",")[:3])
+        files = with_file(inputs, "bids", lines, tmp_path)
+        code, err = run_captured(reading("bids", files, tmp_path / "out"))
+        assert code == 2
+        assert err.strip() == f"error: {files['bids']}:{last + 1}: " \
+            "missing column 'quantity': the row has 3 fields"
+
+    def test_a_repeated_header_column_is_refused(self, inputs, tmp_path):
+        lines = inputs["bids"].read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[header] == "round,bidder_id,product_id,quantity"
+        lines[header] = "round," + lines[header]
+        files = with_file(inputs, "bids", lines, tmp_path)
+        code, err = run_captured(reading("bids", files, tmp_path / "out"))
+        assert code == 2
+        assert err.strip() == f"error: {files['bids']}: header repeats column 'round'"
+
     @pytest.mark.parametrize("which", CSVS)
     def test_missing_file(self, inputs, which, tmp_path):
         files = {**inputs, which: tmp_path / "absent.csv"}
@@ -1060,6 +1075,37 @@ class TestMalformedInput:
                                   "--models", models, "--out", tmp_path / "sim"])
         assert code == 2
         assert f"{bad}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, key", [
+        pytest.param(lambda doc: doc.pop("bases"), "bases", id="no-bases"),
+        pytest.param(lambda doc: doc["marginals"][-1].pop("value_cents_per_unit"),
+                     "value_cents_per_unit", id="marginal-without-a-value")])
+    def test_a_model_file_names_its_missing_key(self, inputs, damage, key, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for path in sorted(inputs["models"].glob("model_*.json")):
+            (models / path.name).write_text(path.read_text())
+        bad = sorted(models.glob("model_*.json"))[0]
+        doc = json.loads(bad.read_text())
+        damage(doc)
+        bad.write_text(json.dumps(doc))
+        code, err = run_captured(["simulate", "--catalog", inputs["catalog"],
+                                  "--models", models, "--out", tmp_path / "sim"])
+        assert code == 2
+        assert err.strip() == f"error: {bad}: missing key {key!r}"
+
+    def test_a_trace_line_names_its_missing_key(self, inputs, tmp_path):
+        lines = inputs["trace"].read_text().splitlines()
+        doc = json.loads(lines[0])
+        del doc["aggregate"]
+        lines[0] = json.dumps(doc)
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        code, err = run_captured(["report", "--catalog", inputs["catalog"],
+                                  "--trace-a", inputs["trace"], "--trace-b", trace,
+                                  "--out", tmp_path / "rep"])
+        assert code == 2
+        assert err.strip() == f"error: {trace}:1: missing key 'aggregate'"
 
     @pytest.mark.parametrize("text, named", [
         pytest.param("delta: [1\n", "", id="bad-yaml"),

@@ -19,19 +19,48 @@ from clockauction.errors import SolverError, ValidationError
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder, RawBidLog,
                                  build_bundle_space, smooth_monotone)
 from clockauction.pipeline import estimate_all, trace_to_bidlog
-from clockauction.solver import (EQ, GE, LE, PIVOT_TOL, LinearProgram, Solution, solve_lp,
-                                 solve_mip, write_lp_format)
+from clockauction.solver import (EQ, GE, LE, PIVOT_TOL, LinearProgram, Rows, Solution,
+                                 solve_lp, solve_mip, write_lp_format)
 from clockauction.synthetic import random_setup
 
 
 def lp_min(objective, variables, constraints):
-    lp = LinearProgram()
-    for name, lb, ub in variables:
-        lp.add_variable(name, lb=lb, ub=ub)
-    lp.objective = dict(objective)
-    for coeffs, rel, rhs in constraints:
-        lp.add_constraint(coeffs, rel, rhs)
+    """The LP that minimizes `objective`, {name: cost}, over `variables`,
+    (name, lb, ub) with None or +inf for no upper bound, subject to
+    `constraints`, (coeffs, relation, rhs) with coeffs {name: coefficient}:
+    made whole, as estimation and the bidder oracle make theirs, its dict
+    rows written into `Rows` in order.  Each cost is 0.0 plus its
+    coefficient, 0.0 where `objective` names no cost."""
+    variables, constraints = list(variables), list(constraints)
+    names = [name for name, _, _ in variables]
+    column = {name: k for k, name in enumerate(names)}
+    costs = [0.0] * len(names)
+    for name, coef in objective.items():
+        costs[column[name]] += coef
+    lp = LinearProgram(names, costs, Rows(
+        list(itertools.accumulate((len(coeffs) for coeffs, _, _ in constraints), initial=0)),
+        [column[name] for coeffs, _, _ in constraints for name in coeffs],
+        [coef for coeffs, _, _ in constraints for coef in coeffs.values()],
+        [float(rhs) for _, _, rhs in constraints], [rel for _, rel, _ in constraints],
+        len(names)))
+    lp.lb = [float(lb) for _, lb, _ in variables]
+    lp.ub = [math.inf if ub is None else float(ub) for _, _, ub in variables]
     return lp
+
+
+def constraints(lp):
+    """The rows of `lp` as `lp_min` takes them, (coeffs, relation, rhs) in
+    order, each coeffs {name: coefficient} in the row's order."""
+    rows = lp.rows
+    return [(dict(zip([lp.names[k] for k in rows.indices[a:b].tolist()],
+                      rows.data[a:b].tolist())), rel, rhs)
+            for a, b, rel, rhs in zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist(),
+                                      rows.relations, rows.rhs)]
+
+
+def columns(lp):
+    """The columns of `lp` as `lp_min` takes them, (name, lb, ub)."""
+    return list(zip(lp.names, lp.lb, lp.ub))
 
 
 class TestLpExamples:
@@ -41,7 +70,7 @@ class TestLpExamples:
         sol = solve_lp(lp, backend=backend)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
-        assert sol["x"] == pytest.approx(3.0, abs=1e-9)
+        assert sol.values["x"] == pytest.approx(3.0, abs=1e-9)
 
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
     def test_two_variables(self, backend):
@@ -66,7 +95,7 @@ class TestLpExamples:
         lp = lp_min({"x": 1.0}, [("x", 2.0, None)], [])
         sol = solve_lp(lp, backend=backend)
         assert sol.status == "optimal"
-        assert sol["x"] == pytest.approx(2.0, abs=1e-9)
+        assert sol.values["x"] == pytest.approx(2.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
     def test_bland_ratio_test_tie_break(self):
@@ -91,26 +120,25 @@ class TestLpExamples:
                     [({"x": 1.0, "y": 1.0}, EQ, 3.0)])
         sol = solve_lp(lp)
         # x pinned at its lower bound, y picks up the rest
-        assert sol["x"] == pytest.approx(1.0, abs=1e-9)
-        assert sol["y"] == pytest.approx(2.0, abs=1e-9)
+        assert sol.values["x"] == pytest.approx(1.0, abs=1e-9)
+        assert sol.values["y"] == pytest.approx(2.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("build, message", [
         pytest.param(lambda: lp_min({}, [("x", 0.0, None), ("x", 0.0, 1.0)], []),
                      "duplicate variable names", id="repeated-variable"),
-        pytest.param(lambda: lp_min({"ghost": 1.0}, [("x", 0.0, None)], []),
-                     "objective references unknown variable 'ghost'", id="unknown-objective"),
-        pytest.param(lambda: lp_min({"x": 1.0}, [("x", 0.0, None)],
-                                    [({"x": 1.0}, GE, 1.0), ({"x": 1.0, "ghost": 2.0}, LE, 5.0)]),
-                     "constraint 1 references unknown variable 'ghost'",
-                     id="unknown-in-constraint")])
+        # the column-at-a-time calls of the benchmark's setup
+        pytest.param(lambda: LinearProgram(["x"]).add_variable("x"),
+                     "duplicate variable names", id="repeated-added-variable"),
+        pytest.param(lambda: setattr(LinearProgram(["x"]), "objective", {"ghost": 1.0}),
+                     "objective references unknown variable 'ghost'", id="unknown-objective")])
     @pytest.mark.parametrize("solve", [
         pytest.param(lambda lp: solve_lp(lp, backend="builtin"), id="builtin"),
         pytest.param(lambda lp: solve_lp(lp, backend="highs"), id="highs"),
         pytest.param(lambda lp: solve_mip(lp, []), id="mip")])
     def test_validate_rejects_unknown_names(self, solve, build, message):
-        """The LP refuses the name as it is built, so no backend and no MIP
-        ever sees it."""
+        """The LP refuses the name as it is made, or as a column or the
+        objective is set by name, so no backend and no MIP ever sees it."""
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             solve(build())
 
@@ -217,23 +245,21 @@ def linprog_reference(lp):
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
 
-    index = {v.name: i for i, v in enumerate(lp.variables)}
-    c = np.zeros(len(index))
-    for name, coef in lp.objective.items():
-        c[index[name]] += coef
+    index = {name: i for i, name in enumerate(lp.names)}
 
-    def stacked(cons, sign):
-        entries = [(r, index[name], sign(con) * coef) for r, con in enumerate(cons)
-                   for name, coef in con.coeffs.items()]
+    def stacked(cons):
+        sign = lambda rel: -1.0 if rel == GE else 1.0
+        entries = [(r, index[name], sign(rel) * coef) for r, (coeffs, rel, _) in enumerate(cons)
+                   for name, coef in coeffs.items()]
         rows, cols, data = zip(*entries) if entries else ((), (), ())
         return (coo_array((data, (rows, cols)), shape=(len(cons), len(index))).tocsr()
-                if cons else None), [sign(con) * con.rhs for con in cons] or None
+                if cons else None), [sign(rel) * rhs for _, rel, rhs in cons] or None
 
-    flip = lambda con: -1.0 if con.relation == GE else 1.0
-    A_ub, b_ub = stacked([con for con in lp.constraints if con.relation != EQ], flip)
-    A_eq, b_eq = stacked([con for con in lp.constraints if con.relation == EQ], flip)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(v.lb, v.ub) for v in lp.variables], method="highs")
+    A_ub, b_ub = stacked([con for con in constraints(lp) if con[1] != EQ])
+    A_eq, b_eq = stacked([con for con in constraints(lp) if con[1] == EQ])
+    res = linprog(np.array(lp.costs, dtype=float), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(lb, None if ub == math.inf else ub) for lb, ub in zip(lp.lb, lp.ub)],
+                  method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     if status != "optimal":
         return Solution(status, {}, None)
@@ -399,7 +425,7 @@ class TestHighsAdapter:
         assert solve_lp(free, backend=backend) == Solution("unbounded", {}, None)
         held = lp_min({"x": 1.0}, [("x", 0.0, math.inf)], [({"x": 1.0}, GE, 2.0)])
         assert solve_lp(held, backend=backend) == Solution("optimal", {"x": 2.0}, 2.0)
-        assert held.variables[0] == solver.Variable("x", 0.0, None)
+        assert columns(held) == [("x", 0.0, math.inf)]
 
     def test_a_model_highs_refuses_is_an_error(self):
         # HiGHS refuses a coefficient of 1e15 or more; milp reported that
@@ -489,17 +515,15 @@ def rows_reference(lp):
     one loop over the constraints as written: >= is [rhs, +inf], <= is
     [-inf, rhs] and = is [rhs, rhs].  The reference for the row-wise model
     the HiGHS adapter builds from an LP's `Rows`."""
-    index = {v.name: i for i, v in enumerate(lp.variables)}
+    index = {name: i for i, name in enumerate(lp.names)}
     indptr, indices, data, lower, upper = [0], [], [], [], []
-    for con in lp.constraints:
-        indices += map(index.__getitem__, con.coeffs)
-        data += con.coeffs.values()
+    for coeffs, rel, rhs in constraints(lp):
+        indices += map(index.__getitem__, coeffs)
+        data += coeffs.values()
         indptr.append(len(indices))
-        lower.append(-math.inf if con.relation == LE else con.rhs)
-        upper.append(math.inf if con.relation == GE else con.rhs)
-    c = np.zeros(len(index))
-    for name, coef in lp.objective.items():
-        c[index[name]] += coef
+        lower.append(-math.inf if rel == LE else rhs)
+        upper.append(math.inf if rel == GE else rhs)
+    c = np.array(lp.costs, dtype=float)
     return c, (np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp),
                np.array(data, dtype=float)), np.array(lower), np.array(upper)
 
@@ -516,15 +540,15 @@ def test_highs_receives_the_rows_as_written(monkeypatch):
 
     def recoded(lp, zero):
         """`lp` with each 0.0 coefficient replaced by `zero`, or dropped for None."""
-        return lp_min(lp.objective, [(v.name, v.lb, v.ub) for v in lp.variables],
-                      [({name: coef if coef != 0 else zero for name, coef in con.coeffs.items()
-                         if coef != 0 or zero is not None}, con.relation, con.rhs)
-                       for con in lp.constraints])
+        return lp_min(dict(zip(lp.names, lp.costs)), columns(lp),
+                      [({name: coef if coef != 0 else zero for name, coef in coeffs.items()
+                         if coef != 0 or zero is not None}, rel, rhs)
+                       for coeffs, rel, rhs in constraints(lp)])
 
     lps = (mixed + [recoded(lp, -0.0) for lp in mixed] + [recoded(lp, None) for lp in mixed]
            + estimation_lps() + [lp_min({"x": 1.0}, [("x", 0.0, None)], [])])
-    coefs = np.array([coef for lp in lps for con in lp.constraints
-                      for coef in con.coeffs.values()])
+    coefs = np.array([coef for lp in lps for coeffs, _, _ in constraints(lp)
+                      for coef in coeffs.values()])
     assert {False, True} <= set(np.signbit(coefs[coefs == 0]).tolist())
 
     def arrays(c, start, index, value, lower, upper, lb, ub):
@@ -533,8 +557,7 @@ def test_highs_receives_the_rows_as_written(monkeypatch):
 
     def reference(lp):
         c, (indptr, indices, data), lower, upper = rows_reference(lp)
-        lb = np.array([v.lb for v in lp.variables], dtype=float)
-        ub = np.array([np.inf if v.ub is None else v.ub for v in lp.variables], dtype=float)
+        lb, ub = np.array(lp.lb, dtype=float), np.array(lp.ub, dtype=float)
         return arrays(c, indptr, indices, data, lower, upper, lb, ub) + [
             (len(lower), len(c)), core.MatrixFormat.kRowwise, [True] * 3]
 
@@ -572,48 +595,44 @@ def feasible_reference(lp, values):
     each row scaled to a unit largest coefficient (or rhs, or 1): one loop
     over the constraint dicts."""
     bad = []
-    for i, con in enumerate(lp.constraints):
-        act = sum(coef * values[name] for name, coef in con.coeffs.items())
-        scale = max([abs(v) for v in con.coeffs.values()] + [abs(con.rhs), 1.0])
-        resid = (act - con.rhs) / scale
-        if ((con.relation == LE and resid > 1e-6)
-                or (con.relation == GE and resid < -1e-6)
-                or (con.relation == EQ and abs(resid) > 1e-6)):
+    for i, (coeffs, rel, rhs) in enumerate(constraints(lp)):
+        act = sum(coef * values[name] for name, coef in coeffs.items())
+        scale = max([abs(v) for v in coeffs.values()] + [abs(rhs), 1.0])
+        resid = (act - rhs) / scale
+        if ((rel == LE and resid > 1e-6)
+                or (rel == GE and resid < -1e-6)
+                or (rel == EQ and abs(resid) > 1e-6)):
             bad.append(i)
     return bad
 
 
-def mip_max(profits, weights, capacity):
-    """0/1 knapsack as a minimization MIP: its LP and binaries."""
-    lp = LinearProgram()
-    for i in range(len(profits)):
-        lp.add_variable(f"z{i}", lb=0.0, ub=1.0)
-    lp.objective = {f"z{i}": -p for i, p in enumerate(profits)}
-    lp.add_constraint({f"z{i}": w for i, w in enumerate(weights)}, LE, capacity)
-    return lp, [f"z{i}" for i in range(len(profits))]
+def mip_max(profits, weights, capacity, more=()):
+    """0/1 knapsack as a minimization MIP, with the rows `more` after its
+    capacity row: its LP and binaries."""
+    binaries = [f"z{i}" for i in range(len(profits))]
+    lp = lp_min({f"z{i}": -p for i, p in enumerate(profits)},
+                [(name, 0.0, 1.0) for name in binaries],
+                [({f"z{i}": w for i, w in enumerate(weights)}, LE, capacity), *more])
+    return lp, binaries
 
 
 class TestMip:
     def test_knapsack_example(self):
         sol = solve_mip(*mip_max([3.0, 2.0], [1.0, 1.0], 1.0))
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
-        assert sol["z0"] == 1.0 and sol["z1"] == 0.0
+        assert sol.values["z0"] == 1.0 and sol.values["z1"] == 0.0
 
     def test_pick_one_max_coefficient(self):
-        lp = LinearProgram()
-        for i in range(4):
-            lp.add_variable(f"z{i}", lb=0.0, ub=1.0)
-        lp.objective = {f"z{i}": -c for i, c in enumerate([1.0, 5.0, 2.0, 5.0])}
-        lp.add_constraint({f"z{i}": 1.0 for i in range(4)}, EQ, 1.0)
+        lp = lp_min({f"z{i}": -c for i, c in enumerate([1.0, 5.0, 2.0, 5.0])},
+                    [(f"z{i}", 0.0, 1.0) for i in range(4)],
+                    [({f"z{i}": 1.0 for i in range(4)}, EQ, 1.0)])
         sol = solve_mip(lp, [f"z{i}" for i in range(4)])
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
         # deterministic tie-break: first optimal incumbent wins
-        assert sol["z1"] == 1.0 and sol["z3"] == 0.0
+        assert sol.values["z1"] == 1.0 and sol.values["z3"] == 0.0
 
     def test_infeasible_mip(self):
-        lp = LinearProgram()
-        lp.add_variable("z0", lb=0.0, ub=1.0)
-        lp.add_constraint({"z0": 1.0}, GE, 2.0)
+        lp = lp_min({}, [("z0", 0.0, 1.0)], [({"z0": 1.0}, GE, 2.0)])
         assert solve_mip(lp, ["z0"]).status == "infeasible"
 
     def test_random_knapsacks_match_brute_force(self):
@@ -631,8 +650,7 @@ class TestMip:
             assert -sol.objective_value == pytest.approx(best, abs=1e-6)
 
     def test_binary_bounds_enforced(self):
-        lp = LinearProgram()
-        lp.add_variable("z0", lb=0.0, ub=2.0)
+        lp = lp_min({}, [("z0", 0.0, 2.0)], [])
         with pytest.raises(ValidationError):
             solve_mip(lp, ["z0"])
 
@@ -675,10 +693,10 @@ class TestBranchAndBoundNodes:
         for k in range(0, len(mips), 3):
             source, binaries = mips[k]
             for lp, _ in mips[k:k + 3]:
-                shared = repriced(source, lp.objective)
+                shared = repriced(source, lp.costs)
                 assert shared.rows is source.rows and shared.costs == lp.costs
-                assert list(shared.variables) == list(lp.variables)
-                assert list(shared.constraints) == list(lp.constraints)
+                assert columns(shared) == columns(lp)
+                assert constraints(shared) == constraints(lp)
                 # repr tells every float apart, -0.0 from 0.0 too
                 assert repr(solve_mip(shared, binaries)) == repr(solve_mip(lp, binaries))
             assert source.rows.dense is source.rows.dense
@@ -701,10 +719,10 @@ class TestBranchAndBoundNodes:
             for node, sol in nodes:
                 assert node.costs is lp.costs and node.rows is lp.rows
                 fixed = {}
-                for v, original in zip(node.variables, lp.variables, strict=True):
-                    if v != original:
-                        assert v.name in binaries and v.lb == v.ub in (0.0, 1.0)
-                        fixed[v.name] = v.lb
+                for (name, lb, ub), original in zip(columns(node), columns(lp), strict=True):
+                    if (name, lb, ub) != original:
+                        assert name in binaries and lb == ub in (0.0, 1.0)
+                        fixed[name] = lb
                 # a child fixes one more binary, one its parent's relaxation
                 # left fractional
                 if fixed:
@@ -712,21 +730,19 @@ class TestBranchAndBoundNodes:
                         (before, parent) for (_, parent), before in zip(nodes, fixings)
                         if len(before) == len(fixed) - 1 and before.items() <= fixed.items()]
                     (name,) = fixed.keys() - before.keys()
-                    assert abs(parent[name] - round(parent[name])) > solver.INT_TOL
+                    assert abs(parent.values[name] - round(parent.values[name])) > solver.INT_TOL
                 assert fixed not in fixings
                 fixings.append(fixed)
                 # the shared rows answer as the node's own rows and bounds do
-                assert solve_lp(lp_min(node.objective,
-                                       [(v.name, v.lb, v.ub) for v in node.variables],
-                                       [(con.coeffs, con.relation, con.rhs)
-                                        for con in node.constraints])) == sol
+                assert solve_lp(lp_min(dict(zip(node.names, node.costs)), columns(node),
+                                       constraints(node))) == sol
 
 
-def repriced(mip, objective):
-    """A copy of `mip` that shares its rows, at `objective`, as
+def repriced(mip, costs):
+    """A copy of `mip` that shares its rows, at `costs`, as
     `engine.Frame.solve` re-prices its MIP."""
     lp = copy.copy(mip)
-    lp.objective = objective
+    lp.costs = costs
     return lp
 
 
@@ -751,10 +767,9 @@ def counted_knapsacks():
         capacity = float(rng.integers(1, int(sum(weights))))
         count = float(rng.integers(1, n + 1))
         for _ in range(3):
-            lp, binaries = mip_max([float(p) for p in rng.integers(-5, 20, size=n)],
-                                   weights, capacity)
-            lp.add_constraint({name: 1.0 for name in binaries}, EQ, count)
-            mips.append((lp, binaries))
+            mips.append(mip_max([float(p) for p in rng.integers(-5, 20, size=n)],
+                                weights, capacity,
+                                [({f"z{i}": 1.0 for i in range(n)}, EQ, count)]))
     return mips
 
 
@@ -784,7 +799,7 @@ class TestPhase1Memo:
         monkeypatch.setattr(solver, "solve_lp",
                             lambda lp, backend="builtin": solves.append(1) or real(lp, backend))
         monkeypatch.setattr(solver, "_phase1", lambda *a: phases.append(1) or phase1(*a))
-        served = [solve_mip(repriced(source, lp.objective), binaries)
+        served = [solve_mip(repriced(source, lp.costs), binaries)
                   for source, (lp, binaries) in zip(sources, mips)]
         assert served == plain
         assert {sol.status for sol in plain} == {"optimal", "infeasible"}
@@ -850,26 +865,33 @@ class TestPhase1Memo:
 
 def loop_reference(lp):
     """The built-in simplex with its tableau built, priced out and read one
-    row at a time, and phase 1 always solved: the reference for the
-    vectorised build and the phase-1 memo, whose answers must be identical."""
-    n = len(lp.variables)
-    index = {v.name: i for i, v in enumerate(lp.variables)}
-    lbs = np.array([v.lb for v in lp.variables], dtype=float)
+    row at a time, but for the rows' products with the lower bounds, and
+    phase 1 always solved: the reference for the vectorised build and the
+    phase-1 memo, whose answers must be identical."""
+    n = len(lp.names)
+    index = {name: i for i, name in enumerate(lp.names)}
+    lbs = np.array(lp.lb, dtype=float)
     rows = []
 
     def add(row, rel, rhs):
         rows.append((-row, {LE: GE, GE: LE, EQ: EQ}[rel], -rhs) if rhs < 0 else (row, rel, rhs))
 
-    for con in lp.constraints:
+    written = []
+    for coeffs, rel, rhs in constraints(lp):
         row = np.zeros(n)
-        for name, coef in con.coeffs.items():
+        for name, coef in coeffs.items():
             row[index[name]] += coef
-        add(row, con.relation, con.rhs - row @ lbs)
-    for i, v in enumerate(lp.variables):
-        if v.ub is not None:
+        written.append((row, rel, rhs))
+    # each rhs less its row times the lower bounds, the products taken as
+    # one matrix-vector product, whose bits the simplex's must be
+    shifts = np.array([row for row, _, _ in written]).reshape(-1, n) @ lbs
+    for (row, rel, rhs), shift in zip(written, shifts.tolist()):
+        add(row, rel, rhs - shift)
+    for i, (lb, ub) in enumerate(zip(lp.lb, lp.ub)):
+        if ub != math.inf:
             row = np.zeros(n)
             row[i] = 1.0
-            add(row, LE, v.ub - v.lb)
+            add(row, LE, ub - lb)
     m = len(rows)
     slacks = [i for i, (_, rel, _) in enumerate(rows) if rel != EQ]
     arts = [i for i, (_, rel, _) in enumerate(rows) if rel != LE]
@@ -900,9 +922,7 @@ def loop_reference(lp):
                     solver._pivot(T, i, int(cols[0]))
                     basis[i] = int(cols[0])
         T[:m, first_art:total] = 0.0
-    c = np.zeros(n)
-    for name, coef in lp.objective.items():
-        c[index[name]] += coef
+    c = np.array(lp.costs, dtype=float)
     T[-1, :] = 0.0
     T[-1, :n] = c
     for i in range(m):
@@ -914,7 +934,7 @@ def loop_reference(lp):
     for i in range(m):
         y[basis[i]] = T[i, -1]
     x = y[:n] + lbs
-    values = {v.name: float(x[i]) for i, v in enumerate(lp.variables)}
+    values = dict(zip(lp.names, x.tolist()))
     return Solution("optimal", values, float(c @ y[:n] + c @ lbs))
 
 
@@ -926,26 +946,26 @@ def test_matches_loop_reference_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(5)
     lps = []
     for _ in range(400):
-        lp = LinearProgram()
         n = int(rng.integers(1, 7))
+        variables, rows = [], []
         for i in range(n):
             lb = float(rng.integers(-3, 3))
             ub = [None, lb, lb + float(rng.integers(-1, 6))][int(rng.integers(0, 3))]
-            lp.add_variable(f"x{i}", lb, ub)
-        lp.objective = {f"x{i}": float(rng.integers(-4, 5)) for i in range(n)
-                        if rng.random() < 0.8}
+            variables.append((f"x{i}", lb, ub))
+        objective = {f"x{i}": float(rng.integers(-4, 5)) for i in range(n)
+                     if rng.random() < 0.8}
         for _ in range(int(rng.integers(0, 6))):
             coeffs = {f"x{i}": [float(rng.normal()), int(rng.integers(-3, 4)), -0.0][
                 int(rng.integers(0, 3))] for i in range(n) if rng.random() < 0.6}
             rhs = [float(rng.normal() * 3), -0.0, 0][int(rng.integers(0, 3))]
-            lp.add_constraint(coeffs, [LE, GE, EQ][int(rng.integers(0, 3))], rhs)
-        lps.append(lp)
+            rows.append((coeffs, [LE, GE, EQ][int(rng.integers(0, 3))], rhs))
+        lps.append(lp_min(objective, variables, rows))
     real_lp = solver.solve_lp
     monkeypatch.setattr(solver, "solve_lp",
                         lambda lp, backend="builtin": lps.append(lp) or real_lp(lp, backend))
     mips = counted_knapsacks()
     for k, (lp, binaries) in enumerate(mips):
-        solve_mip(repriced(mips[k - k % 3][0], lp.objective), binaries)
+        solve_mip(repriced(mips[k - k % 3][0], lp.costs), binaries)
     monkeypatch.undo()
 
     starts = []

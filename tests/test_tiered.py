@@ -23,6 +23,7 @@ import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  coverage_report, run_extended_auction,
                                  tier_overdemand)
+from test_solver import lp_min
 
 
 def make_catalog(specs):
@@ -414,27 +415,24 @@ def test_frames_live_for_one_run(monkeypatch):
 
 
 def row_at_a_time(frame):
-    """`frame`'s MIP and binaries, built by `add_variable` and
-    `add_constraint` a column and a row at a time."""
-    lp, binary = solver.LinearProgram(), {}
-    for j, levels in frame.levels.items():
-        for c, *_ in levels:
-            binary[(j, c)] = lp.add_variable(f"I{len(binary)}", lb=0.0, ub=1.0)
-    for name in frame.costs:
-        lp.add_variable(name, lb=0.0, ub=1.0)
-    for j, levels in frame.levels.items():
-        lp.add_constraint({binary[(j, c)]: 1.0 for c, *_ in levels}, solver.EQ, 1.0)
-    lp.add_constraint({binary[(j, c)]: float(q * frame.catalog.get(j).eligibility_points)
-                       for j, levels in frame.levels.items() for c, q, *_ in levels},
-                      solver.LE, float(frame.eligibility))
-    for option, engagement in frame.needs.items():
-        lp.add_constraint({binary[option]: 1.0, engagement: -1.0}, solver.LE, 0.0)
-    return lp, binary
+    """`frame`'s MIP and binaries, its columns and rows written one at a
+    time, each row a dict, and made whole by `lp_min`."""
+    binary = {(j, c): f"I{k}" for k, (j, c) in enumerate(
+        (j, c) for j, levels in frame.levels.items() for c, *_ in levels)}
+    rows = [({binary[(j, c)]: 1.0 for c, *_ in levels}, solver.EQ, 1.0)
+            for j, levels in frame.levels.items()]
+    rows.append(({binary[(j, c)]: float(q * frame.catalog.get(j).eligibility_points)
+                  for j, levels in frame.levels.items() for c, q, *_ in levels},
+                 solver.LE, float(frame.eligibility)))
+    rows += [({binary[option]: 1.0, engagement: -1.0}, solver.LE, 0.0)
+             for option, engagement in frame.needs.items()]
+    return lp_min({}, [(name, 0.0, 1.0) for name in [*binary.values(), *frame.costs]],
+                  rows), binary
 
 
 @pytest.mark.parametrize("auction", ["standard", "tiered"])
 def test_frame_mips_equal_the_row_at_a_time_build(auction, monkeypatch):
-    """Every frame of a run builds the MIP that adding its columns and rows
+    """Every frame of a run builds the MIP that writing its columns and rows
     one at a time builds, bit for bit: the same columns, bounds and costs,
     and the same arrays in its rows, so phase 1 and each simplex solve see
     the same input."""
