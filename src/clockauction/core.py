@@ -331,6 +331,14 @@ def read_lines(path) -> list[tuple[int, str]]:
         if line.strip() and not line.startswith("#")])
 
 
+def csv_text(rows) -> str:
+    """`rows` as CSV, each line ended by "\n", a field quoted only where it
+    holds a `,`, a `"` or a line break, as `read_csv` reads it back."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
 def read_csv(path, required: list[str], parse_row: Callable, key: Callable) -> list:
     """`parse_row(*fields)` for each row of the CSV file at `path`, skipping
     `#` and blank lines.  The header must name every `required` column

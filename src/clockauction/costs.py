@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .core import (AREA_CLASSES, MAX_CENTS, Money, ProductCatalog, dollars_to_cents, integer,
-                   plain, read_csv)
+                   csv_text, plain, read_csv)
 from .errors import ValidationError
 from .tiered import TIERS, TieredValuationAdjustment
 
@@ -265,11 +265,9 @@ def build_cost_table(catalog: ProductCatalog, demographics: dict[str, AreaStats]
 
 
 def cost_table_to_csv(table: TieredValuationAdjustment) -> str:
-    lines = ["bidder_id,area_id,tier,cost_cents"]
-    for (bidder, area, tier), cost in sorted(
-            table.costs.items(), key=lambda kv: (kv[0][0], kv[0][1], TIERS.index(kv[0][2]))):
-        lines.append(f"{bidder},{area},{tier},{cost}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("bidder_id", "area_id", "tier", "cost_cents"), *(
+        (*key, cost) for key, cost in sorted(
+            table.costs.items(), key=lambda kv: (kv[0][0], kv[0][1], TIERS.index(kv[0][2]))))])
 
 
 def cost_table_from_csv(path) -> TieredValuationAdjustment:

@@ -215,7 +215,7 @@ class Frame:
                              for j, levels in self.levels.items() for _, q, *_ in levels]
                 + [1.0, -1.0] * links,
                 [1.0] * products + [float(self.eligibility)] + [0.0] * links,
-                [EQ] * products + [LE] * (1 + links), len(column)))
+                [EQ] * products + [LE] * (1 + links)))
             lp.ub = [1.0] * len(column)
             self.mip = lp, binary
         lp, binary = self.mip

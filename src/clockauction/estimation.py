@@ -286,8 +286,7 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
     lp = LinearProgram(names + slack_names,
                        [1.0] * len(bases) + [1e-6] * (nfix - len(bases)) + weights,
                        Rows(np.cumsum([0] + row_lengths + [2] * n_d), indices,
-                            np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs),
-                            nfix + len(slack_names)))
+                            np.array(row_values + [1.0, -1.0] * n_d), rhs, [GE] * len(rhs)))
     return lp, kinds + [3] * n_d
 
 

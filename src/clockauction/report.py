@@ -13,7 +13,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import EMPTY_BUNDLE, ProductCatalog, cents_to_dollars
+from .core import EMPTY_BUNDLE, ProductCatalog, cents_to_dollars, csv_text
 from .engine import AuctionTrace, compare_allocations
 from .ingest import RawBidLog
 
@@ -60,10 +60,8 @@ def heatmap_matrix(log: RawBidLog, bidder_id: str) -> tuple[list[str], list[list
 
 def heatmap_csv(log: RawBidLog, bidder_id: str, manifest_hash: str) -> str:
     products, matrix = heatmap_matrix(log, bidder_id)
-    lines = [f"# manifest {manifest_hash}", "round," + ",".join(products)]
-    for rnd, row in enumerate(matrix, start=1):
-        lines.append(f"{rnd}," + ",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return f"# manifest {manifest_hash}\n" + csv_text(
+        [("round", *products), *((rnd, *row) for rnd, row in enumerate(matrix, start=1))])
 
 
 def _quantile_color(value: int, sorted_nonzero: list[int]) -> str:
@@ -75,13 +73,14 @@ def _quantile_color(value: int, sorted_nonzero: list[int]) -> str:
 
 
 def heatmap_svg(log: RawBidLog, bidder_id: str, manifest_hash: str) -> str:
+    from xml.sax.saxutils import escape  # it loads urllib.request: only a report does
     products, matrix = heatmap_matrix(log, bidder_id)
     nonzero = sorted(v for row in matrix for v in row if v)
     width = CELL * max(1, len(products))
     height = CELL * max(1, len(matrix))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f"<desc>bidding heatmap {bidder_id}; manifest {manifest_hash}</desc>",
+        f"<desc>bidding heatmap {escape(bidder_id)}; manifest {manifest_hash}</desc>",
     ]
     for r, row in enumerate(matrix):
         for c, value in enumerate(row):
@@ -120,9 +119,8 @@ def compare_traces(a: AuctionTrace, b: AuctionTrace, catalog: ProductCatalog) ->
 def final_price_scatter_csv(a: AuctionTrace, b: AuctionTrace,
                             catalog: ProductCatalog, manifest_hash: str) -> str:
     """Per-product final posted prices in the two traces (cents)."""
-    lines = [f"# manifest {manifest_hash}", "product_id,final_price_a_cents,final_price_b_cents"]
     pa = a.rounds[-1].posted
     pb = b.rounds[-1].posted
-    for j in catalog.ids():
-        lines.append(f"{j},{pa[j]},{pb[j]}")
-    return "\n".join(lines) + "\n"
+    return f"# manifest {manifest_hash}\n" + csv_text(
+        [("product_id", "final_price_a_cents", "final_price_b_cents"),
+         *((j, pa[j], pb[j]) for j in catalog.ids())])

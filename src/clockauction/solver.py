@@ -15,9 +15,9 @@ a fresh one.
 
 Every LP is a `LinearProgram`: named columns with bounds and costs, and its
 constraints as sparse triplets (`Rows`), handed over whole, as estimation
-and the bidder oracle's MIPs make them.  The simplex copies the rows into
-its tableau as one dense block, the highs backend passes their arrays as
-they are, and both refuse non-finite input.  LPs share what they do not
+and the bidder oracle's MIPs make them.  The simplex scatters the triplets
+into its tableau as one dense block, the highs backend passes their arrays
+as they are, and both refuse non-finite input.  LPs share what they do not
 change: the nodes of `solve_mip(lp, binaries)` differ from their MIP only
 in the bounds, and a MIP re-priced at new costs shares its rows.  The rows keep, by bounds, the tableau and basis that
 phase 2 starts from (`Rows.phase1`), since neither the build nor phase 1
@@ -56,37 +56,21 @@ HIGHS_TOL = 10 * math.sqrt(1e-9)
 LE, GE, EQ = "<=", ">=", "="
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lb: float = 0.0
-    ub: float | None = None  # None = +inf
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict[str, float]
-    relation: str
-    rhs: float
-
-
 @dataclass(eq=False)
 class Rows:
     """An LP's constraints, in order: sparse triplets (indptr, indices, data)
-    over `width` variable columns, their right-hand sides and relations.
-    Their arrays and lists never change, so LPs share them; an LP that adds
-    a column makes new `Rows`.  `dense` is the triplets scattered into a
-    read-only matrix at first use, which each tableau build copies,
-    and `phase1` the memo of the simplex's starts over these rows, by
-    bounds: the tableau and basis that phase 2 starts from, after phase 1,
-    or None where phase 1 finds them infeasible (`_start`).  The triplets
-    may be given as lists; they are kept as arrays."""
+    over the LP's columns, their right-hand sides and relations.  Their
+    arrays and lists never change, so LPs share them, also an LP that adds
+    a column.  `phase1` is the memo of the simplex's starts over these
+    rows, by bounds: the tableau and basis that phase 2 starts from, after
+    phase 1, or None where phase 1 finds them infeasible (`_start`).  Its
+    keys hold one bound per column, so LPs of different widths never share
+    an entry.  The triplets may be given as lists; they are kept as arrays."""
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     rhs: list[float]
     relations: list[str]
-    width: int
     phase1: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -95,34 +79,12 @@ class Rows:
         self.data = np.asarray(self.data, dtype=float)
 
     @functools.cached_property
-    def dense(self) -> np.ndarray:
-        A = np.zeros((len(self.rhs), self.width))
-        A[np.arange(len(self.rhs)).repeat(np.diff(self.indptr)), self.indices] += self.data
-        A.flags.writeable = False
-        return A
-
-    @functools.cached_property
     def nonfinite(self) -> str | None:
         """'coefficient' or 'right-hand side', the first part of the rows
         that holds a value that is not finite; None when all are."""
         if not np.isfinite(self.data).all():
             return "coefficient"
         return None if np.isfinite(self.rhs).all() else "right-hand side"
-
-
-class _View(Sequence):
-    """A read-only sequence of `n` items, each made by `item(i)` at access."""
-
-    def __init__(self, n: int, item: Callable[[int], object]):
-        self._n, self._item = n, item
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int):
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        return self._item(i % self._n)
 
 
 class LinearProgram:
@@ -134,9 +96,9 @@ class LinearProgram:
     or costs.
 
     The rest is kept only for `bench/`: its setup builds an LP a column at
-    a time by `add_variable` and the `objective` setter, and its spans count
-    the `variables` and `constraints` views (each item made at access).  The
-    next change to `bench/` deletes it."""
+    a time by `add_variable` and the `objective` setter, and its spans take
+    the lengths of `variables` (the names) and `constraints` (the
+    right-hand sides).  The next change to `bench/` deletes it."""
 
     def __init__(self, names: Sequence[str] = (), costs: Sequence[float] | None = None,
                  rows: Rows | None = None):
@@ -147,7 +109,7 @@ class LinearProgram:
         n = len(self.names)
         self.costs = [0.0] * n if costs is None else costs
         self.lb, self.ub = [0.0] * n, [math.inf] * n
-        self.rows = rows if rows is not None else Rows([0], [], [], [], [], n)
+        self.rows = rows if rows is not None else Rows([0], [], [], [], [])
 
     def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> str:
         if name in self._index:
@@ -157,9 +119,6 @@ class LinearProgram:
         self.costs = [*self.costs, 0.0]
         self.lb = [*self.lb, float(lb)]
         self.ub = [*self.ub, math.inf if ub is None else float(ub)]
-        rows = self.rows
-        self.rows = Rows(rows.indptr, rows.indices, rows.data, rows.rhs, rows.relations,
-                         len(self.names))
         return name
 
     def _set_objective(self, objective: dict[str, float]) -> None:
@@ -173,21 +132,9 @@ class LinearProgram:
     objective = property(fset=_set_objective, doc="""Setting it makes new costs,
         0.0 plus each coefficient given by name and 0.0 elsewhere.""")
 
-    @property
-    def variables(self) -> Sequence[Variable]:
-        return _View(len(self.names), lambda i: Variable(
-            self.names[i], self.lb[i], None if self.ub[i] == math.inf else self.ub[i]))
-
-    @property
-    def constraints(self) -> Sequence[Constraint]:
-        rows = self.rows
-
-        def constraint(i):
-            span = slice(rows.indptr[i], rows.indptr[i + 1])
-            return Constraint(dict(zip([self.names[k] for k in rows.indices[span].tolist()],
-                                       rows.data[span].tolist())),
-                              rows.relations[i], rows.rhs[i])
-        return _View(len(rows.rhs), constraint)
+    # bench/'s spans count the columns and the rows of each LP they see
+    variables = property(lambda self: self.names)
+    constraints = property(lambda self: self.rows.rhs)
 
 
 @dataclass(frozen=True)
@@ -283,7 +230,7 @@ def _tableau(rows: Rows, lbs: np.ndarray, ubs: np.ndarray
     k = len(rows.rhs)
     m = k + len(bounded)
     A = np.zeros((m, n))
-    A[:k] = rows.dense
+    A[np.arange(k).repeat(np.diff(rows.indptr)), rows.indices] += rows.data
     b = np.zeros(m)
     b[:k] = rows.rhs - A[:k] @ lbs
     A[range(k, m), bounded] = 1.0

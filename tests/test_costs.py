@@ -8,7 +8,7 @@ from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, SCENARIOS, AreaStats,
                                 deployment_cost, load_demographics,
                                 load_inventory, towers_needed)
 from clockauction.errors import ParseError, ValidationError
-from clockauction.tiered import TIERS
+from clockauction.tiered import TIERS, TieredValuationAdjustment
 
 
 class TestTowersNeeded:
@@ -158,6 +158,17 @@ class TestCostTable:
         again = build_cost_table(self.catalog(), self.demographics(), inv,
                                  SCENARIOS["none"], CostParameters())
         assert cost_table_to_csv(again) == text
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        """A field holding a `,` or a `"` is quoted, so the table reads back
+        as written; plain fields are written bare."""
+        table = TieredValuationAdjustment(
+            {(bidder, area, tier): 100 * k for bidder in ("Bell, Inc", 'B"2', "plain")
+             for area in ('Area "9"', "A1,A2") for k, tier in enumerate(TIERS)})
+        text = cost_table_to_csv(table)
+        assert f'\nplain,"A1,A2",{TIERS[0]},0\n' in text
+        (tmp_path / "costs.csv").write_text(f"# manifest deadbeef\n{text}")
+        assert cost_table_from_csv(tmp_path / "costs.csv") == table
 
     def test_saturated_incumbent_gets_zero_table(self):
         inv = TowerInventory({("X", "A1"): 50, ("X", "A2"): 50})

@@ -423,7 +423,7 @@ def assert_builds_match(space, start_prices, eligibility, catalog, weight):
     rows, names = built.rows, built.names
     assert names == lp.names
     assert bits(built.costs) == bits(lp.costs)
-    assert rows.width == len(names) and len(rows.rhs) == len(lp.rows.rhs)
+    assert len(rows.rhs) == len(lp.rows.rhs)
     got = [([names[k] for k in rows.indices[a:b]], bits(rows.data[a:b]))
            for a, b in zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())]
     assert got == [(list(coeffs), bits(list(coeffs.values())))

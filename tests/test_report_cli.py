@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -11,8 +12,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ElementTree
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -21,16 +24,16 @@ from hypothesis import given, settings, strategies as st
 from clockauction import cli, estimation
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
-from clockauction.core import ProductCatalog
+from clockauction.core import Product, ProductCatalog
 from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, DEFAULT_SPACING_KM, SCENARIOS,
                                 AreaStats, CostParameters, build_cost_table, cost_table_from_csv,
                                 load_demographics, load_inventory)
 from clockauction.engine import run_auction, trace_to_jsonl
 from clockauction.estimation import model_to_json
-from clockauction.ingest import write_bid_log
+from clockauction.ingest import RawBidLog, write_bid_log
 from clockauction.pipeline import roundtrip, trace_to_bidlog
-from clockauction.report import (RunManifest, compare_traces, heatmap_csv,
-                                 heatmap_matrix, heatmap_svg)
+from clockauction.report import (RunManifest, compare_traces, final_price_scatter_csv,
+                                 heatmap_csv, heatmap_matrix, heatmap_svg)
 from clockauction.solver import GE, LE, _highspy
 from clockauction.synthetic import random_setup
 
@@ -102,7 +105,7 @@ ADAPTER = """
 from clockauction.solver import EQ, GE, LE, LinearProgram, Rows, solve_lp, _highspy
 lp = LinearProgram(["x", "y", "z"], [1.0, 2.0, -1.0],
                    Rows([0, 2, 4, 6], [0, 1, 0, 2, 1, 2], [1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
-                        [2.0, 1.0, 3.0], [GE, LE, EQ], 3))
+                        [2.0, 1.0, 3.0], [GE, LE, EQ]))
 print(repr(solve_lp(lp, backend="highs")))
 """
 LINPROG = """
@@ -646,6 +649,35 @@ class TestHeatmaps:
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
         assert "deadbeef" in svg
         assert svg.count("<rect ") == len(log.products(bidder)) * log.num_rounds(bidder)
+
+    # ids that hold XML markup and CSV delimiters
+    BIDDERS, PRODUCTS = ("AT&T", "B<2>"), ("A,1", 'B"2')
+
+    def awkward_log(self):
+        return RawBidLog.from_rows([(rnd, bidder, j, q) for bidder in self.BIDDERS
+                                    for rnd, q in ((1, 2), (2, 1)) for j in self.PRODUCTS])
+
+    def test_svg_escapes_the_bidder_id(self):
+        log = self.awkward_log()
+        for bidder in self.BIDDERS:
+            root = ElementTree.fromstring(heatmap_svg(log, bidder, manifest_hash="deadbeef"))
+            assert root.find("{http://www.w3.org/2000/svg}desc").text == \
+                f"bidding heatmap {bidder}; manifest deadbeef"
+
+    def test_csvs_quote_product_ids(self):
+        log = self.awkward_log()
+        manifest, text = heatmap_csv(log, "AT&T", "deadbeef").split("\n", 1)
+        assert manifest == "# manifest deadbeef"
+        assert list(csv.reader(io.StringIO(text))) == \
+            [["round", *self.PRODUCTS], ["1", "2", "2"], ["2", "1", "1"]]
+        catalog = ProductCatalog(products=tuple(
+            Product(j, "area", "urban", 1, 1, 100) for j in self.PRODUCTS))
+        trace = SimpleNamespace(rounds=[SimpleNamespace(posted={"A,1": 300, 'B"2': 400})])
+        manifest, text = final_price_scatter_csv(trace, trace, catalog, "deadbeef").split("\n", 1)
+        assert manifest == "# manifest deadbeef"
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["product_id", "final_price_a_cents", "final_price_b_cents"],
+            ["A,1", "300", "300"], ['B"2', "400", "400"]]
 
 
 class TestCompareTraces:

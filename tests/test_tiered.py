@@ -18,6 +18,7 @@ from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
+from clockauction.pipeline import estimate_all, trace_to_bidlog
 from clockauction.synthetic import random_setup
 import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
@@ -459,7 +460,26 @@ def test_frame_mips_equal_the_row_at_a_time_build(auction, monkeypatch):
         for name in ("indptr", "indices", "data"):
             got, ref = getattr(rows, name), getattr(want, name)
             assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name
-        assert (rows.rhs, rows.relations, rows.width) == (want.rhs, want.relations, want.width)
+        assert (rows.rhs, rows.relations) == (want.rhs, want.relations)
+
+
+def test_the_counted_views_are_the_columns_and_rows(monkeypatch):
+    """The benchmark's spans count an LP's `variables` and `constraints`:
+    on each `estimate` LP and on a frame's MIP their lengths are the LP's
+    columns and rows."""
+    frames, init = [], engine.Frame.__init__
+    monkeypatch.setattr(engine.Frame, "__init__",
+                        lambda self, *a, **k: frames.append(self) or init(self, *a, **k))
+    config, agents = random_setup(5, n_bidders=3, n_products=6, n_bases=2)
+    estimates = estimate_all(trace_to_bidlog(run_auction(config, agents)), config.catalog,
+                             config.increments, keep_lp=True)
+    frame = frames[0]
+    prices = PriceVector({key: 0 for levels in frame.levels.values() for *_, key in levels})
+    frame.solve(frame.options(prices), lambda *a: solver.Solution("infeasible", {}, None))
+    lps = [est.report.lp for est in estimates.values()] + [frame.mip[0]]
+    for lp in lps:
+        assert len(lp.variables) == len(lp.names) > 0
+        assert len(lp.constraints) == len(lp.rows.rhs) > 0
 
 
 class TestCoverageReport:
