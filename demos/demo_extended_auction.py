@@ -12,8 +12,8 @@ from clockauction.costs import AreaStats, DEFAULT_COVERAGE_TARGETS
 from clockauction.engine import AuctionConfig, BidderAgent
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
-from clockauction.tiered import (TIERS, TieredValuationAdjustment,
-                                 coverage_report, run_extended_auction)
+from clockauction.tiered import (TIERS, TieredValuationAdjustment, coverage_report,
+                                 deployment_costs, run_extended_auction)
 
 
 def unit_agent(bidder: str, product: str, value_cents: int) -> BidderAgent:
@@ -60,9 +60,10 @@ def main() -> None:
               f"{cents_to_dollars(m):>12} / {cents_to_dollars(h):>12}   {bids}")
 
     print("\nfinal allocation:")
+    costs = deployment_costs(trace, catalog, adjustment)
     for bidder, bundle in sorted(trace.final_allocation.items()):
         print(f"  {bidder}: {bundle or '-'}  "
-              f"(deployment cost ${cents_to_dollars(trace.deployment_costs[bidder])})")
+              f"(deployment cost ${cents_to_dollars(costs[bidder])})")
 
     cov = coverage_report(trace, catalog, demographics, DEFAULT_COVERAGE_TARGETS)
     print(f"\nlicenses by class and tier: {cov['licenses_by_class_tier']}")

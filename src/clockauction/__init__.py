@@ -13,7 +13,7 @@ from .ingest import (BundleBase, BundleSpace, CopyLadder, RawBidLog,
                      build_bundle_space, build_ladders, enumerate_variants,
                      parse_bid_log, smooth_monotone)
 from .pipeline import estimate_all, reconstruct_prices, roundtrip
-from .tiered import (TieredValuationAdjustment, coverage_report,
+from .tiered import (TieredValuationAdjustment, coverage_report, deployment_costs,
                      run_extended_auction, tier_overdemand)
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .pipeline import estimate_all, reconstruct_prices, trace_to_bidlog
 from .report import (RunManifest, compare_traces, final_price_scatter_csv, heatmap_csv,
                      heatmap_svg)
 from .solver import write_lp_format
-from .tiered import TIERS, coverage_report, run_extended_auction
+from .tiered import TIERS, coverage_report, deployment_costs, run_extended_auction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -220,13 +220,7 @@ def cmd_estimate(args, catalog, auction, params) -> int:
         if args.dump_lp:
             write_lp_format(est.report.lp, Path(args.dump_lp) / f"estimation_{bidder}.lp")
         atomic_write(out / f"model_{bidder}.json", model_to_json(est.model, est.space))
-        reports[bidder] = {
-            "status": est.report.status,
-            "slack_total_cents": est.report.slack_total,
-            "base_value_total_cents": est.report.base_value_total,
-            "violations": est.report.violations,
-            "fallback_used": est.report.fallback_used,
-        }
+        reports[bidder] = {k: v for k, v in vars(est.report).items() if k != "lp"}
     manifest = _manifest(args, catalog=args.catalog, bids=args.bids)
     atomic_write(out / "estimation_report.json", json.dumps(
         {"manifest_hash": manifest.hash(), "bidders": reports},
@@ -276,7 +270,7 @@ def cmd_simulate_extended(args, catalog, auction, params) -> int:
         "coverage": coverage_report(trace, catalog, demographics, params.coverage_targets)}
     return _write_run(_out_dir(args), "_tiered", trace,
                       _manifest(args, catalog=args.catalog, cost_table=args.cost_table),
-                      **extra)
+                      deployment_costs_cents=deployment_costs(trace, catalog, table), **extra)
 
 
 def cmd_cost_table(args, catalog, auction, params) -> int:

@@ -304,7 +304,8 @@ def read_document(path, parse: Callable[[str], object]):
             data = fh.read()
         if (digests := DIGESTS.get()) is not None:
             digests[os.fspath(path)] = hashlib.sha256(data).hexdigest()[:16]
-        return parse(data.decode("utf-8"))
+        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" begins with
+        return parse(data.decode("utf-8-sig"))
     except (OSError, *INPUT_ERRORS) as exc:
         raise input_error(str(path), exc) from exc
 
@@ -332,10 +333,13 @@ def read_lines(path) -> list[tuple[int, str]]:
 
 
 def csv_text(rows) -> str:
-    """`rows` as CSV, each line ended by "\n", a field quoted only where it
-    holds a `,`, a `"` or a line break, as `read_csv` reads it back."""
+    """`rows` as CSV, each line ended by "\n", as `read_csv` reads it back: a field is
+    quoted if it holds a `,`, a `"` or a line break, or if its row begins with `#`."""
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
+    minimal, every = (csv.writer(text, lineterminator="\n", quoting=quoting)
+                      for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+    for row in rows:  # unquoted, a row that begins with `#` would read as a comment
+        (every if str(row[0]).startswith("#") else minimal).writerow(row)
     return text.getvalue()
 
 

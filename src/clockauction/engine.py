@@ -547,13 +547,10 @@ def trace_from_jsonl(path, catalog: ProductCatalog) -> AuctionTrace:
 
 
 def trace_summary(trace: AuctionTrace) -> dict:
-    summary = {
+    return {
         "final_allocation": {bidder: _bid_doc(bid)
                              for bidder, bid in sorted(trace.final_allocation.items())},
         "revenue_cents": trace.revenue,
         "rounds_used": trace.rounds_used,
         "truncated": trace.truncated,
     }
-    if hasattr(trace, "deployment_costs"):  # a tiered trace
-        summary["deployment_costs_cents"] = dict(sorted(trace.deployment_costs.items()))
-    return summary

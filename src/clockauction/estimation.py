@@ -292,9 +292,10 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
 
 @dataclass(frozen=True)
 class EstimationReport:
+    # a bidder's entry of estimation_report.json is every field but lp
     status: str
-    slack_total: float
-    base_value_total: float
+    slack_total_cents: float
+    base_value_total_cents: float
     violations: dict[str, int]
     fallback_used: bool = False
     # with keep_lp, the LP solved first, min sum(slack) + sum(base values)
@@ -371,8 +372,8 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     slacked = (1, 2) if fallback else (2,)
     report = EstimationReport(
         status=sol.status,
-        slack_total=float(sum(cents for kind, cents in short if kind in slacked)),
-        base_value_total=float(sum(model.base_values.values())),
+        slack_total_cents=float(sum(cents for kind, cents in short if kind in slacked)),
+        base_value_total_cents=float(sum(model.base_values.values())),
         violations=dict(Counter(BLOCKS[kind] for kind, cents in short
                                 if cents and kind not in slacked)),
         fallback_used=fallback, lp=first if keep_lp else None)

@@ -9,7 +9,7 @@ engaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import MAX_CENTS, PriceVector, ProductCatalog
 from .errors import ValidationError
@@ -83,11 +83,6 @@ def tier_overdemand(demands: dict[str, int], supply: int) -> dict[str, bool]:
 TieredBundle = dict[str, tuple[str, int]]  # product_id -> (tier, quantity)
 
 
-@dataclass
-class TieredAuctionTrace(AuctionTrace):
-    deployment_costs: dict[str, int] = field(default_factory=dict)
-
-
 def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                         prices: PriceVector, eligibility: int,
                         catalog: ProductCatalog, bidder_id: str,
@@ -125,7 +120,7 @@ def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,
 
 
 def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
-                         adjustment: TieredValuationAdjustment) -> TieredAuctionTrace:
+                         adjustment: TieredValuationAdjustment) -> AuctionTrace:
     """The standard round loop over (product, tier) pairs; hierarchical
     overdemand decides which tier prices escalate from a shared opening."""
     catalog = config.catalog
@@ -138,31 +133,34 @@ def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
             out.update({(j, t): flags[t] for t in TIERS})
         return out
 
-    trace = run_rounds(config, agents, Market(
+    return run_rounds(config, agents, Market(
         product_of={(j, t): j for j in catalog.ids() for t in TIERS},
         bid=lambda agent, prices, elig, memo: _myopic_tiered_bid(
             agent, prices, catalog, elig, adjustment, memo),
         demand=lambda bid: {(j, t): q for j, (t, q) in bid.items()},
         empty={},
         overdemanded=over))
-    deployment_costs = {}
-    for bidder, bundle in trace.final_allocation.items():
-        engaged = {(catalog.get(j).area_id, t) for j, (t, q) in bundle.items()}
-        deployment_costs[bidder] = sum(
-            adjustment.cost(bidder, a, t) for (a, t) in sorted(engaged))
-    return TieredAuctionTrace(**vars(trace), deployment_costs=deployment_costs)
 
 
 # ---------------------------------------------------------------------------
-# coverage reporting
+# the sections a tiered run adds to its summary
 
 
-def coverage_report(trace: TieredAuctionTrace, catalog: ProductCatalog,
+def deployment_costs(trace: AuctionTrace, catalog: ProductCatalog,
+                     adjustment: TieredValuationAdjustment) -> dict[str, int]:
+    """The summary's `deployment_costs_cents`: per bidder, in sorted order,
+    the cost of each (area, tier) its final bid engages, paid once."""
+    return {bidder: sum(adjustment.cost(bidder, a, t) for a, t in sorted(
+                {(catalog.get(j).area_id, t) for j, (t, q) in bundle.items()}))
+            for bidder, bundle in sorted(trace.final_allocation.items())}
+
+
+def coverage_report(trace: AuctionTrace, catalog: ProductCatalog,
                     demographics, coverage_targets: dict[tuple[str, str], float]) -> dict:
-    """The summary's `coverage` section: license counts per area class and
-    tier (`licenses_by_class_tier`), and the population newly reached within
-    five years by Medium/High commitments relative to the Low baseline
-    (`additional_population`).
+    """The summary's `coverage` section of a tiered trace: license counts per
+    area class and tier (`licenses_by_class_tier`), and the population newly
+    reached within five years by Medium/High commitments relative to the Low
+    baseline (`additional_population`).
 
     Population in an area counts once, at the strongest tier any license in
     that area carries.

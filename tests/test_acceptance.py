@@ -275,7 +275,7 @@ def test_03_lp_constraint_satisfaction():
                     values[slack_names[0]] = max(0.0, rhs - rest)
             bad = feasible_reference(lp, values)
             worst = max(worst, len(bad))
-            slack_worst = max(slack_worst, est.report.slack_total,
+            slack_worst = max(slack_worst, est.report.slack_total_cents,
                               sum(v for n, v in values.items()
                                   if n.startswith("sl::")))
     report("3 LP hard-constraint satisfaction",

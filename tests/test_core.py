@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import clockauction
 from clockauction.core import (Bundle, PriceVector, Product, ProductCatalog,
-                               atomic_write, clock_price, dollars_to_cents,
-                               eligibility_cost, step_price)
+                               atomic_write, clock_price, csv_text, dollars_to_cents,
+                               eligibility_cost, read_csv, step_price)
 from clockauction.engine import overdemanded
 from clockauction.errors import ParseError, ValidationError
 from clockauction.ingest import RawBidLog
@@ -154,6 +154,17 @@ class TestIoLayers:
         assert path.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_a_row_that_begins_with_a_hash_is_written_quoted(self, tmp_path):
+        """`read_csv` skips a line that begins with `#` as a comment, so
+        `csv_text` quotes a row whose first field begins with one; a `#`
+        later in a row is written bare."""
+        rows = [("id", "note"), ("#1", "a"), ("#2", "b,c"), ("plain", "#3")]
+        text = csv_text(rows)
+        assert text == 'id,note\n"#1","a"\n"#2","b,c"\nplain,#3\n'
+        (tmp_path / "rows.csv").write_text(f"# a comment\n{text}")
+        assert read_csv(tmp_path / "rows.csv", ["id", "note"], lambda *row: row,
+                        key=lambda row: row[0]) == rows[1:]
+
 
 class TestEligibilityCost:
     def test_weighted_sum(self):
@@ -188,6 +199,14 @@ class TestCatalogCsv:
         assert len(catalog) == 2
         assert catalog.get("P1").opening_price == d("125000")
         assert catalog.get("P2").area_class == "rural"
+
+    def test_a_byte_order_mark_is_read(self, tmp_path):
+        """A catalog saved as "CSV UTF-8" by a spreadsheet begins with a
+        byte-order mark, which is not part of its first column's name."""
+        path = tmp_path / "catalog.csv"
+        path.write_text(self.HEADER + "P1,A1,urban,3,2,125000\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ProductCatalog.from_csv(path).ids() == ("P1",)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "catalog.csv"

@@ -170,6 +170,19 @@ class TestCostTable:
         (tmp_path / "costs.csv").write_text(f"# manifest deadbeef\n{text}")
         assert cost_table_from_csv(tmp_path / "costs.csv") == table
 
+    def test_an_id_that_begins_with_a_hash_round_trips(self, tmp_path):
+        """A row whose first field begins with `#` is written quoted, so it
+        reads back as a row, not as a comment."""
+        table = TieredValuationAdjustment(
+            {(bidder, "A1", tier): 100 * k for bidder in ("#1", "B")
+             for k, tier in enumerate(TIERS)})
+        text = cost_table_to_csv(table)
+        assert f'\n"#1","A1","{TIERS[0]}","0"\n' in text
+        (tmp_path / "costs.csv").write_text(f"# manifest deadbeef\n{text}")
+        read = cost_table_from_csv(tmp_path / "costs.csv")
+        assert len(read.costs) == 6 and read == table
+        assert read.cost("#1", "A1", "high") == 200
+
     def test_saturated_incumbent_gets_zero_table(self):
         inv = TowerInventory({("X", "A1"): 50, ("X", "A2"): 50})
         table = build_cost_table(self.catalog(), self.demographics(), inv,

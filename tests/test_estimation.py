@@ -192,7 +192,7 @@ class TestEstimate:
         prices = {1: PriceVector({"A": 0})}
         model, report = estimate(space, prices, {1: 1}, catalog)
         assert model.base_values["X/base0"] == pytest.approx(0.0, abs=1e-6)
-        assert report.slack_total == pytest.approx(0.0, abs=1e-6)
+        assert report.slack_total_cents == pytest.approx(0.0, abs=1e-6)
         assert not report.fallback_used and not report.violations
 
     def test_irrational_switch_forces_slack(self):
@@ -209,8 +209,8 @@ class TestEstimate:
         prices = {1: PriceVector({"A": 10_00, "B": 0}),
                   2: PriceVector({"A": 0, "B": 10_00})}
         model, report = estimate(space, prices, {1: 2, 2: 2}, catalog)
-        assert report.slack_total == pytest.approx(20_00, abs=1e-4)
-        assert report.base_value_total == pytest.approx(20_00, abs=1e-4)
+        assert report.slack_total_cents == pytest.approx(20_00, abs=1e-4)
+        assert report.base_value_total_cents == pytest.approx(20_00, abs=1e-4)
         assert not report.fallback_used
 
     def test_infeasible_log_uses_fallback(self):
@@ -223,7 +223,7 @@ class TestEstimate:
         model, report = estimate(space, prices, {1: 2, 2: 2}, catalog)
         assert report.fallback_used
         assert report.status == "optimal"
-        assert report.slack_total > 0
+        assert report.slack_total_cents > 0
 
     def test_consistent_synthetic_log_has_zero_slack(self):
         config, agents = random_setup(2024, n_bidders=3, n_products=6)
@@ -232,7 +232,7 @@ class TestEstimate:
         estimates = estimate_all(raw, config.catalog, config.increments)
         assert estimates
         for est in estimates.values():
-            assert est.report.slack_total == pytest.approx(0.0, abs=1e-4)
+            assert est.report.slack_total_cents == pytest.approx(0.0, abs=1e-4)
             assert not est.report.fallback_used
             assert not est.report.violations
 

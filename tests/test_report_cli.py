@@ -13,7 +13,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ElementTree
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,18 +24,19 @@ from hypothesis import given, settings, strategies as st
 from clockauction import cli, estimation
 from clockauction.cli import main
 from clockauction.core import cents_to_dollars
-from clockauction.core import Product, ProductCatalog
+from clockauction.core import IncrementSchedule, Product, ProductCatalog, read_csv
 from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, DEFAULT_SPACING_KM, SCENARIOS,
                                 AreaStats, CostParameters, build_cost_table, cost_table_from_csv,
-                                load_demographics, load_inventory)
+                                cost_table_to_csv, load_demographics, load_inventory)
 from clockauction.engine import run_auction, trace_to_jsonl
-from clockauction.estimation import model_to_json
-from clockauction.ingest import RawBidLog, write_bid_log
-from clockauction.pipeline import roundtrip, trace_to_bidlog
+from clockauction.estimation import EstimationReport, model_to_json
+from clockauction.ingest import RawBidLog, parse_bid_log, write_bid_log
+from clockauction.pipeline import estimate_all, roundtrip, trace_to_bidlog
 from clockauction.report import (RunManifest, compare_traces, final_price_scatter_csv,
                                  heatmap_csv, heatmap_matrix, heatmap_svg)
 from clockauction.solver import GE, LE, _highspy
 from clockauction.synthetic import random_setup
+from clockauction.tiered import TIERS, TieredValuationAdjustment
 
 
 def loaded_scipy(code: str) -> tuple[str, list[str]]:
@@ -330,6 +331,49 @@ class TestCliPipeline:
         assert code in (0, 4)
         summary = json.loads((ext / "summary_tiered.json").read_text())
         assert "coverage" in summary and "revenue_cents" in summary
+
+    @pytest.mark.parametrize("demographics", [False, True])
+    def test_extended_summary_prices_each_bidders_deployment(self, workspace, tmp_path,
+                                                             demographics):
+        """`summary_tiered.json` holds every bidder's deployment cost, with
+        or without the coverage section: the cost table's cost of each
+        (area, tier) its final bid engages, paid once.  Every (area, tier)
+        costs something here, and a different amount."""
+        area = {p.id: p.area_id for p in ProductCatalog.from_csv(workspace / "catalog.csv")}
+        bidders = {path.stem.removeprefix("model_")
+                   for path in (workspace / "models").glob("model_*.json")}
+        table = TieredValuationAdjustment(
+            {(b, a, t): 100 * (1 + k) + i for b in bidders
+             for i, a in enumerate(sorted(set(area.values()))) for k, t in enumerate(TIERS)})
+        (tmp_path / "costs.csv").write_text(cost_table_to_csv(table))
+        argv = ["simulate-extended", "--catalog", workspace / "catalog.csv",
+                "--models", workspace / "models",
+                "--cost-table", tmp_path / "costs.csv", "--out", tmp_path / "ext"]
+        assert run(argv + (["--demographics", workspace / "demographics.csv"]
+                           if demographics else [])) in (0, 4)
+        summary = json.loads((tmp_path / "ext" / "summary_tiered.json").read_text())
+        assert ("coverage" in summary) == demographics
+        costs = summary["deployment_costs_cents"]
+        assert set(costs) == set(summary["final_allocation"]) == bidders
+        for bidder, bid in summary["final_allocation"].items():
+            engaged = {(area[j], tier) for j, (tier, q) in bid.items()}
+            assert costs[bidder] == sum(table.cost(bidder, a, t) for a, t in engaged)
+        assert any(costs.values())
+
+    def test_estimation_report_entries_are_the_reports(self, workspace, tmp_path):
+        """Each bidder's entry of `estimation_report.json` is its
+        `EstimationReport`, every field but `lp` under the field's name."""
+        assert run(["estimate", "--catalog", workspace / "catalog.csv",
+                    "--bids", workspace / "bids.csv", "--out", tmp_path]) == 0
+        entries = json.loads((tmp_path / "estimation_report.json").read_text())["bidders"]
+        catalog = ProductCatalog.from_csv(workspace / "catalog.csv")
+        estimates = estimate_all(parse_bid_log(workspace / "bids.csv", catalog), catalog,
+                                 IncrementSchedule.constant(0.1))
+        names = {f.name for f in fields(EstimationReport)} - {"lp"}
+        assert entries.keys() == estimates.keys()
+        for bidder, entry in entries.items():
+            assert entry.keys() == names
+            assert EstimationReport(**entry) == estimates[bidder].report
 
     def cost_table(self, workspace, config, out):
         return run(["cost-table", "--catalog", workspace / "catalog.csv",
@@ -679,6 +723,18 @@ class TestHeatmaps:
             ["product_id", "final_price_a_cents", "final_price_b_cents"],
             ["A,1", "300", "300"], ['B"2', "400", "400"]]
 
+    def test_scatter_of_a_product_that_begins_with_a_hash_reads_back(self, tmp_path):
+        """The scatter's row of a product `#P` is quoted, so the file, its
+        manifest line a comment, reads back whole."""
+        catalog = ProductCatalog(products=tuple(
+            Product(j, "area", "urban", 1, 1, 100) for j in ("#P", "Q")))
+        trace = SimpleNamespace(rounds=[SimpleNamespace(posted={"#P": 300, "Q": 400})])
+        path = tmp_path / "scatter.csv"
+        path.write_text(final_price_scatter_csv(trace, trace, catalog, "deadbeef"))
+        assert read_csv(path, ["product_id", "final_price_a_cents", "final_price_b_cents"],
+                        lambda *row: row, key=lambda row: row[0]) == \
+            [("#P", "300", "300"), ("Q", "400", "400")]
+
 
 class TestCompareTraces:
     def test_self_comparison_is_exact(self):
@@ -915,6 +971,29 @@ class TestMalformedInput:
         lines = ["# manifest 0"] + lines[:2] + ["# a note", ""] + lines[2:]
         files = with_file(inputs, which, lines, tmp_path)
         assert run_captured(reading(which, files, tmp_path / "out"))[0] == 0
+
+    @pytest.mark.parametrize("which", ["catalog", "bids"])
+    def test_a_byte_order_mark_is_read(self, inputs, which, tmp_path):
+        """A CSV saved as "CSV UTF-8" by a spreadsheet begins with a
+        byte-order mark; it reads as the same file without one."""
+        path = tmp_path / f"{which}.csv"
+        path.write_text(inputs[which].read_text(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        for out, files in (("plain", inputs), ("marked", {**inputs, which: path})):
+            assert run_captured(reading(which, files, tmp_path / out)) == (0, "")
+        assert (tmp_path / "marked" / "bids.csv").read_bytes() == \
+            (tmp_path / "plain" / "bids.csv").read_bytes()
+
+    def test_a_model_file_with_a_byte_order_mark_is_read(self, inputs, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for path in sorted(inputs["models"].glob("model_*.json")):
+            (models / path.name).write_text(path.read_text(), encoding="utf-8-sig")
+        for out, where in (("plain", inputs["models"]), ("marked", models)):
+            assert run_captured(["simulate", "--catalog", inputs["catalog"],
+                                 "--models", where, "--out", tmp_path / out]) == (0, "")
+        assert (tmp_path / "marked" / "trace.jsonl").read_bytes() == \
+            (tmp_path / "plain" / "trace.jsonl").read_bytes()
 
     @pytest.mark.parametrize("column, value", [("opening_price_cad", "1/0"),
                                                ("opening_price_cad", "9" * 401),

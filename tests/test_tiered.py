@@ -13,7 +13,7 @@ import clockauction.solver as solver
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog, RoundRecord)
 from clockauction.costs import AreaStats, DEFAULT_COVERAGE_TARGETS
-from clockauction.engine import (AuctionConfig, BidderAgent, run_auction,
+from clockauction.engine import (AuctionConfig, AuctionTrace, BidderAgent, run_auction,
                                  trace_summary, trace_to_jsonl)
 from clockauction.errors import ValidationError
 from clockauction.estimation import ValuationModel, initial_eligibility
@@ -22,8 +22,8 @@ from clockauction.pipeline import estimate_all, trace_to_bidlog
 from clockauction.synthetic import random_setup
 import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
-                                 coverage_report, run_extended_auction,
-                                 tier_overdemand)
+                                 coverage_report, deployment_costs,
+                                 run_extended_auction, tier_overdemand)
 from test_solver import lp_min
 
 
@@ -132,7 +132,7 @@ class TestExtendedAuction:
         trace = run_extended_auction(config, [unit_agent("X", "P1", 500_00)], adj)
         assert trace.rounds_used == 1
         assert trace.final_allocation["X"] == {"P1": ("low", 1)}
-        assert trace.deployment_costs["X"] == 0
+        assert deployment_costs(trace, config.catalog, adj) == {"X": 0}
 
     def test_low_price_escalation_flips_to_higher_tier(self):
         # two bidders chase the cheapest viable tier; the Low price escalates
@@ -208,9 +208,34 @@ class TestExtendedAuction:
             for j, (t, q) in bundle.items())
 
 
-# sha256 of trace_to_jsonl + sorted-key JSON summary, recorded before the
-# simplex tableau was built in one pass; zero costs tie the three tiers, so
-# the branch-and-bound order decides the bids
+def test_deployment_costs_pay_each_engaged_area_and_tier_once():
+    """Two licenses of one area at one tier pay its cost once, another tier
+    of that area pays its own, and a bidder that wins nothing pays 0; the
+    bidders come in sorted order."""
+    catalog = make_catalog({"P1": ("A1", "urban", 3, 100_00), "P2": ("A1", "urban", 3, 100_00),
+                            "P3": ("A2", "rural", 3, 100_00)})
+    adj = TieredValuationAdjustment(
+        {(b, a, t): 100 * (k + 1) + (1000 if a == "A2" else 0)
+         for b in "XYZ" for a in ("A1", "A2") for k, t in enumerate(TIERS)})
+    allocation = {"Z": {"P1": ("low", 1), "P2": ("medium", 1)}, "Y": {},
+                  "X": {"P1": ("low", 2), "P2": ("low", 1), "P3": ("high", 1)}}
+    trace = AuctionTrace(rounds=[], final_allocation=allocation, revenue=0, rounds_used=0)
+    costs = deployment_costs(trace, catalog, adj)
+    assert list(costs.items()) == [("X", 100 + 1300), ("Y", 0), ("Z", 100 + 200)]
+
+
+def tiered_text(trace, catalog, adjustment):
+    """The run's trace and its sorted-key JSON summary as `simulate-extended`
+    writes them, less the manifest and revenue keys: `trace_summary` with
+    the `deployment_costs_cents` section."""
+    summary = {**trace_summary(trace),
+               "deployment_costs_cents": deployment_costs(trace, catalog, adjustment)}
+    return trace_to_jsonl(trace) + json.dumps(summary, sort_keys=True)
+
+
+# sha256 of `tiered_text`, recorded before the simplex tableau was built in
+# one pass; zero costs tie the three tiers, so the branch-and-bound order
+# decides the bids
 BB_DIGESTS = {
     0: "ac859613dc6122444551ec31fb4133e268e05c8b46814bc60d4fef783dd0a936",
     1: "64654941eecee638034279675e7f1f96b64bdc19ccce4066bedb949f51e6e5a9",
@@ -229,7 +254,7 @@ def test_bb_path_trace_digest(seed, monkeypatch):
                                          sorted({p.area_id for p in config.catalog}))
     trace = run_extended_auction(config, agents, adj)
     assert calls, "no oracle call reached the MIP"
-    text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+    text = tiered_text(trace, config.catalog, adj)
     assert hashlib.sha256(text.encode()).hexdigest() == BB_DIGESTS[seed]
 
 
@@ -259,18 +284,19 @@ def test_oracle_memo_is_exact_and_per_run(monkeypatch):
         mip_keys.clear()
         trace = run_extended_auction(config, agents, adj)
         assert mip_keys and len(set(mip_keys)) == len(mip_keys)
-        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        text = tiered_text(trace, config.catalog, adj)
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(mip_keys)))
     assert runs[0] == runs[1]
     assert runs[0][0] == BB_DIGESTS[0]
 
 
 def zero_cost_run():
-    """The zero-cost tiered run of `random_setup(1, 4, 8, n_bases=2)`."""
+    """The zero-cost tiered run of `random_setup(1, 4, 8, n_bases=2)`: its
+    trace, catalog and adjustment."""
     config, agents = random_setup(1, n_bidders=4, n_products=8, n_bases=2)
     adj = TieredValuationAdjustment.zero([a.bidder_id for a in agents],
                                          sorted({p.area_id for p in config.catalog}))
-    return run_extended_auction(config, agents, adj)
+    return run_extended_auction(config, agents, adj), config.catalog, adj
 
 
 def test_phase1_memo_lives_for_one_run(monkeypatch):
@@ -290,11 +316,11 @@ def test_phase1_memo_lives_for_one_run(monkeypatch):
     for _ in range(2):
         rows.clear()
         memos.clear()
-        trace = zero_cost_run()
+        run = zero_cost_run()
         assert len({id(memo) for memo in memos}) < len(memos) and all(memos)
         gc.collect()
         assert all(ref() is None for ref in rows)
-        texts.append(trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True))
+        texts.append(tiered_text(*run))
     assert texts[0] == texts[1]
     assert hashlib.sha256(texts[0].encode()).hexdigest() == BB_DIGESTS[1]
 
@@ -409,7 +435,7 @@ def test_frames_live_for_one_run(monkeypatch):
         gc.collect()
         assert all(ref() is None for ref in frames)
         assert mips and len(walks) == len(frames)
-        text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)
+        text = tiered_text(trace, config.catalog, adj)
         runs.append((hashlib.sha256(text.encode()).hexdigest(), len(frames), len(mips)))
     assert runs[0] == runs[1]
     assert runs[0][0] == BB_DIGESTS[0]
@@ -488,11 +514,10 @@ class TestCoverageReport:
                 "A2": AreaStats("A2", "rural", 40_000, 900.0)}
 
     def trace_with(self, allocation):
-        from clockauction.tiered import TieredAuctionTrace
         record = RoundRecord(round=1, start={}, clock={}, posted={},
                              aggregate={}, bids=allocation, eligibility={})
-        return TieredAuctionTrace(rounds=[record], final_allocation=allocation,
-                                  revenue=0, rounds_used=1)
+        return AuctionTrace(rounds=[record], final_allocation=allocation,
+                            revenue=0, rounds_used=1)
 
     def catalog(self):
         return make_catalog({"P1": ("A1", "metro", 3, 100_00),
