@@ -248,14 +248,6 @@ def clock_price(start: Money, delta: float) -> Money:
     return (2 * start * n + 100 * d) // (200 * d) * 100
 
 
-def step_price(start: Money, clock: Money, overdemanded: bool) -> Money:
-    """Clock price when overdemanded, else the start price; a clock below its
-    start (a sub-dollar price rounded down) is rejected."""
-    if clock < start:
-        raise ValidationError("clock price below start price")
-    return clock if overdemanded else start
-
-
 def eligibility_cost(bundle: Bundle | Mapping[str, int], catalog: ProductCatalog) -> int:
     """Eligibility points times quantity, summed over a bundle or a
     {product: quantity} map."""

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .core import (Bundle, EMPTY_BUNDLE, INPUT_ERRORS, IncrementSchedule,
-                   PriceVector, ProductCatalog, RoundRecord, check_bidder_id, clock_price,
-                   eligibility_cost, finite_json, input_error, integer, read_lines,
-                   step_price)
+                   PriceVector, ProductCatalog, RoundRecord, cents_to_dollars, check_bidder_id,
+                   clock_price, eligibility_cost, finite_json, input_error, integer, read_lines)
 from .errors import SolverError, ValidationError
 from .estimation import ValuationModel, initial_eligibility
 from .ingest import BundleBase, BundleSpace
@@ -361,10 +360,18 @@ def overdemanded(aggregate: Mapping[str, int],
 def price_step(start: PriceVector, over: Mapping[Hashable, bool], keys: Iterable[Hashable],
                increments: IncrementSchedule) -> tuple[PriceVector, PriceVector]:
     """(clock, posted) prices of `keys` after a round that started at
-    `start`: the clock is one increment, `increments.delta`, up, and is
-    posted where the key is overdemanded."""
+    `start`: the clock is one increment, `increments.delta`, up, rounded to
+    whole dollars, and is posted where the key is overdemanded.  A clock
+    below its start (a sub-dollar price rounded down), or an overdemanded
+    key's clock equal to its start (a price too low to rise at this delta,
+    which would repeat its round until `max_rounds`), is a ValidationError."""
     clock = PriceVector({k: clock_price(start[k], increments.delta) for k in keys})
-    posted = PriceVector({k: step_price(start[k], clock[k], over[k]) for k in keys})
+    for k in keys:
+        if clock[k] < start[k] or over[k] and clock[k] == start[k]:
+            raise ValidationError(f"price of {_key_name(k)}: its clock at delta "
+                                  f"{increments.delta} does not rise above its start price "
+                                  f"${cents_to_dollars(start[k])}")
+    posted = PriceVector({k: clock[k] if over[k] else start[k] for k in keys})
     return clock, posted
 
 
@@ -462,9 +469,13 @@ def compare_allocations(a: dict[str, Bundle], b: dict[str, Bundle],
 # trace serialization (JSON-lines rounds + summary), shared by both auctions
 
 
+def _key_name(k: Hashable) -> str:
+    # a (product, tier) key is named "product::tier", in traces and errors
+    return k if isinstance(k, str) else "::".join(k)
+
+
 def _keyed_doc(values: Mapping[Hashable, int]) -> dict:
-    # a (product, tier) key is written "product::tier"
-    return {k if isinstance(k, str) else "::".join(k): v for k, v in values.items()}
+    return {_key_name(k): v for k, v in values.items()}
 
 
 def _bid_doc(bid) -> dict:

@@ -30,14 +30,13 @@ from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
 from .solver import GE, LinearProgram, Rows, Solution, solve_lp
 
 
-def _ladder_steps(levels: tuple[int, ...], quantity: int):
-    """(level, width) for each ladder level above the first, up to `quantity`."""
-    prev = levels[0]
-    for level in levels[1:]:
-        if level > quantity:
-            return
-        yield level, level - prev
-        prev = level
+def _cents(value: float, what: str) -> int:
+    """`value` as an int if it is a nonnegative whole number of cents."""
+    if value < 0:
+        raise ValidationError(f"negative {what}")
+    if not float(value).is_integer():
+        raise ValidationError(f"{what} is not whole cents: {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,37 +44,33 @@ class ValuationModel:
     """A bidder's values in whole cents: each base value and marginal is a
     whole number of cents, and their total (every base value plus each
     ladder's top cumulative value) is below MAX_CENTS, so every sum of them
-    that the oracles take is exact."""
+    that the oracles take is exact.  Each ladder level's cumulative value is
+    summed once, here, in level order, so reading one is a lookup."""
     bidder_id: str
     base_values: dict[str, float]            # base_id -> cents
     marginals: dict[tuple[str, int], float]  # (product_id, ladder level) -> cents/unit
 
     def __post_init__(self):
-        for (j, level), v in self.marginals.items():
-            if v < 0:
-                raise ValidationError(f"negative marginal for ({j}, {level})")
-            if not float(v).is_integer():
-                raise ValidationError(f"marginal for ({j}, {level}) is not whole cents: {v!r}")
-        for b, v in self.base_values.items():
-            if v < 0:
-                raise ValidationError(f"negative base value for {b}")
-            if not float(v).is_integer():
-                raise ValidationError(f"base value for {b} is not whole cents: {v!r}")
+        # the total in Python integers, so the 2**53 check is exact
+        total = sum(_cents(v, f"base value for {b}") for b, v in self.base_values.items())
         levels: dict[str, list[int]] = {}
         for (j, level) in self.marginals:
             levels.setdefault(j, []).append(level)
-        # the ladders, computed once; tuples so no caller can change them
-        object.__setattr__(self, "_ladders",
-                           {j: tuple(sorted(lv)) for j, lv in levels.items()})
+        # the ladders, as tuples so no caller can change them, and each level's
+        # cumulative value, (product_id, level) -> cents, from one walk per ladder
+        object.__setattr__(self, "_ladders", {j: tuple(sorted(lv)) for j, lv in levels.items()})
+        object.__setattr__(self, "_cumulative", cumulative := {})
         for j, lv in self._ladders.items():
             if self.marginals[(j, lv[0])] != 0:
                 raise ValidationError(f"first ladder level of {j} must be 0")
-            for a, b in zip(lv[1:], lv[2:]):
-                if self.marginals[(j, a)] < self.marginals[(j, b)]:
+            cumulative[(j, lv[0])] = value = 0.0
+            for prev, level in zip(lv, lv[1:]):
+                v = self.marginals[(j, level)]
+                cents = _cents(v, f"marginal for ({j}, {level})")
+                if prev != lv[0] and v > self.marginals[(j, prev)]:
                     raise ValidationError(f"diminishing returns violated for {j}")
-        total = sum(map(int, self.base_values.values())) + sum(
-            (b - a) * int(self.marginals[(j, b)])
-            for j, lv in self._ladders.items() for a, b in zip(lv, lv[1:]))
+                cumulative[(j, level)] = value = value + (level - prev) * v
+                total += (level - prev) * cents
         if total >= MAX_CENTS:
             raise ValidationError(f"{self.bidder_id}: values total 2**53 cents or more")
 
@@ -87,14 +82,11 @@ class ValuationModel:
 
     def cumulative_value(self, product_id: str, quantity: int) -> float:
         """Sum of increment values up to `quantity` on the product's ladder."""
-        levels = self.ladder(product_id)
-        if quantity not in levels:
-            raise ValidationError(
-                f"quantity {quantity} off the ladder of {product_id!r}")
-        total = 0.0
-        for level, width in _ladder_steps(levels, quantity):
-            total += width * self.marginals[(product_id, level)]
-        return total
+        value = self._cumulative.get((product_id, quantity))
+        if value is None:
+            self.ladder(product_id)
+            raise ValidationError(f"quantity {quantity} off the ladder of {product_id!r}")
+        return value
 
 
 def bundle_value(model: ValuationModel, bundle: Bundle, base: BundleBase) -> float:

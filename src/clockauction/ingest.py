@@ -151,6 +151,8 @@ def parse_bid_log(path, catalog: ProductCatalog) -> RawBidLog:
 
     rows = read_csv(path, ["round", "bidder_id", "product_id", "quantity"], bid_row,
                     key=lambda r: r[:3])
+    if not rows:
+        raise ValidationError(f"{path}: no bid rows")
     have = {(b, rnd) for rnd, b, _, _ in rows}
     gaps = sorted({b for b, rnd in have if rnd > 1 and (b, rnd - 1) not in have})
     if gaps:

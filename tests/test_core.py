@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clockauction
-from clockauction.core import (Bundle, PriceVector, Product, ProductCatalog,
-                               atomic_write, clock_price, csv_text, dollars_to_cents,
-                               eligibility_cost, read_csv, step_price)
-from clockauction.engine import overdemanded
+from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
+                               ProductCatalog, atomic_write, clock_price, csv_text,
+                               dollars_to_cents, eligibility_cost, read_csv)
+from clockauction.engine import overdemanded, price_step
 from clockauction.errors import ParseError, ValidationError
 from clockauction.ingest import RawBidLog
 
@@ -93,30 +93,46 @@ class TestAggregateDemand:
 
 
 class TestPostedPrice:
-    """The posted price is `step_price` of `overdemanded`: the clock price
+    """The posted price `price_step` gives on `overdemanded`: the clock price
     when demand exceeds supply, else the start price."""
 
     @staticmethod
-    def posted(start, clock, aggregate, supply):
+    def posted(start, aggregate, supply, delta=0.1):
         catalog = ProductCatalog(products=(Product("A", "area-A", "urban", supply, 1, 0),))
-        return step_price(start, clock, overdemanded({"A": aggregate}, catalog)["A"])
+        clock, posted = price_step(PriceVector({"A": start}),
+                                   overdemanded({"A": aggregate}, catalog), ["A"],
+                                   IncrementSchedule.constant(delta))
+        assert clock["A"] == clock_price(start, delta)
+        return posted["A"]
 
     def test_overdemand_moves_to_clock(self):
-        assert self.posted(d("100"), d("110"), 7, 5) == d("110")
+        assert self.posted(d("100"), 7, 5) == d("110")
+        assert self.posted(d("4"), 7, 5, delta=0.2) == d("5")
 
     def test_demand_equal_supply_clears(self):
-        assert self.posted(d("100"), d("110"), 5, 5) == d("100")
+        assert self.posted(d("100"), 5, 5) == d("100")
 
     def test_no_demand(self):
-        assert self.posted(d("100"), d("110"), 0, 5) == d("100")
+        assert self.posted(d("100"), 0, 5) == d("100")
 
     def test_always_start_or_clock(self):
         for agg in range(12):
-            assert self.posted(d("7"), d("8"), agg, 5) in (d("7"), d("8"))
+            assert self.posted(d("7"), agg, 5) in (d("7"), d("8"))
 
     def test_clock_below_start_rejected(self):
-        with pytest.raises(ValidationError):
-            step_price(d("100"), d("99"), True)
+        # $4.09 * 1.1 rounds to $4.00, overdemanded or not
+        for aggregate in (7, 0):
+            with pytest.raises(ValidationError,
+                               match=r"price of A: .* delta 0\.1 .* start price \$4\.09"):
+                self.posted(d("4.09"), aggregate, 5)
+
+    @pytest.mark.parametrize("start", ["0", "1", "4"])
+    def test_overdemanded_price_that_cannot_rise_rejected(self, start):
+        # at delta 0.1 a whole-dollar start below $5 rounds back to itself: the
+        # price would stall
+        with pytest.raises(ValidationError, match=rf"price of A: .* start price \${start}\.00"):
+            self.posted(d(start), 7, 5)
+        assert self.posted(d(start), 5, 5) == d(start)
 
 
 class TestPriceVector:

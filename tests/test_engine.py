@@ -254,7 +254,7 @@ class TestRunAuction:
         assert trace.final_allocation["X"] == Bundle({})
 
     def test_truncation_flag(self):
-        catalog = make_catalog({"A": (1, 1, 1_00)})
+        catalog = make_catalog({"A": (1, 1, 100_00)})
 
         def bidder(bid):
             model = ValuationModel(bid, {f"{bid}/base0": 10**12}, {("A", 1): 0.0})

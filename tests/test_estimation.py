@@ -87,6 +87,51 @@ class TestValuationModel:
         with pytest.raises(ValidationError):
             ValuationModel("X", base_values, marginals)
 
+    def test_cumulative_values_match_the_per_call_walk(self):
+        """Each level's cumulative value is, bit for bit, the walk that summed
+        it on every call: `total += (level - prev) * marginal` in level order."""
+        def walk(marginals, j, quantity):
+            levels = sorted(level for k, level in marginals if k == j)
+            total = 0.0
+            for prev, level in zip(levels, levels[1:]):
+                if level > quantity:
+                    break
+                total += (level - prev) * marginals[(j, level)]
+            return total
+
+        rng = np.random.default_rng(39)
+        for _ in range(200):
+            marginals = {}
+            for j in ("A", "B", "C")[:rng.integers(1, 4)]:
+                levels = sorted(rng.choice(np.arange(1, 60), rng.integers(1, 8), replace=False))
+                values = sorted(rng.integers(0, 10**9, len(levels) - 1), reverse=True)
+                marginals[(j, int(levels[0]))] = 0.0
+                for level, v in zip(levels[1:], values):
+                    marginals[(j, int(level))] = float(v) if rng.random() < 0.5 else int(v)
+            keys = list(marginals)
+            rng.shuffle(keys)
+            marginals = {k: marginals[k] for k in keys}
+            m = ValuationModel("X", {"X/base0": float(rng.integers(0, 10**6))}, marginals)
+            products = list(dict.fromkeys(j for j, _ in keys))
+            for j in products:
+                levels = m.ladder(j)
+                assert levels == tuple(sorted(level for k, level in marginals if k == j))
+                for q in levels:
+                    assert m.cumulative_value(j, q).hex() == walk(marginals, j, q).hex()
+            base = BundleBase("X/base0", {j: int(rng.choice(m.ladder(j))) for j in products})
+            bundle = Bundle({j: int(rng.choice([q for q in m.ladder(j) if q >= b]))
+                             for j, b in base.quantities.items()})
+            expected = m.base_values["X/base0"]
+            for j, q in bundle.quantities.items():
+                expected += walk(marginals, j, q)
+            assert bundle_value(m, bundle, base).hex() == expected.hex()
+
+    def test_an_unknown_product_is_not_off_its_ladder(self):
+        with pytest.raises(ValidationError, match="no ladder for product 'B'"):
+            self.model().cumulative_value("B", 2)
+        with pytest.raises(ValidationError, match="quantity 3 off the ladder of 'A'"):
+            self.model().cumulative_value("A", 3)
+
     def test_values_total_below_2_53_cents(self):
         """Base values plus each ladder's top cumulative value (the width
         times the marginal per level) must stay below 2**53 cents."""

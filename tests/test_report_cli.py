@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,12 +30,13 @@ from clockauction.costs import (DEFAULT_COVERAGE_TARGETS, DEFAULT_SPACING_KM, SC
                                 AreaStats, CostParameters, build_cost_table, cost_table_from_csv,
                                 cost_table_to_csv, load_demographics, load_inventory)
 from clockauction.engine import run_auction, trace_to_jsonl
-from clockauction.estimation import EstimationReport, model_to_json
-from clockauction.ingest import RawBidLog, parse_bid_log, write_bid_log
+from clockauction.estimation import EstimationReport, ValuationModel, model_to_json
+from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder, RawBidLog,
+                                 parse_bid_log, write_bid_log)
 from clockauction.pipeline import estimate_all, roundtrip, trace_to_bidlog
 from clockauction.report import (RunManifest, compare_traces, final_price_scatter_csv,
                                  heatmap_csv, heatmap_matrix, heatmap_svg)
-from clockauction.solver import GE, LE, _highspy
+from clockauction.solver import GE, LE, Solution, _highspy
 from clockauction.synthetic import random_setup
 from clockauction.tiered import TIERS, TieredValuationAdjustment
 
@@ -886,6 +888,52 @@ class TestMalformedInput:
         assert code == 2
         assert err.strip() == f"error: {files['bids']}: header repeats column 'round'"
 
+    @pytest.mark.parametrize("command", ["ingest", "smooth", "estimate", "roundtrip-check"])
+    def test_a_bid_log_without_rows_is_refused(self, inputs, command, tmp_path):
+        lines = inputs["bids"].read_text().splitlines()
+        files = with_file(inputs, "bids", lines[:data_lines(lines)[0]], tmp_path)
+        out = [] if command == "roundtrip-check" else ["--out", tmp_path / "out"]
+        code, err = run_captured([command, "--catalog", files["catalog"],
+                                  "--bids", files["bids"], *out])
+        assert (code, err.strip()) == (2, f"error: {files['bids']}: no bid rows")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_solver_error_exits_3(self, inputs, monkeypatch, tmp_path):
+        monkeypatch.setattr(estimation, "solve_lp",
+                            lambda lp, backend: Solution("unbounded", {}, None))
+        code, err = run_captured(["estimate", "--catalog", inputs["catalog"],
+                                  "--bids", inputs["bids"], "--out", tmp_path / "out"])
+        assert code == 3
+        assert re.fullmatch(r"solver error: estimation LP for \S+: unbounded", err.strip())
+
+    def test_simulate_without_models_names_the_directory(self, inputs, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "notes.json").write_text("{}")
+        code, err = run_captured(["simulate", "--catalog", inputs["catalog"],
+                                  "--models", models, "--out", tmp_path / "out"])
+        assert (code, err.strip()) == (2, f"error: no model_*.json files in {models}")
+
+    def test_an_overdemanded_price_that_cannot_rise_exits_2(self, tmp_path):
+        """At delta 0.1 a $4.00 clock rounds back to $4.00: two bidders for
+        the one unit would hold the price there until max_rounds."""
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("product_id,area_id,area_class,supply,eligibility_points,"
+                           "opening_price_cad\nA,area-A,urban,1,1,4.00\n")
+        models = tmp_path / "models"
+        models.mkdir()
+        for bidder in ("X", "Y"):
+            base = BundleBase(f"{bidder}/base0", {"A": 1})
+            space = BundleSpace(bidder, (base,), {"A": CopyLadder("A", (1,))}, {})
+            model = ValuationModel(bidder, {base.base_id: 500_00}, {("A", 1): 0.0})
+            (models / f"model_{bidder}.json").write_text(model_to_json(model, space))
+        start = time.perf_counter()
+        code, err = run_captured(["simulate", "--catalog", catalog, "--models", models,
+                                  "--out", tmp_path / "out"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err.strip()) == (2, "error: price of A: its clock at delta 0.1 does "
+                                          "not rise above its start price $4.00")
+
     @pytest.mark.parametrize("which", CSVS)
     def test_missing_file(self, inputs, which, tmp_path):
         files = {**inputs, which: tmp_path / "absent.csv"}
@@ -925,7 +973,13 @@ class TestMalformedInput:
         pytest.param("demographics", None, lambda f: f[:3] + ["inf"], True,
                      "land area", id="infinite-land-area"),
         pytest.param("demographics", None, lambda f: f[:3] + ["-5"], True,
-                     "land area", id="negative-land-area")])
+                     "land area", id="negative-land-area"),
+        pytest.param("catalog", None, lambda f: f[:4] + ["-1", f[5]], True,
+                     "product P00: negative eligibility points", id="negative-points"),
+        pytest.param("catalog", None, lambda f: f[:5] + ["-5"], True,
+                     "product P00: negative opening price", id="negative-opening-price"),
+        pytest.param("bids", None, lambda f: ["0", *f[1:]], True,
+                     "round must be >= 1", id="round-zero")])
     def test_domain_error_names_its_file(self, inputs, which, tier, edit,
                                          at_line, message, tmp_path):
         lines = inputs[which].read_text().splitlines()

@@ -159,10 +159,25 @@ class TestExtendedAuction:
                                increments=IncrementSchedule.constant(0.1))
         agents = lambda: [unit_agent("X", "P1", 500_00),
                           unit_agent("Y", "P1", 400_00)]
-        with pytest.raises(ValidationError, match="clock price below start"):
+        with pytest.raises(ValidationError, match=r"price of P1: .*\$0\.40"):
             run_auction(config, agents())
         adj = TieredValuationAdjustment.zero(["X", "Y"], ["A1"])
-        with pytest.raises(ValidationError, match="clock price below start"):
+        with pytest.raises(ValidationError, match=r"price of P1::\w+: .*\$0\.40"):
+            run_extended_auction(config, agents(), adj)
+
+    def test_overdemanded_price_that_cannot_rise_rejected_in_round_1(self):
+        # $4.00 * 1.1 rounds back to $4.00: an overdemanded price that would
+        # stall until max_rounds is refused in the first round of either auction
+        catalog = make_catalog({"A": ("A1", "urban", 1, 4_00)})
+        config = AuctionConfig(catalog=catalog, increments=IncrementSchedule.constant(0.1),
+                               max_rounds=1)
+        agents = lambda: [unit_agent("X", "A", 500_00), unit_agent("Y", "A", 400_00)]
+        message = r"price of A{}: its clock at delta 0\.1 does not rise above its start " \
+                  r"price \$4\.00"
+        with pytest.raises(ValidationError, match=message.format("")):
+            run_auction(config, agents())
+        adj = TieredValuationAdjustment.zero(["X", "Y"], ["A1"])
+        with pytest.raises(ValidationError, match=message.format("::low")):
             run_extended_auction(config, agents(), adj)
 
     def test_price_gradient_and_supply(self):
