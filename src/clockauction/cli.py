@@ -263,7 +263,7 @@ def cmd_simulate_extended(args, catalog, auction, params) -> int:
         raise ValidationError(f"--cost-table {args.cost_table}: no deployment cost for "
                               f"({', '.join(missing[0])})")
     demographics = (costmod.load_demographics(args.demographics,
-                                              areas={p.area_id for p in catalog})
+                                              areas={p.area_id: p.area_class for p in catalog})
                     if args.demographics else None)
     trace = run_extended_auction(auction, agents, table)
     extra = {} if demographics is None else {
@@ -275,7 +275,7 @@ def cmd_simulate_extended(args, catalog, auction, params) -> int:
 
 def cmd_cost_table(args, catalog, auction, params) -> int:
     demographics = costmod.load_demographics(args.demographics,
-                                             areas={p.area_id for p in catalog})
+                                             areas={p.area_id: p.area_class for p in catalog})
     inventory = costmod.load_inventory(args.inventory)
     scenario = costmod.SCENARIOS[args.scenario]
     table = costmod.build_cost_table(catalog, demographics, inventory,

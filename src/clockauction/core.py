@@ -41,6 +41,15 @@ def integer(value, what: str, least: int | None = None) -> int:
     return value
 
 
+def cents(value, what: str) -> int:
+    """`value` as an int if it is whole cents from 0 to MAX_CENTS (the range
+    checked before `float` can overflow); else a ValidationError naming `what`."""
+    if not 0 <= value <= MAX_CENTS or not float(value).is_integer():
+        raise ValidationError(f"{what} must be >= 0 cents and at most 2**53, "
+                              f"in whole cents, not {value!r}")
+    return int(value)
+
+
 def number(value, what: str) -> float:
     """`value`, read from JSON or YAML, as a float if it is an int or a float
     (not a bool or text); else a ValidationError that `what`, if any, begins."""
@@ -93,14 +102,9 @@ class Product:
     opening_price: Money
 
     def __post_init__(self):
-        if self.supply < 1:
-            raise ValidationError(f"product {self.id}: supply must be >= 1")
-        if self.eligibility_points < 0:
-            raise ValidationError(f"product {self.id}: negative eligibility points")
-        if self.opening_price < 0:
-            raise ValidationError(f"product {self.id}: negative opening price")
-        if self.opening_price > MAX_CENTS:  # a float must hold it, as it holds money
-            raise ValidationError(f"product {self.id}: opening price above 2**53 cents")
+        integer(self.supply, f"product {self.id}: supply", least=1)
+        integer(self.eligibility_points, f"product {self.id}: eligibility points", least=0)
+        cents(self.opening_price, f"product {self.id}: opening price")
         if self.area_class not in AREA_CLASSES:
             raise ValidationError(
                 f"product {self.id}: area_class {self.area_class!r} not in {AREA_CLASSES}"
@@ -113,11 +117,15 @@ class ProductCatalog:
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_id = {}
+        """Each product id once, and each area in one class."""
+        by_id, by_area = {}, {}
         for p in self.products:
             if p.id in by_id:
                 raise ValidationError(f"duplicate product id {p.id!r}")
             by_id[p.id] = p
+            if (first := by_area.setdefault(p.area_id, p)).area_class != p.area_class:
+                raise ValidationError(f"area {p.area_id!r} is {first.area_class!r} for product "
+                                      f"{first.id}, but {p.area_class!r} for product {p.id}")
         object.__setattr__(self, "_by_id", by_id)
 
     def __iter__(self):
@@ -139,13 +147,17 @@ class ProductCatalog:
     def from_csv(path) -> "ProductCatalog":
         """Load a catalog from CSV with columns
         product_id, area_id, area_class, supply, eligibility_points, opening_price_cad."""
-        return ProductCatalog(products=tuple(read_csv(
+        products = tuple(read_csv(
             path, ["product_id", "area_id", "area_class", "supply",
                    "eligibility_points", "opening_price_cad"],
             lambda pid, area, area_class, supply, points, price: Product(
                 pid, area, area_class, int(plain(supply)), int(plain(points)),
                 dollars_to_cents(price)),
-            key=lambda p: p.id)))
+            key=lambda p: p.id))
+        try:
+            return ProductCatalog(products)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .core import (AREA_CLASSES, MAX_CENTS, Money, ProductCatalog, dollars_to_cents, integer,
-                   csv_text, plain, read_csv)
+from .core import (AREA_CLASSES, MAX_CENTS, Money, ProductCatalog, cents, csv_text,
+                   dollars_to_cents, integer, plain, read_csv)
 from .errors import ValidationError
 from .tiered import TIERS, TieredValuationAdjustment
 
@@ -43,9 +43,8 @@ class AreaStats:
     def __post_init__(self):
         if self.area_class not in AREA_CLASSES:
             raise ValidationError(f"area {self.area_id}: unknown area_class {self.area_class!r}")
-        if self.population < 0:
-            raise ValidationError(f"area {self.area_id}: negative population")
-        if self.population > MAX_CENTS:  # a float must hold it, as it holds money
+        # a float must hold it, as it holds money
+        if integer(self.population, f"area {self.area_id}: population", least=0) > MAX_CENTS:
             raise ValidationError(f"area {self.area_id}: population above 2**53")
         if not math.isfinite(self.land_area_km2) or self.land_area_km2 < 0:
             raise ValidationError(f"area {self.area_id}: land area must be finite and >= 0, "
@@ -55,12 +54,19 @@ class AreaStats:
         return self.population / self.land_area_km2 if self.land_area_km2 > 0 else 0.0
 
 
-def load_demographics(path, areas=()) -> dict[str, AreaStats]:
+def load_demographics(path, areas: dict[str, str] | None = None) -> dict[str, AreaStats]:
     """CSV columns: area_id, area_class, population, land_area_km2; one row
-    per area, and one for each of `areas`."""
+    per area, and one for each area of `areas`, the catalog's {area_id:
+    area_class}, in its class there."""
+    areas = areas or {}
+
+    def area(area_id, cls, pop, land):
+        if areas.get(area_id, cls) != cls:
+            raise ValidationError(f"area {area_id!r} is {areas[area_id]!r} in the catalog, "
+                                  f"not {cls!r}")
+        return AreaStats(area_id, cls, int(plain(pop)), float(plain(land)))
     demographics = {a.area_id: a for a in read_csv(
-        path, ["area_id", "area_class", "population", "land_area_km2"],
-        lambda area, cls, pop, land: AreaStats(area, cls, int(plain(pop)), float(plain(land))),
+        path, ["area_id", "area_class", "population", "land_area_km2"], area,
         key=lambda a: a.area_id)}
     missing = sorted(set(areas) - set(demographics))
     if missing:
@@ -79,9 +85,7 @@ class TowerInventory:
 
     @staticmethod
     def checked(key: tuple[str, str], n: int) -> int:
-        if n < 0:
-            raise ValidationError(f"negative tower count for {key}")
-        return n
+        return integer(n, f"tower count for {key}", least=0)
 
     def existing(self, bidder: str, area: str) -> int:
         key = (bidder, area)
@@ -126,11 +130,10 @@ class CostParameters:
         area class and weighting, must cost at most MAX_CENTS, so every cost
         is finite."""
         integer(self.pop_per_tower, "pop_per_tower", least=1)
+        for k in ("tower_cost_low", "tower_cost_high", "fibre_cost_per_km"):
+            cents(getattr(self, k), k)
         flag = self.tower_costs_post_adjustment
         for bad, rule, value in [
-                *((not 0 <= getattr(self, k) <= MAX_CENTS, f"{k} must be >= 0 cents and "
-                   "at most 2**53", getattr(self, k))
-                  for k in ("tower_cost_low", "tower_cost_high", "fibre_cost_per_km")),
                 *((not -1 < getattr(self, k) < math.inf, f"{k} must be > -1 and finite",
                    getattr(self, k))
                   for k in ("market_markup", "inflation", "currency_premium")),

@@ -23,20 +23,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import (MAX_CENTS, Bundle, PriceVector, ProductCatalog, check_bidder_id,
+from .core import (MAX_CENTS, Bundle, PriceVector, ProductCatalog, cents, check_bidder_id,
                    eligibility_cost, finite_json, integer, number)
 from .errors import SolverError, ValidationError
 from .ingest import BundleBase, BundleSpace, CopyLadder, variant_keys
 from .solver import GE, LinearProgram, Rows, Solution, solve_lp
-
-
-def _cents(value: float, what: str) -> int:
-    """`value` as an int if it is a nonnegative whole number of cents."""
-    if value < 0:
-        raise ValidationError(f"negative {what}")
-    if not float(value).is_integer():
-        raise ValidationError(f"{what} is not whole cents: {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,7 @@ class ValuationModel:
 
     def __post_init__(self):
         # the total in Python integers, so the 2**53 check is exact
-        total = sum(_cents(v, f"base value for {b}") for b, v in self.base_values.items())
+        total = sum(cents(v, f"base value for {b}") for b, v in self.base_values.items())
         levels: dict[str, list[int]] = {}
         for (j, level) in self.marginals:
             levels.setdefault(j, []).append(level)
@@ -66,11 +57,11 @@ class ValuationModel:
             cumulative[(j, lv[0])] = value = 0.0
             for prev, level in zip(lv, lv[1:]):
                 v = self.marginals[(j, level)]
-                cents = _cents(v, f"marginal for ({j}, {level})")
+                whole = cents(v, f"marginal for ({j}, {level})")
                 if prev != lv[0] and v > self.marginals[(j, prev)]:
                     raise ValidationError(f"diminishing returns violated for {j}")
                 cumulative[(j, level)] = value = value + (level - prev) * v
-                total += (level - prev) * cents
+                total += (level - prev) * whole
         if total >= MAX_CENTS:
             raise ValidationError(f"{self.bidder_id}: values total 2**53 cents or more")
 
@@ -254,7 +245,7 @@ def _build(space: BundleSpace, start_prices: dict[int, PriceVector],
         raise ValidationError(f"no price for product {exc.args[0]!r}") from None
     costs = np.array(prices, dtype=float).reshape(len(rounds), len(products)) @ \
         np.array(quantities, dtype=float).reshape(len(table), len(products)).T
-    if costs.size and costs.max() >= 2**53:
+    if costs.size and costs.max() >= MAX_CENTS:
         raise ValidationError(f"{space.bidder_id}: a bundle costs 2**53 cents or more")
 
     # per row: its rhs, its slack name, entries and block
@@ -297,16 +288,16 @@ class EstimationReport:
 
 def _materialize(space: BundleSpace, sol: Solution) -> ValuationModel:
     """The model of the LP's values, each rounded to whole cents."""
-    cents = lambda name: max(0.0, float(round(sol.values[name])))
+    rounded = lambda name: max(0.0, float(round(sol.values[name])))
     base_values = {}
     for base in space.bases:
-        base_values[base.base_id] = cents(_vb(base.base_id))
+        base_values[base.base_id] = rounded(_vb(base.base_id))
     marginals: dict[tuple[str, int], float] = {}
     for j, ladder in space.ladders.items():
         marginals[(j, ladder.levels[0])] = 0.0
         prev_value = None
         for level in ladder.levels[1:]:
-            v = cents(_vm(j, level))
+            v = rounded(_vm(j, level))
             if prev_value is not None:
                 v = min(v, prev_value)  # snap solver noise back onto monotonicity
             marginals[(j, level)] = v
@@ -323,9 +314,9 @@ def shortfalls(lp: LinearProgram, model: ValuationModel) -> list[int]:
     rows, rhs = lp.rows, np.array(lp.rows.rhs, dtype=float)
     if not (np.array_equal(rows.data, np.rint(rows.data)) and np.array_equal(rhs, np.rint(rhs))):
         raise ValidationError(f"{model.bidder_id}: an LP row is not in whole numbers")
-    cents = {_vb(b): v for b, v in model.base_values.items()}
-    cents.update((_vm(j, level), v) for (j, level), v in model.marginals.items())
-    x = [int(cents.get(name, 0)) for name in lp.names]
+    values = {_vb(b): v for b, v in model.base_values.items()}
+    values.update((_vm(j, level), v) for (j, level), v in model.marginals.items())
+    x = [int(values.get(name, 0)) for name in lp.names]
     # running sums of the entries' products: a row's activity is the
     # difference of the sums at its ends
     sums = [0, *accumulate(map(operator.mul, map(int, rows.data.tolist()),
@@ -364,10 +355,10 @@ def estimate(space: BundleSpace, start_prices: dict[int, PriceVector],
     slacked = (1, 2) if fallback else (2,)
     report = EstimationReport(
         status=sol.status,
-        slack_total_cents=float(sum(cents for kind, cents in short if kind in slacked)),
+        slack_total_cents=float(sum(gap for kind, gap in short if kind in slacked)),
         base_value_total_cents=float(sum(model.base_values.values())),
-        violations=dict(Counter(BLOCKS[kind] for kind, cents in short
-                                if cents and kind not in slacked)),
+        violations=dict(Counter(BLOCKS[kind] for kind, gap in short
+                                if gap and kind not in slacked)),
         fallback_used=fallback, lp=first if keep_lp else None)
     return model, report
 

@@ -119,17 +119,16 @@ class BundleSpace:
 
     def check(self, catalog: ProductCatalog) -> None:
         """ValidationError unless every base and ladder product is in
-        `catalog`, every base product has a ladder that reaches its base
-        quantity, a base quantity is 1 or more, and no ladder level exceeds
-        its product's supply."""
+        `catalog`, every base quantity is a level of its product's ladder,
+        and no ladder level exceeds its product's supply."""
         for base in self.bases:
             for j, q in base.quantities.items():
                 catalog.get(j)
                 if j not in self.ladders:
                     raise ValidationError(f"base {base.base_id!r}: no ladder for {j!r}")
-                if not 1 <= q <= self.ladders[j].levels[-1]:
+                if q not in self.ladders[j].levels:
                     raise ValidationError(f"base {base.base_id!r}: quantity {q} of {j!r} "
-                                          "is not between 1 and its ladder's top level")
+                                          "is not on its ladder")
         for j, ladder in self.ladders.items():
             supply = catalog.get(j).supply
             if ladder.levels[-1] > supply:

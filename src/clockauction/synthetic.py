@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import IncrementSchedule, Product, ProductCatalog
+from .core import AREA_CLASSES, IncrementSchedule, Product, ProductCatalog
 from .engine import AuctionConfig, BidderAgent
 from .estimation import ValuationModel
 from .ingest import BundleBase, BundleSpace, CopyLadder
 
-AREA_CYCLE = ("metro", "urban", "rural", "remote")
 PRICE_RANGE = (50_000, 400_000)   # opening prices, whole dollars
 PRODUCTS_PER_BASE = (2, 3)        # products in each base, inclusive range
 VALUE_SCALE = (1.5, 4.0)          # top marginal value / opening price
@@ -33,7 +32,7 @@ def random_catalog(rng, n_products: int = 10, max_supply: int = 6) -> ProductCat
         products.append(Product(
             id=f"P{i:02d}",
             area_id=f"A{i:02d}",
-            area_class=AREA_CYCLE[i % len(AREA_CYCLE)],
+            area_class=AREA_CLASSES[i % len(AREA_CLASSES)],
             supply=supply,
             eligibility_points=int(rng.integers(1, 5)),
             opening_price=price,

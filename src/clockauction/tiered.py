@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MAX_CENTS, PriceVector, ProductCatalog
+from .core import PriceVector, ProductCatalog, cents
 from .errors import ValidationError
 from .engine import (AuctionConfig, AuctionTrace, BaseChoice, BidderAgent, Frame, Market,
                      choose_base, oracle_frame, run_rounds)
@@ -43,15 +43,11 @@ class TieredValuationAdjustment:
 
     @staticmethod
     def checked(tier: str, cost: int) -> int:
-        """One entry's cost, if its tier is known and the cost between 0 and
-        MAX_CENTS, which a float holds exactly."""
+        """One entry's cost, if its tier is known and the cost whole cents
+        between 0 and MAX_CENTS, which a float holds exactly."""
         if tier not in TIER_RANK:
             raise ValidationError(f"unknown tier {tier!r}")
-        if cost < 0:
-            raise ValidationError("negative deployment cost")
-        if cost > MAX_CENTS:
-            raise ValidationError("deployment cost above 2**53 cents")
-        return cost
+        return cents(cost, "deployment cost")
 
     def cost(self, bidder: str, area: str, tier: str) -> int:
         try:

@@ -1,4 +1,6 @@
 import ast
+import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clockauction
-from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
-                               ProductCatalog, atomic_write, clock_price, csv_text,
+from clockauction.core import (MAX_CENTS, Bundle, IncrementSchedule, PriceVector, Product,
+                               ProductCatalog, atomic_write, cents, clock_price, csv_text,
                                dollars_to_cents, eligibility_cost, read_csv)
+from clockauction.costs import AreaStats, CostParameters, TowerInventory
 from clockauction.engine import overdemanded, price_step
 from clockauction.errors import ParseError, ValidationError
+from clockauction.estimation import ValuationModel
 from clockauction.ingest import RawBidLog
+from clockauction.tiered import TieredValuationAdjustment
 
 
 def d(x):
@@ -243,6 +248,62 @@ class TestCatalogCsv:
         with pytest.raises(ValidationError):
             Product(id="P", area_id="A", area_class="nowhere", supply=1,
                     eligibility_points=1, opening_price=1)
+
+    def test_an_area_has_one_class(self, tmp_path):
+        """Two products of one area in two classes are refused, naming both;
+        read from a file, the error names the file."""
+        path = tmp_path / "catalog.csv"
+        path.write_text(self.HEADER + "A,X1,rural,1,1,1\nB,X2,urban,1,1,1\n"
+                        "C,X1,metro,1,1,1\nD,X1,rural,1,1,1\n")
+        with pytest.raises(ValidationError) as caught:
+            ProductCatalog.from_csv(path)
+        assert str(caught.value) == f"{path}: area 'X1' is 'rural' for product A, " \
+            "but 'metro' for product C"
+
+
+class TestAmounts:
+    """One check per kind of amount: money through `cents`, counts through
+    `integer`, each naming the value it refuses."""
+    MONEY = "must be >= 0 cents and at most 2**53, in whole cents, not"
+
+    @pytest.mark.parametrize("value", [0, 2**53, 7.0])
+    def test_whole_cents_in_range(self, value):
+        assert cents(value, "x") == value and type(cents(value, "x")) is int
+
+    @pytest.mark.parametrize("value", [-1, 0.5, math.nan, math.inf, -math.inf,
+                                       MAX_CENTS + 1, 10**402])
+    def test_anything_else_is_refused(self, value):
+        """Past the float range too: the range is checked before `float`,
+        which would overflow on 10**402 (a config's 1e400 dollars)."""
+        with pytest.raises(ValidationError) as caught:
+            cents(value, "tower_cost_low")
+        assert str(caught.value) == f"tower_cost_low {self.MONEY} {value!r}"
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda v: Product("P", "A", "urban", 1, 1, v), "product P: opening price"),
+        (lambda v: ValuationModel("b", {"b/base0": v}, {("A", 1): 0.0}),
+         "base value for b/base0"),
+        (lambda v: ValuationModel("b", {}, {("A", 1): 0.0, ("A", 2): v}),
+         "marginal for (A, 2)"),
+        (lambda v: TieredValuationAdjustment({("b", "A", "low"): v}),
+         "(b, A, low): deployment cost"),
+        (lambda v: CostParameters(tower_cost_high=v), "tower_cost_high"),
+        (lambda v: CostParameters(fibre_cost_per_km=v), "fibre_cost_per_km")])
+    @pytest.mark.parametrize("value", [-1, 0.5, MAX_CENTS + 1])
+    def test_each_money_field_names_itself(self, make, what, value):
+        with pytest.raises(ValidationError, match=re.escape(f"{what} {self.MONEY} {value!r}")):
+            make(value)
+
+    @pytest.mark.parametrize("make, what, least", [
+        (lambda n: Product("P", "A", "urban", n, 1, 0), "product P: supply", 1),
+        (lambda n: Product("P", "A", "urban", 1, n, 0), "product P: eligibility points", 0),
+        (lambda n: AreaStats("A", "urban", n, 1.0), "area A: population", 0),
+        (lambda n: TowerInventory({("b", "A"): n}), "tower count for ('b', 'A')", 0)])
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_each_count_names_itself(self, make, what, least, value):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{what} must be an integer >= {least}, not {value!r}")):
+            make(value)
 
 
 class TestDollars:

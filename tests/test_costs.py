@@ -194,7 +194,8 @@ class TestCostTable:
         exactly; the table names the entry instead of writing the cost."""
         crowd = {a: AreaStats(a, "urban", 2**53, 1.0) for a in ("A1", "A2")}
         inv = TowerInventory({("X", "A1"): 0, ("X", "A2"): 0})
-        with pytest.raises(ValidationError, match=r"\(X, A1, low\): deployment cost above 2\*\*53"):
+        with pytest.raises(ValidationError, match=r"\(X, A1, low\): deployment cost must be >= 0 "
+                           r"cents and at most 2\*\*53, in whole cents, not \d+$"):
             build_cost_table(self.catalog(), crowd, inv, SCENARIOS["none"],
                              CostParameters(pop_per_tower=1))
 

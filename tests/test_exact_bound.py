@@ -62,9 +62,10 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
             if kind == "tiered-shared":
                 members = rng.choice(sorted(base.quantities), replace=False,
                                      size=int(rng.integers(2, len(base.quantities) + 1)))
-                area = catalog.get(members[0]).area_id
-                catalog = ProductCatalog(tuple(dataclasses.replace(p, area_id=area)
-                                               if p.id in members else p for p in catalog))
+                shared = catalog.get(members[0])  # its area, in its area's class
+                catalog = ProductCatalog(tuple(
+                    dataclasses.replace(p, area_id=shared.area_id, area_class=shared.area_class)
+                    if p.id in members else p for p in catalog))
             ladders = {j: model.ladder(j) for j in base.quantities}
             low = eligibility_cost(base.quantities, catalog)
             high = eligibility_cost({j: levels[-1] for j, levels in ladders.items()}, catalog)

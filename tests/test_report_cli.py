@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ElementTree
 from dataclasses import fields, replace
 from pathlib import Path
@@ -479,6 +480,28 @@ class TestCliPipeline:
             assert (code, err) == (2, f"error: --cost-table {table}: no deployment cost for "
                                       f"{missing}\n")
             assert not (tmp_path / "ext" / "trace_tiered.jsonl").exists()
+
+    def test_a_missing_inventory_row_warns_and_counts_no_towers(self, workspace, tmp_path):
+        """A (bidder, area) without an inventory row warns, naming it, and
+        costs what it costs with a row of 0 towers."""
+        header, first, *rest = (workspace / "inventory.csv").read_text().splitlines()
+        assert first == "B0,A00,1"
+        tables = {}
+        for name, rows in (("absent", rest), ("zero", ["B0,A00,0", *rest])):
+            inventory = tmp_path / f"{name}.csv"
+            inventory.write_text("\n".join([header, *rows]) + "\n")
+            argv = ["cost-table", "--catalog", workspace / "catalog.csv",
+                    "--demographics", workspace / "demographics.csv",
+                    "--inventory", inventory, "--out", tmp_path / name]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(argv) == 0
+            tables[name] = (tmp_path / name / "cost_table_none.csv").read_text()
+            assert {str(w.message) for w in caught} == (
+                {"no tower inventory for ('B0', 'A00'); assuming 0"} if name == "absent"
+                else set())
+        # all but the manifest line, whose hash covers the inventory's bytes
+        assert tables["absent"].split("\n", 1)[1] == tables["zero"].split("\n", 1)[1]
 
     @pytest.mark.parametrize("command", ["simulate", "simulate-extended"])
     def test_duplicate_bidder_ids_name_both_files(self, workspace, tmp_path, capsys, command):
@@ -953,19 +976,23 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("which, tier, edit, at_line, message", [
         pytest.param("inventory", None, lambda f: f[:2] + ["-3"], True,
-                     "negative tower count", id="negative-towers"),
+                     "tower count for ('B0', 'A00') must be an integer >= 0, not -3",
+                     id="negative-towers"),
         pytest.param("cost_table", "medium", lambda f: f[:3] + ["-1"], True,
-                     "negative deployment cost", id="negative-cost"),
+                     "deployment cost must be >= 0 cents and at most 2**53, in whole cents, "
+                     "not -1", id="negative-cost"),
         pytest.param("cost_table", "medium", lambda f: f[:2] + ["sideways", f[3]],
                      True, "unknown tier", id="unknown-tier"),
         pytest.param("cost_table", "low", lambda f: f[:3] + [str(10**12)], False,
                      "not monotone in tier", id="falling-costs"),
         pytest.param("cost_table", "high", lambda f: f[:3] + [str(2**53 + 1)], True,
-                     "deployment cost above 2**53", id="cost-past-the-float-range"),
+                     "deployment cost must be >= 0 cents and at most 2**53, in whole cents, "
+                     f"not {2**53 + 1}", id="cost-past-the-float-range"),
         pytest.param("demographics", None, lambda f: None, False,
                      "areas without demographics", id="missing-area"),
         pytest.param("demographics", None, lambda f: f[:2] + ["-1", f[3]], True,
-                     "negative population", id="negative-population"),
+                     "area A00: population must be an integer >= 0, not -1",
+                     id="negative-population"),
         pytest.param("demographics", None, lambda f: f[:2] + ["9" * 401, f[3]], True,
                      "population above 2**53", id="population-past-the-float-range"),
         pytest.param("demographics", None, lambda f: f[:3] + ["nan"], True,
@@ -975,9 +1002,11 @@ class TestMalformedInput:
         pytest.param("demographics", None, lambda f: f[:3] + ["-5"], True,
                      "land area", id="negative-land-area"),
         pytest.param("catalog", None, lambda f: f[:4] + ["-1", f[5]], True,
-                     "product P00: negative eligibility points", id="negative-points"),
+                     "product P00: eligibility points must be an integer >= 0, not -1",
+                     id="negative-points"),
         pytest.param("catalog", None, lambda f: f[:5] + ["-5"], True,
-                     "product P00: negative opening price", id="negative-opening-price"),
+                     "product P00: opening price must be >= 0 cents and at most 2**53, "
+                     "in whole cents, not -500", id="negative-opening-price"),
         pytest.param("bids", None, lambda f: ["0", *f[1:]], True,
                      "round must be >= 1", id="round-zero")])
     def test_domain_error_names_its_file(self, inputs, which, tier, edit,
@@ -995,6 +1024,65 @@ class TestMalformedInput:
         assert code == 2
         where = f"{files[which]}:{i + 1}:" if at_line else f"{files[which]}:"
         assert where in err and message in err and "Traceback" not in err
+
+    def one_product(self, root, catalog, demographics, base=1):
+        """The files, under `root`, of a run over product A: the catalog and
+        demographics rows given, and the model of bidder b1, whose base holds
+        `base` of A and whose ladder of A has the levels 1 and 3."""
+        root.mkdir(exist_ok=True)
+        files = {"catalog": root / "catalog.csv", "demographics": root / "demo.csv",
+                 "inventory": root / "inventory.csv", "models": root / "models",
+                 "cost_table": root / "costs.csv"}
+        files["catalog"].write_text("product_id,area_id,area_class,supply,eligibility_points,"
+                                    "opening_price_cad\n" + "".join(f"{row},3,1,100\n"
+                                                                    for row in catalog))
+        files["demographics"].write_text("area_id,area_class,population,land_area_km2\n"
+                                         + "".join(f"{row},90000,10\n" for row in demographics))
+        files["inventory"].write_text("bidder_id,area_id,tower_count\nb1,X1,0\n")
+        files["cost_table"].write_text(cost_table_to_csv(
+            TieredValuationAdjustment.zero(["b1"], ["X1"])))
+        files["models"].mkdir()
+        (files["models"] / "model_b1.json").write_text(json.dumps({
+            "bidder_id": "b1",
+            "bases": [{"base_id": "b1/base0", "products": {"A": base}, "value_cents": 50000}],
+            "marginals": [{"product_id": "A", "level": 1, "value_cents_per_unit": 0},
+                          {"product_id": "A", "level": 3, "value_cents_per_unit": 10000}]}))
+        return files
+
+    @pytest.mark.parametrize("command", ["simulate", "simulate-extended"])
+    def test_a_base_quantity_off_its_ladder_is_refused(self, command, tmp_path):
+        """The value of a base's own quantity is a level of its ladder: at 2,
+        between the levels 1 and 3, it has none."""
+        def argv(files):
+            return [command, "--catalog", files["catalog"], "--models", files["models"],
+                    "--out", files["models"].parent / "out", *(
+                        ["--cost-table", files["cost_table"]]
+                        if command == "simulate-extended" else [])]
+        off = self.one_product(tmp_path / "off", ["A,X1,rural"], ["X1,rural"], base=2)
+        assert run_captured(argv(off)) == (2, f"error: {off['models'] / 'model_b1.json'}: base "
+                                              "'b1/base0': quantity 2 of 'A' is not on its "
+                                              "ladder\n")
+        assert not (tmp_path / "off" / "out").exists()
+        on = self.one_product(tmp_path / "on", ["A,X1,rural"], ["X1,rural"], base=3)
+        assert run_captured(argv(on)) == (0, "")
+
+    def test_an_area_in_two_classes_is_refused(self, tmp_path):
+        files = self.one_product(tmp_path, ["A,X1,rural", "B,X1,metro"], ["X1,remote"])
+        assert run_captured(reading("demographics", files, tmp_path / "out")) == (
+            2, f"error: {files['catalog']}: area 'X1' is 'rural' for product A, "
+               "but 'metro' for product B\n")
+
+    @pytest.mark.parametrize("command", ["cost-table", "simulate-extended"])
+    def test_demographics_in_another_class_are_refused(self, command, tmp_path):
+        """An area's class is the catalog's: demographics that give it
+        another fail at their line, before any area is priced."""
+        files = self.one_product(tmp_path, ["A,X1,rural"], ["X0,urban", "X1,metro"])
+        argv = (reading("demographics", files, tmp_path / "out") if command == "cost-table"
+                else reading("cost_table", files, tmp_path / "out")
+                + ["--demographics", files["demographics"]])
+        assert run_captured(argv) == (2, f"error: {files['demographics']}:3: area 'X1' is "
+                                         "'rural' in the catalog, not 'metro'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_extended_checks_demographics_before_the_auction(self, inputs, tmp_path):
         lines = inputs["demographics"].read_text().splitlines()
@@ -1387,7 +1475,8 @@ class TestMalformedInput:
                                      value):
         """One row of a CSV changed: exit 0 or 2, never a traceback.  A
         catalog is also replayed by `simulate`, which reads its prices and
-        points where `ingest` does not."""
+        points where `ingest` does not.  The one warning a run may give is
+        the inventory's, for a (bidder, area) whose row went."""
         lines = inputs[which].read_text().splitlines()
         rows = data_lines(lines)
         i = rows[row % len(rows)]
@@ -1399,7 +1488,9 @@ class TestMalformedInput:
             lines[i] = ",".join(fields[:keep % len(fields)])
         else:
             lines.insert(i, lines[i])
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             files = with_file(inputs, which, lines, Path(tmp))
             codes = [run_captured(reading(which, files, Path(tmp) / "out"))[0]]
             if which == "catalog":
@@ -1407,6 +1498,9 @@ class TestMalformedInput:
                                            "--models", files["models"],
                                            "--out", Path(tmp) / "sim"])[0])
         assert all(code in (0, 2) for code in codes)
+        assert all(w.category is UserWarning and which == "inventory" and
+                   re.fullmatch(r"no tower inventory for \(.*\); assuming 0", str(w.message))
+                   for w in caught), [str(w.message) for w in caught]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(command=st.sampled_from(["simulate", "simulate-extended"]),
