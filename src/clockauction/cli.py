@@ -319,8 +319,9 @@ def cmd_roundtrip_check(args, catalog, auction, params) -> int:
     raw = parse_bid_log(args.bids, catalog)
     estimates = estimate_all(raw, catalog, auction.increments)
     trace = run_auction(auction, [estimates[b] for b in sorted(estimates)])
-    # smoothing keeps every final round, so the raw final bundles are the ones estimated
-    actual = {b: raw.bundle(b, raw.num_rounds(b)) for b in estimates}
+    # each bidder's bundle in the auction's last round: a bidder whose rows stop
+    # early has exited and holds nothing
+    actual = {b: raw.bundle(b, raw.num_rounds()) for b in estimates}
     per_bidder, mean = compare_allocations(actual, trace.final_allocation, catalog)
     for bidder, rmse in sorted(per_bidder.items()):
         print(f"{bidder}: RMSE {rmse:.4f}")

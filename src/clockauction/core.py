@@ -290,9 +290,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValidationError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def finite_json(text: str):
-    """The JSON document `text`, whose numbers must all be finite."""
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    """The JSON document `text`, whose numbers must all be finite and whose
+    objects repeat no key (which would be read with its last value)."""
+    return json.loads(text, parse_float=_finite, parse_constant=_finite,
+                      object_pairs_hook=_distinct_keys)
 
 
 # path -> sha256 prefix of the bytes read_document parsed from it, recorded

@@ -126,7 +126,8 @@ class CostParameters:
 
     def __post_init__(self):
         """Check each value's range, which is finite; the adjustment rates keep
-        the factor positive.  One tower with its fibre, at any cost level,
+        the factor positive, and no class's coverage target falls from one
+        tier to a stricter one.  One tower with its fibre, at any cost level,
         area class and weighting, must cost at most MAX_CENTS, so every cost
         is finite."""
         integer(self.pop_per_tower, "pop_per_tower", least=1)
@@ -145,6 +146,12 @@ class CostParameters:
                  flag)]:
             if bad:
                 raise ValidationError(f"{rule}, not {value!r}")
+        for c in dict.fromkeys(c for c, _ in self.coverage_targets):
+            held = {t: self.coverage_targets[(c, t)] for t in TIERS
+                    if (c, t) in self.coverage_targets}
+            if list(held.values()) != sorted(held.values()):
+                raise ValidationError(f"coverage_targets {c} must not fall from one tier to a "
+                                      f"stricter one, not {held!r}")
         most = (max(map(self.tower_cost, ("low", "mid", "high"))) + MAX_WEIGHT ** 2
                 * max(self.spacing_km.values(), default=0.0) * self.fibre_rate())
         if not most <= MAX_CENTS:

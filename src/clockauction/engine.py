@@ -306,34 +306,27 @@ def best_copies(base: BundleBase, model: ValuationModel, prices: PriceVector,
     return frame.choice(options, solve_mip)
 
 
-def choose_base(agent: BidderAgent, solve: Callable, memo: dict, eligibility: int,
-                prices: Callable) -> Any | None:
-    """Best bid across bases; `solve(base)` gives the base's `BaseChoice`, or
-    None when no bid fits, a function of the bidder, base, eligibility and
-    `prices(base)` (the start prices of the base's market keys) that `memo`
-    keeps for the run, resolved MIPs included.  The rule, on the entries'
-    exact utilities: the strict maximum, the lower-indexed base on a tie,
-    whose bid stands if its utility is >= 0, else the bidder exits (None).
-    Only the winner's MIP runs, and only when its bid is unknown."""
+def choose_base(agent: BidderAgent, market: Market, prices: PriceVector, eligibility: int,
+                memo: dict) -> Any | None:
+    """Best bid across bases; `market.entry` gives each base's `BaseChoice`,
+    or None when no bid fits, a function of the bidder, base, eligibility and
+    the start prices of the base's market keys that `memo` keeps for the run,
+    resolved MIPs included.  The rule, on the entries' exact utilities: the
+    strict maximum, the lower-indexed base on a tie, whose bid stands if its
+    utility is >= 0, else the bidder exits (None).  Only the winner's MIP
+    runs, and only when its bid is unknown."""
     entries = []
     for base in agent.space.bases:
-        key = (agent.bidder_id, base.base_id, eligibility, prices(base))
+        key = (agent.bidder_id, base.base_id, eligibility,
+               tuple(prices[k] for j in base.quantities for k in market.keys_of[j]))
         if key not in memo:
-            memo[key] = solve(base)
+            memo[key] = market.entry(agent, base, prices, eligibility, memo)
         if memo[key] is not None:
             entries.append(memo[key])
     best = max(entries, key=lambda entry: entry.utility, default=None)  # the first on a tie
     if best is None or best.utility < 0:
         return None
     return (best if best.bid is not None else best.resolve()).bid
-
-
-def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
-               eligibility: int, memo: dict) -> Bundle | None:
-    """best_copies per base, then the base choice of choose_base."""
-    return choose_base(agent, lambda base: best_copies(base, agent.model, prices, eligibility,
-                                                       catalog, memo),
-                       memo, eligibility, lambda base: tuple(prices[j] for j in base.quantities))
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +337,41 @@ def myopic_bid(agent: BidderAgent, prices: PriceVector, catalog: ProductCatalog,
 class Market:
     """What an auction format adds to the round loop.  Prices and demand are
     kept per market key: a product id, or a (product, tier) pair."""
-    product_of: dict[Hashable, str]  # market key -> product id, in trace order
-    bid: Callable                    # (agent, start prices, eligibility, memo) -> bid, None to exit
+    product_of: dict[Hashable, str]  # market key -> product id, least strict tier first
+    entry: Callable                  # (agent, base, start prices, eligibility, memo) -> BaseChoice
     demand: Callable                 # bid -> {market key: quantity}
     empty: Any                       # the bid of an exited bidder
-    overdemanded: Callable           # aggregate per key -> {market key: bool}
+
+    @functools.cached_property
+    def keys_of(self) -> dict[str, tuple[Hashable, ...]]:
+        """Each product's market keys, in `product_of` order."""
+        keys: dict[str, tuple[Hashable, ...]] = {}
+        for k, j in self.product_of.items():
+            keys[j] = (*keys.get(j, ()), k)
+        return keys
 
 
-def overdemanded(aggregate: Mapping[str, int],
-                 catalog: ProductCatalog) -> dict[str, bool]:
-    """The standard rule: aggregate demand above supply."""
-    return {j: q > catalog.get(j).supply for j, q in aggregate.items()}
+def standard_market(catalog: ProductCatalog) -> Market:
+    """The standard auction: a key per product, `best_copies` per base, a `Bundle` per bid."""
+    return Market(
+        product_of={j: j for j in catalog.ids()},
+        entry=lambda agent, base, prices, elig, memo: best_copies(
+            base, agent.model, prices, elig, catalog, memo),
+        demand=lambda bundle: bundle.quantities,
+        empty=EMPTY_BUNDLE)
+
+
+def overdemanded(aggregate: dict[Hashable, int], catalog: ProductCatalog) -> dict[Hashable, bool]:
+    """Hierarchical overdemand: a key is overdemanded when the demand at it
+    plus the demand at its product's later (stricter) keys exceeds the
+    product's supply.  A product id is its product's only key, so the
+    standard rule, aggregate demand above supply, is the one-tier case."""
+    over, stricter = {}, {}
+    for k, q in reversed(aggregate.items()):
+        j = k if isinstance(k, str) else k[0]
+        stricter[j] = stricter.get(j, 0) + q
+        over[k] = stricter[j] > catalog.get(j).supply
+    return over
 
 
 def price_step(start: PriceVector, over: Mapping[Hashable, bool], keys: Iterable[Hashable],
@@ -377,12 +394,12 @@ def price_step(start: PriceVector, over: Mapping[Hashable, bool], keys: Iterable
 
 def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
                market: Market) -> AuctionTrace:
-    """Rounds of bids at start prices, exits and the activity rule, until no
-    key is overdemanded or `max_rounds` truncates the run.  The run owns its
-    oracle memo, which it passes to each bid: `choose_base` keeps its
-    entries there and the oracles their frames, and so the frames' MIP rows
-    with their memos of simplex starts (the oracle MIPs repeat their rows
-    across rounds at new prices).  Nothing of it outlives the run."""
+    """Rounds of `choose_base` bids at start prices, exits and the activity
+    rule, until no key is `overdemanded` or `max_rounds` truncates the run.
+    The run owns its oracle memo: `choose_base` keeps its entries there and
+    the oracles their frames, and so the frames' MIP rows with their memos
+    of simplex starts (the oracle MIPs repeat their rows across rounds at
+    new prices).  Nothing of it outlives the run."""
     if not agents:
         raise ValidationError("need at least one agent")
     if len({a.bidder_id for a in agents}) < len(agents):
@@ -400,7 +417,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
         bids = {}
         for agent in agents:
             bid = (None if agent.bidder_id in exited else
-                   market.bid(agent, start, eligibility[agent.bidder_id], memo))
+                   choose_base(agent, market, start, eligibility[agent.bidder_id], memo))
             if bid is None:
                 # exit is permanent: zero demand and zero eligibility onward
                 exited.add(agent.bidder_id)
@@ -412,7 +429,7 @@ def run_rounds(config: AuctionConfig, agents: list[BidderAgent],
         for bid in bids.values():
             for k, q in market.demand(bid).items():
                 aggregate[k] += q
-        over = market.overdemanded(aggregate)
+        over = overdemanded(aggregate, catalog)
         clock, posted = price_step(start, over, keys, config.increments)
         rounds.append(RoundRecord(
             round=rnd, start=start, clock=clock, posted=posted,
@@ -442,13 +459,7 @@ def _final(rounds: list[RoundRecord], demand: Callable,
 
 
 def run_auction(config: AuctionConfig, agents: list[BidderAgent]) -> AuctionTrace:
-    catalog = config.catalog
-    return run_rounds(config, agents, Market(
-        product_of={j: j for j in catalog.ids()},
-        bid=lambda agent, prices, elig, memo: myopic_bid(agent, prices, catalog, elig, memo),
-        demand=lambda bundle: bundle.quantities,
-        empty=EMPTY_BUNDLE,
-        overdemanded=lambda aggregate: overdemanded(aggregate, catalog)))
+    return run_rounds(config, agents, standard_market(config.catalog))
 
 
 def compare_allocations(a: dict[str, Bundle], b: dict[str, Bundle],

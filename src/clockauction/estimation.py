@@ -400,6 +400,8 @@ def model_from_json(text: str) -> tuple[ValuationModel, BundleSpace]:
     marginals = {(m["product_id"], integer(m["level"], "level")):
                  number(m["value_cents_per_unit"], "value_cents_per_unit")
                  for m in doc["marginals"]}
+    if len(marginals) < len(doc["marginals"]):
+        raise ValidationError("duplicate (product_id, level)")
     model = ValuationModel(bidder_id=doc["bidder_id"],
                            base_values=base_values, marginals=marginals)
     ladders = {j: CopyLadder(j, levels) for j, levels in model._ladders.items()}

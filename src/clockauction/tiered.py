@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import PriceVector, ProductCatalog, cents
 from .errors import ValidationError
 from .engine import (AuctionConfig, AuctionTrace, BaseChoice, BidderAgent, Frame, Market,
-                     choose_base, oracle_frame, run_rounds)
+                     oracle_frame, run_rounds)
 from .estimation import ValuationModel
 from .ingest import BundleBase
 from .solver import solve_mip
@@ -62,23 +62,6 @@ class TieredValuationAdjustment:
             {(b, a, t): 0 for b in bidders for a in areas for t in TIERS})
 
 
-def tier_overdemand(demands: dict[str, int], supply: int) -> dict[str, bool]:
-    """Hierarchical overdemand: a tier is overdemanded when demand at itself
-    plus all stricter tiers exceeds the shared supply."""
-    for t, d in demands.items():
-        if d < 0:
-            raise ValidationError(f"negative demand at tier {t!r}")
-    over, stricter = {}, 0
-    for t in reversed(TIERS):
-        stricter += demands.get(t, 0)
-        over[t] = stricter > supply
-    return over
-
-
-# A tiered bid assigns each demanded product one tier and one quantity.
-TieredBundle = dict[str, tuple[str, int]]  # product_id -> (tier, quantity)
-
-
 def _best_tiered_copies(base: BundleBase, model: ValuationModel,
                         prices: PriceVector, eligibility: int,
                         catalog: ProductCatalog, bidder_id: str,
@@ -104,38 +87,22 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
     return None if frame is None else frame.choice(frame.options(prices), solve_mip)
 
 
-def _myopic_tiered_bid(agent: BidderAgent, prices: PriceVector,
-                       catalog: ProductCatalog, eligibility: int,
-                       adjustment: TieredValuationAdjustment, memo: dict
-                       ) -> TieredBundle | None:
-    return choose_base(
-        agent, lambda base: _best_tiered_copies(
-            base, agent.model, prices, eligibility, catalog, agent.bidder_id, adjustment, memo),
-        memo, eligibility,
-        lambda base: tuple(prices[(j, t)] for j in base.quantities for t in TIERS))
+def tiered_market(catalog: ProductCatalog, adjustment: TieredValuationAdjustment) -> Market:
+    """The tiered auction: (product, tier) keys from Low to High,
+    `_best_tiered_copies` per base, a {product: (tier, quantity)} per bid."""
+    return Market(
+        product_of={(j, t): j for j in catalog.ids() for t in TIERS},
+        entry=lambda agent, base, prices, elig, memo: _best_tiered_copies(
+            base, agent.model, prices, elig, catalog, agent.bidder_id, adjustment, memo),
+        demand=lambda bid: {(j, t): q for j, (t, q) in bid.items()},
+        empty={})
 
 
 def run_extended_auction(config: AuctionConfig, agents: list[BidderAgent],
                          adjustment: TieredValuationAdjustment) -> AuctionTrace:
     """The standard round loop over (product, tier) pairs; hierarchical
     overdemand decides which tier prices escalate from a shared opening."""
-    catalog = config.catalog
-
-    def over(aggregate):
-        out = {}
-        for j in catalog.ids():
-            flags = tier_overdemand({t: aggregate[(j, t)] for t in TIERS},
-                                    catalog.get(j).supply)
-            out.update({(j, t): flags[t] for t in TIERS})
-        return out
-
-    return run_rounds(config, agents, Market(
-        product_of={(j, t): j for j in catalog.ids() for t in TIERS},
-        bid=lambda agent, prices, elig, memo: _myopic_tiered_bid(
-            agent, prices, catalog, elig, adjustment, memo),
-        demand=lambda bid: {(j, t): q for j, (t, q) in bid.items()},
-        empty={},
-        overdemanded=over))
+    return run_rounds(config, agents, tiered_market(config.catalog, adjustment))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from clockauction.costs import (CostParameters, SCENARIOS, AreaStats,
                                 TowerInventory, build_cost_table,
                                 cost_table_to_csv, load_demographics,
                                 load_inventory)
-from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
-                                 compare_allocations, run_auction,
+from clockauction.engine import (AuctionConfig, BidderAgent, best_copies, choose_base,
+                                 compare_allocations, overdemanded, run_auction,
                                  trace_to_jsonl)
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
@@ -30,8 +30,7 @@ from clockauction.ingest import (BundleBase, BundleSpace, CopyLadder,
 from clockauction.pipeline import estimate_all, roundtrip, trace_to_bidlog
 from clockauction.synthetic import random_setup
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
-                                 coverage_report, run_extended_auction,
-                                 tier_overdemand)
+                                 coverage_report, run_extended_auction, tiered_market)
 from test_solver import constraints, feasible_reference
 
 
@@ -164,8 +163,8 @@ def test_01b_tiered_oracle():
             observed={}))
 
         from clockauction.core import PriceVector
-        from clockauction.tiered import _best_tiered_copies, _myopic_tiered_bid
-        got = _myopic_tiered_bid(agent, PriceVector(price), catalog, elig, adjustment, {})
+        from clockauction.tiered import _best_tiered_copies
+        got = choose_base(agent, tiered_market(catalog, adjustment), PriceVector(price), elig, {})
 
         def cum(j, q):
             total, prev = 0, ladders[j][0]
@@ -350,11 +349,13 @@ def _unit_agent(bidder, product, value):
 def test_05_tier_rules_and_price_gradient():
     mismatches = 0
     for s in range(1, 7):
+        catalog = ProductCatalog(products=(Product("P1", "A1", "urban", s, 1, 100_00),))
         for d_l in range(2 * s + 1):
             for d_m in range(2 * s + 1):
                 for d_h in range(2 * s + 1):
                     demands = {"low": d_l, "medium": d_m, "high": d_h}
-                    if tier_overdemand(demands, s) != _oracle_overdemand(demands, s):
+                    over = overdemanded({("P1", t): demands[t] for t in TIERS}, catalog)
+                    if {t: over[("P1", t)] for t in TIERS} != _oracle_overdemand(demands, s):
                         mismatches += 1
 
     rng = np.random.default_rng(2718)

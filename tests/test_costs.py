@@ -49,6 +49,22 @@ class TestCostParameters:
         assert pre.tower_cost("mid") == pytest.approx(
             post.tower_cost("mid") * pre.adjustment_factor)
 
+    @pytest.mark.parametrize("targets, falls", [
+        pytest.param({"low": 0.2, "medium": 0.2, "high": 0.4}, False, id="equal-tiers"),
+        pytest.param({"low": 0.2, "high": 0.4}, False, id="no-medium"),
+        pytest.param({"medium": 0.3}, False, id="one-tier"),
+        pytest.param({"low": 0.2, "medium": 0.05, "high": 0.3}, True, id="falls-once"),
+        pytest.param({"low": 0.5, "high": 0.4}, True, id="falls-without-medium")])
+    def test_coverage_targets_rise_with_the_tier(self, targets, falls):
+        """In every class it holds, a stricter tier's target is at least the
+        looser one's, among the tiers the class has."""
+        given = {("rural", t): v for t, v in targets.items()}
+        if falls:
+            with pytest.raises(ValidationError, match="coverage_targets rural must not fall"):
+                CostParameters(coverage_targets=given)
+        else:
+            assert CostParameters(coverage_targets=given).coverage_targets == given
+
 
 def flat_refs():
     return WeightingRefs(density=1_000.0, area_km2=100.0)

@@ -10,8 +10,8 @@ import pytest
 from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
                                ProductCatalog, eligibility_cost)
 import clockauction.engine as engine
-from clockauction.engine import (AuctionConfig, BidderAgent, best_copies,
-                                 compare_allocations, myopic_bid, run_auction,
+from clockauction.engine import (AuctionConfig, BidderAgent, best_copies, choose_base,
+                                 compare_allocations, run_auction, standard_market,
                                  trace_from_jsonl, trace_to_jsonl,
                                  trace_summary)
 from clockauction.errors import SolverError, ValidationError
@@ -166,6 +166,10 @@ class TestMyopicBid:
     def catalog(self):
         return make_catalog({"A": (5, 1, 1_00), "B": (5, 1, 1_00)})
 
+    def bid(self, agent, prices):
+        """`choose_base`'s bid on the standard market at eligibility 10."""
+        return choose_base(agent, standard_market(self.catalog()), prices, 10, {})
+
     def test_picks_better_base(self):
         model = ValuationModel(
             "X", {"X/base0": 3_00, "X/base1": 9_00},
@@ -175,7 +179,7 @@ class TestMyopicBid:
                            BundleBase("X/base1", {"B": 1})],
                           {"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))})
         prices = PriceVector({"A": 1_00, "B": 1_00})
-        assert myopic_bid(agent, prices, self.catalog(), 10, {}) == Bundle({"B": 1})
+        assert self.bid(agent, prices) == Bundle({"B": 1})
 
     def test_tie_keeps_lower_indexed_base(self):
         model = ValuationModel(
@@ -186,20 +190,19 @@ class TestMyopicBid:
                            BundleBase("X/base1", {"B": 1})],
                           {"A": CopyLadder("A", (1,)), "B": CopyLadder("B", (1,))})
         prices = PriceVector({"A": 1_00, "B": 1_00})
-        assert myopic_bid(agent, prices, self.catalog(), 10, {}) == Bundle({"A": 1})
+        assert self.bid(agent, prices) == Bundle({"A": 1})
 
     def test_negative_utility_exits(self):
         model = ValuationModel("X", {"X/base0": 50}, {("A", 1): 0.0})
         agent = agent_for(model, [BundleBase("X/base0", {"A": 1})],
                           {"A": CopyLadder("A", (1,))})
-        assert myopic_bid(agent, PriceVector({"A": 1_00}), self.catalog(), 10, {}) is None
+        assert self.bid(agent, PriceVector({"A": 1_00})) is None
 
     def test_zero_utility_still_bids(self):
         model = ValuationModel("X", {"X/base0": 1_00}, {("A", 1): 0.0})
         agent = agent_for(model, [BundleBase("X/base0", {"A": 1})],
                           {"A": CopyLadder("A", (1,))})
-        assert myopic_bid(agent, PriceVector({"A": 1_00}), self.catalog(), 10, {}) == \
-            Bundle({"A": 1})
+        assert self.bid(agent, PriceVector({"A": 1_00})) == Bundle({"A": 1})
 
 
 class TestRunAuction:

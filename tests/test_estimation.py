@@ -370,6 +370,15 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="duplicate base_id"):
             model_from_json(json.dumps(doc))
 
+    def test_duplicate_marginal_rejected(self):
+        """A (product_id, level) listed twice, whatever its values, is refused
+        rather than read with its last value."""
+        config, agents = random_setup(7, n_bidders=1, n_products=5, n_bases=2)
+        doc = json.loads(model_to_json(agents[0].model, agents[0].space))
+        doc["marginals"].append({**doc["marginals"][-1], "value_cents_per_unit": 50_000})
+        with pytest.raises(ValidationError, match=re.escape("duplicate (product_id, level)")):
+            model_from_json(json.dumps(doc))
+
 
 def dict_reference(space, start_prices, eligibility, catalog, mr_slack_weight=None):
     """The valuation LP built one row dict at a time, each row as the

@@ -331,8 +331,8 @@ def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
     runs = []
     for eager in (False, True):
         if eager:
+            monkeypatch.setattr(engine, "choose_base", eager_choose_base)
             for module in (engine, tiered):
-                monkeypatch.setattr(module, "choose_base", eager_choose_base)
                 monkeypatch.setattr(module, "solve_mip",
                                     lambda lp, binaries, exact=None: solve_mip(lp, binaries))
         calls.clear()
@@ -349,12 +349,12 @@ def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
 # the base chooser
 
 
-def eager_choose_base(agent, solve, memo, eligibility, prices):
+def eager_choose_base(agent, market, prices, eligibility, memo):
     """The base choice that runs every base's MIP: the first strict maximum
     of the MIPs' utilities, whose bid stands if its utility is >= 0."""
     best_u, best_bid = -math.inf, None
     for base in agent.space.bases:
-        entry = solve(base)
+        entry = market.entry(agent, base, prices, eligibility, memo)
         if entry is not None and entry.resolve().utility > best_u:
             best_bid, best_u = entry.bid, entry.utility
     return best_bid if best_bid is not None and best_u >= 0 else None
@@ -363,8 +363,8 @@ def eager_choose_base(agent, solve, memo, eligibility, prices):
 def tiered_call(agent, catalog, prices, eligibility, adjustment):
     """The tiered bid at `prices` {product: price, the same at every tier}."""
     at = PriceVector({(j, t): prices[j] for j in catalog.ids() for t in TIERS})
-    return lambda memo: tiered._myopic_tiered_bid(agent, at, catalog, eligibility,
-                                                  adjustment, memo)
+    market = tiered.tiered_market(catalog, adjustment)
+    return lambda memo: engine.choose_base(agent, market, at, eligibility, memo)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -385,11 +385,10 @@ def test_chooser_bids_as_the_eager_rule(seed, kind, opening):
     prices = {j: int(catalog.get(j).opening_price * (1.0 if opening else rng.uniform(0.5, 3.0)))
               for j in catalog.ids()}
     if kind == "standard":
-        module = engine
-        bid = lambda memo: engine.myopic_bid(agent, PriceVector(prices), catalog,
-                                             eligibility, memo)
+        market = engine.standard_market(catalog)
+        bid = lambda memo: engine.choose_base(agent, market, PriceVector(prices), eligibility,
+                                              memo)
     else:
-        module = tiered
         adjustment = random_costs(rng, agent.bidder_id, catalog, kind == "tiered-zero-costs")
         bid = tiered_call(agent, catalog, prices, eligibility, adjustment)
         at = PriceVector({(j, t): prices[j] for j in catalog.ids() for t in TIERS})
@@ -404,7 +403,7 @@ def test_chooser_bids_as_the_eager_rule(seed, kind, opening):
             assert known is None or repr(known) == repr(entry.bid)
     got = bid({})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "choose_base", eager_choose_base)
+        mp.setattr(engine, "choose_base", eager_choose_base)
         want = bid({})
     assert repr(got) == repr(want)
 
@@ -445,7 +444,7 @@ def test_chooser_runs_the_mips_it_needs(values, costs, mips, monkeypatch):
     assert got, "the winner's utility is >= 0, so it bids"
     assert len(ran) == mips
     assert sum(entry.solve is None for entry in memo.values()) == mips
-    monkeypatch.setattr(tiered, "choose_base", eager_choose_base)
+    monkeypatch.setattr(engine, "choose_base", eager_choose_base)
     assert repr(got) == repr(bid({}))
 
 

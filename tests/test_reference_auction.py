@@ -2,7 +2,8 @@
 instances.  The reference enumerates every bundle of every base with
 `itertools.product`, applies the documented base rule, steps prices with
 `core.clock_price`, keeps the 100% activity rule and permanent exit, and
-decides tier overdemand with `tiered.tier_overdemand`.  It has no rule for
+states the overdemand rule itself: a key is overdemanded when the demand at
+its tier and every stricter tier exceeds the supply.  It has no rule for
 ties inside a base: where the winning base's best bundle is not unique (where
 the engine runs a MIP, or its greedy path takes the higher level) the draw
 is discarded.  On every
@@ -21,8 +22,7 @@ from clockauction.core import (Bundle, IncrementSchedule, PriceVector, Product,
 from clockauction.engine import AuctionConfig, BidderAgent, run_auction, trace_to_jsonl
 from clockauction.estimation import ValuationModel
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
-from clockauction.tiered import (TIERS, TieredValuationAdjustment, run_extended_auction,
-                                 tier_overdemand)
+from clockauction.tiered import TIERS, TieredValuationAdjustment, run_extended_auction
 
 
 class Tie(Exception):
@@ -90,11 +90,9 @@ def reference_auction(config, agents, costs=None) -> list[RoundRecord]:
             bids[agent.bidder_id] = bid
             for j, (t, q) in bid.items():
                 aggregate[key(j, t)] += q
-        if costs is None:
-            over = {j: aggregate[j] > catalog.get(j).supply for j in keys}
-        else:
-            over = {(j, t): flag for j in catalog.ids() for t, flag in tier_overdemand(
-                {t: aggregate[(j, t)] for t in TIERS}, catalog.get(j).supply).items()}
+        # the demand at a tier and at every stricter one, against the supply
+        over = {key(j, t): sum(aggregate[key(j, s)] for s in tiers[tiers.index(t):])
+                > catalog.get(j).supply for j in catalog.ids() for t in tiers}
         clock = {k: clock_price(start[k], delta) for k in keys}
         posted = {k: clock[k] if over[k] else start[k] for k in keys}
         rounds.append(RoundRecord(

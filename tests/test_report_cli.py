@@ -428,6 +428,22 @@ class TestCliPipeline:
         assert (cost_table_from_csv(tmp_path / "empty" / "cost_table_none.csv")
                 == cost_table_from_csv(tmp_path / "none" / "cost_table_none.csv"))
 
+    @pytest.mark.parametrize("command", ["cost-table", "simulate-extended"])
+    def test_coverage_targets_that_fall_with_the_tier(self, inputs, tmp_path, command):
+        """A stricter tier may not promise less coverage: rural medium and high
+        below rural low (0.20) would count a Medium or High licence as
+        reaching fewer people than a Low one."""
+        config = tmp_path / "config.yaml"
+        config.write_text("coverage_targets: {rural: {medium: 0.05, high: 0.01}}\n")
+        reads = (["--inventory", inputs["inventory"]] if command == "cost-table"
+                 else ["--models", inputs["models"], "--cost-table", inputs["cost_table"]])
+        code, err = run_captured([command, "--catalog", inputs["catalog"], "--demographics",
+                                  inputs["demographics"], *reads, "--config", config,
+                                  "--out", tmp_path / "out"])
+        assert (code, err.strip()) == (
+            2, f"error: {config}: coverage_targets rural must not fall from one tier to a "
+               "stricter one, not {'low': 0.2, 'medium': 0.05, 'high': 0.01}")
+
     @pytest.mark.parametrize("text", [
         pytest.param("coverage_targets:\n  metr: {low: 0.5}\n", id="area-class"),
         pytest.param("coverage_targets:\n  metro: {lo: 0.5}\n", id="tier"),
@@ -582,6 +598,30 @@ class TestCliPipeline:
         summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
         assert printed.endswith(f"; simulated revenue {summary['revenue']} over "
                                 f"{summary['rounds_used']} rounds")
+
+    def test_roundtrip_check_holds_an_exited_bidder_to_nothing(self, workspace, tmp_path,
+                                                              capsys):
+        """A bidder whose rows stop before the log's last round has exited: its
+        final bundle is empty, not its last logged bid, so its RMSE is that of
+        the replay's final bundle alone."""
+        catalog, bids = workspace / "catalog.csv", workspace / "bids.csv"
+        last: dict[str, int] = {}
+        for row in csv.DictReader(bids.read_text().splitlines()):
+            last[row["bidder_id"]] = max(last.get(row["bidder_id"], 0), int(row["round"]))
+        exited = sorted(b for b, rnd in last.items() if rnd < max(last.values()))
+        assert exited, "some bidder of the workspace's log exits"
+        assert run(["roundtrip-check", "--catalog", catalog, "--bids", bids]) == 0
+        printed = dict(line.split(": RMSE ") for line in capsys.readouterr().out.splitlines()
+                       if ": RMSE " in line)
+        assert run(["estimate", "--catalog", catalog, "--bids", bids,
+                    "--out", tmp_path / "est"]) == 0
+        assert run(["simulate", "--catalog", catalog, "--models", tmp_path / "est",
+                    "--out", tmp_path / "sim"]) == 0
+        final = json.loads((tmp_path / "sim" / "summary.json").read_text())["final_allocation"]
+        products = len(catalog.read_text().splitlines()) - 1
+        for bidder in exited:
+            rmse = math.sqrt(sum(q * q for q in final[bidder].values()) / products)
+            assert printed[bidder] == f"{rmse:.4f}"
 
     def test_a_bidder_whose_rows_are_all_zero(self, workspace, tmp_path):
         """A bidder that never demands anything gets no model and no report
@@ -937,6 +977,28 @@ class TestMalformedInput:
                                   "--models", models, "--out", tmp_path / "out"])
         assert (code, err.strip()) == (2, f"error: no model_*.json files in {models}")
 
+    @pytest.mark.parametrize("value, marginals, message", [
+        pytest.param('"value_cents": 100, "value_cents": 900000', [(1, 0), (2, 1)],
+                     "repeated key 'value_cents'", id="repeated-key"),
+        pytest.param('"value_cents": 100', [(1, 0), (2, 1), (2, 50_000)],
+                     "duplicate (product_id, level)", id="repeated-level")])
+    def test_a_model_that_repeats_a_value_exits_2(self, tmp_path, value, marginals, message):
+        """A value given twice, by a repeated JSON key or a (product_id,
+        level) listed twice, is refused rather than read with its last one."""
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("product_id,area_id,area_class,supply,eligibility_points,"
+                           "opening_price_cad\nA,area-A,urban,1,1,10.00\n")
+        listed = ", ".join(f'{{"product_id": "A", "level": {level}, '
+                           f'"value_cents_per_unit": {v}}}' for level, v in marginals)
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "model_X.json").write_text(
+            f'{{"bidder_id": "X", "bases": [{{"base_id": "X/base0", "products": {{"A": 1}}, '
+            f'{value}}}], "marginals": [{listed}]}}')
+        code, err = run_captured(["simulate", "--catalog", catalog, "--models", models,
+                                  "--out", tmp_path / "out"])
+        assert (code, err.strip()) == (2, f"error: {models / 'model_X.json'}: {message}")
+
     def test_an_overdemanded_price_that_cannot_rise_exits_2(self, tmp_path):
         """At delta 0.1 a $4.00 clock rounds back to $4.00: two bidders for
         the one unit would hold the price there until max_rounds."""
@@ -1233,6 +1295,18 @@ class TestMalformedInput:
                                   "--out", tmp_path / "rep"])
         assert code == 2
         assert f"{trace}:{line % len(lines) + 1}:" in err and "Traceback" not in err
+
+    def test_report_rejects_a_repeated_key(self, inputs, tmp_path):
+        """A key given twice in a round is refused, even with the same value:
+        the reader would keep only its last one."""
+        lines = inputs["trace"].read_text().splitlines()
+        lines[0] = lines[0][:-1] + ', "round": 1}'
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        code, err = run_captured(["report", "--catalog", inputs["catalog"],
+                                  "--trace-a", inputs["trace"], "--trace-b", trace,
+                                  "--out", tmp_path / "rep"])
+        assert (code, err.strip()) == (2, f"error: {trace}:1: repeated key 'round'")
 
     BAD_BIDDER_IDS = [pytest.param("", id="empty"), pytest.param("x/y", id="slash"),
                       pytest.param("x\\y", id="backslash"), pytest.param("x\0y", id="nul")]

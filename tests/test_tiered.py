@@ -23,7 +23,7 @@ from clockauction.synthetic import random_setup
 import clockauction.tiered as tiered
 from clockauction.tiered import (TIERS, TieredValuationAdjustment,
                                  coverage_report, deployment_costs,
-                                 run_extended_auction, tier_overdemand)
+                                 run_extended_auction)
 from test_solver import lp_min
 
 
@@ -46,26 +46,41 @@ def unit_agent(bidder, product, value):
     return BidderAgent(bidder_id=bidder, model=model, space=space)
 
 
+def tier_flags(demands, supply):
+    """`engine.overdemanded` per tier of one product P of `supply`."""
+    catalog = make_catalog({"P": ("A1", "urban", supply, 100_00)})
+    over = engine.overdemanded({("P", t): demands.get(t, 0) for t in TIERS}, catalog)
+    return {t: over[("P", t)] for t in TIERS}
+
+
 class TestTierOverdemand:
     def test_only_low_overdemanded(self):
-        assert tier_overdemand({"low": 2, "medium": 1, "high": 2}, 4) == \
+        assert tier_flags({"low": 2, "medium": 1, "high": 2}, 4) == \
             {"low": True, "medium": False, "high": False}
 
     def test_high_cascades_downward(self):
-        assert tier_overdemand({"low": 0, "medium": 0, "high": 5}, 4) == \
+        assert tier_flags({"low": 0, "medium": 0, "high": 5}, 4) == \
             {"low": True, "medium": True, "high": True}
 
     def test_no_demand(self):
-        assert tier_overdemand({}, 4) == \
+        assert tier_flags({}, 4) == \
             {"low": False, "medium": False, "high": False}
 
     def test_boundary_is_strict(self):
-        assert tier_overdemand({"low": 4}, 4)["low"] is False
-        assert tier_overdemand({"low": 5}, 4)["low"] is True
+        assert tier_flags({"low": 4}, 4)["low"] is False
+        assert tier_flags({"low": 5}, 4)["low"] is True
 
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValidationError):
-            tier_overdemand({"low": -1}, 4)
+    def test_a_product_key_is_the_one_tier_case(self):
+        """A product id is its product's only key: demand above supply.  Tier
+        keys count only their own product's stricter tiers."""
+        catalog = make_catalog({"P": ("A1", "urban", 4, 100_00),
+                                "Q": ("A2", "urban", 2, 100_00)})
+        assert engine.overdemanded({"P": 4, "Q": 3}, catalog) == {"P": False, "Q": True}
+        over = engine.overdemanded({("P", "low"): 0, ("P", "medium"): 0, ("P", "high"): 3,
+                                    ("Q", "low"): 1, ("Q", "medium"): 0, ("Q", "high"): 2},
+                                   catalog)
+        assert over == {("P", "low"): False, ("P", "medium"): False, ("P", "high"): False,
+                        ("Q", "low"): True, ("Q", "medium"): False, ("Q", "high"): False}
 
     def test_hierarchy_implications(self):
         # overdemand at a stricter tier always implies it at looser tiers
@@ -73,7 +88,7 @@ class TestTierOverdemand:
         for _ in range(200):
             s = int(rng.integers(1, 7))
             demands = {t: int(rng.integers(0, 2 * s + 1)) for t in TIERS}
-            over = tier_overdemand(demands, s)
+            over = tier_flags(demands, s)
             assert not (over["high"] and not over["medium"])
             assert not (over["medium"] and not over["low"])
 
@@ -271,6 +286,23 @@ def test_bb_path_trace_digest(seed, monkeypatch):
     assert calls, "no oracle call reached the MIP"
     text = tiered_text(trace, config.catalog, adj)
     assert hashlib.sha256(text.encode()).hexdigest() == BB_DIGESTS[seed]
+
+
+def test_the_memo_keys_every_tier_price():
+    """`choose_base` keeps an answer under the prices of every market key of
+    the base: a question that differs from an earlier one only at stricter
+    tiers is asked anew.  No run asks such a pair, since the low tier is
+    overdemanded whenever a stricter one is, so its price pins the others."""
+    catalog = make_catalog({"P": ("A1", "urban", 1, 100_00)})
+    market = tiered.tiered_market(catalog, TieredValuationAdjustment.zero(["X"], ["A1"]))
+    agent, memo = unit_agent("X", "P", 300_00), {}
+
+    def bid(*prices):
+        at = PriceVector({("P", t): p for t, p in zip(TIERS, prices)})
+        return engine.choose_base(agent, market, at, 1, memo)
+
+    assert bid(200_00, 200_00, 100_00) == {"P": ("high", 1)}
+    assert bid(200_00, 210_00, 250_00) == {"P": ("low", 1)}
 
 
 def test_oracle_memo_is_exact_and_per_run(monkeypatch):
