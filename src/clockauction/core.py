@@ -117,7 +117,9 @@ class ProductCatalog:
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Each product id once, and each area in one class."""
+        """Each product id once, each area in one class, and at most 2**53
+        eligibility points over the whole supply, so that a float holds
+        every bundle's points and every eligibility exactly."""
         by_id, by_area = {}, {}
         for p in self.products:
             if p.id in by_id:
@@ -126,6 +128,10 @@ class ProductCatalog:
             if (first := by_area.setdefault(p.area_id, p)).area_class != p.area_class:
                 raise ValidationError(f"area {p.area_id!r} is {first.area_class!r} for product "
                                       f"{first.id}, but {p.area_class!r} for product {p.id}")
+        points = sum(p.supply * p.eligibility_points for p in self.products)
+        if points > 2**53:
+            raise ValidationError(f"eligibility points times supply total {points}, "
+                                  "above 2**53, the most a float holds exactly")
         object.__setattr__(self, "_by_id", by_id)
 
     def __iter__(self):

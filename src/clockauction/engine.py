@@ -105,28 +105,28 @@ class Frame:
     choice) needs.  `bid` makes a bid of {product: choice}.  One exact
     knapsack DP over the options (`best`) gives every answer the oracle
     needs: each entry's utility and its bid where the optimum is unique, and
-    each node bound of the MIP.  The MIP is built at the first solve; every
-    solve re-prices a copy that shares its rows (`solver.Rows`), and their
-    memo of simplex starts."""
+    each node bound of the MIP.  The MIP, whose columns are the frame's keys,
+    is built at the first solve; every solve re-prices a copy that shares its
+    rows (`solver.Rows`), and their memo of simplex starts."""
 
     def __init__(self, levels: dict[str, list[tuple[Hashable, int, float, Hashable]]],
                  base_value: float, catalog: ProductCatalog, eligibility: int,
                  bid: Callable[[dict], Any] = dict,
-                 needs: Mapping[tuple[str, Hashable], str] | None = None,
-                 costs: Mapping[str, float] | None = None):
+                 needs: Mapping[tuple[str, Hashable], Hashable] | None = None,
+                 costs: Mapping[Hashable, float] | None = None):
         self.levels, self.base_value, self.bid = levels, base_value, bid
         self.catalog, self.eligibility = catalog, eligibility
         self.needs, self.costs = needs or {}, costs or {}
         self.mip = None
 
     @functools.cached_property
-    def walk(self) -> list[tuple[str, list[tuple], set[str]]]:
+    def walk(self) -> list[tuple[str, list[tuple], set[Hashable]]]:
         """The DP's price-free part, per product in sorted order: its options
         as (choice, eligibility points, shared engagement, own engagement),
         and the shared engagements that no later product needs.  An
         engagement is shared when two or more products need it, else it is
         the one product's own (None where an option needs none)."""
-        users: dict[str, set[str]] = {}
+        users: dict[Hashable, set[str]] = {}
         for (j, _), e in self.needs.items():
             users.setdefault(e, set()).add(j)
         last = {e: max(products) for e, products in users.items() if len(products) > 1}
@@ -140,13 +140,12 @@ class Frame:
             walk.append((j, options, {e for e, k in last.items() if k == j}))
         return walk
 
-    def best(self, options: dict, blocked=(), forced=()) -> tuple[float, dict | None] | None:
+    def best(self, options: dict, blocked=()) -> tuple[float, dict | None] | None:
         """The best bundle of `options` (per product {choice: (quantity,
         utility)}, one choice per product) within the eligibility, without the
-        (product, choice) options in `blocked` and with the engagements in
-        `forced` paid whether or not the bundle needs them: (its utility less
-        the costs of the engagements it pays, its {product: choice} if no
-        other bundle attains that, else None); None when no bundle fits.
+        (product, choice) options in `blocked`: (its utility less the costs
+        of the engagements it needs, its {product: choice} if no other
+        bundle attains that, else None); None when no bundle fits.
         A multiple-choice knapsack DP over the products in sorted order,
         whose states are (eligibility used, shared engagements paid that a
         later product needs); each keeps its best utility, whether one
@@ -154,8 +153,7 @@ class Frame:
         cost is folded into its options, and options of equal points and
         shared engagement are merged first.  Money is whole cents, so every
         sum is exact."""
-        cost = {e: 0.0 if e in forced else c for e, c in self.costs.items()}
-        states = {(0, frozenset()): (-sum(self.costs[e] for e in forced), True, ())}
+        cost, states = self.costs, {(0, frozenset()): (0, True, ())}
         for j, choices, closing in self.walk:
             merged: dict[tuple, tuple] = {}  # (points, shared) -> (utility, alone, choice)
             for c, points, shared, own in choices:
@@ -186,26 +184,26 @@ class Frame:
         return {j: {c: (q, value - q * prices[key]) for c, q, value, key in levels}
                 for j, levels in self.levels.items()}
 
-    def solve(self, options: dict, solve_mip: Callable) -> tuple[Any, float] | None:
-        """(bid, utility) of BEST_COPIES at the prices of `options` as a binary
-        MIP that `solve_mip` solves, None when it is infeasible; the utility
-        is the base value plus the chosen options' utilities less the costs
-        of the engagements they need, exact in whole cents.
-        One binary per option (by product, then choice) minimizes -utility,
-        and one per engagement carries its cost; one exactly-one row per
-        product, the eligibility row, then one row per option that needs an
-        engagement.  Each node's bound is `best` without the options its
-        fixed binaries rule out (an option at 0, the product's other options
-        at 1, the options of an engagement at 0) and with the engagements
-        fixed at 1 paid."""
+    def solve(self, options: dict, solve_mip: Callable) -> tuple[Any, float]:
+        """(bid, utility) of BEST_COPIES at the prices of `options` as a MIP
+        that `solve_mip` solves; the utility is the base value plus the
+        chosen options' utilities less the costs of the engagements they
+        need, exact in whole cents.  Its columns are the frame's keys: one
+        binary per (product, choice), in that order, minimizes -utility, and
+        one column in [0, 1] per engagement carries its cost.  One
+        exactly-one row per product, the eligibility row, then one row per
+        option that needs an engagement, option - engagement <= 0, so a
+        vertex with integral binaries has integral engagements, and the
+        search branches on the binaries alone.  Each node's bound is `best`
+        without the options its fixed binaries rule out (an option at 0,
+        the product's other options at 1)."""
         if self.mip is None:
             # the binaries are the first columns, in (product, choice) order, so
             # the product rows and then the eligibility row list them in turn
             choices = [(j, c) for j, levels in self.levels.items() for c, *_ in levels]
-            binary = {option: f"I{k}" for k, option in enumerate(choices)}
             column = {key: k for k, key in enumerate([*choices, *self.costs])}
             products, n, links = len(self.levels), len(choices), len(self.needs)
-            lp = LinearProgram([*binary.values(), *self.costs], None, Rows(
+            lp = LinearProgram(list(column), None, Rows(
                 list(itertools.accumulate([*map(len, self.levels.values()), n, *[2] * links],
                                           initial=0)),
                 [*range(n), *range(n),
@@ -216,32 +214,21 @@ class Frame:
                 [1.0] * products + [float(self.eligibility)] + [0.0] * links,
                 [EQ] * products + [LE] * (1 + links)))
             lp.ub = [1.0] * len(column)
-            self.mip = lp, binary
-        lp, binary = self.mip
-        option = {name: key for key, name in binary.items()}
+            self.mip = lp, choices
+        lp, choices = self.mip
 
-        def exact(fixed: dict[str, float]) -> float:
-            blocked, forced = set(), set()
-            for name, v in fixed.items():
-                if name in option:
-                    j, c = option[name]
-                    blocked.update([(j, other) for other in options[j] if other != c]
-                                   if v else [(j, c)])
-                elif v:
-                    forced.add(name)
-                else:
-                    blocked.update(key for key, e in self.needs.items() if e == name)
-            best = self.best(options, blocked, forced)
+        def exact(fixed: dict[tuple, float]) -> float:
+            blocked = {(j, other) for (j, c), v in fixed.items() for other in options[j]
+                       if (other == c) != bool(v)}
+            best = self.best(options, blocked)
             return math.inf if best is None else -best[0]
 
         mip = copy.copy(lp)  # shares the rows, and so their memo of simplex starts
         # by column, each 0.0 plus its coefficient, so a zero utility costs +0.0
-        mip.costs = [0.0 + coef for coef in [*(-options[j][c][1] for j, c in binary),
+        mip.costs = [0.0 + coef for coef in [*(-options[j][c][1] for j, c in choices),
                                              *self.costs.values()]]
-        sol = solve_mip(mip, [*binary.values(), *self.costs], exact)
-        if sol.status == "infeasible":
-            return None
-        chosen = [(j, c) for (j, c), name in binary.items() if sol.values[name] > 0.5]
+        sol = solve_mip(mip, choices, exact)
+        chosen = [key for key in choices if sol.values[key] > 0.5]
         engaged = {self.needs[option] for option in chosen if option in self.needs}
         utility = sum(options[j][c][1] for j, c in chosen) - sum(self.costs[e] for e in engaged)
         return self.bid(dict(chosen)), self.base_value + utility

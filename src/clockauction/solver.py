@@ -38,7 +38,7 @@ import math
 import os
 import sys
 import threading
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -88,19 +88,19 @@ class Rows:
 
 
 class LinearProgram:
-    """Minimization LP over the columns `names`, with bounds `lb` <= x <= `ub`
-    (+inf for none) and costs `costs`, and its constraint `rows`, made whole
-    from names, costs and rows (bounds 0 and +inf); a repeated name is an
-    error.  The LP replaces its lists and rows rather than change them, so
-    `copy.copy` gives an LP that shares them all, ready to take new bounds
-    or costs.
+    """Minimization LP over the columns `names`, which may be any hashable
+    values, with bounds `lb` <= x <= `ub` (+inf for none) and costs `costs`,
+    and its constraint `rows`, made whole from names, costs and rows (bounds
+    0 and +inf); a repeated name is an error.  The LP replaces its lists and
+    rows rather than change them, so `copy.copy` gives an LP that shares
+    them all, ready to take new bounds or costs.
 
     The rest is kept only for `bench/`: its setup builds an LP a column at
     a time by `add_variable` and the `objective` setter, and its spans take
     the lengths of `variables` (the names) and `constraints` (the
     right-hand sides).  The next change to `bench/` deletes it."""
 
-    def __init__(self, names: Sequence[str] = (), costs: Sequence[float] | None = None,
+    def __init__(self, names: Sequence[Hashable] = (), costs: Sequence[float] | None = None,
                  rows: Rows | None = None):
         self.names = list(names)
         self._index = {name: i for i, name in enumerate(self.names)}
@@ -140,7 +140,7 @@ class LinearProgram:
 @dataclass(frozen=True)
 class Solution:
     status: str  # optimal | infeasible | unbounded
-    values: dict[str, float]
+    values: dict[Hashable, float]
     objective_value: float | None
 
 
@@ -440,8 +440,8 @@ def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
     raise ValidationError(f"unknown backend {backend!r}")
 
 
-def solve_mip(lp: LinearProgram, binaries: list[str],
-              exact: Callable[[dict[str, float]], float] | None = None) -> Solution:
+def solve_mip(lp: LinearProgram, binaries: list[Hashable],
+              exact: Callable[[dict[Hashable, float]], float] | None = None) -> Solution:
     """Depth-first branch and bound over the `binaries` of `lp`, variables
     with bounds [0, 1] (built-in simplex).
 

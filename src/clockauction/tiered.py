@@ -74,14 +74,13 @@ def _best_tiered_copies(base: BundleBase, model: ValuationModel,
     only where the base wins and the frame's entry cannot name its bid."""
     def build(choices):
         area_of = {j: catalog.get(j).area_id for j in choices}
-        engage = {(a, t): f"Y::{a}::{t}" for a in sorted(set(area_of.values())) for t in TIERS}
         return Frame({j: [((t, q), q, model.cumulative_value(j, q), (j, t))
                           for t in TIERS for q in levels] for j, levels in choices.items()},
                      model.base_values.get(base.base_id, 0.0), catalog, eligibility,
-                     needs={(j, (t, q)): engage[(area_of[j], t)]
+                     needs={(j, (t, q)): (area_of[j], t)
                             for j, levels in choices.items() for t in TIERS for q in levels},
-                     costs={name: float(adjustment.cost(bidder_id, a, t))
-                            for (a, t), name in engage.items()})
+                     costs={(a, t): float(adjustment.cost(bidder_id, a, t))
+                            for a in sorted(set(area_of.values())) for t in TIERS})
 
     frame = oracle_frame(bidder_id, base, model, catalog, eligibility, memo, build)
     return None if frame is None else frame.choice(frame.options(prices), solve_mip)

@@ -260,6 +260,20 @@ class TestCatalogCsv:
         assert str(caught.value) == f"{path}: area 'X1' is 'rural' for product A, " \
             "but 'metro' for product C"
 
+    def test_eligibility_points_over_the_supply_fit_a_float(self, tmp_path):
+        """A catalog's points over its whole supply, which bound every
+        bundle's points and every eligibility, may total 2**53, the most a
+        float holds exactly, and no more; read from a file, the error names
+        the file."""
+        two = Product("A", "XA", "rural", 2, 2**52, 0)
+        assert len(ProductCatalog((two,))) == 1
+        with pytest.raises(ValidationError, match=r"total 9007199254740993, above 2\*\*53"):
+            ProductCatalog((two, Product("B", "XB", "rural", 1, 1, 0)))
+        path = tmp_path / "catalog.csv"
+        path.write_text(self.HEADER + f"A,XA,rural,2,{2**52},1\nB,XB,rural,1,1,1\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: eligibility"):
+            ProductCatalog.from_csv(path)
+
 
 class TestAmounts:
     """One check per kind of amount: money through `cents`, counts through

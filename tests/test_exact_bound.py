@@ -46,8 +46,9 @@ def oracle_mips(kind: str, count: int, seed: int, max_supply: int = 6) -> list[t
     option at its opening price, as the opening round does, and half the
     tiered calls have zero deployment costs: both tie options.  In
     "tiered-shared" calls 2-3 products of the base share one area, so the
-    DP carries open engagements and the nodes fix shared engagement
-    binaries; every product of `random_setup` is alone in its area."""
+    DP carries open engagements; every product of `random_setup` is alone
+    in its area.  The binaries are the MIP's choice columns, its
+    (product, choice) keys."""
     rng = np.random.default_rng(seed)
     module = engine if kind == "standard" else tiered
     recorded = []
@@ -132,6 +133,43 @@ def test_bound_changes_no_bit(kind, seed):
     assert skipped > 0
 
 
+@pytest.mark.parametrize("kind, seed", [("standard", 31), ("tiered", 32),
+                                        ("tiered-shared", 33)])
+def test_the_search_on_the_choices_is_the_search_on_every_column(kind, seed):
+    """An engagement column is 0 or 1 wherever the choices are integral, so
+    branching on the choices alone is the search that also branches on the
+    engagements, node for node, and none of its nodes fixes an engagement;
+    also where every engagement costs nothing, and so may lie anywhere its
+    rows allow.  The two answers agree bit for bit but in the engagement
+    values, which `solve_mip` rounds only where it branches on them: each
+    lies within INT_TOL of the other's 0 or 1."""
+    free = 0
+    for lp, choices, exact in oracle_mips(kind, 120, seed):
+        engagements = [name for name in lp.names if name not in set(choices)]
+        free += bool(engagements) and not any(lp.costs[len(choices):])
+
+        def watched(fixed):
+            assert set(fixed) <= set(choices), fixed
+            return exact(fixed)
+
+        searches = []
+        for binaries, bound in ((choices, exact), ([*choices, *engagements], watched)):
+            nodes = []
+            with pytest.MonkeyPatch.context() as mp:
+                real = solver.solve_lp
+                mp.setattr(solver, "solve_lp",
+                           lambda node, *a: nodes.append((node.lb, node.ub)) or real(node, *a))
+                sol = solve_mip(lp, binaries, bound)
+            searches.append((nodes, sol))
+        (nodes, sol), (reference_nodes, reference) = searches
+        assert nodes == reference_nodes
+        assert bits(dataclasses.replace(sol, values={k: sol.values[k] for k in choices})) == \
+            bits(dataclasses.replace(reference, values={k: reference.values[k] for k in choices}))
+        assert all(abs(sol.values[e] - reference.values[e]) <= solver.INT_TOL
+                   for e in engagements)
+    assert free > 0 or kind == "standard"
+
+
 def count_nodes(lp, binaries, exact) -> tuple[solver.Solution, int]:
     """`solve_mip`'s answer and its count of simplex solves."""
     calls = []
@@ -144,9 +182,9 @@ def count_nodes(lp, binaries, exact) -> tuple[solver.Solution, int]:
 @pytest.mark.parametrize("kind, seed", [("standard", 21), ("tiered", 22),
                                         ("tiered-shared", 23)])
 def test_exact_matches_brute_force_at_every_node(kind, seed):
-    """At every node the search visits, and at random fixings besides, the
-    DP gives the integer optimum that brute force over every 0/1
-    point of the MIP's variables gives."""
+    """At every node the search visits, and at random fixings of its choice
+    columns besides, the DP gives the integer optimum that brute force over
+    every 0/1 point of the MIP's variables gives."""
     rng = np.random.default_rng(seed)
     small = [mip for mip in oracle_mips(kind, 60, seed, max_supply=2)
              if len(mip[0].names) <= 16]
@@ -159,19 +197,19 @@ def test_exact_matches_brute_force_at_every_node(kind, seed):
             solve_mip(lp, binaries)
         fixings = [{name: lb for name, lb, ub in columns(node) if lb == ub} for node in nodes]
         for _ in range(5):
-            chosen = rng.choice(binaries, size=int(rng.integers(1, 4)), replace=False)
-            fixings.append({name: float(rng.integers(2)) for name in chosen})
+            chosen = rng.choice(len(binaries), size=int(rng.integers(1, 4)), replace=False)
+            fixings.append({binaries[k]: float(rng.integers(2)) for k in chosen})
         scale = 1e-9 * (1.0 + sum(abs(c) for c in lp.costs))
         for fixed in fixings:
             want, got = brute_force(lp, fixed), exact(fixed)
             assert got == want or abs(got - want) <= scale, fixed
 
 
-def every_bundle(frame: Frame, options: dict, blocked: set, forced: set):
+def every_bundle(frame: Frame, options: dict, blocked: set):
     """`Frame.best`'s answer by brute force over every bundle of `options`,
     one option per product (`itertools.product`): the best utility less the
-    costs of the engagements the bundle needs or `forced` holds, and the
-    bundle if no other attains it; None when no bundle fits."""
+    costs of the engagements the bundle needs, and the bundle if no other
+    attains it; None when no bundle fits."""
     products = sorted(options)
     best, count = None, 0
     for bundle in itertools.product(*[options[j] for j in products]):
@@ -180,7 +218,7 @@ def every_bundle(frame: Frame, options: dict, blocked: set, forced: set):
                      for j, c in chosen)
         if blocked.intersection(chosen) or points > frame.eligibility:
             continue
-        engaged = {frame.needs[key] for key in chosen if key in frame.needs} | forced
+        engaged = {frame.needs[key] for key in chosen if key in frame.needs}
         value = sum(options[j][c][1] for j, c in chosen) - sum(frame.costs[e] for e in engaged)
         if best is None or value > best[0]:
             best, count = (value, dict(chosen)), 1
@@ -196,8 +234,8 @@ def test_best_matches_every_bundle(seed, kind):
     """On random bases of 1-8 products in at most four areas, so that areas
     often hold several products of the base, `Frame.best` gives the brute
     force's optimum, and its bundle exactly where no other bundle attains
-    it; also with random options blocked and engagements forced.  Small
-    whole-cent values make ties common."""
+    it; also with random options blocked.  Small whole-cent values make
+    ties common."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     catalog = ProductCatalog(tuple(
@@ -211,7 +249,7 @@ def test_best_matches_every_bundle(seed, kind):
                                                size=int(rng.integers(1, most + 1))))
         levels[p.id] = [((t, q) if t else q, q, float(rng.integers(-2, 5) * 100_00), (p.id, t))
                         for t in tiers for q in qs]
-        needs.update({(p.id, (t, q)): f"Y::{p.area_id}::{t}" for t in tiers if t for q in qs})
+        needs.update({(p.id, (t, q)): (p.area_id, t) for t in tiers if t for q in qs})
     costs = {e: 0.0 if kind == "tiered-zero-costs" else float(rng.integers(0, 3) * 100_00)
              for e in sorted(set(needs.values()))}
     low, high = ([f(q for _, q, *_ in ls) * catalog.get(j).eligibility_points
@@ -219,11 +257,9 @@ def test_best_matches_every_bundle(seed, kind):
     frame = Frame(levels, 0.0, catalog, int(rng.integers(sum(low) - 1, sum(high) + 2)),
                   needs=needs, costs=costs)
     options = frame.options(PriceVector({key: 0 for ls in levels.values() for *_, key in ls}))
-    for blocked, forced in [(set(), set())] + [
-            ({(j, c) for j in options for c in options[j] if rng.random() < 0.2},
-             {e for e in costs if rng.random() < 0.3}) for _ in range(3)]:
-        want = every_bundle(frame, options, blocked, forced)
-        assert frame.best(options, blocked, forced) == want, (blocked, forced)
+    for blocked in [set()] + [{(j, c) for j in options for c in options[j]
+                               if rng.random() < 0.2} for _ in range(3)]:
+        assert frame.best(options, blocked) == every_bundle(frame, options, blocked), blocked
 
 
 def knapsack(*more):

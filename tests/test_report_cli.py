@@ -1111,6 +1111,38 @@ class TestMalformedInput:
                           {"product_id": "A", "level": 3, "value_cents_per_unit": 10000}]}))
         return files
 
+    def test_eligibility_points_past_the_float_range_are_refused(self, tmp_path):
+        """A catalog whose points over its supply pass 2**53 exits 2 naming
+        it.  Before, its eligibility row rounded 2**53 + 1 points to 2**53,
+        so b1's MIP took {A: 1, B: 2}, which the exact DP refuses, and the
+        run exited 3."""
+        files = {"catalog": tmp_path / "catalog.csv", "models": tmp_path / "models",
+                 "cost_table": tmp_path / "costs.csv"}
+        files["catalog"].write_text(
+            "product_id,area_id,area_class,supply,eligibility_points,opening_price_cad\n"
+            f"A,XA,rural,1,{2**53 - 1},100\nB,XB,rural,2,1,100\nC,XC,rural,1,{2**53},100\n")
+        files["cost_table"].write_text(cost_table_to_csv(
+            TieredValuationAdjustment.zero(["b1", "b2"], ["XA", "XB", "XC"])))
+        files["models"].mkdir()
+        marginals = {"b1": [("A", 1, 0), ("B", 1, 0), ("B", 2, 500000), ("C", 1, 0)],
+                     "b2": [("C", 1, 0)]}
+        bases = {"b1": [({"C": 1}, 3000000), ({"A": 1, "B": 1}, 2000000)],
+                 "b2": [({"C": 1}, 5000000)]}
+        for bidder in ("b1", "b2"):
+            (files["models"] / f"model_{bidder}.json").write_text(json.dumps({
+                "bidder_id": bidder,
+                "bases": [{"base_id": f"{bidder}/base{i}", "products": products,
+                           "value_cents": value}
+                          for i, (products, value) in enumerate(bases[bidder])],
+                "marginals": [{"product_id": j, "level": q, "value_cents_per_unit": v}
+                              for j, q, v in marginals[bidder]]}))
+        config = tmp_path / "config.yaml"
+        config.write_text("delta: 0.2\n")
+        assert run_captured(reading("cost_table", files, tmp_path / "out")
+                            + ["--config", config]) == (
+            2, f"error: {files['catalog']}: eligibility points times supply total "
+               f"{2**54 + 1}, above 2**53, the most a float holds exactly\n")
+
     @pytest.mark.parametrize("command", ["simulate", "simulate-extended"])
     def test_a_base_quantity_off_its_ladder_is_refused(self, command, tmp_path):
         """The value of a base's own quantity is a level of its ladder: at 2,

@@ -489,19 +489,23 @@ def test_frames_live_for_one_run(monkeypatch):
 
 
 def row_at_a_time(frame):
-    """`frame`'s MIP and binaries, its columns and rows written one at a
-    time, each row a dict, and made whole by `lp_min`."""
-    binary = {(j, c): f"I{k}" for k, (j, c) in enumerate(
-        (j, c) for j, levels in frame.levels.items() for c, *_ in levels)}
-    rows = [({binary[(j, c)]: 1.0 for c, *_ in levels}, solver.EQ, 1.0)
+    """`frame`'s MIP and its choices, its columns and rows written one at a
+    time, each row a dict, and made whole by `lp_min`: a column per
+    (product, choice) key, then one per engagement key."""
+    choices = [(j, c) for j, levels in frame.levels.items() for c, *_ in levels]
+    rows = [({(j, c): 1.0 for c, *_ in levels}, solver.EQ, 1.0)
             for j, levels in frame.levels.items()]
-    rows.append(({binary[(j, c)]: float(q * frame.catalog.get(j).eligibility_points)
+    rows.append(({(j, c): float(q * frame.catalog.get(j).eligibility_points)
                   for j, levels in frame.levels.items() for c, q, *_ in levels},
                  solver.LE, float(frame.eligibility)))
-    rows += [({binary[option]: 1.0, engagement: -1.0}, solver.LE, 0.0)
+    rows += [({option: 1.0, engagement: -1.0}, solver.LE, 0.0)
              for option, engagement in frame.needs.items()]
-    return lp_min({}, [(name, 0.0, 1.0) for name in [*binary.values(), *frame.costs]],
-                  rows), binary
+    return lp_min({}, [(key, 0.0, 1.0) for key in [*choices, *frame.costs]], rows), choices
+
+
+def feasible(lp, choices, exact):
+    """A stand-in for `solve_mip` that answers at once: every column at 0."""
+    return solver.Solution("optimal", dict.fromkeys(lp.names, 0.0), 0.0)
 
 
 @pytest.mark.parametrize("auction", ["standard", "tiered"])
@@ -524,9 +528,9 @@ def test_frame_mips_equal_the_row_at_a_time_build(auction, monkeypatch):
     assert frames and (auction == "standard" or all(f.needs and f.costs for f in frames))
     for frame in frames:
         prices = PriceVector({key: 0 for levels in frame.levels.values() for *_, key in levels})
-        frame.solve(frame.options(prices), lambda *a: solver.Solution("infeasible", {}, None))
-        (lp, binary), (reference, expected) = frame.mip, row_at_a_time(frame)
-        assert binary == expected
+        frame.solve(frame.options(prices), feasible)
+        (lp, choices), (reference, expected) = frame.mip, row_at_a_time(frame)
+        assert choices == expected
         assert (lp.names, lp.lb, lp.ub, lp.costs) == \
             (reference.names, reference.lb, reference.ub, reference.costs)
         rows, want = lp.rows, reference.rows
@@ -548,7 +552,7 @@ def test_the_counted_views_are_the_columns_and_rows(monkeypatch):
                              config.increments, keep_lp=True)
     frame = frames[0]
     prices = PriceVector({key: 0 for levels in frame.levels.values() for *_, key in levels})
-    frame.solve(frame.options(prices), lambda *a: solver.Solution("infeasible", {}, None))
+    frame.solve(frame.options(prices), feasible)
     lps = [est.report.lp for est in estimates.values()] + [frame.mip[0]]
     for lp in lps:
         assert len(lp.variables) == len(lp.names) > 0
