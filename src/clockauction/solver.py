@@ -1,30 +1,32 @@
 """Deterministic LP/MIP solving.
 
 The built-in path is a dense two-phase simplex with Bland's rule plus a
-depth-first branch-and-bound for binary variables: no external solver in the
-loop, so identical inputs give identical outputs byte for byte.  It solves the
-bidder MIPs; a "highs" backend serves the valuation LPs through the same
-interface and is also deterministic for fixed inputs.  It hands each LP
-as written to SciPy's bundled HiGHS bindings, loading that one extension
-module from SciPy's directory at the first solve, without importing
-scipy.optimize, whose import would cost more than the solves of a whole
-`estimate` (`_highspy`).  It solves each LP on one HiGHS instance per
-thread, made at the thread's first solve; passModel replaces the model and
-the last solve's state, and a test checks that a reused instance answers as
-a fresh one.
+dive for binary variables, led by an exact oracle of each node's integer
+optimum: no external solver in the loop, so identical inputs give
+identical outputs byte for byte.  It solves the bidder MIPs; a "highs"
+backend serves the valuation LPs through the same interface and is also
+deterministic for fixed inputs.  It hands each LP as written to SciPy's
+bundled HiGHS bindings, loading that one extension module from SciPy's
+directory at the first solve, without importing scipy.optimize, whose
+import would cost more than the solves of a whole `estimate`
+(`_highspy`).  It solves each LP on one HiGHS instance per thread, made
+at the thread's first solve; passModel replaces the model and the last
+solve's state, and a test checks that a reused instance answers as a
+fresh one.
 
 Every LP is a `LinearProgram`: named columns with bounds and costs, and its
 constraints as sparse triplets (`Rows`), handed over whole, as estimation
 and the bidder oracle's MIPs make them.  The simplex scatters the triplets
 into its tableau as one dense block, the highs backend passes their arrays
 as they are, and both refuse non-finite input.  LPs share what they do not
-change: the nodes of `solve_mip(lp, binaries)` differ from their MIP only
-in the bounds, and a MIP re-priced at new costs shares its rows.  The rows keep, by bounds, the tableau and basis that
-phase 2 starts from (`Rows.phase1`), since neither the build nor phase 1
-reads the costs: a node met again builds no tableau and runs no phase 1,
-and starts phase 2 from the same bits.  Given the exact optimum of each
-node `solve_mip` skips the nodes that cannot hold the MIP's optimum, with
-the same result.
+change: the nodes of `solve_mip(lp, binaries, exact)` differ from their
+MIP only in the bounds, and a MIP re-priced at new costs shares its rows.
+The rows keep, by bounds, the tableau and basis that phase 2 starts from
+(`Rows.phase1`), since neither the build nor phase 1 reads the costs: a
+node met again builds no tableau and runs no phase 1, and starts phase 2
+from the same bits.  `solve_mip` has one tie rule: it fixes the first
+fractional binary, to 0 wherever 0 still holds the MIP's exact optimum,
+and takes the first integral vertex.
 """
 
 from __future__ import annotations
@@ -441,27 +443,23 @@ def solve_lp(lp: LinearProgram, backend: str = "builtin") -> Solution:
 
 
 def solve_mip(lp: LinearProgram, binaries: list[Hashable],
-              exact: Callable[[dict[Hashable, float]], float] | None = None) -> Solution:
-    """Depth-first branch and bound over the `binaries` of `lp`, variables
-    with bounds [0, 1] (built-in simplex).
+              exact: Callable[[dict[Hashable, float]], float]) -> Solution:
+    """A dive over the `binaries` of `lp`, variables with bounds [0, 1]
+    (built-in simplex), led by `exact(fixed)`: the exact integer optimum of
+    the MIP with the binaries `fixed` fixed ({name: 0.0 | 1.0}), inf when it
+    has no integer point.
 
-    Branch order: lowest variable index first, 0-branch explored first; the
-    first incumbent found at the optimal value wins, which makes the result
-    deterministic.
-
-    `exact(fixed)`, if given, is the exact integer optimum of the node whose
-    binaries `fixed` are fixed ({name: 0.0 | 1.0}), inf when it has no
-    integer point.  A node with `exact(fixed) > exact({}) + margin`, where
-    margin is 1e-6 * (1 + the 1-norm of the objective costs), ten times
-    INT_TOL times the objective's weight, is skipped before its simplex
-    solve.  The result is the one found without `exact`: a skipped subtree
-    holds only points worse than the optimum by more than the margin, and a
-    node accepted as integral within INT_TOL is that close to one of its
-    integer points, so any incumbent the subtree could set is replaced later
-    and can never prune a node that holds a near-optimal point.  So every near-optimal
-    incumbent is found at the same position in the search, from the same
-    LP, with or without `exact`.  After the search the two optima must
-    agree within the margin, or both be infeasible; else SolverError.
+    From the root LP, each node fixes the first binary, in column order,
+    that its vertex leaves fractional: to 0 where that child's exact
+    optimum is still the MIP's, exact({}), else to 1, where it must be.  A
+    node that holds an integer optimum has a feasible relaxation and a
+    child that holds it, so the dive never backtracks, and its first
+    integral vertex is the answer: the first optimum of the depth-first
+    search that tries 0 first, whose LP objectives no float noise can
+    reorder.  Its objective must agree with exact({}) within 1e-6 * (1 +
+    the 1-norm of the costs), ten times INT_TOL times the objective's
+    weight, or both be infeasible; else SolverError, as where neither child
+    holds the optimum.
     """
     position = lp._index
     for name in binaries:
@@ -471,46 +469,36 @@ def solve_mip(lp: LinearProgram, binaries: list[Hashable],
             raise ValidationError(f"binary variable {name!r} must have bounds [0, 1]")
     binary = set(binaries)
     binaries = [name for name in lp.names if name in binary]
-    best = Solution("infeasible", {}, None)
-    if exact is not None:
-        bound = exact({})
-        margin = 1e-6 * (1.0 + float(np.abs(lp.costs).sum()))
-        cutoff = bound + margin
-
-    def recurse(lb: list[float], ub: list[float], fixed: dict[str, float]):
-        """Solve the node with bounds `lb` and `ub`: the MIP's, with the
-        binaries branched on so far fixed as in `fixed`."""
-        nonlocal best
-        if fixed and exact is not None and exact(fixed) > cutoff:
-            return
-        node = copy.copy(lp)
-        node.lb, node.ub = lb, ub
+    bound, fixed = exact({}), {}
+    node = copy.copy(lp)
+    while True:
         sol = solve_lp(node)
-        if sol.status == "infeasible":
-            return
         if sol.status == "unbounded":
             raise SolverError("MIP relaxation unbounded")
-        if best.objective_value is not None and sol.objective_value >= best.objective_value - 1e-9:
-            return
+        if sol.status == "infeasible":
+            break
         values = sol.values
         frac = next((name for name in binaries
                      if abs(values[name] - round(values[name])) > INT_TOL), None)
         if frac is None:
-            best = Solution("optimal", {**values, **{name: float(round(values[name]))
-                                                     for name in binaries}},
-                            sol.objective_value)
-            return
+            sol = Solution("optimal", {**values, **{name: float(round(values[name]))
+                                                    for name in binaries}},
+                           sol.objective_value)
+            break
         for branch in (0.0, 1.0):
-            child_lb, child_ub = list(lb), list(ub)
-            child_lb[position[frac]] = child_ub[position[frac]] = branch
-            recurse(child_lb, child_ub, {**fixed, frac: branch})
-
-    recurse(lp.lb, lp.ub, {})
-    if exact is not None:
-        found = math.inf if best.objective_value is None else best.objective_value
-        if math.isinf(found) != math.isinf(bound) or abs(found - bound) > margin:
-            raise SolverError(f"branch and bound gives {found!r}, the exact optimum {bound!r}")
-    return best
+            if exact({**fixed, frac: branch}) == bound:
+                break
+        else:
+            raise SolverError(f"neither child of {fixed!r} holds the exact optimum {bound!r}")
+        fixed = {**fixed, frac: branch}
+        node = copy.copy(node)
+        node.lb, node.ub = list(node.lb), list(node.ub)
+        node.lb[position[frac]] = node.ub[position[frac]] = branch
+    found = math.inf if sol.objective_value is None else sol.objective_value
+    margin = 1e-6 * (1.0 + float(np.abs(lp.costs).sum()))
+    if math.isinf(found) != math.isinf(bound) or abs(found - bound) > margin:
+        raise SolverError(f"the dive gives {found!r}, the exact optimum {bound!r}")
+    return sol
 
 
 def write_lp_format(lp: LinearProgram, path) -> None:

@@ -1,12 +1,15 @@
 """The exact optimum of the oracle MIPs.  `engine.Frame.best`, a knapsack DP
-over a frame's options, gives each branch-and-bound node's integer optimum,
-and `solve_mip(lp, binaries, exact)` skips the nodes that cannot hold the
-MIP's optimum with the same result, bit for bit, as the search without it.
-`engine.choose_base` picks the base from the exact utilities of the
-oracles' entries and runs a MIP only where they cannot tell, with the bid,
-bit for bit, of the rule that runs every base's MIP."""
+over a frame's options, gives each node's integer optimum, and
+`solve_mip(lp, binaries, exact)` dives to the first optimum of the
+depth-first search over the nodes that hold the MIP's optimum, bit for
+bit, without backtracking.  `engine.choose_base` picks the base from the
+exact utilities of the oracles' entries and runs a MIP only where they
+cannot tell, with the bid, bit for bit, of the rule that runs every base's
+MIP."""
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -24,10 +27,10 @@ from clockauction.engine import BidderAgent, Frame, run_auction, trace_summary, 
 from clockauction.errors import SolverError
 from clockauction.estimation import ValuationModel, initial_eligibility
 from clockauction.ingest import BundleBase, BundleSpace, CopyLadder
-from clockauction.solver import EQ, GE, LE, LinearProgram, Solution, solve_mip
+from clockauction.solver import GE, Solution, solve_mip
 from clockauction.synthetic import random_setup
 from clockauction.tiered import TIERS, TieredValuationAdjustment, run_extended_auction
-from test_solver import columns, constraints, mip_max
+from test_solver import brute_force, columns, mip_max, rebound
 
 
 def random_costs(rng, bidder, catalog, zero):
@@ -98,39 +101,60 @@ def bits(sol: solver.Solution):
             None if value is None else value.hex())
 
 
-def brute_force(lp: LinearProgram, fixed: dict[str, float]) -> float:
-    """The integer optimum of an all-binary MIP under `fixed`, over every 0/1
-    point of its variables (numpy, so up to about 16 variables); inf when no
-    point satisfies the rows."""
-    names = lp.names
-    points = np.array(list(itertools.product((0.0, 1.0), repeat=len(names))))
-    for name, v in fixed.items():
-        points = points[points[:, names.index(name)] == v]
-    for coeffs, rel, rhs in constraints(lp):
-        row = np.array([coeffs.get(name, 0.0) for name in names])
-        act = points @ row
-        keep = {LE: act <= rhs + 1e-9, GE: act >= rhs - 1e-9,
-                EQ: np.abs(act - rhs) <= 1e-9}[rel]
-        points = points[keep]
-    if not len(points):
-        return math.inf
-    return float((points @ np.array(lp.costs, dtype=float)).min())
-
-
 @pytest.mark.parametrize("kind, seed", [("standard", 11), ("tiered", 12),
                                         ("tiered-shared", 13)])
 def test_bound_changes_no_bit(kind, seed):
-    """Over 250 oracle MIPs of each kind, the search with the bound gives the
-    search's result without it, field for field and bit for bit."""
-    mips = oracle_mips(kind, 250, seed)
+    """Over 250 oracle MIPs of each kind, the dive gives the answer of the
+    backtracking search over the nodes whose integer optimum is the MIP's,
+    field for field and bit for bit, and solves the same nodes: it never
+    needs to backtrack.  The optimum of a node is brute force's where the
+    MIP has at most 12 columns, else the DP's."""
     skipped = 0
-    for lp, binaries, exact in mips:
-        assert exact is not None
-        plain, bounded = count_nodes(lp, binaries, None), count_nodes(lp, binaries, exact)
-        assert bits(bounded[0]) == bits(plain[0])
-        assert bounded[1] <= plain[1]
-        skipped += plain[1] - bounded[1]
+    for lp, binaries, exact in oracle_mips(kind, 250, seed):
+        bound = functools.partial(brute_force, lp) if len(lp.names) <= 12 else exact
+        reference, solved, skips = backtracking(lp, binaries, bound)
+        dive, nodes = count_nodes(lp, binaries, exact)
+        assert bits(dive) == bits(reference)
+        assert nodes == solved
+        skipped += skips
     assert skipped > 0
+
+
+def backtracking(lp, binaries, exact) -> tuple[solver.Solution, int, int]:
+    """The reference for `solve_mip`: a depth-first search that backtracks,
+    over the nodes whose `exact` optimum is the MIP's.  Each node fixes the
+    first binary, in column order, that its vertex leaves fractional, to 0
+    and then to 1; a node that holds no optimum is skipped before its
+    simplex solve, an infeasible one after it, and the first integral vertex
+    is the answer.  Also the counts of nodes solved and skipped."""
+    optimum, binary, counts = exact({}), set(binaries), [0, 0]
+
+    def search(node, fixed):
+        if fixed and exact(fixed) != optimum:
+            counts[1] += 1
+            return None
+        counts[0] += 1
+        sol = solver.solve_lp(node)
+        if sol.status != "optimal":
+            return None
+        values = sol.values
+        fractional = [name for name in lp.names if name in binary
+                      and abs(values[name] - round(values[name])) > solver.INT_TOL]
+        if not fractional:
+            return Solution("optimal", {**values, **{name: float(round(values[name]))
+                                                     for name in lp.names if name in binary}},
+                            sol.objective_value)
+        k = lp.names.index(fractional[0])
+        for branch in (0.0, 1.0):
+            lb, ub = list(node.lb), list(node.ub)
+            lb[k] = ub[k] = branch
+            found = search(rebound(node, lb, ub), {**fixed, fractional[0]: branch})
+            if found is not None:
+                return found
+        return None
+
+    found = search(copy.copy(lp), {})
+    return found or Solution("infeasible", {}, None), *counts
 
 
 @pytest.mark.parametrize("kind, seed", [("standard", 31), ("tiered", 32),
@@ -182,20 +206,21 @@ def count_nodes(lp, binaries, exact) -> tuple[solver.Solution, int]:
 @pytest.mark.parametrize("kind, seed", [("standard", 21), ("tiered", 22),
                                         ("tiered-shared", 23)])
 def test_exact_matches_brute_force_at_every_node(kind, seed):
-    """At every node the search visits, and at random fixings of its choice
-    columns besides, the DP gives the integer optimum that brute force over
-    every 0/1 point of the MIP's variables gives."""
+    """At every node the dive solves, at every fixing it asks the DP about,
+    and at random fixings of its choice columns besides, the DP gives the
+    integer optimum that brute force over every 0/1 point of the MIP's
+    variables gives."""
     rng = np.random.default_rng(seed)
     small = [mip for mip in oracle_mips(kind, 60, seed, max_supply=2)
              if len(mip[0].names) <= 16]
     assert len(small) >= 20
     for lp, binaries, exact in small:
-        nodes = []
+        nodes, fixings = [], []
         with pytest.MonkeyPatch.context() as mp:
             real = solver.solve_lp
             mp.setattr(solver, "solve_lp", lambda node, *a: nodes.append(node) or real(node, *a))
-            solve_mip(lp, binaries)
-        fixings = [{name: lb for name, lb, ub in columns(node) if lb == ub} for node in nodes]
+            solve_mip(lp, binaries, lambda fixed: fixings.append(fixed) or exact(fixed))
+        fixings += [{name: lb for name, lb, ub in columns(node) if lb == ub} for node in nodes]
         for _ in range(5):
             chosen = rng.choice(len(binaries), size=int(rng.integers(1, 4)), replace=False)
             fixings.append({binaries[k]: float(rng.integers(2)) for k in chosen})
@@ -264,18 +289,22 @@ def test_best_matches_every_bundle(seed, kind):
 
 def knapsack(*more):
     """max 5 z0 + 4 z1 + 3 z2 with weights 4, 3, 2 under 6, then the rows
-    `more`.  Without them the relaxation is fractional, so the search
+    `more`.  Without them the relaxation is fractional, so the dive
     branches, and the optimum is z0 + z2, -8."""
     return mip_max([5.0, 4.0, 3.0], [4.0, 3.0, 2.0], 6.0, more)
 
 
 def test_knapsack_bound_skips_and_agrees():
+    """The root leaves z0 fractional; z0 = 0 holds no optimum, so the dive
+    skips it, fixes z0 = 1 and stops at z0 + z2, the backtracking search's
+    answer, after the same two simplex solves."""
     lp, binaries = knapsack()
-    exact = lambda fixed: brute_force(lp, fixed)
-    plain, bounded = count_nodes(lp, binaries, None), count_nodes(lp, binaries, exact)
-    assert bits(bounded[0]) == bits(plain[0])
-    assert bounded[0].objective_value == pytest.approx(-8.0)
-    assert bounded[1] < plain[1]
+    exact = functools.partial(brute_force, lp)
+    (dive, nodes), reference = count_nodes(lp, binaries, exact), backtracking(lp, binaries, exact)
+    assert bits(dive) == bits(reference[0])
+    assert dive.objective_value == pytest.approx(-8.0)
+    assert [dive.values[name] for name in binaries] == [1.0, 0.0, 1.0]
+    assert (nodes, *reference[1:]) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -292,7 +321,7 @@ def test_wrong_exact_is_a_solver_error(wrong):
 
 def test_exact_feasible_on_an_infeasible_mip_is_a_solver_error():
     lp, binaries = knapsack(({"z0": 1.0, "z1": 1.0, "z2": 1.0}, GE, 4.0))
-    assert solve_mip(lp, binaries).status == "infeasible"
+    assert solve_mip(lp, binaries, functools.partial(brute_force, lp)).status == "infeasible"
     assert solve_mip(lp, binaries, lambda fixed: math.inf).status == "infeasible"
     with pytest.raises(SolverError, match="exact optimum"):
         solve_mip(lp, binaries, lambda fixed: 0.0)
@@ -321,9 +350,9 @@ def test_every_frame_bounds_its_mip():
 
 
 def test_resolve_keeps_the_exact_utility():
-    """A MIP bundle below the DP's optimum, which branch and bound accepts
-    within its margin, is a solver error when the entry resolves: the entry
-    never takes a lower utility into the run's memo."""
+    """A MIP bundle below the DP's optimum, which the dive's final check
+    accepts within its margin, is a solver error when the entry resolves:
+    the entry never takes a lower utility into the run's memo."""
     config, _ = random_setup(0, n_bidders=1, n_products=8)
     catalog = config.catalog
     frame = Frame({j: [(q, 1, float(q), j) for q in range(3)] for j in catalog.ids()[:2]},
@@ -342,9 +371,9 @@ def test_resolve_keeps_the_exact_utility():
 
 
 @pytest.mark.parametrize("auction", ["standard", "tiered", "tiered-zero-costs"])
-def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
+def test_auctions_with_the_eager_chooser_write_the_same_bytes(auction, monkeypatch):
     """Whole runs write the same trace as the eager rule, which runs every
-    base's MIP whenever it is asked and branches without the bound: runs
+    base's MIP, led by the frame's DP, whenever it is asked: runs
     whose oracle calls reach best_copies' MIP, tiered runs with deployment
     costs, where the exact optimum names nearly every bid, and tiered runs
     with zero costs, where every tier ties and the winning base's MIP runs."""
@@ -368,9 +397,6 @@ def test_auctions_without_the_bound_write_the_same_bytes(auction, monkeypatch):
     for eager in (False, True):
         if eager:
             monkeypatch.setattr(engine, "choose_base", eager_choose_base)
-            for module in (engine, tiered):
-                monkeypatch.setattr(module, "solve_mip",
-                                    lambda lp, binaries, exact=None: solve_mip(lp, binaries))
         calls.clear()
         trace = run()
         text = trace_to_jsonl(trace) + json.dumps(trace_summary(trace), sort_keys=True)

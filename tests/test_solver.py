@@ -62,6 +62,31 @@ def columns(lp):
     return list(zip(lp.names, lp.lb, lp.ub))
 
 
+def brute_force(lp: LinearProgram, fixed: dict[str, float]) -> float:
+    """The integer optimum of an all-binary MIP under `fixed`, over every 0/1
+    point of its variables (numpy, so up to about 16 variables); inf when no
+    point satisfies the rows."""
+    names = lp.names
+    points = np.array(list(itertools.product((0.0, 1.0), repeat=len(names))))
+    for name, v in fixed.items():
+        points = points[points[:, names.index(name)] == v]
+    for coeffs, rel, rhs in constraints(lp):
+        row = np.array([coeffs.get(name, 0.0) for name in names])
+        act = points @ row
+        keep = {LE: act <= rhs + 1e-9, GE: act >= rhs - 1e-9,
+                EQ: np.abs(act - rhs) <= 1e-9}[rel]
+        points = points[keep]
+    if not len(points):
+        return math.inf
+    return float((points @ np.array(lp.costs, dtype=float)).min())
+
+
+def solve_binary(lp, binaries):
+    """`solve_mip` on an all-binary MIP, led by brute force's optimum of
+    each node."""
+    return solve_mip(lp, binaries, functools.partial(brute_force, lp))
+
+
 class TestLpExamples:
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
     def test_single_bound(self, backend):
@@ -134,7 +159,7 @@ class TestLpExamples:
     @pytest.mark.parametrize("solve", [
         pytest.param(lambda lp: solve_lp(lp, backend="builtin"), id="builtin"),
         pytest.param(lambda lp: solve_lp(lp, backend="highs"), id="highs"),
-        pytest.param(lambda lp: solve_mip(lp, []), id="mip")])
+        pytest.param(lambda lp: solve_binary(lp, []), id="mip")])
     def test_validate_rejects_unknown_names(self, solve, build, message):
         """The LP refuses the name as it is made, or as a column or the
         objective is set by name, so no backend and no MIP ever sees it."""
@@ -617,7 +642,7 @@ def mip_max(profits, weights, capacity, more=()):
 
 class TestMip:
     def test_knapsack_example(self):
-        sol = solve_mip(*mip_max([3.0, 2.0], [1.0, 1.0], 1.0))
+        sol = solve_binary(*mip_max([3.0, 2.0], [1.0, 1.0], 1.0))
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
         assert sol.values["z0"] == 1.0 and sol.values["z1"] == 0.0
 
@@ -625,14 +650,15 @@ class TestMip:
         lp = lp_min({f"z{i}": -c for i, c in enumerate([1.0, 5.0, 2.0, 5.0])},
                     [(f"z{i}", 0.0, 1.0) for i in range(4)],
                     [({f"z{i}": 1.0 for i in range(4)}, EQ, 1.0)])
-        sol = solve_mip(lp, [f"z{i}" for i in range(4)])
+        sol = solve_binary(lp, [f"z{i}" for i in range(4)])
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
-        # deterministic tie-break: first optimal incumbent wins
+        # the tie rule: the first fractional binary goes to 0 wherever 0
+        # still holds the optimum, and the first integral vertex wins
         assert sol.values["z1"] == 1.0 and sol.values["z3"] == 0.0
 
     def test_infeasible_mip(self):
         lp = lp_min({}, [("z0", 0.0, 1.0)], [({"z0": 1.0}, GE, 2.0)])
-        assert solve_mip(lp, ["z0"]).status == "infeasible"
+        assert solve_binary(lp, ["z0"]).status == "infeasible"
 
     def test_random_knapsacks_match_brute_force(self):
         rng = np.random.default_rng(123)
@@ -641,7 +667,7 @@ class TestMip:
             profits = rng.integers(1, 20, size=n).astype(float)
             weights = rng.integers(1, 10, size=n).astype(float)
             capacity = float(rng.integers(1, int(weights.sum()) + 1))
-            sol = solve_mip(*mip_max(list(profits), list(weights), capacity))
+            sol = solve_binary(*mip_max(list(profits), list(weights), capacity))
             best = 0.0
             for mask in itertools.product((0, 1), repeat=n):
                 if np.dot(mask, weights) <= capacity:
@@ -651,12 +677,12 @@ class TestMip:
     def test_binary_bounds_enforced(self):
         lp = lp_min({}, [("z0", 0.0, 2.0)], [])
         with pytest.raises(ValidationError):
-            solve_mip(lp, ["z0"])
+            solve_binary(lp, ["z0"])
 
     def test_unknown_binary_rejected(self):
         lp, binaries = mip_max([3.0, 2.0], [1.0, 1.0], 1.0)
         with pytest.raises(ValidationError, match="unknown binary variable 'z2'"):
-            solve_mip(lp, [*binaries, "z2"])
+            solve_binary(lp, [*binaries, "z2"])
 
 
 class TestBranchAndBoundNodes:
@@ -679,7 +705,7 @@ class TestBranchAndBoundNodes:
         mips = counted_knapsacks()
         for lp, binaries in mips:
             nodes.clear()
-            solve_mip(lp, binaries)
+            solve_binary(lp, binaries)
             assert nodes and all(node.names is lp.names and node.costs is lp.costs
                                  and node.rows is lp.rows for node in nodes)
         assert checks == [lp.rows for lp, _ in mips]
@@ -697,7 +723,7 @@ class TestBranchAndBoundNodes:
                 assert columns(shared) == columns(lp)
                 assert constraints(shared) == constraints(lp)
                 # repr tells every float apart, -0.0 from 0.0 too
-                assert repr(solve_mip(shared, binaries)) == repr(solve_mip(lp, binaries))
+                assert repr(solve_binary(shared, binaries)) == repr(solve_binary(lp, binaries))
 
     def test_nodes_carry_their_fixings(self, monkeypatch):
         nodes = []
@@ -710,7 +736,7 @@ class TestBranchAndBoundNodes:
         monkeypatch.setattr(solver, "solve_lp", record)
         for lp, binaries in counted_knapsacks():
             nodes.clear()
-            solve_mip(lp, binaries)
+            solve_binary(lp, binaries)
             assert nodes[0][0].lb is lp.lb and nodes[0][0].ub is lp.ub
             fixings = []
             for node, sol in nodes:
@@ -784,7 +810,7 @@ class TestPhase1Memo:
     def test_random_mips_match_without_memo(self, monkeypatch):
         mips = counted_knapsacks()
         monkeypatch.setattr(solver, "solve_lp", unmemoized)
-        plain = [solve_mip(*mip) for mip in mips]
+        plain = [solve_binary(*mip) for mip in mips]
         monkeypatch.undo()
         # each system's three objectives re-price its first MIP, as a frame
         # re-prices its MIP at each round's prices
@@ -796,7 +822,7 @@ class TestPhase1Memo:
         monkeypatch.setattr(solver, "solve_lp",
                             lambda lp, backend="builtin": solves.append(1) or real(lp, backend))
         monkeypatch.setattr(solver, "_phase1", lambda *a: phases.append(1) or phase1(*a))
-        served = [solve_mip(repriced(source, lp.costs), binaries)
+        served = [solve_binary(repriced(source, lp.costs), binaries)
                   for source, (lp, binaries) in zip(sources, mips)]
         assert served == plain
         assert {sol.status for sol in plain} == {"optimal", "infeasible"}
@@ -962,7 +988,7 @@ def test_matches_loop_reference_bit_for_bit(monkeypatch):
                         lambda lp, backend="builtin": lps.append(lp) or real_lp(lp, backend))
     mips = counted_knapsacks()
     for k, (lp, binaries) in enumerate(mips):
-        solve_mip(repriced(mips[k - k % 3][0], lp.costs), binaries)
+        solve_binary(repriced(mips[k - k % 3][0], lp.costs), binaries)
     monkeypatch.undo()
 
     starts = []
@@ -1032,7 +1058,7 @@ def test_simplex_phase_matches_reference_pivots(monkeypatch):
     monkeypatch.setattr(solver, "_simplex_phase", lambda T, basis, ncols: starts.append(
         (T.copy(), list(basis), ncols)) or real(T, basis, ncols))
     for mip in counted_knapsacks():
-        solve_mip(*mip)
+        solve_binary(*mip)
     config, agents = random_setup(1, n_bidders=4, n_products=8, n_bases=2)
     run_extended_auction(config, agents, TieredValuationAdjustment.zero(
         [a.bidder_id for a in agents], sorted({p.area_id for p in config.catalog})))

@@ -271,9 +271,19 @@ BB_DIGESTS = {
     1: "64654941eecee638034279675e7f1f96b64bdc19ccce4066bedb949f51e6e5a9",
     2: "2a123ba6856616978d13f17965f1f100f58a3f6f6705f86dfd31b50388ba80b4",
 }
+# recorded from the dive, which takes the first exact optimum of the search
+# that tries 0 first.  The branch and bound before it wrote other bytes on
+# these seeds: it kept a later incumbent whose LP objective read lower by
+# float noise alone, so at seed 75 it took P02 at medium where the dive
+# takes it at low, both bundles worth exactly 23,554,212 cents, their
+# objectives 23554212.000000007 and 23554212.000000015
+TIE_DIGESTS = {
+    75: "c8b5c3ee3a016982ded595e3715ef4813740dff7aa63c34c6b4fafe97008798b",
+    89: "424195f83c71d35a4cdd2d5e0709fdaf06734910173acb272a85b02a15538135",
+}
 
 
-@pytest.mark.parametrize("seed", sorted(BB_DIGESTS))
+@pytest.mark.parametrize("seed", sorted({**BB_DIGESTS, **TIE_DIGESTS}))
 def test_bb_path_trace_digest(seed, monkeypatch):
     calls = []
     solve_mip = tiered.solve_mip
@@ -285,7 +295,7 @@ def test_bb_path_trace_digest(seed, monkeypatch):
     trace = run_extended_auction(config, agents, adj)
     assert calls, "no oracle call reached the MIP"
     text = tiered_text(trace, config.catalog, adj)
-    assert hashlib.sha256(text.encode()).hexdigest() == BB_DIGESTS[seed]
+    assert hashlib.sha256(text.encode()).hexdigest() == {**BB_DIGESTS, **TIE_DIGESTS}[seed]
 
 
 def test_the_memo_keys_every_tier_price():
